@@ -44,4 +44,17 @@ cargo run --release -p flower-bench --bin perf -- \
 cargo run --release -p flower-bench --bin perf -- \
     --compare BENCH_arena.json results/BENCH_ci.json --threshold 1.5
 
+echo "==> repository benchmark (binding surface + outcome_digest guard)"
+# benchmark/ is its own package against ../crates/*: a core refactor that
+# breaks what it binds to, or changes what a seeded run produces between
+# its repetitions, must fail here rather than in the benchmark pipeline.
+cargo test -q --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --quick
+# benchmark/Cargo.lock must still resolve as committed.
+if [ -n "$(git status --porcelain benchmark/)" ]; then
+    echo "building the benchmark changed files under benchmark/:"
+    git status --porcelain benchmark/
+    exit 1
+fi
+
 echo "==> CI green"

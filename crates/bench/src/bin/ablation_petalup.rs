@@ -97,18 +97,11 @@ fn main() {
         .cells
         .iter()
         .zip(&grouped)
-        .map(|(cell, runs)| CellResult {
-            label: cell.label.clone(),
-            system: cell.system,
-            population: cell.params.population,
-            runs: runs
+        .map(|(cell, runs)| {
+            let runs = runs
                 .iter()
-                .map(|(seed, (summary, _, _))| (*seed, summary.clone()))
-                .collect(),
-            perf: runs
-                .iter()
-                .filter_map(|(seed, (_, _, p))| p.clone().map(|p| (*seed, p)))
-                .collect(),
+                .map(|(seed, (summary, _, perf))| (*seed, summary.clone(), perf.clone()));
+            CellResult::from_runs(cell, runs)
         })
         .collect();
 

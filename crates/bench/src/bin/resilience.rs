@@ -40,10 +40,9 @@ use std::collections::BTreeMap;
 
 use cdn_metrics::{Csv, RunSummary};
 use chaos::{FaultAction, ResilienceSummary, ResilienceTracker};
-use flower_bench::comparison::with_seed_suffix;
-use flower_bench::{canned_resilience_scenario, HarnessOpts};
+use flower_bench::{canned_resilience_scenario, run_harness_cell, HarnessOpts};
 use flower_cdn::invariants::InvariantConfig;
-use flower_cdn::{run_system_with, InvariantChecker, System};
+use flower_cdn::{InvariantChecker, System};
 use sweep::{run_cells, Cell, CellResult, Grid};
 
 struct SystemRun {
@@ -60,8 +59,7 @@ fn main() {
     println!("{}", params.table1());
 
     let scenario = opts
-        .scenario
-        .clone()
+        .scenario_for(&params)
         .unwrap_or_else(|| canned_resilience_scenario(&params));
     println!("fault schedule:\n{scenario}");
 
@@ -87,8 +85,6 @@ fn main() {
     let inst = opts.instrumentation();
     let mean_uptime_ms = params.mean_uptime_ms;
     let grouped = run_cells(&grid, &opts.sweep_opts(), |cell, seed| {
-        let mut p = cell.params.clone();
-        p.seed = seed;
         // The trackers are Rc-based (not Send): each worker builds its
         // own inside the run and moves only the owned summary out.
         let tracker = ResilienceTracker::new(bucket_ms);
@@ -103,28 +99,10 @@ fn main() {
                 ..InvariantConfig::default()
             })
         });
-        let result = run_system_with(cell.system, p, |sim| {
-            if inst.profile {
-                sim.enable_profiling();
-            }
+        let result = run_harness_cell(&inst, cell, seed, multi, |sim| {
             sim.add_trace_sink_boxed(Box::new(tracker.clone()));
             if let Some(c) = &checker {
                 sim.add_trace_sink_boxed(Box::new(c.clone()));
-            }
-            if let Some(base) = inst.trace_path(cell.system) {
-                let path = if multi {
-                    with_seed_suffix(&base, seed)
-                } else {
-                    base
-                };
-                let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
-                sim.add_trace_sink_boxed(Box::new(w));
-            }
-            if let Some(period) = inst.gauge_period_ms {
-                sim.enable_gauges(period);
-            }
-            if let Some(sc) = &cell.scenario {
-                sim.apply_scenario(sc);
             }
         });
         SystemRun {
@@ -206,15 +184,11 @@ fn main() {
             .cells
             .iter()
             .zip(&grouped)
-            .map(|(cell, runs)| CellResult {
-                label: cell.label.clone(),
-                system: cell.system,
-                population: cell.params.population,
-                runs: runs.iter().map(|(s, r)| (*s, r.summary.clone())).collect(),
-                perf: runs
+            .map(|(cell, runs)| {
+                let runs = runs
                     .iter()
-                    .filter_map(|(s, r)| r.perf.clone().map(|p| (*s, p)))
-                    .collect(),
+                    .map(|(s, r)| (*s, r.summary.clone(), r.perf.clone()));
+                CellResult::from_runs(cell, runs)
             })
             .collect();
         flower_bench::write_profile_report(p, &cells);

@@ -89,10 +89,10 @@ fn main() {
                     }
                     other => unreachable!("unknown variant {other}"),
                 };
-                if let Some(sc) = &opts.scenario {
+                if let Some(sc) = opts.scenario_for(&cell.params) {
                     // An explicit --scenario overrides the canned fault
                     // schedules on every cell.
-                    cell = cell.with_scenario(sc.clone());
+                    cell = cell.with_scenario(sc);
                 }
                 grid.push(cell);
             }

@@ -6,7 +6,9 @@
 use std::path::{Path, PathBuf};
 
 use cdn_metrics::{GaugeRegistry, QueryRecord, QueryStats};
-use flower_cdn::{run_system_with, RunResult, SimParams, System};
+use flower_cdn::{
+    run_system_with, set_up_run, Instrumentation, RunResult, SimDriver, SimParams, System,
+};
 use sweep::{run_cells, Cell, CellResult, Grid};
 
 use crate::HarnessOpts;
@@ -89,11 +91,41 @@ pub fn with_seed_suffix(path: &Path, seed: u64) -> PathBuf {
     }
 }
 
+/// Run one (cell, seed) of a multi-seed harness invocation: `attach` adds
+/// the harness's own sinks, then the shared [`set_up_run`] applies `inst`.
+/// Single-seed runs keep the classic `--trace-out` semantics (Flower-CDN
+/// writes the given path, Squirrel a `.squirrel.jsonl` sibling); `multi`
+/// adds a `_s<seed>` suffix per run.
+pub fn run_harness_cell(
+    inst: &Instrumentation,
+    cell: &Cell,
+    seed: u64,
+    multi: bool,
+    attach: impl FnOnce(&mut dyn SimDriver),
+) -> RunResult {
+    let mut p = cell.params.clone();
+    p.seed = seed;
+    let trace_path = inst.trace_path(cell.system).map(|base| {
+        if multi {
+            with_seed_suffix(&base, seed)
+        } else {
+            base
+        }
+    });
+    run_system_with(cell.system, p, |sim| {
+        attach(sim);
+        set_up_run(
+            sim,
+            inst.profile,
+            trace_path,
+            inst.gauge_period_ms,
+            cell.scenario.as_ref(),
+        );
+    })
+}
+
 /// Run Flower-CDN and Squirrel under `params` for every seed the
-/// invocation asks for, on the shared worker pool. Single-seed runs keep
-/// the classic `--trace-out` semantics (Flower-CDN writes the given path,
-/// Squirrel a `.squirrel.jsonl` sibling); multi-seed runs add a
-/// `_s<seed>` suffix per run.
+/// invocation asks for, on the shared worker pool.
 pub fn run_comparison_sweep(opts: &HarnessOpts, params: SimParams) -> ComparisonOut {
     let seeds = opts.seed_list(params.seed);
     let multi = seeds.len() > 1;
@@ -103,53 +135,24 @@ pub fn run_comparison_sweep(opts: &HarnessOpts, params: SimParams) -> Comparison
         ("squirrel", System::Squirrel),
     ] {
         let mut cell = Cell::new(label, system, params.clone());
-        if let Some(sc) = &opts.scenario {
-            cell = cell.with_scenario(sc.clone());
+        if let Some(sc) = opts.scenario_for(&params) {
+            cell = cell.with_scenario(sc);
         }
         grid.push(cell);
     }
 
     let inst = opts.instrumentation();
     let grouped = run_cells(&grid, &opts.sweep_opts(), |cell, seed| {
-        let mut p = cell.params.clone();
-        p.seed = seed;
-        run_system_with(cell.system, p, |sim| {
-            // Same setup order as Instrumentation::apply: profiler,
-            // trace sink, gauges, scenario.
-            if inst.profile {
-                sim.enable_profiling();
-            }
-            if let Some(base) = inst.trace_path(cell.system) {
-                let path = if multi {
-                    with_seed_suffix(&base, seed)
-                } else {
-                    base
-                };
-                let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
-                sim.add_trace_sink_boxed(Box::new(w));
-            }
-            if let Some(period) = inst.gauge_period_ms {
-                sim.enable_gauges(period);
-            }
-            if let Some(sc) = &cell.scenario {
-                sim.apply_scenario(sc);
-            }
-        })
+        run_harness_cell(&inst, cell, seed, multi, |_| {})
     });
 
     let cells: Vec<CellResult> = grid
         .cells
         .iter()
         .zip(&grouped)
-        .map(|(cell, runs)| CellResult {
-            label: cell.label.clone(),
-            system: cell.system,
-            population: cell.params.population,
-            runs: runs.iter().map(|(s, r)| (*s, r.summary())).collect(),
-            perf: runs
-                .iter()
-                .filter_map(|(s, r)| r.perf.clone().map(|p| (*s, p)))
-                .collect(),
+        .map(|(cell, runs)| {
+            let runs = runs.iter().map(|(s, r)| (*s, r.summary(), r.perf.clone()));
+            CellResult::from_runs(cell, runs)
         })
         .collect();
     if let Some(path) = &opts.profile_out {

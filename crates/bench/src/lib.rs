@@ -35,7 +35,8 @@ pub mod opts;
 pub mod scenarios;
 
 pub use comparison::{
-    profile_label, run_comparison_sweep, write_profile_report, ComparisonOut, SystemOut,
+    profile_label, run_comparison_sweep, run_harness_cell, write_profile_report, ComparisonOut,
+    SystemOut,
 };
 pub use opts::{HarnessOpts, HarnessOptsBuilder, OptsError, Scale, USAGE};
 pub use scenarios::canned_resilience_scenario;

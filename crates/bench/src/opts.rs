@@ -332,6 +332,19 @@ impl HarnessOpts {
         p
     }
 
+    /// The `--scenario` schedule for a run under `params`, if one was
+    /// given. Like any other bad flag value, a schedule that targets a
+    /// website or locality the run does not have exits 2 with the reason
+    /// (the engine would otherwise reject it mid-sweep, inside a worker).
+    pub fn scenario_for(&self, params: &SimParams) -> Option<flower_cdn::Scenario> {
+        let sc = self.scenario.as_ref()?;
+        if let Err(e) = sc.check_bounds(params.catalog.websites, params.topology.localities) {
+            eprintln!("--scenario does not fit this run: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+        Some(sc.clone())
+    }
+
     /// The seed list this invocation sweeps: explicit `--seeds` wins,
     /// else the single `--seed` (or `fallback` when neither is given).
     pub fn seed_list(&self, fallback: u64) -> Vec<u64> {

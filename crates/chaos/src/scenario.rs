@@ -157,6 +157,40 @@ impl Scenario {
             .unwrap_or(0)
     }
 
+    /// Check every website and locality target against the run the
+    /// scenario is about to be applied to. Engines index per-website and
+    /// per-locality state with these values, so a run must reject a
+    /// schedule that fails this before scheduling any of it. The error
+    /// names the offending fault and the bound.
+    pub fn check_bounds(&self, websites: u16, localities: u16) -> Result<(), String> {
+        for fault in &self.faults {
+            let (website, locality) = match fault.action {
+                FaultAction::KillDirectories { website, .. }
+                | FaultAction::JoinWave { website, .. }
+                | FaultAction::OriginBrownout { website, .. } => (website, None),
+                FaultAction::KillRandom { locality, .. } | FaultAction::Heal { locality } => {
+                    (None, locality)
+                }
+                FaultAction::Partition { locality, .. } => (None, Some(locality)),
+                FaultAction::LeaveWave { .. }
+                | FaultAction::LinkFault { .. }
+                | FaultAction::ClearLinkFault
+                | FaultAction::OriginRestore => (None, None),
+            };
+            if let Some(w) = website.filter(|&w| w >= u32::from(websites)) {
+                return Err(format!(
+                    "`{fault}`: website={w} is out of range: the catalog has {websites} websites"
+                ));
+            }
+            if let Some(l) = locality.filter(|&l| l >= u32::from(localities)) {
+                return Err(format!(
+                    "`{fault}`: locality={l} is out of range: the topology has {localities} localities"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Read and parse a scenario file; errors carry the path and line.
     pub fn load(path: impl AsRef<Path>) -> Result<Scenario, String> {
         let path = path.as_ref();
@@ -560,6 +594,39 @@ at 10m link-fault loss=0.05 jitter=40ms for=2m
 
         let err = "kill-random count=1\n".parse::<Scenario>().unwrap_err();
         assert!(err.msg.contains("expected `at"), "{err}");
+    }
+
+    #[test]
+    fn bounds_check_names_the_fault_and_the_bound() {
+        let ok: Scenario = "\
+at 1m kill-directories website=9
+at 2m kill-random count=2 locality=5
+at 3m join-wave count=3
+at 4m partition locality=0 heal-after=1m
+at 5m origin-brownout extra=1s website=0
+at 6m heal
+"
+        .parse()
+        .unwrap();
+        assert_eq!(ok.check_bounds(10, 6), Ok(()));
+        // The same schedule against a smaller run.
+        let err = ok.check_bounds(9, 6).unwrap_err();
+        assert!(err.contains("kill-directories website=9"), "{err}");
+        assert!(err.contains("the catalog has 9 websites"), "{err}");
+        let err = ok.check_bounds(10, 5).unwrap_err();
+        assert!(err.contains("kill-random count=2 locality=5"), "{err}");
+        assert!(err.contains("the topology has 5 localities"), "{err}");
+
+        // Values past u16 must not wrap into range.
+        for line in [
+            "at 1m join-wave count=3 website=65536",
+            "at 1m origin-brownout extra=1s website=70000",
+            "at 1m partition locality=65542",
+            "at 1m heal locality=65536",
+        ] {
+            let sc: Scenario = line.parse().unwrap();
+            assert!(sc.check_bounds(10, 6).is_err(), "{line}");
+        }
     }
 
     #[test]

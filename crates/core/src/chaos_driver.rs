@@ -1,24 +1,18 @@
-//! Bridges [`chaos`] scenarios into the experiment engines.
+//! Bridges [`chaos`] scenarios into the experiment engine.
 //!
-//! Both [`FlowerSim`](crate::engine::FlowerSim) and
-//! [`SquirrelSim`](crate::squirrel::SquirrelSim) accept a
-//! [`chaos::Scenario`] via `apply_scenario`: every scheduled fault becomes
-//! an engine control event, executed by the engine's own control handler so
-//! that chaos shares the engine RNG stream and stays deterministic per
-//! (seed, scenario). This module holds the engine-agnostic pieces: victim
-//! sampling, the environment faults that act on the world itself
-//! (partitions, link faults), and the origin "dial" that models origin
-//! brownouts.
+//! [`Engine`](crate::engine::Engine) accepts a [`chaos::Scenario`] via
+//! `apply_scenario`: every scheduled fault becomes an engine control
+//! event, and the engine's control handler hands it to [`dispatch`], so
+//! chaos shares the engine RNG stream and stays deterministic per (seed,
+//! scenario).
 
 use chaos::FaultAction;
 use rand::rngs::StdRng;
 use rand::Rng;
 use simnet::{LocalityId, Node, NodeId, World};
+use workload::{sample_exp, WebsiteId};
 
-/// The origin "dial" lives with the protocol cores (peers read it through
-/// their context); re-exported here for the engines and for path
-/// compatibility.
-pub use flower_proto::origin::OriginDial;
+use crate::engine::{Control, Controller, SimSystem, SimWorld};
 
 /// Sample up to `count` distinct live nodes, optionally restricted to one
 /// locality, keeping only nodes `keep` accepts. Selection is a partial
@@ -48,43 +42,88 @@ pub(crate) fn sample_nodes<N: Node, C>(
     ids
 }
 
-/// Apply an *environment* fault — one that acts on the world's link
-/// conditioner or the origin dial rather than on specific peers. Returns
-/// the follow-up action the engine must schedule (auto-heal / auto-revert
-/// tails), as `(delay_ms, action)`.
+/// Execute one scheduled fault against the world of system `S`.
 ///
-/// Panics if handed a peer-targeted action (`Kill*`, `*Wave`); those are
-/// engine-specific and dispatched by the engines themselves.
-pub(crate) fn apply_env_action<N: Node, C>(
-    world: &mut World<N, C>,
-    dial: &OriginDial,
-    action: &FaultAction,
-) -> Option<(u64, FaultAction)> {
+/// Peer-targeted faults pick their victims with the engine RNG (only
+/// `kill-directories` is system-specific); environment faults act on the
+/// world's link conditioner or the origin dial, and schedule their own
+/// auto-heal / auto-revert tail when the fault carries one (`heal-after`,
+/// `for`). Website and locality targets were bounds-checked by
+/// `apply_scenario` ([`chaos::Scenario::check_bounds`]), so narrowing them
+/// to `u16` loses nothing.
+pub(crate) fn dispatch<S: SimSystem>(
+    ctl: &mut Controller<S>,
+    world: &mut SimWorld<S>,
+    action: FaultAction,
+) {
+    use FaultAction as FA;
+    let locality_id = |l: u32| LocalityId(l as u16);
+    // Fire `action` again `after_ms` from now, if the fault asked for it.
+    let follow_up = |world: &mut SimWorld<S>, after_ms: Option<u64>, action: FaultAction| {
+        if let Some(after) = after_ms {
+            world.schedule_control(world.now() + after, Control::Chaos(action));
+        }
+    };
     match action {
-        FaultAction::Partition {
+        FA::KillDirectories { website, count } => {
+            let victims = S::directory_victims(world, &ctl.catalog, website, count, &mut ctl.rng);
+            for id in victims {
+                ctl.retire(world, id, false);
+            }
+        }
+        FA::KillRandom { count, locality } => {
+            let locality = locality.map(locality_id);
+            let victims = sample_nodes(world, count as usize, locality, &mut ctl.rng, |_, _| true);
+            for id in victims {
+                ctl.retire(world, id, false);
+            }
+        }
+        FA::LeaveWave { count } => {
+            let leavers = sample_nodes(world, count as usize, None, &mut ctl.rng, |_, _| true);
+            for id in leavers {
+                ctl.retire(world, id, true);
+            }
+        }
+        FA::JoinWave {
+            count,
+            website,
+            lifetime_ms,
+        } => {
+            // A flash crowd: `count` fresh arrivals right now, drawn to one
+            // website if set. Lifetimes follow the churn law unless pinned.
+            for _ in 0..count {
+                let website = match website {
+                    Some(w) => WebsiteId(w as u16),
+                    None => ctl.catalog.assign_interest(&mut ctl.rng),
+                };
+                let lifetime_ms = lifetime_ms.unwrap_or_else(|| {
+                    sample_exp(&mut ctl.rng, ctl.params.mean_uptime_ms as f64).ceil() as u64
+                });
+                world.schedule_control(
+                    world.now(),
+                    Control::Spawn {
+                        website,
+                        lifetime_ms,
+                        graceful: false,
+                    },
+                );
+            }
+        }
+        FA::Partition {
             locality,
             heal_after_ms,
         } => {
-            world
-                .conditioner_mut()
-                .partition(LocalityId(*locality as u16));
-            heal_after_ms.map(|after| {
-                (
-                    after,
-                    FaultAction::Heal {
-                        locality: Some(*locality),
-                    },
-                )
-            })
+            world.conditioner_mut().partition(locality_id(locality));
+            let heal = FA::Heal {
+                locality: Some(locality),
+            };
+            follow_up(world, heal_after_ms, heal);
         }
-        FaultAction::Heal { locality } => {
-            match locality {
-                Some(l) => world.conditioner_mut().heal(LocalityId(*l as u16)),
-                None => world.conditioner_mut().heal_all(),
-            }
-            None
-        }
-        FaultAction::LinkFault {
+        FA::Heal { locality } => match locality {
+            Some(l) => world.conditioner_mut().heal(locality_id(l)),
+            None => world.conditioner_mut().heal_all(),
+        },
+        FA::LinkFault {
             loss,
             duplicate,
             jitter_ms,
@@ -92,25 +131,19 @@ pub(crate) fn apply_env_action<N: Node, C>(
         } => {
             world
                 .conditioner_mut()
-                .set_faults(*loss, *duplicate, *jitter_ms);
-            for_ms.map(|after| (after, FaultAction::ClearLinkFault))
+                .set_faults(loss, duplicate, jitter_ms);
+            follow_up(world, for_ms, FA::ClearLinkFault);
         }
-        FaultAction::ClearLinkFault => {
-            world.conditioner_mut().clear_faults();
-            None
-        }
-        FaultAction::OriginBrownout {
+        FA::ClearLinkFault => world.conditioner_mut().clear_faults(),
+        FA::OriginBrownout {
             website,
             extra_ms,
             for_ms,
         } => {
-            dial.brownout(website.map(|w| w as u16), *extra_ms);
-            for_ms.map(|after| (after, FaultAction::OriginRestore))
+            ctl.origin_dial
+                .brownout(website.map(|w| w as u16), extra_ms);
+            follow_up(world, for_ms, FA::OriginRestore);
         }
-        FaultAction::OriginRestore => {
-            dial.restore();
-            None
-        }
-        other => unreachable!("peer-targeted action reached env dispatch: {other}"),
+        FA::OriginRestore => ctl.origin_dial.restore(),
     }
 }

@@ -1,11 +1,10 @@
 //! The unified simulation-driver surface.
 //!
-//! [`FlowerSim`](crate::engine::FlowerSim) and
-//! [`SquirrelSim`](crate::squirrel::SquirrelSim) grew the same driver
-//! methods twice — run, instrument, inject faults, collect results. The
-//! [`SimDriver`] trait is that surface extracted once, so experiment
-//! drivers, the bench binaries and the `sweep` orchestrator can be written
-//! against *a simulation* rather than against each system separately.
+//! Run, instrument, inject faults, collect results: the [`SimDriver`]
+//! trait is what a harness may do to a simulation, so experiment drivers,
+//! the bench binaries and the `sweep` orchestrator are written against *a
+//! simulation* (`&mut dyn SimDriver`) rather than against a system. Its
+//! one implementor is [`Engine<S>`](crate::engine::Engine).
 //!
 //! The trait is object-safe for everything a harness needs mid-setup
 //! (`&mut dyn SimDriver` works for attaching sinks, gauges and scenarios);
@@ -47,8 +46,11 @@ pub trait SimDriver {
     /// Advance virtual time to `t` (tests and time-sliced experiments).
     fn run_until(&mut self, t: Time);
 
-    /// Schedule every fault of `scenario` into the run. Applying the same
-    /// scenario to the same seed reproduces the run byte for byte.
+    /// Schedule every fault of `scenario` into the run. Call before
+    /// `run`/`run_until`; applying the same scenario to the same seed
+    /// reproduces the run byte for byte. Panics if the scenario targets a
+    /// website or locality the run does not have
+    /// ([`chaos::Scenario::check_bounds`]).
     fn apply_scenario(&mut self, scenario: &chaos::Scenario);
 
     /// Attach a structured trace sink. Already-materialized world state

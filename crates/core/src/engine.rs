@@ -1,26 +1,35 @@
-//! The Flower-CDN experiment engine: builds the world of §6.1 (topology,
-//! initial D-ring, churn schedule, origin servers), runs it, and collects
-//! the measurement records.
+//! The experiment engine, once for both systems: builds the world of §6.1
+//! (topology, origin servers, the converged t=0 ring, the churn schedule),
+//! runs it, and collects the measurement records.
+//!
+//! The paper's comparison is only meaningful because Flower-CDN and
+//! Squirrel face the same topology, churn law and workload, so everything
+//! they share — construction, churn, the control handler, chaos dispatch,
+//! gauge sampling, the [`SimDriver`] surface — exists exactly once, in
+//! [`Engine`]. What the systems really differ in is the [`SimSystem`]
+//! trait, implemented by [`crate::flower::Flower`] and
+//! [`crate::squirrel::Squirrel`].
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cdn_metrics::{GaugeRegistry, QueryRecord, QueryStats};
-use chord::{Chord, NodeRef};
+use chord::{Chord, ChordAction, ChordId, NodeRef};
+use flower_proto::io::Machine;
+use flower_proto::origin::OriginDial;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{ClassCountSink, LocalityId, NodeId, Point, Time, Topology, TraceSink, World};
-use workload::{generate_sessions, sample_exp, Catalog, WebsiteId};
+use workload::{generate_sessions, Catalog, WebsiteId};
 
 use crate::bootstrap::{Bootstrap, SharedBootstrap};
-use crate::chaos_driver::{self, OriginDial};
+use crate::chaos_driver;
 use crate::config::SimParams;
-use crate::dring::DirPosition;
+use crate::driver::SimDriver;
+use crate::experiments::System;
 use crate::host::{SimHost, TapLog};
-use crate::peer::{FlowerPeer, FlowerReport, PeerCtx};
-
-/// The simulator node type hosting the Flower-CDN machine.
-pub type FlowerHost = SimHost<FlowerPeer>;
+use crate::peer::{PeerCtx, ProtocolEvent};
 
 /// Engine-level control events scheduled into the simulation.
 pub enum Control {
@@ -33,63 +42,124 @@ pub enum Control {
         graceful: bool,
     },
     /// The session of `node` expires: silent failure (§6.1 — peers never
-    /// leave gracefully in the headline runs).
-    Fail(NodeId),
-    /// The session of `node` expires through the graceful-leave path: its
-    /// hand-over (§5.2.2) runs before removal.
-    Leave(NodeId),
+    /// leave gracefully in the headline runs), or, if `graceful`, the leave
+    /// path whose hand-over (§5.2.2) runs before removal.
+    Retire { node: NodeId, graceful: bool },
     /// A scheduled fault from a [`chaos::Scenario`] fires now.
     Chaos(chaos::FaultAction),
-    /// Periodic gauge-sampling tick; armed by [`FlowerSim::enable_gauges`]
+    /// Periodic gauge-sampling tick; armed by [`SimDriver::enable_gauges`]
     /// and self-rescheduling.
     Sample,
+}
+
+/// The simulated world of system `S`.
+pub type SimWorld<S> = World<SimHost<<S as SimSystem>::Machine>, Control>;
+
+/// What the two simulated systems really differ in. Everything else —
+/// construction, churn, control handling, fault dispatch, sampling, result
+/// collection — is [`Engine`], shared.
+pub trait SimSystem: Sized {
+    /// The sans-io protocol machine every peer of this system runs.
+    type Machine: Machine;
+
+    /// Which of the compared systems this is (labels the perf cell).
+    const SYSTEM: System;
+
+    /// Ring id of the t=0 member `me` that stands for `(website,
+    /// locality)`. Both systems start from one member per couple — the
+    /// paper's `k × |W|` initial D-ring — so they share count, placement
+    /// and interest assignment; only where a member sits on the ring
+    /// differs.
+    fn initial_ring_id(me: NodeId, website: WebsiteId, locality: LocalityId) -> ChordId;
+
+    /// The machine of a t=0 member, given its converged Chord state.
+    fn initial_machine(
+        &self,
+        pcx: PeerCtx,
+        me: NodeId,
+        locality: LocalityId,
+        chord: Chord,
+        startup_actions: Vec<ChordAction>,
+    ) -> Self::Machine;
+
+    /// Constructor for the machine of a peer arriving mid-run, or `None`
+    /// if the arrival is lost (no overlay member left to join through).
+    /// Whatever the system draws from the engine RNG it draws here, right
+    /// after the engine sampled the peer's coordinate.
+    fn arriving(
+        &self,
+        pcx: PeerCtx,
+        rng: &mut StdRng,
+    ) -> Option<impl FnOnce(NodeId, LocalityId) -> Self::Machine>;
+
+    /// Victims of a `kill-directories` fault: the peers holding the
+    /// system's "who holds what" knowledge for `website` (every website if
+    /// unset), at most `count` of them if set.
+    fn directory_victims(
+        world: &SimWorld<Self>,
+        catalog: &Catalog,
+        website: Option<u32>,
+        count: Option<u32>,
+        rng: &mut StdRng,
+    ) -> Vec<NodeId>;
+
+    /// Record this system's own gauge series for one sample (population,
+    /// message rates and event-loop gauges are the engine's).
+    fn sample_gauges(world: &SimWorld<Self>, record: &mut dyn FnMut(&'static str, f64));
+
+    /// Replay already-materialized protocol state into a sink attached
+    /// after construction (the engine replays the node spawns itself).
+    fn replay_state(_world: &SimWorld<Self>, _sink: &mut dyn TraceSink) {}
+
+    /// Fold one report of a finished run into its result.
+    fn fold_report(report: <Self::Machine as Machine>::Report, into: &mut RunResult);
 }
 
 /// Sampling state behind `enable_gauges`: the shared registry the samples
 /// land in, plus the per-class delivery counter used to turn cumulative
 /// counts into rates.
-pub(crate) struct GaugeState {
-    pub(crate) period_ms: u64,
-    pub(crate) registry: Rc<RefCell<GaugeRegistry>>,
+struct GaugeState {
+    period_ms: u64,
+    registry: Rc<RefCell<GaugeRegistry>>,
     class_counts: ClassCountSink,
-    last_counts: std::collections::BTreeMap<&'static str, u64>,
+    last_counts: BTreeMap<&'static str, u64>,
     last_events: u64,
     /// `rate/<class>` series names, formatted once per class and interned;
     /// steady-state sampling resolves a 4-byte symbol instead of
     /// re-running `format!` for every class on every tick.
     rate_names: intern::Interner,
-    rate_syms: std::collections::BTreeMap<&'static str, intern::Symbol>,
+    rate_syms: BTreeMap<&'static str, intern::Symbol>,
 }
 
 /// The next exact multiple of `period_ms` strictly after `now`. Gauge
 /// ticks land on aligned sim-time boundaries — `period, 2·period, …` —
 /// regardless of when sampling was enabled or of jitter in the enabling
 /// path, so gauge rows line up across seeds and systems.
-pub(crate) fn next_sample_at(now: Time, period_ms: u64) -> Time {
+fn next_sample_at(now: Time, period_ms: u64) -> Time {
     Time::from_millis((now.as_millis() / period_ms + 1) * period_ms)
 }
 
 impl GaugeState {
-    pub(crate) fn new(period_ms: u64, class_counts: ClassCountSink) -> GaugeState {
+    fn new(period_ms: u64, class_counts: ClassCountSink) -> GaugeState {
         assert!(period_ms > 0, "gauge period must be positive");
         GaugeState {
             period_ms,
             registry: Rc::new(RefCell::new(GaugeRegistry::new())),
             class_counts,
-            last_counts: std::collections::BTreeMap::new(),
+            last_counts: BTreeMap::new(),
             last_events: 0,
             rate_names: intern::Interner::new(),
-            rate_syms: std::collections::BTreeMap::new(),
+            rate_syms: BTreeMap::new(),
         }
     }
 
-    pub(crate) fn record(&self, name: &str, at_ms: u64, value: f64) {
+    fn record(&self, name: &str, at_ms: u64, value: f64) {
         self.registry.borrow_mut().record(name, at_ms, value);
     }
 
     /// Record one `rate/<class>` point (messages per second delivered since
     /// the previous sample) for every protocol class seen so far.
-    pub(crate) fn sample_message_rates(&mut self, at_ms: u64) {
+    fn sample_message_rates(&mut self, at_ms: u64) {
         let counts = self.class_counts.counts();
         let secs = self.period_ms as f64 / 1000.0;
         {
@@ -116,7 +186,7 @@ impl GaugeState {
 
     /// Record the event-loop gauges: scheduler queue depth right now and
     /// events dispatched per sim-second since the previous sample.
-    pub(crate) fn sample_event_loop(&mut self, at_ms: u64, queue_depth: usize, total_events: u64) {
+    fn sample_event_loop(&mut self, at_ms: u64, queue_depth: usize, total_events: u64) {
         let secs = self.period_ms as f64 / 1000.0;
         let delta = total_events - self.last_events;
         self.last_events = total_events;
@@ -124,14 +194,10 @@ impl GaugeState {
         reg.record("queue_depth", at_ms, queue_depth as f64);
         reg.record("events_per_sim_sec", at_ms, delta as f64 / secs);
     }
-
-    /// Snapshot of the accumulated series for a finished run.
-    pub(crate) fn snapshot(&self) -> GaugeRegistry {
-        self.registry.borrow().clone()
-    }
 }
 
 /// Everything a finished run produced.
+#[derive(Default)]
 pub struct RunResult {
     /// Count per low-level protocol event (diagnostics). The map is
     /// sparse: a key is present iff the event was reported at least once
@@ -139,7 +205,7 @@ pub struct RunResult {
     /// cover the whole run regardless of warm-up windows, and Squirrel
     /// runs map their own events onto this shared vocabulary so both
     /// systems are inspectable the same way.
-    pub events: std::collections::BTreeMap<crate::peer::ProtocolEvent, u64>,
+    pub events: BTreeMap<ProtocolEvent, u64>,
     /// One record per completed object query (active websites only).
     pub records: Vec<QueryRecord>,
     /// Directory replacements observed (position repairs, §5.2).
@@ -148,7 +214,9 @@ pub struct RunResult {
     pub splits: u64,
     /// Aggregate stats over `records`.
     pub stats: QueryStats,
-    /// Peak live population seen at sampling points.
+    /// Live population when the run finished (the name is historical: it
+    /// is a column of the committed `results/*.csv`; under the steady-state
+    /// churn law the final population is also close to the peak).
     pub peak_population: usize,
     /// Total protocol messages delivered over the run — the paper's
     /// "incurred overhead" axis. Includes everything: maintenance
@@ -160,7 +228,7 @@ pub struct RunResult {
     pub gauges: GaugeRegistry,
     /// Performance cell of this run (wall clock, events/sec, per-phase
     /// breakdown, per-class message bytes). `None` unless
-    /// [`crate::driver::SimDriver::enable_profiling`] was called.
+    /// [`SimDriver::enable_profiling`] was called.
     pub perf: Option<profile::RunPerf>,
 }
 
@@ -193,138 +261,165 @@ impl RunResult {
             peak_population: self.peak_population as u64,
         }
     }
-
-    #[allow(clippy::too_many_arguments)] // private constructor, both engines feed it
-    fn from_reports(
-        records: Vec<QueryRecord>,
-        replacements: u64,
-        splits: u64,
-        peak: usize,
-        events: std::collections::BTreeMap<crate::peer::ProtocolEvent, u64>,
-        messages_delivered: u64,
-        gauges: GaugeRegistry,
-        perf: Option<profile::RunPerf>,
-    ) -> Self {
-        let mut stats = QueryStats::default();
-        for r in &records {
-            stats.record(r);
-        }
-        RunResult {
-            events,
-            records,
-            replacements,
-            splits,
-            stats,
-            peak_population: peak,
-            messages_delivered,
-            gauges,
-            perf,
-        }
-    }
 }
 
-/// Build the [`profile::RunPerf`] cell of a finished profiled run from the
-/// world's profiler and scheduler counters plus the engine's wall-clock /
-/// allocation baselines captured at construction. Shared by both engines
-/// so the BENCH cells of Flower-CDN and Squirrel are directly comparable.
-pub(crate) fn collect_run_perf<N: simnet::Node, C>(
-    world: &World<N, C>,
-    system: &str,
-    params: &SimParams,
-    built_at: std::time::Instant,
-    alloc_base: u64,
-) -> profile::RunPerf {
-    let events = world.stats().events_processed();
-    profile::RunPerf {
-        system: system.to_string(),
-        population: params.population as u64,
-        seed: params.seed,
-        sim_hours: world.now().as_millis() as f64 / 3_600_000.0,
-        wall_ms: built_at.elapsed().as_secs_f64() * 1000.0,
-        events,
-        events_per_sec: 0.0,
-        wall_ms_per_sim_hour: 0.0,
-        peak_rss_bytes: profile::peak_rss_bytes(),
-        allocs: profile::alloc_count().saturating_sub(alloc_base),
-        allocs_per_event: 0.0,
-        phases: world.profiler().phase_rows(),
-        messages: world.profiler().msg_rows(),
-    }
-    .with_derived()
-}
-
-/// The Flower-CDN simulation.
-pub struct FlowerSim {
-    params: Rc<SimParams>,
-    catalog: Rc<Catalog>,
-    bootstrap: SharedBootstrap,
-    world: World<FlowerHost, Control>,
-    /// Per-website origin server coordinates.
-    origins: Vec<Point>,
-    origin_dial: Rc<OriginDial>,
-    engine_rng: StdRng,
-    gauges: Option<GaugeState>,
+/// The simulation of system `S`: its world plus the engine state around it.
+pub struct Engine<S: SimSystem> {
+    world: SimWorld<S>,
+    ctl: Controller<S>,
     /// Wall-clock and allocation baselines for the perf cell, captured at
     /// construction so setup cost is part of the measured run.
     built_at: std::time::Instant,
     alloc_base: u64,
 }
 
-impl FlowerSim {
-    /// Build the t=0 state: topology, origin servers, the initial D-ring of
-    /// one directory peer per (website, locality), and the churn schedule.
-    pub fn new(params: SimParams) -> FlowerSim {
+/// Everything of an [`Engine`] but the world. It is a struct of its own so
+/// the control handler can borrow it mutably while `World::run` holds the
+/// world.
+pub(crate) struct Controller<S> {
+    system: S,
+    pub(crate) params: Rc<SimParams>,
+    pub(crate) catalog: Rc<Catalog>,
+    bootstrap: SharedBootstrap,
+    /// Per-website origin server coordinates.
+    origins: Vec<Point>,
+    pub(crate) origin_dial: Rc<OriginDial>,
+    /// Engine-level randomness (placement, churn, victim selection);
+    /// machines draw from their own per-node RNGs.
+    pub(crate) rng: StdRng,
+    gauges: Option<GaugeState>,
+}
+
+impl<S: SimSystem> Controller<S> {
+    fn peer_ctx(&self, world: &SimWorld<S>, website: WebsiteId, at: Point) -> PeerCtx {
+        let origin = self.origins[website.0 as usize];
+        PeerCtx {
+            catalog: Rc::clone(&self.catalog),
+            params: Rc::clone(&self.params),
+            bootstrap: Rc::clone(&self.bootstrap),
+            website,
+            origin_latency_ms: world.topology().latency_between(at, origin),
+            origin_dial: Rc::clone(&self.origin_dial),
+            profiler: world.profiler().clone(),
+        }
+    }
+
+    /// Spawn a peer interested in `website` somewhere in `locality`
+    /// (anywhere if unset), with no departure scheduled. `None` if the
+    /// system dropped the arrival.
+    fn spawn(
+        &mut self,
+        world: &mut SimWorld<S>,
+        website: WebsiteId,
+        locality: Option<LocalityId>,
+        tap: Option<TapLog<S::Machine>>,
+    ) -> Option<NodeId> {
+        let at = match locality {
+            Some(l) => world.topology().sample_point_in(l, &mut self.rng),
+            None => world.topology().sample_point(&mut self.rng),
+        };
+        let pcx = self.peer_ctx(world, website, at);
+        let make = self.system.arriving(pcx, &mut self.rng)?;
+        let run_seed = self.params.seed;
+        Some(world.spawn(at, |me, locality| {
+            SimHost::new(run_seed, me, make(me, locality), tap)
+        }))
+    }
+
+    /// Take `id` out of the run — silently, or through its hand-over
+    /// (§5.2.2) if `graceful` — and out of the rendezvous registry, which
+    /// health-checks its entries.
+    pub(crate) fn retire(&self, world: &mut SimWorld<S>, id: NodeId, graceful: bool) {
+        if graceful {
+            world.leave(id);
+        } else {
+            world.fail(id);
+        }
+        self.bootstrap.borrow_mut().remove(id);
+    }
+
+    /// The control handler `World::run` calls back into.
+    fn on_control(&mut self, world: &mut SimWorld<S>, control: Control) {
+        match control {
+            Control::Spawn {
+                website,
+                lifetime_ms,
+                graceful,
+            } => {
+                if let Some(node) = self.spawn(world, website, None, None) {
+                    let end_at = world.now() + lifetime_ms;
+                    world.schedule_control(end_at, Control::Retire { node, graceful });
+                }
+            }
+            Control::Retire { node, graceful } => self.retire(world, node, graceful),
+            Control::Chaos(action) => chaos_driver::dispatch(self, world, action),
+            Control::Sample => {
+                if let Some(g) = self.gauges.as_mut() {
+                    let at = world.now().as_millis();
+                    g.record("population", at, world.live_count() as f64);
+                    S::sample_gauges(world, &mut |name, value| g.record(name, at, value));
+                    g.sample_message_rates(at);
+                    g.sample_event_loop(at, world.queue_depth(), world.stats().events_processed());
+                    world.schedule_control(
+                        next_sample_at(world.now(), g.period_ms),
+                        Control::Sample,
+                    );
+                }
+            }
+        }
+    }
+}
+
+impl<S: SimSystem> Engine<S> {
+    /// Build the t=0 state: topology, origin servers, one converged ring
+    /// member per (website, locality), and the churn schedule.
+    pub(crate) fn build(params: SimParams, system: S) -> Engine<S> {
         let built_at = std::time::Instant::now();
         let alloc_base = profile::alloc_count();
         let params = Rc::new(params);
         let catalog = Rc::new(Catalog::new(params.catalog.clone()));
-        let mut engine_rng = StdRng::seed_from_u64(params.seed ^ 0xE61E);
-        let topology = Topology::new(params.topology.clone(), &mut engine_rng);
+        let mut rng = StdRng::seed_from_u64(params.seed ^ 0xE61E);
+        let topology = Topology::new(params.topology.clone(), &mut rng);
         let origins: Vec<Point> = (0..params.catalog.websites)
             .map(|_| {
                 Point::new(
-                    engine_rng.gen_range(0.0..params.topology.world_size),
-                    engine_rng.gen_range(0.0..params.topology.world_size),
+                    rng.gen_range(0.0..params.topology.world_size),
+                    rng.gen_range(0.0..params.topology.world_size),
                 )
             })
             .collect();
-        let bootstrap = Bootstrap::shared();
-        let world: World<FlowerHost, Control> = World::new(topology, params.seed);
-
-        let mut sim = FlowerSim {
-            params: Rc::clone(&params),
-            catalog,
-            bootstrap,
-            world,
-            origins,
-            origin_dial: OriginDial::shared(),
-            engine_rng,
-            gauges: None,
+        let mut sim = Engine {
+            world: World::new(topology, params.seed),
+            ctl: Controller {
+                system,
+                params,
+                catalog,
+                bootstrap: Bootstrap::shared(),
+                origins,
+                origin_dial: OriginDial::shared(),
+                rng,
+                gauges: None,
+            },
             built_at,
             alloc_base,
         };
-        sim.build_initial_dring();
+        sim.spawn_initial_ring();
         sim.schedule_churn();
         sim
     }
 
     /// "We start with a population of k×|W| = 600 directory peers … which
-    /// form the initial D-ring (one directory peer per couple)."
-    fn build_initial_dring(&mut self) {
-        let k = self.params.topology.localities;
-        let websites = self.params.catalog.websites;
+    /// form the initial D-ring (one directory peer per couple)." Squirrel
+    /// starts from the same members on its one ring of ordinary peers.
+    fn spawn_initial_ring(&mut self) {
         // Assign node ids in spawn order and collect the ring first.
+        let first = self.world.next_id().index();
         let mut members: Vec<(WebsiteId, LocalityId, NodeRef)> = Vec::new();
-        let mut next_index = self.world.next_id().index();
-        for ws in 0..websites {
-            for loc in 0..k {
-                let position = DirPosition::base(WebsiteId(ws), LocalityId(loc));
-                members.push((
-                    WebsiteId(ws),
-                    LocalityId(loc),
-                    NodeRef::new(NodeId::from_index(next_index), position.chord_id()),
-                ));
-                next_index += 1;
+        for ws in 0..self.ctl.params.catalog.websites {
+            for loc in 0..self.ctl.params.topology.localities {
+                let me = NodeId::from_index(first + members.len());
+                let (ws, loc) = (WebsiteId(ws), LocalityId(loc));
+                members.push((ws, loc, NodeRef::new(me, S::initial_ring_id(me, ws, loc))));
             }
         }
         let mut ring: Vec<NodeRef> = members.iter().map(|&(_, _, r)| r).collect();
@@ -333,44 +428,39 @@ impl FlowerSim {
             let ring_idx = ring
                 .binary_search_by_key(&me_ref.id.0, |r| r.id.0)
                 .expect("member in ring");
-            let (chord, actions) = Chord::converged(ring_idx, &ring, self.params.chord.clone());
-            let position = DirPosition::base(ws, loc);
+            let (chord, actions) = Chord::converged(ring_idx, &ring, self.ctl.params.chord.clone());
             let at = self
                 .world
                 .topology()
-                .sample_point_in(loc, &mut self.engine_rng);
-            let pcx = self.peer_ctx(ws, at);
-            let run_seed = self.params.seed;
+                .sample_point_in(loc, &mut self.ctl.rng);
+            let pcx = self.ctl.peer_ctx(&self.world, ws, at);
+            let (run_seed, system) = (self.ctl.params.seed, &self.ctl.system);
             let spawned = self.world.spawn(at, |me, locality| {
-                debug_assert_eq!(me, me_ref.node);
-                let peer =
-                    FlowerPeer::new_initial_directory(pcx, me, locality, position, chord, actions);
-                SimHost::new(run_seed, me, peer)
+                let machine = system.initial_machine(pcx, me, locality, chord, actions);
+                SimHost::new(run_seed, me, machine, None)
             });
             debug_assert_eq!(spawned, me_ref.node);
-            self.bootstrap.borrow_mut().add(me_ref);
+            self.ctl.bootstrap.borrow_mut().add(me_ref);
         }
     }
 
-    /// Schedule the full churn: lifetimes for the initial directories, and
+    /// Schedule the full churn: lifetimes for the initial members, and
     /// Poisson arrivals (each a future `Spawn`) for the rest of the run.
     fn schedule_churn(&mut self) {
-        let churn = self.params.churn();
-        let initial = self.params.initial_directories();
-        let sessions = generate_sessions(&churn, initial, &mut self.engine_rng);
+        let churn = self.ctl.params.churn();
+        let initial = self.ctl.params.initial_directories();
+        let sessions = generate_sessions(&churn, initial, &mut self.ctl.rng);
         for (i, s) in sessions.iter().enumerate() {
             if i < initial {
                 // Already spawned; only their departure is scheduled.
-                let id = NodeId::from_index(i);
-                let end = if s.graceful {
-                    Control::Leave(id)
-                } else {
-                    Control::Fail(id)
+                let end = Control::Retire {
+                    node: NodeId::from_index(i),
+                    graceful: s.graceful,
                 };
                 self.world
                     .schedule_control(Time::from_millis(s.departure_ms()), end);
             } else {
-                let website = self.catalog.assign_interest(&mut self.engine_rng);
+                let website = self.ctl.catalog.assign_interest(&mut self.ctl.rng);
                 self.world.schedule_control(
                     Time::from_millis(s.arrival_ms),
                     Control::Spawn {
@@ -383,306 +473,120 @@ impl FlowerSim {
         }
     }
 
-    fn peer_ctx(&self, website: WebsiteId, at: Point) -> PeerCtx {
-        let origin = self.origins[website.0 as usize];
-        let origin_latency_ms = self.world.topology().latency_between(at, origin);
-        PeerCtx {
-            catalog: Rc::clone(&self.catalog),
-            params: Rc::clone(&self.params),
-            bootstrap: Rc::clone(&self.bootstrap),
-            website,
-            origin_latency_ms,
-            origin_dial: Rc::clone(&self.origin_dial),
-            profiler: self.world.profiler().clone(),
-        }
-    }
-
-    fn run_until_inner(&mut self, t: Time) {
-        let catalog = Rc::clone(&self.catalog);
-        let params = Rc::clone(&self.params);
-        let bootstrap = Rc::clone(&self.bootstrap);
-        let origins = self.origins.clone();
-        let dial = Rc::clone(&self.origin_dial);
-        // engine_rng is used inside the control handler: split it out.
-        let mut rng = self.engine_rng.clone();
-        let mut gauges = self.gauges.take();
-        self.world.run(t, |world, control| match control {
-            Control::Spawn {
-                website,
-                lifetime_ms,
-                graceful,
-            } => {
-                let at = world.topology().sample_point(&mut rng);
-                let origin = origins[website.0 as usize];
-                let origin_latency_ms = world.topology().latency_between(at, origin);
-                let pcx = PeerCtx {
-                    catalog: Rc::clone(&catalog),
-                    params: Rc::clone(&params),
-                    bootstrap: Rc::clone(&bootstrap),
-                    website,
-                    origin_latency_ms,
-                    origin_dial: Rc::clone(&dial),
-                    profiler: world.profiler().clone(),
-                };
-                let id = world.spawn(at, |me, locality| {
-                    SimHost::new(params.seed, me, FlowerPeer::new_client(pcx, me, locality))
-                });
-                let end_at = world.now() + lifetime_ms;
-                let end = if graceful {
-                    Control::Leave(id)
-                } else {
-                    Control::Fail(id)
-                };
-                world.schedule_control(end_at, end);
-            }
-            Control::Fail(id) => {
-                world.fail(id);
-                // The rendezvous service health-checks its entries.
-                bootstrap.borrow_mut().remove(id);
-            }
-            Control::Leave(id) => {
-                world.leave(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-            Control::Chaos(action) => {
-                apply_flower_chaos(
-                    world, action, &mut rng, &bootstrap, &catalog, &params, &dial,
-                );
-            }
-            Control::Sample => {
-                if let Some(g) = gauges.as_mut() {
-                    sample_flower_gauges(g, world);
-                    world.schedule_control(
-                        next_sample_at(world.now(), g.period_ms),
-                        Control::Sample,
-                    );
-                }
-            }
-        });
-        self.engine_rng = rng;
-        self.gauges = gauges;
-    }
-
-    /// Live directory peers right now.
-    pub fn directory_count(&self) -> usize {
-        self.world
-            .live_nodes()
-            .filter(|(_, p)| p.is_directory())
-            .count()
-    }
-
-    /// Petal size distribution: (position → content peers managed), over
-    /// live directories.
-    pub fn directory_loads(&self) -> Vec<(DirPosition, usize)> {
-        self.world
-            .live_nodes()
-            .filter_map(|(_, p)| {
-                p.directory_position()
-                    .map(|pos| (pos, p.directory_load().unwrap_or(0)))
-            })
-            .collect()
-    }
-
     /// Access the world (tests and ad-hoc inspection).
-    pub fn world(&self) -> &World<FlowerHost, Control> {
+    pub fn world(&self) -> &SimWorld<S> {
         &self.world
+    }
+
+    /// The shared rendezvous registry (replay tests snapshot its t=0
+    /// contents to reconstruct what a recorded machine saw).
+    pub fn bootstrap_registry(&self) -> SharedBootstrap {
+        Rc::clone(&self.ctl.bootstrap)
     }
 
     /// Manually spawn a client peer interested in `website`, placed in
     /// `locality`, with no scheduled failure — protocol tests drive churn
     /// themselves. Returns its id.
     pub fn spawn_client(&mut self, website: WebsiteId, locality: LocalityId) -> NodeId {
-        let at = self
-            .world
-            .topology()
-            .sample_point_in(locality, &mut self.engine_rng);
-        let pcx = self.peer_ctx(website, at);
-        let run_seed = self.params.seed;
-        self.world.spawn(at, |me, loc| {
-            SimHost::new(run_seed, me, FlowerPeer::new_client(pcx, me, loc))
-        })
+        self.ctl
+            .spawn(&mut self.world, website, Some(locality), None)
+            .expect("overlay non-empty")
     }
 
-    /// As [`FlowerSim::spawn_client`], but recording every machine
+    /// As [`Engine::spawn_client`], but recording every machine
     /// input/output exchange into `log` (the deterministic-replay test).
     pub fn spawn_client_tapped(
         &mut self,
         website: WebsiteId,
         locality: LocalityId,
-        log: TapLog<FlowerPeer>,
+        log: TapLog<S::Machine>,
     ) -> NodeId {
-        let at = self
-            .world
-            .topology()
-            .sample_point_in(locality, &mut self.engine_rng);
-        let pcx = self.peer_ctx(website, at);
-        let run_seed = self.params.seed;
-        self.world.spawn(at, |me, loc| {
-            SimHost::tapped(run_seed, me, FlowerPeer::new_client(pcx, me, loc), log)
-        })
+        self.ctl
+            .spawn(&mut self.world, website, Some(locality), Some(log))
+            .expect("overlay non-empty")
     }
 
     /// Failure injection: silently kill a specific peer right now (tests).
     pub fn fail_peer(&mut self, id: NodeId) {
-        self.world.fail(id);
-        self.bootstrap.borrow_mut().remove(id);
+        self.ctl.retire(&mut self.world, id, false);
     }
 
     /// Graceful departure of a specific peer (exercises the §5.2.2
     /// hand-over path, which the paper's fail-only churn never runs).
     pub fn leave_peer(&mut self, id: NodeId) {
-        self.world.leave(id);
-        self.bootstrap.borrow_mut().remove(id);
+        self.ctl.retire(&mut self.world, id, true);
     }
 
-    /// The shared rendezvous registry (replay tests snapshot its t=0
-    /// contents to reconstruct what a recorded machine saw).
-    pub fn bootstrap_registry(&self) -> SharedBootstrap {
-        Rc::clone(&self.bootstrap)
-    }
-
-    /// Live directory peers with their positions and loads.
-    pub fn directories(&self) -> Vec<(NodeId, DirPosition, usize)> {
-        self.world
-            .live_nodes()
-            .filter_map(|(id, p)| {
-                p.directory_position()
-                    .map(|pos| (id, pos, p.directory_load().unwrap_or(0)))
-            })
-            .collect()
-    }
-
-    /// Live content peers of a given petal (website, locality).
-    pub fn petal_members(&self, position: DirPosition) -> Vec<NodeId> {
-        self.world
-            .live_nodes()
-            .filter(|(_, p)| {
-                p.is_content()
-                    && p.website() == position.website
-                    && p.locality() == position.locality
-            })
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Drain reports accumulated so far (time-sliced consumers).
-    pub fn drain_reports(&mut self) -> Vec<(Time, NodeId, FlowerReport)> {
-        self.world.drain_reports()
-    }
-
-    fn finish_inner(mut self) -> RunResult {
-        self.world.flush_trace_sinks();
-        let perf = self.world.profiler().is_enabled().then(|| {
-            collect_run_perf(
-                &self.world,
-                "Flower-CDN",
-                &self.params,
-                self.built_at,
-                self.alloc_base,
-            )
-        });
-        let peak = self.world.live_count();
-        let messages = self.world.stats().delivered;
-        let gauges = self
-            .gauges
-            .as_ref()
-            .map(GaugeState::snapshot)
-            .unwrap_or_default();
-        let mut records = Vec::new();
-        let mut replacements = 0u64;
-        let mut splits = 0u64;
-        let mut events: std::collections::BTreeMap<crate::peer::ProtocolEvent, u64> =
-            std::collections::BTreeMap::new();
-        for (_, _, report) in self.world.drain_reports() {
-            match report {
-                FlowerReport::Query(q) => records.push(q),
-                FlowerReport::BecameDirectory { replacement, .. } => {
-                    if replacement {
-                        replacements += 1;
-                    }
-                }
-                FlowerReport::PetalSplit { .. } => splits += 1,
-                FlowerReport::Event(e) => *events.entry(e).or_default() += 1,
-            }
+    /// The perf cell of a finished profiled run: the world's profiler and
+    /// scheduler counters against the baselines captured at construction.
+    fn collect_perf(&self) -> profile::RunPerf {
+        profile::RunPerf {
+            system: S::SYSTEM.label().to_string(),
+            population: self.ctl.params.population as u64,
+            seed: self.ctl.params.seed,
+            sim_hours: self.world.now().as_millis() as f64 / 3_600_000.0,
+            wall_ms: self.built_at.elapsed().as_secs_f64() * 1000.0,
+            events: self.world.stats().events_processed(),
+            events_per_sec: 0.0,
+            wall_ms_per_sim_hour: 0.0,
+            peak_rss_bytes: profile::peak_rss_bytes(),
+            allocs: profile::alloc_count().saturating_sub(self.alloc_base),
+            allocs_per_event: 0.0,
+            phases: self.world.profiler().phase_rows(),
+            messages: self.world.profiler().msg_rows(),
         }
-        RunResult::from_reports(
-            records,
-            replacements,
-            splits,
-            peak,
-            events,
-            messages,
-            gauges,
-            perf,
-        )
+        .with_derived()
     }
 }
 
-impl crate::driver::SimDriver for FlowerSim {
+impl<S: SimSystem> SimDriver for Engine<S> {
     fn params(&self) -> &SimParams {
-        &self.params
+        &self.ctl.params
     }
 
-    /// Current virtual time.
     fn now(&self) -> Time {
         self.world.now()
     }
 
-    /// Live peers right now.
     fn live_population(&self) -> usize {
         self.world.live_count()
     }
 
-    /// Run to an intermediate point (tests and time-sliced experiments).
     fn run_until(&mut self, t: Time) {
-        self.run_until_inner(t);
+        let Engine { world, ctl, .. } = self;
+        world.run(t, |world, control| ctl.on_control(world, control));
     }
 
-    /// Schedule every fault of `scenario` into the run. Faults execute in
-    /// the engine's control handler at their `at_ms`; auto-heal / revert
-    /// tails (`heal-after`, `for`) are scheduled when the fault fires.
-    /// Call before `run`/`run_until`; applying the same scenario to the
-    /// same seed reproduces the run byte for byte.
+    /// Faults execute in the control handler at their `at_ms`; auto-heal /
+    /// revert tails (`heal-after`, `for`) are scheduled when the fault
+    /// fires.
     fn apply_scenario(&mut self, scenario: &chaos::Scenario) {
+        let p = &self.ctl.params;
+        if let Err(e) = scenario.check_bounds(p.catalog.websites, p.topology.localities) {
+            panic!("scenario does not fit this run: {e}");
+        }
         for f in scenario.iter() {
             self.world
                 .schedule_control(Time::from_millis(f.at_ms), Control::Chaos(f.action.clone()));
         }
     }
 
-    /// Attach a structured trace sink to the underlying world. Because
-    /// `new()` has already spawned the initial D-ring by the time a sink
-    /// can be attached, the current world state is replayed into the sink
-    /// first (one `NodeSpawn` per live node, then one `became_directory`
-    /// per held position), so stateful sinks such as the invariant checker
-    /// start from a consistent picture.
+    /// `build` has already spawned the initial ring by the time a sink can
+    /// be attached, hence the replay: one `NodeSpawn` per live node, then
+    /// whatever protocol state the system replays.
     fn add_trace_sink_boxed(&mut self, mut sink: Box<dyn TraceSink>) {
         let now = self.world.now();
         for (id, _) in self.world.live_nodes() {
             let locality = self.world.topology().locality(id);
             sink.event(now, &simnet::TraceEvent::NodeSpawn { node: id, locality });
         }
-        for (id, pos, _) in self.directories() {
-            let mut fields = crate::tags::pos_fields(pos);
-            fields.push(("replacement", false.into()));
-            fields.push(("replayed", true.into()));
-            sink.event(
-                now,
-                &simnet::TraceEvent::Custom {
-                    node: id,
-                    name: crate::tags::BECAME_DIRECTORY,
-                    fields,
-                },
-            );
-        }
+        S::replay_state(&self.world, sink.as_mut());
         self.world.add_trace_sink(sink);
     }
 
-    /// Turn on periodic gauge sampling: every `period_ms` of virtual time
-    /// the engine records live population, D-ring size, petal size
-    /// statistics and per-class message rates. Returns a handle to the
-    /// registry; [`RunResult::gauges`] carries the same series after
-    /// `finish()`.
+    /// Every `period_ms` of virtual time the engine records live
+    /// population, the system's own series (D-ring and petal sizes; ring
+    /// size and home-directory load) and per-class message rates.
     fn enable_gauges(&mut self, period_ms: u64) -> Rc<RefCell<GaugeRegistry>> {
         let counts = ClassCountSink::new();
         self.world.add_trace_sink(Box::new(counts.clone()));
@@ -690,208 +594,35 @@ impl crate::driver::SimDriver for FlowerSim {
         let registry = Rc::clone(&state.registry);
         self.world
             .schedule_control(next_sample_at(self.world.now(), period_ms), Control::Sample);
-        self.gauges = Some(state);
+        self.ctl.gauges = Some(state);
         registry
     }
 
-    /// Turn on the performance profiler: phase timers, per-class message
-    /// accounting. [`RunResult::perf`] carries the cell after `finish()`.
     fn enable_profiling(&mut self) {
         self.world.profiler().enable();
     }
 
-    /// Consume the simulation and aggregate everything.
-    fn finish(self) -> RunResult {
-        self.finish_inner()
-    }
-}
-
-/// One gauge sample of a Flower-CDN world: population, D-ring size, petal
-/// size statistics, and per-class delivery rates.
-fn sample_flower_gauges(g: &mut GaugeState, world: &World<FlowerHost, Control>) {
-    let at = world.now().as_millis();
-    let mut pop = 0usize;
-    let mut dirs = 0usize;
-    let mut petal_total = 0usize;
-    let mut petal_max = 0usize;
-    let mut instance_max = 0u32;
-    for (_, p) in world.live_nodes() {
-        pop += 1;
-        if p.is_directory() {
-            dirs += 1;
-            let load = p.directory_load().unwrap_or(0);
-            petal_total += load;
-            petal_max = petal_max.max(load);
-            if let Some(pos) = p.directory_position() {
-                instance_max = instance_max.max(pos.instance);
-            }
-        }
-    }
-    g.record("population", at, pop as f64);
-    g.record("dring_size", at, dirs as f64);
-    g.record("petal_size_max", at, petal_max as f64);
-    g.record("instance_depth_max", at, f64::from(instance_max));
-    let mean = if dirs == 0 {
-        0.0
-    } else {
-        petal_total as f64 / dirs as f64
-    };
-    g.record("petal_size_mean", at, mean);
-    g.sample_message_rates(at);
-    g.sample_event_loop(at, world.queue_depth(), world.stats().events_processed());
-}
-
-/// Execute one scheduled fault against a Flower-CDN world. Victim
-/// selection draws from the engine RNG; environment faults (partitions,
-/// link faults, origin brownouts) go through [`chaos_driver`], which hands
-/// back the auto-heal tail to schedule.
-fn apply_flower_chaos(
-    world: &mut World<FlowerHost, Control>,
-    action: chaos::FaultAction,
-    rng: &mut StdRng,
-    bootstrap: &SharedBootstrap,
-    catalog: &Catalog,
-    params: &SimParams,
-    dial: &OriginDial,
-) {
-    use chaos::FaultAction as FA;
-    match action {
-        FA::KillDirectories { website, count } => {
-            let victims = chaos_driver::sample_nodes(
-                world,
-                count.map_or(usize::MAX, |c| c as usize),
-                None,
-                rng,
-                |_, p| {
-                    p.directory_position()
-                        .is_some_and(|pos| website.is_none_or(|w| u32::from(pos.website.0) == w))
-                },
-            );
-            for id in victims {
-                world.fail(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-        }
-        FA::KillRandom { count, locality } => {
-            let loc = locality.map(|l| LocalityId(l as u16));
-            let victims = chaos_driver::sample_nodes(world, count as usize, loc, rng, |_, _| true);
-            for id in victims {
-                world.fail(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-        }
-        FA::LeaveWave { count } => {
-            let leavers = chaos_driver::sample_nodes(world, count as usize, None, rng, |_, _| true);
-            for id in leavers {
-                world.leave(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-        }
-        FA::JoinWave {
-            count,
-            website,
-            lifetime_ms,
-        } => {
-            // A flash crowd: `count` fresh arrivals right now, drawn to one
-            // website if set. Lifetimes follow the churn law unless pinned.
-            for _ in 0..count {
-                let ws = website
-                    .map(|w| WebsiteId(w as u16))
-                    .unwrap_or_else(|| catalog.assign_interest(rng));
-                let lifetime = lifetime_ms
-                    .unwrap_or_else(|| sample_exp(rng, params.mean_uptime_ms as f64).ceil() as u64);
-                world.schedule_control(
-                    world.now(),
-                    Control::Spawn {
-                        website: ws,
-                        lifetime_ms: lifetime,
-                        graceful: false,
-                    },
-                );
-            }
-        }
-        env => {
-            if let Some((after, follow_up)) = chaos_driver::apply_env_action(world, dial, &env) {
-                world.schedule_control(world.now() + after, Control::Chaos(follow_up));
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::driver::SimDriver;
-
-    #[test]
-    fn quick_run_produces_hits_and_keeps_population() {
-        let mut params = SimParams::quick(150, 2 * 3_600_000);
-        params.seed = 42;
-        let mut sim = FlowerSim::new(params);
-        assert_eq!(sim.live_population(), 10 * 6, "initial D-ring size");
-        sim.run_until(Time::from_millis(2 * 3_600_000));
-        let pop = sim.live_population();
-        assert!(
-            (75..=260).contains(&pop),
-            "population {pop} should hover near 150"
-        );
-        assert!(sim.directory_count() > 0, "directories survive churn");
-        let result = sim.finish();
-        assert!(
-            result.records.len() > 200,
-            "expected a meaningful query stream, got {}",
-            result.records.len()
-        );
-        assert!(
-            result.stats.hit_ratio() > 0.05,
-            "hit ratio {} should be non-trivial",
-            result.stats.hit_ratio()
-        );
-        assert!(result.stats.mean_lookup_ms() > 0.0);
-    }
-
-    #[test]
-    fn gauges_sample_population_and_message_rates() {
-        let mut params = SimParams::quick(60, 30 * 60_000);
-        params.seed = 9;
-        let mut sim = FlowerSim::new(params);
-        let live = sim.enable_gauges(5 * 60_000);
-        sim.run_until(Time::from_millis(30 * 60_000));
-        // The live handle already carries the series mid-run.
-        let mid_len = live.borrow().series("population").map_or(0, |s| s.len());
-        assert!(
-            mid_len >= 5,
-            "expected ≥5 samples over 30 min, got {mid_len}"
-        );
-        let result = sim.finish();
-        let pop = result
-            .gauges
-            .series("population")
-            .expect("population series");
-        assert_eq!(pop.len(), mid_len);
-        assert!(pop.iter().all(|&(_, v)| v > 0.0));
-        assert!(result.gauges.series("dring_size").is_some());
-        assert!(result.gauges.series("petal_size_mean").is_some());
-        assert!(
-            result.gauges.names().iter().any(|n| n.starts_with("rate/")),
-            "expected per-class message-rate series, got {:?}",
-            result.gauges.names()
-        );
-    }
-
-    #[test]
-    fn identical_seeds_reproduce_identical_runs() {
-        let run = |seed: u64| {
-            let mut params = SimParams::quick(80, 3_600_000);
-            params.seed = seed;
-            let r = FlowerSim::new(params).run();
-            (
-                r.records.len(),
-                r.stats.hits,
-                r.stats.queries,
-                r.replacements,
-            )
+    fn finish(mut self) -> RunResult {
+        self.world.flush_trace_sinks();
+        let perf = self
+            .world
+            .profiler()
+            .is_enabled()
+            .then(|| self.collect_perf());
+        let gauges = self.ctl.gauges.as_ref();
+        let mut result = RunResult {
+            peak_population: self.world.live_count(),
+            messages_delivered: self.world.stats().delivered,
+            gauges: gauges.map_or_else(GaugeRegistry::new, |g| g.registry.borrow().clone()),
+            perf,
+            ..RunResult::default()
         };
-        assert_eq!(run(7), run(7));
+        for (_, _, report) in self.world.drain_reports() {
+            S::fold_report(report, &mut result);
+        }
+        for r in &result.records {
+            result.stats.record(r);
+        }
+        result
     }
 }

@@ -12,7 +12,8 @@ use cdn_metrics::{fig4_lookup_edges, fig5_transfer_edges, Histogram, HitRatioSer
 
 use crate::config::SimParams;
 use crate::driver::SimDriver;
-use crate::engine::{FlowerSim, RunResult};
+use crate::engine::RunResult;
+use crate::flower::FlowerSim;
 use crate::squirrel::{SquirrelMode, SquirrelSim};
 
 /// Which system a result row belongs to.
@@ -95,27 +96,34 @@ impl Instrumentation {
             System::Squirrel => path.with_extension("squirrel.jsonl"),
         })
     }
+}
 
-    /// Attach everything this instrumentation asks for to one simulation,
-    /// through the [`SimDriver`] surface (system-agnostic). Order —
-    /// profiler, trace sink, gauges, scenario — is part of the determinism
-    /// contract: every code path that sets up a run applies in this order.
-    /// (The profiler goes first so it observes everything the rest emits;
-    /// it never affects the virtual-time schedule.)
-    pub fn apply(&self, sim: &mut dyn SimDriver, system: System) {
-        if self.profile {
-            sim.enable_profiling();
-        }
-        if let Some(path) = self.trace_path(system) {
-            let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
-            sim.add_trace_sink_boxed(Box::new(w));
-        }
-        if let Some(period) = self.gauge_period_ms {
-            sim.enable_gauges(period);
-        }
-        if let Some(sc) = &self.scenario {
-            sim.apply_scenario(sc);
-        }
+/// Set one simulation up for its run, through the [`SimDriver`] surface
+/// (system-agnostic): profiler, JSONL trace stream to `trace_path`, gauges,
+/// fault scenario. Every harness funnels through here because that order
+/// is part of the determinism contract — a sweep run reproduces a
+/// single-run invocation byte for byte. (The profiler goes first so it
+/// observes everything the rest emits; it never affects the virtual-time
+/// schedule.) Callers differ only in how they name the trace file.
+pub fn set_up_run(
+    sim: &mut dyn SimDriver,
+    profile: bool,
+    trace_path: Option<std::path::PathBuf>,
+    gauge_period_ms: Option<u64>,
+    scenario: Option<&chaos::Scenario>,
+) {
+    if profile {
+        sim.enable_profiling();
+    }
+    if let Some(path) = trace_path {
+        let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
+        sim.add_trace_sink_boxed(Box::new(w));
+    }
+    if let Some(period) = gauge_period_ms {
+        sim.enable_gauges(period);
+    }
+    if let Some(sc) = scenario {
+        sim.apply_scenario(sc);
     }
 }
 
@@ -127,21 +135,20 @@ pub fn run_comparison(params: SimParams) -> ComparisonRun {
 /// [`run_comparison`] with tracing and gauge sampling attached to both
 /// systems as requested.
 pub fn run_comparison_instrumented(params: SimParams, inst: Instrumentation) -> ComparisonRun {
+    let run = |system| {
+        run_system_with(system, params.clone(), |sim| {
+            set_up_run(
+                sim,
+                inst.profile,
+                inst.trace_path(system),
+                inst.gauge_period_ms,
+                inst.scenario.as_ref(),
+            );
+        })
+    };
     let (flower, squirrel) = std::thread::scope(|s| {
-        let pf = params.clone();
-        let ps = params.clone();
-        let inst_f = inst.clone();
-        let inst_s = inst;
-        let hf = s.spawn(move || {
-            run_system_with(System::FlowerCdn, pf, |sim| {
-                inst_f.apply(sim, System::FlowerCdn)
-            })
-        });
-        let hs = s.spawn(move || {
-            run_system_with(System::Squirrel, ps, |sim| {
-                inst_s.apply(sim, System::Squirrel)
-            })
-        });
+        let hf = s.spawn(|| run(System::FlowerCdn));
+        let hs = s.spawn(|| run(System::Squirrel));
         (
             hf.join().expect("flower run"),
             hs.join().expect("squirrel run"),
@@ -222,7 +229,7 @@ impl MaintenanceVariant {
 pub fn run_maintenance_variant(params: SimParams, variant: MaintenanceVariant) -> RunResult {
     let mut params = params;
     variant.apply(&mut params);
-    FlowerSim::new(params).run()
+    run_system(System::FlowerCdn, params)
 }
 
 /// A reduced-scale configuration that preserves the *ratios* that drive the

@@ -44,22 +44,12 @@ pub struct SimHost<M: Machine> {
 impl<M: Machine> SimHost<M> {
     /// Host `machine` under `run_seed`; the RNG is derived per-node so a
     /// machine's draws depend only on the run seed, its id and its own
-    /// input sequence.
-    pub fn new(run_seed: u64, me: NodeId, machine: M) -> SimHost<M> {
+    /// input sequence. With a `tap`, every exchange is recorded into it.
+    pub fn new(run_seed: u64, me: NodeId, machine: M, tap: Option<TapLog<M>>) -> SimHost<M> {
         SimHost {
             machine,
             rng: machine_rng(run_seed, me),
-            tap: None,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// As [`SimHost::new`], recording every exchange into `log`.
-    pub fn tapped(run_seed: u64, me: NodeId, machine: M, log: TapLog<M>) -> SimHost<M> {
-        SimHost {
-            machine,
-            rng: machine_rng(run_seed, me),
-            tap: Some(log),
+            tap,
             scratch: Vec::new(),
         }
     }

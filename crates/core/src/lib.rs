@@ -16,8 +16,9 @@
 //! * the **Squirrel baseline** ([`squirrel`]) — the decentralized P2P web
 //!   cache of Iyer et al. (PODC 2002) in its directory and home-store
 //!   flavours over a plain Chord of all peers;
-//! * **experiment engines** ([`engine`], [`squirrel`]) driving both systems
-//!   under the paper's §6.1 workload/churn on the `simnet` simulator;
+//! * one **experiment engine** ([`engine::Engine`]) driving both systems
+//!   ([`flower::Flower`], [`squirrel::Squirrel`]) under the paper's §6.1
+//!   workload/churn on the `simnet` simulator;
 //! * **experiment drivers** ([`experiments`]) regenerating every figure and
 //!   table of §6.
 //!
@@ -43,10 +44,11 @@ pub use flower_proto::{
     tags,
 };
 
-pub mod chaos_driver;
+mod chaos_driver;
 pub mod driver;
 pub mod engine;
 pub mod experiments;
+pub mod flower;
 pub mod host;
 pub mod invariants;
 pub mod squirrel;
@@ -58,11 +60,12 @@ pub use directory::{DirectoryIndex, DirectorySnapshot};
 pub use dirinfo::DirInfo;
 pub use dring::DirPosition;
 pub use driver::SimDriver;
-pub use engine::{Control, FlowerSim, RunResult};
+pub use engine::{Control, Engine, RunResult, SimSystem};
 pub use experiments::{
-    run_comparison, run_comparison_instrumented, run_system, run_system_with, shape_params,
-    ComparisonRun, Instrumentation, System,
+    run_comparison, run_comparison_instrumented, run_system, run_system_with, set_up_run,
+    shape_params, ComparisonRun, Instrumentation, System,
 };
+pub use flower::{Flower, FlowerHost, FlowerSim};
 pub use flower_proto::{
     machine_rng, machine_seed, ApiCall, ApiResp, Env, Fx, Input, Machine, OriginDial, Output,
     ProviderKind, RoleKind,
@@ -72,5 +75,5 @@ pub use invariants::InvariantChecker;
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};
 pub use qid::QueryId;
-pub use squirrel::{SquirrelMode, SquirrelSim};
+pub use squirrel::{Squirrel, SquirrelHost, SquirrelMode, SquirrelSim};
 pub use store::{ContentStore, StorePolicy};

@@ -1,288 +1,179 @@
-//! The Squirrel experiment engine.
+//! Squirrel as a simulated system.
 //!
 //! The Squirrel *protocol* — [`SquirrelPeer`] and its message/timer types —
 //! lives in `flower_proto::squirrel` as a sans-io state machine; this
-//! module re-exports it and provides [`SquirrelSim`], the engine that
-//! mirrors [`crate::engine::FlowerSim`]'s construction so both systems face
-//! the same topology shape, churn law and workload (§6.1).
+//! module re-exports it, tells [`Engine`] what it needs to know about the
+//! system ([`Squirrel`]), and adds the ring probes tests read off a
+//! [`SquirrelSim`].
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
-use cdn_metrics::GaugeRegistry;
-use chord::{Chord, ChordId, NodeRef};
+use chord::{Chord, ChordAction, ChordId, NodeRef};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use simnet::{ClassCountSink, NodeId, Point, Time, Topology, TraceSink, World};
-use workload::{generate_sessions, sample_exp, Catalog, ObjectId, WebsiteId};
+use simnet::{LocalityId, NodeId};
+use workload::{Catalog, ObjectId, WebsiteId};
 
-use crate::bootstrap::{Bootstrap, SharedBootstrap};
-use crate::chaos_driver::{self, OriginDial};
 use crate::config::SimParams;
-use crate::engine::{GaugeState, RunResult};
+use crate::engine::{Engine, RunResult, SimSystem, SimWorld};
+use crate::experiments::System;
 use crate::host::SimHost;
+use crate::peer::{PeerCtx, ProtocolEvent};
 
 pub use flower_proto::squirrel::{
     object_key, peer_ring_id, SqCtx, SqEvent, SqMsg, SqReport, SqTimer, SquirrelMode, SquirrelPeer,
 };
 
+/// Squirrel: every peer an ordinary member of one Chord ring, in the
+/// directory or the home-store flavour.
+pub struct Squirrel {
+    mode: SquirrelMode,
+}
+
+/// The Squirrel simulation.
+pub type SquirrelSim = Engine<Squirrel>;
+
 /// The simulator node type hosting the Squirrel machine.
 pub type SquirrelHost = SimHost<SquirrelPeer>;
 
-/// Engine-level control events.
-pub enum SqControl {
-    Spawn {
-        website: WebsiteId,
-        lifetime_ms: u64,
-        graceful: bool,
-    },
-    Fail(NodeId),
-    /// Graceful departure: the peer's `on_leave` runs before removal.
-    Leave(NodeId),
-    /// A scheduled fault from a [`chaos::Scenario`] fires now.
-    Chaos(chaos::FaultAction),
-    /// Periodic gauge-sampling tick; armed by
-    /// [`SquirrelSim::enable_gauges`] and self-rescheduling.
-    Sample,
-}
-
-/// The Squirrel simulation, mirroring [`crate::engine::FlowerSim`]'s
-/// construction so both systems face the same topology shape, churn law
-/// and workload (§6.1).
-pub struct SquirrelSim {
-    params: Rc<SimParams>,
-    catalog: Rc<Catalog>,
-    bootstrap: SharedBootstrap,
-    world: World<SquirrelHost, SqControl>,
-    origins: Vec<Point>,
-    origin_dial: Rc<OriginDial>,
-    engine_rng: StdRng,
-    mode: SquirrelMode,
-    gauges: Option<GaugeState>,
-    /// Wall-clock and allocation baselines for the perf cell, captured at
-    /// construction so setup cost is part of the measured run.
-    built_at: std::time::Instant,
-    alloc_base: u64,
-}
-
-impl SquirrelSim {
-    pub fn new(params: SimParams, mode: SquirrelMode) -> SquirrelSim {
-        let built_at = std::time::Instant::now();
-        let alloc_base = profile::alloc_count();
-        let params = Rc::new(params);
-        let catalog = Rc::new(Catalog::new(params.catalog.clone()));
-        let mut engine_rng = StdRng::seed_from_u64(params.seed ^ 0xE61E);
-        let topology = Topology::new(params.topology.clone(), &mut engine_rng);
-        let origins: Vec<Point> = (0..params.catalog.websites)
-            .map(|_| {
-                Point::new(
-                    engine_rng.gen_range(0.0..params.topology.world_size),
-                    engine_rng.gen_range(0.0..params.topology.world_size),
-                )
-            })
-            .collect();
-        let bootstrap = Bootstrap::shared();
-        let world: World<SquirrelHost, SqControl> = World::new(topology, params.seed);
-        let mut sim = SquirrelSim {
-            params,
-            catalog,
-            bootstrap,
-            world,
-            origins,
-            origin_dial: OriginDial::shared(),
-            engine_rng,
-            mode,
-            gauges: None,
-            built_at,
-            alloc_base,
-        };
-        sim.build_initial_population();
-        sim.schedule_churn();
-        sim
-    }
-
-    /// The t=0 population mirrors Flower-CDN's 600 initial directory peers:
-    /// same count, same per-locality placement, same (ws, loc)-major
-    /// interest assignment — here they are just ordinary Squirrel peers on
-    /// one converged ring.
-    fn build_initial_population(&mut self) {
-        let k = self.params.topology.localities;
-        let websites = self.params.catalog.websites;
-        let mut members: Vec<(WebsiteId, simnet::LocalityId, NodeRef)> = Vec::new();
-        let mut next_index = self.world.next_id().index();
-        for ws in 0..websites {
-            for loc in 0..k {
-                let me = NodeId::from_index(next_index);
-                members.push((
-                    WebsiteId(ws),
-                    simnet::LocalityId(loc),
-                    NodeRef::new(me, peer_ring_id(me)),
-                ));
-                next_index += 1;
-            }
-        }
-        let mut ring: Vec<NodeRef> = members.iter().map(|&(_, _, r)| r).collect();
-        ring.sort_by_key(|r| r.id.0);
-        for (ws, loc, me_ref) in members {
-            let ring_idx = ring
-                .binary_search_by_key(&me_ref.id.0, |r| r.id.0)
-                .expect("member in ring");
-            let (chord, actions) = Chord::converged(ring_idx, &ring, self.params.chord.clone());
-            let at = self
-                .world
-                .topology()
-                .sample_point_in(loc, &mut self.engine_rng);
-            let pcx = self.peer_ctx(ws, at);
-            let run_seed = self.params.seed;
-            self.world.spawn(at, |me, _loc| {
-                SimHost::new(run_seed, me, SquirrelPeer::initial(pcx, me, chord, actions))
-            });
-            self.bootstrap.borrow_mut().add(me_ref);
-        }
-    }
-
-    fn schedule_churn(&mut self) {
-        let churn = self.params.churn();
-        let initial = self.params.initial_directories();
-        let sessions = generate_sessions(&churn, initial, &mut self.engine_rng);
-        for (i, s) in sessions.iter().enumerate() {
-            if i < initial {
-                let id = NodeId::from_index(i);
-                let end = if s.graceful {
-                    SqControl::Leave(id)
-                } else {
-                    SqControl::Fail(id)
-                };
-                self.world
-                    .schedule_control(Time::from_millis(s.departure_ms()), end);
-            } else {
-                let website = self.catalog.assign_interest(&mut self.engine_rng);
-                self.world.schedule_control(
-                    Time::from_millis(s.arrival_ms),
-                    SqControl::Spawn {
-                        website,
-                        lifetime_ms: s.lifetime_ms,
-                        graceful: s.graceful,
-                    },
-                );
-            }
-        }
-    }
-
-    fn peer_ctx(&self, website: WebsiteId, at: Point) -> SqCtx {
-        let origin = self.origins[website.0 as usize];
-        let origin_latency_ms = self.world.topology().latency_between(at, origin);
+impl Squirrel {
+    /// The engine's per-peer context in Squirrel's form.
+    fn ctx(&self, pcx: PeerCtx) -> SqCtx {
         SqCtx {
-            catalog: Rc::clone(&self.catalog),
-            params: Rc::clone(&self.params),
-            bootstrap: Rc::clone(&self.bootstrap),
-            website,
-            origin_latency_ms,
-            origin_dial: Rc::clone(&self.origin_dial),
+            catalog: pcx.catalog,
+            params: pcx.params,
+            bootstrap: pcx.bootstrap,
+            website: pcx.website,
+            origin_latency_ms: pcx.origin_latency_ms,
+            origin_dial: pcx.origin_dial,
             mode: self.mode,
         }
     }
+}
 
-    fn run_until_inner(&mut self, t: Time) {
-        let catalog = Rc::clone(&self.catalog);
-        let params = Rc::clone(&self.params);
-        let bootstrap = Rc::clone(&self.bootstrap);
-        let origins = self.origins.clone();
-        let dial = Rc::clone(&self.origin_dial);
-        let mode = self.mode;
-        let mut rng = self.engine_rng.clone();
-        let mut gauges = self.gauges.take();
-        self.world.run(t, |world, control| match control {
-            SqControl::Spawn {
-                website,
-                lifetime_ms,
-                graceful,
-            } => {
-                let at = world.topology().sample_point(&mut rng);
-                let origin = origins[website.0 as usize];
-                let origin_latency_ms = world.topology().latency_between(at, origin);
-                let pcx = SqCtx {
-                    catalog: Rc::clone(&catalog),
-                    params: Rc::clone(&params),
-                    bootstrap: Rc::clone(&bootstrap),
-                    website,
-                    origin_latency_ms,
-                    origin_dial: Rc::clone(&dial),
-                    mode,
-                };
-                let seed = bootstrap.borrow().pick(&mut rng, &[]);
-                let Some(seed) = seed else {
-                    return; // overlay empty: the arrival is lost
-                };
-                let id = world.spawn(at, |me, _loc| {
-                    SimHost::new(params.seed, me, SquirrelPeer::arriving(pcx, me, seed))
-                });
-                let end_at = world.now() + lifetime_ms;
-                let end = if graceful {
-                    SqControl::Leave(id)
-                } else {
-                    SqControl::Fail(id)
-                };
-                world.schedule_control(end_at, end);
-            }
-            SqControl::Fail(id) => {
-                world.fail(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-            SqControl::Leave(id) => {
-                world.leave(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-            SqControl::Chaos(action) => {
-                apply_squirrel_chaos(
-                    world, action, &mut rng, &bootstrap, &catalog, &params, &dial,
-                );
-            }
-            SqControl::Sample => {
-                if let Some(g) = gauges.as_mut() {
-                    sample_squirrel_gauges(g, world);
-                    world.schedule_control(
-                        crate::engine::next_sample_at(world.now(), g.period_ms),
-                        SqControl::Sample,
-                    );
+impl SimSystem for Squirrel {
+    type Machine = SquirrelPeer;
+
+    const SYSTEM: System = System::Squirrel;
+
+    fn initial_ring_id(me: NodeId, _website: WebsiteId, _locality: LocalityId) -> ChordId {
+        peer_ring_id(me)
+    }
+
+    fn initial_machine(
+        &self,
+        pcx: PeerCtx,
+        me: NodeId,
+        _locality: LocalityId,
+        chord: Chord,
+        startup_actions: Vec<ChordAction>,
+    ) -> SquirrelPeer {
+        SquirrelPeer::initial(self.ctx(pcx), me, chord, startup_actions)
+    }
+
+    /// Arrivals join the ring through a registry member drawn from the
+    /// engine RNG; with the overlay empty the arrival is lost.
+    fn arriving(
+        &self,
+        pcx: PeerCtx,
+        rng: &mut StdRng,
+    ) -> Option<impl FnOnce(NodeId, LocalityId) -> SquirrelPeer> {
+        let seed: NodeRef = pcx.bootstrap.borrow().pick(rng, &[])?;
+        let pcx = self.ctx(pcx);
+        Some(move |me, _locality| SquirrelPeer::arriving(pcx, me, seed))
+    }
+
+    /// Squirrel has no designated directory peers, so `kill-directories`
+    /// translates to its closest analog: the **home nodes** (ring owners)
+    /// of the website's hottest objects — killing them destroys the same
+    /// "who-holds-what" knowledge a Flower directory kill destroys. The
+    /// ring is scanned in popularity-rank order until `count` distinct live
+    /// owners are found (default 8 per website).
+    fn directory_victims(
+        world: &SimWorld<Squirrel>,
+        catalog: &Catalog,
+        website: Option<u32>,
+        count: Option<u32>,
+        _rng: &mut StdRng,
+    ) -> Vec<NodeId> {
+        let per_site = count.map_or(8, |c| c as usize);
+        let websites = match website {
+            Some(w) => w..w + 1,
+            None => 0..u32::from(catalog.config().active_websites),
+        };
+        let mut victims: BTreeSet<NodeId> = BTreeSet::new();
+        for ws in websites {
+            let mut owners: BTreeSet<NodeId> = BTreeSet::new();
+            for rank in 0..catalog.objects_per_site() {
+                if owners.len() >= per_site {
+                    break;
+                }
+                let object = ObjectId::from_u64((u64::from(ws) << 32) | u64::from(rank));
+                if let Some(owner) = live_ring_owner(world, object_key(object)) {
+                    owners.insert(owner);
                 }
             }
-        });
-        self.engine_rng = rng;
-        self.gauges = gauges;
+            victims.extend(owners);
+        }
+        victims.into_iter().collect()
     }
 
-    /// Manually spawn a client peer interested in `website`, placed in
-    /// `locality`, with no scheduled failure (protocol tests drive churn
-    /// themselves).
-    pub fn spawn_client(&mut self, website: WebsiteId, locality: simnet::LocalityId) -> NodeId {
-        let at = self
-            .world
-            .topology()
-            .sample_point_in(locality, &mut self.engine_rng);
-        let pcx = self.peer_ctx(website, at);
-        let seed = self
-            .bootstrap
-            .borrow()
-            .pick(&mut self.engine_rng, &[])
-            .expect("overlay non-empty");
-        let run_seed = self.params.seed;
-        self.world.spawn(at, |me, _loc| {
-            SimHost::new(run_seed, me, SquirrelPeer::arriving(pcx, me, seed))
-        })
+    /// Joined-ring size and home-directory load.
+    fn sample_gauges(world: &SimWorld<Squirrel>, record: &mut dyn FnMut(&'static str, f64)) {
+        let mut joined = 0usize;
+        let mut homed = 0usize;
+        for (_, p) in world.live_nodes() {
+            if p.is_joined() {
+                joined += 1;
+            }
+            homed += p.homed_objects();
+        }
+        record("ring_size", joined as f64);
+        record("homed_objects", homed as f64);
     }
 
-    /// Failure injection (tests).
-    pub fn fail_peer(&mut self, id: NodeId) {
-        self.world.fail(id);
-        self.bootstrap.borrow_mut().remove(id);
+    /// Squirrel's events map onto the shared diagnostic vocabulary so both
+    /// systems' runs are inspectable the same way.
+    fn fold_report(report: SqReport, into: &mut RunResult) {
+        match report {
+            SqReport::Query(q) => into.records.push(q),
+            SqReport::Event(e) => {
+                let key = match e {
+                    SqEvent::LookupFailed => ProtocolEvent::RouteFailure,
+                    SqEvent::AnswerTimeout => ProtocolEvent::DirQueryTimeout,
+                    SqEvent::HomeEmpty => ProtocolEvent::DirNoProvider,
+                    SqEvent::FetchMiss => ProtocolEvent::FetchMiss,
+                    SqEvent::FetchTimeout => ProtocolEvent::FetchTimeout,
+                    SqEvent::AnsweredByNonOwner => ProtocolEvent::AnsweredByNonOwner,
+                };
+                *into.events.entry(key).or_default() += 1;
+            }
+        }
+    }
+}
+
+/// The live joined node owning `key` per ring geometry: smallest clockwise
+/// distance from the key.
+fn live_ring_owner(world: &SimWorld<Squirrel>, key: ChordId) -> Option<NodeId> {
+    world
+        .live_nodes()
+        .filter(|(_, n)| n.chord().is_joined())
+        .map(|(id, n)| (id, key.distance_to(n.chord().me().id)))
+        .min_by_key(|&(_, d)| d)
+        .map(|(id, _)| id)
+}
+
+impl Engine<Squirrel> {
+    /// Build the t=0 state. The initial population matches Flower-CDN's
+    /// initial directory peers — same count, same per-locality placement,
+    /// same (website, locality)-major interest assignment — here they are
+    /// just ordinary Squirrel peers on one converged ring.
+    pub fn new(params: SimParams, mode: SquirrelMode) -> SquirrelSim {
+        Engine::build(params, Squirrel { mode })
     }
 
-    /// The live node currently owning `key` per ring geometry (tests):
-    /// smallest clockwise distance from the key.
+    /// The live node currently owning `key` per ring geometry (tests).
     pub fn ring_owner_of(&self, key: ChordId) -> Option<NodeId> {
-        live_ring_owner(&self.world, key)
+        live_ring_owner(self.world(), key)
     }
 
     /// Ring-health probe for diagnostics: fraction of live joined nodes
@@ -290,7 +181,7 @@ impl SquirrelSim {
     /// counts of stranded and predecessor-less nodes.
     pub fn ring_health(&self) -> (f64, usize, usize) {
         let mut members: Vec<(ChordId, NodeId, NodeRef, bool, bool)> = self
-            .world
+            .world()
             .live_nodes()
             .filter(|(_, n)| n.chord().is_joined())
             .map(|(id, n)| {
@@ -319,258 +210,6 @@ impl SquirrelSim {
         let predless = members.iter().filter(|m| m.4).count();
         (ok as f64 / n as f64, stranded, predless)
     }
-
-    pub fn world(&self) -> &World<SquirrelHost, SqControl> {
-        &self.world
-    }
-
-    pub fn drain_reports(&mut self) -> Vec<(Time, NodeId, SqReport)> {
-        self.world.drain_reports()
-    }
-
-    fn finish_inner(mut self) -> RunResult {
-        use crate::peer::ProtocolEvent;
-        self.world.flush_trace_sinks();
-        let perf = self.world.profiler().is_enabled().then(|| {
-            crate::engine::collect_run_perf(
-                &self.world,
-                "Squirrel",
-                &self.params,
-                self.built_at,
-                self.alloc_base,
-            )
-        });
-        let peak = self.world.live_count();
-        let messages_delivered = self.world.stats().delivered;
-        let gauges = self
-            .gauges
-            .as_ref()
-            .map(GaugeState::snapshot)
-            .unwrap_or_default();
-        let mut records = Vec::new();
-        let mut events: std::collections::BTreeMap<ProtocolEvent, u64> =
-            std::collections::BTreeMap::new();
-        for (_, _, r) in self.world.drain_reports() {
-            match r {
-                SqReport::Query(q) => records.push(q),
-                SqReport::Event(e) => {
-                    // Map onto the shared diagnostic vocabulary so both
-                    // systems' runs are inspectable the same way.
-                    let key = match e {
-                        SqEvent::LookupFailed => ProtocolEvent::RouteFailure,
-                        SqEvent::AnswerTimeout => ProtocolEvent::DirQueryTimeout,
-                        SqEvent::HomeEmpty => ProtocolEvent::DirNoProvider,
-                        SqEvent::FetchMiss => ProtocolEvent::FetchMiss,
-                        SqEvent::FetchTimeout => ProtocolEvent::FetchTimeout,
-                        SqEvent::AnsweredByNonOwner => ProtocolEvent::AnsweredByNonOwner,
-                    };
-                    *events.entry(key).or_default() += 1;
-                }
-            }
-        }
-        let mut stats = cdn_metrics::QueryStats::default();
-        for r in &records {
-            stats.record(r);
-        }
-        RunResult {
-            events,
-            records,
-            replacements: 0,
-            splits: 0,
-            stats,
-            peak_population: peak,
-            messages_delivered,
-            gauges,
-            perf,
-        }
-    }
-}
-
-impl crate::driver::SimDriver for SquirrelSim {
-    fn params(&self) -> &SimParams {
-        &self.params
-    }
-
-    fn now(&self) -> Time {
-        self.world.now()
-    }
-
-    fn live_population(&self) -> usize {
-        self.world.live_count()
-    }
-
-    fn run_until(&mut self, t: Time) {
-        self.run_until_inner(t);
-    }
-
-    /// Schedule every fault of `scenario` into the run, mirroring
-    /// Flower-CDN's scheduling so both systems face the same chaos
-    /// timeline.
-    fn apply_scenario(&mut self, scenario: &chaos::Scenario) {
-        for f in scenario.iter() {
-            self.world.schedule_control(
-                Time::from_millis(f.at_ms),
-                SqControl::Chaos(f.action.clone()),
-            );
-        }
-    }
-
-    /// Attach a structured trace sink to the underlying world. As with
-    /// Flower-CDN, the already-spawned initial population is replayed into
-    /// the sink first.
-    fn add_trace_sink_boxed(&mut self, mut sink: Box<dyn TraceSink>) {
-        let now = self.world.now();
-        for (id, _) in self.world.live_nodes() {
-            let locality = self.world.topology().locality(id);
-            sink.event(now, &simnet::TraceEvent::NodeSpawn { node: id, locality });
-        }
-        self.world.add_trace_sink(sink);
-    }
-
-    /// Turn on periodic gauge sampling: population, joined-ring size,
-    /// home-directory load and per-class message rates.
-    fn enable_gauges(&mut self, period_ms: u64) -> Rc<RefCell<GaugeRegistry>> {
-        let counts = ClassCountSink::new();
-        self.world.add_trace_sink(Box::new(counts.clone()));
-        let state = GaugeState::new(period_ms, counts);
-        let registry = Rc::clone(&state.registry);
-        self.world.schedule_control(
-            crate::engine::next_sample_at(self.world.now(), period_ms),
-            SqControl::Sample,
-        );
-        self.gauges = Some(state);
-        registry
-    }
-
-    /// Turn on the performance profiler; [`RunResult::perf`] carries the
-    /// measured cell after `finish()`.
-    fn enable_profiling(&mut self) {
-        self.world.profiler().enable();
-    }
-
-    fn finish(self) -> RunResult {
-        self.finish_inner()
-    }
-}
-
-/// Execute one scheduled fault against a Squirrel world.
-///
-/// Squirrel has no designated directory peers, so `kill-directories`
-/// translates to its closest analog: the **home nodes** (ring owners) of
-/// the website's hottest objects — killing them destroys the same
-/// "who-holds-what" knowledge a Flower directory kill destroys. The ring
-/// is scanned in popularity-rank order until `count` distinct live owners
-/// are found (default 8 per website).
-fn apply_squirrel_chaos(
-    world: &mut World<SquirrelHost, SqControl>,
-    action: chaos::FaultAction,
-    rng: &mut StdRng,
-    bootstrap: &SharedBootstrap,
-    catalog: &Catalog,
-    params: &SimParams,
-    dial: &OriginDial,
-) {
-    use chaos::FaultAction as FA;
-    match action {
-        FA::KillDirectories { website, count } => {
-            let per_site = count.map_or(8, |c| c as usize);
-            let websites: Vec<u16> = match website {
-                Some(w) => vec![w as u16],
-                None => (0..catalog.config().active_websites).collect(),
-            };
-            let mut victims: BTreeSet<NodeId> = BTreeSet::new();
-            for ws in websites {
-                let mut owners: BTreeSet<NodeId> = BTreeSet::new();
-                for rank in 0..catalog.objects_per_site() {
-                    if owners.len() >= per_site {
-                        break;
-                    }
-                    let object = ObjectId::from_u64((u64::from(ws) << 32) | u64::from(rank));
-                    if let Some(owner) = live_ring_owner(world, object_key(object)) {
-                        owners.insert(owner);
-                    }
-                }
-                victims.extend(owners);
-            }
-            for id in victims {
-                world.fail(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-        }
-        FA::KillRandom { count, locality } => {
-            let loc = locality.map(|l| simnet::LocalityId(l as u16));
-            let victims = chaos_driver::sample_nodes(world, count as usize, loc, rng, |_, _| true);
-            for id in victims {
-                world.fail(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-        }
-        FA::LeaveWave { count } => {
-            let leavers = chaos_driver::sample_nodes(world, count as usize, None, rng, |_, _| true);
-            for id in leavers {
-                world.leave(id);
-                bootstrap.borrow_mut().remove(id);
-            }
-        }
-        FA::JoinWave {
-            count,
-            website,
-            lifetime_ms,
-        } => {
-            for _ in 0..count {
-                let ws = website
-                    .map(|w| WebsiteId(w as u16))
-                    .unwrap_or_else(|| catalog.assign_interest(rng));
-                let lifetime = lifetime_ms
-                    .unwrap_or_else(|| sample_exp(rng, params.mean_uptime_ms as f64).ceil() as u64);
-                world.schedule_control(
-                    world.now(),
-                    SqControl::Spawn {
-                        website: ws,
-                        lifetime_ms: lifetime,
-                        graceful: false,
-                    },
-                );
-            }
-        }
-        env => {
-            if let Some((after, follow_up)) = chaos_driver::apply_env_action(world, dial, &env) {
-                world.schedule_control(world.now() + after, SqControl::Chaos(follow_up));
-            }
-        }
-    }
-}
-
-/// The live joined node owning `key` per ring geometry (free-function twin
-/// of [`SquirrelSim::ring_owner_of`], usable inside the control handler).
-fn live_ring_owner(world: &World<SquirrelHost, SqControl>, key: ChordId) -> Option<NodeId> {
-    world
-        .live_nodes()
-        .filter(|(_, n)| n.chord().is_joined())
-        .map(|(id, n)| (id, key.distance_to(n.chord().me().id)))
-        .min_by_key(|&(_, d)| d)
-        .map(|(id, _)| id)
-}
-
-/// One gauge sample of a Squirrel world: population, joined-ring size and
-/// home-directory load, plus per-class delivery rates.
-fn sample_squirrel_gauges(g: &mut GaugeState, world: &World<SquirrelHost, SqControl>) {
-    let at = world.now().as_millis();
-    let mut pop = 0usize;
-    let mut joined = 0usize;
-    let mut homed = 0usize;
-    for (_, p) in world.live_nodes() {
-        pop += 1;
-        if p.is_joined() {
-            joined += 1;
-        }
-        homed += p.homed_objects();
-    }
-    g.record("population", at, pop as f64);
-    g.record("ring_size", at, joined as f64);
-    g.record("homed_objects", at, homed as f64);
-    g.sample_message_rates(at);
-    g.sample_event_loop(at, world.queue_depth(), world.stats().events_processed());
 }
 
 #[cfg(test)]
@@ -578,6 +217,7 @@ mod tests {
     use super::*;
     use crate::driver::SimDriver;
     use cdn_metrics::Provider;
+    use simnet::Time;
 
     #[test]
     fn quick_squirrel_run_produces_queries_and_some_hits() {
@@ -628,5 +268,12 @@ mod tests {
             home_hits > 10,
             "home-store should serve from home nodes, got {home_hits}"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "locality=6 is out of range: the topology has 6 localities")]
+    fn out_of_range_scenario_targets_are_rejected_up_front() {
+        let mut sim = SquirrelSim::new(SimParams::quick(60, 600_000), SquirrelMode::Directory);
+        sim.apply_scenario(&"at 1m partition locality=6".parse().unwrap());
     }
 }

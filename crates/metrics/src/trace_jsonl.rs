@@ -61,24 +61,29 @@ impl<W: Write> JsonlTraceWriter<W> {
             FieldValue::I64(x) => write!(buf, ",\"{key}\":{x}"),
             FieldValue::F64(x) if x.is_finite() => write!(buf, ",\"{key}\":{x}"),
             FieldValue::F64(_) => write!(buf, ",\"{key}\":null"),
-            FieldValue::Str(s) => write!(buf, ",\"{key}\":\"{}\"", escape(s)),
+            FieldValue::Str(s) => write!(buf, ",\"{key}\":\"{}\"", json_escape(s)),
             FieldValue::Bool(b) => write!(buf, ",\"{key}\":{b}"),
         };
     }
 }
 
-fn escape(s: &str) -> String {
-    // Trace strings are static identifiers in practice; handle the JSON
-    // metacharacters anyway so the output is always valid.
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Escape `s` for use inside a JSON string literal: `"`, `\` and newline
+/// get their short forms, every other control character `\uXXXX`. The one
+/// escaper shared by the trace writer and the sweep's `summary.json`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 impl<W: Write> TraceSink for JsonlTraceWriter<W> {
@@ -104,7 +109,7 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
                     ",\"src\":{},\"dst\":{},\"class\":\"{}\",\"latency_ms\":{}",
                     src.raw(),
                     dst.raw(),
-                    escape(class),
+                    json_escape(class),
                     latency_ms
                 );
             }
@@ -114,7 +119,7 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
                     ",\"src\":{},\"dst\":{},\"class\":\"{}\"",
                     src.raw(),
                     dst.raw(),
-                    escape(class)
+                    json_escape(class)
                 );
             }
             TraceEvent::MsgDrop {
@@ -128,7 +133,7 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
                     ",\"src\":{},\"dst\":{},\"class\":\"{}\",\"reason\":\"{}\"",
                     src.raw(),
                     dst.raw(),
-                    escape(class),
+                    json_escape(class),
                     reason.as_str()
                 );
             }
@@ -141,7 +146,7 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
                     buf,
                     ",\"node\":{},\"class\":\"{}\",\"delay_ms\":{}",
                     node.raw(),
-                    escape(class),
+                    json_escape(class),
                     delay_ms
                 );
             }
@@ -150,7 +155,7 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
                     buf,
                     ",\"node\":{},\"class\":\"{}\"",
                     node.raw(),
-                    escape(class)
+                    json_escape(class)
                 );
             }
             TraceEvent::Custom { node, name, fields } => {
@@ -158,7 +163,7 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
                     buf,
                     ",\"node\":{},\"name\":\"{}\"",
                     node.raw(),
-                    escape(name)
+                    json_escape(name)
                 );
                 for (k, v) in fields {
                     Self::push_field(buf, k, v);
@@ -364,7 +369,14 @@ mod tests {
         let text = String::from_utf8(w.into_inner()).unwrap();
         assert!(parse_trace_line(&text).is_some());
         // The escape helper itself handles the metacharacters.
-        assert_eq!(escape(s), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape(s), "a\\\"b\\\\c\\nd");
+        // Every other control character takes the \uXXXX form; anything
+        // from U+0020 up passes through, multi-byte characters included.
+        assert_eq!(
+            json_escape("\t\r\u{1}\u{1f} "),
+            "\\u0009\\u000d\\u0001\\u001f "
+        );
+        assert_eq!(json_escape("p=3000 (churn) é→"), "p=3000 (churn) é→");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use cdn_metrics::{Csv, RunSummary};
+use cdn_metrics::{json_escape, Csv, RunSummary};
 
 use crate::exec::CellResult;
 
@@ -106,22 +106,6 @@ pub fn summary_csv(results: &[CellResult]) -> Csv {
         }
     }
     csv
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// `summary.json`: the per-cell aggregates as a JSON array, keys and

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use cdn_metrics::RunSummary;
-use flower_cdn::{run_system_with, RunResult, System};
+use flower_cdn::{run_system_with, set_up_run, RunResult, System};
 
 use crate::grid::{Cell, Grid};
 use crate::pool::par_map_progress;
@@ -62,6 +62,28 @@ pub struct CellResult {
 }
 
 impl CellResult {
+    /// The one place a cell's finished runs become a `CellResult`: one
+    /// `(seed, summary, perf cell)` per run, in seed order. (Summaries, not
+    /// whole [`RunResult`]s, so a big grid need not keep every run's query
+    /// records alive until the last one finishes.)
+    pub fn from_runs(
+        cell: &Cell,
+        runs: impl IntoIterator<Item = (u64, RunSummary, Option<profile::RunPerf>)>,
+    ) -> CellResult {
+        let mut out = CellResult {
+            label: cell.label.clone(),
+            system: cell.system,
+            population: cell.params.population,
+            runs: Vec::new(),
+            perf: Vec::new(),
+        };
+        for (seed, summary, perf) in runs {
+            out.runs.push((seed, summary));
+            out.perf.extend(perf.map(|p| (seed, p)));
+        }
+        out
+    }
+
     /// This cell's values for one metric (schema name from
     /// [`RunSummary::COLUMNS`]), in seed order.
     pub fn metric_values(&self, metric: &str) -> Vec<f64> {
@@ -96,31 +118,23 @@ fn safe_label(label: &str) -> String {
         .collect()
 }
 
-/// Run one (cell, seed) through the [`flower_cdn::SimDriver`] surface.
-/// Setup order (profiler, trace sink, gauges, scenario) matches
-/// [`flower_cdn::Instrumentation::apply`] so a sweep run reproduces a
-/// single-run harness invocation byte for byte.
+/// Run one (cell, seed) through the [`flower_cdn::SimDriver`] surface,
+/// set up by [`set_up_run`] like every single-run harness invocation.
 pub fn execute_cell(cell: &Cell, seed: u64, opts: &SweepOpts) -> RunResult {
     let mut params = cell.params.clone();
     params.seed = seed;
+    let trace_path = opts.trace_dir.as_ref().map(|dir| {
+        std::fs::create_dir_all(dir).expect("create trace dir");
+        dir.join(format!("{}_s{seed}.jsonl", safe_label(&cell.label)))
+    });
     run_system_with(cell.system, params, |sim| {
-        if opts.profile {
-            sim.enable_profiling();
-        }
-        if let Some(dir) = &opts.trace_dir {
-            let path = dir.join(format!("{}_s{seed}.jsonl", safe_label(&cell.label)));
-            if let Some(parent) = path.parent() {
-                std::fs::create_dir_all(parent).expect("create trace dir");
-            }
-            let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
-            sim.add_trace_sink_boxed(Box::new(w));
-        }
-        if let Some(period) = opts.gauge_period_ms {
-            sim.enable_gauges(period);
-        }
-        if let Some(sc) = &cell.scenario {
-            sim.apply_scenario(sc);
-        }
+        set_up_run(
+            sim,
+            opts.profile,
+            trace_path,
+            opts.gauge_period_ms,
+            cell.scenario.as_ref(),
+        );
     })
 }
 
@@ -175,15 +189,11 @@ pub fn run_grid(grid: &Grid, opts: &SweepOpts) -> Vec<CellResult> {
     grid.cells
         .iter()
         .zip(grouped)
-        .map(|(cell, runs)| CellResult {
-            label: cell.label.clone(),
-            system: cell.system,
-            population: cell.params.population,
-            perf: runs
-                .iter()
-                .filter_map(|(s, (_, p))| p.clone().map(|p| (*s, p)))
-                .collect(),
-            runs: runs.into_iter().map(|(s, (sum, _))| (s, sum)).collect(),
+        .map(|(cell, runs)| {
+            let runs = runs
+                .into_iter()
+                .map(|(seed, (sum, perf))| (seed, sum, perf));
+            CellResult::from_runs(cell, runs)
         })
         .collect()
 }
