@@ -49,7 +49,22 @@ echo "==> repository benchmark (binding surface + outcome_digest guard)"
 # breaks what it binds to, or changes what a seeded run produces between
 # its repetitions, must fail here rather than in the benchmark pipeline.
 cargo test -q --manifest-path benchmark/Cargo.toml
-cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --quick
+quick_out=$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --quick) \
+    || { printf '%s\n' "$quick_out"; exit 1; }
+# What a seeded run produces is pinned here, per workload: a change sold as
+# pure optimisation that shifts outcomes fails with the workload's name.
+# (`--quick`, seed 47; re-record only with a change that means to move them.)
+expected_digests="flower_query 17b7a9497d6daa59
+flower_churn 6952d0913b9558c3
+squirrel_ring aa3893affcac2a78
+grid_small fa158f3e65504b89"
+got_digests=$(printf '%s\n' "$quick_out" \
+    | awk '/^== .* ==$/ { name = $2 } /^outcome_digest / { print name, $2 }')
+if [ "$got_digests" != "$expected_digests" ]; then
+    echo "benchmark outcome_digest moved (expected <, got >):"
+    diff <(echo "$expected_digests") <(echo "$got_digests") || true
+    exit 1
+fi
 # benchmark/Cargo.lock must still resolve as committed.
 if [ -n "$(git status --porcelain benchmark/)" ]; then
     echo "building the benchmark changed files under benchmark/:"

@@ -10,8 +10,6 @@
 //! The struct is sans-io: every entry point returns the [`ChordAction`]s the
 //! host must apply (sends, timers, completion notifications).
 
-use std::collections::HashMap;
-
 use simnet::NodeId;
 
 use crate::id::{ChordId, NodeRef};
@@ -76,6 +74,7 @@ enum Purpose {
 
 #[derive(Debug)]
 struct Lookup {
+    token: u64,
     key: ChordId,
     purpose: Purpose,
     /// Never answer this lookup from our own tables (used for self-audits
@@ -91,6 +90,55 @@ struct Lookup {
     dead: Vec<NodeId>,
 }
 
+/// The lookups in flight, ordered by token. Tokens are allocated
+/// monotonically, so a new lookup goes at the end, and a node holds a
+/// handful at a time.
+#[derive(Debug, Default)]
+struct Lookups(Vec<Lookup>);
+
+impl Lookups {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn position(&self, token: u64) -> Option<usize> {
+        self.0.binary_search_by_key(&token, |lk| lk.token).ok()
+    }
+
+    fn get(&self, token: u64) -> Option<&Lookup> {
+        self.position(token).map(|at| &self.0[at])
+    }
+
+    fn get_mut(&mut self, token: u64) -> Option<&mut Lookup> {
+        self.position(token).map(|at| &mut self.0[at])
+    }
+
+    fn insert(&mut self, lk: Lookup) {
+        debug_assert!(self.0.last().is_none_or(|last| last.token < lk.token));
+        self.0.push(lk);
+    }
+
+    fn remove(&mut self, token: u64) -> Option<Lookup> {
+        self.position(token).map(|at| self.0.remove(at))
+    }
+}
+
+/// One neighbour in the route index (a flattened [`NodeRef`], 16 bytes).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RouteEntry {
+    id: ChordId,
+    node: NodeId,
+    /// Where the neighbour first appears in table order; decides which
+    /// entry answers for a node that is known under two ring ids.
+    rank: u32,
+}
+
+impl RouteEntry {
+    fn node_ref(&self) -> NodeRef {
+        NodeRef::new(self.node, self.id)
+    }
+}
+
 /// A Chord protocol endpoint.
 #[derive(Debug)]
 pub struct Chord {
@@ -103,8 +151,18 @@ pub struct Chord {
     /// represented by an empty list; see [`Chord::successor`]).
     successors: Vec<NodeRef>,
     fingers: Vec<Option<NodeRef>>,
+    /// The route index: every distinct neighbour in the three tables above,
+    /// once, stably sorted by clockwise distance from `me`, so nodes sharing
+    /// a ring id stay in table order (fingers low to high, successors,
+    /// predecessor). Current only while `route_stale` is false.
+    route: Vec<RouteEntry>,
+    /// A finger, the successor list or the predecessor changed since
+    /// `route` was built. Set by every write that changes one of them:
+    /// `converged`, `set_finger`, `set_predecessor`, `note_alive`,
+    /// `adopt_successor`, `on_notify`, `on_neighbors_reply`, `purge`.
+    route_stale: bool,
     next_finger: u32,
-    lookups: HashMap<u64, Lookup>,
+    lookups: Lookups,
     next_token: u64,
     stabilize_gen: u64,
     ping_nonce: u64,
@@ -137,20 +195,7 @@ impl Chord {
     pub fn join(me: NodeRef, seed: NodeRef, cfg: ChordConfig) -> (Chord, Vec<ChordAction>) {
         let mut node = Chord::bare(me, cfg);
         let mut actions = node.schedule_periodics();
-        let token = node.alloc_token();
-        node.lookups.insert(
-            token,
-            Lookup {
-                key: me.id,
-                purpose: Purpose::Join,
-                skip_local: false,
-                current: seed,
-                attempt: 0,
-                hops: 0,
-                failures: 0,
-                dead: Vec::new(),
-            },
-        );
+        let token = node.open_lookup(me.id, Purpose::Join, seed, false);
         actions.extend(node.send_step(token));
         (node, actions)
     }
@@ -193,6 +238,7 @@ impl Chord {
                     node.fingers[i as usize] = Some(f);
                 }
             }
+            node.route_stale = true;
         }
         let actions = node.schedule_periodics();
         (node, actions)
@@ -206,8 +252,10 @@ impl Chord {
             predecessor: None,
             successors: Vec::new(),
             fingers: vec![None; ChordId::BITS as usize],
+            route: Vec::new(),
+            route_stale: false,
             next_finger: 0,
-            lookups: HashMap::new(),
+            lookups: Lookups::default(),
             next_token: 0,
             stabilize_gen: 0,
             ping_nonce: 0,
@@ -297,8 +345,7 @@ impl Chord {
     /// returned token correlates with the eventual `LookupDone` /
     /// `LookupFailed` action.
     pub fn lookup(&mut self, key: ChordId) -> (u64, Vec<ChordAction>) {
-        let token = self.alloc_token();
-        self.start_lookup(token, key, Purpose::External);
+        let token = self.start_lookup(key, Purpose::External);
         let actions = self.resolve_or_step(token);
         (token, actions)
     }
@@ -307,20 +354,7 @@ impl Chord {
     /// never short-circuits through our own tables. Used for self-audits:
     /// "does the rest of the ring still resolve this key to me?".
     pub fn lookup_from(&mut self, key: ChordId, start: NodeRef) -> (u64, Vec<ChordAction>) {
-        let token = self.alloc_token();
-        self.lookups.insert(
-            token,
-            Lookup {
-                key,
-                purpose: Purpose::External,
-                skip_local: true,
-                current: start,
-                attempt: 0,
-                hops: 0,
-                failures: 0,
-                dead: Vec::new(),
-            },
-        );
+        let token = self.open_lookup(key, Purpose::External, start, true);
         let actions = if start.node == self.me.node {
             self.finish_lookup(token, self.me)
         } else {
@@ -334,15 +368,14 @@ impl Chord {
     /// (vs. an RTT for iterative) but failures anywhere on the path cost a
     /// whole-attempt retry through a different first hop.
     pub fn lookup_recursive(&mut self, key: ChordId) -> (u64, Vec<ChordAction>) {
-        let token = self.alloc_token();
-        self.start_lookup(token, key, Purpose::External);
+        let token = self.start_lookup(key, Purpose::External);
         let actions = self.route_or_resolve(token);
         (token, actions)
     }
 
     /// Local resolution or first recursive forward.
     fn route_or_resolve(&mut self, token: u64) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(&token) else {
+        let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
         let key = lk.key;
@@ -365,7 +398,7 @@ impl Chord {
         }
         let me = self.me;
         let deadline = self.cfg.recursive_deadline_ms;
-        let lk = self.lookups.get_mut(&token).expect("present");
+        let lk = self.lookups.get_mut(token).expect("present");
         lk.attempt += 1;
         lk.dead.push(first.node); // exclude this first hop from retries
         vec![
@@ -427,7 +460,7 @@ impl Chord {
     }
 
     fn on_route_result(&mut self, token: u64, owner: NodeRef, hops: u32) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get_mut(&token) else {
+        let Some(lk) = self.lookups.get_mut(token) else {
             return Vec::new(); // late result after deadline-retry success
         };
         lk.attempt += 1; // invalidate the outstanding deadline
@@ -437,27 +470,20 @@ impl Chord {
     }
 
     fn on_route_deadline(&mut self, token: u64, attempt: u32) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(&token) else {
+        self.refresh_route();
+        let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
         if lk.attempt != attempt {
             return Vec::new();
         }
         if lk.attempt >= self.cfg.max_route_attempts {
-            let lk = self.lookups.remove(&token).expect("present");
-            return match lk.purpose {
-                Purpose::External => vec![ChordAction::LookupFailed { token, key: lk.key }],
-                Purpose::Join => vec![ChordAction::JoinFailed],
-                Purpose::Finger(_) => Vec::new(),
-            };
+            return self.fail_lookup_now(token);
         }
         // Retry through a different first hop; the previous one may be the
         // dead link (we can't know which hop on the path failed).
-        let key = lk.key;
-        let dead = lk.dead.clone();
-        let first = self.best_local_step(key, &dead);
-        let lk = self.lookups.get_mut(&token).expect("present");
-        lk.current = first;
+        let first = self.best_local_step(lk.key, &lk.dead);
+        self.lookups.get_mut(token).expect("present").current = first;
         self.route_or_resolve(token)
     }
 
@@ -478,6 +504,7 @@ impl Chord {
                 Vec::new()
             }
             ChordMsg::Ping { nonce } => {
+                self.refresh_route();
                 let to = self.ref_for(from);
                 vec![ChordAction::Send {
                     to,
@@ -519,7 +546,7 @@ impl Chord {
             ChordTimer::LookupStep { token, attempt }
             | ChordTimer::RouteDeadline { token, attempt } => self
                 .lookups
-                .get(&token)
+                .get(token)
                 .is_some_and(|lk| lk.attempt == attempt),
             ChordTimer::StabilizeDeadline { gen } => gen == self.stabilize_gen,
             ChordTimer::PingDeadline { nonce } => {
@@ -543,7 +570,7 @@ impl Chord {
                     // Predecessor is unresponsive: forget it so a live
                     // candidate can take the slot via notify.
                     self.pending_ping = None;
-                    self.predecessor = None;
+                    self.set_predecessor(None);
                 }
                 Vec::new()
             }
@@ -573,26 +600,41 @@ impl Chord {
     // Lookup engine (iterative)
     // ------------------------------------------------------------------
 
-    fn start_lookup(&mut self, token: u64, key: ChordId, purpose: Purpose) {
+    /// Open a lookup that starts at our best local step toward `key`.
+    fn start_lookup(&mut self, key: ChordId, purpose: Purpose) -> u64 {
+        self.refresh_route();
         let start = self.best_local_step(key, &[]);
-        self.lookups.insert(
+        self.open_lookup(key, purpose, start, false)
+    }
+
+    /// Register a lookup whose first step goes to `current`; returns its
+    /// token.
+    fn open_lookup(
+        &mut self,
+        key: ChordId,
+        purpose: Purpose,
+        current: NodeRef,
+        skip_local: bool,
+    ) -> u64 {
+        let token = self.next_token;
+        self.next_token += 1;
+        self.lookups.insert(Lookup {
             token,
-            Lookup {
-                key,
-                purpose,
-                skip_local: false,
-                current: start,
-                attempt: 0,
-                hops: 0,
-                failures: 0,
-                dead: Vec::new(),
-            },
-        );
+            key,
+            purpose,
+            skip_local,
+            current,
+            attempt: 0,
+            hops: 0,
+            failures: 0,
+            dead: Vec::new(),
+        });
+        token
     }
 
     /// If we can answer locally, finish; otherwise ask `current` for a step.
     fn resolve_or_step(&mut self, token: u64) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(&token) else {
+        let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
         let key = lk.key;
@@ -627,7 +669,7 @@ impl Chord {
     fn send_step(&mut self, token: u64) -> Vec<ChordAction> {
         let me = self.me;
         let timeout = self.cfg.rpc_timeout_ms;
-        let Some(lk) = self.lookups.get_mut(&token) else {
+        let Some(lk) = self.lookups.get_mut(token) else {
             return Vec::new();
         };
         lk.attempt += 1;
@@ -677,6 +719,7 @@ impl Chord {
         if key.in_open_closed(self.me.id, succ.id) {
             return StepResult::Owner(succ);
         }
+        self.refresh_route();
         let next = self.closest_preceding(key);
         if next.node == self.me.node {
             // We know nothing strictly closer. Claiming ownership here
@@ -694,7 +737,7 @@ impl Chord {
     }
 
     fn on_step_reply(&mut self, token: u64, result: StepResult) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get_mut(&token) else {
+        let Some(lk) = self.lookups.get_mut(token) else {
             return Vec::new(); // late reply for a finished lookup
         };
         lk.attempt += 1; // invalidate the outstanding timeout
@@ -725,7 +768,7 @@ impl Chord {
     }
 
     fn on_step_timeout(&mut self, token: u64, attempt: u32) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get_mut(&token) else {
+        let Some(lk) = self.lookups.get_mut(token) else {
             return Vec::new();
         };
         if lk.attempt != attempt {
@@ -743,28 +786,21 @@ impl Chord {
     /// Pick a fresh routing start from local tables, avoiding known-dead
     /// nodes; give up when the failure budget is spent.
     fn reroute(&mut self, token: u64) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(&token) else {
+        self.refresh_route();
+        let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
         if lk.failures > self.cfg.max_lookup_failures {
-            let lk = self.lookups.remove(&token).expect("present");
-            return match lk.purpose {
-                Purpose::External => vec![ChordAction::LookupFailed { token, key: lk.key }],
-                Purpose::Join => vec![ChordAction::JoinFailed],
-                Purpose::Finger(_) => Vec::new(),
-            };
+            return self.fail_lookup_now(token);
         }
-        let key = lk.key;
-        let dead = lk.dead.clone();
-        let start = self.best_local_step(key, &dead);
-        let lk = self.lookups.get_mut(&token).expect("present");
-        lk.current = start;
+        let start = self.best_local_step(lk.key, &lk.dead);
+        self.lookups.get_mut(token).expect("present").current = start;
         self.resolve_or_step(token)
     }
 
-    /// Abort a lookup immediately (stranded node).
+    /// Abort a lookup (stranded node, or its retries are spent).
     fn fail_lookup_now(&mut self, token: u64) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.remove(&token) else {
+        let Some(lk) = self.lookups.remove(token) else {
             return Vec::new();
         };
         match lk.purpose {
@@ -775,7 +811,7 @@ impl Chord {
     }
 
     fn finish_lookup(&mut self, token: u64, owner: NodeRef) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.remove(&token) else {
+        let Some(lk) = self.lookups.remove(token) else {
             return Vec::new();
         };
         match lk.purpose {
@@ -815,55 +851,64 @@ impl Chord {
             }
             Purpose::Finger(i) => {
                 if owner.node != self.me.node {
-                    self.fingers[i as usize] = Some(owner);
+                    self.set_finger(i as usize, Some(owner));
                 }
                 Vec::new()
             }
         }
     }
 
+    /// The routing candidates for `key`, nearest the key first: the index
+    /// entries strictly between `me` and `key` on the ring, grouped by ring
+    /// id, each group's holders in table order. `key == me.id` means the
+    /// whole ring — except the id right after ours, whose distance to the
+    /// key is `u64::MAX`: the table scan this index replaced started from
+    /// that value as "nothing found yet" and so never took such a node,
+    /// and routing must not change.
+    fn candidates(&self, key: ChordId) -> impl Iterator<Item = &[RouteEntry]> {
+        debug_assert!(!self.route_stale, "refresh_route() before routing");
+        let me = self.me.id;
+        let (nearest, end) = if key == me {
+            (2, self.route.len())
+        } else {
+            let limit = me.distance_to(key);
+            let end = self.route.partition_point(|e| me.distance_to(e.id) < limit);
+            (1, end)
+        };
+        // Holders of our own ring id sort first and precede nothing.
+        let start = self.route[..end]
+            .iter()
+            .take_while(|e| me.distance_to(e.id) < nearest)
+            .count();
+        self.route[start..end].chunk_by(|a, b| a.id == b.id).rev()
+    }
+
     /// Best next hop toward `key` from local tables only: the closest
     /// preceding live candidate, else our successor, else ourselves.
     fn best_local_step(&self, key: ChordId, exclude: &[NodeId]) -> NodeRef {
-        let mut best: Option<NodeRef> = None;
-        let mut best_dist = u64::MAX;
-        for cand in self.known_nodes() {
-            if exclude.contains(&cand.node) || cand.node == self.me.node {
-                continue;
-            }
-            if cand.id.in_open_full(self.me.id, key) {
-                let d = cand.id.distance_to(key);
-                if d < best_dist {
-                    best_dist = d;
-                    best = Some(cand);
-                }
-            }
-        }
-        best.or_else(|| {
-            // Nothing precedes the key: any live contact will do, prefer
-            // the successor.
-            self.successors
-                .iter()
-                .find(|s| !exclude.contains(&s.node))
-                .copied()
-        })
-        .unwrap_or(self.me)
+        self.candidates(key)
+            .find_map(|holders| {
+                holders
+                    .iter()
+                    .find(|e| !exclude.contains(&e.node) && e.node != self.me.node)
+            })
+            .map(RouteEntry::node_ref)
+            .or_else(|| {
+                // Nothing precedes the key: any live contact will do,
+                // prefer the successor.
+                self.successors
+                    .iter()
+                    .find(|s| !exclude.contains(&s.node))
+                    .copied()
+            })
+            .unwrap_or(self.me)
     }
 
     /// `closest_preceding_node(key)` over fingers and successor list.
     fn closest_preceding(&self, key: ChordId) -> NodeRef {
-        let mut best = self.me;
-        let mut best_dist = u64::MAX;
-        for cand in self.known_nodes() {
-            if cand.id.in_open_full(self.me.id, key) {
-                let d = cand.id.distance_to(key);
-                if d < best_dist {
-                    best_dist = d;
-                    best = cand;
-                }
-            }
-        }
-        best
+        self.candidates(key)
+            .next()
+            .map_or(self.me, |holders| holders[0].node_ref())
     }
 
     /// A node with exactly this ring id among our *actively verified*
@@ -879,6 +924,8 @@ impl Chord {
             .find(|n| n.id == id)
     }
 
+    /// Every table entry in table order: fingers low to high, the
+    /// successor list, the predecessor.
     fn known_nodes(&self) -> impl Iterator<Item = NodeRef> + '_ {
         self.fingers
             .iter()
@@ -886,6 +933,42 @@ impl Chord {
             .copied()
             .chain(self.successors.iter().copied())
             .chain(self.predecessor)
+    }
+
+    /// Rebuild the route index if a table changed since it was built.
+    fn refresh_route(&mut self) {
+        if !self.route_stale {
+            return;
+        }
+        self.route_stale = false;
+        let mut route = std::mem::take(&mut self.route);
+        route.clear();
+        for (rank, n) in self.known_nodes().enumerate() {
+            if !route.iter().any(|e| e.node == n.node && e.id == n.id) {
+                route.push(RouteEntry {
+                    id: n.id,
+                    node: n.node,
+                    rank: rank as u32,
+                });
+            }
+        }
+        let me = self.me.id;
+        route.sort_by_key(|e| me.distance_to(e.id)); // stable: ties keep table order
+        self.route = route;
+    }
+
+    fn set_finger(&mut self, i: usize, to: Option<NodeRef>) {
+        if self.fingers[i] != to {
+            self.fingers[i] = to;
+            self.route_stale = true;
+        }
+    }
+
+    fn set_predecessor(&mut self, to: Option<NodeRef>) {
+        if self.predecessor != to {
+            self.predecessor = to;
+            self.route_stale = true;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -985,23 +1068,24 @@ impl Chord {
             // last-resort tail — they may be long dead, and sorting them
             // in between fresh entries would make failure walks step
             // through corpses.
-            let mut merged: Vec<NodeRef> = vec![sender];
-            let push = |merged: &mut Vec<NodeRef>, cand: NodeRef| {
-                if cand.node != self.me.node
-                    && cand.id != self.me.id
-                    && !merged.iter().any(|m| m.node == cand.node)
-                {
-                    merged.push(cand);
+            let me = self.me;
+            let mut merged = Vec::with_capacity(self.cfg.successor_list_len);
+            merged.push(sender);
+            for cand in successors.iter().chain(&self.successors) {
+                if merged.len() == self.cfg.successor_list_len {
+                    break;
                 }
-            };
-            for cand in successors {
-                push(&mut merged, cand);
+                if cand.node != me.node
+                    && cand.id != me.id
+                    && !merged.iter().any(|m: &NodeRef| m.node == cand.node)
+                {
+                    merged.push(*cand);
+                }
             }
-            for cand in self.successors.clone() {
-                push(&mut merged, cand);
+            if merged != self.successors {
+                self.successors = merged;
+                self.route_stale = true;
             }
-            merged.truncate(self.cfg.successor_list_len);
-            self.successors = merged;
         }
         let new_succ = self.successor();
         if new_succ.node != self.me.node {
@@ -1050,12 +1134,13 @@ impl Chord {
             Some(p) => candidate.id.in_open(p.id, self.me.id),
         };
         if adopt {
-            self.predecessor = Some(candidate);
+            self.set_predecessor(Some(candidate));
         }
         // A notifying node is also a fine successor candidate on a sparse
         // ring (fresh singleton that others join onto).
         if self.successors.is_empty() {
             self.successors.push(candidate);
+            self.route_stale = true;
         }
     }
 
@@ -1075,8 +1160,7 @@ impl Chord {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
             let start = self.me.id.finger_start(i);
-            let token = self.alloc_token();
-            self.start_lookup(token, start, Purpose::Finger(i));
+            let token = self.start_lookup(start, Purpose::Finger(i));
             actions.extend(self.resolve_or_step(token));
         }
         actions
@@ -1134,6 +1218,7 @@ impl Chord {
             };
             if better {
                 self.fingers[idx] = Some(n);
+                self.route_stale = true;
             }
         }
     }
@@ -1151,19 +1236,23 @@ impl Chord {
             .unwrap_or(self.successors.len());
         self.successors.insert(pos, n);
         self.successors.truncate(self.cfg.successor_list_len);
+        self.route_stale = true;
     }
 
     /// Remove a failed node from every table. Callers that can emit
     /// actions should follow up with [`Chord::isolation_check`].
     fn purge(&mut self, node: NodeId) {
+        let listed = self.successors.len();
         self.successors.retain(|s| s.node != node);
+        self.route_stale |= self.successors.len() != listed;
         for f in &mut self.fingers {
             if f.is_some_and(|n| n.node == node) {
                 *f = None;
+                self.route_stale = true;
             }
         }
         if self.predecessor.is_some_and(|p| p.node == node) {
-            self.predecessor = None;
+            self.set_predecessor(None);
         }
         if self.pending_ping.is_some_and(|(_, p)| p.node == node) {
             self.pending_ping = None;
@@ -1198,18 +1287,18 @@ impl Chord {
         period_ms - spread / 2 + (self.jitter_state >> 33) % spread
     }
 
-    fn alloc_token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
     /// Best-effort `NodeRef` for a bare `NodeId` (used when answering pings,
     /// where only the address matters; the id field is reconstructed from
     /// our tables when known, else zero).
     fn ref_for(&self, node: NodeId) -> NodeRef {
-        self.known_nodes()
-            .find(|n| n.node == node)
-            .unwrap_or(NodeRef::new(node, ChordId(0)))
+        debug_assert!(!self.route_stale, "refresh_route() before routing");
+        self.route
+            .iter()
+            .filter(|e| e.node == node)
+            .min_by_key(|e| e.rank)
+            .map_or(NodeRef::new(node, ChordId(0)), RouteEntry::node_ref)
     }
 }
+
+#[cfg(test)]
+mod route_tests;

@@ -2,7 +2,7 @@
 //! while nodes continuously join and fail (the paper's §6.1 regime).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 
 use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordMsg, ChordTimer, NodeRef};
 use simnet::{LivenessChecker, LocalityId, NodeId, Time, TraceEvent, TraceSink};
@@ -26,7 +26,7 @@ struct H {
     seq: u64,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     events: Vec<Option<Ev>>,
-    nodes: HashMap<NodeId, Chord>,
+    nodes: BTreeMap<NodeId, Chord>,
     isolated: Vec<(u64, NodeId)>,
     /// Nodes needing a re-bootstrap (JoinFailed or Isolated), handled by
     /// the driver loop the way real hosts do.
@@ -43,7 +43,7 @@ impl H {
             seq: 0,
             queue: BinaryHeap::new(),
             events: Vec::new(),
-            nodes: HashMap::new(),
+            nodes: BTreeMap::new(),
             isolated: Vec::new(),
             rejoin_queue: Vec::new(),
             join_failures: 0,

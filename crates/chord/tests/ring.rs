@@ -4,7 +4,7 @@
 //! [`ChordAction`]s.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordMsg, ChordTimer, NodeRef};
 use simnet::{LivenessChecker, LocalityId, NodeId, Time, TraceEvent, TraceSink};
@@ -35,7 +35,7 @@ struct Harness {
     seq: u64,
     queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
     events: Vec<Option<Ev>>,
-    nodes: HashMap<NodeId, Chord>,
+    nodes: BTreeMap<NodeId, Chord>,
     outcome: Outcome,
     /// Trace-driven consistency checker: the harness mirrors its
     /// spawn/fail/deliver decisions into it, and tests assert the stream
@@ -50,7 +50,7 @@ impl Harness {
             seq: 0,
             queue: BinaryHeap::new(),
             events: Vec::new(),
-            nodes: HashMap::new(),
+            nodes: BTreeMap::new(),
             outcome: Outcome::default(),
             trace: LivenessChecker::new(),
         }
