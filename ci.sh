@@ -11,6 +11,11 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> golden tests, release build"
+# The benchmark and every committed number come from release builds, where
+# integer overflow wraps instead of panicking: the pins must hold there too.
+cargo test -q --release --test engine_golden --test chord_golden --test replay
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -41,11 +41,6 @@ pub use comparison::{
 pub use opts::{HarnessOpts, HarnessOptsBuilder, OptsError, Scale, USAGE};
 pub use scenarios::canned_resilience_scenario;
 
-/// Pretty hour-by-hour label for a series point.
-pub fn fmt_hours(h: f64) -> String {
-    format!("{h:.1}")
-}
-
 /// `mean ±stddev` when a cell aggregated several seeds, plain mean
 /// otherwise — for the binaries' ASCII tables.
 pub fn fmt_mean_spread(agg: &sweep::MetricAgg, precision: usize) -> String {

@@ -204,7 +204,11 @@ impl HarnessOptsBuilder {
                 }
                 "--gauges" => {
                     let v = value(&mut args, "--gauges", "a period in ms")?;
-                    self.opts.gauge_period_ms = Some(number(&v, "--gauges")?);
+                    let period: u64 = number(&v, "--gauges")?;
+                    if period == 0 {
+                        return Err(OptsError::Invalid("--gauges must be at least 1".into()));
+                    }
+                    self.opts.gauge_period_ms = Some(period);
                 }
                 "--profile-out" => {
                     let v = value(&mut args, "--profile-out", "a path")?;
@@ -445,6 +449,10 @@ mod tests {
         ));
         assert!(matches!(
             HarnessOpts::from_args(["--jobs", "0"]),
+            Err(OptsError::Invalid(_))
+        ));
+        assert!(matches!(
+            HarnessOpts::from_args(["--gauges", "0"]),
             Err(OptsError::Invalid(_))
         ));
         assert!(matches!(

@@ -29,7 +29,7 @@ use crate::config::SimParams;
 use crate::driver::SimDriver;
 use crate::experiments::System;
 use crate::host::{SimHost, TapLog};
-use crate::peer::{PeerCtx, ProtocolEvent};
+use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 
 /// Engine-level control events scheduled into the simulation.
 pub enum Control {
@@ -59,8 +59,10 @@ pub type SimWorld<S> = World<SimHost<<S as SimSystem>::Machine>, Control>;
 /// construction, churn, control handling, fault dispatch, sampling, result
 /// collection — is [`Engine`], shared.
 pub trait SimSystem: Sized {
-    /// The sans-io protocol machine every peer of this system runs.
-    type Machine: Machine;
+    /// The sans-io protocol machine every peer of this system runs. Both
+    /// systems report in one vocabulary, so a run folds into its
+    /// [`RunResult`] the same way.
+    type Machine: Machine<Report = FlowerReport>;
 
     /// Which of the compared systems this is (labels the perf cell).
     const SYSTEM: System;
@@ -110,9 +112,6 @@ pub trait SimSystem: Sized {
     /// Replay already-materialized protocol state into a sink attached
     /// after construction (the engine replays the node spawns itself).
     fn replay_state(_world: &SimWorld<Self>, _sink: &mut dyn TraceSink) {}
-
-    /// Fold one report of a finished run into its result.
-    fn fold_report(report: <Self::Machine as Machine>::Report, into: &mut RunResult);
 }
 
 /// Sampling state behind `enable_gauges`: the shared registry the samples
@@ -203,8 +202,8 @@ pub struct RunResult {
     /// sparse: a key is present iff the event was reported at least once
     /// during the run, so a missing key means zero occurrences. Counts
     /// cover the whole run regardless of warm-up windows, and Squirrel
-    /// runs map their own events onto this shared vocabulary so both
-    /// systems are inspectable the same way.
+    /// peers report in the same vocabulary, so both systems are
+    /// inspectable the same way.
     pub events: BTreeMap<ProtocolEvent, u64>,
     /// One record per completed object query (active websites only).
     pub records: Vec<QueryRecord>,
@@ -618,7 +617,14 @@ impl<S: SimSystem> SimDriver for Engine<S> {
             ..RunResult::default()
         };
         for (_, _, report) in self.world.drain_reports() {
-            S::fold_report(report, &mut result);
+            match report {
+                FlowerReport::Query(q) => result.records.push(q),
+                FlowerReport::BecameDirectory { replacement, .. } => {
+                    result.replacements += u64::from(replacement)
+                }
+                FlowerReport::PetalSplit { .. } => result.splits += 1,
+                FlowerReport::Event(e) => *result.events.entry(e).or_default() += 1,
+            }
         }
         for r in &result.records {
             result.stats.record(r);

@@ -10,10 +10,10 @@ use workload::{Catalog, WebsiteId};
 use crate::chaos_driver;
 use crate::config::SimParams;
 use crate::dring::DirPosition;
-use crate::engine::{Engine, RunResult, SimSystem, SimWorld};
+use crate::engine::{Engine, SimSystem, SimWorld};
 use crate::experiments::System;
 use crate::host::SimHost;
-use crate::peer::{FlowerPeer, FlowerReport, PeerCtx};
+use crate::peer::{FlowerPeer, PeerCtx};
 
 /// Flower-CDN: petals of content peers behind a D-ring of directory peers.
 pub struct Flower;
@@ -113,19 +113,6 @@ impl SimSystem for Flower {
                     fields,
                 },
             );
-        }
-    }
-
-    fn fold_report(report: FlowerReport, into: &mut RunResult) {
-        match report {
-            FlowerReport::Query(q) => into.records.push(q),
-            FlowerReport::BecameDirectory { replacement, .. } => {
-                if replacement {
-                    into.replacements += 1;
-                }
-            }
-            FlowerReport::PetalSplit { .. } => into.splits += 1,
-            FlowerReport::Event(e) => *into.events.entry(e).or_default() += 1,
         }
     }
 }

@@ -35,9 +35,9 @@ pub struct SimHost<M: Machine> {
     machine: M,
     rng: StdRng,
     tap: Option<TapLog<M>>,
-    /// Recycled output buffer: drained after every `handle_with` call and
-    /// handed back for the next one, so steady-state dispatch reuses one
-    /// allocation per node.
+    /// The buffer the machine writes its outputs to, drained after every
+    /// `handle` call, so steady-state dispatch reuses one allocation per
+    /// node.
     scratch: Vec<Output<M>>,
 }
 
@@ -68,16 +68,15 @@ impl<M: Machine> SimHost<M> {
             rng: &mut self.rng,
             tracing: ctx.tracing(),
         };
-        let buf = std::mem::take(&mut self.scratch);
-        let mut outputs = self.machine.handle_with(env, input, buf);
+        self.machine.handle(env, input, &mut self.scratch);
         if let (Some(tap), Some(input)) = (&self.tap, recorded) {
             tap.borrow_mut().push(TapEntry {
                 now: ctx.now(),
                 input,
-                outputs: outputs.clone(),
+                outputs: self.scratch.clone(),
             });
         }
-        for out in outputs.drain(..) {
+        for out in self.scratch.drain(..) {
             match out {
                 Output::Send { to, msg } => ctx.send(to, msg),
                 Output::SetTimer { delay_ms, timer } => ctx.set_timer(delay_ms, timer),
@@ -88,7 +87,6 @@ impl<M: Machine> SimHost<M> {
                 Output::Stop => ctx.stop(),
             }
         }
-        self.scratch = outputs;
     }
 }
 

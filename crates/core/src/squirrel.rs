@@ -14,13 +14,13 @@ use simnet::{LocalityId, NodeId};
 use workload::{Catalog, ObjectId, WebsiteId};
 
 use crate::config::SimParams;
-use crate::engine::{Engine, RunResult, SimSystem, SimWorld};
+use crate::engine::{Engine, SimSystem, SimWorld};
 use crate::experiments::System;
 use crate::host::SimHost;
-use crate::peer::{PeerCtx, ProtocolEvent};
+use crate::peer::PeerCtx;
 
 pub use flower_proto::squirrel::{
-    object_key, peer_ring_id, SqCtx, SqEvent, SqMsg, SqReport, SqTimer, SquirrelMode, SquirrelPeer,
+    object_key, peer_ring_id, SqMsg, SqTimer, SquirrelMode, SquirrelPeer,
 };
 
 /// Squirrel: every peer an ordinary member of one Chord ring, in the
@@ -34,21 +34,6 @@ pub type SquirrelSim = Engine<Squirrel>;
 
 /// The simulator node type hosting the Squirrel machine.
 pub type SquirrelHost = SimHost<SquirrelPeer>;
-
-impl Squirrel {
-    /// The engine's per-peer context in Squirrel's form.
-    fn ctx(&self, pcx: PeerCtx) -> SqCtx {
-        SqCtx {
-            catalog: pcx.catalog,
-            params: pcx.params,
-            bootstrap: pcx.bootstrap,
-            website: pcx.website,
-            origin_latency_ms: pcx.origin_latency_ms,
-            origin_dial: pcx.origin_dial,
-            mode: self.mode,
-        }
-    }
-}
 
 impl SimSystem for Squirrel {
     type Machine = SquirrelPeer;
@@ -67,7 +52,7 @@ impl SimSystem for Squirrel {
         chord: Chord,
         startup_actions: Vec<ChordAction>,
     ) -> SquirrelPeer {
-        SquirrelPeer::initial(self.ctx(pcx), me, chord, startup_actions)
+        SquirrelPeer::initial(pcx, self.mode, me, chord, startup_actions)
     }
 
     /// Arrivals join the ring through a registry member drawn from the
@@ -78,8 +63,8 @@ impl SimSystem for Squirrel {
         rng: &mut StdRng,
     ) -> Option<impl FnOnce(NodeId, LocalityId) -> SquirrelPeer> {
         let seed: NodeRef = pcx.bootstrap.borrow().pick(rng, &[])?;
-        let pcx = self.ctx(pcx);
-        Some(move |me, _locality| SquirrelPeer::arriving(pcx, me, seed))
+        let mode = self.mode;
+        Some(move |me, _locality| SquirrelPeer::arriving(pcx, mode, me, seed))
     }
 
     /// Squirrel has no designated directory peers, so `kill-directories`
@@ -129,25 +114,6 @@ impl SimSystem for Squirrel {
         }
         record("ring_size", joined as f64);
         record("homed_objects", homed as f64);
-    }
-
-    /// Squirrel's events map onto the shared diagnostic vocabulary so both
-    /// systems' runs are inspectable the same way.
-    fn fold_report(report: SqReport, into: &mut RunResult) {
-        match report {
-            SqReport::Query(q) => into.records.push(q),
-            SqReport::Event(e) => {
-                let key = match e {
-                    SqEvent::LookupFailed => ProtocolEvent::RouteFailure,
-                    SqEvent::AnswerTimeout => ProtocolEvent::DirQueryTimeout,
-                    SqEvent::HomeEmpty => ProtocolEvent::DirNoProvider,
-                    SqEvent::FetchMiss => ProtocolEvent::FetchMiss,
-                    SqEvent::FetchTimeout => ProtocolEvent::FetchTimeout,
-                    SqEvent::AnsweredByNonOwner => ProtocolEvent::AnsweredByNonOwner,
-                };
-                *into.events.entry(key).or_default() += 1;
-            }
-        }
     }
 }
 

@@ -18,6 +18,18 @@ pub enum Provider {
     OriginServer,
 }
 
+impl Provider {
+    /// Stable lowercase tag (the `provider` field of `query_complete`
+    /// trace events).
+    pub fn label(self) -> &'static str {
+        match self {
+            Provider::ContentPeer => "content_peer",
+            Provider::DirectoryPeer => "directory_peer",
+            Provider::OriginServer => "origin",
+        }
+    }
+}
+
 /// How the provider was found (diagnostic breakdown; not a paper metric but
 /// invaluable when validating the simulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -154,6 +154,9 @@ pub struct NetNode {
     /// API token → connection it arrived on.
     api_conns: HashMap<u64, u64>,
     next_token: u64,
+    /// The buffer the machine writes its outputs to, emptied by `drive`
+    /// after every input.
+    scratch: Vec<Output<FlowerPeer>>,
 }
 
 impl NetNode {
@@ -202,6 +205,7 @@ impl NetNode {
             conn_peer: HashMap::new(),
             api_conns: HashMap::new(),
             next_token: 1,
+            scratch: Vec::new(),
             cfg,
         }
     }
@@ -220,9 +224,10 @@ impl NetNode {
             rng: &mut self.rng,
             tracing: false,
         };
-        let outputs = self.machine.handle(env, input);
+        let mut outputs = std::mem::take(&mut self.scratch);
+        self.machine.handle(env, input, &mut outputs);
         let mut keep_running = true;
-        for out in outputs {
+        for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => self.send_peer(to, &msg),
                 Output::SetTimer { delay_ms, timer } => {
@@ -243,6 +248,7 @@ impl NetNode {
                 Output::Stop => keep_running = false,
             }
         }
+        self.scratch = outputs;
         keep_running
     }
 

@@ -2,9 +2,9 @@
 //!
 //! A protocol core is a [`Machine`]: a pure state machine that consumes one
 //! [`Input`] at a time — a delivered message, a timer fire, a local API
-//! call, a start or leave notification — and returns the complete list of
-//! [`Output`] commands it wants the host to execute (sends, timer arms,
-//! measurement reports, API responses). The machine performs no I/O and
+//! call, a start or leave notification — and appends to the host's buffer
+//! the complete list of [`Output`] commands it wants executed (sends, timer
+//! arms, measurement reports, API responses). The machine performs no I/O and
 //! reads no clocks: the host supplies the current time and a deterministic
 //! RNG through [`Env`], so the same machine state, the same input sequence
 //! and the same RNG seed always produce byte-identical output streams —
@@ -16,7 +16,6 @@
 //! trace / now / me / locality / stop) and records every effect as an
 //! [`Output`] in call order.
 
-use profile::Profiler;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{Fields, LocalityId, NodeId, Time};
@@ -199,23 +198,10 @@ pub trait Machine: Sized {
     /// Local API response type.
     type ApiResp: Clone;
 
-    /// Consume one input, return every resulting command, in order.
-    fn handle(&mut self, env: Env<'_>, input: Input<Self>) -> Vec<Output<Self>>;
-
-    /// As [`Machine::handle`], but building the output list inside `buf`
-    /// (an emptied buffer recycled by the host) so steady-state dispatch
-    /// reuses one allocation per node instead of growing a fresh `Vec`
-    /// every call. Hosts that pool buffers call this; the default ignores
-    /// `buf` and delegates, so existing machines stay correct unchanged.
-    fn handle_with(
-        &mut self,
-        env: Env<'_>,
-        input: Input<Self>,
-        buf: Vec<Output<Self>>,
-    ) -> Vec<Output<Self>> {
-        let _ = buf;
-        self.handle(env, input)
-    }
+    /// Consume one input and append every resulting command to `out`, in
+    /// order. `out` is the host's buffer: a host that drains it after each
+    /// call reuses one allocation per node in steady state.
+    fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>);
 
     /// Stable protocol class of a message (trace/gauge/profiler label).
     fn msg_class(_msg: &Self::Msg) -> &'static str {
@@ -265,27 +251,20 @@ pub struct Fx<'a, M: Machine> {
     /// The host-owned deterministic RNG for this machine.
     pub rng: &'a mut StdRng,
     tracing: bool,
-    outputs: Vec<Output<M>>,
+    outputs: &'a mut Vec<Output<M>>,
 }
 
 impl<'a, M: Machine> Fx<'a, M> {
-    /// Open an effects buffer over `env` for one `handle` call.
-    pub fn new(env: Env<'a>) -> Fx<'a, M> {
-        Fx::with_buf(env, Vec::new())
-    }
-
-    /// Open an effects buffer that records into `buf`, a host-recycled
-    /// vector. `buf` must be empty: outputs are appended in call order and
-    /// [`Fx::into_outputs`] returns the whole vector.
-    pub fn with_buf(env: Env<'a>, buf: Vec<Output<M>>) -> Fx<'a, M> {
-        debug_assert!(buf.is_empty(), "recycled Fx buffer must be drained");
+    /// Open an effects buffer over `env` for one `handle` call; effects are
+    /// appended to `out` in call order.
+    pub fn new(env: Env<'a>, out: &'a mut Vec<Output<M>>) -> Fx<'a, M> {
         Fx {
             now: env.now,
             me: env.me,
             locality: env.locality,
             rng: env.rng,
             tracing: env.tracing,
-            outputs: buf,
+            outputs: out,
         }
     }
 
@@ -344,16 +323,6 @@ impl<'a, M: Machine> Fx<'a, M> {
             });
         }
     }
-
-    /// Close the buffer, yielding the commands in call order.
-    pub fn into_outputs(self) -> Vec<Output<M>> {
-        self.outputs
-    }
-}
-
-/// A disabled profiler for hosts that do not measure (net, replay).
-pub fn noop_profiler() -> Profiler {
-    Profiler::new()
 }
 
 #[cfg(test)]
@@ -367,13 +336,12 @@ mod tests {
         type Report = ();
         type Api = ();
         type ApiResp = ();
-        fn handle(&mut self, env: Env<'_>, input: Input<Self>) -> Vec<Output<Self>> {
-            let mut fx = Fx::new(env);
+        fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>) {
+            let mut fx = Fx::new(env, out);
             if let Input::Deliver { from, msg } = input {
                 fx.send(from, msg);
                 fx.set_timer(5, msg);
             }
-            fx.into_outputs()
         }
     }
 
@@ -381,12 +349,14 @@ mod tests {
     fn fx_records_effects_in_call_order() {
         let mut rng = machine_rng(1, NodeId::from_index(0));
         let env = Env::bare(0, NodeId::from_index(0), LocalityId(0), &mut rng);
-        let out = Echo.handle(
+        let mut out = Vec::new();
+        Echo.handle(
             env,
             Input::Deliver {
                 from: NodeId::from_index(7),
                 msg: 3,
             },
+            &mut out,
         );
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], Output::Send { to, msg: 3 } if to == NodeId::from_index(7)));

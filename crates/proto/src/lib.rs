@@ -2,9 +2,11 @@
 //!
 //! The Flower-CDN / PetalUp-CDN peer ([`peer::FlowerPeer`]) and the
 //! Squirrel baseline peer ([`squirrel::SquirrelPeer`]) as pure state
-//! machines: each implements [`io::Machine`] — `handle(env, input) ->
-//! Vec<Output>` — where inputs are delivered messages, timer fires and API
-//! calls, and outputs are send / set-timer / report / respond commands.
+//! machines: each implements [`io::Machine`] — `handle(env, input, out)` —
+//! where inputs are delivered messages, timer fires and API calls, and the
+//! outputs appended to `out` are send / set-timer / report / respond
+//! commands. Both embed one query [`timeline`]: the fetch → retry → origin
+//! → record path the paper's three metrics are read from.
 //!
 //! No I/O, no clock, no global RNG: hosts (the `flower-cdn` simulation
 //! engines, the `flower-net` TCP node, the deterministic replay harness)
@@ -28,6 +30,7 @@ pub mod query;
 pub mod squirrel;
 pub mod store;
 pub mod tags;
+pub mod timeline;
 
 pub use api::{ApiCall, ApiResp, ProviderKind, RoleKind};
 pub use bootstrap::{Bootstrap, SharedBootstrap};

@@ -133,31 +133,8 @@ impl FlowerPeer {
         if let Some(di) = &mut self.dir_info {
             di.bump();
             let holder = di.holder.node;
-            let seq = self.alloc_seq();
-            self.awaiting_ack = Some(seq);
-            let msg = if self.store.should_push(self.pcx.params.push_threshold) {
-                let objects = self.store.take_push_delta();
-                ctx.trace(tags::PUSH, || {
-                    vec![
-                        ("seq", seq.into()),
-                        ("objects", objects.len().into()),
-                        ("full", false.into()),
-                    ]
-                });
-                FlowerMsg::Push {
-                    seq,
-                    objects,
-                    full: false,
-                }
-            } else {
-                ctx.trace(tags::KEEPALIVE, || vec![("seq", seq.into())]);
-                FlowerMsg::Keepalive { seq }
-            };
-            ctx.send(holder, msg);
-            ctx.set_timer(
-                self.pcx.params.rpc_timeout_ms * 2,
-                FlowerTimer::DirAckDeadline { seq },
-            );
+            let push = self.store.should_push(self.pcx.params.push_threshold);
+            self.start_dir_exchange(ctx, holder, push.then_some(false));
         } else {
             // Detached content peer (lost its directory and every claim so
             // far failed): try to re-enter the petal through D-ring.
@@ -181,24 +158,34 @@ impl FlowerPeer {
         let Some(di) = self.dir_info else {
             return;
         };
+        self.start_dir_exchange(ctx, di.holder.node, Some(false));
+    }
+
+    /// One exchange with our directory `holder`, acknowledged by a
+    /// `DirAck` or else suspected dead at the deadline: a `Push` of
+    /// everything the store has not announced yet (`push` carries its
+    /// `full` flag), or a bare `Keepalive`.
+    fn start_dir_exchange(&mut self, ctx: &mut Fx<Self>, holder: NodeId, push: Option<bool>) {
         let seq = self.alloc_seq();
         self.awaiting_ack = Some(seq);
-        let objects = self.store.take_push_delta();
-        ctx.trace(tags::PUSH, || {
-            vec![
-                ("seq", seq.into()),
-                ("objects", objects.len().into()),
-                ("full", false.into()),
-            ]
-        });
-        ctx.send(
-            di.holder.node,
-            FlowerMsg::Push {
-                seq,
-                objects,
-                full: false,
-            },
-        );
+        let msg = match push {
+            Some(full) => {
+                let objects = self.store.take_push_delta();
+                ctx.trace(tags::PUSH, || {
+                    vec![
+                        ("seq", seq.into()),
+                        ("objects", objects.len().into()),
+                        ("full", full.into()),
+                    ]
+                });
+                FlowerMsg::Push { seq, objects, full }
+            }
+            None => {
+                ctx.trace(tags::KEEPALIVE, || vec![("seq", seq.into())]);
+                FlowerMsg::Keepalive { seq }
+            }
+        };
+        ctx.send(holder, msg);
         ctx.set_timer(
             self.pcx.params.rpc_timeout_ms * 2,
             FlowerTimer::DirAckDeadline { seq },
@@ -516,28 +503,7 @@ impl FlowerPeer {
         self.dir_info = Some(DirInfo::fresh(position, holder));
         if !self.store.is_empty() && matches!(self.role, Role::Content) {
             self.store.mark_all_unpushed();
-            let seq = self.alloc_seq();
-            self.awaiting_ack = Some(seq);
-            let objects = self.store.take_push_delta();
-            ctx.trace(tags::PUSH, || {
-                vec![
-                    ("seq", seq.into()),
-                    ("objects", objects.len().into()),
-                    ("full", true.into()),
-                ]
-            });
-            ctx.send(
-                holder.node,
-                FlowerMsg::Push {
-                    seq,
-                    objects,
-                    full: true,
-                },
-            );
-            ctx.set_timer(
-                self.pcx.params.rpc_timeout_ms * 2,
-                FlowerTimer::DirAckDeadline { seq },
-            );
+            self.start_dir_exchange(ctx, holder.node, Some(true));
         }
     }
 

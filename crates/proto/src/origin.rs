@@ -2,7 +2,7 @@
 //!
 //! The origin is modelled as a latency, not a peer, so a brownout is an
 //! extra one-way delay added to every origin round trip while it lasts.
-//! Peers hold this through their context (`PeerCtx` / `SqCtx`); the chaos
+//! Peers hold this through their context (`PeerCtx`); the chaos
 //! dispatch in the experiment engines flips it from the host side.
 
 use std::cell::Cell;

@@ -29,8 +29,10 @@ use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
+use crate::timeline::{QueryMachine, Timeline};
 
-/// Immutable per-peer context handed in by the experiment engine.
+/// Immutable per-peer context handed in by the experiment engine, the same
+/// for a Flower-CDN and a Squirrel peer.
 #[derive(Clone)]
 pub struct PeerCtx {
     pub catalog: Rc<Catalog>,
@@ -48,7 +50,9 @@ pub struct PeerCtx {
     pub profiler: simnet::Profiler,
 }
 
-/// Events the engine collects (via `simnet` reports).
+/// Events the engine collects (via `simnet` reports). Squirrel peers
+/// report in the same vocabulary — `Query` and `Event` only — so a run of
+/// either system folds into one result the same way.
 #[derive(Debug, Clone)]
 pub enum FlowerReport {
     /// A query completed (the paper's three metrics derive from these).
@@ -69,19 +73,22 @@ pub enum FlowerReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProtocolEvent {
     /// A provider answered `FetchMiss` (stale index / summary false
-    /// positive).
+    /// positive; in Squirrel, a listed downloader without the object).
     FetchMiss,
     /// A fetch timed out (provider dead).
     FetchTimeout,
-    /// A directory failed to answer a DirQuery in time.
+    /// A directory failed to answer a DirQuery in time (Squirrel: the home
+    /// node died between lookup and query).
     DirQueryTimeout,
-    /// D-ring routing failed or timed out for a client request.
+    /// D-ring routing failed or timed out for a client request (Squirrel:
+    /// the DHT lookup for the home node failed outright).
     RouteFailure,
     /// A keepalive/push went unacknowledged (directory suspected dead).
     AckTimeout,
     /// A position claim was started.
     ClaimStarted,
-    /// A DirQuery reached a live directory that had no provider.
+    /// A DirQuery reached a live directory that had no provider (Squirrel:
+    /// the home had no live downloader listed).
     DirNoProvider,
     /// A content-peer query fell to the origin because no directory was
     /// known at all.
@@ -127,24 +134,17 @@ pub enum Role {
 
 /// Outstanding query state (at most one per peer; the 6-minute query period
 /// dwarfs every latency involved).
-pub struct PendingQuery {
-    pub qid: QueryId,
+pub(crate) struct PendingQuery {
+    /// The timed part every system shares.
+    pub tl: Timeline,
     /// `None` = pure petal-join request (non-active websites).
     pub object: Option<ObjectId>,
-    pub issued_at: Time,
-    pub via: cdn_metrics::ResolvedVia,
-    pub dht_hops: u32,
+    pub via: ResolvedVia,
     pub phase: QueryPhase,
     /// Bootstrap / routing attempts used.
     pub route_attempts: u32,
-    /// Fetch attempts used.
-    pub fetch_attempts: u32,
-    /// Providers that failed us.
-    pub excluded: Vec<NodeId>,
     /// Whether the directory has already been consulted.
     pub asked_dir: bool,
-    /// When the current fetch (or origin round trip) started.
-    pub fetch_sent_at: Time,
     /// The bootstrap the in-flight route attempt went through; excluded
     /// from the next attempt if this one times out (partition backoff).
     pub last_bootstrap: Option<NodeId>,
@@ -155,7 +155,7 @@ pub struct PendingQuery {
 
 /// Phase of the pending query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryPhase {
+pub(crate) enum QueryPhase {
     /// Waiting for a Redirect (via D-ring routing or DirQuery).
     Resolving,
     /// Fetch outstanding against a provider.
@@ -624,8 +624,7 @@ impl FlowerPeer {
                 self.on_claim_denied(ctx, position, holder)
             }
             FlowerMsg::Fetch { qid, object } => {
-                let reply = if self.store.contains(object) {
-                    self.store.touch(object); // keep served objects hot (LRU)
+                let reply = if self.store.serve(object) {
                     FlowerMsg::FetchOk { qid, object }
                 } else {
                     FlowerMsg::FetchMiss { qid, object }
@@ -768,8 +767,7 @@ impl FlowerPeer {
                 ctx.respond(token, ApiResp::PutOk { object });
             }
             ApiCall::Get { object } => {
-                if self.store.contains(object) {
-                    self.store.touch(object);
+                if self.store.serve(object) {
                     ctx.respond(
                         token,
                         ApiResp::Got {
@@ -785,36 +783,23 @@ impl FlowerPeer {
                     ctx.respond(token, ApiResp::Busy);
                     return;
                 }
-                let qid = self.alloc_qid();
-                ctx.trace(tags::QUERY_ISSUED, || {
-                    vec![
-                        ("qid", qid.raw().into()),
-                        ("ws", self.pcx.website.0.into()),
-                        ("object", object.as_u64().into()),
-                    ]
-                });
-                self.pending = Some(PendingQuery {
-                    qid,
-                    object: Some(object),
-                    issued_at: ctx.now(),
-                    via: ResolvedVia::LocalView,
-                    dht_hops: 0,
-                    phase: QueryPhase::Resolving,
-                    route_attempts: 0,
-                    fetch_attempts: 0,
-                    excluded: vec![self.me],
-                    asked_dir: false,
-                    fetch_sent_at: ctx.now(),
-                    last_bootstrap: None,
-                    api_token: Some(token),
-                });
-                match &self.role {
-                    Role::Client => self.route_pending_over_dring(ctx),
-                    Role::Content => self.resolve_as_content(ctx),
-                    Role::Directory(_) => self.resolve_as_directory_self(ctx),
-                }
+                self.issue_query(ctx, object, Some(token));
             }
         }
+    }
+}
+
+impl QueryMachine for FlowerPeer {
+    fn fetch_msg(qid: QueryId, object: ObjectId) -> FlowerMsg {
+        FlowerMsg::Fetch { qid, object }
+    }
+
+    fn fetch_deadline(qid: QueryId, attempt: u32) -> FlowerTimer {
+        FlowerTimer::FetchDeadline { qid, attempt }
+    }
+
+    fn origin_done(qid: QueryId) -> FlowerTimer {
+        FlowerTimer::OriginDone { qid }
     }
 }
 
@@ -825,17 +810,8 @@ impl Machine for FlowerPeer {
     type Api = ApiCall;
     type ApiResp = ApiResp;
 
-    fn handle(&mut self, env: Env<'_>, input: Input<Self>) -> Vec<Output<Self>> {
-        self.handle_with(env, input, Vec::new())
-    }
-
-    fn handle_with(
-        &mut self,
-        env: Env<'_>,
-        input: Input<Self>,
-        buf: Vec<Output<Self>>,
-    ) -> Vec<Output<Self>> {
-        let mut ctx = Fx::with_buf(env, buf);
+    fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>) {
+        let mut ctx = Fx::new(env, out);
         match input {
             Input::Start => self.on_start(&mut ctx),
             Input::Deliver { from, msg } => self.on_message(&mut ctx, from, msg),
@@ -843,7 +819,6 @@ impl Machine for FlowerPeer {
             Input::Api { token, call } => self.on_api(&mut ctx, token, call),
             Input::Leave => self.on_leave(&mut ctx),
         }
-        ctx.into_outputs()
     }
 
     fn msg_class(msg: &FlowerMsg) -> &'static str {

@@ -1,5 +1,8 @@
-//! The query state machine (§3.2) and the directory-side query processing,
-//! including the PetalUp instance scan (§4).
+//! The Flower-CDN query path (§3.2): how a peer *finds* a provider, and the
+//! directory-side query processing, including the PetalUp instance scan
+//! (§4). What happens once a provider is named — fetch, retry deadline,
+//! origin fallback, the record the paper's metrics are read from — is
+//! [`crate::timeline`], shared with Squirrel.
 //!
 //! Resolution order at a content peer: own store (excluded by construction
 //! — a peer never re-requests what it holds, §6.1) → gossip-view content
@@ -7,7 +10,7 @@
 //! server. A fresh client instead routes its first query over D-ring and
 //! joins the petal with the answer.
 
-use cdn_metrics::{Provider, QueryRecord, ResolvedVia};
+use cdn_metrics::{Provider, ResolvedVia};
 use chord::ChordId;
 use rand::Rng;
 use simnet::{LocalityId, NodeId};
@@ -21,6 +24,11 @@ use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, QueryPhase, Role};
 use crate::qid::QueryId;
 use crate::tags;
+use crate::timeline::Timeline;
+
+/// Directories a provider search may visit along the same-website ring
+/// successors (§3.2), the one it starts at included.
+const SIBLING_WALK_HOPS: u8 = 7;
 
 impl FlowerPeer {
     // ==================================================================
@@ -44,29 +52,40 @@ impl FlowerPeer {
         else {
             return; // local store covers the whole site
         };
+        self.issue_query(ctx, object, None);
+    }
+
+    /// Open the pending state of a query — or, with no `object`, of a
+    /// petal join.
+    fn open_pending(
+        &mut self,
+        ctx: &mut Fx<Self>,
+        object: Option<ObjectId>,
+        api_token: Option<u64>,
+    ) {
         let qid = self.alloc_qid();
-        ctx.trace(tags::QUERY_ISSUED, || {
-            vec![
-                ("qid", qid.raw().into()),
-                ("ws", website.0.into()),
-                ("object", object.as_u64().into()),
-            ]
-        });
         self.pending = Some(PendingQuery {
-            qid,
-            object: Some(object),
-            issued_at: ctx.now(),
+            tl: Timeline::issue(ctx, qid, self.pcx.website, object),
+            object,
+            // Each resolution step names its own `via` before it sends.
             via: ResolvedVia::LocalView,
-            dht_hops: 0,
             phase: QueryPhase::Resolving,
             route_attempts: 0,
-            fetch_attempts: 0,
-            excluded: vec![self.me],
             asked_dir: false,
-            fetch_sent_at: ctx.now(),
             last_bootstrap: None,
-            api_token: None,
+            api_token,
         });
+    }
+
+    /// Issue a query for `object` and start resolving it the way our
+    /// current role does. `api_token` is set for a local API `Get`.
+    pub(crate) fn issue_query(
+        &mut self,
+        ctx: &mut Fx<Self>,
+        object: ObjectId,
+        api_token: Option<u64>,
+    ) {
+        self.open_pending(ctx, Some(object), api_token);
         match &self.role {
             Role::Client => self.route_pending_over_dring(ctx),
             Role::Content => self.resolve_as_content(ctx),
@@ -79,22 +98,7 @@ impl FlowerPeer {
         if self.pending.is_some() {
             return;
         }
-        let qid = self.alloc_qid();
-        self.pending = Some(PendingQuery {
-            qid,
-            object: None,
-            issued_at: ctx.now(),
-            via: ResolvedVia::DhtRoute,
-            dht_hops: 0,
-            phase: QueryPhase::Resolving,
-            route_attempts: 0,
-            fetch_attempts: 0,
-            excluded: vec![self.me],
-            asked_dir: false,
-            fetch_sent_at: ctx.now(),
-            last_bootstrap: None,
-            api_token: None,
-        });
+        self.open_pending(ctx, None, None);
         self.route_pending_over_dring(ctx);
     }
 
@@ -104,7 +108,7 @@ impl FlowerPeer {
             return;
         };
         p.via = ResolvedVia::DhtRoute;
-        let (qid, object, attempt) = (p.qid, p.object, p.route_attempts);
+        let (qid, object, attempt) = (p.tl.qid, p.object, p.route_attempts);
         let key = DirPosition::base(self.pcx.website, self.locality).chord_id();
         match self.pick_bootstrap(ctx) {
             Some(b) => {
@@ -154,35 +158,23 @@ impl FlowerPeer {
         let Some(object) = p.object else {
             return false;
         };
-        let key = object.as_u64();
-        let candidates: Vec<NodeId> = {
+        let target = {
             let _p = self.pcx.profiler.scope("bloom_match");
-            self.gossip
-                .view()
-                .entries()
-                .iter()
-                .filter(|e| !p.excluded.contains(&e.node) && e.payload.contains(key))
-                .map(|e| e.node)
-                .collect()
+            summary_match(&self.gossip, object, &p.tl.excluded, ctx.rng)
         };
-        if candidates.is_empty() {
+        let Some(target) = target else {
             return false;
-        }
-        let target = candidates[ctx.rng.gen_range(0..candidates.len())];
+        };
         p.via = ResolvedVia::LocalView;
-        p.phase = QueryPhase::Fetching(target);
-        p.fetch_sent_at = ctx.now();
-        p.fetch_attempts += 1;
-        let (qid, attempt) = (p.qid, p.fetch_attempts);
-        ctx.trace(tags::FETCH, || {
-            vec![("qid", qid.raw().into()), ("provider", target.into())]
-        });
-        ctx.send(target, FlowerMsg::Fetch { qid, object });
-        ctx.set_timer(
-            self.pcx.params.rpc_timeout_ms,
-            FlowerTimer::FetchDeadline { qid, attempt },
-        );
+        self.fetch_from(ctx, target, object);
         true
+    }
+
+    /// Fetch the pending query's `object` from `target`.
+    fn fetch_from(&mut self, ctx: &mut Fx<Self>, target: NodeId, object: ObjectId) {
+        let p = self.pending.as_mut().expect("pending query");
+        p.phase = QueryPhase::Fetching(target);
+        p.tl.fetch_from(ctx, &self.pcx, target, object);
     }
 
     /// Ask our directory instance; if we have none (or it is being
@@ -194,7 +186,7 @@ impl FlowerPeer {
         let Some(object) = p.object else {
             return;
         };
-        if p.asked_dir || p.fetch_attempts >= 3 {
+        if p.asked_dir || p.tl.fetch_attempts >= 3 {
             self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
             return;
         }
@@ -203,8 +195,8 @@ impl FlowerPeer {
                 p.asked_dir = true;
                 p.via = ResolvedVia::Directory;
                 p.phase = QueryPhase::Resolving;
-                let qid = p.qid;
-                let exclude = p.excluded.clone();
+                let qid = p.tl.qid;
+                let exclude = p.tl.excluded.clone();
                 ctx.send(
                     di.holder.node,
                     FlowerMsg::DirQuery {
@@ -226,8 +218,7 @@ impl FlowerPeer {
         }
     }
 
-    /// Model the origin-server round trip (the origin is a latency, not a
-    /// peer — it always has the content).
+    /// Fall back to the origin server, recording how the query got there.
     pub(crate) fn start_origin_fetch(&mut self, ctx: &mut Fx<Self>, via: ResolvedVia) {
         let Some(p) = &mut self.pending else {
             return;
@@ -240,13 +231,7 @@ impl FlowerPeer {
         }
         p.via = via;
         p.phase = QueryPhase::Origin;
-        p.fetch_sent_at = ctx.now();
-        let qid = p.qid;
-        ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
-        // A chaos brownout adds one-way latency to the origin round trip.
-        let one_way = self.pcx.origin_latency_ms + self.pcx.origin_dial.extra_ms(self.pcx.website);
-        let rtt = 2 * one_way.max(1);
-        ctx.set_timer(rtt, FlowerTimer::OriginDone { qid });
+        p.tl.origin_round_trip(ctx, &self.pcx);
     }
 
     /// A directory answered our query (or petal join).
@@ -261,7 +246,7 @@ impl FlowerPeer {
         petal_view: Vec<(NodeId, Summary)>,
         dht_hops: u32,
     ) {
-        if self.pending.as_ref().is_none_or(|p| p.qid != qid) {
+        if self.pending.as_ref().is_none_or(|p| p.tl.qid != qid) {
             return;
         }
         // Adopt the answering directory and, if fresh, join the petal.
@@ -280,26 +265,15 @@ impl FlowerPeer {
             }
         }
         let p = self.pending.as_mut().expect("checked above");
-        p.dht_hops = p.dht_hops.max(dht_hops);
+        p.tl.dht_hops = p.tl.dht_hops.max(dht_hops);
         let Some(object) = object.or(p.object) else {
             // Pure petal join completed.
             self.pending = None;
             return;
         };
         match provider {
-            Some(target) if !p.excluded.contains(&target) => {
-                p.phase = QueryPhase::Fetching(target);
-                p.fetch_sent_at = ctx.now();
-                p.fetch_attempts += 1;
-                let attempt = p.fetch_attempts;
-                ctx.trace(tags::FETCH, || {
-                    vec![("qid", qid.raw().into()), ("provider", target.into())]
-                });
-                ctx.send(target, FlowerMsg::Fetch { qid, object });
-                ctx.set_timer(
-                    self.pcx.params.rpc_timeout_ms,
-                    FlowerTimer::FetchDeadline { qid, attempt },
-                );
+            Some(target) if !p.tl.excluded.contains(&target) => {
+                self.fetch_from(ctx, target, object)
             }
             _ => {
                 let via = p.via;
@@ -330,44 +304,30 @@ impl FlowerPeer {
         ctx.set_timer(k0, FlowerTimer::Keepalive);
     }
 
-    /// The bootstrap could not route our request.
-    pub(crate) fn on_route_failed(&mut self, ctx: &mut Fx<Self>, req_qid: QueryId) {
-        let Some(p) = &mut self.pending else {
-            return;
-        };
-        if p.qid != req_qid || p.phase != QueryPhase::Resolving {
-            return;
-        }
-        p.route_attempts += 1;
-        let stale = p.last_bootstrap.take();
-        self.exclude_bootstrap(stale);
-        if self.pending.as_ref().is_some_and(|p| p.route_attempts < 3) {
-            self.route_pending_over_dring(ctx);
-        } else {
-            ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
-            self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
-        }
+    /// Whether query `qid` is ours and still waiting for a Redirect.
+    fn is_resolving(&self, qid: QueryId) -> bool {
+        self.pending
+            .as_ref()
+            .is_some_and(|p| p.tl.qid == qid && p.phase == QueryPhase::Resolving)
     }
 
-    /// Remember a bootstrap that failed to route for us so the next retry
-    /// tries a different entry point (cleared when the registry runs dry).
-    fn exclude_bootstrap(&mut self, b: Option<NodeId>) {
-        if let Some(b) = b {
-            if !self.boot_exclude.contains(&b) {
-                self.boot_exclude.push(b);
-            }
+    /// The bootstrap could not route our request.
+    pub(crate) fn on_route_failed(&mut self, ctx: &mut Fx<Self>, req_qid: QueryId) {
+        if self.is_resolving(req_qid) {
+            self.retry_route(ctx);
         }
     }
 
     /// No Redirect arrived in time (bootstrap or directory unresponsive).
     pub(crate) fn on_route_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
-        let Some(p) = &mut self.pending else {
-            return;
-        };
-        if p.qid != qid || p.phase != QueryPhase::Resolving {
+        if !self.is_resolving(qid) {
             return;
         }
-        if p.via == ResolvedVia::Directory {
+        if self
+            .pending
+            .as_ref()
+            .is_some_and(|p| p.via == ResolvedVia::Directory)
+        {
             // Our own directory went silent: fall back and trigger the
             // §5.2 replacement machinery.
             ctx.report(FlowerReport::Event(ProtocolEvent::DirQueryTimeout));
@@ -375,10 +335,24 @@ impl FlowerPeer {
             self.suspect_directory(ctx);
             return;
         }
+        self.retry_route(ctx);
+    }
+
+    /// A D-ring route attempt failed: try again through a bootstrap that
+    /// has not failed us yet (`boot_exclude` is cleared when the registry
+    /// runs dry), and after three attempts go to the origin.
+    fn retry_route(&mut self, ctx: &mut Fx<Self>) {
+        let Some(p) = &mut self.pending else {
+            return;
+        };
         p.route_attempts += 1;
-        let stale = p.last_bootstrap.take();
-        self.exclude_bootstrap(stale);
-        if self.pending.as_ref().is_some_and(|p| p.route_attempts < 3) {
+        let attempts = p.route_attempts;
+        if let Some(stale) = p.last_bootstrap.take() {
+            if !self.boot_exclude.contains(&stale) {
+                self.boot_exclude.push(stale);
+            }
+        }
+        if attempts < 3 {
             self.route_pending_over_dring(ctx);
         } else {
             ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
@@ -397,17 +371,16 @@ impl FlowerPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.qid != qid || p.phase != QueryPhase::Fetching(from) {
+        if p.tl.qid != qid || p.phase != QueryPhase::Fetching(from) {
             return;
         }
         ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
-        let one_way = (ctx.now() - p.fetch_sent_at) / 2;
-        let provider_kind = if self.dir_info.is_some_and(|d| d.holder.node == from) {
+        let provider = if self.dir_info.is_some_and(|d| d.holder.node == from) {
             Provider::DirectoryPeer
         } else {
             Provider::ContentPeer
         };
-        self.complete_query(ctx, object, provider_kind, one_way);
+        self.complete_query(ctx, object, provider);
     }
 
     /// Provider refused (summary false positive / stale index) or timed out.
@@ -421,11 +394,11 @@ impl FlowerPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.qid != qid || p.phase != QueryPhase::Fetching(provider) {
+        if p.tl.qid != qid || p.phase != QueryPhase::Fetching(provider) {
             return;
         }
-        p.excluded.push(provider);
-        let attempt = p.fetch_attempts;
+        p.tl.excluded.push(provider);
+        let attempt = p.tl.fetch_attempts;
         ctx.trace(
             if timed_out {
                 tags::FETCH_TIMEOUT
@@ -449,7 +422,7 @@ impl FlowerPeer {
         }
         let p = self.pending.as_mut().expect("still pending");
         p.phase = QueryPhase::Resolving;
-        if p.fetch_attempts >= 3 {
+        if p.tl.fetch_attempts >= 3 {
             self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
             return;
         }
@@ -467,7 +440,7 @@ impl FlowerPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.qid != qid || p.fetch_attempts != attempt {
+        if !p.tl.awaits_fetch(qid, attempt) {
             return;
         }
         let QueryPhase::Fetching(provider) = p.phase else {
@@ -482,26 +455,19 @@ impl FlowerPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.qid != qid || p.phase != QueryPhase::Origin {
+        if p.tl.qid != qid || p.phase != QueryPhase::Origin {
             return;
         }
         let Some(object) = p.object else {
             self.pending = None;
             return;
         };
-        let lat = self.pcx.origin_latency_ms + self.pcx.origin_dial.extra_ms(self.pcx.website);
-        self.complete_query(ctx, object, Provider::OriginServer, lat);
+        self.complete_query(ctx, object, Provider::OriginServer);
     }
 
     /// Wrap up the pending query: store the object, emit the record, push
     /// to the directory if the threshold is crossed.
-    fn complete_query(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        object: ObjectId,
-        provider: Provider,
-        one_way_ms: u64,
-    ) {
+    fn complete_query(&mut self, ctx: &mut Fx<Self>, object: ObjectId, provider: Provider) {
         let p = self.pending.take().expect("pending query");
         let evicted = self.store.insert_with_eviction(object);
         // Directory peers index their own store as petal content.
@@ -519,23 +485,8 @@ impl FlowerPeer {
                 ctx.send(di.holder.node, FlowerMsg::Retract { objects: evicted });
             }
         }
-        let record = QueryRecord {
-            issued_at_ms: p.issued_at.as_millis(),
-            lookup_ms: (p.fetch_sent_at - p.issued_at) + one_way_ms,
-            transfer_ms: one_way_ms,
-            dht_hops: p.dht_hops,
-            provider,
-            via: p.via,
-        };
-        ctx.trace(tags::QUERY_COMPLETE, || {
-            let kind = match provider {
-                Provider::ContentPeer => "content_peer",
-                Provider::DirectoryPeer => "directory_peer",
-                Provider::OriginServer => "origin",
-            };
-            vec![("qid", p.qid.raw().into()), ("provider", kind.into())]
-        });
-        ctx.report(FlowerReport::Query(record));
+        let issued_at = p.tl.issued_at;
+        p.tl.complete(ctx, &self.pcx, provider, p.via);
         if let Some(token) = p.api_token {
             let kind = match provider {
                 Provider::ContentPeer => ApiProvider::ContentPeer,
@@ -547,7 +498,7 @@ impl FlowerPeer {
                 ApiResp::Got {
                     object,
                     provider: kind,
-                    elapsed_ms: ctx.now() - p.issued_at,
+                    elapsed_ms: ctx.now() - issued_at,
                 },
             );
         }
@@ -569,7 +520,6 @@ impl FlowerPeer {
             return;
         };
         let me = self.me;
-        let qid = p.qid;
         let Role::Directory(d) = &mut self.role else {
             return;
         };
@@ -580,21 +530,62 @@ impl FlowerPeer {
         match provider {
             Some(target) => {
                 p.via = ResolvedVia::Directory;
-                p.phase = QueryPhase::Fetching(target);
-                p.fetch_sent_at = ctx.now();
-                p.fetch_attempts += 1;
-                let attempt = p.fetch_attempts;
-                ctx.trace(tags::FETCH, || {
-                    vec![("qid", qid.raw().into()), ("provider", target.into())]
-                });
-                ctx.send(target, FlowerMsg::Fetch { qid, object });
-                ctx.set_timer(
-                    self.pcx.params.rpc_timeout_ms,
-                    FlowerTimer::FetchDeadline { qid, attempt },
-                );
+                self.fetch_from(ctx, target, object);
             }
             None => self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin),
         }
+    }
+
+    /// As directory, name a provider of `object` for someone else's query:
+    /// a recently heard-from indexed holder, else our own store, else a
+    /// gossip contact whose summary claims it.
+    fn petal_provider(
+        &mut self,
+        ctx: &mut Fx<Self>,
+        object: ObjectId,
+        exclude: &[NodeId],
+    ) -> Option<NodeId> {
+        let Role::Directory(d) = &mut self.role else {
+            return None;
+        };
+        let now_ms = ctx.now().as_millis();
+        let fresh_ms = self.pcx.params.gossip_period_ms / 2;
+        d.index
+            .provider_recent(object, exclude, now_ms, fresh_ms, ctx.rng)
+            .or(self.store.contains(object).then_some(self.me))
+            .or_else(|| summary_match(&self.gossip, object, exclude, ctx.rng))
+    }
+
+    /// Answer `client`'s query: fetch from `provider`, or — with none —
+    /// from the origin.
+    #[allow(clippy::too_many_arguments)]
+    fn redirect(
+        ctx: &mut Fx<Self>,
+        client: NodeId,
+        qid: QueryId,
+        object: Option<ObjectId>,
+        provider: Option<NodeId>,
+        dir: DirInfo,
+        petal_view: Vec<(NodeId, Summary)>,
+        dht_hops: u32,
+    ) {
+        ctx.trace(tags::REDIRECT, || {
+            vec![
+                ("qid", qid.raw().into()),
+                ("hit", provider.is_some().into()),
+            ]
+        });
+        ctx.send(
+            client,
+            FlowerMsg::Redirect {
+                qid,
+                object,
+                provider,
+                dir,
+                petal_view,
+                dht_hops,
+            },
+        );
     }
 
     /// A content peer of our partition asks us to resolve a query (§5.1).
@@ -606,63 +597,49 @@ impl FlowerPeer {
         object: ObjectId,
         client_exclude: Vec<NodeId>,
     ) {
-        let me = self.me;
-        let now_ms = ctx.now().as_millis();
-        let fresh_ms = self.pcx.params.gossip_period_ms / 2;
         let Some(self_info) = self.self_dir_info() else {
             return; // stale dir-info at the sender; it will time out
         };
-        let store_has = self.store.contains(object);
-        let Role::Directory(d) = &mut self.role else {
-            return;
-        };
-        d.index.heard_from(from, now_ms);
+        if let Role::Directory(d) = &mut self.role {
+            d.index.heard_from(from, ctx.now().as_millis());
+        }
         let mut exclude = client_exclude;
         exclude.push(from);
-        exclude.push(me);
-        let provider = d
-            .index
-            .provider_recent(object, &exclude, now_ms, fresh_ms, ctx.rng)
-            .or(if store_has { Some(me) } else { None })
-            .or_else(|| summary_match(&self.gossip, object, &exclude, ctx.rng));
-        match provider {
-            Some(_) => {
-                ctx.trace(tags::REDIRECT, || {
-                    vec![("qid", qid.raw().into()), ("hit", true.into())]
-                });
-                ctx.send(
-                    from,
-                    FlowerMsg::Redirect {
-                        qid,
-                        object: Some(object),
-                        provider,
-                        dir: self_info,
-                        petal_view: Vec::new(),
-                        dht_hops: 0,
-                    },
-                )
-            }
-            None => {
-                ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
-                // §3.2 collaboration: walk the query through our
-                // same-website ring neighbours before giving up.
-                self.forward_to_sibling_or_refuse(
-                    ctx,
-                    from,
-                    qid,
-                    object,
-                    self_info,
-                    Vec::new(),
-                    exclude,
-                );
-            }
+        exclude.push(self.me);
+        let provider = self.petal_provider(ctx, object, &exclude);
+        if provider.is_none() {
+            ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
+            // §3.2 collaboration: walk the query through our same-website
+            // ring neighbours before giving up.
+            self.walk_siblings(
+                ctx,
+                from,
+                qid,
+                object,
+                self_info,
+                Vec::new(),
+                exclude,
+                SIBLING_WALK_HOPS,
+            );
+        } else {
+            Self::redirect(
+                ctx,
+                from,
+                qid,
+                Some(object),
+                provider,
+                self_info,
+                Vec::new(),
+                0,
+            );
         }
     }
 
-    /// Forward a provider search along the same-website ring successors
-    /// (§3.2), or answer the client with "origin" if the chain ends here.
+    /// Pass a provider search on to our ring successor if it is a directory
+    /// of the same website (§3.2) and the walk has `hops_left`; otherwise
+    /// the chain ends here and the client is sent to the origin.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn forward_to_sibling_or_refuse(
+    fn walk_siblings(
         &mut self,
         ctx: &mut Fx<Self>,
         client: NodeId,
@@ -671,15 +648,16 @@ impl FlowerPeer {
         dir: DirInfo,
         petal_view: Vec<(NodeId, Summary)>,
         exclude: Vec<NodeId>,
+        hops_left: u8,
     ) {
-        let Role::Directory(d) = &mut self.role else {
-            return;
+        let Role::Directory(d) = &self.role else {
+            return; // chain broken: the client's deadline handles it
         };
         let succ = d.chord.successor();
-        let same_site = d.position.same_website(succ.id) && succ.node != self.me;
-        if same_site {
+        if hops_left > 0 && d.position.same_website(succ.id) && succ.node != self.me {
+            let ttl = hops_left - 1;
             ctx.trace(tags::SIBLING_FORWARD, || {
-                vec![("qid", qid.raw().into()), ("ttl", 6u64.into())]
+                vec![("qid", qid.raw().into()), ("ttl", u64::from(ttl).into())]
             });
             ctx.send(
                 succ.node,
@@ -690,24 +668,11 @@ impl FlowerPeer {
                     dir,
                     petal_view,
                     exclude,
-                    ttl: 6,
+                    ttl,
                 },
             );
         } else {
-            ctx.trace(tags::REDIRECT, || {
-                vec![("qid", qid.raw().into()), ("hit", false.into())]
-            });
-            ctx.send(
-                client,
-                FlowerMsg::Redirect {
-                    qid,
-                    object: Some(object),
-                    provider: None,
-                    dir,
-                    petal_view,
-                    dht_hops: 0,
-                },
-            );
+            Self::redirect(ctx, client, qid, Some(object), None, dir, petal_view, 0);
         }
     }
 
@@ -724,72 +689,12 @@ impl FlowerPeer {
         mut exclude: Vec<NodeId>,
         ttl: u8,
     ) {
-        let me = self.me;
-        let now_ms = ctx.now().as_millis();
-        let fresh_ms = self.pcx.params.gossip_period_ms / 2;
-        let store_has = self.store.contains(object);
-        let Role::Directory(d) = &mut self.role else {
-            return; // chain broken: the client's deadline handles it
-        };
-        exclude.push(me);
-        let provider = d
-            .index
-            .provider_recent(object, &exclude, now_ms, fresh_ms, ctx.rng)
-            .or(if store_has { Some(me) } else { None })
-            .or_else(|| summary_match(&self.gossip, object, &exclude, ctx.rng));
+        exclude.push(self.me);
+        let provider = self.petal_provider(ctx, object, &exclude);
         if provider.is_some() {
-            ctx.trace(tags::REDIRECT, || {
-                vec![("qid", qid.raw().into()), ("hit", true.into())]
-            });
-            ctx.send(
-                client,
-                FlowerMsg::Redirect {
-                    qid,
-                    object: Some(object),
-                    provider,
-                    dir,
-                    petal_view,
-                    dht_hops: 0,
-                },
-            );
-            return;
-        }
-        let succ = d.chord.successor();
-        let keep_walking = ttl > 0 && d.position.same_website(succ.id) && succ.node != self.me;
-        if keep_walking {
-            ctx.trace(tags::SIBLING_FORWARD, || {
-                vec![
-                    ("qid", qid.raw().into()),
-                    ("ttl", u64::from(ttl - 1).into()),
-                ]
-            });
-            ctx.send(
-                succ.node,
-                FlowerMsg::SiblingQuery {
-                    client,
-                    qid,
-                    object,
-                    dir,
-                    petal_view,
-                    exclude,
-                    ttl: ttl - 1,
-                },
-            );
+            Self::redirect(ctx, client, qid, Some(object), provider, dir, petal_view, 0);
         } else {
-            ctx.trace(tags::REDIRECT, || {
-                vec![("qid", qid.raw().into()), ("hit", false.into())]
-            });
-            ctx.send(
-                client,
-                FlowerMsg::Redirect {
-                    qid,
-                    object: Some(object),
-                    provider: None,
-                    dir,
-                    petal_view,
-                    dht_hops: 0,
-                },
-            );
+            self.walk_siblings(ctx, client, qid, object, dir, petal_view, exclude, ttl);
         }
     }
 
@@ -862,20 +767,14 @@ impl FlowerPeer {
         }
         let now_ms = ctx.now().as_millis();
         let self_info = self.self_dir_info().expect("directory role");
-        let store_has = object.is_some_and(|o| self.store.contains(o));
         let shuffle_len = self.pcx.params.shuffle_len;
+        if let Role::Directory(d) = &mut self.role {
+            d.index.register_peer(client, now_ms);
+        }
+        let provider = object.and_then(|o| self.petal_provider(ctx, o, &[client, me]));
         let Role::Directory(d) = &mut self.role else {
             return;
         };
-        d.index.register_peer(client, now_ms);
-        let fresh_ms = self.pcx.params.gossip_period_ms / 2;
-        let provider = object.and_then(|o| {
-            let exclude = [client, me];
-            d.index
-                .provider_recent(o, &exclude, now_ms, fresh_ms, ctx.rng)
-                .or(if store_has { Some(me) } else { None })
-                .or_else(|| summary_match(&self.gossip, o, &exclude, ctx.rng))
-        });
         if let Some(o) = object {
             // The client will hold the object once its fetch completes
             // (from a peer or the origin) — index it now (§3.2).
@@ -893,40 +792,23 @@ impl FlowerPeer {
                 .map(|e| (e.node, e.payload))
                 .collect();
         }
-        if provider.is_none() {
-            if let Some(o) = object {
-                // No petal-local provider for the new client: try the
-                // website's sibling directories before sending it to the
-                // origin (§3.2).
-                self.forward_to_sibling_or_refuse(
-                    ctx,
-                    client,
-                    qid,
-                    o,
-                    self_info,
-                    petal_view,
-                    vec![client, me],
-                );
-                return;
-            }
-        }
-        ctx.trace(tags::REDIRECT, || {
-            vec![
-                ("qid", qid.raw().into()),
-                ("hit", provider.is_some().into()),
-            ]
-        });
-        ctx.send(
-            client,
-            FlowerMsg::Redirect {
+        match object {
+            // No petal-local provider for the new client: try the website's
+            // sibling directories before sending it to the origin (§3.2).
+            Some(o) if provider.is_none() => self.walk_siblings(
+                ctx,
+                client,
                 qid,
-                object,
-                provider,
-                dir: self_info,
+                o,
+                self_info,
                 petal_view,
-                dht_hops: hops,
-            },
-        );
+                vec![client, me],
+                SIBLING_WALK_HOPS,
+            ),
+            _ => Self::redirect(
+                ctx, client, qid, object, provider, self_info, petal_view, hops,
+            ),
+        }
     }
 }
 

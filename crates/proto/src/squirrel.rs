@@ -17,24 +17,28 @@
 //!
 //! This module is the *protocol* half only: [`SquirrelPeer`] is a pure
 //! [`Machine`]; the simulation engine that drives it lives in the
-//! `flower-cdn` crate.
+//! `flower-cdn` crate. It is built from the same [`PeerCtx`] as a
+//! Flower-CDN peer and reports in the same vocabulary, and what happens
+//! once the home node has named a provider — fetch, retry deadline, origin
+//! fallback, the record the paper's metrics are read from — is
+//! [`crate::timeline`], shared with Flower-CDN. Only how a provider is
+//! *found* (one DHT lookup to the home node, every time) is Squirrel's own.
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use bloom::hash::hash_u64;
-use cdn_metrics::{Provider, QueryRecord, ResolvedVia};
+use cdn_metrics::{Provider, ResolvedVia};
 use chord::{Chord, ChordAction, ChordId, ChordMsg, ChordTimer, NodeRef};
 use rand::Rng;
-use simnet::{NodeId, Time};
-use workload::{sample_exp, Catalog, ObjectId, WebsiteId};
+use simnet::NodeId;
+use workload::{sample_exp, ObjectId};
 
-use crate::bootstrap::SharedBootstrap;
-use crate::config::SimParams;
 use crate::io::{Env, Fx, Input, Machine, Output};
-use crate::origin::OriginDial;
+use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
+use crate::store::ContentStore;
 use crate::tags;
+use crate::timeline::{QueryMachine, Timeline};
 
 /// Which Squirrel scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,19 +143,6 @@ impl SqTimer {
     }
 }
 
-/// Per-peer immutable context.
-#[derive(Clone)]
-pub struct SqCtx {
-    pub catalog: Rc<Catalog>,
-    pub params: Rc<SimParams>,
-    pub bootstrap: SharedBootstrap,
-    pub website: WebsiteId,
-    pub origin_latency_ms: u64,
-    /// Shared origin health state: chaos brownouts add latency here.
-    pub origin_dial: Rc<OriginDial>,
-    pub mode: SquirrelMode,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SqPhase {
     Routing,
@@ -161,15 +152,11 @@ enum SqPhase {
 }
 
 struct SqPending {
-    qid: QueryId,
+    /// The timed part every system shares.
+    tl: Timeline,
     object: ObjectId,
-    issued_at: Time,
     phase: SqPhase,
-    dht_hops: u32,
     lookup_attempts: u32,
-    fetch_attempts: u32,
-    excluded: Vec<NodeId>,
-    fetch_sent_at: Time,
 }
 
 /// The object's DHT key: hash of its identifier (the "URL").
@@ -182,37 +169,13 @@ pub fn peer_ring_id(me: NodeId) -> ChordId {
     ChordId(hash_u64(me.raw(), 0x5153_4952))
 }
 
-/// Report stream of a Squirrel peer.
-#[derive(Debug, Clone)]
-pub enum SqReport {
-    Query(QueryRecord),
-    Event(SqEvent),
-}
-
-/// Diagnostics for where Squirrel queries are lost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SqEvent {
-    /// DHT lookup for the home node failed outright.
-    LookupFailed,
-    /// The home node did not answer in time (died after the lookup).
-    AnswerTimeout,
-    /// The home had no live downloader listed.
-    HomeEmpty,
-    /// A listed downloader answered FetchMiss.
-    FetchMiss,
-    /// A listed downloader timed out.
-    FetchTimeout,
-    /// A query was answered by a node that does not (strictly) own the
-    /// object's key — routing inconsistency diagnostic.
-    AnsweredByNonOwner,
-}
-
 /// A Squirrel peer.
 pub struct SquirrelPeer {
-    pcx: SqCtx,
+    pcx: PeerCtx,
+    mode: SquirrelMode,
     me: NodeId,
     active: bool,
-    store: crate::store::ContentStore,
+    store: ContentStore,
     chord: Chord,
     /// Directory mode: recent downloaders of objects homed at me.
     home_dir: BTreeMap<ObjectId, Vec<NodeId>>,
@@ -227,32 +190,26 @@ pub struct SquirrelPeer {
 impl SquirrelPeer {
     /// A peer arriving through churn; joins the overlay through a
     /// bootstrap contact.
-    pub fn arriving(pcx: SqCtx, me: NodeId, seed: NodeRef) -> SquirrelPeer {
+    pub fn arriving(pcx: PeerCtx, mode: SquirrelMode, me: NodeId, seed: NodeRef) -> SquirrelPeer {
         let me_ref = NodeRef::new(me, peer_ring_id(me));
         let (chord, actions) = Chord::join(me_ref, seed, pcx.params.chord.clone());
-        SquirrelPeer::with_chord(pcx, me, chord, actions)
+        SquirrelPeer::initial(pcx, mode, me, chord, actions)
     }
 
-    /// An initial member with a pre-converged Chord (t=0 population).
+    /// A member holding `chord` already: the pre-converged state of the t=0
+    /// population, or a join under way.
     pub fn initial(
-        pcx: SqCtx,
-        me: NodeId,
-        chord: Chord,
-        actions: Vec<ChordAction>,
-    ) -> SquirrelPeer {
-        SquirrelPeer::with_chord(pcx, me, chord, actions)
-    }
-
-    fn with_chord(
-        pcx: SqCtx,
+        pcx: PeerCtx,
+        mode: SquirrelMode,
         me: NodeId,
         chord: Chord,
         startup_chord_actions: Vec<ChordAction>,
     ) -> SquirrelPeer {
         let active = pcx.catalog.is_active(pcx.website);
-        let store = crate::store::ContentStore::with_policy(pcx.params.store_policy);
+        let store = ContentStore::with_policy(pcx.params.store_policy);
         SquirrelPeer {
             pcx,
+            mode,
             me,
             active,
             store,
@@ -281,6 +238,12 @@ impl SquirrelPeer {
     /// The peer's Chord state (read-only; ring diagnostics).
     pub fn chord(&self) -> &Chord {
         &self.chord
+    }
+
+    /// The context this peer was built with (replay harnesses clone it,
+    /// swapping in a reconstructed bootstrap registry).
+    pub fn peer_ctx(&self) -> &PeerCtx {
+        &self.pcx
     }
 
     fn apply_chord_actions(&mut self, ctx: &mut Fx<Self>, actions: Vec<ChordAction>) {
@@ -341,23 +304,11 @@ impl SquirrelPeer {
         };
         self.next_qid += 1;
         let qid = QueryId::new(self.me, self.next_qid);
-        ctx.trace(tags::QUERY_ISSUED, || {
-            vec![
-                ("qid", qid.raw().into()),
-                ("ws", website.0.into()),
-                ("object", object.as_u64().into()),
-            ]
-        });
         self.pending = Some(SqPending {
-            qid,
+            tl: Timeline::issue(ctx, qid, website, Some(object)),
             object,
-            issued_at: ctx.now(),
             phase: SqPhase::Routing,
-            dht_hops: 0,
             lookup_attempts: 1,
-            fetch_attempts: 0,
-            excluded: vec![self.me],
-            fetch_sent_at: ctx.now(),
         });
         self.start_home_lookup(ctx, qid, object);
     }
@@ -381,22 +332,27 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.qid != qid || p.phase != SqPhase::Routing {
+        if p.tl.qid != qid || p.phase != SqPhase::Routing {
             return;
         }
-        p.dht_hops = hops;
-        let object = p.object;
-        let exclude = p.excluded.clone();
-        if owner.node == self.me {
+        p.tl.dht_hops = hops;
+        self.ask_home(ctx, owner.node);
+    }
+
+    /// Ask `home` whom to fetch the pending object from, naming the
+    /// downloaders we already found dead so it prunes them.
+    fn ask_home(&mut self, ctx: &mut Fx<Self>, home: NodeId) {
+        let p = self.pending.as_mut().expect("pending query");
+        p.phase = SqPhase::AwaitAnswer { home };
+        let (qid, object, exclude) = (p.tl.qid, p.object, p.tl.excluded.clone());
+        if home == self.me {
             // We are the home node ourselves: consult our own directory.
-            p.phase = SqPhase::AwaitAnswer { home: self.me };
             let provider = self.home_answer(ctx, self.me, object, &exclude);
             self.on_answer(ctx, qid, object, provider);
             return;
         }
-        p.phase = SqPhase::AwaitAnswer { home: owner.node };
         ctx.send(
-            owner.node,
+            home,
             SqMsg::Query {
                 qid,
                 object,
@@ -413,7 +369,7 @@ impl SquirrelPeer {
         let Some(qid) = self.lookup_jobs.remove(&token) else {
             return;
         };
-        ctx.report(SqReport::Event(SqEvent::LookupFailed));
+        ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
         self.retry_or_origin(ctx, qid);
     }
 
@@ -421,7 +377,7 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.qid != qid {
+        if p.tl.qid != qid {
             return;
         }
         if p.lookup_attempts < 2 {
@@ -444,32 +400,22 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.qid != qid || p.object != object {
+        if p.tl.qid != qid || p.object != object {
             return;
         }
         let SqPhase::AwaitAnswer { home } = p.phase else {
             return;
         };
         match provider {
-            Some(target) if !p.excluded.contains(&target) => {
+            Some(target) if !p.tl.excluded.contains(&target) => {
                 p.phase = SqPhase::Fetching {
                     provider: target,
                     home,
                 };
-                p.fetch_sent_at = ctx.now();
-                p.fetch_attempts += 1;
-                let attempt = p.fetch_attempts;
-                ctx.trace(tags::FETCH, || {
-                    vec![("qid", qid.raw().into()), ("provider", target.into())]
-                });
-                ctx.send(target, SqMsg::Fetch { qid, object });
-                ctx.set_timer(
-                    self.pcx.params.rpc_timeout_ms,
-                    SqTimer::FetchDeadline { qid, attempt },
-                );
+                p.tl.fetch_from(ctx, &self.pcx, target, object);
             }
             _ => {
-                ctx.report(SqReport::Event(SqEvent::HomeEmpty));
+                ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
                 self.start_origin_fetch(ctx, qid, Some(home))
             }
         }
@@ -479,23 +425,18 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.qid != qid {
+        if p.tl.qid != qid {
             return;
         }
         p.phase = SqPhase::Origin { home };
-        p.fetch_sent_at = ctx.now();
-        ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
-        // A chaos brownout adds one-way latency to the origin round trip.
-        let one_way = self.pcx.origin_latency_ms + self.pcx.origin_dial.extra_ms(self.pcx.website);
-        let rtt = 2 * one_way.max(1);
-        ctx.set_timer(rtt, SqTimer::OriginDone { qid });
+        p.tl.origin_round_trip(ctx, &self.pcx);
     }
 
     fn on_fetch_ok(&mut self, ctx: &mut Fx<Self>, from: NodeId, qid: QueryId) {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.qid != qid {
+        if p.tl.qid != qid {
             return;
         }
         let SqPhase::Fetching { provider, home } = p.phase else {
@@ -505,20 +446,19 @@ impl SquirrelPeer {
             return;
         }
         ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
-        let one_way = (ctx.now() - p.fetch_sent_at) / 2;
         let kind = if from == home {
             Provider::DirectoryPeer // home-store service
         } else {
             Provider::ContentPeer
         };
-        self.complete(ctx, kind, one_way);
+        self.complete(ctx, kind);
     }
 
     fn on_fetch_failed(&mut self, ctx: &mut Fx<Self>, qid: QueryId, provider: NodeId) {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.qid != qid {
+        if p.tl.qid != qid {
             return;
         }
         let SqPhase::Fetching {
@@ -531,45 +471,25 @@ impl SquirrelPeer {
         if provider != expected {
             return;
         }
-        p.excluded.push(provider);
-        if p.fetch_attempts >= 3 {
+        p.tl.excluded.push(provider);
+        if p.tl.fetch_attempts >= 3 {
             self.start_origin_fetch(ctx, qid, Some(home));
-            return;
+        } else {
+            self.ask_home(ctx, home);
         }
-        // Ask the home again, reporting the dead downloader so it prunes.
-        let object = p.object;
-        let exclude = p.excluded.clone();
-        p.phase = SqPhase::AwaitAnswer { home };
-        if home == self.me {
-            let provider = self.home_answer(ctx, self.me, object, &exclude);
-            self.on_answer(ctx, qid, object, provider);
-            return;
-        }
-        ctx.send(
-            home,
-            SqMsg::Query {
-                qid,
-                object,
-                exclude,
-            },
-        );
-        ctx.set_timer(
-            self.pcx.params.rpc_timeout_ms * 2,
-            SqTimer::AnswerDeadline { qid },
-        );
     }
 
     fn on_answer_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.qid != qid || !matches!(p.phase, SqPhase::AwaitAnswer { .. }) {
+        if p.tl.qid != qid || !matches!(p.phase, SqPhase::AwaitAnswer { .. }) {
             return;
         }
         // Home node died between lookup and query: re-route; the DHT will
         // have promoted a successor (whose directory starts empty — the
         // Squirrel weakness the paper highlights).
-        ctx.report(SqReport::Event(SqEvent::AnswerTimeout));
+        ctx.report(FlowerReport::Event(ProtocolEvent::DirQueryTimeout));
         self.retry_or_origin(ctx, qid);
     }
 
@@ -577,14 +497,13 @@ impl SquirrelPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.qid != qid {
+        if p.tl.qid != qid {
             return;
         }
         let SqPhase::Origin { home } = p.phase else {
             return;
         };
-        let lat = self.pcx.origin_latency_ms + self.pcx.origin_dial.extra_ms(self.pcx.website);
-        if self.pcx.mode == SquirrelMode::HomeStore {
+        if self.mode == SquirrelMode::HomeStore {
             if let Some(home) = home {
                 if home != self.me {
                     let object = p.object;
@@ -592,31 +511,15 @@ impl SquirrelPeer {
                 }
             }
         }
-        self.complete(ctx, Provider::OriginServer, lat);
+        self.complete(ctx, Provider::OriginServer);
     }
 
-    fn complete(&mut self, ctx: &mut Fx<Self>, provider: Provider, one_way_ms: u64) {
+    fn complete(&mut self, ctx: &mut Fx<Self>, provider: Provider) {
         let p = self.pending.take().expect("pending");
         let _evicted = self.store.insert_with_eviction(p.object);
         // (Squirrel has no retraction channel: stale home-directory
         // pointers are pruned by the exclude-on-requery protocol.)
-        let record = QueryRecord {
-            issued_at_ms: p.issued_at.as_millis(),
-            lookup_ms: (p.fetch_sent_at - p.issued_at) + one_way_ms,
-            transfer_ms: one_way_ms,
-            dht_hops: p.dht_hops,
-            provider,
-            via: ResolvedVia::DhtRoute,
-        };
-        ctx.trace(tags::QUERY_COMPLETE, || {
-            let kind = match provider {
-                Provider::ContentPeer => "content_peer",
-                Provider::DirectoryPeer => "directory_peer",
-                Provider::OriginServer => "origin",
-            };
-            vec![("qid", p.qid.raw().into()), ("provider", kind.into())]
-        });
-        ctx.report(SqReport::Query(record));
+        p.tl.complete(ctx, &self.pcx, provider, ResolvedVia::DhtRoute);
     }
 
     // ------------------------------------------------------------------
@@ -632,7 +535,7 @@ impl SquirrelPeer {
         object: ObjectId,
         exclude: &[NodeId],
     ) -> Option<NodeId> {
-        match self.pcx.mode {
+        match self.mode {
             SquirrelMode::HomeStore => {
                 if self.store.contains(object) {
                     Some(self.me)
@@ -689,7 +592,7 @@ impl SquirrelPeer {
                 exclude,
             } => {
                 if !self.chord.owns_strict(object_key(object)) {
-                    ctx.report(SqReport::Event(SqEvent::AnsweredByNonOwner));
+                    ctx.report(FlowerReport::Event(ProtocolEvent::AnsweredByNonOwner));
                 }
                 let provider = self.home_answer(ctx, from, object, &exclude);
                 ctx.trace(tags::SQ_HOME_ANSWER, || {
@@ -713,8 +616,7 @@ impl SquirrelPeer {
                 provider,
             } => self.on_answer(ctx, qid, object, provider),
             SqMsg::Fetch { qid, object } => {
-                let reply = if self.store.contains(object) {
-                    self.store.touch(object);
+                let reply = if self.store.serve(object) {
                     SqMsg::FetchOk { qid, object }
                 } else {
                     SqMsg::FetchMiss { qid, object }
@@ -723,11 +625,11 @@ impl SquirrelPeer {
             }
             SqMsg::FetchOk { qid, .. } => self.on_fetch_ok(ctx, from, qid),
             SqMsg::FetchMiss { qid, .. } => {
-                ctx.report(SqReport::Event(SqEvent::FetchMiss));
+                ctx.report(FlowerReport::Event(ProtocolEvent::FetchMiss));
                 self.on_fetch_failed(ctx, qid, from)
             }
             SqMsg::StoreCopy { object } => {
-                if self.pcx.mode == SquirrelMode::HomeStore {
+                if self.mode == SquirrelMode::HomeStore {
                     self.store.insert(object);
                 }
             }
@@ -746,13 +648,13 @@ impl SquirrelPeer {
                 let Some(p) = &self.pending else {
                     return;
                 };
-                if p.qid != qid || p.fetch_attempts != attempt {
+                if !p.tl.awaits_fetch(qid, attempt) {
                     return;
                 }
                 let SqPhase::Fetching { provider, .. } = p.phase else {
                     return;
                 };
-                ctx.report(SqReport::Event(SqEvent::FetchTimeout));
+                ctx.report(FlowerReport::Event(ProtocolEvent::FetchTimeout));
                 self.on_fetch_failed(ctx, qid, provider);
             }
             SqTimer::OriginDone { qid } => self.on_origin_done(ctx, qid),
@@ -760,25 +662,30 @@ impl SquirrelPeer {
     }
 }
 
+impl QueryMachine for SquirrelPeer {
+    fn fetch_msg(qid: QueryId, object: ObjectId) -> SqMsg {
+        SqMsg::Fetch { qid, object }
+    }
+
+    fn fetch_deadline(qid: QueryId, attempt: u32) -> SqTimer {
+        SqTimer::FetchDeadline { qid, attempt }
+    }
+
+    fn origin_done(qid: QueryId) -> SqTimer {
+        SqTimer::OriginDone { qid }
+    }
+}
+
 impl Machine for SquirrelPeer {
     type Msg = SqMsg;
     type Timer = SqTimer;
-    type Report = SqReport;
+    type Report = FlowerReport;
     /// Squirrel has no local control surface.
     type Api = ();
     type ApiResp = ();
 
-    fn handle(&mut self, env: Env<'_>, input: Input<Self>) -> Vec<Output<Self>> {
-        self.handle_with(env, input, Vec::new())
-    }
-
-    fn handle_with(
-        &mut self,
-        env: Env<'_>,
-        input: Input<Self>,
-        buf: Vec<Output<Self>>,
-    ) -> Vec<Output<Self>> {
-        let mut ctx = Fx::with_buf(env, buf);
+    fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>) {
+        let mut ctx = Fx::new(env, out);
         match input {
             Input::Start => self.on_start(&mut ctx),
             Input::Deliver { from, msg } => self.on_message(&mut ctx, from, msg),
@@ -786,7 +693,6 @@ impl Machine for SquirrelPeer {
             Input::Api { .. } => {}
             Input::Leave => {}
         }
-        ctx.into_outputs()
     }
 
     fn msg_class(msg: &SqMsg) -> &'static str {

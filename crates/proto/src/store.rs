@@ -76,13 +76,15 @@ impl ContentStore {
         self.policy
     }
 
-    /// Record a use of `o` (a fetch served to another peer); refreshes its
-    /// LRU position.
-    pub fn touch(&mut self, o: ObjectId) {
-        if self.objects.contains(&o) {
+    /// Serve a fetch of `o`: whether we hold it. A served object counts as
+    /// used, which refreshes its LRU position.
+    pub fn serve(&mut self, o: ObjectId) -> bool {
+        let held = self.objects.contains(&o);
+        if held {
             self.use_clock += 1;
             self.last_use.insert(o, self.use_clock);
         }
+        held
     }
 
     /// Insert under the configured policy, returning any evicted objects
@@ -300,7 +302,7 @@ mod lru_tests {
         assert!(s.insert_with_eviction(o(2)).is_empty());
         assert!(s.insert_with_eviction(o(3)).is_empty());
         // Refresh 1: the LRU victim becomes 2.
-        s.touch(o(1));
+        s.serve(o(1));
         let evicted = s.insert_with_eviction(o(4));
         assert_eq!(evicted, vec![o(2)]);
         assert!(s.contains(o(1)) && s.contains(o(3)) && s.contains(o(4)));
@@ -313,7 +315,7 @@ mod lru_tests {
         s.insert_with_eviction(o(1));
         s.insert_with_eviction(o(2));
         for _ in 0..5 {
-            s.touch(o(1)); // o(1) is popular with petal-mates
+            s.serve(o(1)); // o(1) is popular with petal-mates
         }
         let evicted = s.insert_with_eviction(o(3));
         assert_eq!(evicted, vec![o(2)], "the served object survives");

@@ -1,0 +1,156 @@
+//! One query's timeline, and how it becomes the paper's three metrics.
+//!
+//! §6 compares Flower-CDN and Squirrel on hit ratio, lookup latency and
+//! transfer distance "under identical workload". That holds only if both
+//! systems are timed by the same code, so the part of a query's life the
+//! metrics are read from exists once, here. Both peers embed a [`Timeline`]
+//! in their pending-query state and move it through four steps:
+//!
+//! 1. [`Timeline::issue`] — the query exists from now on;
+//! 2. [`Timeline::fetch_from`] — ask a provider for the object, under a
+//!    deadline (repeatable: each attempt restarts the transfer clock);
+//! 3. [`Timeline::origin_round_trip`] — give up on the overlay; the origin
+//!    is a latency, not a peer, and always has the object;
+//! 4. [`Timeline::complete`] — the object arrived: emit the
+//!    [`QueryRecord`].
+//!
+//! The metrics follow from the record: a query is a **hit** iff a peer
+//! provided the object; **transfer distance** is the one-way latency to
+//! the provider (half the fetch round trip, or the origin's latency);
+//! **lookup latency** is everything before the successful fetch was sent,
+//! plus that one way.
+//!
+//! How a provider is *found* — petal view, directory, D-ring, home node —
+//! is what the two systems differ in; it stays in `query.rs` and
+//! `squirrel.rs`.
+
+use cdn_metrics::{Provider, QueryRecord, ResolvedVia};
+use simnet::{NodeId, Time};
+use workload::{ObjectId, WebsiteId};
+
+use crate::io::{Fx, Machine};
+use crate::peer::{FlowerReport, PeerCtx};
+use crate::qid::QueryId;
+use crate::tags;
+
+/// The wire shapes the timeline sends and arms, in the vocabulary of the
+/// machine embedding it.
+pub(crate) trait QueryMachine: Machine<Report = FlowerReport> {
+    fn fetch_msg(qid: QueryId, object: ObjectId) -> Self::Msg;
+    fn fetch_deadline(qid: QueryId, attempt: u32) -> Self::Timer;
+    fn origin_done(qid: QueryId) -> Self::Timer;
+}
+
+/// The timed part of one outstanding query.
+pub(crate) struct Timeline {
+    pub qid: QueryId,
+    pub issued_at: Time,
+    /// When the current fetch (or origin round trip) started.
+    pub fetch_sent_at: Time,
+    /// Fetch attempts used.
+    pub fetch_attempts: u32,
+    /// Providers that failed us, and ourselves.
+    pub excluded: Vec<NodeId>,
+    pub dht_hops: u32,
+}
+
+impl Timeline {
+    /// Start the clock. `object` is `None` for a Flower-CDN petal join,
+    /// which travels the query path but asks for nothing.
+    pub fn issue<M: Machine>(
+        ctx: &mut Fx<M>,
+        qid: QueryId,
+        website: WebsiteId,
+        object: Option<ObjectId>,
+    ) -> Timeline {
+        if let Some(object) = object {
+            ctx.trace(tags::QUERY_ISSUED, || {
+                vec![
+                    ("qid", qid.raw().into()),
+                    ("ws", website.0.into()),
+                    ("object", object.as_u64().into()),
+                ]
+            });
+        }
+        Timeline {
+            qid,
+            issued_at: ctx.now(),
+            fetch_sent_at: ctx.now(),
+            fetch_attempts: 0,
+            excluded: vec![ctx.me()],
+            dht_hops: 0,
+        }
+    }
+
+    /// Ask `target` for `object`; a `FetchDeadline` carrying the attempt
+    /// number bounds the wait.
+    pub fn fetch_from<M: QueryMachine>(
+        &mut self,
+        ctx: &mut Fx<M>,
+        pcx: &PeerCtx,
+        target: NodeId,
+        object: ObjectId,
+    ) {
+        self.fetch_sent_at = ctx.now();
+        self.fetch_attempts += 1;
+        let qid = self.qid;
+        ctx.trace(tags::FETCH, || {
+            vec![("qid", qid.raw().into()), ("provider", target.into())]
+        });
+        ctx.send(target, M::fetch_msg(qid, object));
+        ctx.set_timer(
+            pcx.params.rpc_timeout_ms,
+            M::fetch_deadline(qid, self.fetch_attempts),
+        );
+    }
+
+    /// Whether a firing `FetchDeadline { qid, attempt }` is about the fetch
+    /// outstanding right now.
+    pub fn awaits_fetch(&self, qid: QueryId, attempt: u32) -> bool {
+        self.qid == qid && self.fetch_attempts == attempt
+    }
+
+    /// Fall back to the origin server: `OriginDone` fires after the round
+    /// trip.
+    pub fn origin_round_trip<M: QueryMachine>(&mut self, ctx: &mut Fx<M>, pcx: &PeerCtx) {
+        self.fetch_sent_at = ctx.now();
+        let qid = self.qid;
+        ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
+        ctx.set_timer(2 * origin_one_way_ms(pcx).max(1), M::origin_done(qid));
+    }
+
+    /// The object arrived from `provider`: emit the record.
+    pub fn complete<M: QueryMachine>(
+        self,
+        ctx: &mut Fx<M>,
+        pcx: &PeerCtx,
+        provider: Provider,
+        via: ResolvedVia,
+    ) {
+        let one_way_ms = match provider {
+            Provider::OriginServer => origin_one_way_ms(pcx),
+            Provider::ContentPeer | Provider::DirectoryPeer => (ctx.now() - self.fetch_sent_at) / 2,
+        };
+        let record = QueryRecord {
+            issued_at_ms: self.issued_at.as_millis(),
+            lookup_ms: (self.fetch_sent_at - self.issued_at) + one_way_ms,
+            transfer_ms: one_way_ms,
+            dht_hops: self.dht_hops,
+            provider,
+            via,
+        };
+        ctx.trace(tags::QUERY_COMPLETE, || {
+            vec![
+                ("qid", self.qid.raw().into()),
+                ("provider", provider.label().into()),
+            ]
+        });
+        ctx.report(FlowerReport::Query(record));
+    }
+}
+
+/// One-way latency to the website's origin right now; a chaos brownout adds
+/// to the topology's figure while it lasts.
+fn origin_one_way_ms(pcx: &PeerCtx) -> u64 {
+    pcx.origin_latency_ms + pcx.origin_dial.extra_ms(pcx.website)
+}
