@@ -22,6 +22,18 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rendered docs (no leftover table marker, results/*.csv still render)"
+if grep -n '_MEASURED -->' EXPERIMENTS.md README.md; then
+    echo "unrendered table marker: run python3 render_results.py and commit the result"
+    exit 1
+fi
+# On a scratch copy: every table is rendered whether or not its marker is
+# left, so a CSV whose schema moved fails here instead of in the docs.
+rendered_md=$(mktemp)
+cp EXPERIMENTS.md "$rendered_md"
+python3 render_results.py "$rendered_md"
+rm -f "$rendered_md"
+
 echo "==> loopback cluster smoke (5 live nodes, failure + re-founding)"
 bash scripts/loopback_smoke.sh
 

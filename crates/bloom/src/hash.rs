@@ -29,12 +29,24 @@ pub fn hash_u64(key: u64, seed: u64) -> u64 {
     mix64(key ^ mix64(seed))
 }
 
+/// The two base hashes `(h1, h2)` every probe of `key` is derived from.
+/// They depend on the key alone, so a caller probing many filters for one
+/// key computes them once (see [`crate::BloomFilter::contains_hashed`]).
+pub fn base_hashes(key: u64) -> (u64, u64) {
+    let h1 = hash_u64(key, 0x5bd1_e995);
+    let h2 = hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots
+    (h1, h2)
+}
+
 /// The classic Kirsch–Mitzenmacher double-hashing scheme: derive the i-th
 /// hash as `h1 + i*h2`, which preserves Bloom-filter false-positive bounds
 /// while needing only two base hashes.
 pub fn double_hash(key: u64, i: u64) -> u64 {
-    let h1 = hash_u64(key, 0x5bd1_e995);
-    let h2 = hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots
+    nth_hash(base_hashes(key), i)
+}
+
+/// The i-th hash from precomputed [`base_hashes`].
+pub(crate) fn nth_hash((h1, h2): (u64, u64), i: u64) -> u64 {
     h1.wrapping_add(i.wrapping_mul(h2))
 }
 

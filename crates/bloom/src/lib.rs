@@ -18,7 +18,7 @@
 
 pub mod hash;
 
-use hash::double_hash;
+use hash::{base_hashes, double_hash, nth_hash};
 
 /// An insert-only Bloom filter over `u64` keys.
 ///
@@ -69,8 +69,9 @@ impl BloomFilter {
 
     /// Insert a key.
     pub fn insert(&mut self, key: u64) {
+        let hashes = base_hashes(key);
         for i in 0..self.k {
-            let idx = (double_hash(key, u64::from(i)) % self.m as u64) as usize;
+            let idx = (nth_hash(hashes, u64::from(i)) % self.m as u64) as usize;
             self.bits[idx / 64] |= 1 << (idx % 64);
         }
         self.items += 1;
@@ -78,8 +79,14 @@ impl BloomFilter {
 
     /// Query a key. `false` is definite; `true` may be a false positive.
     pub fn contains(&self, key: u64) -> bool {
+        self.contains_hashed(base_hashes(key))
+    }
+
+    /// [`BloomFilter::contains`] for a key whose [`hash::base_hashes`] the
+    /// caller already has: hash once, probe many filters.
+    pub fn contains_hashed(&self, hashes: (u64, u64)) -> bool {
         (0..self.k).all(|i| {
-            let idx = (double_hash(key, u64::from(i)) % self.m as u64) as usize;
+            let idx = (nth_hash(hashes, u64::from(i)) % self.m as u64) as usize;
             self.bits[idx / 64] & (1 << (idx % 64)) != 0
         })
     }
@@ -321,6 +328,49 @@ mod tests {
         let b = c.to_bloom();
         for k in 0..50u64 {
             assert!(b.contains(k));
+        }
+    }
+
+    /// `hash::double_hash` and the probe loop as they were before
+    /// `base_hashes` (11a0052), verbatim: the oracle for hash-once probing.
+    fn double_hash_rehashing(key: u64, i: u64) -> u64 {
+        let h1 = hash::hash_u64(key, 0x5bd1_e995);
+        let h2 = hash::hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots
+        h1.wrapping_add(i.wrapping_mul(h2))
+    }
+
+    fn slots_rehashing(b: &BloomFilter, key: u64) -> impl Iterator<Item = usize> + '_ {
+        (0..b.k).map(move |i| (double_hash_rehashing(key, u64::from(i)) % b.m as u64) as usize)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_hash_once_probes_like_rehashing(
+            m in 1usize..5_000,
+            k in 1u32..12,
+            members in proptest::collection::vec(any::<u64>(), 0..200),
+            probes in proptest::collection::vec(any::<u64>(), 0..200),
+        ) {
+            let mut b = BloomFilter::with_params(m, k);
+            let mut old = BloomFilter::with_params(m, k);
+            for &key in &members {
+                b.insert(key);
+                let slots: Vec<usize> = slots_rehashing(&old, key).collect();
+                for idx in slots {
+                    old.bits[idx / 64] |= 1 << (idx % 64);
+                }
+                old.items += 1;
+                prop_assert_eq!(hash::double_hash(key, 3), double_hash_rehashing(key, 3));
+            }
+            prop_assert_eq!(&b, &old, "insert sets other bits than it used to");
+            // Small keys collide with set bits far more often than random ones.
+            for key in members.iter().chain(&probes).copied().chain(0..64) {
+                let was = slots_rehashing(&b, key).all(|idx| b.bits[idx / 64] & (1 << (idx % 64)) != 0);
+                prop_assert_eq!(b.contains_hashed(hash::base_hashes(key)), was);
+                prop_assert_eq!(b.contains(key), was);
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 //! provider selection, and the hand-over snapshot used on voluntary leaves
 //! and PetalUp promotions (§4, §5.2.2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bloom::BloomFilter;
 use rand::seq::SliceRandom;
@@ -11,11 +11,28 @@ use rand::Rng;
 use simnet::NodeId;
 use workload::ObjectId;
 
+use crate::store::{empty_summary, ObjectSet};
+
 /// What the directory knows about one content peer it manages.
 #[derive(Debug, Clone)]
 struct PeerEntry {
-    objects: BTreeSet<ObjectId>,
+    objects: ObjectSet,
     last_heard_ms: u64,
+}
+
+/// Uniform pick among `candidates` without collecting them: count, draw,
+/// take the n-th. The draw is `SliceRandom::choose`'s — `next_u64() % n`,
+/// and none at all when there is no candidate — because every seeded run
+/// depends on the state it leaves the RNG in.
+fn choose<'a>(
+    candidates: impl Iterator<Item = &'a NodeId> + Clone,
+    rng: &mut impl Rng,
+) -> Option<NodeId> {
+    let n = candidates.clone().count();
+    if n == 0 {
+        return None;
+    }
+    candidates.copied().nth(rng.next_u64() as usize % n)
 }
 
 /// Directory-index and view over the content peers of one petal partition.
@@ -64,7 +81,7 @@ impl DirectoryIndex {
         self.peers
             .entry(node)
             .or_insert(PeerEntry {
-                objects: BTreeSet::new(),
+                objects: ObjectSet::default(),
                 last_heard_ms: 0,
             })
             .last_heard_ms = now_ms;
@@ -79,7 +96,7 @@ impl DirectoryIndex {
         now_ms: u64,
     ) {
         let entry = self.peers.entry(node).or_insert(PeerEntry {
-            objects: BTreeSet::new(),
+            objects: ObjectSet::default(),
             last_heard_ms: now_ms,
         });
         entry.last_heard_ms = now_ms;
@@ -97,7 +114,7 @@ impl DirectoryIndex {
             return;
         };
         for o in objects {
-            if entry.objects.remove(&o) {
+            if entry.objects.remove(o) {
                 if let Some(hs) = self.holders.get_mut(&o) {
                     hs.retain(|&h| h != node);
                     if hs.is_empty() {
@@ -122,7 +139,7 @@ impl DirectoryIndex {
         let Some(entry) = self.peers.remove(&node) else {
             return false;
         };
-        for o in entry.objects {
+        for o in entry.objects.iter() {
             if let Some(hs) = self.holders.get_mut(&o) {
                 hs.retain(|&h| h != node);
                 if hs.is_empty() {
@@ -158,12 +175,7 @@ impl DirectoryIndex {
         rng: &mut impl Rng,
     ) -> Option<NodeId> {
         let hs = self.holders.get(&object)?;
-        let candidates: Vec<NodeId> = hs
-            .iter()
-            .filter(|n| !exclude.contains(n))
-            .copied()
-            .collect();
-        candidates.choose(rng).copied()
+        choose(hs.iter().filter(|n| !exclude.contains(n)), rng)
     }
 
     /// Like [`DirectoryIndex::provider_for`], but prefer holders heard from
@@ -179,20 +191,12 @@ impl DirectoryIndex {
         rng: &mut impl Rng,
     ) -> Option<NodeId> {
         let hs = self.holders.get(&object)?;
-        let live: Vec<NodeId> = hs
-            .iter()
-            .filter(|n| !exclude.contains(n))
-            .filter(|n| {
-                self.peers
-                    .get(n)
-                    .is_some_and(|e| now_ms.saturating_sub(e.last_heard_ms) <= fresh_ms)
-            })
-            .copied()
-            .collect();
-        if let Some(&p) = live.as_slice().choose(rng) {
-            return Some(p);
-        }
-        self.provider_for(object, exclude, rng)
+        let live = hs.iter().filter(|n| !exclude.contains(n)).filter(|n| {
+            self.peers
+                .get(n)
+                .is_some_and(|e| now_ms.saturating_sub(e.last_heard_ms) <= fresh_ms)
+        });
+        choose(live, rng).or_else(|| self.provider_for(object, exclude, rng))
     }
 
     /// Sample up to `n` content peers together with Bloom summaries of what
@@ -215,8 +219,10 @@ impl DirectoryIndex {
         ids.truncate(n);
         ids.into_iter()
             .map(|id| {
-                let mut b = BloomFilter::with_rate(256, 0.02);
-                for o in &self.peers[&id].objects {
+                // Base size whatever the entry holds, unlike a store's own
+                // summary: seeded runs depend on the Redirect's bytes.
+                let mut b = empty_summary(0);
+                for o in self.peers[&id].objects.iter() {
                     b.insert(o.as_u64());
                 }
                 (id, b)
@@ -230,7 +236,7 @@ impl DirectoryIndex {
             entries: self
                 .peers
                 .iter()
-                .map(|(&n, e)| (n, e.objects.iter().copied().collect(), e.last_heard_ms))
+                .map(|(&n, e)| (n, e.objects.iter().collect(), e.last_heard_ms))
                 .collect(),
         }
     }
@@ -249,7 +255,7 @@ impl DirectoryIndex {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use workload::WebsiteId;
 
     fn o(rank: u16) -> ObjectId {
@@ -336,10 +342,114 @@ mod tests {
         assert_eq!(sample.len(), 2);
         for (id, summary) in sample {
             let range = if id == n(1) { 0..20 } else { 20..40 };
+            // The bits these summaries had when the sizing was a literal here.
+            let mut literal = BloomFilter::with_rate(256, 0.02);
             for r in range {
                 assert!(summary.contains(o(r).as_u64()));
+                literal.insert(o(r).as_u64());
             }
+            assert_eq!(summary, literal);
         }
+    }
+
+    /// `provider_for` as of 11a0052, verbatim: collect, then `choose`.
+    fn provider_for_collected(
+        idx: &DirectoryIndex,
+        object: ObjectId,
+        exclude: &[NodeId],
+        rng: &mut impl Rng,
+    ) -> Option<NodeId> {
+        let hs = idx.holders.get(&object)?;
+        let candidates: Vec<NodeId> = hs
+            .iter()
+            .filter(|n| !exclude.contains(n))
+            .copied()
+            .collect();
+        candidates.choose(rng).copied()
+    }
+
+    /// `provider_recent` as of 11a0052, verbatim.
+    fn provider_recent_collected(
+        idx: &DirectoryIndex,
+        object: ObjectId,
+        exclude: &[NodeId],
+        now_ms: u64,
+        fresh_ms: u64,
+        rng: &mut impl Rng,
+    ) -> Option<NodeId> {
+        let hs = idx.holders.get(&object)?;
+        let live: Vec<NodeId> = hs
+            .iter()
+            .filter(|n| !exclude.contains(n))
+            .filter(|n| {
+                idx.peers
+                    .get(n)
+                    .is_some_and(|e| now_ms.saturating_sub(e.last_heard_ms) <= fresh_ms)
+            })
+            .copied()
+            .collect();
+        if let Some(&p) = live.as_slice().choose(rng) {
+            return Some(p);
+        }
+        provider_for_collected(idx, object, exclude, rng)
+    }
+
+    /// Same pick and the same RNG state afterwards as the collected-`Vec`
+    /// originals: every later draw of a seeded run depends on it.
+    #[test]
+    fn provider_choice_draws_like_the_collected_original() {
+        let mut setup = StdRng::seed_from_u64(6);
+        let mut idx = DirectoryIndex::new();
+        // 40 peers heard from at 0..40 s; object r is held by every peer
+        // whose number divides by r + 1, so holder lists run from all 40
+        // peers down to one, and objects 40.. have no holder at all.
+        for p in 0..40 {
+            let held = (0..40u16).filter(|&r| p % (usize::from(r) + 1) == 0).map(o);
+            idx.record_objects(n(p), held, p as u64 * 1_000);
+        }
+        let (mut rng, mut rng_old) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+        let (mut none, mut stale_fallthrough, mut fresh) = (0, 0, 0);
+        for case in 0..5_000 {
+            let object = o(setup.gen_range(0..44));
+            let exclude: Vec<NodeId> = (0..setup.gen_range(0..4))
+                .map(|_| n(setup.gen_range(0..40)))
+                .collect();
+            // From "everyone is fresh" to "nobody is" (now far in the future).
+            let now_ms: u64 = setup.gen_range(0..120_000);
+            let fresh_ms: u64 = setup.gen_range(0..30_000);
+            let (got, want) = if case % 2 == 0 {
+                (
+                    idx.provider_for(object, &exclude, &mut rng),
+                    provider_for_collected(&idx, object, &exclude, &mut rng_old),
+                )
+            } else {
+                let any_fresh = idx.holders.get(&object).is_some_and(|hs| {
+                    hs.iter().any(|h| {
+                        !exclude.contains(h)
+                            && now_ms.saturating_sub(idx.peers[h].last_heard_ms) <= fresh_ms
+                    })
+                });
+                let got = idx.provider_recent(object, &exclude, now_ms, fresh_ms, &mut rng);
+                match (any_fresh, got) {
+                    (true, _) => fresh += 1,
+                    (false, Some(_)) => stale_fallthrough += 1,
+                    (false, None) => {}
+                }
+                let want = provider_recent_collected(
+                    &idx,
+                    object,
+                    &exclude,
+                    now_ms,
+                    fresh_ms,
+                    &mut rng_old,
+                );
+                (got, want)
+            };
+            assert_eq!(got, want, "pick @ {case}");
+            none += usize::from(got.is_none());
+            assert_eq!(rng.next_u64(), rng_old.next_u64(), "RNG state @ {case}");
+        }
+        assert!(none > 100 && stale_fallthrough > 100 && fresh > 100);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! server. A fresh client instead routes its first query over D-ring and
 //! joins the petal with the answer.
 
+use bloom::hash::base_hashes;
 use cdn_metrics::{Provider, ResolvedVia};
 use chord::ChordId;
 use rand::Rng;
@@ -821,17 +822,90 @@ pub(crate) fn summary_match(
     exclude: &[NodeId],
     rng: &mut impl Rng,
 ) -> Option<NodeId> {
-    let key = object.as_u64();
-    let candidates: Vec<NodeId> = gossip
-        .view()
-        .entries()
-        .iter()
-        .filter(|e| !exclude.contains(&e.node) && e.payload.contains(key))
-        .map(|e| e.node)
-        .collect();
-    if candidates.is_empty() {
-        None
-    } else {
-        Some(candidates[rng.gen_range(0..candidates.len())])
+    // One key against a whole-petal view of summaries: hash once, probe
+    // every filter, and pick by count → draw → n-th instead of collecting.
+    let hashes = base_hashes(object.as_u64());
+    let claimants = || {
+        let view = gossip.view().entries().iter();
+        view.filter(|e| !exclude.contains(&e.node) && e.payload.contains_hashed(hashes))
+    };
+    let n = claimants().count();
+    if n == 0 {
+        return None;
+    }
+    // The draw every seeded run depends on: `gen_range`, and none when
+    // nobody claims the object.
+    let pick = rng.gen_range(0..n);
+    claimants().nth(pick).map(|e| e.node)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// `summary_match` as of 11a0052, verbatim: re-hash the key for every
+    /// filter, collect the claimants, index the `Vec`.
+    fn summary_match_collected(
+        gossip: &gossip::Cyclon<Summary>,
+        object: ObjectId,
+        exclude: &[NodeId],
+        rng: &mut impl Rng,
+    ) -> Option<NodeId> {
+        let key = object.as_u64();
+        let candidates: Vec<NodeId> = gossip
+            .view()
+            .entries()
+            .iter()
+            .filter(|e| !exclude.contains(&e.node) && e.payload.contains(key))
+            .map(|e| e.node)
+            .collect();
+        if candidates.is_empty() {
+            None
+        } else {
+            Some(candidates[rng.gen_range(0..candidates.len())])
+        }
+    }
+
+    /// Same pick and the same RNG state afterwards as the original.
+    #[test]
+    fn summary_match_draws_like_the_collected_original() {
+        let object = |rank| ObjectId {
+            website: WebsiteId(2),
+            rank,
+        };
+        let mut setup = StdRng::seed_from_u64(8);
+        // A whole-petal view: contact i's summary holds the ranks that
+        // divide by i + 1 (contact 0 everything, contact 29 next to nothing).
+        let mut gossip =
+            gossip::Cyclon::new(NodeId::from_index(0), gossip::ShuffleMode::Union, 5, 0);
+        gossip.seed((0..30usize).map(|i| {
+            let mut summary = crate::store::empty_summary(0);
+            for rank in (0..300u16).filter(|r| usize::from(*r) % (i + 1) == 0) {
+                summary.insert(object(rank).as_u64());
+            }
+            gossip::Entry::new(NodeId::from_index(i + 1), summary)
+        }));
+        let (mut rng, mut rng_old) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        let (mut none, mut some) = (0, 0);
+        for case in 0..5_000 {
+            // Ranks past 300 are in no summary (bar false positives).
+            let o = object(setup.gen_range(0..400));
+            // Now and then exclude the one contact that holds everything.
+            let exclude: Vec<NodeId> = (0..setup.gen_range(0..4))
+                .map(|_| NodeId::from_index(setup.gen_range(1..8)))
+                .collect();
+            let got = summary_match(&gossip, o, &exclude, &mut rng);
+            let want = summary_match_collected(&gossip, o, &exclude, &mut rng_old);
+            assert_eq!(got, want, "pick @ {case}");
+            assert_eq!(rng.next_u64(), rng_old.next_u64(), "RNG state @ {case}");
+            if got.is_some() {
+                some += 1;
+            } else {
+                none += 1;
+            }
+        }
+        assert!(none > 100 && some > 1_000, "none {none} some {some}");
     }
 }

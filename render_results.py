@@ -1,63 +1,97 @@
 #!/usr/bin/env python3
-"""Render results/*.csv into the markdown tables EXPERIMENTS.md embeds."""
+"""Render results/*.csv into the markdown tables EXPERIMENTS.md embeds.
+
+usage: python3 render_results.py [FILE]      (from the repository root)
+
+Replaces each `<!-- …_MEASURED -->` marker in FILE (default EXPERIMENTS.md)
+with its table. All four tables are rendered before anything is written,
+whether or not their marker is present, so a CSV that is missing or no
+longer has the columns read here ends the run with a traceback and FILE
+untouched; `ci.sh` runs this on a scratch copy for that reason.
+"""
 import csv, pathlib, sys
 
 R = pathlib.Path("results")
 
+
+def rows(name):
+    with open(R / name, newline="") as f:
+        data = list(csv.DictReader(f))
+    if not data:
+        sys.exit(f"{R / name}: no rows")
+    return data
+
+
+def cells(name):
+    """A sweep summary in long format (`cell,system,population,runs,metric,
+    mean,stddev,ci95`) as one dict per cell, in file order."""
+    out = {}
+    for r in rows(name):
+        cell = out.setdefault(r["cell"], {k: r[k] for k in ("cell", "system", "population")})
+        cell[r["metric"]] = float(r["mean"])
+    return list(out.values())
+
+
+def count(x):
+    """A mean of counts: whole when it is (one run), else one decimal."""
+    return f"{float(x):.1f}".removesuffix(".0")
+
+
 def table2():
-    rows = list(csv.DictReader(open(R / "table2_scalability.csv")))
     out = ["| P | approach | hit ratio | lookup | transfer |", "|---|---|---|---|---|"]
-    for r in rows:
+    for c in cells("table2_scalability.csv"):
         out.append(
-            f"| {r['population']} | {r['system']} | {float(r['hit_ratio']):.2f} "
-            f"| {float(r['mean_lookup_ms']):.0f} ms | {float(r['mean_transfer_ms']):.0f} ms |"
+            f"| {c['population']} | {c['system']} | {c['hit_ratio']:.2f} "
+            f"| {c['mean_lookup_ms']:.0f} ms | {c['mean_transfer_ms']:.0f} ms |"
         )
     return "\n".join(out)
+
 
 def petalup():
-    rows = list(csv.DictReader(open(R / "ablation_petalup.csv")))
     out = ["| capacity | live instances | max instance | max load | splits | hit ratio |",
            "|---|---|---|---|---|---|"]
-    for r in rows:
+    for r in rows("ablation_petalup.csv"):
         out.append(
-            f"| {r['capacity']} | {r['instances']} | {r['max_instance']} "
-            f"| {r['max_load']} | {r['splits']} | {float(r['hit_ratio']):.3f} |"
+            f"| {r['capacity']} | {count(r['instances_mean'])} | {count(r['max_instance_mean'])} "
+            f"| {count(r['max_load_mean'])} | {count(r['splits_mean'])} "
+            f"| {float(r['hit_ratio_mean']):.3f} |"
         )
     return "\n".join(out)
+
 
 def maintenance():
-    rows = list(csv.DictReader(open(R / "ablation_maintenance.csv")))
     out = ["| variant | hit ratio | mean lookup | repairs |", "|---|---|---|---|"]
-    for r in rows:
+    for c in cells("ablation_maintenance.csv"):
         out.append(
-            f"| {r['variant']} | {float(r['hit_ratio']):.3f} "
-            f"| {float(r['mean_lookup_ms']):.0f} ms | {r['repairs']} |"
+            f"| {c['cell']} | {c['hit_ratio']:.3f} "
+            f"| {c['mean_lookup_ms']:.0f} ms | {count(c['replacements'])} |"
         )
     return "\n".join(out)
+
 
 def cache():
-    rows = list(csv.DictReader(open(R / "ablation_cache.csv")))
     out = ["| policy | hit ratio | mean lookup | stale-redirect misses | queries |",
            "|---|---|---|---|---|"]
-    for r in rows:
+    for r in rows("ablation_cache.csv"):
         out.append(
-            f"| {r['policy']} | {float(r['hit_ratio']):.3f} "
-            f"| {float(r['mean_lookup_ms']):.0f} ms | {r['fetch_misses']} | {r['queries']} |"
+            f"| {r['policy']} | {float(r['hit_ratio_mean']):.3f} "
+            f"| {float(r['mean_lookup_ms_mean']):.0f} ms | {count(r['fetch_misses_mean'])} "
+            f"| {count(r['queries_mean'])} |"
         )
     return "\n".join(out)
 
+
 if __name__ == "__main__":
-    md = pathlib.Path("EXPERIMENTS.md").read_text()
-    for marker, render in [
-        ("<!-- TABLE2_MEASURED -->", table2),
-        ("<!-- A1_MEASURED -->", petalup),
-        ("<!-- A2_MEASURED -->", maintenance),
-        ("<!-- A3_MEASURED -->", cache),
-    ]:
+    path = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md")
+    md = path.read_text()
+    tables = [
+        ("<!-- TABLE2_MEASURED -->", table2()),
+        ("<!-- A1_MEASURED -->", petalup()),
+        ("<!-- A2_MEASURED -->", maintenance()),
+        ("<!-- A3_MEASURED -->", cache()),
+    ]
+    for marker, table in tables:
         if marker in md:
-            try:
-                md = md.replace(marker, render())
-                print(f"filled {marker}")
-            except FileNotFoundError as e:
-                print(f"skipped {marker}: {e}", file=sys.stderr)
-    pathlib.Path("EXPERIMENTS.md").write_text(md)
+            md = md.replace(marker, table)
+            print(f"filled {marker}")
+    path.write_text(md)

@@ -239,6 +239,7 @@ fn petalup_splits_bound_directory_load() {
 
 #[test]
 fn bounded_caches_degrade_gracefully_and_stay_consistent() {
+    use flower_cdn::peer::ProtocolEvent;
     use flower_cdn::StorePolicy;
     let horizon = 3_600_000u64;
     let mk = |policy| {
@@ -266,11 +267,8 @@ fn bounded_caches_degrade_gracefully_and_stay_consistent() {
     // summaries — Bloom filters cannot retract and refresh only at the
     // next shuffle — so the bound is loose but still diagnostic: without
     // retraction this rate triples.
-    let misses = tiny
-        .events
-        .get(&flower_cdn::peer::ProtocolEvent::FetchMiss)
-        .copied()
-        .unwrap_or(0);
+    let event = |e: ProtocolEvent| tiny.events.get(&e).copied().unwrap_or(0);
+    let misses = event(ProtocolEvent::FetchMiss);
     assert!(
         (misses as f64) < 0.15 * tiny.stats.queries as f64,
         "{misses} stale-redirect misses over {} queries",
@@ -281,5 +279,20 @@ fn bounded_caches_degrade_gracefully_and_stay_consistent() {
         tiny.stats.hit_ratio() > 0.02,
         "tiny-cache hit {:.3}",
         tiny.stats.hit_ratio()
+    );
+    // The only digit-for-digit pin of the `StorePolicy::Lru` path (the
+    // goldens and the benchmark run `Unlimited`): captured at 11a0052 in
+    // debug and release, before the store's representation changed.
+    // Re-record only with a change that means to move LRU behaviour.
+    assert_eq!(
+        (
+            tiny.stats.queries,
+            tiny.stats.hits,
+            tiny.messages_delivered,
+            misses,
+            event(ProtocolEvent::FetchTimeout)
+        ),
+        (3_650, 1_501, 430_095, 392, 624),
+        "LRU run moved: (queries, hits, messages_delivered, FetchMiss, FetchTimeout)"
     );
 }
