@@ -28,7 +28,7 @@ use crate::chaos_driver;
 use crate::config::SimParams;
 use crate::driver::SimDriver;
 use crate::experiments::System;
-use crate::host::{SimHost, TapLog};
+use crate::host::{OutputBuf, SimHost, TapLog};
 use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 
 /// Engine-level control events scheduled into the simulation.
@@ -275,7 +275,7 @@ pub struct Engine<S: SimSystem> {
 /// Everything of an [`Engine`] but the world. It is a struct of its own so
 /// the control handler can borrow it mutably while `World::run` holds the
 /// world.
-pub(crate) struct Controller<S> {
+pub(crate) struct Controller<S: SimSystem> {
     system: S,
     pub(crate) params: Rc<SimParams>,
     pub(crate) catalog: Rc<Catalog>,
@@ -287,6 +287,13 @@ pub(crate) struct Controller<S> {
     /// machines draw from their own per-node RNGs.
     pub(crate) rng: StdRng,
     gauges: Option<GaugeState>,
+    /// The world's one machine-output buffer, lent to every host spawned.
+    outputs: OutputBuf<S::Machine>,
+    /// The run's result so far: reports are folded into it as the world
+    /// hands them over (at every control event and at the end of every
+    /// `run_until`), so none is held longer than until the next control
+    /// event. [`SimDriver::finish`] fills in the rest.
+    result: RunResult,
 }
 
 impl<S: SimSystem> Controller<S> {
@@ -319,9 +326,9 @@ impl<S: SimSystem> Controller<S> {
         };
         let pcx = self.peer_ctx(world, website, at);
         let make = self.system.arriving(pcx, &mut self.rng)?;
-        let run_seed = self.params.seed;
+        let (run_seed, outputs) = (self.params.seed, Rc::clone(&self.outputs));
         Some(world.spawn(at, |me, locality| {
-            SimHost::new(run_seed, me, make(me, locality), tap)
+            SimHost::new(run_seed, me, make(me, locality), outputs, tap)
         }))
     }
 
@@ -337,8 +344,28 @@ impl<S: SimSystem> Controller<S> {
         self.bootstrap.borrow_mut().remove(id);
     }
 
+    /// Fold what the machines reported since the last call into the
+    /// result, in report order.
+    fn fold_reports(&mut self, world: &mut SimWorld<S>) {
+        let result = &mut self.result;
+        for (_, _, report) in world.drain_reports() {
+            match report {
+                FlowerReport::Query(q) => {
+                    result.stats.record(&q);
+                    result.records.push(q);
+                }
+                FlowerReport::BecameDirectory { replacement, .. } => {
+                    result.replacements += u64::from(replacement)
+                }
+                FlowerReport::PetalSplit { .. } => result.splits += 1,
+                FlowerReport::Event(e) => *result.events.entry(e).or_default() += 1,
+            }
+        }
+    }
+
     /// The control handler `World::run` calls back into.
     fn on_control(&mut self, world: &mut SimWorld<S>, control: Control) {
+        self.fold_reports(world);
         match control {
             Control::Spawn {
                 website,
@@ -398,6 +425,8 @@ impl<S: SimSystem> Engine<S> {
                 origin_dial: OriginDial::shared(),
                 rng,
                 gauges: None,
+                outputs: OutputBuf::default(),
+                result: RunResult::default(),
             },
             built_at,
             alloc_base,
@@ -434,9 +463,10 @@ impl<S: SimSystem> Engine<S> {
                 .sample_point_in(loc, &mut self.ctl.rng);
             let pcx = self.ctl.peer_ctx(&self.world, ws, at);
             let (run_seed, system) = (self.ctl.params.seed, &self.ctl.system);
+            let outputs = Rc::clone(&self.ctl.outputs);
             let spawned = self.world.spawn(at, |me, locality| {
                 let machine = system.initial_machine(pcx, me, locality, chord, actions);
-                SimHost::new(run_seed, me, machine, None)
+                SimHost::new(run_seed, me, machine, outputs, None)
             });
             debug_assert_eq!(spawned, me_ref.node);
             self.ctl.bootstrap.borrow_mut().add(me_ref);
@@ -554,6 +584,7 @@ impl<S: SimSystem> SimDriver for Engine<S> {
     fn run_until(&mut self, t: Time) {
         let Engine { world, ctl, .. } = self;
         world.run(t, |world, control| ctl.on_control(world, control));
+        ctl.fold_reports(world);
     }
 
     /// Faults execute in the control handler at their `at_ms`; auto-heal /
@@ -608,27 +639,16 @@ impl<S: SimSystem> SimDriver for Engine<S> {
             .profiler()
             .is_enabled()
             .then(|| self.collect_perf());
+        // Whatever a caller made the machines report outside `run_until`
+        // (`spawn_client`, `leave_peer`).
+        self.ctl.fold_reports(&mut self.world);
         let gauges = self.ctl.gauges.as_ref();
-        let mut result = RunResult {
+        RunResult {
             peak_population: self.world.live_count(),
             messages_delivered: self.world.stats().delivered,
             gauges: gauges.map_or_else(GaugeRegistry::new, |g| g.registry.borrow().clone()),
             perf,
-            ..RunResult::default()
-        };
-        for (_, _, report) in self.world.drain_reports() {
-            match report {
-                FlowerReport::Query(q) => result.records.push(q),
-                FlowerReport::BecameDirectory { replacement, .. } => {
-                    result.replacements += u64::from(replacement)
-                }
-                FlowerReport::PetalSplit { .. } => result.splits += 1,
-                FlowerReport::Event(e) => *result.events.entry(e).or_default() += 1,
-            }
+            ..self.ctl.result
         }
-        for r in &result.records {
-            result.stats.record(r);
-        }
-        result
     }
 }

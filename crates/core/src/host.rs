@@ -7,6 +7,9 @@
 //! therefore applies effects in exactly the order the protocol emitted
 //! them, and the machine itself never touches simulator types.
 //!
+//! The buffer the machine writes into is the world's, not the host's
+//! ([`OutputBuf`]).
+//!
 //! An optional **tap** records every `(input, outputs)` exchange — the
 //! deterministic-replay test replays the recorded inputs against a fresh
 //! machine and asserts the output streams are byte-identical.
@@ -29,28 +32,42 @@ pub struct TapEntry<M: Machine> {
 /// Shared recording buffer for one tapped host.
 pub type TapLog<M> = Rc<RefCell<Vec<TapEntry<M>>>>;
 
+/// The buffer machines write their outputs to: one per world, owned by the
+/// engine and lent to every host it spawns. A host fills and drains it
+/// within one `handle` exchange and the world runs one callback at a time,
+/// so it is always empty between exchanges and its capacity — the largest
+/// burst any machine ever emitted — exists once, not once per peer (a
+/// buffer per host held 9 MiB over 8 000 peers, each at its own largest
+/// burst for the peer's whole life).
+pub type OutputBuf<M> = Rc<RefCell<Vec<Output<M>>>>;
+
 /// A [`Machine`] plus the host-side state the simulator owns for it: its
-/// deterministic RNG (seeded via [`machine_rng`]) and an optional tap.
+/// deterministic RNG (seeded via [`machine_rng`]), the world's output
+/// buffer and an optional tap.
 pub struct SimHost<M: Machine> {
     machine: M,
     rng: StdRng,
     tap: Option<TapLog<M>>,
-    /// The buffer the machine writes its outputs to, drained after every
-    /// `handle` call, so steady-state dispatch reuses one allocation per
-    /// node.
-    scratch: Vec<Output<M>>,
+    out: OutputBuf<M>,
 }
 
 impl<M: Machine> SimHost<M> {
     /// Host `machine` under `run_seed`; the RNG is derived per-node so a
     /// machine's draws depend only on the run seed, its id and its own
-    /// input sequence. With a `tap`, every exchange is recorded into it.
-    pub fn new(run_seed: u64, me: NodeId, machine: M, tap: Option<TapLog<M>>) -> SimHost<M> {
+    /// input sequence. `out` is the world's output buffer. With a `tap`,
+    /// every exchange is recorded into it.
+    pub fn new(
+        run_seed: u64,
+        me: NodeId,
+        machine: M,
+        out: OutputBuf<M>,
+        tap: Option<TapLog<M>>,
+    ) -> SimHost<M> {
         SimHost {
             machine,
             rng: machine_rng(run_seed, me),
             tap,
-            scratch: Vec::new(),
+            out,
         }
     }
 
@@ -68,15 +85,17 @@ impl<M: Machine> SimHost<M> {
             rng: &mut self.rng,
             tracing: ctx.tracing(),
         };
-        self.machine.handle(env, input, &mut self.scratch);
+        // Nothing below calls back into a host, so the borrow is unique.
+        let mut outputs = self.out.borrow_mut();
+        self.machine.handle(env, input, &mut outputs);
         if let (Some(tap), Some(input)) = (&self.tap, recorded) {
             tap.borrow_mut().push(TapEntry {
                 now: ctx.now(),
                 input,
-                outputs: self.scratch.clone(),
+                outputs: outputs.clone(),
             });
         }
-        for out in self.scratch.drain(..) {
+        for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => ctx.send(to, msg),
                 Output::SetTimer { delay_ms, timer } => ctx.set_timer(delay_ms, timer),

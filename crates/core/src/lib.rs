@@ -70,7 +70,7 @@ pub use flower_proto::{
     machine_rng, machine_seed, ApiCall, ApiResp, Env, Fx, Input, Machine, OriginDial, Output,
     ProviderKind, RoleKind,
 };
-pub use host::{SimHost, TapEntry, TapLog};
+pub use host::{OutputBuf, SimHost, TapEntry, TapLog};
 pub use invariants::InvariantChecker;
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};

@@ -16,6 +16,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 use bloom::BloomFilter;
 use chord::{ChordId, ChordMsg, NodeRef, StepResult};
@@ -622,7 +623,7 @@ impl<'a> Dec<'a> {
             age: self.u32()?,
         })
     }
-    fn bloom(&mut self) -> R<BloomFilter> {
+    fn bloom(&mut self) -> R<Summary> {
         let m = self.u32()? as usize;
         let k = self.u32()?;
         let items = self.u32()? as usize;
@@ -634,7 +635,9 @@ impl<'a> Dec<'a> {
         for _ in 0..words {
             bits.push(self.u64()?);
         }
-        BloomFilter::from_parts(m, k, items, bits).ok_or(WireError::Malformed("bloom parameters"))
+        BloomFilter::from_parts(m, k, items, bits)
+            .map(Arc::new)
+            .ok_or(WireError::Malformed("bloom parameters"))
     }
     fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> R<T>) -> R<Option<T>> {
         match self.u8()? {

@@ -9,9 +9,11 @@
 //! while the estimate deliberately charges the ~4 KiB the object body
 //! itself would occupy on a real wire.
 
+use std::sync::Arc;
+
 use bloom::BloomFilter;
 use chord::{ChordId, ChordMsg, NodeRef, StepResult};
-use flower_net::wire::peer_frame_len;
+use flower_net::wire::{encode_frame, peer_frame_len, Frame};
 use flower_proto::{
     DirInfo, DirPosition, DirectorySnapshot, FlowerMsg, QueryId, RoutePayload, Summary,
 };
@@ -53,7 +55,7 @@ fn summary() -> Summary {
     for i in 0..40 {
         s.insert(i * 131);
     }
-    s
+    Arc::new(s)
 }
 
 fn view(n: usize) -> Vec<(NodeId, Summary)> {
@@ -249,4 +251,38 @@ fn estimates_scale_with_payload() {
         (0.5..2.5).contains(&ratio),
         "object-list growth mispriced: estimate grew {est_growth}, encoding grew {real_growth}"
     );
+}
+
+/// The one empty summary all empty stores share is, on the wire and in the
+/// estimate, the empty filter every peer used to build for itself: sharing
+/// it cannot move a frame byte or a per-class byte total.
+#[test]
+fn shared_empty_summary_encodes_like_a_fresh_one() {
+    let shared = || flower_proto::ContentStore::new().summary();
+    assert!(Arc::ptr_eq(&shared(), &shared()));
+    // The summary sizing, said as a literal (`store.rs`: 256 items at 2 %).
+    let fresh = || Arc::new(BloomFilter::with_rate(256, 0.02));
+    let redirect = |s: &dyn Fn() -> Summary| FlowerMsg::Redirect {
+        qid: qid(),
+        object: None,
+        provider: None,
+        dir: dir(),
+        petal_view: (0..3).map(|i| (node(20 + i), s())).collect(),
+        dht_hops: 0,
+    };
+    let gossip = |s: &dyn Fn() -> Summary| FlowerMsg::Gossip {
+        inner: GossipMsg::ShuffleReply {
+            entries: (0..4).map(|i| Entry::new(node(30 + i), s())).collect(),
+        },
+        dir_info: None,
+    };
+    for (with_shared, with_fresh) in [
+        (redirect(&shared), redirect(&fresh)),
+        (gossip(&shared), gossip(&fresh)),
+    ] {
+        assert_eq!(with_shared, with_fresh);
+        assert_eq!(with_shared.wire_bytes(), with_fresh.wire_bytes());
+        let frame = |msg| encode_frame(&Frame::Peer(msg));
+        assert_eq!(frame(with_shared), frame(with_fresh));
+    }
 }

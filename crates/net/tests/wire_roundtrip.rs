@@ -2,6 +2,8 @@
 //! frame type, and corrupt or truncated input always yields a typed
 //! [`WireError`] — never a panic, never a bogus frame accepted as valid.
 
+use std::sync::Arc;
+
 use bloom::BloomFilter;
 use chord::{ChordId, ChordMsg, NodeRef, StepResult};
 use flower_net::wire::{
@@ -62,7 +64,7 @@ fn dir_info() -> impl Strategy<Value = DirInfo> {
     })
 }
 
-fn bloom() -> impl Strategy<Value = BloomFilter> {
+fn bloom() -> impl Strategy<Value = Summary> {
     (
         64usize..512,
         1u32..8,
@@ -73,7 +75,7 @@ fn bloom() -> impl Strategy<Value = BloomFilter> {
             for key in keys {
                 b.insert(key);
             }
-            b
+            Arc::new(b)
         })
 }
 

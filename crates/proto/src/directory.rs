@@ -5,13 +5,13 @@
 
 use std::collections::BTreeMap;
 
-use bloom::BloomFilter;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use simnet::NodeId;
 use workload::ObjectId;
 
-use crate::store::{empty_summary, ObjectSet};
+use crate::msg::Summary;
+use crate::store::{summarize, ObjectSet};
 
 /// What the directory knows about one content peer it manages.
 #[derive(Debug, Clone)]
@@ -208,7 +208,7 @@ impl DirectoryIndex {
         n: usize,
         exclude: NodeId,
         rng: &mut impl Rng,
-    ) -> Vec<(NodeId, BloomFilter)> {
+    ) -> Vec<(NodeId, Summary)> {
         let mut ids: Vec<NodeId> = self
             .peers
             .keys()
@@ -221,11 +221,7 @@ impl DirectoryIndex {
             .map(|id| {
                 // Base size whatever the entry holds, unlike a store's own
                 // summary: seeded runs depend on the Redirect's bytes.
-                let mut b = empty_summary(0);
-                for o in self.peers[&id].objects.iter() {
-                    b.insert(o.as_u64());
-                }
-                (id, b)
+                (id, summarize(&self.peers[&id].objects, 0))
             })
             .collect()
     }
@@ -343,12 +339,34 @@ mod tests {
         for (id, summary) in sample {
             let range = if id == n(1) { 0..20 } else { 20..40 };
             // The bits these summaries had when the sizing was a literal here.
-            let mut literal = BloomFilter::with_rate(256, 0.02);
+            let mut literal = bloom::BloomFilter::with_rate(256, 0.02);
             for r in range {
                 assert!(summary.contains(o(r).as_u64()));
                 literal.insert(o(r).as_u64());
             }
-            assert_eq!(summary, literal);
+            assert_eq!(*summary, literal);
+        }
+    }
+
+    #[test]
+    fn contacts_without_objects_carry_the_shared_empty_summary() {
+        let mut idx = DirectoryIndex::new();
+        idx.record_objects(n(1), std::iter::empty(), 0);
+        idx.record_objects(n(2), std::iter::empty(), 0);
+        idx.record_objects(n(3), [o(7)], 0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let sample = idx.sample_contacts(5, n(99), &mut rng);
+        assert_eq!(sample.len(), 3);
+        let fresh = crate::store::empty_summary(0);
+        let shared = crate::store::ContentStore::new().summary();
+        for (id, summary) in &sample {
+            if *id == n(3) {
+                assert!(summary.contains(o(7).as_u64()));
+                assert!(!std::sync::Arc::ptr_eq(summary, &shared));
+            } else {
+                assert_eq!(**summary, fresh, "bits, m, k and item count");
+                assert!(std::sync::Arc::ptr_eq(summary, &shared));
+            }
         }
     }
 

@@ -1,5 +1,7 @@
 //! Wire messages and timers of the Flower-CDN / PetalUp-CDN protocol.
 
+use std::sync::Arc;
+
 use bloom::BloomFilter;
 use chord::{ChordMsg, ChordTimer, NodeRef};
 use gossip::GossipMsg;
@@ -11,8 +13,12 @@ use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::qid::QueryId;
 
-/// A peer's content summary as carried in gossip views.
-pub type Summary = BloomFilter;
+/// A peer's content summary as carried in gossip views. A summary is
+/// built once and never changed, and one peer's summary ends up in many
+/// views, shuffles and Redirects, so it is shared: copying an entry copies
+/// a pointer, not the filter's bit array. `Arc`, not `Rc`: the `net`
+/// host's reader threads decode frames and pass them over channels.
+pub type Summary = Arc<BloomFilter>;
 
 /// Payloads routed over D-ring (inside [`FlowerMsg::DRingRoute`] /
 /// [`FlowerMsg::Routed`]).

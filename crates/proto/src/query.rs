@@ -885,7 +885,7 @@ mod tests {
             for rank in (0..300u16).filter(|r| usize::from(*r) % (i + 1) == 0) {
                 summary.insert(object(rank).as_u64());
             }
-            gossip::Entry::new(NodeId::from_index(i + 1), summary)
+            gossip::Entry::new(NodeId::from_index(i + 1), std::sync::Arc::new(summary))
         }));
         let (mut rng, mut rng_old) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
         let (mut none, mut some) = (0, 0);

@@ -8,9 +8,12 @@
 //! layered on.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bloom::BloomFilter;
 use workload::{ObjectId, WebsiteId};
+
+use crate::msg::Summary;
 
 /// Cache replacement policy. The paper's evaluation assumes unlimited
 /// storage ("a content peer has enough storage potential to avoid
@@ -38,6 +41,30 @@ const SUMMARY_FP_RATE: f64 = 0.02;
 /// the same `m` and `k`; above it `m` grows with every object.
 pub(crate) fn empty_summary(objects: usize) -> BloomFilter {
     BloomFilter::with_rate(SUMMARY_EXPECTED_ITEMS.max(objects), SUMMARY_FP_RATE)
+}
+
+thread_local! {
+    /// `empty_summary(0)`, once: most peers of a churning run never store
+    /// an object, and their summaries sit in every view and Redirect that
+    /// names them. Per thread rather than process-wide, so `sweep --jobs N`
+    /// workers, each simulating on its own thread, do not pass one
+    /// reference count from core to core.
+    static EMPTY_SUMMARY: Summary = Arc::new(empty_summary(0));
+}
+
+/// The summary of `objects` in a filter sized for `sized_for` entries.
+/// Every empty set gets a clone of the thread's one empty summary, which
+/// equals a freshly built one in `m`, `k`, item count and bits, so no
+/// byte on any wire depends on the sharing.
+pub(crate) fn summarize(objects: &ObjectSet, sized_for: usize) -> Summary {
+    if objects.is_empty() {
+        return EMPTY_SUMMARY.with(Arc::clone);
+    }
+    let mut b = empty_summary(sized_for);
+    for o in objects.iter() {
+        b.insert(o.as_u64());
+    }
+    Arc::new(b)
 }
 
 /// A set of objects, one rank bitset per website with the websites
@@ -288,12 +315,8 @@ impl ContentStore {
     }
 
     /// Bloom summary of the full store (gossip payload).
-    pub fn summary(&self) -> BloomFilter {
-        let mut b = empty_summary(self.objects.len());
-        for o in self.objects.iter() {
-            b.insert(o.as_u64());
-        }
-        b
+    pub fn summary(&self) -> Summary {
+        summarize(&self.objects, self.objects.len())
     }
 }
 
@@ -372,6 +395,30 @@ mod tests {
         }
         // Summary fp rate stays reasonable even above the sizing target.
         assert!(b.estimated_fpp() < 0.1, "fpp {}", b.estimated_fpp());
+    }
+
+    #[test]
+    fn empty_stores_share_one_empty_summary() {
+        let shared = ContentStore::new().summary();
+        // `==` is derived: bits, `m`, `k` and item count, field for field.
+        assert_eq!(*shared, empty_summary(0));
+        let other = ContentStore::with_policy(StorePolicy::Lru { capacity: 3 }).summary();
+        assert!(Arc::ptr_eq(&shared, &other), "one allocation per thread");
+
+        // A store that holds something has a summary of its own, and goes
+        // back to the shared one when it is empty again.
+        let mut s = ContentStore::new();
+        s.insert(o(1));
+        assert!(!Arc::ptr_eq(&shared, &s.summary()));
+        s.remove(o(1));
+        assert!(Arc::ptr_eq(&shared, &s.summary()));
+
+        // Another thread (a `sweep --jobs N` worker) has its own, equal one.
+        let theirs = std::thread::spawn(|| ContentStore::new().summary())
+            .join()
+            .expect("worker ran");
+        assert!(!Arc::ptr_eq(&shared, &theirs));
+        assert_eq!(shared, theirs);
     }
 
     #[test]
@@ -657,7 +704,7 @@ mod differential {
             );
             assert_eq!(new.unpushed, old.unpushed, "pending delta @ {step}");
             assert_eq!(
-                new.summary(),
+                *new.summary(),
                 old.summary(),
                 "summary (bits, m, k, inserted) @ {step}"
             );
@@ -712,7 +759,7 @@ mod differential {
         let check = |store: &ContentStore, old: &OldStore, what: &str| {
             let (got, want) = (store.summary(), old.summary());
             assert_eq!(got.inserted(), want.inserted(), "inserted() {what}");
-            assert_eq!(got, want, "summary {what}");
+            assert_eq!(*got, want, "summary {what}");
             got.bit_len()
         };
         // Up across the boundary …

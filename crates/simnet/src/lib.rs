@@ -323,6 +323,88 @@ mod tests {
         assert_eq!(world.stats().removed, 2);
     }
 
+    /// `fail`, `leave` and `Ctx::stop` free the node's state at once — a
+    /// dead peer keeps its id, not its memory.
+    #[test]
+    fn removed_nodes_release_their_state_immediately() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+
+        /// Counts its own drops, says `farewell` when it leaves and stops
+        /// itself when told 0.
+        struct Mortal {
+            drops: Rc<Cell<u32>>,
+            farewell: Option<(NodeId, u8)>,
+        }
+        impl Drop for Mortal {
+            fn drop(&mut self) {
+                self.drops.set(self.drops.get() + 1);
+            }
+        }
+        impl Node for Mortal {
+            type Msg = u8;
+            type Timer = ();
+            type Report = ();
+            fn on_start(&mut self, _ctx: &mut Ctx<Self>) {}
+            fn on_message(&mut self, ctx: &mut Ctx<Self>, _f: NodeId, m: u8) {
+                if m == 0 {
+                    ctx.stop();
+                }
+            }
+            fn on_timer(&mut self, _ctx: &mut Ctx<Self>, _t: ()) {}
+            fn on_leave(&mut self, ctx: &mut Ctx<Self>) {
+                if let Some((to, m)) = self.farewell {
+                    ctx.send(to, m);
+                }
+            }
+        }
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let topo = Topology::new(TopologyConfig::default(), &mut rng);
+        let mut world: World<Mortal, ()> = World::new(topo, 10);
+        let drops = Rc::new(Cell::new(0));
+        let spawn = |world: &mut World<Mortal, ()>, farewell| {
+            let drops = Rc::clone(&drops);
+            world.spawn(Point::new(5.0, 5.0), |_, _| Mortal { drops, farewell })
+        };
+        let stopper = spawn(&mut world, None);
+        let victim = spawn(&mut world, None);
+        let survivor = spawn(&mut world, None);
+        let herald = spawn(&mut world, Some((victim, 9)));
+        let leaver = spawn(&mut world, Some((stopper, 0)));
+        let gone = |world: &World<Mortal, ()>, id| !world.is_live(id) && world.node(id).is_none();
+
+        world.leave(herald);
+        assert_eq!(drops.get(), 1, "`leave` drops the state after `on_leave`");
+        assert!(gone(&world, herald));
+
+        // The herald's farewell is in flight to the victim.
+        world.fail(victim);
+        assert_eq!(drops.get(), 2, "`fail` drops the state at once");
+        assert!(gone(&world, victim));
+
+        world.leave(leaver);
+        world.run(Time::from_secs(1), |_, ()| {});
+        assert_eq!(
+            drops.get(),
+            4,
+            "`Ctx::stop` drops the state after the callback"
+        );
+        assert!(gone(&world, stopper));
+        assert_eq!(world.stats().delivered, 1, "the leaver's farewell");
+        assert_eq!(world.stats().dropped, 1, "the herald's, to a freed node");
+
+        // Ids are not reused, and the living come out in id order.
+        let late = spawn(&mut world, None);
+        assert!(late.index() > leaver.index());
+        let live: Vec<NodeId> = world.live_nodes().map(|(id, _)| id).collect();
+        assert_eq!(live, vec![survivor, late]);
+        assert_eq!(world.live_count(), 2);
+        assert_eq!(drops.get(), 4, "the living keep their state");
+        drop(world);
+        assert_eq!(drops.get(), 6);
+    }
+
     #[test]
     fn failing_a_node_reclaims_its_pending_timers() {
         struct Armer;

@@ -16,6 +16,13 @@
 //! Nodes are *sans-io*: they only interact with the world through the
 //! [`Ctx`] handed to their callbacks, which records sends, timers and report
 //! emissions to be applied after the callback returns.
+//!
+//! Memory follows the *live* population. Every id ever spawned keeps one
+//! slot in the node table, but the node itself is boxed and dropped the
+//! moment it fails, leaves or stops, so a dead peer costs a pointer (plus
+//! its topology coordinates); and reports are handed out by
+//! [`World::drain_reports`] from a buffer the world keeps, so an engine can
+//! fold them as often as it likes.
 
 use std::fmt;
 
@@ -31,7 +38,10 @@ use crate::Time;
 
 /// Dense identifier of a node in a [`World`]. Ids are never reused: a peer
 /// that fails and later "re-joins" (churn) is a brand-new node with a fresh
-/// id, matching the paper's model where a re-joining peer starts cold.
+/// id, matching the paper's model where a re-joining peer starts cold. An
+/// id outlives its node: it still indexes the node table (an empty slot),
+/// the topology and the wheel's owner lists after the node's state is
+/// freed.
 ///
 /// Ids are 32-bit — they index struct-of-arrays state (topology coordinates,
 /// localities, the wheel's cancel lists) and ride inside every queued event,
@@ -257,7 +267,9 @@ pub struct World<N: Node, C> {
     now: Time,
     seq: u64,
     wheel: Wheel<EventKind<N::Msg, N::Timer, C>>,
-    nodes: Vec<Option<N>>,
+    /// One slot per id ever spawned; a dead peer's slot is `None`, so it
+    /// costs a pointer, not the node's inline size.
+    nodes: Vec<Option<Box<N>>>,
     live: usize,
     topology: Topology,
     rng: StdRng,
@@ -387,13 +399,15 @@ impl<N: Node, C> World<N, C> {
 
     /// Immutable view of a live node's state (for assertions and metrics).
     pub fn node(&self, id: NodeId) -> Option<&N> {
-        self.nodes.get(id.index()).and_then(|n| n.as_ref())
+        self.nodes.get(id.index()).and_then(|n| n.as_deref())
     }
 
     /// Mutable access to a live node's state. Engines use this for direct
     /// state inspection/mutation outside the message path (e.g. seeding).
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(id.index()).and_then(|n| n.as_mut())
+        self.nodes
+            .get_mut(id.index())
+            .and_then(|n| n.as_deref_mut())
     }
 
     /// Iterate over `(id, node)` for every live node.
@@ -401,7 +415,7 @@ impl<N: Node, C> World<N, C> {
         self.nodes
             .iter()
             .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|n| (NodeId::from_index(i), n)))
+            .filter_map(|(i, n)| n.as_deref().map(|n| (NodeId::from_index(i), n)))
     }
 
     /// The id the *next* spawned node will get. Engines may use this to
@@ -415,7 +429,7 @@ impl<N: Node, C> World<N, C> {
     pub fn spawn(&mut self, at: Point, make: impl FnOnce(NodeId, LocalityId) -> N) -> NodeId {
         let id = NodeId::from_index(self.nodes.len());
         let loc = self.topology.register(id, at);
-        self.nodes.push(Some(make(id, loc)));
+        self.nodes.push(Some(Box::new(make(id, loc))));
         self.live += 1;
         self.stats.spawned += 1;
         if !self.sinks.is_empty() {
@@ -428,11 +442,11 @@ impl<N: Node, C> World<N, C> {
         id
     }
 
-    /// Silently fail a node: it vanishes without notice, its pending timers
-    /// are cancelled (their wheel slots reclaimed immediately), and
-    /// in-flight messages to it are dropped at delivery time. This is the
-    /// paper's churn model ("a peer always fails and never leaves
-    /// normally").
+    /// Silently fail a node: it vanishes without notice, its state is
+    /// dropped here and now, its pending timers are cancelled (their wheel
+    /// slots reclaimed immediately), and in-flight messages to it are
+    /// dropped at delivery time. This is the paper's churn model ("a peer
+    /// always fails and never leaves normally").
     pub fn fail(&mut self, id: NodeId) {
         if let Some(slot) = self.nodes.get_mut(id.index()) {
             if slot.take().is_some() {
@@ -467,9 +481,11 @@ impl<N: Node, C> World<N, C> {
             .schedule(at.as_millis(), seq, None, EventKind::Control(c));
     }
 
-    /// Drain all reports emitted since the last call.
-    pub fn drain_reports(&mut self) -> Vec<(Time, NodeId, N::Report)> {
-        std::mem::take(&mut self.reports)
+    /// Drain all reports emitted since the last call, in emission order.
+    /// The buffer stays with the world, so a caller that drains often (the
+    /// engine folds at every control event) allocates nothing for it.
+    pub fn drain_reports(&mut self) -> std::vec::Drain<'_, (Time, NodeId, N::Report)> {
+        self.reports.drain(..)
     }
 
     /// Run the event loop until the queue is empty or virtual time exceeds
@@ -547,7 +563,7 @@ impl<N: Node, C> World<N, C> {
         let Some(slot) = self.nodes.get_mut(id.index()) else {
             return;
         };
-        let Some(node) = slot.as_mut() else {
+        let Some(node) = slot.as_deref_mut() else {
             return;
         };
         let tracing = !self.sinks.is_empty();

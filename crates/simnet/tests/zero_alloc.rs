@@ -174,3 +174,56 @@ fn ten_thousand_node_steady_state_allocates_nothing() {
         "P={P} steady state must not allocate: {events} events, {delta} allocations"
     );
 }
+
+/// A node that reports once a tick, forever.
+struct Teller;
+
+impl Node for Teller {
+    type Msg = ();
+    type Timer = ();
+    type Report = u64;
+
+    fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+        ctx.set_timer(10, ());
+    }
+
+    fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: NodeId, _msg: ()) {}
+
+    fn on_timer(&mut self, ctx: &mut Ctx<Self>, _timer: ()) {
+        ctx.report(ctx.now().as_millis());
+        ctx.set_timer(10, ());
+    }
+}
+
+/// `drain_reports` hands the reports out and keeps the buffer: a caller
+/// that drains as often as the engine folds (at every control event) pays
+/// no allocation for it.
+#[test]
+fn draining_reports_keeps_the_buffer() {
+    let _serial = SERIAL.lock().unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let topo = Topology::new(TopologyConfig::default(), &mut rng);
+    let mut world: World<Teller, ()> = World::new(topo, 13);
+    let teller = world.spawn(Point::new(10.0, 10.0), |_, _| Teller);
+
+    // Warm up as the other tests do (the wheel settles over the first
+    // sim-minute), draining as in the measured window.
+    for slice in 1..=60u64 {
+        world.run(Time::from_millis(slice * 1_000), |_, ()| {});
+        assert_eq!(world.drain_reports().count(), 100);
+    }
+
+    let before = profile::alloc_count();
+    let mut last = 60_000;
+    for slice in 61..=120u64 {
+        world.run(Time::from_millis(slice * 1_000), |_, ()| {});
+        for (at, id, said) in world.drain_reports() {
+            assert_eq!((id, at.as_millis()), (teller, said));
+            assert_eq!(said, last + 10, "reports come out in emission order");
+            last = said;
+        }
+    }
+    let delta = profile::alloc_count() - before;
+    assert_eq!(last, 120_000, "every slice was drained");
+    assert_eq!(delta, 0, "draining must not give the buffer away");
+}

@@ -3,7 +3,9 @@
 //! gauge series of one seeded run per system. The constants were captured
 //! at the last commit that still had two hand-mirrored engines
 //! (`FlowerSim` in `engine.rs`, `SquirrelSim` in `squirrel.rs`); the
-//! single `Engine<S>` must reproduce them digit for digit.
+//! single `Engine<S>` must reproduce them digit for digit. The `records`
+//! line (count and FNV-1a over every `QueryRecord` in order) was captured
+//! at the last commit that folded reports only in `finish`.
 
 use std::fmt::Write as _;
 
@@ -47,6 +49,14 @@ fn fingerprint<D: SimDriver>(mut sim: D, events_processed: impl Fn(&D) -> u64) -
     writeln!(out, "summary {}", result.summary().csv_fields().join(",")).unwrap();
     writeln!(out, "events_processed {events}").unwrap();
     writeln!(out, "events {:?}", result.events).unwrap();
+    // Every record, in `RunResult::records` order: whenever the engine
+    // folds reports, the sequence it hands back must stay this one.
+    let mut lines = String::new();
+    for r in &result.records {
+        writeln!(lines, "{r:?}").unwrap();
+    }
+    let fnv = bloom::hash::fnv1a(lines.as_bytes());
+    writeln!(out, "records n={} fnv={fnv:016x}", result.records.len()).unwrap();
     for name in result.gauges.names() {
         let points = result.gauges.series(name).expect("named series");
         let (t, v) = *points.last().expect("non-empty series");
@@ -59,6 +69,7 @@ const FLOWER_GOLDEN: &str = "\
 summary 7505,4057,0.540573,452.515,138.089,1.312,625413,83.333,235,0,128
 events_processed 1050667
 events {FetchTimeout: 216, DirQueryTimeout: 136, RouteFailure: 22, AckTimeout: 204, ClaimStarted: 372, DirNoProvider: 1108, NoDirInfo: 209, Demoted: 12}
+records n=7505 fnv=97f56b1259c3f8e8
 gauge dring_size n=8 last=(2400000,53)
 gauge events_per_sim_sec n=8 last=(2400000,491.15)
 gauge instance_depth_max n=8 last=(2400000,0)
@@ -97,6 +108,7 @@ const SQUIRREL_GOLDEN: &str = "\
 summary 6464,4186,0.647587,2283.446,225.811,2.640,967518,149.678,0,0,126
 events_processed 1691885
 events {FetchMiss: 25, FetchTimeout: 859, DirQueryTimeout: 457, RouteFailure: 47, DirNoProvider: 2156, AnsweredByNonOwner: 199}
+records n=6464 fnv=0654b31271eac506
 gauge events_per_sim_sec n=8 last=(2400000,713.3466666666667)
 gauge homed_objects n=8 last=(2400000,343)
 gauge population n=8 last=(2400000,126)
