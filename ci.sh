@@ -49,17 +49,14 @@ for f in runs.csv summary.csv summary.json; do
         || { echo "sweep output $f depends on --jobs"; exit 1; }
 done
 
-echo "==> perf smoke (BENCH_ci.json vs committed baselines)"
-cargo run --release -p flower-bench --bin perf -- --smoke --label ci --out results
-# Loose threshold: wall-clock numbers vary across machines, so the gate
-# only catches structural blowups (>2.5x slowdown), not noise.
-cargo run --release -p flower-bench --bin perf -- \
-    --compare BENCH_seed.json results/BENCH_ci.json --threshold 1.5
-# The arena baseline also carries the P=10_000 rung, gating the scaled-up
-# hot path (timer wheel, SoA slab, pooled buffers), not just the small
-# paper-shaped cells.
-cargo run --release -p flower-bench --bin perf -- \
-    --compare BENCH_arena.json results/BENCH_ci.json --threshold 1.5
+echo "==> committed figure data still reproduces (figures_p3000 --quick vs results/)"
+fig_out=$(mktemp -d)
+cargo run --release -p flower-bench --bin figures_p3000 -- --quick --out "$fig_out" > /dev/null
+for f in fig3_hit_ratio.csv fig4_lookup_latency.csv fig5_transfer_distance.csv figures_p3000_runs.csv; do
+    cmp "$fig_out/$f" "results/$f" \
+        || { echo "results/$f is stale: run figures_p3000 --quick --out results and commit"; exit 1; }
+done
+rm -rf "$fig_out"
 
 echo "==> repository benchmark (binding surface + outcome_digest guard)"
 # benchmark/ is its own package against ../crates/*: a core refactor that

@@ -1,12 +1,22 @@
-//! Combined harness: regenerates Figures 3, 4 and 5 from a **single**
-//! P = 3000 comparison sweep (all three figures come from the same pair of
-//! simulations in the paper too, §6.2.1). Use the individual
-//! `fig3_hit_ratio` / `fig4_lookup_latency` / `fig5_transfer_distance`
-//! binaries when only one artifact is needed.
+//! Figures 3, 4 and 5 from a **single** P = 3000 comparison sweep (all
+//! three figures come from the same pair of simulations in the paper too,
+//! §6.2.1):
+//!
+//! * Figure 3, hit ratio over the 24-hour run: Squirrel leads during the
+//!   warm-up, then churn caps it while Flower-CDN keeps climbing — "the
+//!   improvement reaches 40% after 24 simulation hours".
+//! * Figure 4, lookup latency distribution: "66% of our queries are
+//!   resolved within 150 ms while 75% of Squirrel's queries take more than
+//!   1200 ms".
+//! * Figure 5, transfer distance distribution: "the percentage of queries
+//!   served from a distance within 100 ms is 62% for Flower-CDN and 22% for
+//!   Squirrel".
 //!
 //! ```sh
 //! cargo run --release -p flower-bench --bin figures_p3000 [-- --quick]
 //! cargo run --release -p flower-bench --bin figures_p3000 -- --seeds 1..6 --jobs 4
+//! cargo run --release -p flower-bench --bin figures_p3000 -- \
+//!     --quick --trace-out results/trace.jsonl --gauges 300000
 //! ```
 
 use cdn_metrics::{ascii_bars, ascii_lines, Csv};
@@ -124,4 +134,31 @@ fn main() {
          figures_p3000_runs.csv under {}",
         dir.display()
     );
+
+    if let Some(p) = &opts.trace_out {
+        println!(
+            "wrote traces to {} (+ .squirrel.jsonl sibling); \
+             reconstruct a query with: grep '\"qid\":<id>' {}",
+            p.display(),
+            p.display()
+        );
+    }
+    if !run.flower.gauges.is_empty() {
+        println!(
+            "{}",
+            run.flower.gauges.ascii_chart(
+                "Flower-CDN gauges: population / D-ring size",
+                &["population", "dring_size"],
+                72,
+                12,
+            )
+        );
+        let gpath = dir.join("fig3_gauges.csv");
+        run.flower
+            .gauges
+            .to_csv()
+            .save(&gpath)
+            .expect("write gauges csv");
+        println!("wrote {}", gpath.display());
+    }
 }

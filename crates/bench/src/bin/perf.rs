@@ -1,19 +1,15 @@
-//! Performance trajectory harness: run a ladder of populations for both
+//! Performance trajectory writer: run a ladder of populations for both
 //! systems with the profiler enabled and write one schema-stable
-//! `BENCH_<label>.json` report, or compare two such reports and fail on
-//! throughput regressions.
+//! `BENCH_<label>.json` report. It records and never judges: whether a
+//! change is faster is decided by the repository benchmark (`benchmark/`).
 //!
 //! ```sh
-//! # Full ladder (P = 500 / 1500 / 3000, both systems, ~minutes):
-//! cargo run --release -p flower-bench --bin perf -- --label dev
+//! # Default ladder (P = 150 / 300 / 10 000, both systems, ~3 min) — the
+//! # rung a perf PR records:
+//! cargo run --release -p flower-bench --bin perf -- --label <rung> --out .
 //!
-//! # CI smoke ladder (seconds; this is what ci.sh runs):
-//! cargo run --release -p flower-bench --bin perf -- --smoke --label ci
-//!
-//! # Gate: nonzero exit if `new` regressed >15% vs `old` on
-//! # events_per_sec or wall_ms_per_sim_hour:
-//! cargo run --release -p flower-bench --bin perf -- \
-//!     --compare BENCH_seed.json BENCH_ci.json --threshold 0.5
+//! # The same plus P = 50 000 / 100 000 (over an hour; README "Scale" has the bill):
+//! cargo run --release -p flower-bench --bin perf -- --scale --label arena --out .
 //! ```
 //!
 //! Measurement notes: runs default to `--jobs 1` so cells do not contend
@@ -22,58 +18,47 @@
 //! fields (`wall_ms`, `events_per_sec`, `wall_ms_per_sim_hour`,
 //! `peak_rss_bytes`, `allocs*`) is deterministic — event counts, phase
 //! structure and per-message accounting are byte-identical across
-//! machines and `--jobs` values. The `--compare` verdict is a pure
-//! function of the two input files.
+//! machines and `--jobs` values.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use flower_cdn::{shape_params, System};
-use profile::{compare, BenchReport};
+use profile::BenchReport;
 use sweep::{run_grid, Cell, Grid, SweepOpts};
 
 const USAGE: &str = "\
-usage: perf [--smoke | --scale] [--label NAME] [--out DIR] [--seed N] [--jobs N]
-       perf --compare OLD.json NEW.json [--threshold F]
+usage: perf [--scale] [--label NAME] [--out DIR] [--seed N] [--jobs N]
 
-  --smoke          small ladder (P=150/300/10k, 1 simulated hour) for CI
-  --scale          arena ladder (P=150/300/10k/50k/100k, 1 simulated hour);
-                   this is what BENCH_arena.json is generated from
+  --scale          append P=50k/100k to the default P=150/300/10k ladder
+                   (one simulated hour per cell); this is what
+                   BENCH_arena.json is generated from
   --label NAME     report label; the file is BENCH_<NAME>.json (default: perf)
   --out DIR        directory for the report file (default: .)
   --seed N         base seed for every cell (default: 47)
   --jobs N         worker threads (default: 1, for quiet wall-clock numbers)
-  --compare A B    compare report B against baseline A instead of running
-  --threshold F    relative regression gate for --compare (default: 0.15)
 ";
 
 struct PerfOpts {
-    smoke: bool,
     scale: bool,
     label: String,
     out_dir: PathBuf,
     seed: u64,
     jobs: usize,
-    compare: Option<(PathBuf, PathBuf)>,
-    threshold: f64,
 }
 
 fn parse_opts() -> Result<PerfOpts, String> {
     let mut o = PerfOpts {
-        smoke: false,
         scale: false,
         label: "perf".to_string(),
         out_dir: PathBuf::from("."),
         seed: 47,
         jobs: 1,
-        compare: None,
-        threshold: 0.15,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match a.as_str() {
-            "--smoke" => o.smoke = true,
             "--scale" => o.scale = true,
             "--label" => o.label = value("--label")?,
             "--out" => o.out_dir = PathBuf::from(value("--out")?),
@@ -87,16 +72,6 @@ fn parse_opts() -> Result<PerfOpts, String> {
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?
             }
-            "--compare" => {
-                let old = value("--compare")?;
-                let new = value("--compare")?;
-                o.compare = Some((PathBuf::from(old), PathBuf::from(new)));
-            }
-            "--threshold" => {
-                o.threshold = value("--threshold")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?
-            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -108,42 +83,27 @@ fn parse_opts() -> Result<PerfOpts, String> {
 }
 
 /// The measurement ladder: every (population, system) pair the report
-/// carries, in a fixed order so reports stay comparable.
+/// carries, in a fixed order. The same `(system, population, seed)` key
+/// measures the same workload in every report, so any two `BENCH_*.json`
+/// line up on their common cells; `--scale` only appends rungs.
 ///
-/// Three shapes share one cell vocabulary (same `(system, population,
-/// seed)` key measures the same workload everywhere, so any two reports
-/// compare on their common cells):
-///
-/// * `--smoke`: P = 150/300/10k, one simulated hour — the CI gate.
-/// * `--scale`: P = 150/300/10k/50k/100k — the "arena" ladder behind the
-///   committed `BENCH_arena.json`; the 150/300 rungs keep it comparable
-///   to `BENCH_seed.json`.
-/// * full (default): the paper-shaped P = 500/1500/3000 rungs plus the
-///   arena rungs.
-///
-/// Every rung at or above P = 10k (and every smoke/scale rung) runs one
-/// simulated hour; at or above P = 50k the query period is stretched so a
-/// cell stays minutes of wall clock — the point of those rungs is memory
+/// Every rung runs one simulated hour — several gossip rounds and churn
+/// epochs; at or above P = 50k the query period is stretched so a cell
+/// stays minutes of wall clock — the point of those rungs is memory
 /// footprint and events/sec at scale, not query-count parity.
-pub fn ladder(smoke: bool, scale: bool, seed: u64) -> Grid {
+pub fn ladder(scale: bool, seed: u64) -> Grid {
     let mut grid = Grid::new(vec![seed]);
     let populations: &[usize] = if scale {
         &[150, 300, 10_000, 50_000, 100_000]
-    } else if smoke {
-        &[150, 300, 10_000]
     } else {
-        &[500, 1_500, 3_000, 10_000, 50_000, 100_000]
+        &[150, 300, 10_000]
     };
     for &pop in populations {
         let mut params = shape_params(pop, seed);
-        if smoke || scale || pop >= 10_000 {
-            // One simulated hour keeps the CI step in seconds while
-            // still exercising several gossip rounds and churn epochs.
-            params.horizon_ms = 3_600_000;
-            params.mean_uptime_ms = 20 * 60_000;
-            params.query_period_ms = 2 * 60_000;
-            params.gossip_period_ms = 20 * 60_000;
-        }
+        params.horizon_ms = 3_600_000;
+        params.mean_uptime_ms = 20 * 60_000;
+        params.query_period_ms = 2 * 60_000;
+        params.gossip_period_ms = 20 * 60_000;
         if pop >= 50_000 {
             params.query_period_ms = 10 * 60_000;
         }
@@ -157,23 +117,17 @@ pub fn ladder(smoke: bool, scale: bool, seed: u64) -> Grid {
     grid
 }
 
-fn run_ladder(o: &PerfOpts) -> ExitCode {
-    let grid = ladder(o.smoke, o.scale, o.seed);
+fn run_ladder(o: &PerfOpts) {
+    let grid = ladder(o.scale, o.seed);
     let opts = SweepOpts {
         jobs: o.jobs,
         profile: true,
         progress: true,
         ..SweepOpts::default()
     };
-    let scale = if o.scale {
-        "scale"
-    } else if o.smoke {
-        "smoke"
-    } else {
-        "full"
-    };
     eprintln!(
-        "perf {scale} ladder: {} cells, seed {}, --jobs {}…",
+        "perf {} ladder: {} cells, seed {}, --jobs {}…",
+        if o.scale { "scale" } else { "default" },
         grid.cells.len(),
         o.seed,
         o.jobs
@@ -207,31 +161,6 @@ fn run_ladder(o: &PerfOpts) -> ExitCode {
     let path = o.out_dir.join(BenchReport::file_name(&o.label));
     report.save(&path).expect("write BENCH report");
     println!("wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-fn run_compare(old: &Path, new: &Path, threshold: f64) -> ExitCode {
-    let old_report = match BenchReport::load(old) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot load baseline {}: {e}", old.display());
-            return ExitCode::from(2);
-        }
-    };
-    let new_report = match BenchReport::load(new) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot load {}: {e}", new.display());
-            return ExitCode::from(2);
-        }
-    };
-    let outcome = compare(&old_report, &new_report, threshold);
-    print!("{}", outcome.report);
-    if outcome.is_pass() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }
 
 fn main() -> ExitCode {
@@ -242,8 +171,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match &o.compare {
-        Some((old, new)) => run_compare(old, new, o.threshold),
-        None => run_ladder(&o),
-    }
+    run_ladder(&o);
+    ExitCode::SUCCESS
 }

@@ -54,8 +54,8 @@ pub struct ComparisonOut {
 }
 
 /// The report label a `--profile-out` path implies: the file stem with a
-/// `BENCH_` prefix stripped, so `--profile-out BENCH_fig3.json` labels the
-/// report `fig3`.
+/// `BENCH_` prefix stripped, so `--profile-out BENCH_figures.json` labels
+/// the report `figures`.
 pub fn profile_label(path: &Path) -> String {
     let stem = path
         .file_stem()

@@ -38,7 +38,7 @@ pub use comparison::{
     profile_label, run_comparison_sweep, run_harness_cell, write_profile_report, ComparisonOut,
     SystemOut,
 };
-pub use opts::{HarnessOpts, HarnessOptsBuilder, OptsError, Scale, USAGE};
+pub use opts::{HarnessOpts, OptsError, Scale, USAGE};
 pub use scenarios::canned_resilience_scenario;
 
 /// `mean ±stddev` when a cell aggregated several seeds, plain mean

@@ -1,19 +1,19 @@
 //! Harness option parsing: one flag vocabulary for every binary.
 //!
 //! [`HarnessOpts::from_args`] is the fallible core — it returns
-//! `Result` so tests (and future tooling) can exercise bad input
-//! without spawning a process — and [`HarnessOpts::parse`] is the thin
-//! process-exiting wrapper the binaries call. Programmatic construction
-//! goes through [`HarnessOpts::builder`].
+//! `Result` so tests can exercise bad input without spawning a process —
+//! and [`HarnessOpts::parse`] is the thin process-exiting wrapper the
+//! binaries call.
 
 use std::path::PathBuf;
 
 use flower_cdn::{Instrumentation, SimParams};
 
 /// Scale selection for a harness run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Table 1 of the paper.
+    #[default]
     Paper,
     /// Reduced scale for smoke tests.
     Quick,
@@ -57,8 +57,9 @@ impl std::fmt::Display for OptsError {
 
 impl std::error::Error for OptsError {}
 
-/// Command-line options shared by every harness binary.
-#[derive(Debug, Clone)]
+/// Command-line options shared by every harness binary; the default is
+/// the flagless invocation (paper scale, nothing overridden).
+#[derive(Debug, Clone, Default)]
 pub struct HarnessOpts {
     pub scale: Scale,
     pub population: Option<usize>,
@@ -84,157 +85,6 @@ pub struct HarnessOpts {
     pub assert_recovery: bool,
     /// Tiny-grid CI mode (`--smoke`; consumed by the `sweep` binary).
     pub smoke: bool,
-}
-
-/// Builder for [`HarnessOpts`]: start from defaults, layer programmatic
-/// overrides and/or command-line arguments, then [`build`](Self::build).
-#[derive(Debug, Clone)]
-pub struct HarnessOptsBuilder {
-    opts: HarnessOpts,
-}
-
-impl Default for HarnessOptsBuilder {
-    fn default() -> Self {
-        HarnessOptsBuilder {
-            opts: HarnessOpts {
-                scale: Scale::Paper,
-                population: None,
-                seed: None,
-                seeds: None,
-                jobs: None,
-                out_dir: None,
-                trace_out: None,
-                gauge_period_ms: None,
-                profile_out: None,
-                scenario: None,
-                assert_recovery: false,
-                smoke: false,
-            },
-        }
-    }
-}
-
-impl HarnessOptsBuilder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn scale(mut self, scale: Scale) -> Self {
-        self.opts.scale = scale;
-        self
-    }
-
-    pub fn population(mut self, population: usize) -> Self {
-        self.opts.population = Some(population);
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.opts.seed = Some(seed);
-        self
-    }
-
-    pub fn seeds(mut self, seeds: Vec<u64>) -> Self {
-        self.opts.seeds = Some(seeds);
-        self
-    }
-
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.opts.jobs = Some(jobs);
-        self
-    }
-
-    pub fn out_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.opts.out_dir = Some(dir.into());
-        self
-    }
-
-    /// Fold command-line tokens (without the program name) into the
-    /// builder. Unknown or malformed flags yield an error carrying the
-    /// usage message instead of aborting the process.
-    pub fn args<I, S>(mut self, args: I) -> Result<Self, OptsError>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut args = args.into_iter().map(Into::into);
-        fn value(
-            args: &mut impl Iterator<Item = String>,
-            flag: &str,
-            what: &str,
-        ) -> Result<String, OptsError> {
-            args.next()
-                .ok_or_else(|| OptsError::Invalid(format!("{flag} needs {what}")))
-        }
-        fn number<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, OptsError> {
-            raw.parse()
-                .map_err(|_| OptsError::Invalid(format!("{flag}: {raw:?} is not a valid number")))
-        }
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => self.opts.scale = Scale::Quick,
-                "--smoke" => self.opts.smoke = true,
-                "--population" => {
-                    let v = value(&mut args, "--population", "a value")?;
-                    self.opts.population = Some(number(&v, "--population")?);
-                }
-                "--seed" => {
-                    let v = value(&mut args, "--seed", "a value")?;
-                    self.opts.seed = Some(number(&v, "--seed")?);
-                }
-                "--seeds" => {
-                    let v = value(&mut args, "--seeds", "a list 'a,b,c' or range 'start..end'")?;
-                    self.opts.seeds = Some(parse_seeds(&v).map_err(OptsError::Invalid)?);
-                }
-                "--jobs" => {
-                    let v = value(&mut args, "--jobs", "a thread count")?;
-                    let n: usize = number(&v, "--jobs")?;
-                    if n == 0 {
-                        return Err(OptsError::Invalid("--jobs must be at least 1".into()));
-                    }
-                    self.opts.jobs = Some(n);
-                }
-                "--out" => {
-                    let v = value(&mut args, "--out", "a directory")?;
-                    self.opts.out_dir = Some(v.into());
-                }
-                "--trace-out" => {
-                    let v = value(&mut args, "--trace-out", "a path")?;
-                    self.opts.trace_out = Some(v.into());
-                }
-                "--gauges" => {
-                    let v = value(&mut args, "--gauges", "a period in ms")?;
-                    let period: u64 = number(&v, "--gauges")?;
-                    if period == 0 {
-                        return Err(OptsError::Invalid("--gauges must be at least 1".into()));
-                    }
-                    self.opts.gauge_period_ms = Some(period);
-                }
-                "--profile-out" => {
-                    let v = value(&mut args, "--profile-out", "a path")?;
-                    self.opts.profile_out = Some(v.into());
-                }
-                "--scenario" => {
-                    let v = value(&mut args, "--scenario", "a file path")?;
-                    let sc = flower_cdn::Scenario::load(&v)
-                        .map_err(|e| OptsError::Invalid(format!("bad scenario {v:?}: {e}")))?;
-                    self.opts.scenario = Some(sc);
-                }
-                "--assert-recovery" => self.opts.assert_recovery = true,
-                "--help" | "-h" => return Err(OptsError::Help),
-                other => {
-                    return Err(OptsError::Invalid(format!(
-                        "unknown flag {other}; try --help"
-                    )))
-                }
-            }
-        }
-        Ok(self)
-    }
-
-    pub fn build(self) -> HarnessOpts {
-        self.opts
-    }
 }
 
 /// Parse a `--seeds` spec: either a comma list `3,5,8` or a half-open
@@ -272,18 +122,89 @@ pub fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
 }
 
 impl HarnessOpts {
-    pub fn builder() -> HarnessOptsBuilder {
-        HarnessOptsBuilder::new()
-    }
-
     /// Parse explicit argument tokens (no program name). The fallible
-    /// core behind [`HarnessOpts::parse`].
+    /// core behind [`HarnessOpts::parse`]: unknown or malformed flags
+    /// yield an error carrying the usage message instead of aborting the
+    /// process.
     pub fn from_args<I, S>(args: I) -> Result<HarnessOpts, OptsError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        Ok(HarnessOptsBuilder::new().args(args)?.build())
+        let mut opts = HarnessOpts::default();
+        let mut args = args.into_iter().map(Into::into);
+        fn value(
+            args: &mut impl Iterator<Item = String>,
+            flag: &str,
+            what: &str,
+        ) -> Result<String, OptsError> {
+            args.next()
+                .ok_or_else(|| OptsError::Invalid(format!("{flag} needs {what}")))
+        }
+        fn number<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, OptsError> {
+            raw.parse()
+                .map_err(|_| OptsError::Invalid(format!("{flag}: {raw:?} is not a valid number")))
+        }
+        while let Some(a) = args.next() {
+            match a.as_str() {
+                "--quick" => opts.scale = Scale::Quick,
+                "--smoke" => opts.smoke = true,
+                "--population" => {
+                    let v = value(&mut args, "--population", "a value")?;
+                    opts.population = Some(number(&v, "--population")?);
+                }
+                "--seed" => {
+                    let v = value(&mut args, "--seed", "a value")?;
+                    opts.seed = Some(number(&v, "--seed")?);
+                }
+                "--seeds" => {
+                    let v = value(&mut args, "--seeds", "a list 'a,b,c' or range 'start..end'")?;
+                    opts.seeds = Some(parse_seeds(&v).map_err(OptsError::Invalid)?);
+                }
+                "--jobs" => {
+                    let v = value(&mut args, "--jobs", "a thread count")?;
+                    let n: usize = number(&v, "--jobs")?;
+                    if n == 0 {
+                        return Err(OptsError::Invalid("--jobs must be at least 1".into()));
+                    }
+                    opts.jobs = Some(n);
+                }
+                "--out" => {
+                    let v = value(&mut args, "--out", "a directory")?;
+                    opts.out_dir = Some(v.into());
+                }
+                "--trace-out" => {
+                    let v = value(&mut args, "--trace-out", "a path")?;
+                    opts.trace_out = Some(v.into());
+                }
+                "--gauges" => {
+                    let v = value(&mut args, "--gauges", "a period in ms")?;
+                    let period: u64 = number(&v, "--gauges")?;
+                    if period == 0 {
+                        return Err(OptsError::Invalid("--gauges must be at least 1".into()));
+                    }
+                    opts.gauge_period_ms = Some(period);
+                }
+                "--profile-out" => {
+                    let v = value(&mut args, "--profile-out", "a path")?;
+                    opts.profile_out = Some(v.into());
+                }
+                "--scenario" => {
+                    let v = value(&mut args, "--scenario", "a file path")?;
+                    let sc = flower_cdn::Scenario::load(&v)
+                        .map_err(|e| OptsError::Invalid(format!("bad scenario {v:?}: {e}")))?;
+                    opts.scenario = Some(sc);
+                }
+                "--assert-recovery" => opts.assert_recovery = true,
+                "--help" | "-h" => return Err(OptsError::Help),
+                other => {
+                    return Err(OptsError::Invalid(format!(
+                        "unknown flag {other}; try --help"
+                    )))
+                }
+            }
+        }
+        Ok(opts)
     }
 
     /// Parse from `std::env::args`, printing usage and exiting on bad
@@ -403,7 +324,7 @@ mod tests {
 
     #[test]
     fn paper_scale_params_match_table1() {
-        let opts = HarnessOpts::builder().build();
+        let opts = HarnessOpts::default();
         let p = opts.params(3_000);
         assert_eq!(p.population, 3_000);
         assert_eq!(p.horizon_ms, 24 * 3_600_000);
@@ -412,11 +333,8 @@ mod tests {
 
     #[test]
     fn overrides_apply() {
-        let opts = HarnessOpts::builder()
-            .scale(Scale::Quick)
-            .population(123)
-            .seed(9)
-            .build();
+        let opts =
+            HarnessOpts::from_args(["--quick", "--population", "123", "--seed", "9"]).unwrap();
         let p = opts.params(3_000);
         assert_eq!(p.population, 123);
         assert_eq!(p.seed, 9);
@@ -473,12 +391,19 @@ mod tests {
 
     #[test]
     fn seed_list_precedence() {
-        let explicit = HarnessOpts::builder().seed(7).seeds(vec![1, 2]).build();
+        let explicit = HarnessOpts {
+            seed: Some(7),
+            seeds: Some(vec![1, 2]),
+            ..HarnessOpts::default()
+        };
         assert_eq!(explicit.seed_list(0), vec![1, 2]);
-        let single = HarnessOpts::builder().seed(7).build();
+        let single = HarnessOpts {
+            seed: Some(7),
+            ..HarnessOpts::default()
+        };
         assert_eq!(single.seed_list(0), vec![7]);
         assert_eq!(single.seed_list_n(1, 3), vec![7, 8, 9]);
-        let neither = HarnessOpts::builder().build();
+        let neither = HarnessOpts::default();
         assert_eq!(neither.seed_list(42), vec![42]);
         assert_eq!(neither.seed_list_n(1, 3), vec![1, 2, 3]);
     }

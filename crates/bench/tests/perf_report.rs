@@ -1,12 +1,12 @@
-//! The `perf --compare` verdict must not depend on how the inputs were
-//! produced. Wall-clock-derived fields (`wall_ms`, rates, RSS, allocs)
-//! naturally vary between runs, but everything else a profiled sweep
-//! reports — event counts, phase structure, per-message accounting —
-//! must be byte-identical across `--jobs` values, and `compare` itself
-//! must be a pure function of the two reports.
+//! What a profiled sweep reports must not depend on how it was scheduled.
+//! Wall-clock-derived fields (`wall_ms`, rates, RSS, allocs) naturally
+//! vary between runs, but everything else — event counts, phase
+//! structure, per-message accounting — must serialise byte-identically
+//! across `--jobs` values. This is also the test that drives the `perf`
+//! binary's library path (profiled `run_grid` → `BenchReport::to_json`).
 
 use flower_cdn::{shape_params, System};
-use profile::{compare, BenchReport, RunPerf};
+use profile::{BenchReport, RunPerf};
 use sweep::{run_grid, Cell, Grid, SweepOpts};
 
 fn tiny_grid(seed: u64) -> Grid {
@@ -51,26 +51,15 @@ fn canonical(mut p: RunPerf) -> RunPerf {
 }
 
 #[test]
-fn compare_verdicts_are_byte_identical_across_jobs() {
+fn profiled_reports_are_byte_identical_across_jobs() {
     let serial = profiled_cells(1);
     let threaded = profiled_cells(3);
     assert_eq!(serial.len(), 2, "one perf cell per (system, seed)");
 
-    // The deterministic content is byte-identical across --jobs…
+    // The deterministic content is byte-identical across --jobs.
     let a = BenchReport::new("jobs", serial.into_iter().map(canonical).collect());
     let b = BenchReport::new("jobs", threaded.into_iter().map(canonical).collect());
     assert_eq!(a.to_json(), b.to_json());
-
-    // …so compare, a pure function of the reports, gives byte-identical
-    // verdicts however the inputs were produced.
-    let ab = compare(&a, &b, 0.15);
-    let ba = compare(&b, &a, 0.15);
-    assert_eq!(ab, ba);
-    assert!(
-        ab.is_pass(),
-        "identical reports cannot regress:\n{}",
-        ab.report
-    );
 
     // Sanity on the deterministic content itself: both systems counted
     // events, phases and message classes.

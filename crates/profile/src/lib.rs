@@ -11,14 +11,14 @@
 //!   `/proc/self/status` and a counting global allocator (behind the
 //!   `count-allocs` feature).
 //! * [`report`] — the schema-stable `BENCH_<label>.json` perf-trajectory
-//!   records ([`RunPerf`], [`BenchReport`]) and the regression
-//!   [`report::compare`] behind `perf --compare`.
+//!   records ([`RunPerf`], [`BenchReport`]) and their byte-stable writer.
+//!   It writes and never judges: whether a change is faster is decided by
+//!   the repository benchmark (`benchmark/`).
 
-pub mod json;
 pub mod report;
 pub mod sampler;
 
-pub use report::{compare, BenchReport, CompareOutcome, MsgRow, PhaseRow, RunPerf};
+pub use report::{BenchReport, MsgRow, PhaseRow, RunPerf};
 #[cfg(feature = "count-allocs")]
 pub use sampler::CountingAlloc;
 pub use sampler::{alloc_count, peak_rss_bytes};

@@ -1,15 +1,14 @@
-//! The `BENCH_<label>.json` perf-trajectory schema and the regression
-//! comparator behind `perf --compare`.
+//! The `BENCH_<label>.json` perf-trajectory schema and its writer.
 //!
 //! Schema (`"bench-v1"`): one [`BenchReport`] per file, holding one
 //! [`RunPerf`] cell per (system, population, seed). Key order and number
 //! formatting are fixed, so serializing the same data twice is
-//! byte-identical — the files are diffable artifacts.
+//! byte-identical — the files are diffable artifacts. Nothing here reads
+//! a report back or judges one: claims about speed go through the
+//! repository benchmark (`benchmark/`), which brings its own JSON reader.
 
 use std::fmt::Write as _;
 use std::path::Path;
-
-use crate::json::{escape, Json};
 
 /// The current schema tag written into every report.
 pub const SCHEMA: &str = "bench-v1";
@@ -132,71 +131,6 @@ impl RunPerf {
         }
         out.push_str("]}");
     }
-
-    fn from_json(v: &Json) -> Result<RunPerf, String> {
-        fn num(v: &Json, key: &str) -> Result<f64, String> {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("cell missing numeric {key:?}"))
-        }
-        fn int(v: &Json, key: &str) -> Result<u64, String> {
-            Ok(num(v, key)? as u64)
-        }
-        let phases = v
-            .get("phases")
-            .and_then(Json::as_arr)
-            .ok_or("cell missing phases")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseRow {
-                    path: p
-                        .get("path")
-                        .and_then(Json::as_str)
-                        .ok_or("phase missing path")?
-                        .to_string(),
-                    count: int(p, "count")?,
-                    total_ns: int(p, "total_ns")?,
-                    self_ns: int(p, "self_ns")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let messages = v
-            .get("messages")
-            .and_then(Json::as_arr)
-            .ok_or("cell missing messages")?
-            .iter()
-            .map(|m| {
-                Ok(MsgRow {
-                    class: m
-                        .get("class")
-                        .and_then(Json::as_str)
-                        .ok_or("message missing class")?
-                        .to_string(),
-                    count: int(m, "count")?,
-                    bytes: int(m, "bytes")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(RunPerf {
-            system: v
-                .get("system")
-                .and_then(Json::as_str)
-                .ok_or("cell missing system")?
-                .to_string(),
-            population: int(v, "population")?,
-            seed: int(v, "seed")?,
-            sim_hours: num(v, "sim_hours")?,
-            wall_ms: num(v, "wall_ms")?,
-            events: int(v, "events")?,
-            events_per_sec: num(v, "events_per_sec")?,
-            wall_ms_per_sim_hour: num(v, "wall_ms_per_sim_hour")?,
-            peak_rss_bytes: int(v, "peak_rss_bytes")?,
-            allocs: int(v, "allocs")?,
-            allocs_per_event: num(v, "allocs_per_event")?,
-            phases,
-            messages,
-        })
-    }
 }
 
 /// A full `BENCH_<label>.json` document: the perf trajectory of one
@@ -243,34 +177,6 @@ impl BenchReport {
         out
     }
 
-    /// Parse a serialized report, verifying the schema tag.
-    pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let v = Json::parse(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("report missing schema")?;
-        if schema != SCHEMA {
-            return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
-        }
-        let cells = v
-            .get("cells")
-            .and_then(Json::as_arr)
-            .ok_or("report missing cells")?
-            .iter()
-            .map(RunPerf::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(BenchReport {
-            schema: schema.to_string(),
-            label: v
-                .get("label")
-                .and_then(Json::as_str)
-                .ok_or("report missing label")?
-                .to_string(),
-            cells,
-        })
-    }
-
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -279,113 +185,33 @@ impl BenchReport {
         }
         std::fs::write(path, self.to_json())
     }
-
-    pub fn load(path: &Path) -> Result<BenchReport, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::parse(&text).map_err(|e| format!("parse {}: {e}", path.display()))
-    }
 }
 
-/// Verdict of comparing two reports. `report` is a pure function of the
-/// two inputs and the threshold — byte-identical however the inputs were
-/// produced — so CI can diff it too.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompareOutcome {
-    /// Human-readable comparison, one line per (cell, metric).
-    pub report: String,
-    /// One line per regression beyond the threshold; empty means pass.
-    pub regressions: Vec<String>,
-}
-
-impl CompareOutcome {
-    pub fn is_pass(&self) -> bool {
-        self.regressions.is_empty()
-    }
-}
-
-/// Compare `new` against the `old` baseline. Cells are matched on
-/// (system, population, seed); unmatched cells are reported but never
-/// fail the comparison. The gating metrics are throughput
-/// (`events_per_sec`, lower is worse) and `wall_ms_per_sim_hour` (higher
-/// is worse); a relative change beyond `threshold` (0.15 = 15%) in the
-/// bad direction is a regression. Peak RSS and allocs/event are reported
-/// for trend reading but do not gate (they need the counting allocator
-/// and a quiet machine to be comparable).
-pub fn compare(old: &BenchReport, new: &BenchReport, threshold: f64) -> CompareOutcome {
-    let mut report = String::new();
-    let mut regressions = Vec::new();
-    let _ = writeln!(
-        report,
-        "comparing {:?} (old) vs {:?} (new), threshold {:.0}%",
-        old.label,
-        new.label,
-        threshold * 100.0
-    );
-    for cell in &new.cells {
-        let key = format!("{} p={} seed={}", cell.system, cell.population, cell.seed);
-        let Some(base) = old.cells.iter().find(|c| {
-            c.system == cell.system && c.population == cell.population && c.seed == cell.seed
-        }) else {
-            let _ = writeln!(report, "{key}: no baseline cell, skipped");
-            continue;
-        };
-        for (metric, old_v, new_v, higher_is_better) in [
-            (
-                "events_per_sec",
-                base.events_per_sec,
-                cell.events_per_sec,
-                true,
-            ),
-            (
-                "wall_ms_per_sim_hour",
-                base.wall_ms_per_sim_hour,
-                cell.wall_ms_per_sim_hour,
-                false,
-            ),
-        ] {
-            let change = if old_v.abs() < f64::EPSILON {
-                0.0
-            } else {
-                (new_v - old_v) / old_v
-            };
-            let regressed = if higher_is_better {
-                change < -threshold
-            } else {
-                change > threshold
-            };
-            let mark = if regressed { "REGRESSION" } else { "ok" };
-            let line = format!(
-                "{key}: {metric} {old_v:.1} -> {new_v:.1} ({:+.1}%) {mark}",
-                change * 100.0
-            );
-            let _ = writeln!(report, "{line}");
-            if regressed {
-                regressions.push(line);
+/// Escape a string for embedding in a JSON document (no surrounding
+/// quotes).
+fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
+            c => out.push(c),
         }
-        let _ = writeln!(
-            report,
-            "{key}: peak_rss_bytes {} -> {} (info), allocs_per_event {:.2} -> {:.2} (info)",
-            base.peak_rss_bytes, cell.peak_rss_bytes, base.allocs_per_event, cell.allocs_per_event
-        );
     }
-    if regressions.is_empty() {
-        let _ = writeln!(report, "PASS: no regression beyond threshold");
-    } else {
-        let _ = writeln!(report, "FAIL: {} regression(s)", regressions.len());
-    }
-    CompareOutcome {
-        report,
-        regressions,
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    pub(crate) fn cell(system: &str, pop: u64, eps: f64) -> RunPerf {
+    fn cell(system: &str, pop: u64) -> RunPerf {
         RunPerf {
             system: system.to_string(),
             population: pop,
@@ -402,7 +228,7 @@ mod tests {
                 path: "deliver/gossip".into(),
                 count: 42,
                 total_ns: 9000,
-                self_ns: 9000,
+                self_ns: 8000,
             }],
             messages: vec![MsgRow {
                 class: "gossip".into(),
@@ -411,71 +237,36 @@ mod tests {
             }],
         }
         .with_derived()
-        .patched_eps(eps)
-    }
-
-    impl RunPerf {
-        fn patched_eps(mut self, eps: f64) -> RunPerf {
-            if eps > 0.0 {
-                self.events_per_sec = eps;
-            }
-            self
-        }
     }
 
     #[test]
     fn derived_fields_follow_raw_measurements() {
-        let c = cell("Flower-CDN", 500, 0.0);
+        let c = cell("Flower-CDN", 500);
         assert!((c.events_per_sec - 1_000_000.0 / 1.5).abs() < 1.0);
         assert!((c.wall_ms_per_sim_hour - 750.0).abs() < 1e-9);
         assert!((c.allocs_per_event - 5.0).abs() < 1e-9);
     }
 
+    /// The committed `BENCH_*.json` were written by this function: tag,
+    /// key order, float precision and line breaks are the schema.
     #[test]
-    fn report_round_trips_and_is_byte_stable() {
-        let r = BenchReport::new(
-            "seed",
-            vec![cell("Flower-CDN", 500, 0.0), cell("Squirrel", 500, 0.0)],
-        );
-        let text = r.to_json();
-        assert_eq!(text, r.to_json(), "serialization is byte-stable");
-        let back = BenchReport::parse(&text).unwrap();
-        assert_eq!(back.label, "seed");
-        assert_eq!(back.cells.len(), 2);
-        assert_eq!(back.cells[0].phases, r.cells[0].phases);
-        assert_eq!(back.cells[0].messages, r.cells[0].messages);
-        assert_eq!(back.cells[0].events, r.cells[0].events);
-        assert_eq!(text, back.to_json(), "parse∘serialize is the identity");
+    fn to_json_is_pinned_to_the_byte() {
+        let mut bare = cell("Squirrel", 300);
+        bare.phases.clear();
+        bare.messages.clear();
+        let report = BenchReport::new("a \"b\"\\c", vec![cell("Flower-CDN", 500), bare]);
+        let expected = r#"{"schema":"bench-v1","label":"a \"b\"\\c","cells":[
+  {"system":"Flower-CDN","population":500,"seed":1,"sim_hours":2.000,"wall_ms":1500.000,"events":1000000,"events_per_sec":666666.7,"wall_ms_per_sim_hour":750.000,"peak_rss_bytes":67108864,"allocs":5000000,"allocs_per_event":5.000,"phases":[
+    {"path":"deliver/gossip","count":42,"total_ns":9000,"self_ns":8000}],"messages":[
+    {"class":"gossip","count":42,"bytes":84000}]},
+  {"system":"Squirrel","population":300,"seed":1,"sim_hours":2.000,"wall_ms":1500.000,"events":1000000,"events_per_sec":666666.7,"wall_ms_per_sim_hour":750.000,"peak_rss_bytes":67108864,"allocs":5000000,"allocs_per_event":5.000,"phases":[],"messages":[]}
+]}
+"#;
+        assert_eq!(report.to_json(), expected);
     }
 
     #[test]
-    fn parse_rejects_wrong_schema() {
-        let doc = r#"{"schema":"bench-v999","label":"x","cells":[]}"#;
-        assert!(BenchReport::parse(doc).is_err());
-    }
-
-    #[test]
-    fn compare_flags_only_regressions_beyond_threshold() {
-        let old = BenchReport::new("old", vec![cell("Flower-CDN", 500, 1000.0)]);
-        let ok = BenchReport::new("new", vec![cell("Flower-CDN", 500, 950.0)]);
-        let bad = BenchReport::new("new", vec![cell("Flower-CDN", 500, 700.0)]);
-        assert!(
-            compare(&old, &ok, 0.15).is_pass(),
-            "-5% is within threshold"
-        );
-        let outcome = compare(&old, &bad, 0.15);
-        assert!(!outcome.is_pass(), "-30% must fail");
-        assert!(outcome.regressions[0].contains("events_per_sec"));
-    }
-
-    #[test]
-    fn compare_report_is_deterministic() {
-        let old = BenchReport::new("old", vec![cell("Flower-CDN", 500, 1000.0)]);
-        let new = BenchReport::new("new", vec![cell("Squirrel", 500, 900.0)]);
-        let a = compare(&old, &new, 0.15);
-        let b = compare(&old, &new, 0.15);
-        assert_eq!(a, b);
-        assert!(a.report.contains("no baseline cell"));
-        assert!(a.is_pass(), "unmatched cells never fail the comparison");
+    fn escape_covers_quotes_controls_and_leaves_unicode_alone() {
+        assert_eq!(escape("\"\\\n\t\r\u{1}é→"), "\\\"\\\\\\n\\t\\r\\u0001é→");
     }
 }
