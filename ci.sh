@@ -22,23 +22,36 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> rendered docs (no leftover table marker, results/*.csv still render)"
-if grep -n '_MEASURED -->' EXPERIMENTS.md README.md; then
-    echo "unrendered table marker: run python3 render_results.py and commit the result"
-    exit 1
-fi
-# On a scratch copy: every table is rendered whether or not its marker is
-# left, so a CSV whose schema moved fails here instead of in the docs.
-rendered_md=$(mktemp)
-cp EXPERIMENTS.md "$rendered_md"
-python3 render_results.py "$rendered_md"
-rm -f "$rendered_md"
+echo "==> rendered docs (EXPERIMENTS.md tables are what results/*.csv render to)"
+python3 render_results.py --check
 
 echo "==> loopback cluster smoke (5 live nodes, failure + re-founding)"
 bash scripts/loopback_smoke.sh
 
-echo "==> resilience smoke (scripted faults, recovery asserted)"
-cargo run --release -p flower-bench --bin resilience -- --quick --assert-recovery
+echo "==> committed results still reproduce (every --quick harness vs results/; recovery asserted)"
+# One loop pins every tracked results/*.csv: figures, the P sweep, PetalUp
+# splitting, the push / gossip knock-outs, the LRU store and the scripted
+# fault schedule (whose run is also the one that asserts recovery).
+res_out=$(mktemp -d)
+while read -r harness flags; do
+    # shellcheck disable=SC2086  # $flags is zero or more words
+    cargo run --release -q -p flower-bench --bin "$harness" -- \
+        --quick $flags --out "$res_out" > /dev/null < /dev/null
+done <<'HARNESSES'
+figures_p3000 --gauges 300000
+table2_scalability
+ablation_petalup
+ablation_maintenance
+ablation_cache
+resilience --assert-recovery
+HARNESSES
+for f in $(git ls-files 'results/*.csv'); do
+    [ -f "$res_out/${f#results/}" ] \
+        || { echo "$f is tracked but no harness in this loop wrote it"; exit 1; }
+    cmp "$res_out/${f#results/}" "$f" \
+        || { echo "$f is stale: if the change means to move behaviour, re-run the harness that writes it with --quick --out results and commit"; exit 1; }
+done
+rm -rf "$res_out"
 
 echo "==> sweep smoke (tiny grid, --jobs 2 vs --jobs 1 must be byte-identical)"
 rm -rf results/sweep_smoke_j2 results/sweep_smoke_j1
@@ -48,15 +61,6 @@ for f in runs.csv summary.csv summary.json; do
     diff "results/sweep_smoke_j2/$f" "results/sweep_smoke_j1/$f" \
         || { echo "sweep output $f depends on --jobs"; exit 1; }
 done
-
-echo "==> committed figure data still reproduces (figures_p3000 --quick vs results/)"
-fig_out=$(mktemp -d)
-cargo run --release -p flower-bench --bin figures_p3000 -- --quick --out "$fig_out" > /dev/null
-for f in fig3_hit_ratio.csv fig4_lookup_latency.csv fig5_transfer_distance.csv figures_p3000_runs.csv; do
-    cmp "$fig_out/$f" "results/$f" \
-        || { echo "results/$f is stale: run figures_p3000 --quick --out results and commit"; exit 1; }
-done
-rm -rf "$fig_out"
 
 echo "==> repository benchmark (binding surface + outcome_digest guard)"
 # benchmark/ is its own package against ../crates/*: a core refactor that

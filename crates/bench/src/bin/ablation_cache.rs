@@ -16,29 +16,11 @@
 use cdn_metrics::{ascii_table, Csv};
 use flower_bench::{fmt_mean_spread, HarnessOpts, Scale};
 use flower_cdn::peer::ProtocolEvent;
-use flower_cdn::{SimParams, StorePolicy, System};
-use sweep::{aggregate, execute_cell, run_cells, runs_csv, Cell, CellResult, Grid};
-
-fn base(opts: &HarnessOpts) -> SimParams {
-    match opts.scale {
-        Scale::Paper => opts.params(3_000),
-        Scale::Quick => {
-            let horizon = 2 * 3_600_000;
-            let mut p = SimParams::quick(300, horizon);
-            p.seed = opts.seed.unwrap_or(p.seed);
-            p.mean_uptime_ms = horizon / 4;
-            p.query_period_ms = p.mean_uptime_ms / 16;
-            p.gossip_period_ms = p.mean_uptime_ms;
-            p.catalog.websites = 6;
-            p.catalog.active_websites = 3;
-            p.catalog.objects_per_site = 200;
-            p
-        }
-    }
-}
+use flower_cdn::{RunResult, StorePolicy, System};
+use sweep::{aggregate, run_grid_with, Grid};
 
 fn main() {
-    let opts = HarnessOpts::parse();
+    let opts = HarnessOpts::parse(&["--population"]);
     let policies = [
         (StorePolicy::Unlimited, "unlimited", "unlimited (paper)"),
         (StorePolicy::Lru { capacity: 20 }, "lru20", "LRU 20"),
@@ -46,13 +28,19 @@ fn main() {
         (StorePolicy::Lru { capacity: 5 }, "lru5", "LRU 5"),
         (StorePolicy::Lru { capacity: 2 }, "lru2", "LRU 2"),
     ];
-    let base_params = base(&opts);
-    let seeds = opts.seed_list(base_params.seed);
+    let mut base = opts.params(3_000);
+    if opts.scale == Scale::Quick {
+        // Busier peers than the shared quick shape (a query every
+        // uptime/16) over a smaller catalog.
+        base.query_period_ms = base.mean_uptime_ms / 16;
+        base.catalog.websites = 6;
+    }
+    let seeds = opts.seed_list(base.seed);
     let mut grid = Grid::new(seeds.clone());
     for (policy, tag, _) in policies {
-        let mut params = base_params.clone();
+        let mut params = base.clone();
         params.store_policy = policy;
-        grid.push(Cell::new(tag, System::FlowerCdn, params));
+        grid.push(opts.cell(tag, System::FlowerCdn, params));
     }
     println!(
         "sweeping {} cache policies × {} seed(s) ({} runs, --jobs {})…",
@@ -61,30 +49,14 @@ fn main() {
         grid.total_runs(),
         opts.jobs()
     );
-    let sweep_opts = opts.sweep_opts();
-    // Full results (not just summaries): the fetch-miss diagnostic lives
-    // in the per-run protocol event counts.
-    let grouped = run_cells(&grid, &sweep_opts, |cell, seed| {
-        let r = execute_cell(cell, seed, &sweep_opts);
-        let fetch_misses = r
-            .events
-            .get(&ProtocolEvent::FetchMiss)
-            .copied()
-            .unwrap_or(0);
-        (r.summary(), fetch_misses, r.perf)
+    // The fetch-miss diagnostic lives in the per-run protocol event
+    // counts, not in the summaries.
+    let (cells, fetch_misses) = run_grid_with(&grid, &opts.sweep_opts(), |_, _| {
+        |r: RunResult| {
+            let misses = r.events.get(&ProtocolEvent::FetchMiss);
+            misses.copied().unwrap_or(0) as f64
+        }
     });
-
-    let cells: Vec<CellResult> = grid
-        .cells
-        .iter()
-        .zip(&grouped)
-        .map(|(cell, runs)| {
-            let runs = runs
-                .iter()
-                .map(|(seed, (summary, _, perf))| (*seed, summary.clone(), perf.clone()));
-            CellResult::from_runs(cell, runs)
-        })
-        .collect();
 
     let mut rendered = Vec::new();
     let mut csv = Csv::new(&[
@@ -100,12 +72,7 @@ fn main() {
         let hit = cells[i].agg("hit_ratio");
         let lookup = cells[i].agg("mean_lookup_ms");
         let queries = cells[i].agg("queries");
-        let misses = aggregate(
-            &grouped[i]
-                .iter()
-                .map(|(_, (_, m, _))| *m as f64)
-                .collect::<Vec<_>>(),
-        );
+        let misses = aggregate(&fetch_misses[i]);
         rendered.push(vec![
             label.to_string(),
             fmt_mean_spread(&hit, 3),
@@ -142,13 +109,11 @@ fn main() {
          caches, so the hit ratio should fall gently with capacity; stale\n\
          redirects (fetch misses) stay rare thanks to index retraction."
     );
-    let dir = opts.results_dir();
-    let path = dir.join("ablation_cache.csv");
-    csv.save(&path).expect("write results csv");
-    let runs_path = dir.join("ablation_cache_runs.csv");
-    runs_csv(&cells).save(&runs_path).expect("write runs csv");
-    println!("wrote {} and {}", path.display(), runs_path.display());
-    if let Some(p) = &opts.profile_out {
-        flower_bench::write_profile_report(p, &cells);
-    }
+    flower_bench::write_results(
+        &opts,
+        "ablation_cache.csv",
+        &csv,
+        "ablation_cache_runs.csv",
+        &cells,
+    );
 }

@@ -16,45 +16,31 @@
 use cdn_metrics::ascii_table;
 use flower_bench::{fmt_mean_spread, HarnessOpts, Scale};
 use flower_cdn::experiments::MaintenanceVariant;
-use flower_cdn::{SimParams, System};
-use sweep::{run_grid, runs_csv, summary_csv, Cell, Grid};
-
-fn base_params(opts: &HarnessOpts) -> SimParams {
-    match opts.scale {
-        Scale::Paper => {
-            let mut p = opts.params(3_000);
-            p.seed = opts.seed.unwrap_or(p.seed);
-            p
-        }
-        Scale::Quick => {
-            let horizon = 2 * 3_600_000;
-            let mut p = SimParams::quick(300, horizon);
-            p.seed = opts.seed.unwrap_or(p.seed);
-            p.mean_uptime_ms = horizon / 5;
-            p.query_period_ms = p.mean_uptime_ms / 12;
-            p.gossip_period_ms = p.mean_uptime_ms;
-            p.catalog.websites = 6;
-            p.catalog.active_websites = 3;
-            p.catalog.objects_per_site = 200;
-            p
-        }
-    }
-}
+use flower_cdn::System;
+use sweep::{run_grid, summary_csv, Grid};
 
 fn main() {
-    let opts = HarnessOpts::parse();
+    let opts = HarnessOpts::parse(&["--population"]);
     let variants = [
         (MaintenanceVariant::Full, "full", "full §5 suite"),
         (MaintenanceVariant::NoPush, "no_push", "no push messages"),
         (MaintenanceVariant::NoGossip, "no_gossip", "no petal gossip"),
     ];
-    let base = base_params(&opts);
+    let mut base = opts.params(3_000);
+    if opts.scale == Scale::Quick {
+        // Heavier churn than the shared quick shape (uptime = horizon/5,
+        // the periods following it) over a smaller catalog.
+        base.mean_uptime_ms = base.horizon_ms / 5;
+        base.query_period_ms = base.mean_uptime_ms / 12;
+        base.gossip_period_ms = base.mean_uptime_ms;
+        base.catalog.websites = 6;
+    }
     let seeds = opts.seed_list(base.seed);
     let mut grid = Grid::new(seeds.clone());
     for (variant, tag, _) in variants {
         let mut params = base.clone();
         variant.apply(&mut params);
-        grid.push(Cell::new(tag, System::FlowerCdn, params));
+        grid.push(opts.cell(tag, System::FlowerCdn, params));
     }
     println!(
         "running {} maintenance variants × {} seed(s) ({} runs, --jobs {})…",
@@ -91,15 +77,11 @@ fn main() {
          dir-info dissemination — both cost hit ratio vs the full suite."
     );
 
-    let dir = opts.results_dir();
-    let path = dir.join("ablation_maintenance.csv");
-    summary_csv(&results)
-        .save(&path)
-        .expect("write summary csv");
-    let runs_path = dir.join("ablation_maintenance_runs.csv");
-    runs_csv(&results).save(&runs_path).expect("write runs csv");
-    println!("wrote {} and {}", path.display(), runs_path.display());
-    if let Some(p) = &opts.profile_out {
-        flower_bench::write_profile_report(p, &results);
-    }
+    flower_bench::write_results(
+        &opts,
+        "ablation_maintenance.csv",
+        &summary_csv(&results),
+        "ablation_maintenance_runs.csv",
+        &results,
+    );
 }

@@ -20,19 +20,16 @@
 
 use cdn_metrics::{ascii_table, Csv};
 use flower_bench::{fmt_mean_spread, HarnessOpts, Scale};
-use flower_cdn::{SimParams, System};
-use sweep::{aggregate, execute_cell, run_cells, runs_csv, Cell, CellResult, Grid};
+use flower_cdn::{RunResult, SimParams, System};
+use sweep::{aggregate, run_grid_with, Grid};
 
+/// One crowded website: a shape of its own, not the shared quick one.
 fn crowd_params(opts: &HarnessOpts, capacity: usize) -> SimParams {
-    let horizon = match opts.scale {
-        Scale::Paper => 6 * 3_600_000,
-        Scale::Quick => 2 * 3_600_000,
+    let (population, horizon) = match opts.scale {
+        Scale::Paper => (1_500, 6 * 3_600_000),
+        Scale::Quick => (400, 2 * 3_600_000),
     };
-    let population = match opts.scale {
-        Scale::Paper => 1_500,
-        Scale::Quick => 400,
-    };
-    let mut p = SimParams::quick(population, horizon);
+    let mut p = SimParams::quick(opts.population.unwrap_or(population), horizon);
     p.seed = opts.seed.unwrap_or(0xF10E);
     p.catalog.websites = 1;
     p.catalog.active_websites = 1;
@@ -44,28 +41,24 @@ fn crowd_params(opts: &HarnessOpts, capacity: usize) -> SimParams {
     p
 }
 
-/// Per-run structure sampled from the final gauge tick.
-struct Structure {
-    instances: f64,
-    max_instance: f64,
-    max_load: f64,
-    splits: f64,
-    hit_ratio: f64,
-}
+/// The gauges whose final tick is a run's end-of-run structure: live
+/// instances, deepest instance chain, peak per-instance load.
+const STRUCTURE_GAUGES: [&str; 3] = ["dring_size", "instance_depth_max", "petal_size_max"];
 
 fn main() {
-    let opts = HarnessOpts::parse();
-    let capacities = [usize::MAX, 30, 12, 6];
+    let opts = HarnessOpts::parse(&["--population", "--gauges"]);
+    // (capacity, cell label, CSV label, table label)
+    let capacities = [
+        (usize::MAX, "cap_inf", "inf", "∞ (no splits)"),
+        (30, "cap30", "30", "30"),
+        (12, "cap12", "12", "12"),
+        (6, "cap6", "6", "6"),
+    ];
     let base = crowd_params(&opts, usize::MAX);
     let seeds = opts.seed_list(base.seed);
     let mut grid = Grid::new(seeds.clone());
-    for &cap in &capacities {
-        let tag = if cap == usize::MAX {
-            "cap_inf".to_string()
-        } else {
-            format!("cap{cap}")
-        };
-        grid.push(Cell::new(tag, System::FlowerCdn, crowd_params(&opts, cap)));
+    for (cap, tag, ..) in capacities {
+        grid.push(opts.cell(tag, System::FlowerCdn, crowd_params(&opts, cap)));
     }
     println!(
         "sweeping {} directory capacities × {} seed(s) ({} runs, --jobs {})…",
@@ -81,29 +74,9 @@ fn main() {
         opts.gauge_period_ms
             .unwrap_or((base.horizon_ms / 48).max(60_000)),
     );
-    let grouped = run_cells(&grid, &sweep_opts, |cell, seed| {
-        let r = execute_cell(cell, seed, &sweep_opts);
-        let structure = Structure {
-            instances: r.gauges.last("dring_size").unwrap_or(0.0),
-            max_instance: r.gauges.last("instance_depth_max").unwrap_or(0.0),
-            max_load: r.gauges.last("petal_size_max").unwrap_or(0.0),
-            splits: r.splits as f64,
-            hit_ratio: r.stats.hit_ratio(),
-        };
-        (r.summary(), structure, r.perf)
+    let (cells, structures) = run_grid_with(&grid, &sweep_opts, |_, _| {
+        |r: RunResult| STRUCTURE_GAUGES.map(|g| r.gauges.last(g).unwrap_or(0.0))
     });
-
-    let cells: Vec<CellResult> = grid
-        .cells
-        .iter()
-        .zip(&grouped)
-        .map(|(cell, runs)| {
-            let runs = runs
-                .iter()
-                .map(|(seed, (summary, _, perf))| (*seed, summary.clone(), perf.clone()));
-            CellResult::from_runs(cell, runs)
-        })
-        .collect();
 
     let mut rendered = Vec::new();
     let mut csv = Csv::new(&[
@@ -116,26 +89,13 @@ fn main() {
         "hit_ratio_mean",
         "hit_ratio_stddev",
     ]);
-    for (i, &cap) in capacities.iter().enumerate() {
-        let field = |get: fn(&Structure) -> f64| {
-            aggregate(
-                &grouped[i]
-                    .iter()
-                    .map(|(_, (_, s, _))| get(s))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let instances = field(|s| s.instances);
-        let max_instance = field(|s| s.max_instance);
-        let max_load = field(|s| s.max_load);
-        let splits = field(|s| s.splits);
-        let hit = field(|s| s.hit_ratio);
+    for (i, (_, _, csv_label, table_label)) in capacities.into_iter().enumerate() {
+        let [instances, max_instance, max_load] =
+            [0, 1, 2].map(|g| aggregate(&structures[i].iter().map(|s| s[g]).collect::<Vec<_>>()));
+        let splits = cells[i].agg("splits");
+        let hit = cells[i].agg("hit_ratio");
         rendered.push(vec![
-            if cap == usize::MAX {
-                "∞ (no splits)".to_string()
-            } else {
-                cap.to_string()
-            },
+            table_label.to_string(),
             format!("{:.1}", instances.mean),
             format!("{:.1}", max_instance.mean),
             format!("{:.1}", max_load.mean),
@@ -143,11 +103,7 @@ fn main() {
             fmt_mean_spread(&hit, 3),
         ]);
         csv.row(&[
-            if cap == usize::MAX {
-                "inf".into()
-            } else {
-                cap.to_string()
-            },
+            csv_label.to_string(),
             hit.n.to_string(),
             format!("{:.3}", instances.mean),
             format!("{:.3}", max_instance.mean),
@@ -177,13 +133,11 @@ fn main() {
          per-instance load, and a hit ratio that splitting does not hurt (§4)."
     );
 
-    let dir = opts.results_dir();
-    let path = dir.join("ablation_petalup.csv");
-    csv.save(&path).expect("write results csv");
-    let runs_path = dir.join("ablation_petalup_runs.csv");
-    runs_csv(&cells).save(&runs_path).expect("write runs csv");
-    println!("wrote {} and {}", path.display(), runs_path.display());
-    if let Some(p) = &opts.profile_out {
-        flower_bench::write_profile_report(p, &cells);
-    }
+    flower_bench::write_results(
+        &opts,
+        "ablation_petalup.csv",
+        &csv,
+        "ablation_petalup_runs.csv",
+        &cells,
+    );
 }

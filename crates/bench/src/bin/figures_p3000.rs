@@ -16,7 +16,7 @@
 //! cargo run --release -p flower-bench --bin figures_p3000 [-- --quick]
 //! cargo run --release -p flower-bench --bin figures_p3000 -- --seeds 1..6 --jobs 4
 //! cargo run --release -p flower-bench --bin figures_p3000 -- \
-//!     --quick --trace-out results/trace.jsonl --gauges 300000
+//!     --quick --trace-out results/traces --gauges 300000
 //! ```
 
 use cdn_metrics::{ascii_bars, ascii_lines, Csv};
@@ -24,7 +24,7 @@ use flower_bench::{run_comparison_sweep, HarnessOpts};
 use flower_cdn::experiments::{hit_ratio_series, lookup_histogram, transfer_histogram};
 
 fn main() {
-    let opts = HarnessOpts::parse();
+    let opts = HarnessOpts::parse(&["--population", "--gauges"]);
     let params = opts.params(3_000);
     println!("{}", params.table1());
     let seeds = opts.seed_list(params.seed);
@@ -135,12 +135,14 @@ fn main() {
         dir.display()
     );
 
-    if let Some(p) = &opts.trace_out {
+    flower_bench::write_profile_report(&opts, &run.cells);
+
+    if let Some(d) = &opts.trace_out {
         println!(
-            "wrote traces to {} (+ .squirrel.jsonl sibling); \
-             reconstruct a query with: grep '\"qid\":<id>' {}",
-            p.display(),
-            p.display()
+            "wrote one trace per run to {0}/<cell>_s<seed>.jsonl; reconstruct a \
+             query with: grep '\"qid\":<id>[,}}]' {0}/flower_s{1}.jsonl",
+            d.display(),
+            seeds[0],
         );
     }
     if !run.flower.gauges.is_empty() {

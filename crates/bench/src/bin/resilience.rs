@@ -38,53 +38,52 @@
 
 use std::collections::BTreeMap;
 
-use cdn_metrics::{Csv, RunSummary};
+use cdn_metrics::Csv;
 use chaos::{FaultAction, ResilienceSummary, ResilienceTracker};
-use flower_bench::{canned_resilience_scenario, run_harness_cell, HarnessOpts};
+use flower_bench::{canned_resilience_scenario, HarnessOpts};
 use flower_cdn::invariants::InvariantConfig;
-use flower_cdn::{InvariantChecker, System};
-use sweep::{run_cells, Cell, CellResult, Grid};
+use flower_cdn::{InvariantChecker, RunResult, System};
+use sweep::{run_grid_with, Grid};
 
+/// What one run's trace sinks concluded, and where its hit ratio ended.
 struct SystemRun {
-    summary: RunSummary,
-    perf: Option<profile::RunPerf>,
+    final_hit_ratio: f64,
     resilience: ResilienceSummary,
     /// Invariant violations (Flower-CDN only; empty for Squirrel).
     violations: Vec<String>,
 }
 
 fn main() {
-    let opts = HarnessOpts::parse();
+    let opts = HarnessOpts::parse(&["--population", "--assert-recovery"]);
     let params = opts.params(3_000);
     println!("{}", params.table1());
-
-    let scenario = opts
-        .scenario_for(&params)
-        .unwrap_or_else(|| canned_resilience_scenario(&params));
-    println!("fault schedule:\n{scenario}");
 
     // Availability-timeline resolution: fine enough to resolve the
     // degraded windows, coarse enough to keep buckets populated.
     let bucket_ms = (params.horizon_ms / 48).max(60_000);
 
     let seeds = opts.seed_list(params.seed);
-    let multi = seeds.len() > 1;
     let mut grid = Grid::new(seeds.clone());
-    grid.push(
-        Cell::new("flower", System::FlowerCdn, params.clone()).with_scenario(scenario.clone()),
-    );
-    grid.push(
-        Cell::new("squirrel", System::Squirrel, params.clone()).with_scenario(scenario.clone()),
-    );
+    for (label, system) in [
+        ("flower", System::FlowerCdn),
+        ("squirrel", System::Squirrel),
+    ] {
+        let mut cell = opts.cell(label, system, params.clone());
+        // An explicit --scenario replaces the canned schedule.
+        cell.scenario
+            .get_or_insert_with(|| canned_resilience_scenario(&params));
+        grid.push(cell);
+    }
+    let scenario = grid.cells[0].scenario.clone().expect("set just above");
+    println!("fault schedule:\n{scenario}");
     println!(
         "running Flower-CDN and Squirrel under the schedule, {} seed(s), --jobs {}…",
         seeds.len(),
         opts.jobs()
     );
 
-    let inst = opts.instrumentation();
     let mean_uptime_ms = params.mean_uptime_ms;
-    let grouped = run_cells(&grid, &opts.sweep_opts(), |cell, seed| {
+    let (cells, runs) = run_grid_with(&grid, &opts.sweep_opts(), |cell, sim| {
         // The trackers are Rc-based (not Send): each worker builds its
         // own inside the run and moves only the owned summary out.
         let tracker = ResilienceTracker::new(bucket_ms);
@@ -99,20 +98,21 @@ fn main() {
                 ..InvariantConfig::default()
             })
         });
-        let result = run_harness_cell(&inst, cell, seed, multi, |sim| {
-            sim.add_trace_sink_boxed(Box::new(tracker.clone()));
-            if let Some(c) = &checker {
-                sim.add_trace_sink_boxed(Box::new(c.clone()));
-            }
-        });
-        SystemRun {
-            summary: result.summary(),
-            perf: result.perf.clone(),
+        sim.add_trace_sink_boxed(Box::new(tracker.clone()));
+        if let Some(c) = &checker {
+            sim.add_trace_sink_boxed(Box::new(c.clone()));
+        }
+        move |r: RunResult| SystemRun {
+            final_hit_ratio: r.stats.hit_ratio(),
             resilience: tracker.summary(),
             violations: checker.map(|c| c.violations()).unwrap_or_default(),
         }
     });
-    let (flower_runs, squirrel_runs) = (&grouped[0], &grouped[1]);
+    // Every cell ran the same seed list, in order.
+    let by_seed =
+        |i: usize| -> Vec<(u64, &SystemRun)> { seeds.iter().copied().zip(&runs[i]).collect() };
+    let flower_runs = &by_seed(0);
+    let squirrel_runs = &by_seed(1);
 
     let kill_at = scenario
         .iter()
@@ -167,7 +167,7 @@ fn main() {
                 r.served().to_string(),
                 ttr_s.map_or(String::new(), |s| format!("{s:.3}")),
                 worst.map_or(String::new(), |w| format!("{w:.4}")),
-                format!("{:.4}", run.summary.hit_ratio),
+                format!("{:.4}", run.final_hit_ratio),
             ]);
         }
     }
@@ -179,20 +179,7 @@ fn main() {
     let path = opts.results_dir().join("resilience.csv");
     csv.save(&path).expect("write results csv");
     println!("wrote {}", path.display());
-    if let Some(p) = &opts.profile_out {
-        let cells: Vec<CellResult> = grid
-            .cells
-            .iter()
-            .zip(&grouped)
-            .map(|(cell, runs)| {
-                let runs = runs
-                    .iter()
-                    .map(|(s, r)| (*s, r.summary.clone(), r.perf.clone()));
-                CellResult::from_runs(cell, runs)
-            })
-            .collect();
-        flower_bench::write_profile_report(p, &cells);
-    }
+    flower_bench::write_profile_report(&opts, &cells);
 
     // Availability timeline: one row per bucket, both systems side by
     // side (hit ratio of queries answered by the overlay vs the origin),

@@ -22,36 +22,28 @@ use std::path::PathBuf;
 use cdn_metrics::ascii_table;
 use flower_bench::{canned_resilience_scenario, fmt_mean_spread, HarnessOpts, Scale};
 use flower_cdn::{SimParams, System};
-use sweep::{run_grid, runs_csv, summary_csv, summary_json, Cell, Grid};
+use sweep::{run_grid, runs_csv, summary_csv, summary_json, Grid};
 
-/// Base parameters for one population at the requested scale.
-fn cell_params(opts: &HarnessOpts, pop: usize) -> SimParams {
-    if opts.smoke {
+/// One grid point's parameters: the invocation's shape at population
+/// `pop`.
+fn params_at(opts: &HarnessOpts, pop: usize) -> SimParams {
+    let mut p = if opts.smoke {
         let mut p = SimParams::quick(pop, 20 * 60_000);
         p.catalog.websites = 4;
         p.catalog.active_websites = 2;
         p.catalog.objects_per_site = 50;
         p
     } else {
-        match opts.scale {
-            Scale::Paper => SimParams::paper_defaults(pop),
-            Scale::Quick => {
-                let horizon = 2 * 3_600_000;
-                let mut p = SimParams::quick(pop, horizon);
-                p.mean_uptime_ms = horizon / 4;
-                p.query_period_ms = p.mean_uptime_ms / 12;
-                p.gossip_period_ms = p.mean_uptime_ms;
-                p.catalog.websites = 10;
-                p.catalog.active_websites = 3;
-                p.catalog.objects_per_site = 200;
-                p
-            }
-        }
-    }
+        opts.params(pop)
+    };
+    p.population = pop;
+    p
 }
 
 fn main() {
-    let opts = HarnessOpts::parse();
+    // The population is one of this binary's grid axes, so `--population`
+    // is refused; nothing is written from gauge samples.
+    let opts = HarnessOpts::parse(&["--smoke"]);
 
     // Grid axes per scale. --smoke is the CI configuration: tiny sims,
     // two variants, two seeds — seconds of wall clock.
@@ -72,27 +64,18 @@ fn main() {
             ("squirrel", System::Squirrel),
         ] {
             for &variant in variants {
-                let mut params = cell_params(&opts, pop);
-                let mut cell = match variant {
+                let mut params = params_at(&opts, pop);
+                if variant == "nochurn" {
                     // The paper's churn law (uptime ≪ horizon) is the
                     // baseline; "no churn" pushes the mean session far
                     // past the horizon so nobody ever leaves.
-                    "nochurn" => {
-                        params.mean_uptime_ms = params.horizon_ms * 1_000;
-                        Cell::new(format!("{tag}_p{pop}_nochurn"), system, params)
-                    }
-                    "churn" => Cell::new(format!("{tag}_p{pop}_churn"), system, params),
-                    "resilience" => {
-                        let scenario = canned_resilience_scenario(&params);
-                        Cell::new(format!("{tag}_p{pop}_resilience"), system, params)
-                            .with_scenario(scenario)
-                    }
-                    other => unreachable!("unknown variant {other}"),
-                };
-                if let Some(sc) = opts.scenario_for(&cell.params) {
-                    // An explicit --scenario overrides the canned fault
-                    // schedules on every cell.
-                    cell = cell.with_scenario(sc);
+                    params.mean_uptime_ms = params.horizon_ms * 1_000;
+                }
+                let mut cell = opts.cell(format!("{tag}_p{pop}_{variant}"), system, params);
+                if variant == "resilience" {
+                    // An explicit --scenario replaces the canned schedule.
+                    cell.scenario
+                        .get_or_insert_with(|| canned_resilience_scenario(&cell.params));
                 }
                 grid.push(cell);
             }
@@ -155,7 +138,5 @@ fn main() {
         "wrote {}/runs.csv, summary.csv, summary.json",
         dir.display()
     );
-    if let Some(p) = &opts.profile_out {
-        flower_bench::write_profile_report(p, &results);
-    }
+    flower_bench::write_profile_report(&opts, &results);
 }

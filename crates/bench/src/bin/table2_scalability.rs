@@ -18,10 +18,12 @@
 use cdn_metrics::ascii_table;
 use flower_bench::{fmt_mean_spread, HarnessOpts, Scale};
 use flower_cdn::System;
-use sweep::{run_grid, runs_csv, summary_csv, Cell, Grid};
+use sweep::{run_grid, summary_csv, Grid};
 
 fn main() {
-    let opts = HarnessOpts::parse();
+    // The population is this binary's sweep axis, so `--population` is
+    // refused; nothing is written from gauge samples.
+    let opts = HarnessOpts::parse(&[]);
     let base = opts.params(2_000);
     let populations: Vec<usize> = match opts.scale {
         Scale::Paper => vec![2_000, 3_000, 4_000, 5_000],
@@ -38,7 +40,7 @@ fn main() {
         ] {
             let mut params = base.clone();
             params.population = pop;
-            grid.push(Cell::new(format!("{tag}_p{pop}"), system, params));
+            grid.push(opts.cell(format!("{tag}_p{pop}"), system, params));
         }
     }
     println!(
@@ -71,15 +73,11 @@ fn main() {
         )
     );
 
-    let dir = opts.results_dir();
-    let path = dir.join("table2_scalability.csv");
-    summary_csv(&results)
-        .save(&path)
-        .expect("write summary csv");
-    let runs_path = dir.join("table2_runs.csv");
-    runs_csv(&results).save(&runs_path).expect("write runs csv");
-    println!("wrote {} and {}", path.display(), runs_path.display());
-    if let Some(p) = &opts.profile_out {
-        flower_bench::write_profile_report(p, &results);
-    }
+    flower_bench::write_results(
+        &opts,
+        "table2_scalability.csv",
+        &summary_csv(&results),
+        "table2_runs.csv",
+        &results,
+    );
 }

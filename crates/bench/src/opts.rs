@@ -1,4 +1,7 @@
-//! Harness option parsing: one flag vocabulary for every binary.
+//! Harness option parsing: one flag vocabulary for every binary, and the
+//! one translation of those flags into run settings
+//! ([`HarnessOpts::sweep_opts`], [`HarnessOpts::cell`],
+//! [`HarnessOpts::params`]).
 //!
 //! [`HarnessOpts::from_args`] is the fallible core — it returns
 //! `Result` so tests can exercise bad input without spawning a process —
@@ -7,7 +10,7 @@
 
 use std::path::PathBuf;
 
-use flower_cdn::{Instrumentation, SimParams};
+use flower_cdn::{SimParams, System};
 
 /// Scale selection for a harness run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -21,21 +24,34 @@ pub enum Scale {
 
 /// The usage message shared by every harness binary.
 pub const USAGE: &str = "usage: <bin> [flags]
+ every binary:
   --quick              reduced-scale run (minutes of virtual time)
-  --smoke              tiny grid for CI (consumed by the sweep binary)
-  --population N       override the mean population
   --seed N             override the RNG seed (single run)
   --seeds SPEC         run every seed in SPEC: 'a,b,c' or 'start..end'
-  --jobs N             worker threads for multi-run harnesses
-                       (default: available cores; results never depend on it)
+  --jobs N             worker threads (default: available cores; results
+                       never depend on it)
   --out DIR            write result files under DIR (default: results/)
-  --trace-out PATH     stream simulation events as JSON lines to PATH
-  --gauges MS          sample live gauges every MS of virtual time
+  --trace-out DIR      stream every run's simulation events as JSON lines
+                       to DIR/<cell>_s<seed>.jsonl
   --profile-out PATH   enable the profiler and write a BENCH-schema perf
                        report (phase timers, message accounting) to PATH
-  --scenario FILE      apply a chaos fault schedule to every system
-  --assert-recovery    turn the resilience report into hard assertions
-  --help               print this message";
+  --scenario FILE      apply a chaos fault schedule to every run (replaces
+                       a canned schedule)
+  --help               print this message
+ only where the binary acts on it (refused elsewhere):
+  --population N       override the mean population (figures_p3000,
+                       resilience, ablation_*; not table2_scalability and
+                       sweep, which sweep it)
+  --gauges MS          sample live gauges every MS of virtual time
+                       (figures_p3000: chart + fig3_gauges.csv;
+                       ablation_petalup: its structure sampling period)
+  --assert-recovery    turn the report into hard assertions (resilience)
+  --smoke              tiny grid for CI (sweep)";
+
+/// The flags only some binaries act on. A binary names the ones it
+/// consumes ([`HarnessOpts::parse`]); the others are refused there like
+/// any unknown flag instead of being parsed and dropped.
+const BINARY_SPECIFIC: [&str; 4] = ["--population", "--gauges", "--assert-recovery", "--smoke"];
 
 /// What went wrong while parsing the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,14 +86,15 @@ pub struct HarnessOpts {
     pub jobs: Option<usize>,
     /// Result-file directory override (`--out`).
     pub out_dir: Option<PathBuf>,
-    /// JSONL trace destination (`--trace-out`).
+    /// Directory for the per-run JSONL traces (`--trace-out`).
     pub trace_out: Option<PathBuf>,
     /// Gauge sampling period in virtual ms (`--gauges`).
     pub gauge_period_ms: Option<u64>,
     /// Enable the profiler and write a `BENCH`-schema perf report here
     /// (`--profile-out`).
     pub profile_out: Option<PathBuf>,
-    /// Fault schedule to apply to every system (`--scenario`).
+    /// Fault schedule to apply to every run (`--scenario`); reaches the
+    /// runs through [`HarnessOpts::cell`].
     pub scenario: Option<flower_cdn::Scenario>,
     /// Fail the process unless the run demonstrates recovery
     /// (`--assert-recovery`; consumed by the `resilience` binary, where it
@@ -122,15 +139,17 @@ pub fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
 }
 
 impl HarnessOpts {
-    /// Parse explicit argument tokens (no program name). The fallible
-    /// core behind [`HarnessOpts::parse`]: unknown or malformed flags
-    /// yield an error carrying the usage message instead of aborting the
-    /// process.
-    pub fn from_args<I, S>(args: I) -> Result<HarnessOpts, OptsError>
+    /// Parse explicit argument tokens (no program name) for a binary that
+    /// acts on the binary-specific flags listed in `consumes`. The
+    /// fallible core behind [`HarnessOpts::parse`]: unknown, malformed or
+    /// unconsumed flags yield an error carrying the usage message instead
+    /// of aborting the process.
+    pub fn from_args<I, S>(args: I, consumes: &[&str]) -> Result<HarnessOpts, OptsError>
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        debug_assert!(consumes.iter().all(|f| BINARY_SPECIFIC.contains(f)));
         let mut opts = HarnessOpts::default();
         let mut args = args.into_iter().map(Into::into);
         fn value(
@@ -146,6 +165,11 @@ impl HarnessOpts {
                 .map_err(|_| OptsError::Invalid(format!("{flag}: {raw:?} is not a valid number")))
         }
         while let Some(a) = args.next() {
+            if BINARY_SPECIFIC.contains(&a.as_str()) && !consumes.contains(&a.as_str()) {
+                return Err(OptsError::Invalid(format!(
+                    "{a} has no effect in this binary; try --help"
+                )));
+            }
             match a.as_str() {
                 "--quick" => opts.scale = Scale::Quick,
                 "--smoke" => opts.smoke = true,
@@ -174,7 +198,7 @@ impl HarnessOpts {
                     opts.out_dir = Some(v.into());
                 }
                 "--trace-out" => {
-                    let v = value(&mut args, "--trace-out", "a path")?;
+                    let v = value(&mut args, "--trace-out", "a directory")?;
                     opts.trace_out = Some(v.into());
                 }
                 "--gauges" => {
@@ -208,9 +232,10 @@ impl HarnessOpts {
     }
 
     /// Parse from `std::env::args`, printing usage and exiting on bad
-    /// flags (exit 2) or `--help` (exit 0).
-    pub fn parse() -> HarnessOpts {
-        match Self::from_args(std::env::args().skip(1)) {
+    /// flags (exit 2) or `--help` (exit 0). `consumes` names the
+    /// binary-specific flags the calling `main` acts on.
+    pub fn parse(consumes: &[&str]) -> HarnessOpts {
+        match Self::from_args(std::env::args().skip(1), consumes) {
             Ok(opts) => opts,
             Err(OptsError::Help) => {
                 println!("{USAGE}");
@@ -223,19 +248,10 @@ impl HarnessOpts {
         }
     }
 
-    /// The instrumentation this invocation asks for, in the form the
-    /// experiment drivers accept.
-    pub fn instrumentation(&self) -> Instrumentation {
-        Instrumentation {
-            trace_out: self.trace_out.clone(),
-            gauge_period_ms: self.gauge_period_ms,
-            scenario: self.scenario.clone(),
-            profile: self.profile_out.is_some(),
-        }
-    }
-
-    /// The simulation parameters this invocation asks for. `default_pop`
-    /// is the population used at paper scale when none is given.
+    /// The simulation parameters this invocation asks for: Table 1 at
+    /// paper scale, the shared quick shape under `--quick`. `default_pop`
+    /// is the population used at paper scale when none is given (300
+    /// under `--quick`).
     pub fn params(&self, default_pop: usize) -> SimParams {
         let mut p = match self.scale {
             Scale::Paper => SimParams::paper_defaults(self.population.unwrap_or(default_pop)),
@@ -257,26 +273,29 @@ impl HarnessOpts {
         p
     }
 
-    /// The `--scenario` schedule for a run under `params`, if one was
-    /// given. Like any other bad flag value, a schedule that targets a
+    /// One grid cell of this invocation, carrying the `--scenario`
+    /// schedule if one was given — the one way the flag reaches a run. (A
+    /// harness with a canned schedule fills `cell.scenario` only where
+    /// this left it empty, so an explicit schedule replaces a canned
+    /// one.) Like any other bad flag value, a schedule that targets a
     /// website or locality the run does not have exits 2 with the reason
     /// (the engine would otherwise reject it mid-sweep, inside a worker).
-    pub fn scenario_for(&self, params: &SimParams) -> Option<flower_cdn::Scenario> {
-        let sc = self.scenario.as_ref()?;
-        if let Err(e) = sc.check_bounds(params.catalog.websites, params.topology.localities) {
-            eprintln!("--scenario does not fit this run: {e}\n{USAGE}");
-            std::process::exit(2);
+    pub fn cell(&self, label: impl Into<String>, system: System, params: SimParams) -> sweep::Cell {
+        if let Some(sc) = &self.scenario {
+            if let Err(e) = sc.check_bounds(params.catalog.websites, params.topology.localities) {
+                eprintln!("--scenario does not fit this run: {e}\n{USAGE}");
+                std::process::exit(2);
+            }
         }
-        Some(sc.clone())
+        let mut cell = sweep::Cell::new(label, system, params);
+        cell.scenario = self.scenario.clone();
+        cell
     }
 
     /// The seed list this invocation sweeps: explicit `--seeds` wins,
     /// else the single `--seed` (or `fallback` when neither is given).
     pub fn seed_list(&self, fallback: u64) -> Vec<u64> {
-        match &self.seeds {
-            Some(seeds) => seeds.clone(),
-            None => vec![self.seed.unwrap_or(fallback)],
-        }
+        self.seed_list_n(fallback, 1)
     }
 
     /// Like [`seed_list`](Self::seed_list) but defaulting to `n`
@@ -297,14 +316,14 @@ impl HarnessOpts {
         self.jobs.unwrap_or_else(sweep::default_jobs)
     }
 
-    /// Orchestrator options for this invocation. Traces are routed by the
-    /// individual harnesses (they keep the single-run `--trace-out` file
-    /// semantics), so `trace_dir` stays unset here.
+    /// What every run of this invocation is given — the only
+    /// translation of `--jobs`, `--gauges`, `--trace-out` and
+    /// `--profile-out` into run settings.
     pub fn sweep_opts(&self) -> sweep::SweepOpts {
         sweep::SweepOpts {
             jobs: self.jobs(),
             gauge_period_ms: self.gauge_period_ms,
-            trace_dir: None,
+            trace_dir: self.trace_out.clone(),
             progress: true,
             profile: self.profile_out.is_some(),
         }
@@ -322,6 +341,9 @@ impl HarnessOpts {
 mod tests {
     use super::*;
 
+    /// A binary that consumes every binary-specific flag.
+    const ALL: &[&str] = &BINARY_SPECIFIC;
+
     #[test]
     fn paper_scale_params_match_table1() {
         let opts = HarnessOpts::default();
@@ -334,7 +356,7 @@ mod tests {
     #[test]
     fn overrides_apply() {
         let opts =
-            HarnessOpts::from_args(["--quick", "--population", "123", "--seed", "9"]).unwrap();
+            HarnessOpts::from_args(["--quick", "--population", "123", "--seed", "9"], ALL).unwrap();
         let p = opts.params(3_000);
         assert_eq!(p.population, 123);
         assert_eq!(p.seed, 9);
@@ -343,7 +365,8 @@ mod tests {
 
     #[test]
     fn args_parse_the_new_flags() {
-        let opts = HarnessOpts::from_args(["--quick", "--jobs", "3", "--seeds", "4,5,6"]).unwrap();
+        let opts =
+            HarnessOpts::from_args(["--quick", "--jobs", "3", "--seeds", "4,5,6"], &[]).unwrap();
         assert_eq!(opts.scale, Scale::Quick);
         assert_eq!(opts.jobs, Some(3));
         assert_eq!(opts.seeds, Some(vec![4, 5, 6]));
@@ -354,29 +377,37 @@ mod tests {
     #[test]
     fn bad_flags_are_errors_not_aborts() {
         assert!(matches!(
-            HarnessOpts::from_args(["--population", "many"]),
+            HarnessOpts::from_args(["--population", "many"], ALL),
             Err(OptsError::Invalid(_))
         ));
         assert!(matches!(
-            HarnessOpts::from_args(["--frobnicate"]),
+            HarnessOpts::from_args(["--frobnicate"], ALL),
             Err(OptsError::Invalid(_))
         ));
         assert!(matches!(
-            HarnessOpts::from_args(["--jobs"]),
+            HarnessOpts::from_args(["--jobs"], ALL),
             Err(OptsError::Invalid(_))
         ));
         assert!(matches!(
-            HarnessOpts::from_args(["--jobs", "0"]),
+            HarnessOpts::from_args(["--jobs", "0"], ALL),
             Err(OptsError::Invalid(_))
         ));
         assert!(matches!(
-            HarnessOpts::from_args(["--gauges", "0"]),
+            HarnessOpts::from_args(["--gauges", "0"], ALL),
             Err(OptsError::Invalid(_))
         ));
         assert!(matches!(
-            HarnessOpts::from_args(["--help"]),
+            HarnessOpts::from_args(["--help"], ALL),
             Err(OptsError::Help)
         ));
+        // A binary-specific flag the binary does not consume is refused,
+        // well-formed or not.
+        for flag in BINARY_SPECIFIC {
+            assert!(matches!(
+                HarnessOpts::from_args([flag, "5"], &[]),
+                Err(OptsError::Invalid(_))
+            ));
+        }
         let msg = OptsError::Invalid("unknown flag --x".into()).to_string();
         assert!(msg.contains("usage:"), "errors carry the usage text");
     }

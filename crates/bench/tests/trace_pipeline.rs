@@ -1,10 +1,10 @@
-//! End-to-end observability pipeline test: an instrumented comparison run
-//! (the same path the `--trace-out` / `--gauges` bench flags use) must
-//! emit JSONL from which a single query's causal path is reconstructible
-//! by its `qid`, and must populate the gauge series.
+//! End-to-end observability pipeline test: a comparison run given
+//! `--trace-out` / `--gauges` (through the one sweep path every binary
+//! uses) must emit JSONL from which a single query's causal path is
+//! reconstructible by its `qid`, and must populate the gauge series.
 
 use cdn_metrics::{parse_trace_line, TraceLine};
-use flower_cdn::experiments::{run_comparison_instrumented, Instrumentation};
+use flower_bench::{run_comparison_sweep, HarnessOpts};
 use flower_cdn::SimParams;
 
 fn read_trace(path: &std::path::Path) -> Vec<TraceLine> {
@@ -17,22 +17,18 @@ fn read_trace(path: &std::path::Path) -> Vec<TraceLine> {
 #[test]
 fn instrumented_run_emits_reconstructible_traces_and_gauges() {
     let dir = std::env::temp_dir().join(format!("flower_trace_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("trace.jsonl");
-
     let mut params = SimParams::quick(40, 25 * 60_000);
     params.seed = 5;
     params.query_period_ms = 3 * 60_000;
-    let inst = Instrumentation {
-        trace_out: Some(path.clone()),
+    let opts = HarnessOpts {
+        trace_out: Some(dir.clone()),
         gauge_period_ms: Some(5 * 60_000),
-        scenario: None,
-        profile: false,
+        ..HarnessOpts::default()
     };
-    let run = run_comparison_instrumented(params, inst);
+    let run = run_comparison_sweep(&opts, params);
 
     // --- Flower-CDN trace: pick a completed query and rebuild its path.
-    let lines = read_trace(&path);
+    let lines = read_trace(&dir.join("flower_s5.jsonl"));
     assert!(
         lines.len() > 1_000,
         "trace too small: {} lines",
@@ -67,8 +63,8 @@ fn instrumented_run_emits_reconstructible_traces_and_gauges() {
     assert!(lines.iter().any(|l| l.kind() == "send"));
     assert!(lines.iter().any(|l| l.kind() == "deliver"));
 
-    // --- Squirrel sibling trace exists and completes queries too.
-    let sq_lines = read_trace(&path.with_extension("squirrel.jsonl"));
+    // --- The Squirrel run's trace exists and completes queries too.
+    let sq_lines = read_trace(&dir.join("squirrel_s5.jsonl"));
     assert!(sq_lines
         .iter()
         .any(|l| l.name() == Some("query_complete") && l.num("qid").is_some()));

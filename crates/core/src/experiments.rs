@@ -68,91 +68,12 @@ pub struct ComparisonRun {
     pub squirrel: RunResult,
 }
 
-/// Observability knobs for comparison runs — what the bench harness's
-/// `--trace-out` and `--gauges` flags map to.
-#[derive(Debug, Clone, Default)]
-pub struct Instrumentation {
-    /// Stream every trace event of the Flower-CDN run as JSON lines to
-    /// this path; the Squirrel run gets a `.squirrel.jsonl` sibling.
-    pub trace_out: Option<std::path::PathBuf>,
-    /// Sample gauge series (population, D-ring size, petal sizes, message
-    /// rates) with this period, landing in [`RunResult::gauges`].
-    pub gauge_period_ms: Option<u64>,
-    /// A fault schedule (`--scenario FILE`) applied identically to both
-    /// systems before the run starts.
-    pub scenario: Option<chaos::Scenario>,
-    /// Enable the performance profiler (phase timers, per-class message
-    /// accounting); the run's [`RunResult::perf`] cell is filled.
-    pub profile: bool,
-}
-
-impl Instrumentation {
-    /// Where this invocation's trace stream for `system` lands: the
-    /// Flower-CDN run gets `trace_out` itself, the Squirrel run a
-    /// `.squirrel.jsonl` sibling.
-    pub fn trace_path(&self, system: System) -> Option<std::path::PathBuf> {
-        self.trace_out.as_ref().map(|path| match system {
-            System::FlowerCdn => path.clone(),
-            System::Squirrel => path.with_extension("squirrel.jsonl"),
-        })
-    }
-}
-
-/// Set one simulation up for its run, through the [`SimDriver`] surface
-/// (system-agnostic): profiler, JSONL trace stream to `trace_path`, gauges,
-/// fault scenario. Every harness funnels through here because that order
-/// is part of the determinism contract — a sweep run reproduces a
-/// single-run invocation byte for byte. (The profiler goes first so it
-/// observes everything the rest emits; it never affects the virtual-time
-/// schedule.) Callers differ only in how they name the trace file.
-pub fn set_up_run(
-    sim: &mut dyn SimDriver,
-    profile: bool,
-    trace_path: Option<std::path::PathBuf>,
-    gauge_period_ms: Option<u64>,
-    scenario: Option<&chaos::Scenario>,
-) {
-    if profile {
-        sim.enable_profiling();
-    }
-    if let Some(path) = trace_path {
-        let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
-        sim.add_trace_sink_boxed(Box::new(w));
-    }
-    if let Some(period) = gauge_period_ms {
-        sim.enable_gauges(period);
-    }
-    if let Some(sc) = scenario {
-        sim.apply_scenario(sc);
-    }
-}
-
 /// Run Flower-CDN and Squirrel side by side (two OS threads).
 pub fn run_comparison(params: SimParams) -> ComparisonRun {
-    run_comparison_instrumented(params, Instrumentation::default())
-}
-
-/// [`run_comparison`] with tracing and gauge sampling attached to both
-/// systems as requested.
-pub fn run_comparison_instrumented(params: SimParams, inst: Instrumentation) -> ComparisonRun {
-    let run = |system| {
-        run_system_with(system, params.clone(), |sim| {
-            set_up_run(
-                sim,
-                inst.profile,
-                inst.trace_path(system),
-                inst.gauge_period_ms,
-                inst.scenario.as_ref(),
-            );
-        })
-    };
     let (flower, squirrel) = std::thread::scope(|s| {
-        let hf = s.spawn(|| run(System::FlowerCdn));
-        let hs = s.spawn(|| run(System::Squirrel));
-        (
-            hf.join().expect("flower run"),
-            hs.join().expect("squirrel run"),
-        )
+        let squirrel = s.spawn(|| run_system(System::Squirrel, params.clone()));
+        let flower = run_system(System::FlowerCdn, params.clone());
+        (flower, squirrel.join().expect("squirrel run"))
     });
     ComparisonRun {
         params,

@@ -62,8 +62,7 @@ pub use dring::DirPosition;
 pub use driver::SimDriver;
 pub use engine::{Control, Engine, RunResult, SimSystem};
 pub use experiments::{
-    run_comparison, run_comparison_instrumented, run_system, run_system_with, set_up_run,
-    shape_params, ComparisonRun, Instrumentation, System,
+    run_comparison, run_system, run_system_with, shape_params, ComparisonRun, System,
 };
 pub use flower::{Flower, FlowerHost, FlowerSim};
 pub use flower_proto::{

@@ -1,17 +1,23 @@
 //! Execute a grid: one deterministic simulation per (cell, seed), fanned
-//! out over the worker pool, with per-run trace/gauge capture on request.
+//! out over the worker pool.
+//!
+//! This module is the only road from a `(Cell, seed)` to a run and from
+//! runs to [`CellResult`]s: [`execute_cell_with`] is the one function
+//! that builds, sets up and runs a simulation, [`run_grid_with`] the one
+//! fold; [`execute_cell`] and [`run_grid`] are their hook-less forms.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
 use cdn_metrics::RunSummary;
-use flower_cdn::{run_system_with, set_up_run, RunResult, System};
+use flower_cdn::{run_system_with, RunResult, SimDriver, System};
 
 use crate::grid::{Cell, Grid};
 use crate::pool::par_map_progress;
 
-/// Orchestrator knobs (the bench harness's `--jobs`, `--gauges`,
-/// `--trace-out` flags map here).
+/// What every run of a sweep is given (the bench harness's `--jobs`,
+/// `--gauges`, `--trace-out` and `--profile-out` flags map here; the
+/// fault schedule travels in the [`Cell`]).
 #[derive(Debug, Clone)]
 pub struct SweepOpts {
     /// Worker threads. The aggregate output is byte-identical for any
@@ -62,28 +68,6 @@ pub struct CellResult {
 }
 
 impl CellResult {
-    /// The one place a cell's finished runs become a `CellResult`: one
-    /// `(seed, summary, perf cell)` per run, in seed order. (Summaries, not
-    /// whole [`RunResult`]s, so a big grid need not keep every run's query
-    /// records alive until the last one finishes.)
-    pub fn from_runs(
-        cell: &Cell,
-        runs: impl IntoIterator<Item = (u64, RunSummary, Option<profile::RunPerf>)>,
-    ) -> CellResult {
-        let mut out = CellResult {
-            label: cell.label.clone(),
-            system: cell.system,
-            population: cell.params.population,
-            runs: Vec::new(),
-            perf: Vec::new(),
-        };
-        for (seed, summary, perf) in runs {
-            out.runs.push((seed, summary));
-            out.perf.extend(perf.map(|p| (seed, p)));
-        }
-        out
-    }
-
     /// This cell's values for one metric (schema name from
     /// [`RunSummary::COLUMNS`]), in seed order.
     pub fn metric_values(&self, metric: &str) -> Vec<f64> {
@@ -118,9 +102,37 @@ fn safe_label(label: &str) -> String {
         .collect()
 }
 
-/// Run one (cell, seed) through the [`flower_cdn::SimDriver`] surface,
-/// set up by [`set_up_run`] like every single-run harness invocation.
-pub fn execute_cell(cell: &Cell, seed: u64, opts: &SweepOpts) -> RunResult {
+/// Set one simulation up for its run, after the caller's own sinks:
+/// profiler, JSONL trace stream to `trace_path`, gauges, fault scenario.
+/// The order is part of the determinism contract — it is why a sweep run
+/// reproduces any other harness invocation of the same (cell, seed) byte
+/// for byte. (The profiler goes first so it observes everything the rest
+/// emits; it never affects the virtual-time schedule.)
+fn set_up_run(sim: &mut dyn SimDriver, trace_path: Option<PathBuf>, cell: &Cell, opts: &SweepOpts) {
+    if opts.profile {
+        sim.enable_profiling();
+    }
+    if let Some(path) = trace_path {
+        let w = cdn_metrics::JsonlTraceWriter::create(path).expect("create trace file");
+        sim.add_trace_sink_boxed(Box::new(w));
+    }
+    if let Some(period) = opts.gauge_period_ms {
+        sim.enable_gauges(period);
+    }
+    if let Some(sc) = &cell.scenario {
+        sim.apply_scenario(sc);
+    }
+}
+
+/// Run one (cell, seed): build the simulation, let `attach` add the
+/// caller's own trace sinks, apply what `opts` and the cell ask for, run
+/// to the horizon. Every run of every harness goes through here.
+pub fn execute_cell_with(
+    cell: &Cell,
+    seed: u64,
+    opts: &SweepOpts,
+    attach: impl FnOnce(&mut dyn SimDriver),
+) -> RunResult {
     let mut params = cell.params.clone();
     params.seed = seed;
     let trace_path = opts.trace_dir.as_ref().map(|dir| {
@@ -128,21 +140,21 @@ pub fn execute_cell(cell: &Cell, seed: u64, opts: &SweepOpts) -> RunResult {
         dir.join(format!("{}_s{seed}.jsonl", safe_label(&cell.label)))
     });
     run_system_with(cell.system, params, |sim| {
-        set_up_run(
-            sim,
-            opts.profile,
-            trace_path,
-            opts.gauge_period_ms,
-            cell.scenario.as_ref(),
-        );
+        attach(sim);
+        set_up_run(sim, trace_path, cell, opts);
     })
 }
 
-/// Fan a grid out over the pool with a *custom* per-run runner, for
-/// harnesses that need more than a [`RunSummary`] (full records, custom
-/// trace sinks, resilience trackers). Returns one `Vec<(seed, R)>` per
-/// cell, aligned with `grid.cells` and `grid.seeds` order regardless of
-/// completion order.
+/// [`execute_cell_with`] with nothing to attach.
+pub fn execute_cell(cell: &Cell, seed: u64, opts: &SweepOpts) -> RunResult {
+    execute_cell_with(cell, seed, opts, |_| {})
+}
+
+/// Fan a grid out over the pool with a *custom* per-run runner — the
+/// fan-out under [`run_grid_with`], public for callers that fold runs
+/// their own way (the repository benchmark). Returns one `Vec<(seed, R)>`
+/// per cell, aligned with `grid.cells` and `grid.seeds` order regardless
+/// of completion order.
 pub fn run_cells<R, F>(grid: &Grid, opts: &SweepOpts, runner: F) -> Vec<Vec<(u64, R)>>
 where
     R: Send,
@@ -179,23 +191,60 @@ where
     grouped
 }
 
-/// Run the whole grid and summarize every run: the orchestrator's main
-/// entry point. Deterministic for any `opts.jobs`.
-pub fn run_grid(grid: &Grid, opts: &SweepOpts) -> Vec<CellResult> {
+/// Run the whole grid and fold every run into its cell, keeping what
+/// `hook` extracts per run. `hook(cell, sim)` runs on the worker before
+/// set-up, where it may attach trace sinks, and returns the closure that
+/// is handed the finished [`RunResult`] and keeps what the harness needs
+/// of it (records, gauges, a tracker's verdict). Returns the cells plus,
+/// aligned with them, one extract per seed in seed order. Deterministic
+/// for any `opts.jobs`.
+pub fn run_grid_with<H, E, X>(
+    grid: &Grid,
+    opts: &SweepOpts,
+    hook: H,
+) -> (Vec<CellResult>, Vec<Vec<X>>)
+where
+    H: Fn(&Cell, &mut dyn SimDriver) -> E + Sync,
+    E: FnOnce(RunResult) -> X,
+    X: Send,
+{
     let grouped = run_cells(grid, opts, |cell, seed| {
-        let r = execute_cell(cell, seed, opts);
-        (r.summary(), r.perf)
+        let mut extract = None;
+        let r = execute_cell_with(cell, seed, opts, |sim| extract = Some(hook(cell, sim)));
+        let extract = extract.expect("the driver runs the customization");
+        // Summaries, not whole `RunResult`s, cross the pool: a big grid
+        // need not keep every run's query records alive until the last
+        // one finishes.
+        (r.summary(), r.perf.clone(), extract(r))
     });
     grid.cells
         .iter()
         .zip(grouped)
         .map(|(cell, runs)| {
-            let runs = runs
+            let mut out = CellResult {
+                label: cell.label.clone(),
+                system: cell.system,
+                population: cell.params.population,
+                runs: Vec::new(),
+                perf: Vec::new(),
+            };
+            let extracts = runs
                 .into_iter()
-                .map(|(seed, (sum, perf))| (seed, sum, perf));
-            CellResult::from_runs(cell, runs)
+                .map(|(seed, (summary, perf, x))| {
+                    out.runs.push((seed, summary));
+                    out.perf.extend(perf.map(|p| (seed, p)));
+                    x
+                })
+                .collect();
+            (out, extracts)
         })
-        .collect()
+        .unzip()
+}
+
+/// [`run_grid_with`] with nothing to extract: the orchestrator's main
+/// entry point.
+pub fn run_grid(grid: &Grid, opts: &SweepOpts) -> Vec<CellResult> {
+    run_grid_with(grid, opts, |_, _| |_| ()).0
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //!   optional fault scenario) × a shared seed list;
 //! * [`pool`] — a deterministic worker pool: results are slotted by job
 //!   index, so aggregate output is **byte-identical for any `--jobs`**;
-//! * [`exec`] — run one cell seed through the [`flower_cdn::SimDriver`]
-//!   surface (with optional per-run trace capture and gauge sampling) and
-//!   fan a whole grid out over the pool;
+//! * [`exec`] — the one road from a `(Cell, seed)` to a run
+//!   ([`execute_cell_with`], which owns the set-up order) and from runs
+//!   to [`CellResult`]s ([`run_grid_with`], which also hands each
+//!   finished run to the caller's hook);
 //! * [`aggregate`] — mean / sample stddev / 95% CI per metric per cell,
 //!   and the schema-stable `runs.csv` / `summary.csv` / `summary.json`
 //!   writers.
@@ -38,6 +39,9 @@ pub mod grid;
 pub mod pool;
 
 pub use aggregate::{aggregate, runs_csv, summary_csv, summary_json, MetricAgg};
-pub use exec::{default_jobs, execute_cell, run_cells, run_grid, CellResult, SweepOpts};
+pub use exec::{
+    default_jobs, execute_cell, execute_cell_with, run_cells, run_grid, run_grid_with, CellResult,
+    SweepOpts,
+};
 pub use grid::{Cell, Grid};
-pub use pool::{par_map, par_map_progress};
+pub use pool::par_map_progress;

@@ -3,8 +3,8 @@
 //! Jobs are indexed; workers pull the next index from an atomic counter
 //! and send `(index, result)` back over a channel; the caller slots each
 //! result by index. The *completion* order therefore never influences the
-//! *output* order — `par_map` over N workers returns exactly what a
-//! sequential map would, which is what makes sweep aggregates
+//! *output* order — [`par_map_progress`] over N workers returns exactly
+//! what a sequential map would, which is what makes sweep aggregates
 //! byte-identical for any `--jobs` value.
 //!
 //! Each job runs wholly inside one OS thread, so `!Send` simulation
@@ -17,18 +17,9 @@ use std::sync::mpsc;
 /// Parallel map with deterministic output order. `jobs` is clamped to
 /// `[1, items.len()]`; `jobs == 1` still runs on one worker thread so the
 /// execution environment matches the parallel case exactly.
-pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_progress(items, jobs, f, |_, _| {})
-}
-
-/// [`par_map`] with a completion callback: `on_done(job_index, done_so_far)`
-/// runs on the calling thread each time a job finishes (in completion
-/// order — use it for progress lines, never for results).
+/// `on_done(job_index, done_so_far)` runs on the calling thread each time
+/// a job finishes (in completion order — use it for progress lines, never
+/// for results).
 pub fn par_map_progress<T, R, F, P>(items: &[T], jobs: usize, f: F, mut on_done: P) -> Vec<R>
 where
     T: Sync,
@@ -85,7 +76,7 @@ mod tests {
         let items: Vec<u64> = (0..57).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         for jobs in [1, 2, 4, 16, 200] {
-            let got = par_map(&items, jobs, |_, &x| x * x);
+            let got = par_map_progress(&items, jobs, |_, &x| x * x, |_, _| {});
             assert_eq!(got, expected, "jobs={jobs}");
         }
     }
@@ -111,7 +102,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u64> = par_map(&[] as &[u64], 8, |_, &x| x);
+        let out: Vec<u64> = par_map_progress(&[] as &[u64], 8, |_, &x| x, |_, _| {});
         assert!(out.is_empty());
     }
 }

@@ -3,9 +3,10 @@
 //! run sequentially or inside the pool, and aggregate files are
 //! byte-identical for any `--jobs` value.
 
-use chaos::{FaultAction, Scenario};
-use flower_cdn::{SimParams, System};
-use sweep::{run_grid, runs_csv, summary_csv, summary_json, Cell, Grid, SweepOpts};
+use cdn_metrics::parse_trace_line;
+use chaos::{FaultAction, ResilienceTracker, Scenario};
+use flower_cdn::{RunResult, SimParams, System};
+use sweep::{run_grid, run_grid_with, runs_csv, summary_csv, summary_json, Cell, Grid, SweepOpts};
 
 fn tiny_params(population: usize) -> SimParams {
     let mut p = SimParams::quick(population, 20 * 60_000);
@@ -96,4 +97,78 @@ fn cell_results_keep_grid_and_seed_order() {
         let seeds: Vec<u64> = cell.runs.iter().map(|&(s, _)| s).collect();
         assert_eq!(seeds, grid.seeds);
     }
+}
+
+#[test]
+fn a_hook_changes_no_aggregate_byte() {
+    let grid = tiny_grid();
+    let plain = run_grid(&grid, &opts(1));
+    for jobs in [1, 4] {
+        // Both halves of a hook, as `resilience` uses them: a sink of the
+        // harness's own attached before set-up, read after the run
+        // together with the finished result.
+        let (hooked, extracted) = run_grid_with(&grid, &opts(jobs), |_, sim| {
+            let tracker = ResilienceTracker::new(60_000);
+            sim.add_trace_sink_boxed(Box::new(tracker.clone()));
+            move |r: RunResult| {
+                let buckets = tracker.summary().availability;
+                let traced: u64 = buckets.iter().map(|b| b.hits + b.misses).sum();
+                (traced, r.records.len() as u64)
+            }
+        });
+        assert_eq!(runs_csv(&plain).as_str(), runs_csv(&hooked).as_str());
+        assert_eq!(summary_csv(&plain).as_str(), summary_csv(&hooked).as_str());
+        assert_eq!(summary_json(&plain), summary_json(&hooked), "jobs={jobs}");
+        // One extract per run, in the cells' seed order: each one agrees
+        // with the summary it sits next to.
+        for (cell, extracts) in hooked.iter().zip(&extracted) {
+            assert_eq!(extracts.len(), cell.runs.len());
+            for ((seed, summary), &(traced, records)) in cell.runs.iter().zip(extracts) {
+                assert_eq!(traced, summary.queries, "{} seed {seed}", cell.label);
+                assert_eq!(records, summary.queries, "{} seed {seed}", cell.label);
+            }
+        }
+    }
+}
+
+#[test]
+fn trace_dir_gets_one_parseable_file_per_run() {
+    let dir = std::env::temp_dir().join(format!("sweep_trace_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut grid = Grid::new(vec![3, 4]);
+    grid.push(Cell::new("flower_p60", System::FlowerCdn, tiny_params(60)));
+    // A label that is not a file name as it stands.
+    grid.push(Cell::new(
+        "squirrel p=60",
+        System::Squirrel,
+        tiny_params(60),
+    ));
+    let traced = SweepOpts {
+        trace_dir: Some(dir.clone()),
+        ..opts(2)
+    };
+    run_grid(&grid, &traced);
+
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("trace dir created")
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        [
+            "flower_p60_s3.jsonl",
+            "flower_p60_s4.jsonl",
+            "squirrel-p-60_s3.jsonl",
+            "squirrel-p-60_s4.jsonl"
+        ]
+    );
+    for name in &written {
+        let text = std::fs::read_to_string(dir.join(name)).expect("trace readable");
+        assert!(text.lines().count() > 100, "{name} is nearly empty");
+        for line in text.lines() {
+            assert!(parse_trace_line(line).is_some(), "{name}: malformed {line}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

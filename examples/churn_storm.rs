@@ -13,8 +13,7 @@
 //! cargo run --release --example churn_storm
 //! ```
 
-use flower_cdn::experiments::{run_comparison_instrumented, Instrumentation};
-use flower_cdn::{FaultAction, Scenario, SimParams};
+use flower_cdn::{run_system_with, FaultAction, Scenario, SimParams, System};
 
 /// Four storm waves in the second half of the run: each kills `frac` of
 /// the mean population at random, then a join wave of the same size
@@ -62,19 +61,23 @@ fn main() {
         params.catalog.websites = 6;
         params.catalog.active_websites = 3;
         params.catalog.objects_per_site = 200;
-        let inst = Instrumentation {
-            scenario: (frac > 0.0).then(|| storm(horizon, population, frac)),
-            ..Instrumentation::default()
+        let storm = (frac > 0.0).then(|| storm(horizon, population, frac));
+        let run = |system| {
+            run_system_with(system, params.clone(), |sim| {
+                if let Some(sc) = &storm {
+                    sim.apply_scenario(sc);
+                }
+            })
         };
-        let run = run_comparison_instrumented(params, inst);
+        let (flower, squirrel) = (run(System::FlowerCdn), run(System::Squirrel));
         println!(
             "{:>9.0} % {:>12.3} {:>12.3} {:>11.0} ms {:>13.0} ms {:>9}",
             frac * 100.0,
-            run.flower.stats.hit_ratio(),
-            run.squirrel.stats.hit_ratio(),
-            run.flower.stats.mean_lookup_ms(),
-            run.squirrel.stats.mean_lookup_ms(),
-            run.flower.replacements,
+            flower.stats.hit_ratio(),
+            squirrel.stats.hit_ratio(),
+            flower.stats.mean_lookup_ms(),
+            squirrel.stats.mean_lookup_ms(),
+            flower.replacements,
         );
     }
     println!();

@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
 """Render results/*.csv into the markdown tables EXPERIMENTS.md embeds.
 
-usage: python3 render_results.py [FILE]      (from the repository root)
+usage: python3 render_results.py [--check] [FILE]   (from the repository root)
 
-Replaces each `<!-- …_MEASURED -->` marker in FILE (default EXPERIMENTS.md)
-with its table. All four tables are rendered before anything is written,
-whether or not their marker is present, so a CSV that is missing or no
-longer has the columns read here ends the run with a traceback and FILE
-untouched; `ci.sh` runs this on a scratch copy for that reason.
+Each table lives between a persistent pair of markers in FILE (default
+EXPERIMENTS.md),
+
+    <!-- BEGIN TABLE2_MEASURED -->
+    …
+    <!-- END TABLE2_MEASURED -->
+
+and every run replaces what is between them, so a table can never go
+stale against its CSV unnoticed: with `--check` nothing is written and the
+exit status is 1 if rendering would change FILE (`ci.sh` runs that). All
+four tables are rendered before anything is written, so a CSV that is
+missing or no longer has the columns read here ends the run with a
+traceback and FILE untouched; a missing marker pair is an error too.
 """
-import csv, pathlib, sys
+import csv, pathlib, re, sys
 
 R = pathlib.Path("results")
 
@@ -82,16 +90,28 @@ def cache():
 
 
 if __name__ == "__main__":
-    path = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md")
-    md = path.read_text()
+    args = sys.argv[1:]
+    check = "--check" in args
+    files = [a for a in args if a != "--check"]
+    path = pathlib.Path(files[0] if files else "EXPERIMENTS.md")
+    before = md = path.read_text()
     tables = [
-        ("<!-- TABLE2_MEASURED -->", table2()),
-        ("<!-- A1_MEASURED -->", petalup()),
-        ("<!-- A2_MEASURED -->", maintenance()),
-        ("<!-- A3_MEASURED -->", cache()),
+        ("TABLE2_MEASURED", table2()),
+        ("A1_MEASURED", petalup()),
+        ("A2_MEASURED", maintenance()),
+        ("A3_MEASURED", cache()),
     ]
-    for marker, table in tables:
-        if marker in md:
-            md = md.replace(marker, table)
-            print(f"filled {marker}")
-    path.write_text(md)
+    for name, table in tables:
+        begin, end = f"<!-- BEGIN {name} -->", f"<!-- END {name} -->"
+        pair = re.compile(re.escape(begin) + ".*?" + re.escape(end), re.S)
+        md, n = pair.subn(lambda _: f"{begin}\n{table}\n{end}", md)
+        if n != 1:
+            sys.exit(f"{path}: expected one {begin} … {end} pair, found {n}")
+    if md == before:
+        print(f"{path}: tables match results/")
+    elif check:
+        sys.exit(f"{path}: tables are stale against results/*.csv: "
+                 "run python3 render_results.py and commit the result")
+    else:
+        path.write_text(md)
+        print(f"{path}: tables re-rendered from results/")
