@@ -22,6 +22,9 @@ cargo fmt --check
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (no dead intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+
 echo "==> rendered docs (EXPERIMENTS.md tables are what results/*.csv render to)"
 python3 render_results.py --check
 

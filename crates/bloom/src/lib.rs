@@ -138,11 +138,6 @@ impl BloomFilter {
         self.items = 0;
     }
 
-    /// Wire size of the summary in bytes (used by overhead accounting).
-    pub fn byte_len(&self) -> usize {
-        self.bits.len() * 8
-    }
-
     /// The raw bit words, for serialization.
     pub fn words(&self) -> &[u64] {
         &self.bits

@@ -28,12 +28,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use simnet::{FieldValue, Fields, NodeId, Time, TraceEvent, TraceSink};
+use simnet::{field_bool, field_str, Fields, NodeId, Time, TraceEvent, TraceSink};
 
-use crate::tags;
-
-/// Directory position key: (website, locality, instance).
-type Pos = (u64, u64, u64);
+use crate::tags::{self, pos_of, Pos};
 
 /// The repair timeline of one killed directory position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,44 +150,6 @@ struct State {
 #[derive(Debug, Clone)]
 pub struct ResilienceTracker {
     state: Rc<RefCell<State>>,
-}
-
-fn field_u64(fields: &Fields, key: &str) -> Option<u64> {
-    fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| {
-        if let FieldValue::U64(x) = v {
-            Some(*x)
-        } else {
-            None
-        }
-    })
-}
-
-fn field_bool(fields: &Fields, key: &str) -> Option<bool> {
-    fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| {
-        if let FieldValue::Bool(b) = v {
-            Some(*b)
-        } else {
-            None
-        }
-    })
-}
-
-fn field_str<'a>(fields: &'a Fields, key: &str) -> Option<&'a str> {
-    fields.iter().find(|(k, _)| *k == key).and_then(|(_, v)| {
-        if let FieldValue::Str(s) = v {
-            Some(*s)
-        } else {
-            None
-        }
-    })
-}
-
-fn pos_of(fields: &Fields) -> Option<Pos> {
-    Some((
-        field_u64(fields, "ws")?,
-        field_u64(fields, "loc")?,
-        field_u64(fields, "inst")?,
-    ))
 }
 
 impl ResilienceTracker {
@@ -323,6 +282,7 @@ impl TraceSink for ResilienceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::FieldValue;
 
     fn became(ws: u64, loc: u64, inst: u64) -> Fields {
         vec![

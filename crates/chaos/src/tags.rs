@@ -3,6 +3,21 @@
 //! cannot import them). A parity test in `flower-cdn` asserts the two
 //! sets of constants stay identical — change them together.
 
+use simnet::{field_u64, FieldValue};
+
+/// A D-ring position as trace fields carry it: (website, locality,
+/// instance).
+pub type Pos = (u64, u64, u64);
+
+/// The position a [`BECAME_DIRECTORY`] / [`DEMOTED`] event names.
+pub fn pos_of(fields: &[(&'static str, FieldValue)]) -> Option<Pos> {
+    Some((
+        field_u64(fields, "ws")?,
+        field_u64(fields, "loc")?,
+        field_u64(fields, "inst")?,
+    ))
+}
+
 /// A peer became the directory of a position
 /// (fields: `ws`, `loc`, `inst`, `replacement`, `snapshot`).
 pub const BECAME_DIRECTORY: &str = "became_directory";

@@ -1,139 +1,42 @@
 //! Sustained-churn convergence test: the ring must stay near-converged
 //! while nodes continuously join and fail (the paper's §6.1 regime).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+mod common;
 
-use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordMsg, ChordTimer, NodeRef};
-use simnet::{LivenessChecker, LocalityId, NodeId, Time, TraceEvent, TraceSink};
+use chord::{Chord, ChordAction, ChordConfig, ChordId, NodeRef};
+use common::{Host, Policy};
+use simnet::NodeId;
 
 const LATENCY_MS: u64 = 50;
 
-enum Ev {
-    Msg {
-        to: NodeId,
-        from: NodeId,
-        msg: ChordMsg,
-    },
-    Timer {
-        node: NodeId,
-        timer: ChordTimer,
-    },
-}
-
-struct H {
-    now: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events: Vec<Option<Ev>>,
-    nodes: BTreeMap<NodeId, Chord>,
+#[derive(Default)]
+struct Churn {
     isolated: Vec<(u64, NodeId)>,
     /// Nodes needing a re-bootstrap (JoinFailed or Isolated), handled by
     /// the driver loop the way real hosts do.
     rejoin_queue: Vec<NodeId>,
     join_failures: u64,
-    /// Trace-driven consistency checker fed by the harness (see ring.rs).
-    trace: LivenessChecker,
 }
 
+impl Policy for Churn {
+    fn outcome(host: &mut H, me: NodeId, action: ChordAction) {
+        match action {
+            ChordAction::Isolated => {
+                host.policy.isolated.push((host.now, me));
+                host.policy.rejoin_queue.push(me);
+            }
+            ChordAction::JoinFailed => {
+                host.policy.join_failures += 1;
+                host.policy.rejoin_queue.push(me);
+            }
+            _ => {}
+        }
+    }
+}
+
+type H = Host<Churn>;
+
 impl H {
-    fn new() -> H {
-        H {
-            now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            events: Vec::new(),
-            nodes: BTreeMap::new(),
-            isolated: Vec::new(),
-            rejoin_queue: Vec::new(),
-            join_failures: 0,
-            trace: LivenessChecker::new(),
-        }
-    }
-    fn emit(&mut self, ev: TraceEvent) {
-        self.trace.event(Time::from_millis(self.now), &ev);
-    }
-    fn note_spawn(&mut self, id: NodeId) {
-        self.emit(TraceEvent::NodeSpawn {
-            node: id,
-            locality: LocalityId(0),
-        });
-    }
-    fn note_fail(&mut self, id: NodeId) {
-        self.emit(TraceEvent::NodeFail { node: id });
-    }
-    fn push(&mut self, at: u64, ev: Ev) {
-        let idx = self.events.len();
-        self.events.push(Some(ev));
-        self.queue.push(Reverse((at, self.seq, idx)));
-        self.seq += 1;
-    }
-    fn apply(&mut self, me: NodeId, actions: Vec<ChordAction>) {
-        for a in actions {
-            match a {
-                ChordAction::Send { to, msg } => self.push(
-                    self.now + LATENCY_MS,
-                    Ev::Msg {
-                        to: to.node,
-                        from: me,
-                        msg,
-                    },
-                ),
-                ChordAction::SetTimer { delay_ms, timer } => {
-                    self.push(self.now + delay_ms, Ev::Timer { node: me, timer })
-                }
-                ChordAction::Isolated => {
-                    self.isolated.push((self.now, me));
-                    self.rejoin_queue.push(me);
-                }
-                ChordAction::JoinFailed => {
-                    self.join_failures += 1;
-                    self.rejoin_queue.push(me);
-                }
-                _ => {}
-            }
-        }
-    }
-    fn run_until(&mut self, t: u64) {
-        while let Some(&Reverse((at, _, _))) = self.queue.peek() {
-            if at > t {
-                break;
-            }
-            let Reverse((at, _, idx)) = self.queue.pop().unwrap();
-            self.now = at;
-            let Some(ev) = self.events[idx].take() else {
-                continue;
-            };
-            match ev {
-                Ev::Msg { to, from, msg } => {
-                    let class = msg.class();
-                    if let Some(n) = self.nodes.get_mut(&to) {
-                        let acts = n.handle_message(from, msg);
-                        self.emit(TraceEvent::MsgDeliver {
-                            src: from,
-                            dst: to,
-                            class,
-                        });
-                        self.apply(to, acts);
-                    } else {
-                        self.emit(TraceEvent::MsgDrop {
-                            src: from,
-                            dst: to,
-                            class,
-                            reason: simnet::DropReason::DeadDestination,
-                        });
-                    }
-                }
-                Ev::Timer { node, timer } => {
-                    if let Some(n) = self.nodes.get_mut(&node) {
-                        let acts = n.handle_timer(timer);
-                        self.apply(node, acts);
-                    }
-                }
-            }
-        }
-        self.now = t;
-    }
     /// (succ_ok fraction over joined nodes, stranded, predless, pred_ok fraction)
     fn health(&self) -> (f64, usize, usize, f64) {
         let mut m: Vec<(ChordId, NodeId, NodeId, bool, Option<NodeId>)> = self
@@ -204,17 +107,14 @@ fn cfg() -> ChordConfig {
 
 #[test]
 fn ring_stays_converged_under_sustained_churn() {
-    let mut h = H::new();
+    let mut h = H::new(LATENCY_MS, Churn::default());
     // Seed ring: 200 converged nodes.
     let mut refs: Vec<NodeRef> = (0..200)
         .map(|i| NodeRef::new(NodeId::from_index(i), ChordId(hash(i as u64))))
         .collect();
     refs.sort_by_key(|r| r.id.0);
     for (i, r) in refs.iter().enumerate() {
-        h.note_spawn(r.node);
-        let (node, actions) = Chord::converged(i, &refs, cfg());
-        h.nodes.insert(r.node, node);
-        h.apply(r.node, actions);
+        h.spawn(*r, Chord::converged(i, &refs, cfg()));
     }
     // Churn: every 2 s one node dies and one joins (mean lifetime ≈
     // 400 s ≈ 13 stabilize periods — comparable to the paper's ratio).
@@ -233,21 +133,17 @@ fn ring_stays_converged_under_sustained_churn() {
         // Fail a random live node.
         let live: Vec<NodeId> = h.nodes.keys().copied().collect();
         let victim = live[(rand() % live.len() as u64) as usize];
-        h.note_fail(victim);
-        h.nodes.remove(&victim);
+        h.kill(victim);
         // A new node joins through a random live seed.
         let live: Vec<NodeId> = h.nodes.keys().copied().collect();
         let seed_id = live[(rand() % live.len() as u64) as usize];
         let seed = h.nodes[&seed_id].me();
         let me = NodeRef::new(NodeId::from_index(next_id), ChordId(hash(next_id as u64)));
         next_id += 1;
-        h.note_spawn(me.node);
-        let (node, actions) = Chord::join(me, seed, cfg());
-        h.nodes.insert(me.node, node);
-        h.apply(me.node, actions);
+        h.spawn(me, Chord::join(me, seed, cfg()));
         // Host behaviour: re-bootstrap nodes that failed to join or got
         // isolated, through a random live seed.
-        let pending: Vec<NodeId> = h.rejoin_queue.drain(..).collect();
+        let pending: Vec<NodeId> = h.policy.rejoin_queue.drain(..).collect();
         for id in pending {
             if !h.nodes.contains_key(&id) {
                 continue;
@@ -264,9 +160,7 @@ fn ring_stays_converged_under_sustained_churn() {
             let seed_id = live[(rand() % live.len() as u64) as usize];
             let seed = h.nodes[&seed_id].me();
             let me = h.nodes[&id].me();
-            let (node, actions) = Chord::join(me, seed, cfg());
-            h.nodes.insert(id, node);
-            h.apply(id, actions);
+            h.install(me, Chord::join(me, seed, cfg()));
         }
         t += 2_000;
         if t >= next_report {
@@ -277,8 +171,8 @@ fn ring_stays_converged_under_sustained_churn() {
                 "min {}: pop={} joined={joined} succ_ok={s:.2} stranded={st} predless={pl} pred_ok={p:.2} list={ml:.1} iso={} joinfail={}",
                 t / 60_000,
                 h.nodes.len(),
-                h.isolated.len(),
-                h.join_failures,
+                h.policy.isolated.len(),
+                h.policy.join_failures,
             );
             report.push((t / 60_000, s, st, pl, p));
             next_report += 600_000;

@@ -1,27 +1,16 @@
-//! Integration tests for the Chord state machine, driven by a minimal
-//! in-memory event loop (fixed link latency, silent message loss to dead
-//! nodes). This doubles as the reference for how a host applies
-//! [`ChordAction`]s.
+//! Integration tests for the Chord state machine, driven by the shared
+//! in-memory event loop of `common` (fixed link latency, silent message
+//! loss to dead nodes).
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+mod common;
 
-use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordMsg, ChordTimer, NodeRef};
-use simnet::{LivenessChecker, LocalityId, NodeId, Time, TraceEvent, TraceSink};
+use std::collections::HashSet;
+
+use chord::{Chord, ChordAction, ChordConfig, ChordId, NodeRef};
+use common::{Host, Policy};
+use simnet::NodeId;
 
 const LATENCY_MS: u64 = 20;
-
-enum Ev {
-    Msg {
-        to: NodeId,
-        from: NodeId,
-        msg: ChordMsg,
-    },
-    Timer {
-        node: NodeId,
-        timer: ChordTimer,
-    },
-}
 
 #[derive(Default)]
 struct Outcome {
@@ -30,154 +19,49 @@ struct Outcome {
     joins: HashSet<NodeId>,
 }
 
-struct Harness {
-    now: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    events: Vec<Option<Ev>>,
-    nodes: BTreeMap<NodeId, Chord>,
-    outcome: Outcome,
-    /// Trace-driven consistency checker: the harness mirrors its
-    /// spawn/fail/deliver decisions into it, and tests assert the stream
-    /// stayed consistent (no delivery to dead nodes, no double spawns).
-    trace: LivenessChecker,
+impl Policy for Outcome {
+    fn outcome(host: &mut Harness, me: NodeId, action: ChordAction) {
+        let outcome = &mut host.policy;
+        match action {
+            ChordAction::LookupDone {
+                token,
+                key,
+                owner,
+                hops,
+            } => outcome.lookups_done.push((me, token, key, owner, hops)),
+            ChordAction::LookupFailed { token, key } => {
+                outcome.lookups_failed.push((me, token, key))
+            }
+            ChordAction::JoinComplete { .. } => {
+                outcome.joins.insert(me);
+            }
+            ChordAction::JoinFailed => panic!("join failed for {me}"),
+            // Static tests never strand nodes.
+            ChordAction::Isolated => {}
+            ChordAction::Send { .. } | ChordAction::SetTimer { .. } => unreachable!(),
+        }
+    }
+}
+
+type Harness = Host<Outcome>;
+
+fn harness() -> Harness {
+    Host::new(LATENCY_MS, Outcome::default())
 }
 
 impl Harness {
-    fn new() -> Harness {
-        Harness {
-            now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            events: Vec::new(),
-            nodes: BTreeMap::new(),
-            outcome: Outcome::default(),
-            trace: LivenessChecker::new(),
-        }
-    }
-
-    fn emit(&mut self, ev: TraceEvent) {
-        self.trace.event(Time::from_millis(self.now), &ev);
-    }
-
-    fn push(&mut self, at: u64, ev: Ev) {
-        let idx = self.events.len();
-        self.events.push(Some(ev));
-        self.queue.push(Reverse((at, self.seq, idx)));
-        self.seq += 1;
-    }
-
-    fn apply(&mut self, me: NodeId, actions: Vec<ChordAction>) {
-        for a in actions {
-            match a {
-                ChordAction::Send { to, msg } => {
-                    let at = self.now + LATENCY_MS;
-                    self.push(
-                        at,
-                        Ev::Msg {
-                            to: to.node,
-                            from: me,
-                            msg,
-                        },
-                    );
-                }
-                ChordAction::SetTimer { delay_ms, timer } => {
-                    let at = self.now + delay_ms;
-                    self.push(at, Ev::Timer { node: me, timer });
-                }
-                ChordAction::LookupDone {
-                    token,
-                    key,
-                    owner,
-                    hops,
-                } => self
-                    .outcome
-                    .lookups_done
-                    .push((me, token, key, owner, hops)),
-                ChordAction::LookupFailed { token, key } => {
-                    self.outcome.lookups_failed.push((me, token, key))
-                }
-                ChordAction::JoinComplete { .. } => {
-                    self.outcome.joins.insert(me);
-                }
-                ChordAction::JoinFailed => panic!("join failed for {me}"),
-                ChordAction::Isolated => {} // static tests never strand nodes
-            }
-        }
-    }
-
     fn create(&mut self, me: NodeRef, cfg: ChordConfig) {
-        self.emit(TraceEvent::NodeSpawn {
-            node: me.node,
-            locality: LocalityId(0),
-        });
-        let (node, actions) = Chord::create(me, cfg);
-        self.nodes.insert(me.node, node);
-        self.outcome.joins.insert(me.node);
-        self.apply(me.node, actions);
+        self.policy.joins.insert(me.node);
+        self.spawn(me, Chord::create(me, cfg));
     }
 
     fn join(&mut self, me: NodeRef, seed: NodeRef, cfg: ChordConfig) {
-        self.emit(TraceEvent::NodeSpawn {
-            node: me.node,
-            locality: LocalityId(0),
-        });
-        let (node, actions) = Chord::join(me, seed, cfg);
-        self.nodes.insert(me.node, node);
-        self.apply(me.node, actions);
+        self.spawn(me, Chord::join(me, seed, cfg));
     }
 
-    fn kill(&mut self, id: NodeId) {
-        self.emit(TraceEvent::NodeFail { node: id });
-        self.nodes.remove(&id);
-    }
-
-    fn lookup(&mut self, from: NodeId, key: ChordId) -> u64 {
-        let (token, actions) = self.nodes.get_mut(&from).expect("origin alive").lookup(key);
-        self.apply(from, actions);
-        token
-    }
-
-    fn run_until(&mut self, t: u64) {
-        while let Some(&Reverse((at, _, _))) = self.queue.peek() {
-            if at > t {
-                break;
-            }
-            let Reverse((at, _, idx)) = self.queue.pop().unwrap();
-            self.now = at;
-            let Some(ev) = self.events[idx].take() else {
-                continue;
-            };
-            match ev {
-                Ev::Msg { to, from, msg } => {
-                    let class = msg.class();
-                    if let Some(node) = self.nodes.get_mut(&to) {
-                        let actions = node.handle_message(from, msg);
-                        self.emit(TraceEvent::MsgDeliver {
-                            src: from,
-                            dst: to,
-                            class,
-                        });
-                        self.apply(to, actions);
-                    } else {
-                        // Dropped — sender will time out.
-                        self.emit(TraceEvent::MsgDrop {
-                            src: from,
-                            dst: to,
-                            class,
-                            reason: simnet::DropReason::DeadDestination,
-                        });
-                    }
-                }
-                Ev::Timer { node, timer } => {
-                    if let Some(n) = self.nodes.get_mut(&node) {
-                        let actions = n.handle_timer(timer);
-                        self.apply(node, actions);
-                    }
-                }
-            }
-        }
-        self.now = t;
+    fn lookup(&mut self, from: NodeId, key: ChordId) {
+        assert!(self.nodes.contains_key(&from), "origin alive");
+        self.with_node(from, |n| n.lookup(key).1);
     }
 
     /// The node that *should* own `key`: the live node with the smallest
@@ -242,7 +126,7 @@ fn fast_cfg() -> ChordConfig {
 /// Build a converged ring of `count` nodes.
 fn build_ring(count: usize) -> (Harness, Vec<NodeRef>) {
     let refs = spread_ids(count);
-    let mut h = Harness::new();
+    let mut h = harness();
     h.create(refs[0], fast_cfg());
     for r in &refs[1..] {
         h.join(*r, refs[0], fast_cfg());
@@ -255,11 +139,11 @@ fn build_ring(count: usize) -> (Harness, Vec<NodeRef>) {
 #[test]
 fn two_nodes_form_a_ring() {
     let refs = spread_ids(2);
-    let mut h = Harness::new();
+    let mut h = harness();
     h.create(refs[0], fast_cfg());
     h.join(refs[1], refs[0], fast_cfg());
     h.run_until(10_000);
-    assert!(h.outcome.joins.contains(&refs[1].node));
+    assert!(h.policy.joins.contains(&refs[1].node));
     assert_eq!(h.nodes[&refs[0].node].successor().node, refs[1].node);
     assert_eq!(h.nodes[&refs[1].node].successor().node, refs[0].node);
     assert_eq!(
@@ -271,7 +155,7 @@ fn two_nodes_form_a_ring() {
 #[test]
 fn ring_of_32_converges_to_sorted_order() {
     let (h, refs) = build_ring(32);
-    assert_eq!(h.outcome.joins.len(), 32);
+    assert_eq!(h.policy.joins.len(), 32);
     h.assert_ring_converged();
     // Predecessors converge too.
     let mut sorted: Vec<NodeRef> = refs.clone();
@@ -294,9 +178,9 @@ fn lookups_find_the_correct_owner() {
         h.lookup(origin, k);
     }
     h.run_until(120_000);
-    assert!(h.outcome.lookups_failed.is_empty());
-    assert_eq!(h.outcome.lookups_done.len(), keys.len());
-    for (_, _, key, owner, hops) in &h.outcome.lookups_done {
+    assert!(h.policy.lookups_failed.is_empty());
+    assert_eq!(h.policy.lookups_done.len(), keys.len());
+    for (_, _, key, owner, hops) in &h.policy.lookups_done {
         let want = h.expected_owner(*key);
         assert_eq!(owner.node, want.node, "key {key} owner");
         assert!(*hops <= 32, "hops {hops} way too high for 32 nodes");
@@ -313,8 +197,8 @@ fn lookup_hop_count_is_logarithmic() {
         h.lookup(origin, ChordId(bloomless_hash(5_000 + i)));
     }
     h.run_until(400_000);
-    assert_eq!(h.outcome.lookups_done.len(), 100);
-    let total_hops: u32 = h.outcome.lookups_done.iter().map(|x| x.4).sum();
+    assert_eq!(h.policy.lookups_done.len(), 100);
+    let total_hops: u32 = h.policy.lookups_done.iter().map(|x| x.4).sum();
     let avg = f64::from(total_hops) / 100.0;
     // log2(64) = 6; converged Chord averages ~ (1/2) log2 N. Allow slack.
     assert!(avg <= 8.0, "average hops {avg} not logarithmic");
@@ -343,18 +227,18 @@ fn ring_heals_after_mass_failure() {
     h.run_until(deadline);
     h.trace.assert_clean();
     assert!(
-        h.outcome.lookups_failed.is_empty(),
+        h.policy.lookups_failed.is_empty(),
         "lookups failed: {:?}",
-        h.outcome.lookups_failed.len()
+        h.policy.lookups_failed.len()
     );
     let done = h
-        .outcome
+        .policy
         .lookups_done
         .iter()
         .filter(|(n, ..)| *n == survivor)
         .count();
     assert_eq!(done, 30);
-    for (_, _, key, owner, _) in &h.outcome.lookups_done {
+    for (_, _, key, owner, _) in &h.policy.lookups_done {
         if h.nodes.contains_key(&owner.node) {
             let want = h.expected_owner(*key);
             assert_eq!(owner.node, want.node, "key {key}");
@@ -376,8 +260,8 @@ fn lookup_during_churn_survives_dead_hops() {
     }
     h.run_until(h.now + 120_000);
     h.trace.assert_clean();
-    let done = h.outcome.lookups_done.len();
-    let failed = h.outcome.lookups_failed.len();
+    let done = h.policy.lookups_done.len();
+    let failed = h.policy.lookups_failed.len();
     assert_eq!(done + failed, 20);
     assert!(
         done >= 18,
@@ -390,14 +274,14 @@ fn sequential_joins_through_random_seeds() {
     // Join each node through the previously joined node, not a fixed seed:
     // exercises join lookups routed across a partially built ring.
     let refs = spread_ids(24);
-    let mut h = Harness::new();
+    let mut h = harness();
     h.create(refs[0], fast_cfg());
     for i in 1..refs.len() {
         h.join(refs[i], refs[i - 1], fast_cfg());
         h.run_until(h.now + 3_000);
     }
     h.run_until(h.now + 60_000);
-    assert_eq!(h.outcome.joins.len(), 24);
+    assert_eq!(h.policy.joins.len(), 24);
     h.assert_ring_converged();
 }
 
@@ -421,16 +305,10 @@ fn owns_is_exclusive_on_converged_ring() {
 fn converged_constructor_matches_organic_convergence() {
     let mut refs = spread_ids(40);
     refs.sort_by_key(|r| r.id.0);
-    let mut h = Harness::new();
+    let mut h = harness();
     for (i, r) in refs.iter().enumerate() {
-        h.emit(TraceEvent::NodeSpawn {
-            node: r.node,
-            locality: LocalityId(0),
-        });
-        let (node, actions) = Chord::converged(i, &refs, fast_cfg());
-        h.nodes.insert(r.node, node);
-        h.outcome.joins.insert(r.node);
-        h.apply(r.node, actions);
+        h.policy.joins.insert(r.node);
+        h.spawn(*r, Chord::converged(i, &refs, fast_cfg()));
     }
     // Already converged at t=0, before any stabilization.
     h.assert_ring_converged();
@@ -440,8 +318,8 @@ fn converged_constructor_matches_organic_convergence() {
         h.lookup(origin, ChordId(bloomless_hash(123 + i)));
     }
     h.run_until(60_000);
-    assert_eq!(h.outcome.lookups_done.len(), 50);
-    for (_, _, key, owner, hops) in &h.outcome.lookups_done {
+    assert_eq!(h.policy.lookups_done.len(), 50);
+    for (_, _, key, owner, hops) in &h.policy.lookups_done {
         assert_eq!(owner.node, h.expected_owner(*key).node, "key {key}");
         assert!(*hops <= 7, "hops {hops} too high for a converged 40-ring");
     }
@@ -461,12 +339,11 @@ fn recursive_lookup_finds_owner_with_fewer_message_delays() {
         .map(|i| ChordId(bloomless_hash(60_000 + i)))
         .collect();
     for &k in &keys {
-        let (_, actions) = h.nodes.get_mut(&origin).unwrap().lookup_recursive(k);
-        h.apply(origin, actions);
+        h.with_node(origin, |n| n.lookup_recursive(k).1);
     }
     h.run_until(start + 120_000);
-    assert_eq!(h.outcome.lookups_done.len(), 30);
-    for (_, _, key, owner, hops) in &h.outcome.lookups_done {
+    assert_eq!(h.policy.lookups_done.len(), 30);
+    for (_, _, key, owner, hops) in &h.policy.lookups_done {
         assert_eq!(owner.node, h.expected_owner(*key).node, "key {key}");
         assert!(*hops <= 12, "hops {hops}");
     }
@@ -483,16 +360,13 @@ fn recursive_lookup_retries_through_other_first_hops_after_failures() {
     let origin = refs[0].node;
     assert!(h.nodes.contains_key(&origin));
     for i in 0..20u64 {
-        let (_, actions) = h
-            .nodes
-            .get_mut(&origin)
-            .unwrap()
-            .lookup_recursive(ChordId(bloomless_hash(71_000 + i)));
-        h.apply(origin, actions);
+        h.with_node(origin, |n| {
+            n.lookup_recursive(ChordId(bloomless_hash(71_000 + i))).1
+        });
     }
     h.run_until(h.now + 120_000);
-    let done = h.outcome.lookups_done.len();
-    let failed = h.outcome.lookups_failed.len();
+    let done = h.policy.lookups_done.len();
+    let failed = h.policy.lookups_failed.len();
     assert_eq!(done + failed, 20);
     assert!(done >= 15, "recursive retry salvaged only {done}/20");
 }

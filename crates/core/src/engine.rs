@@ -425,7 +425,7 @@ impl<S: SimSystem> Engine<S> {
                 origin_dial: OriginDial::shared(),
                 rng,
                 gauges: None,
-                outputs: OutputBuf::default(),
+                outputs: OutputBuf::<S::Machine>::default(),
                 result: RunResult::default(),
             },
             built_at,

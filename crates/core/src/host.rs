@@ -18,15 +18,15 @@ use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use flower_proto::io::{machine_rng, Env, Input, Machine, Output};
+use flower_proto::io::{machine_rng, Env, Input, InputOf, Machine, Output, OutputOf};
 use rand::rngs::StdRng;
 use simnet::{Ctx, Node, NodeId, Time};
 
 /// One recorded `handle` exchange (tap attached).
 pub struct TapEntry<M: Machine> {
     pub now: Time,
-    pub input: Input<M>,
-    pub outputs: Vec<Output<M>>,
+    pub input: InputOf<M>,
+    pub outputs: Vec<OutputOf<M>>,
 }
 
 /// Shared recording buffer for one tapped host.
@@ -39,7 +39,7 @@ pub type TapLog<M> = Rc<RefCell<Vec<TapEntry<M>>>>;
 /// burst any machine ever emitted — exists once, not once per peer (a
 /// buffer per host held 9 MiB over 8 000 peers, each at its own largest
 /// burst for the peer's whole life).
-pub type OutputBuf<M> = Rc<RefCell<Vec<Output<M>>>>;
+pub type OutputBuf<M> = Rc<RefCell<Vec<OutputOf<M>>>>;
 
 /// A [`Machine`] plus the host-side state the simulator owns for it: its
 /// deterministic RNG (seeded via [`machine_rng`]), the world's output
@@ -76,7 +76,7 @@ impl<M: Machine> SimHost<M> {
         &self.machine
     }
 
-    fn drive(&mut self, ctx: &mut Ctx<Self>, input: Input<M>) {
+    fn drive(&mut self, ctx: &mut Ctx<Self>, input: InputOf<M>) {
         let recorded = self.tap.is_some().then(|| input.clone());
         let env = Env {
             now: ctx.now(),

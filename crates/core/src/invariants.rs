@@ -2,7 +2,7 @@
 //!
 //! An [`InvariantChecker`] is a [`TraceSink`] that replays the structured
 //! event stream of a run (scheduler events plus the protocol's
-//! [`tags`](crate::tags) events) and checks the safety/liveness properties
+//! [`tags`] events) and checks the safety/liveness properties
 //! the paper's protocols promise:
 //!
 //! 1. **Directory uniqueness** — at most one live directory peer holds a
@@ -26,13 +26,17 @@
 //! Clone the checker before handing it to
 //! [`World::add_trace_sink`](simnet::World::add_trace_sink) — all clones
 //! share state, so the test keeps a handle for [`assert_clean`]
-//! (`InvariantChecker::assert_clean`) after the run.
+//! after the run.
+//!
+//! [`assert_clean`]: InvariantChecker::assert_clean
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use simnet::{FieldValue, NodeId, Time, TraceEvent, TraceSink};
+use simnet::{field_u64, FieldValue, NodeId, Time, TraceEvent, TraceSink};
+
+use chaos::tags::{pos_of, Pos};
 
 use crate::tags;
 
@@ -59,9 +63,6 @@ impl Default for InvariantConfig {
     }
 }
 
-/// D-ring position as carried in trace fields.
-type Pos = (u64, u64, u64);
-
 #[derive(Default)]
 struct State {
     cfg: InvariantConfig,
@@ -83,25 +84,6 @@ struct State {
     completed: u64,
     last_event_at: Time,
     finalized: bool,
-}
-
-fn field_u64(fields: &[(&'static str, FieldValue)], name: &str) -> Option<u64> {
-    fields
-        .iter()
-        .find(|(k, _)| *k == name)
-        .and_then(|(_, v)| match v {
-            FieldValue::U64(x) => Some(*x),
-            FieldValue::I64(x) => u64::try_from(*x).ok(),
-            _ => None,
-        })
-}
-
-fn pos_of(fields: &[(&'static str, FieldValue)]) -> Option<Pos> {
-    Some((
-        field_u64(fields, "ws")?,
-        field_u64(fields, "loc")?,
-        field_u64(fields, "inst")?,
-    ))
 }
 
 impl State {

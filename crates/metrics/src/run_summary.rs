@@ -7,7 +7,7 @@
 //! byte-identical output for identical runs is part of the repo's
 //! determinism contract and is asserted in tests.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::report::Csv;
 
@@ -28,75 +28,82 @@ pub struct RunSummary {
     pub peak_population: u64,
 }
 
+/// One column's value and how it is written: counts exactly, reals with a
+/// fixed number of decimals.
+#[derive(Clone, Copy)]
+enum Value {
+    Count(u64),
+    Real(f64, usize),
+}
+use Value::{Count, Real};
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Count(n) => write!(f, "{n}"),
+            Real(v, decimals) => write!(f, "{v:.decimals$}"),
+        }
+    }
+}
+
+type Column = (&'static str, fn(&RunSummary) -> Value);
+
+/// The schema: every column's name, where its value lives and its
+/// precision (ratios 6 decimals, latencies/hops/rates 3), in serialization
+/// order. CSV headers and cells, JSON keys and values and
+/// [`RunSummary::metrics`] are all read off this one table.
+const SCHEMA: [Column; 11] = [
+    ("queries", |s| Count(s.queries)),
+    ("hits", |s| Count(s.hits)),
+    ("hit_ratio", |s| Real(s.hit_ratio, 6)),
+    ("mean_lookup_ms", |s| Real(s.mean_lookup_ms, 3)),
+    ("mean_transfer_ms", |s| Real(s.mean_transfer_ms, 3)),
+    ("mean_dht_hops", |s| Real(s.mean_dht_hops, 3)),
+    ("messages_delivered", |s| Count(s.messages_delivered)),
+    ("messages_per_query", |s| Real(s.messages_per_query, 3)),
+    ("replacements", |s| Count(s.replacements)),
+    ("splits", |s| Count(s.splits)),
+    ("peak_population", |s| Count(s.peak_population)),
+];
+
 impl RunSummary {
-    /// Column names, in serialization order. CSV headers, JSON keys and
-    /// [`RunSummary::metrics`] all follow this order.
-    pub const COLUMNS: [&'static str; 11] = [
-        "queries",
-        "hits",
-        "hit_ratio",
-        "mean_lookup_ms",
-        "mean_transfer_ms",
-        "mean_dht_hops",
-        "messages_delivered",
-        "messages_per_query",
-        "replacements",
-        "splits",
-        "peak_population",
-    ];
+    /// Column names, in serialization order.
+    pub const COLUMNS: [&'static str; 11] = {
+        let mut names = [""; 11];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = SCHEMA[i].0;
+            i += 1;
+        }
+        names
+    };
 
     /// Every metric as `(name, value)` in schema order — the aggregation
     /// substrate: mean/stddev/CI are computed over these per-name across
     /// seeds, so aggregate rows inherit the schema ordering.
     pub fn metrics(&self) -> [(&'static str, f64); 11] {
-        [
-            ("queries", self.queries as f64),
-            ("hits", self.hits as f64),
-            ("hit_ratio", self.hit_ratio),
-            ("mean_lookup_ms", self.mean_lookup_ms),
-            ("mean_transfer_ms", self.mean_transfer_ms),
-            ("mean_dht_hops", self.mean_dht_hops),
-            ("messages_delivered", self.messages_delivered as f64),
-            ("messages_per_query", self.messages_per_query),
-            ("replacements", self.replacements as f64),
-            ("splits", self.splits as f64),
-            ("peak_population", self.peak_population as f64),
-        ]
+        SCHEMA.map(|(name, get)| match get(self) {
+            Count(n) => (name, n as f64),
+            Real(v, _) => (name, v),
+        })
     }
 
-    /// CSV cell per column, fixed precision (counts exact, ratios 6
-    /// decimals, latencies/hops/rates 3 decimals).
+    /// CSV cell per column, fixed precision.
     pub fn csv_fields(&self) -> Vec<String> {
-        vec![
-            self.queries.to_string(),
-            self.hits.to_string(),
-            format!("{:.6}", self.hit_ratio),
-            format!("{:.3}", self.mean_lookup_ms),
-            format!("{:.3}", self.mean_transfer_ms),
-            format!("{:.3}", self.mean_dht_hops),
-            self.messages_delivered.to_string(),
-            format!("{:.3}", self.messages_per_query),
-            self.replacements.to_string(),
-            self.splits.to_string(),
-            self.peak_population.to_string(),
-        ]
+        SCHEMA
+            .iter()
+            .map(|(_, get)| get(self).to_string())
+            .collect()
     }
 
     /// Flat JSON object, keys in schema order, fixed precision (counts as
     /// integers, floats as in [`RunSummary::csv_fields`]).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
-        let _ = write!(s, "\"queries\":{}", self.queries);
-        let _ = write!(s, ",\"hits\":{}", self.hits);
-        let _ = write!(s, ",\"hit_ratio\":{:.6}", self.hit_ratio);
-        let _ = write!(s, ",\"mean_lookup_ms\":{:.3}", self.mean_lookup_ms);
-        let _ = write!(s, ",\"mean_transfer_ms\":{:.3}", self.mean_transfer_ms);
-        let _ = write!(s, ",\"mean_dht_hops\":{:.3}", self.mean_dht_hops);
-        let _ = write!(s, ",\"messages_delivered\":{}", self.messages_delivered);
-        let _ = write!(s, ",\"messages_per_query\":{:.3}", self.messages_per_query);
-        let _ = write!(s, ",\"replacements\":{}", self.replacements);
-        let _ = write!(s, ",\"splits\":{}", self.splits);
-        let _ = write!(s, ",\"peak_population\":{}", self.peak_population);
+        for (i, (name, get)) in SCHEMA.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            let _ = write!(s, "{sep}\"{name}\":{}", get(self));
+        }
         s.push('}');
         s
     }

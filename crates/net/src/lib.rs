@@ -6,8 +6,9 @@
 //! events, [`runtime::NetNode`] drives the identical machine from
 //! loopback TCP frames and wall-clock timers.
 //!
-//! * [`wire`] — the length-prefixed, versioned frame codec for every
-//!   protocol and API message (hand-rolled, total, panic-free);
+//! * [`wire`] — the length-prefixed, versioned framing and stream I/O
+//!   around `flower_proto::wire`, the codec of every protocol and API
+//!   message (hand-rolled, total, panic-free);
 //! * [`runtime`] — listener/reader threads, the single-threaded event
 //!   loop that owns the machine, and the client helpers `flower-cli`
 //!   uses.

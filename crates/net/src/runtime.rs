@@ -29,7 +29,7 @@ use chord::{Chord, NodeRef};
 use flower_proto::io::machine_rng;
 use flower_proto::{
     ApiResp, Bootstrap, DirPosition, Env, FlowerMsg, FlowerPeer, FlowerReport, FlowerTimer, Input,
-    Machine, OriginDial, Output, PeerCtx, SharedBootstrap, SimParams,
+    InputOf, Machine, OriginDial, Output, OutputOf, PeerCtx, SharedBootstrap, SimParams,
 };
 use simnet::{LocalityId, NodeId, Time};
 use workload::{Catalog, WebsiteId};
@@ -156,7 +156,7 @@ pub struct NetNode {
     next_token: u64,
     /// The buffer the machine writes its outputs to, emptied by `drive`
     /// after every input.
-    scratch: Vec<Output<FlowerPeer>>,
+    scratch: Vec<OutputOf<FlowerPeer>>,
 }
 
 impl NetNode {
@@ -216,7 +216,7 @@ impl NetNode {
 
     /// Feed one input to the machine and apply its outputs. Returns
     /// `false` when the machine asked to stop.
-    fn drive(&mut self, input: Input<FlowerPeer>) -> bool {
+    fn drive(&mut self, input: InputOf<FlowerPeer>) -> bool {
         let env = Env {
             now: Time::from_millis(self.now_ms()),
             me: self.me,

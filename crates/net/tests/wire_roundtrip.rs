@@ -1,6 +1,8 @@
 //! Property tests for the wire codec: `decode(encode(f)) == f` for every
-//! frame type, and corrupt or truncated input always yields a typed
-//! [`WireError`] — never a panic, never a bogus frame accepted as valid.
+//! frame type, corrupt or truncated input always yields a typed
+//! [`WireError`] — never a panic, never a bogus frame accepted as valid —
+//! and the bytes the simulator charges a message (`wire_bytes`) are the
+//! bytes of the frame TCP carries for it.
 
 use std::sync::Arc;
 
@@ -10,6 +12,8 @@ use flower_net::wire::{
     decode_frame, decode_payload, encode_frame, read_frame, Frame, WireError, MAX_FRAME,
     WIRE_VERSION,
 };
+use flower_proto::squirrel::SqMsg;
+use flower_proto::wire::MODELLED_OBJECT_BYTES;
 use flower_proto::{
     ApiCall, ApiResp, DirInfo, DirPosition, DirectorySnapshot, FlowerMsg, ProviderKind, QueryId,
     RoleKind, RoutePayload, Summary,
@@ -329,6 +333,21 @@ fn frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// The exact on-wire size of a peer message, length prefix and frame
+/// header included.
+fn peer_frame_len(msg: &FlowerMsg) -> usize {
+    encode_frame(&Frame::Peer(msg.clone())).len()
+}
+
+/// The object body `wire_bytes` models but the codec does not carry
+/// (objects are identifiers in this reproduction).
+fn modelled_body(msg: &FlowerMsg) -> usize {
+    match msg {
+        FlowerMsg::FetchOk { .. } => MODELLED_OBJECT_BYTES,
+        _ => 0,
+    }
+}
+
 // ---------------------------------------------------------------------
 // Round trips
 // ---------------------------------------------------------------------
@@ -343,6 +362,30 @@ proptest! {
         let (decoded, consumed) = decode_frame(&bytes).expect("decode");
         prop_assert_eq!(consumed, bytes.len());
         prop_assert_eq!(decoded, f);
+    }
+
+    /// What the simulator charges a message is what the TCP host sends
+    /// for it, to the byte.
+    #[test]
+    fn wire_bytes_is_the_frame_length(msg in flower_msg()) {
+        prop_assert_eq!(msg.wire_bytes(), peer_frame_len(&msg) + modelled_body(&msg));
+    }
+
+    /// A byte means the same thing in both systems: the messages Squirrel
+    /// shares with Flower-CDN are charged exactly alike.
+    #[test]
+    fn squirrel_is_charged_like_flower(m in chord_msg(), qid in qid(), object in object()) {
+        prop_assert_eq!(
+            SqMsg::Chord(m.clone()).wire_bytes(),
+            FlowerMsg::Chord(m).wire_bytes()
+        );
+        for (sq, flower) in [
+            (SqMsg::Fetch { qid, object }, FlowerMsg::Fetch { qid, object }),
+            (SqMsg::FetchOk { qid, object }, FlowerMsg::FetchOk { qid, object }),
+            (SqMsg::FetchMiss { qid, object }, FlowerMsg::FetchMiss { qid, object }),
+        ] {
+            prop_assert_eq!(sq.wire_bytes(), flower.wire_bytes());
+        }
     }
 
     /// Streamed read sees the same frames in the same order.
@@ -462,5 +505,47 @@ fn bogus_bloom_parameters_are_malformed() {
     match decode_payload(&payload) {
         Err(WireError::Malformed(_)) => {}
         other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// The one empty summary all empty stores share is, on the wire and in the
+/// byte accounting, the empty filter every peer used to build for itself:
+/// sharing it cannot move a frame byte or a per-class byte total.
+#[test]
+fn shared_empty_summary_encodes_like_a_fresh_one() {
+    let node = NodeId::from_index;
+    let qid = || QueryId::new(node(11), 42);
+    let dir = || {
+        DirInfo::fresh(
+            DirPosition::new(WebsiteId(3), LocalityId(2), 0),
+            NodeRef::new(node(9), ChordId(9 * 7919)),
+        )
+    };
+    let shared = || flower_proto::ContentStore::new().summary();
+    assert!(Arc::ptr_eq(&shared(), &shared()));
+    // The summary sizing, said as a literal (`store.rs`: 256 items at 2 %).
+    let fresh = || Arc::new(BloomFilter::with_rate(256, 0.02));
+    let redirect = |s: &dyn Fn() -> Summary| FlowerMsg::Redirect {
+        qid: qid(),
+        object: None,
+        provider: None,
+        dir: dir(),
+        petal_view: (0..3).map(|i| (node(20 + i), s())).collect(),
+        dht_hops: 0,
+    };
+    let gossip = |s: &dyn Fn() -> Summary| FlowerMsg::Gossip {
+        inner: GossipMsg::ShuffleReply {
+            entries: (0..4).map(|i| Entry::new(node(30 + i), s())).collect(),
+        },
+        dir_info: None,
+    };
+    for (with_shared, with_fresh) in [
+        (redirect(&shared), redirect(&fresh)),
+        (gossip(&shared), gossip(&fresh)),
+    ] {
+        assert_eq!(with_shared, with_fresh);
+        assert_eq!(with_shared.wire_bytes(), with_fresh.wire_bytes());
+        let frame = |msg| encode_frame(&Frame::Peer(msg));
+        assert_eq!(frame(with_shared), frame(with_fresh));
     }
 }

@@ -38,7 +38,7 @@ struct PhaseNode {
 }
 
 /// Per-message-class accounting: how many messages were sent and their
-/// estimated wire bytes.
+/// wire bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MsgCount {
     pub count: u64,
@@ -195,8 +195,8 @@ impl Profiler {
         self.scope(name())
     }
 
-    /// Account one protocol message of `class` with an estimated `bytes`
-    /// serialized size. Disabled: one boolean load.
+    /// Account one protocol message of `class` and its serialized size
+    /// `bytes`. Disabled: one boolean load.
     #[inline]
     pub fn count_msg(&self, class: &'static str, bytes: u64) {
         if !self.0.enabled.get() {
@@ -214,7 +214,7 @@ impl Profiler {
         self.0.state.borrow().rows()
     }
 
-    /// Per-message-class send counts and byte estimates, class-sorted.
+    /// Per-message-class send counts and wire bytes, class-sorted.
     pub fn msg_rows(&self) -> Vec<MsgRow> {
         self.0
             .state

@@ -23,7 +23,7 @@ pub struct PhaseRow {
     pub self_ns: u64,
 }
 
-/// Per-message-class accounting: sends and estimated wire bytes.
+/// Per-message-class accounting: sends and wire bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MsgRow {
     pub class: String,
@@ -58,7 +58,7 @@ pub struct RunPerf {
     pub allocs_per_event: f64,
     /// Flamegraph-style per-phase breakdown, pre-order.
     pub phases: Vec<PhaseRow>,
-    /// Per-message-class send counts and byte estimates.
+    /// Per-message-class send counts and wire bytes.
     pub messages: Vec<MsgRow>,
 }
 

@@ -31,7 +31,7 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 
 /// Allocations observed so far. Always callable; stays 0 unless the
-/// running binary installed [`CountingAlloc`] (feature `count-allocs`).
+/// running binary installed `CountingAlloc` (feature `count-allocs`).
 pub fn alloc_count() -> u64 {
     ALLOC_COUNT.load(Ordering::Relaxed)
 }

@@ -21,141 +21,54 @@ use rand::SeedableRng;
 use simnet::{Fields, LocalityId, NodeId, Time};
 
 /// One event handed to a machine by its host.
-pub enum Input<M: Machine> {
+///
+/// Generic over the payload types, not the machine, so the derives bound
+/// only what is stored; signatures say [`InputOf<M>`].
+#[derive(Clone, Debug)]
+pub enum Input<Msg, Timer, Api> {
     /// The machine has just been brought up.
     Start,
     /// A protocol message from `from` was delivered.
-    Deliver { from: NodeId, msg: M::Msg },
+    Deliver { from: NodeId, msg: Msg },
     /// A timer armed via [`Fx::set_timer`] fired.
-    Timer(M::Timer),
+    Timer(Timer),
     /// A local API call (CLI client, RPC surface). Simulation hosts never
     /// produce these; the networked node does.
-    Api { token: u64, call: M::Api },
+    Api { token: u64, call: Api },
     /// The node is leaving gracefully and may emit farewell messages.
     Leave,
 }
 
+/// The [`Input`] of machine `M`.
+pub type InputOf<M> = Input<<M as Machine>::Msg, <M as Machine>::Timer, <M as Machine>::Api>;
+
 /// One command a machine asks its host to execute.
-pub enum Output<M: Machine> {
+///
+/// Generic over the payload types for the same reason as [`Input`];
+/// signatures say [`OutputOf<M>`].
+#[derive(Clone, Debug)]
+pub enum Output<Msg, Timer, Report, ApiResp> {
     /// Send `msg` to `to` (unreliable; the protocol tolerates loss).
-    Send { to: NodeId, msg: M::Msg },
+    Send { to: NodeId, msg: Msg },
     /// Deliver `timer` back to this machine after `delay_ms`.
-    SetTimer { delay_ms: u64, timer: M::Timer },
+    SetTimer { delay_ms: u64, timer: Timer },
     /// Emit a measurement record for the experiment engine.
-    Report(M::Report),
+    Report(Report),
     /// A structured trace event (only emitted when [`Env::tracing`]).
     Trace { name: &'static str, fields: Fields },
     /// Answer the API call identified by `token`.
-    Respond { token: u64, resp: M::ApiResp },
+    Respond { token: u64, resp: ApiResp },
     /// Retire this node (voluntary shutdown).
     Stop,
 }
 
-// Clone / Debug are implemented by hand: a derive would bound the machine
-// type `M` itself, but only the associated payload types matter.
-
-impl<M: Machine> Clone for Input<M> {
-    fn clone(&self) -> Input<M> {
-        match self {
-            Input::Start => Input::Start,
-            Input::Deliver { from, msg } => Input::Deliver {
-                from: *from,
-                msg: msg.clone(),
-            },
-            Input::Timer(t) => Input::Timer(t.clone()),
-            Input::Api { token, call } => Input::Api {
-                token: *token,
-                call: call.clone(),
-            },
-            Input::Leave => Input::Leave,
-        }
-    }
-}
-
-impl<M: Machine> std::fmt::Debug for Input<M>
-where
-    M::Msg: std::fmt::Debug,
-    M::Timer: std::fmt::Debug,
-    M::Api: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Input::Start => write!(f, "Start"),
-            Input::Deliver { from, msg } => f
-                .debug_struct("Deliver")
-                .field("from", from)
-                .field("msg", msg)
-                .finish(),
-            Input::Timer(t) => f.debug_tuple("Timer").field(t).finish(),
-            Input::Api { token, call } => f
-                .debug_struct("Api")
-                .field("token", token)
-                .field("call", call)
-                .finish(),
-            Input::Leave => write!(f, "Leave"),
-        }
-    }
-}
-
-impl<M: Machine> Clone for Output<M> {
-    fn clone(&self) -> Output<M> {
-        match self {
-            Output::Send { to, msg } => Output::Send {
-                to: *to,
-                msg: msg.clone(),
-            },
-            Output::SetTimer { delay_ms, timer } => Output::SetTimer {
-                delay_ms: *delay_ms,
-                timer: timer.clone(),
-            },
-            Output::Report(r) => Output::Report(r.clone()),
-            Output::Trace { name, fields } => Output::Trace {
-                name,
-                fields: fields.clone(),
-            },
-            Output::Respond { token, resp } => Output::Respond {
-                token: *token,
-                resp: resp.clone(),
-            },
-            Output::Stop => Output::Stop,
-        }
-    }
-}
-
-impl<M: Machine> std::fmt::Debug for Output<M>
-where
-    M::Msg: std::fmt::Debug,
-    M::Timer: std::fmt::Debug,
-    M::Report: std::fmt::Debug,
-    M::ApiResp: std::fmt::Debug,
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Output::Send { to, msg } => f
-                .debug_struct("Send")
-                .field("to", to)
-                .field("msg", msg)
-                .finish(),
-            Output::SetTimer { delay_ms, timer } => f
-                .debug_struct("SetTimer")
-                .field("delay_ms", delay_ms)
-                .field("timer", timer)
-                .finish(),
-            Output::Report(r) => f.debug_tuple("Report").field(r).finish(),
-            Output::Trace { name, fields } => f
-                .debug_struct("Trace")
-                .field("name", name)
-                .field("fields", fields)
-                .finish(),
-            Output::Respond { token, resp } => f
-                .debug_struct("Respond")
-                .field("token", token)
-                .field("resp", resp)
-                .finish(),
-            Output::Stop => write!(f, "Stop"),
-        }
-    }
-}
+/// The [`Output`] of machine `M`.
+pub type OutputOf<M> = Output<
+    <M as Machine>::Msg,
+    <M as Machine>::Timer,
+    <M as Machine>::Report,
+    <M as Machine>::ApiResp,
+>;
 
 /// Host-supplied execution environment for one [`Machine::handle`] call.
 pub struct Env<'a> {
@@ -201,7 +114,7 @@ pub trait Machine: Sized {
     /// Consume one input and append every resulting command to `out`, in
     /// order. `out` is the host's buffer: a host that drains it after each
     /// call reuses one allocation per node in steady state.
-    fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>);
+    fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>);
 
     /// Stable protocol class of a message (trace/gauge/profiler label).
     fn msg_class(_msg: &Self::Msg) -> &'static str {
@@ -213,9 +126,9 @@ pub trait Machine: Sized {
         "timer"
     }
 
-    /// Estimated serialized size of `msg` on the wire, in bytes, for the
-    /// profiler's per-class overhead accounting. `crates/net` asserts these
-    /// estimates against its real codec.
+    /// Serialized size of `msg` on the wire, in bytes, for the profiler's
+    /// per-class overhead accounting. Both protocols override the default
+    /// with the measured length of the codec's encoding ([`crate::wire`]).
     fn msg_wire_bytes(msg: &Self::Msg) -> usize {
         std::mem::size_of_val(msg)
     }
@@ -251,13 +164,13 @@ pub struct Fx<'a, M: Machine> {
     /// The host-owned deterministic RNG for this machine.
     pub rng: &'a mut StdRng,
     tracing: bool,
-    outputs: &'a mut Vec<Output<M>>,
+    outputs: &'a mut Vec<OutputOf<M>>,
 }
 
 impl<'a, M: Machine> Fx<'a, M> {
     /// Open an effects buffer over `env` for one `handle` call; effects are
     /// appended to `out` in call order.
-    pub fn new(env: Env<'a>, out: &'a mut Vec<Output<M>>) -> Fx<'a, M> {
+    pub fn new(env: Env<'a>, out: &'a mut Vec<OutputOf<M>>) -> Fx<'a, M> {
         Fx {
             now: env.now,
             me: env.me,
@@ -336,8 +249,8 @@ mod tests {
         type Report = ();
         type Api = ();
         type ApiResp = ();
-        fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>) {
-            let mut fx = Fx::new(env, out);
+        fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>) {
+            let mut fx = Fx::<Self>::new(env, out);
             if let Input::Deliver { from, msg } = input {
                 fx.send(from, msg);
                 fx.set_timer(5, msg);

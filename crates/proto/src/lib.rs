@@ -31,6 +31,7 @@ pub mod squirrel;
 pub mod store;
 pub mod tags;
 pub mod timeline;
+pub mod wire;
 
 pub use api::{ApiCall, ApiResp, ProviderKind, RoleKind};
 pub use bootstrap::{Bootstrap, SharedBootstrap};
@@ -38,7 +39,7 @@ pub use config::SimParams;
 pub use directory::{DirectoryIndex, DirectorySnapshot};
 pub use dirinfo::DirInfo;
 pub use dring::DirPosition;
-pub use io::{machine_rng, machine_seed, Env, Fx, Input, Machine, Output};
+pub use io::{machine_rng, machine_seed, Env, Fx, Input, InputOf, Machine, Output, OutputOf};
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 pub use origin::OriginDial;
 pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};

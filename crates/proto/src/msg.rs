@@ -12,6 +12,7 @@ use crate::directory::DirectorySnapshot;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::qid::QueryId;
+use crate::wire;
 
 /// A peer's content summary as carried in gossip views. A summary is
 /// built once and never changed, and one peer's summary ends up in many
@@ -185,70 +186,15 @@ impl FlowerMsg {
         }
     }
 
-    /// Estimated serialized size of this message on the wire, in bytes —
-    /// the profiler's per-class overhead accounting. A fixed header floor
-    /// per variant plus the heap payloads (petal views, Bloom summaries,
-    /// object lists) that dominate real transfer sizes. Estimates, not a
-    /// codec: good enough to rank protocol classes by bandwidth.
+    /// Bytes this message occupies on the wire: the length of the frame
+    /// the TCP host sends for it (the codec's own put code, counted), plus
+    /// the object body a `FetchOk` would carry.
     pub fn wire_bytes(&self) -> usize {
-        /// Source, destination, protocol tag.
-        const HDR: usize = 16;
-        fn summary_bytes(s: &Summary) -> usize {
-            // Bit array plus filter parameters.
-            s.byte_len() + 8
-        }
-        fn view_bytes(view: &[(NodeId, Summary)]) -> usize {
-            view.iter().map(|(_, s)| 8 + summary_bytes(s)).sum()
-        }
-        fn payload_bytes(p: &RoutePayload) -> usize {
-            match p {
-                RoutePayload::ClientRequest { .. } => 32,
-                RoutePayload::Claim { .. } => 24,
-            }
-        }
-        HDR + match self {
-            FlowerMsg::Chord(_) => 32,
-            FlowerMsg::DRingRoute { payload, .. } => 24 + payload_bytes(payload),
-            FlowerMsg::Routed { payload, .. } => 28 + payload_bytes(payload),
-            FlowerMsg::RouteFailed { .. } => 8,
-            FlowerMsg::Redirect { petal_view, .. } => 48 + view_bytes(petal_view),
-            FlowerMsg::DirQuery { exclude, .. } => 16 + 8 * exclude.len(),
-            FlowerMsg::SiblingQuery {
-                petal_view,
-                exclude,
-                ..
-            } => 56 + view_bytes(petal_view) + 8 * exclude.len(),
-            FlowerMsg::DeadPeerReport { .. } => 8,
-            FlowerMsg::Retract { objects } => 8 + 4 * objects.len(),
-            FlowerMsg::ClaimGranted { .. } | FlowerMsg::ClaimDenied { .. } => 32,
-            FlowerMsg::Fetch { .. } => 16,
-            // The object body itself travels here; model it as the
-            // paper's small-object regime (a few KiB).
-            FlowerMsg::FetchOk { .. } => 16 + 4096,
-            FlowerMsg::FetchMiss { .. } => 16,
-            FlowerMsg::Gossip { inner, dir_info } => {
-                let entries = match inner {
-                    gossip::GossipMsg::ShuffleReq { entries }
-                    | gossip::GossipMsg::ShuffleReply { entries } => entries,
-                };
-                let dir = if dir_info.is_some() { 32 } else { 0 };
-                dir + entries
-                    .iter()
-                    .map(|e| 16 + summary_bytes(&e.payload))
-                    .sum::<usize>()
-            }
-            FlowerMsg::Keepalive { .. } => 8,
-            FlowerMsg::Push { objects, .. } => 16 + 4 * objects.len(),
-            FlowerMsg::DirAck { .. } => 40,
-            FlowerMsg::Promote { snapshot, .. } => {
-                48 + snapshot.as_ref().map_or(0, |s| {
-                    s.entries
-                        .iter()
-                        .map(|(_, objs, _)| 24 + 4 * objs.len())
-                        .sum()
-                })
-            }
-        }
+        let body = match self {
+            FlowerMsg::FetchOk { .. } => wire::MODELLED_OBJECT_BYTES,
+            _ => 0,
+        };
+        wire::FRAME_OVERHEAD + wire::encoded_len(|e| e.flower(self)) + body
     }
 }
 

@@ -24,7 +24,7 @@ use crate::config::SimParams;
 use crate::directory::DirectoryIndex;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
-use crate::io::{Env, Fx, Input, Machine, Output};
+use crate::io::{Env, Fx, Input, InputOf, Machine, OutputOf};
 use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
@@ -810,7 +810,7 @@ impl Machine for FlowerPeer {
     type Api = ApiCall;
     type ApiResp = ApiResp;
 
-    fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>) {
+    fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>) {
         let mut ctx = Fx::new(env, out);
         match input {
             Input::Start => self.on_start(&mut ctx),

@@ -33,12 +33,13 @@ use rand::Rng;
 use simnet::NodeId;
 use workload::{sample_exp, ObjectId};
 
-use crate::io::{Env, Fx, Input, Machine, Output};
+use crate::io::{Env, Fx, Input, InputOf, Machine, OutputOf};
 use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
 use crate::timeline::{QueryMachine, Timeline};
+use crate::wire::{self, Enc};
 
 /// Which Squirrel scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,21 +92,49 @@ pub enum SqMsg {
 }
 
 impl SqMsg {
-    /// Estimated serialized size on the wire, mirroring
-    /// [`crate::msg::FlowerMsg::wire_bytes`]'s conventions (16-byte header
-    /// floor, object bodies modelled as ~4 KiB) so the two systems'
-    /// per-class byte accounting is directly comparable.
+    /// Bytes this message would occupy on Flower-CDN's wire, counted exactly
+    /// as [`FlowerMsg::wire_bytes`](crate::msg::FlowerMsg::wire_bytes)
+    /// counts — same frame overhead, same field encoders, same modelled
+    /// object body — so a byte means the same thing in both systems.
+    /// Encode-only: Squirrel runs under the simulator, so it has no decoder,
+    /// no frame kind, and its variant tag needs a width but no value.
     pub fn wire_bytes(&self) -> usize {
-        const HDR: usize = 16;
-        HDR + match self {
-            SqMsg::Chord(_) => 32,
-            SqMsg::Query { exclude, .. } => 16 + 8 * exclude.len(),
-            SqMsg::Answer { .. } => 24,
-            SqMsg::Fetch { .. } => 16,
-            SqMsg::FetchOk { .. } => 16 + 4096,
-            SqMsg::FetchMiss { .. } => 16,
-            SqMsg::StoreCopy { .. } => 8 + 4096,
-        }
+        let body = match self {
+            SqMsg::FetchOk { .. } | SqMsg::StoreCopy { .. } => wire::MODELLED_OBJECT_BYTES,
+            _ => 0,
+        };
+        let fields = wire::encoded_len(|e| {
+            e.u8(0);
+            match self {
+                SqMsg::Chord(m) => e.chord(m),
+                SqMsg::Query {
+                    qid,
+                    object,
+                    exclude,
+                } => {
+                    e.qid(*qid);
+                    e.object(*object);
+                    e.nodes(exclude);
+                }
+                SqMsg::Answer {
+                    qid,
+                    object,
+                    provider,
+                } => {
+                    e.qid(*qid);
+                    e.object(*object);
+                    e.opt(*provider, Enc::node);
+                }
+                SqMsg::Fetch { qid, object }
+                | SqMsg::FetchOk { qid, object }
+                | SqMsg::FetchMiss { qid, object } => {
+                    e.qid(*qid);
+                    e.object(*object);
+                }
+                SqMsg::StoreCopy { object } => e.object(*object),
+            }
+        });
+        wire::FRAME_OVERHEAD + fields + body
     }
 
     pub fn class(&self) -> &'static str {
@@ -684,7 +713,7 @@ impl Machine for SquirrelPeer {
     type Api = ();
     type ApiResp = ();
 
-    fn handle(&mut self, env: Env<'_>, input: Input<Self>, out: &mut Vec<Output<Self>>) {
+    fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>) {
         let mut ctx = Fx::new(env, out);
         match input {
             Input::Start => self.on_start(&mut ctx),

@@ -3,15 +3,15 @@
 //! §6 compares Flower-CDN and Squirrel on hit ratio, lookup latency and
 //! transfer distance "under identical workload". That holds only if both
 //! systems are timed by the same code, so the part of a query's life the
-//! metrics are read from exists once, here. Both peers embed a [`Timeline`]
+//! metrics are read from exists once, here. Both peers embed a `Timeline`
 //! in their pending-query state and move it through four steps:
 //!
-//! 1. [`Timeline::issue`] — the query exists from now on;
-//! 2. [`Timeline::fetch_from`] — ask a provider for the object, under a
+//! 1. `Timeline::issue` — the query exists from now on;
+//! 2. `Timeline::fetch_from` — ask a provider for the object, under a
 //!    deadline (repeatable: each attempt restarts the transfer clock);
-//! 3. [`Timeline::origin_round_trip`] — give up on the overlay; the origin
+//! 3. `Timeline::origin_round_trip` — give up on the overlay; the origin
 //!    is a latency, not a peer, and always has the object;
-//! 4. [`Timeline::complete`] — the object arrived: emit the
+//! 4. `Timeline::complete` — the object arrived: emit the
 //!    [`QueryRecord`].
 //!
 //! The metrics follow from the record: a query is a **hit** iff a peer

@@ -30,7 +30,8 @@ pub use conditioner::{LinkConditioner, LinkVerdict};
 pub use time::Time;
 pub use topology::{LatencyModel, LocalityId, Point, Topology, TopologyConfig};
 pub use trace::{
-    ClassCountSink, DropReason, FieldValue, Fields, LivenessChecker, TraceEvent, TraceSink, VecSink,
+    field_bool, field_str, field_u64, ClassCountSink, DropReason, FieldValue, Fields,
+    LivenessChecker, TraceEvent, TraceSink, VecSink,
 };
 pub use world::{Ctx, Node, NodeId, World, WorldStats};
 

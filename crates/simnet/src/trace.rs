@@ -93,6 +93,35 @@ impl fmt::Display for FieldValue {
 /// Named fields of a `Custom` event, in emission order.
 pub type Fields = Vec<(&'static str, FieldValue)>;
 
+fn field<'a>(fields: &'a [(&'static str, FieldValue)], key: &str) -> Option<&'a FieldValue> {
+    fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+}
+
+/// Field `key` read as an unsigned integer; a non-negative `I64` counts.
+pub fn field_u64(fields: &[(&'static str, FieldValue)], key: &str) -> Option<u64> {
+    match *field(fields, key)? {
+        FieldValue::U64(x) => Some(x),
+        FieldValue::I64(x) => u64::try_from(x).ok(),
+        _ => None,
+    }
+}
+
+/// Field `key`, if it is a boolean.
+pub fn field_bool(fields: &[(&'static str, FieldValue)], key: &str) -> Option<bool> {
+    match *field(fields, key)? {
+        FieldValue::Bool(b) => Some(b),
+        _ => None,
+    }
+}
+
+/// Field `key`, if it is a string tag.
+pub fn field_str(fields: &[(&'static str, FieldValue)], key: &str) -> Option<&'static str> {
+    match *field(fields, key)? {
+        FieldValue::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
 /// Why a message was dropped (see [`TraceEvent::MsgDrop`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {

@@ -7,7 +7,7 @@
 //! produce bit-identical runs (ties in the queue are broken by insertion
 //! sequence number).
 //!
-//! The queue is a two-level timer [`Wheel`](crate::wheel::Wheel): event
+//! The queue is a two-level timer [`Wheel`]: event
 //! payloads live in a flat slab and schedule/pop/cancel are O(1) on the hot
 //! path, with no allocation once the slab's free list and the per-callback
 //! scratch buffers have warmed up (`tests/zero_alloc.rs` asserts this with
@@ -109,10 +109,10 @@ pub trait Node {
         "timer"
     }
 
-    /// Estimated serialized size of `msg` on the wire, in bytes, for the
-    /// profiler's per-class overhead accounting. The default — the
-    /// message's in-memory size — is a floor; protocols whose messages
-    /// carry heap payloads (views, summaries) should override it. Only
+    /// Serialized size of `msg` on the wire, in bytes, for the profiler's
+    /// per-class overhead accounting. The default — the message's
+    /// in-memory size — is a stand-in for nodes without a codec; the
+    /// protocols override it with the length their codec measures. Only
     /// called when the profiler is enabled.
     fn msg_wire_bytes(msg: &Self::Msg) -> usize {
         std::mem::size_of_val(msg)

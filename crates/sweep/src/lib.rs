@@ -14,7 +14,7 @@
 //!   ([`execute_cell_with`], which owns the set-up order) and from runs
 //!   to [`CellResult`]s ([`run_grid_with`], which also hands each
 //!   finished run to the caller's hook);
-//! * [`aggregate`] — mean / sample stddev / 95% CI per metric per cell,
+//! * [`mod@aggregate`] — mean / sample stddev / 95% CI per metric per cell,
 //!   and the schema-stable `runs.csv` / `summary.csv` / `summary.json`
 //!   writers.
 //!

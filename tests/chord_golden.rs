@@ -11,27 +11,16 @@
 //! implementation must reproduce the stream byte for byte, tie-breaks
 //! included.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+#[path = "../crates/chord/tests/common/mod.rs"]
+mod common;
 
-use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordMsg, ChordTimer, NodeRef};
+use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordTimer, NodeRef};
+use common::{Host, Policy};
 use simnet::NodeId;
 
 const RING: usize = 128;
 const LATENCY_MS: u64 = 40;
 const GOLDEN: u64 = 0x6d9e_71d1_8841_571d;
-
-enum Ev {
-    Msg {
-        to: NodeId,
-        from: NodeId,
-        msg: ChordMsg,
-    },
-    Timer {
-        node: NodeId,
-        timer: ChordTimer,
-    },
-}
 
 struct Fnv(u64);
 
@@ -51,114 +40,54 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-struct Harness {
-    now: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<(u64, u64)>>,
-    events: Vec<Option<Ev>>,
-    /// Indexed by `NodeId`; `None` once dead.
-    nodes: Vec<Option<Chord>>,
+/// Hashes every action and every timer fire; owns the script's RNG.
+struct Pin {
     hash: Fnv,
     rng: u64,
 }
 
-impl Harness {
-    fn push(&mut self, at: u64, ev: Ev) {
-        self.events.push(Some(ev));
-        self.queue.push(Reverse((at, self.seq)));
-        self.seq += 1;
+impl Policy for Pin {
+    fn observe(&mut self, now: u64, me: NodeId, action: &ChordAction) {
+        self.hash.line(&format!("{now} {me:?} {action:?}"));
     }
 
-    fn apply(&mut self, me: NodeId, actions: Vec<ChordAction>) {
-        for a in actions {
-            self.hash.line(&format!("{} {me:?} {a:?}", self.now));
-            match a {
-                ChordAction::Send { to, msg } => self.push(
-                    self.now + LATENCY_MS,
-                    Ev::Msg {
-                        to: to.node,
-                        from: me,
-                        msg,
-                    },
-                ),
-                ChordAction::SetTimer { delay_ms, timer } => {
-                    self.push(self.now + delay_ms, Ev::Timer { node: me, timer })
+    fn timer_fires(&mut self, now: u64, node: &Chord, timer: &ChordTimer) {
+        let live = node.timer_is_live(timer);
+        let id = node.me().node;
+        self.hash
+            .line(&format!("{now} {id:?} {timer:?} live={live}"));
+    }
+
+    fn outcome(host: &mut Harness, me: NodeId, action: ChordAction) {
+        match action {
+            // A failed join retires the node; a stranded one re-joins
+            // through the lowest live member, as the hosts do.
+            ChordAction::JoinFailed => host.kill(me),
+            ChordAction::Isolated => {
+                let own = host.nodes[&me].me();
+                let seed = host.nodes.values().map(Chord::me).find(|r| r.node != me);
+                if let Some(seed) = seed {
+                    host.install(own, Chord::join(own, seed, ChordConfig::default()));
                 }
-                // A failed join retires the node; a stranded one re-joins
-                // through the lowest live member, as the hosts do.
-                ChordAction::JoinFailed => self.nodes[me.index()] = None,
-                ChordAction::Isolated => {
-                    let own = self.nodes[me.index()].as_ref().expect("acting").me();
-                    let seed = self
-                        .nodes
-                        .iter()
-                        .flatten()
-                        .map(Chord::me)
-                        .find(|r| r.node != me);
-                    if let Some(seed) = seed {
-                        self.join(own, seed);
-                    }
-                }
-                ChordAction::LookupDone { .. }
-                | ChordAction::LookupFailed { .. }
-                | ChordAction::JoinComplete { .. } => {}
             }
+            _ => {}
         }
     }
+}
 
-    fn join(&mut self, me: NodeRef, seed: NodeRef) {
-        let (node, actions) = Chord::join(me, seed, ChordConfig::default());
-        if self.nodes.len() <= me.node.index() {
-            self.nodes.resize_with(me.node.index() + 1, || None);
-        }
-        self.nodes[me.node.index()] = Some(node);
-        self.apply(me.node, actions);
-    }
+type Harness = Host<Pin>;
 
-    fn live(&self) -> Vec<NodeRef> {
-        self.nodes.iter().flatten().map(Chord::me).collect()
-    }
-
+impl Harness {
     /// A pseudo-random live member.
     fn member(&mut self) -> NodeRef {
-        let live = self.live();
-        live[(splitmix(&mut self.rng) % live.len() as u64) as usize]
-    }
-
-    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut Chord) -> Vec<ChordAction>) {
-        if let Some(node) = self.nodes.get_mut(id.index()).and_then(Option::as_mut) {
-            let actions = f(node);
-            self.apply(id, actions);
-        }
-    }
-
-    fn run_until(&mut self, until: u64) {
-        while let Some(&Reverse((at, seq))) = self.queue.peek() {
-            if at > until {
-                break;
-            }
-            self.queue.pop();
-            self.now = at;
-            match self.events[seq as usize].take().expect("popped once") {
-                Ev::Msg { to, from, msg } => self.with_node(to, |n| n.handle_message(from, msg)),
-                Ev::Timer { node, timer } => {
-                    let Some(n) = self.nodes[node.index()].as_ref() else {
-                        continue;
-                    };
-                    let live = n.timer_is_live(&timer);
-                    self.hash
-                        .line(&format!("{at} {node:?} {timer:?} live={live}"));
-                    self.with_node(node, |n| n.handle_timer(timer));
-                }
-            }
-        }
-        self.now = until;
+        let live: Vec<NodeRef> = self.nodes.values().map(Chord::me).collect();
+        live[(splitmix(&mut self.policy.rng) % live.len() as u64) as usize]
     }
 
     /// One of each lookup flavour from pseudo-random members.
     fn lookups(&mut self, count: usize) {
         for _ in 0..count {
-            let key = ChordId(splitmix(&mut self.rng));
+            let key = ChordId(splitmix(&mut self.policy.rng));
             let from = self.member().node;
             self.with_node(from, |n| n.lookup(key).1);
             let from = self.member().node;
@@ -182,19 +111,15 @@ fn chord_action_stream_is_pinned() {
         .enumerate()
         .map(|(i, &id)| NodeRef::new(NodeId::from_index(i), ChordId(id)))
         .collect();
-    let mut h = Harness {
-        now: 0,
-        seq: 0,
-        queue: BinaryHeap::new(),
-        events: Vec::new(),
-        nodes: Vec::new(),
-        hash: Fnv(0xcbf2_9ce4_8422_2325),
-        rng,
-    };
+    let mut h = Harness::new(
+        LATENCY_MS,
+        Pin {
+            hash: Fnv(0xcbf2_9ce4_8422_2325),
+            rng,
+        },
+    );
     for i in 0..RING {
-        let (node, actions) = Chord::converged(i, &refs, ChordConfig::default());
-        h.nodes.push(Some(node));
-        h.apply(refs[i].node, actions);
+        h.spawn(refs[i], Chord::converged(i, &refs, ChordConfig::default()));
     }
 
     // A healthy minute: every periodic timer fires, fingers re-resolve.
@@ -210,7 +135,7 @@ fn chord_action_stream_is_pinned() {
                 Vec::new()
             });
         }
-        h.nodes[victim.node.index()] = None;
+        h.kill(victim.node);
     }
     h.lookups(8);
     h.run_until(75_000);
@@ -219,7 +144,7 @@ fn chord_action_stream_is_pinned() {
     // between two of them, so 16..=24 are gone and node 15 — whose whole
     // successor list that is — strands.
     for i in (17..24).chain((0..RING).step_by(8)) {
-        h.nodes[i] = None;
+        h.kill(refs[i].node);
     }
     h.lookups(24);
     h.run_until(120_000);
@@ -228,12 +153,13 @@ fn chord_action_stream_is_pinned() {
     // still hold the corpse under the same ring id), and an occupied id.
     for i in 0..12 {
         let id = match i % 3 {
-            0 => ChordId(splitmix(&mut h.rng)),
+            0 => ChordId(splitmix(&mut h.policy.rng)),
             1 => refs[8 * i].id,
             _ => h.member().id,
         };
         let seed = h.member();
-        h.join(NodeRef::new(NodeId::from_index(RING + i), id), seed);
+        let me = NodeRef::new(NodeId::from_index(RING + i), id);
+        h.spawn(me, Chord::join(me, seed, ChordConfig::default()));
         h.lookups(2);
         h.run_until(120_000 + 2_500 * (i as u64 + 1));
     }
@@ -248,7 +174,7 @@ fn chord_action_stream_is_pinned() {
         h.run_until(minute * 60_000);
     }
 
-    for node in h.nodes.iter().flatten() {
+    for node in h.nodes.values() {
         let line = format!(
             "final {:?} joined={} stranded={} pending={} pred={:?} succ={:?}",
             node.me(),
@@ -258,11 +184,11 @@ fn chord_action_stream_is_pinned() {
             node.predecessor(),
             node.successor_list()
         );
-        h.hash.line(&line);
+        h.policy.hash.line(&line);
     }
     assert_eq!(
-        h.hash.0, GOLDEN,
+        h.policy.hash.0, GOLDEN,
         "the Chord action stream diverged: {:#018x}",
-        h.hash.0
+        h.policy.hash.0
     );
 }
