@@ -75,10 +75,10 @@ quick_out=$(cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- 
 # What a seeded run produces is pinned here, per workload: a change sold as
 # pure optimisation that shifts outcomes fails with the workload's name.
 # (`--quick`, seed 47; re-record only with a change that means to move them.)
-expected_digests="flower_query 17b7a9497d6daa59
-flower_churn 6952d0913b9558c3
-squirrel_ring aa3893affcac2a78
-grid_small fa158f3e65504b89"
+expected_digests="flower_query 75aed4c7ffecba38
+flower_churn 80bbafab298545cd
+squirrel_ring 804b6b16253e01bd
+grid_small f8003f61d5f57a74"
 got_digests=$(printf '%s\n' "$quick_out" \
     | awk '/^== .* ==$/ { name = $2 } /^outcome_digest / { print name, $2 }')
 if [ "$got_digests" != "$expected_digests" ]; then

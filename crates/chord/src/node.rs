@@ -22,9 +22,14 @@ pub struct ChordConfig {
     /// Successor list length `r`. Chord survives `r-1` consecutive
     /// successor failures between stabilizations.
     pub successor_list_len: usize,
-    /// Stabilize period in ms.
+    /// Stabilize period in ms — also how long a dead successor can go
+    /// unnoticed, and until it is noticed every key it owned is answered
+    /// with a corpse. It equals the fix-fingers period: the successor was
+    /// once probed at that rate as the first hop of the finger lookups,
+    /// which no longer pass through it.
     pub stabilize_period_ms: u64,
-    /// Fix-fingers period in ms (one finger repaired per firing).
+    /// Fix-fingers period in ms; each firing repairs `fingers_per_round`
+    /// slots.
     pub fix_fingers_period_ms: u64,
     /// Predecessor liveness check period in ms.
     pub check_predecessor_period_ms: u64,
@@ -39,9 +44,12 @@ pub struct ChordConfig {
     /// Attempts (through distinct first hops) before a recursive route
     /// fails.
     pub max_route_attempts: u32,
-    /// Fingers repaired per fix-fingers firing. Under minute-scale churn
-    /// the whole table must be swept in a small fraction of the mean
-    /// uptime, or routes keep forwarding into dead fingers.
+    /// Finger slots repaired per fix-fingers firing, so a full sweep takes
+    /// `64 ÷ fingers_per_round × fix_fingers_period_ms` (one minute at the
+    /// defaults). Under minute-scale churn the whole table must be swept in
+    /// a small fraction of the mean uptime, or routes keep forwarding into
+    /// dead fingers; a repair that finds its finger still in place costs one
+    /// round trip per distinct finger, which is what pays for the rate.
     pub fingers_per_round: u32,
 }
 
@@ -49,14 +57,14 @@ impl Default for ChordConfig {
     fn default() -> Self {
         ChordConfig {
             successor_list_len: 8,
-            stabilize_period_ms: 30_000,
+            stabilize_period_ms: 15_000,
             fix_fingers_period_ms: 15_000,
             check_predecessor_period_ms: 30_000,
             rpc_timeout_ms: 1_500,
             max_lookup_failures: 8,
             recursive_deadline_ms: 3_500,
             max_route_attempts: 4,
-            fingers_per_round: 8,
+            fingers_per_round: 16,
         }
     }
 }
@@ -70,6 +78,11 @@ enum Purpose {
     Join,
     /// Repairing finger `i`.
     Finger(u32),
+    /// Asking an incumbent finger whether it still owns the lookup's key.
+    /// The mask holds the slots the question stands for: each has this
+    /// incumbent and a start in `[key, incumbent]`, so "I own `key`"
+    /// confirms them all. Any other outcome re-resolves every one of them.
+    VerifyFingers(u64),
 }
 
 #[derive(Debug)]
@@ -337,6 +350,20 @@ impl Chord {
         self.standalone && self.predecessor.is_none() && self.successors.is_empty()
     }
 
+    /// The owner of `key` when our own neighbourhood decides it: ourselves
+    /// (with a *known* predecessor — claiming keys on a guess sprays state
+    /// across wrong owners) or our immediate successor.
+    fn local_owner(&self, key: ChordId) -> Option<NodeRef> {
+        if !self.joined {
+            return None;
+        }
+        if self.owns_strict(key) {
+            return Some(self.me);
+        }
+        let succ = self.successor();
+        key.in_open_closed(self.me.id, succ.id).then_some(succ)
+    }
+
     // ------------------------------------------------------------------
     // Host entry points
     // ------------------------------------------------------------------
@@ -382,12 +409,8 @@ impl Chord {
         if self.is_stranded() {
             return self.fail_lookup_now(token);
         }
-        if self.owns_strict(key) && self.joined {
-            return self.finish_lookup(token, self.me);
-        }
-        let succ = self.successor();
-        if self.joined && key.in_open_closed(self.me.id, succ.id) {
-            return self.finish_lookup(token, succ);
+        if let Some(owner) = self.local_owner(key) {
+            return self.finish_lookup(token, owner);
         }
         let first = lk.current;
         if first.node == self.me.node {
@@ -642,14 +665,8 @@ impl Chord {
             return self.fail_lookup_now(token);
         }
         if !lk.skip_local {
-            // Local termination — but only with a *known* predecessor:
-            // claiming keys on a guess sprays state across wrong owners.
-            if self.owns_strict(key) && self.joined {
-                return self.finish_lookup(token, self.me);
-            }
-            let succ = self.successor();
-            if self.joined && key.in_open_closed(self.me.id, succ.id) {
-                return self.finish_lookup(token, succ);
+            if let Some(owner) = self.local_owner(key) {
+                return self.finish_lookup(token, owner);
             }
         }
         if lk.current.node == self.me.node {
@@ -740,6 +757,14 @@ impl Chord {
         let Some(lk) = self.lookups.get_mut(token) else {
             return Vec::new(); // late reply for a finished lookup
         };
+        if let Purpose::VerifyFingers(slots) = lk.purpose {
+            // Only "I own it" from the incumbent itself confirms. A forward
+            // means somebody joined in front of it, and where it points is
+            // its view of the ring, not an owner.
+            if result != StepResult::Owner(lk.current) {
+                return self.resolve_fingers(token, slots);
+            }
+        }
         lk.attempt += 1; // invalidate the outstanding timeout
         lk.hops += 1;
         match result {
@@ -775,11 +800,15 @@ impl Chord {
             return Vec::new(); // step already progressed
         }
         let failed = lk.current;
+        let purpose = lk.purpose;
         lk.dead.push(failed.node);
         lk.failures += 1;
         self.purge(failed.node);
         let mut actions = self.isolation_check();
-        actions.extend(self.reroute(token));
+        actions.extend(match purpose {
+            Purpose::VerifyFingers(slots) => self.resolve_fingers(token, slots),
+            Purpose::External | Purpose::Join | Purpose::Finger(_) => self.reroute(token),
+        });
         actions
     }
 
@@ -806,7 +835,7 @@ impl Chord {
         match lk.purpose {
             Purpose::External => vec![ChordAction::LookupFailed { token, key: lk.key }],
             Purpose::Join => vec![ChordAction::JoinFailed],
-            Purpose::Finger(_) => Vec::new(),
+            Purpose::Finger(_) | Purpose::VerifyFingers(_) => Vec::new(),
         }
     }
 
@@ -855,6 +884,8 @@ impl Chord {
                 }
                 Vec::new()
             }
+            // Confirmed: every slot asked about keeps its finger.
+            Purpose::VerifyFingers(_) => Vec::new(),
         }
     }
 
@@ -1153,17 +1184,75 @@ impl Chord {
         if !self.joined || self.successor().node == self.me.node {
             return actions;
         }
-        // Repair a batch of fingers per firing (round-robin); most resolve
-        // locally on small rings, so the message cost stays modest while
-        // the sweep completes well inside one mean peer lifetime.
+        // Repair a batch of slots per firing, round-robin. A start our own
+        // neighbourhood decides costs no message and an empty slot a full
+        // lookup; a filled one asks its incumbent, since between two sweeps
+        // most fingers have not changed and the incumbent says so in one
+        // round trip.
+        let first_token = self.next_token;
         for _ in 0..self.cfg.fingers_per_round.max(1) {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
             let start = self.me.id.finger_start(i);
-            let token = self.start_lookup(start, Purpose::Finger(i));
-            actions.extend(self.resolve_or_step(token));
+            actions.extend(match self.fingers[i as usize] {
+                Some(f) if self.local_owner(start).is_none() => {
+                    self.verify_finger(i, start, f, first_token)
+                }
+                _ => self.resolve_finger(i),
+            });
         }
         actions
+    }
+
+    /// Resolve `successor(finger_start(i))` from our own tables onward.
+    fn resolve_finger(&mut self, i: u32) -> Vec<ChordAction> {
+        let token = self.start_lookup(self.me.id.finger_start(i), Purpose::Finger(i));
+        self.resolve_or_step(token)
+    }
+
+    /// Ask incumbent `f` of slot `i` whether it still owns `start` — unless
+    /// a question opened in this firing (token at or after `first_token`)
+    /// already asks `f` about a key at or before `start`: its answer covers
+    /// this slot too, so the slot joins it and nothing is sent.
+    fn verify_finger(
+        &mut self,
+        i: u32,
+        start: ChordId,
+        f: NodeRef,
+        first_token: u64,
+    ) -> Vec<ChordAction> {
+        let slot = 1u64 << i;
+        let asked = self
+            .lookups
+            .0
+            .iter_mut()
+            .rev()
+            .take_while(|lk| lk.token >= first_token)
+            .find_map(|lk| match &mut lk.purpose {
+                Purpose::VerifyFingers(slots)
+                    if lk.current == f && start.distance_to(f.id) <= lk.key.distance_to(f.id) =>
+                {
+                    Some(slots)
+                }
+                _ => None,
+            });
+        if let Some(slots) = asked {
+            *slots |= slot;
+            return Vec::new();
+        }
+        let token = self.open_lookup(start, Purpose::VerifyFingers(slot), f, true);
+        self.send_step(token)
+    }
+
+    /// The incumbent did not confirm — it forwarded, answered for another
+    /// node, is stranded, or timed out. Close the question and resolve every
+    /// slot it stood for.
+    fn resolve_fingers(&mut self, token: u64, slots: u64) -> Vec<ChordAction> {
+        self.lookups.remove(token);
+        (0..ChordId::BITS)
+            .filter(|i| slots >> i & 1 == 1)
+            .flat_map(|i| self.resolve_finger(i))
+            .collect()
     }
 
     fn on_check_predecessor_timer(&mut self) -> Vec<ChordAction> {

@@ -3,6 +3,11 @@
 //! stale fingers, several nodes under one ring id, one node under several,
 //! holders of our own id, empty successor lists — must get the same answer
 //! from both, tie-breaks included.
+//!
+//! Below them, the finger-repair cases: what `FixFingers` sends, to whom,
+//! and what each answer does to the table.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -281,4 +286,340 @@ fn converged_tables_are_indexed_once_each() {
         .route
         .windows(2)
         .all(|w| node.me.id.distance_to(w[0].id) < node.me.id.distance_to(w[1].id)));
+}
+
+// ----------------------------------------------------------------------
+// Finger repair: verify, then resolve
+// ----------------------------------------------------------------------
+
+/// A handful of machines, node `k` at ring id `ids[k]`, node 0 at id 0 the
+/// one under test. Sends are delivered at once, or vanish when the receiver
+/// is dead; node 0's timers are recorded, never fired.
+struct Wire {
+    nodes: Vec<Option<Chord>>,
+    refs: Vec<NodeRef>,
+    /// Every message delivered or lost, with its receiver, in send order.
+    log: Vec<(usize, ChordMsg)>,
+    timers: Vec<ChordTimer>,
+}
+
+impl Wire {
+    /// The nodes in `live` hold converged tables over `live`. Node 0 holds
+    /// converged tables over `believed` — the ring before it changed — and
+    /// repairs `per_round` slots a firing, starting at `next_finger`.
+    fn new(ids: &[u64], live: &[usize], believed: &[usize], per_round: u32, next: u32) -> Wire {
+        let refs: Vec<NodeRef> = ids
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| NodeRef::new(NodeId::from_index(k), ChordId(id)))
+            .collect();
+        let ring = |members: &[usize]| members.iter().map(|&k| refs[k]).collect::<Vec<_>>();
+        let cfg = ChordConfig {
+            fingers_per_round: per_round,
+            ..ChordConfig::default()
+        };
+        let mut nodes: Vec<Option<Chord>> = (0..ids.len()).map(|_| None).collect();
+        for (at, &k) in live.iter().enumerate() {
+            nodes[k] = Some(Chord::converged(at, &ring(live), cfg.clone()).0);
+        }
+        let mut me = Chord::converged(0, &ring(believed), cfg).0;
+        me.next_finger = next;
+        nodes[0] = Some(me);
+        Wire {
+            nodes,
+            refs,
+            log: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+
+    fn me(&mut self) -> &mut Chord {
+        self.nodes[0].as_mut().expect("node 0 is live")
+    }
+
+    fn finger(&mut self, i: usize) -> Option<usize> {
+        self.me().fingers[i].map(|f| f.node.index())
+    }
+
+    /// Apply node 0's `actions` and deliver until the wire is quiet.
+    fn run(&mut self, actions: Vec<ChordAction>) {
+        let mut queue = VecDeque::from([(0, actions)]);
+        while let Some((at, actions)) = queue.pop_front() {
+            for action in actions {
+                match action {
+                    ChordAction::Send { to, msg } => {
+                        let to = to.node.index();
+                        self.log.push((to, msg.clone()));
+                        if let Some(node) = self.nodes[to].as_mut() {
+                            queue.push_back((to, node.handle_message(self.refs[at].node, msg)));
+                        }
+                    }
+                    ChordAction::SetTimer { timer, .. } if at == 0 => self.timers.push(timer),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    /// Fire node 0's `FixFingers`; the sends are returned, not delivered.
+    fn fix_fingers(&mut self) -> Vec<ChordAction> {
+        self.me().handle_timer(ChordTimer::FixFingers)
+    }
+
+    /// The one step deadline armed so far.
+    fn step_deadline(&self) -> ChordTimer {
+        let mut steps = self
+            .timers
+            .iter()
+            .filter(|t| matches!(t, ChordTimer::LookupStep { .. }));
+        let only = *steps.next().expect("a step deadline");
+        assert!(steps.next().is_none(), "one question, one deadline");
+        only
+    }
+
+    /// `(receiver, key)` of every `FindNext` so far.
+    fn questions(&self) -> Vec<(usize, u64)> {
+        self.log
+            .iter()
+            .filter_map(|(to, msg)| question(*to, msg))
+            .collect()
+    }
+}
+
+/// `(receiver, key)` if `msg` is a `FindNext`.
+fn question(to: usize, msg: &ChordMsg) -> Option<(usize, u64)> {
+    match msg {
+        ChordMsg::FindNext { key, .. } => Some((to, key.0)),
+        _ => None,
+    }
+}
+
+/// `(receiver, key)` of every `FindNext` among `actions`.
+fn find_nexts(actions: &[ChordAction]) -> Vec<(usize, u64)> {
+    actions
+        .iter()
+        .filter_map(|a| match a {
+            ChordAction::Send { to, msg } => question(to.node.index(), msg),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Node 0 (id 0) and its successor S (id 1) sit side by side, so every
+/// slot from 1 up needs the ring: F at 2^41 holds slots 1..=41, G at 2^62
+/// slots 42..=62. N, A and B are nodes node 0 has not heard of.
+const S: usize = 1;
+const A: usize = 2;
+const N: usize = 3;
+const B: usize = 4;
+const F: usize = 5;
+const G: usize = 6;
+const IDS: [u64; 7] = [
+    0,
+    1,
+    (1 << 39) + 5,
+    (1 << 40) + 5,
+    (1 << 40) + 9,
+    1 << 41,
+    1 << 62,
+];
+
+#[test]
+fn confirming_incumbent_costs_one_round_trip() {
+    let ring = [0, S, F, G];
+    let mut w = Wire::new(&IDS, &ring, &ring, 1, 40);
+    let actions = w.fix_fingers();
+    assert_eq!(find_nexts(&actions), [(F, 1 << 40)]);
+    assert_eq!(w.me().pending_lookups(), 1);
+    w.run(actions);
+    assert_eq!(w.log.len(), 2, "one question, one answer: {:?}", w.log);
+    assert_eq!(
+        w.log[1],
+        (
+            0,
+            ChordMsg::FindNextReply {
+                token: 0,
+                result: StepResult::Owner(w.refs[F])
+            }
+        )
+    );
+    assert_eq!(w.finger(40), Some(F));
+    assert_eq!(
+        w.me().pending_lookups(),
+        0,
+        "a confirmed question is closed"
+    );
+    // Its deadline fires stale.
+    let deadline = w.step_deadline();
+    assert!(!w.me().timer_is_live(&deadline));
+    assert!(w.me().handle_timer(deadline).is_empty());
+    assert_eq!(w.finger(40), Some(F));
+}
+
+#[test]
+fn slots_sharing_an_incumbent_ask_once() {
+    let ring = [0, S, F, G];
+    let mut w = Wire::new(&IDS, &ring, &ring, 8, 34);
+    let actions = w.fix_fingers();
+    // Slots 34..=41 all hold F; the lowest start is the one whose answer
+    // covers the rest.
+    assert_eq!(find_nexts(&actions), [(F, 1 << 34)]);
+    assert_eq!(
+        w.me().lookups.0[0].purpose,
+        Purpose::VerifyFingers(0xff << 34)
+    );
+    w.run(actions);
+    assert_eq!(w.log.len(), 2);
+    assert_eq!(w.me().pending_lookups(), 0);
+    assert!((34..=41).all(|i| w.finger(i) == Some(F)));
+    // The next firing is a new round of questions: 42..=49 hold G.
+    let actions = w.fix_fingers();
+    assert_eq!(find_nexts(&actions), [(G, 1 << 42)]);
+}
+
+#[test]
+fn forward_resolves_every_covered_slot_by_its_own_start() {
+    // N joined between start 40 and start 41, in front of F.
+    let mut w = Wire::new(&IDS, &[0, S, N, F, G], &[0, S, F, G], 3, 39);
+    let actions = w.fix_fingers();
+    assert_eq!(find_nexts(&actions), [(F, 1 << 39)]);
+    w.run(actions);
+    // F forwards (to S: what it knows closest before the key). That is a
+    // route, not an owner: each slot is looked up from our own tables, and
+    // the forward S then gives for start 41 is followed to N, not restarted.
+    assert_eq!(
+        w.log[1],
+        (
+            0,
+            ChordMsg::FindNextReply {
+                token: 0,
+                result: StepResult::Forward(w.refs[S])
+            }
+        )
+    );
+    assert_eq!(
+        w.questions(),
+        [
+            (F, 1 << 39),
+            (S, 1 << 39),
+            (S, 1 << 40),
+            (S, 1 << 41),
+            (N, 1 << 41)
+        ]
+    );
+    assert_eq!(w.finger(39), Some(N));
+    assert_eq!(w.finger(40), Some(N));
+    assert_eq!(w.finger(41), Some(F), "start 41 lies past N");
+    assert_eq!(w.me().pending_lookups(), 0);
+}
+
+#[test]
+fn dead_incumbent_is_purged_and_every_covered_slot_resolved_at_once() {
+    // F died; A and B joined where it used to answer.
+    let mut w = Wire::new(&IDS, &[0, S, A, B, G], &[0, S, F, G], 3, 39);
+    let actions = w.fix_fingers();
+    assert_eq!(find_nexts(&actions), [(F, 1 << 39)]);
+    w.run(actions);
+    assert_eq!(w.log.len(), 1, "nobody answers for F");
+    let deadline = w.step_deadline();
+    assert!(w.me().timer_is_live(&deadline));
+    let actions = w.me().handle_timer(deadline);
+    assert!((1..=41).all(|i| w.finger(i).is_none()), "F is purged");
+    // All three slots are looked up in the deadline's own call.
+    assert_eq!(
+        find_nexts(&actions),
+        [(S, 1 << 39), (S, 1 << 40), (S, 1 << 41)]
+    );
+    w.run(actions);
+    // Start 40's lookup is forwarded by S and follows the forward to A.
+    assert!(w.questions().contains(&(A, 1 << 40)));
+    assert_eq!(w.finger(39), Some(A));
+    assert_eq!(w.finger(40), Some(B));
+    assert_eq!(w.finger(41), Some(G));
+    assert_eq!(w.me().pending_lookups(), 0);
+    assert!(w.me().handle_timer(deadline).is_empty(), "fires once");
+}
+
+#[test]
+fn incumbent_that_moved_on_the_ring_does_not_confirm() {
+    // F left its position and re-entered the ring at 2^50 (a directory
+    // peer that takes another position keeps its address). It owns start
+    // 41 once more, but not as the finger we hold.
+    let mut w = Wire::new(&IDS, &[0, S, B, G], &[0, S, F, G], 1, 41);
+    let moved = NodeRef::new(w.refs[F].node, ChordId(1 << 50));
+    let ring = [w.refs[0], w.refs[S], w.refs[B], moved, w.refs[G]];
+    for (at, k) in [(1, S), (2, B), (3, F), (4, G)] {
+        w.nodes[k] = Some(Chord::converged(at, &ring, ChordConfig::default()).0);
+    }
+    let actions = w.fix_fingers();
+    assert_eq!(find_nexts(&actions), [(F, 1 << 41)]);
+    w.run(actions);
+    assert_eq!(
+        w.log[1],
+        (
+            0,
+            ChordMsg::FindNextReply {
+                token: 0,
+                result: StepResult::Owner(moved)
+            }
+        )
+    );
+    assert_eq!(w.questions()[1..], [(S, 1 << 41), (B, 1 << 41)]);
+    assert_eq!(w.me().fingers[41], Some(moved));
+}
+
+#[test]
+fn local_starts_cost_nothing_and_are_not_folded_into_a_question() {
+    // Node 0 adopted a successor at 2^10 in front of its old one at 2^20,
+    // which every low finger still names.
+    let ids = [0, 1 << 10, 1 << 20, 1 << 62];
+    let mut w = Wire::new(&ids, &[0, 1, 2, 3], &[0, 2, 3], 16, 0);
+    let new = w.refs[1];
+    w.me().adopt_successor(new);
+    assert!((0..=20).all(|i| w.finger(i) == Some(2)));
+    let actions = w.fix_fingers();
+    // Starts 0..=10 are the successor's, decided here and now; 11..=15
+    // still need the old finger's word, in one question.
+    assert!((0..=10).all(|i| w.finger(i) == Some(1)));
+    assert_eq!(find_nexts(&actions), [(2, 1 << 11)]);
+    assert_eq!(
+        w.me().lookups.0[0].purpose,
+        Purpose::VerifyFingers(0x1f << 11)
+    );
+    w.run(actions);
+    assert_eq!(w.log.len(), 2);
+    assert!((11..=15).all(|i| w.finger(i) == Some(2)));
+}
+
+#[test]
+fn empty_slot_is_resolved_not_asked_of_a_neighbouring_finger() {
+    let ring = [0, S, F, G];
+    let mut w = Wire::new(&IDS, &ring, &ring, 2, 40);
+    w.me().set_finger(40, None);
+    let actions = w.fix_fingers();
+    assert_eq!(find_nexts(&actions), [(S, 1 << 40), (F, 1 << 41)]);
+    let purposes: Vec<Purpose> = w.me().lookups.0.iter().map(|lk| lk.purpose).collect();
+    assert_eq!(
+        purposes,
+        [Purpose::Finger(40), Purpose::VerifyFingers(1 << 41)]
+    );
+    w.run(actions);
+    assert_eq!(w.finger(40), Some(F));
+    assert_eq!(w.me().pending_lookups(), 0);
+}
+
+#[test]
+fn slot_past_the_wrap_is_not_covered_by_an_earlier_key() {
+    // Slots 63, 0, 1 in one firing. X joined between start 1 and start 63;
+    // node 0 still names F, beyond both, for either.
+    let ids = [0, 1, 1 << 20, (1 << 63) + 5];
+    let mut w = Wire::new(&ids, &[0, 1, 2, 3], &[0, 1, 3], 3, 63);
+    assert_eq!((w.finger(63), w.finger(1)), (Some(3), Some(3)));
+    let actions = w.fix_fingers();
+    // "I own 2^63" says nothing about start 1 = 2: it gets its own question.
+    assert_eq!(find_nexts(&actions), [(3, 1 << 63), (3, 2)]);
+    w.run(actions);
+    assert_eq!(w.finger(63), Some(3));
+    assert_eq!(w.finger(1), Some(2));
+    assert_eq!(w.me().pending_lookups(), 0);
 }

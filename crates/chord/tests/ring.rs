@@ -6,7 +6,7 @@ mod common;
 
 use std::collections::HashSet;
 
-use chord::{Chord, ChordAction, ChordConfig, ChordId, NodeRef};
+use chord::{Chord, ChordAction, ChordConfig, ChordId, ChordTimer, NodeRef};
 use common::{Host, Policy};
 use simnet::NodeId;
 
@@ -369,4 +369,67 @@ fn recursive_lookup_retries_through_other_first_hops_after_failures() {
     let failed = h.policy.lookups_failed.len();
     assert_eq!(done + failed, 20);
     assert!(done >= 15, "recursive retry salvaged only {done}/20");
+}
+
+/// The repair budget, in messages, not wall: on a ring where nothing
+/// changed, sweeping the whole finger table costs a node one question and
+/// one answer per distinct finger it holds (a finger whose slots straddle
+/// two firings is asked in both, hence the + 4). Re-resolving every slot
+/// with a multi-hop lookup, as `fix_fingers` once did, costs ≈ 63.
+#[test]
+fn full_sweep_of_a_converged_ring_asks_each_distinct_finger_once() {
+    let mut refs = spread_ids(1_024);
+    refs.sort_by_key(|r| r.id.0);
+    let cfg = ChordConfig::default();
+    let firings = ChordId::BITS.div_ceil(cfg.fingers_per_round);
+    let mut nodes: Vec<Chord> = (0..refs.len())
+        .map(|i| Chord::converged(i, &refs, cfg.clone()).0)
+        .collect();
+    let mut at = vec![0; refs.len()];
+    for (pos, r) in refs.iter().enumerate() {
+        at[r.node.index()] = pos;
+    }
+
+    let mut total = 0;
+    for me in 0..nodes.len() {
+        let distinct: HashSet<NodeId> = (0..ChordId::BITS)
+            .map(|i| refs[me].id.finger_start(i))
+            .map(|start| refs[refs.partition_point(|r| r.id < start) % refs.len()].node)
+            .filter(|&finger| finger != refs[me].node)
+            .collect();
+        let mut msgs = 0;
+        for _ in 0..firings {
+            let mut pending = vec![(me, nodes[me].handle_timer(ChordTimer::FixFingers))];
+            while let Some((from, actions)) = pending.pop() {
+                for action in actions {
+                    // Every answer arrives, so no deadline ever matters.
+                    if let ChordAction::Send { to, msg } = action {
+                        msgs += 1;
+                        let to = at[to.node.index()];
+                        pending.push((to, nodes[to].handle_message(refs[from].node, msg)));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            nodes[me].pending_lookups(),
+            0,
+            "every question was answered"
+        );
+        assert!(
+            msgs <= 2 * distinct.len() + 4,
+            "{}: {msgs} messages to sweep {} distinct fingers",
+            refs[me],
+            distinct.len()
+        );
+        total += msgs;
+    }
+    let per_node = total as f64 / nodes.len() as f64;
+    assert!(
+        per_node <= 20.0,
+        "{per_node:.1} messages per node and sweep"
+    );
+    for (i, node) in nodes.iter().enumerate() {
+        assert_eq!(node.successor().node, refs[(i + 1) % refs.len()].node);
+    }
 }

@@ -167,3 +167,27 @@ fn overhead_is_accounted_and_flower_maintenance_is_cheap() {
         run.squirrel.messages_per_query()
     );
 }
+
+#[test]
+fn squirrel_message_bill_stays_under_its_ceiling() {
+    // Every Squirrel peer is a Chord node, so nearly all of its messages
+    // are ring maintenance: this is the maintenance budget as users meet
+    // it, at Chord's default periods (`shape` builds on `SimParams::quick`,
+    // which fires fix-fingers every 2.5 s instead of every 15).
+    let mut p = flower_cdn::shape_params(150, 47);
+    p.horizon_ms = 3_600_000;
+    p.mean_uptime_ms = 20 * 60_000;
+    p.query_period_ms = 2 * 60_000;
+    let r = SquirrelSim::new(p, SquirrelMode::Directory).run();
+    assert!(r.stats.queries > 300, "workload too thin");
+    // Recorded: 353 830 messages for 985 queries, 359.2 per query (635.2
+    // while `fix_fingers` re-resolved every slot with a multi-hop lookup).
+    // The ceiling is 1.15 × that, so the bill cannot creep back unnoticed.
+    assert!(
+        r.messages_per_query() < 413.0,
+        "{} messages for {} queries: {:.1} per query",
+        r.messages_delivered,
+        r.stats.queries,
+        r.messages_per_query()
+    );
+}

@@ -16,11 +16,10 @@
 //! shared registry script) influences what the machine emits.
 //!
 //! The recorded streams are also **pinned**: an FNV-1a digest over every
-//! exchange — trace events included — was captured at the last commit
-//! before the two machines were moved onto one query timeline and one
-//! report vocabulary (Squirrel reports rendered as the `ProtocolEvent`s the
-//! engine mapped them to), in debug and in release. A refactor of
-//! `crates/proto` that changes a message, a timer, an RNG draw, a trace
+//! exchange — trace events included — is checked in debug and in release
+//! (last re-recorded when Chord's finger repair began asking the incumbent
+//! finger first, which changes what a tapped ring member sends). A refactor
+//! of `crates/proto` that changes a message, a timer, an RNG draw, a trace
 //! shape or the order of outputs within one `handle` call moves a digest.
 
 use std::fmt::Debug;
@@ -35,8 +34,8 @@ use flower_cdn::{
 use simnet::{ClassCountSink, LocalityId, NodeId, Time};
 use workload::{ObjectId, WebsiteId};
 
-const FLOWER_STREAM_FNV: u64 = 0xa215_ac12_0bd5_b27f;
-const SQUIRREL_STREAM_FNV: u64 = 0x7e5c_7519_d8f0_d1e1;
+const FLOWER_STREAM_FNV: u64 = 0xea34_9992_d944_da90;
+const SQUIRREL_STREAM_FNV: u64 = 0x8cc0_c05e_5615_6e85;
 
 /// One website under test, `localities` initial ring members per website,
 /// no Poisson arrivals and no natural deaths: every event in the run is
