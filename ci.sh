@@ -5,6 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# CI leaves the tree as it found it: whatever it writes goes to a temp dir
+# or an ignored build dir, and the last step compares against this.
+tree_before=$(git status --porcelain)
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -57,13 +61,14 @@ done
 rm -rf "$res_out"
 
 echo "==> sweep smoke (tiny grid, --jobs 2 vs --jobs 1 must be byte-identical)"
-rm -rf results/sweep_smoke_j2 results/sweep_smoke_j1
-cargo run --release -p flower-bench --bin sweep -- --smoke --jobs 2 --out results/sweep_smoke_j2
-cargo run --release -p flower-bench --bin sweep -- --smoke --jobs 1 --out results/sweep_smoke_j1
+smoke_out=$(mktemp -d)
+cargo run --release -p flower-bench --bin sweep -- --smoke --jobs 2 --out "$smoke_out/j2"
+cargo run --release -p flower-bench --bin sweep -- --smoke --jobs 1 --out "$smoke_out/j1"
 for f in runs.csv summary.csv summary.json; do
-    diff "results/sweep_smoke_j2/$f" "results/sweep_smoke_j1/$f" \
+    diff "$smoke_out/j2/$f" "$smoke_out/j1/$f" \
         || { echo "sweep output $f depends on --jobs"; exit 1; }
 done
+rm -rf "$smoke_out"
 
 echo "==> repository benchmark (binding surface + outcome_digest guard)"
 # benchmark/ is its own package against ../crates/*: a core refactor that
@@ -90,6 +95,12 @@ fi
 if [ -n "$(git status --porcelain benchmark/)" ]; then
     echo "building the benchmark changed files under benchmark/:"
     git status --porcelain benchmark/
+    exit 1
+fi
+
+if [ "$(git status --porcelain)" != "$tree_before" ]; then
+    echo "CI changed the working tree (before <, after >):"
+    diff <(echo "$tree_before") <(git status --porcelain) || true
     exit 1
 fi
 

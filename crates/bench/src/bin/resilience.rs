@@ -39,10 +39,10 @@
 use std::collections::BTreeMap;
 
 use cdn_metrics::Csv;
-use chaos::{FaultAction, ResilienceSummary, ResilienceTracker};
+use chaos::FaultAction;
 use flower_bench::{canned_resilience_scenario, HarnessOpts};
 use flower_cdn::invariants::InvariantConfig;
-use flower_cdn::{InvariantChecker, RunResult, System};
+use flower_cdn::{InvariantChecker, ResilienceSummary, ResilienceTracker, RunResult, System};
 use sweep::{run_grid_with, Grid};
 
 /// What one run's trace sinks concluded, and where its hit ratio ended.

@@ -6,19 +6,13 @@
 //! previously received during gossip exchanges" (§6.2.1). The paper does not
 //! prescribe a summary encoding; the standard choice for web-cache
 //! summaries — and the one used by the related summary-cache literature —
-//! is the **Bloom filter**, which is what we implement here.
-//!
-//! Two variants are provided:
-//!
-//! * [`BloomFilter`] — the classic insert-only filter used as the on-wire
-//!   summary (compact, unionable);
-//! * [`CountingBloom`] — a counting variant supporting deletions, used by
-//!   peers that evict content (the paper's headline experiments assume no
-//!   eviction, but the library supports it).
+//! is the **Bloom filter**, which is what we implement here:
+//! [`BloomFilter`], the classic insert-only filter used as the on-wire
+//! summary (compact, unionable).
 
 pub mod hash;
 
-use hash::{base_hashes, double_hash, nth_hash};
+use hash::{base_hashes, nth_hash};
 
 /// An insert-only Bloom filter over `u64` keys.
 ///
@@ -163,70 +157,6 @@ impl BloomFilter {
     }
 }
 
-/// A counting Bloom filter supporting deletion, with 8-bit saturating
-/// counters per slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountingBloom {
-    counts: Vec<u8>,
-    k: u32,
-}
-
-impl CountingBloom {
-    /// Create with explicit slot count `m` and hash count `k`.
-    pub fn with_params(m: usize, k: u32) -> CountingBloom {
-        assert!(m > 0 && k > 0);
-        CountingBloom {
-            counts: vec![0; m],
-            k,
-        }
-    }
-
-    /// Size like [`BloomFilter::with_rate`].
-    pub fn with_rate(expected_items: usize, false_positive_rate: f64) -> CountingBloom {
-        let proto = BloomFilter::with_rate(expected_items, false_positive_rate);
-        CountingBloom::with_params(proto.bit_len(), proto.hash_count())
-    }
-
-    fn slots(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
-        let m = self.counts.len() as u64;
-        (0..self.k).map(move |i| (double_hash(key, u64::from(i)) % m) as usize)
-    }
-
-    /// Insert a key (counters saturate at 255 rather than wrapping).
-    pub fn insert(&mut self, key: u64) {
-        let slots: Vec<usize> = self.slots(key).collect();
-        for idx in slots {
-            self.counts[idx] = self.counts[idx].saturating_add(1);
-        }
-    }
-
-    /// Remove a key previously inserted. Removing a key that was never
-    /// inserted may introduce false negatives, as with any counting bloom;
-    /// callers must pair inserts and removes.
-    pub fn remove(&mut self, key: u64) {
-        let slots: Vec<usize> = self.slots(key).collect();
-        for idx in slots {
-            self.counts[idx] = self.counts[idx].saturating_sub(1);
-        }
-    }
-
-    /// Query a key.
-    pub fn contains(&self, key: u64) -> bool {
-        self.slots(key).all(|idx| self.counts[idx] > 0)
-    }
-
-    /// Flatten to a plain [`BloomFilter`] for wire transfer.
-    pub fn to_bloom(&self) -> BloomFilter {
-        let mut b = BloomFilter::with_params(self.counts.len(), self.k);
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                b.bits[idx / 64] |= 1 << (idx % 64);
-            }
-        }
-        b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,29 +233,6 @@ mod tests {
         assert!((6..=8).contains(&b.hash_count()), "{}", b.hash_count());
     }
 
-    #[test]
-    fn counting_bloom_remove_restores() {
-        let mut c = CountingBloom::with_rate(100, 0.01);
-        c.insert(5);
-        c.insert(6);
-        assert!(c.contains(5));
-        c.remove(5);
-        assert!(!c.contains(5), "no aliasing at this load");
-        assert!(c.contains(6));
-    }
-
-    #[test]
-    fn counting_bloom_flattens_to_bloom() {
-        let mut c = CountingBloom::with_params(512, 4);
-        for k in 0..50u64 {
-            c.insert(k);
-        }
-        let b = c.to_bloom();
-        for k in 0..50u64 {
-            assert!(b.contains(k));
-        }
-    }
-
     /// `hash::double_hash` and the probe loop as they were before
     /// `base_hashes` (11a0052), verbatim: the oracle for hash-once probing.
     fn double_hash_rehashing(key: u64, i: u64) -> u64 {
@@ -390,23 +297,6 @@ mod tests {
             u.union(&b);
             for &k in xs.iter().chain(ys.iter()) {
                 prop_assert!(u.contains(k));
-            }
-        }
-
-        #[test]
-        fn prop_counting_matched_inserts_removes(
-            keys in proptest::collection::vec(0u64..1_000, 1..100),
-        ) {
-            // Insert everything, remove everything: filter must be empty of
-            // all inserted keys (no stuck counters), because inserts and
-            // removes are exactly paired.
-            let mut c = CountingBloom::with_params(8192, 4);
-            for &k in &keys { c.insert(k); }
-            for &k in &keys { c.remove(k); }
-            // After paired removal every counter touched exactly balances,
-            // so nothing inserted may remain.
-            for &k in &keys {
-                prop_assert!(!c.contains(k));
             }
         }
 

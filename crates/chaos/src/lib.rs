@@ -1,33 +1,22 @@
-//! # chaos — scripted fault injection & resilience measurement
+//! # chaos — scripted fault injection
 //!
 //! The paper's headline claim is *robustness*: Flower-CDN's maintenance
 //! protocols (§5) keep hit ratio and latency stable where Squirrel's
 //! directories vanish abruptly. Evaluating that claim needs more failure
-//! modes than exponential fail-stop churn, so this crate provides:
-//!
-//! * [`Scenario`] — a declarative, deterministic schedule of typed
-//!   [`FaultAction`]s against a running simulation: targeted directory
-//!   assassination, mass join/leave waves, flash crowds, locality-scoped
-//!   partitions that heal after a delay, per-link loss/duplication/jitter
-//!   (via [`simnet::LinkConditioner`]), and origin-server brownouts.
-//!   Scenarios round-trip through a line-oriented text format (see
-//!   [`scenario`]) so they can live in files and be passed to any bench
-//!   harness with `--scenario FILE`.
-//! * [`ResilienceTracker`] — a [`simnet::TraceSink`] that watches the
-//!   protocol-level trace events and computes per-fault recovery records
-//!   (kill → replacement installed → first query served by the
-//!   replacement, i.e. MTTR) and a bucketed availability timeline
-//!   (degraded-mode hit ratio).
+//! modes than exponential fail-stop churn, so this crate provides [`Scenario`]
+//! — a declarative, deterministic schedule of typed [`FaultAction`]s against a
+//! running simulation: targeted directory assassination, mass join/leave
+//! waves, flash crowds, locality-scoped partitions that heal after a delay,
+//! per-link loss/duplication/jitter (via [`simnet::LinkConditioner`]), and
+//! origin-server brownouts. Scenarios round-trip through a line-oriented text
+//! format (see [`scenario`]) so they can live in files and be passed to any
+//! bench harness with `--scenario FILE`.
 //!
 //! The crate deliberately depends only on `simnet`: protocol engines in
 //! `flower-cdn` *interpret* a `Scenario` (they know what "a directory of
-//! website 3" means); this crate only defines the vocabulary and the
-//! measurements. The trace-event names it matches are mirrored in
-//! [`tags`] and pinned by a parity test in `flower-cdn`.
+//! website 3" means) and measure what it did to the protocol
+//! (`flower_cdn::resilience`); this crate only defines the vocabulary.
 
-pub mod resilience;
 pub mod scenario;
-pub mod tags;
 
-pub use resilience::{AvailabilityBucket, Recovery, ResilienceSummary, ResilienceTracker};
 pub use scenario::{FaultAction, ParseError, Scenario, ScheduledFault};

@@ -139,24 +139,6 @@ impl Scenario {
         self.faults.iter()
     }
 
-    /// Last instant at which this scenario still acts (including
-    /// auto-heal / revert tails) — useful for picking a horizon.
-    pub fn end_ms(&self) -> u64 {
-        self.faults
-            .iter()
-            .map(|f| {
-                let tail = match f.action {
-                    FaultAction::Partition { heal_after_ms, .. } => heal_after_ms.unwrap_or(0),
-                    FaultAction::LinkFault { for_ms, .. }
-                    | FaultAction::OriginBrownout { for_ms, .. } => for_ms.unwrap_or(0),
-                    _ => 0,
-                };
-                f.at_ms.saturating_add(tail)
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Check every website and locality target against the run the
     /// scenario is about to be applied to. Engines index per-website and
     /// per-locality state with these values, so a run must reject a
@@ -517,7 +499,6 @@ at 10m link-fault loss=0.05 jitter=40ms for=2m
                 for_ms: Some(120_000),
             }
         );
-        assert_eq!(sc.end_ms(), 720_000);
     }
 
     #[test]
@@ -633,7 +614,6 @@ at 6m heal
     fn empty_and_comment_only_input_is_an_empty_scenario() {
         let sc: Scenario = "\n# nothing here\n\n".parse().unwrap();
         assert!(sc.is_empty());
-        assert_eq!(sc.end_ms(), 0);
         assert_eq!(sc.to_string(), "");
     }
 }

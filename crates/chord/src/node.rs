@@ -15,13 +15,18 @@ use simnet::NodeId;
 use crate::id::{ChordId, NodeRef};
 use crate::proto::{ChordAction, ChordMsg, ChordTimer, StepResult};
 
+/// Successor list length `r`. Chord survives `r-1` consecutive successor
+/// failures between stabilizations.
+const SUCCESSOR_LIST_LEN: usize = 8;
+/// Give up a lookup after this many failed steps.
+const MAX_LOOKUP_FAILURES: u32 = 8;
+/// Attempts (through distinct first hops) before a recursive route fails.
+const MAX_ROUTE_ATTEMPTS: u32 = 4;
+
 /// Tuning knobs. Defaults suit a ring of a few hundred to a few thousand
 /// nodes under minute-scale churn.
 #[derive(Debug, Clone)]
 pub struct ChordConfig {
-    /// Successor list length `r`. Chord survives `r-1` consecutive
-    /// successor failures between stabilizations.
-    pub successor_list_len: usize,
     /// Stabilize period in ms — also how long a dead successor can go
     /// unnoticed, and until it is noticed every key it owned is answered
     /// with a corpse. It equals the fix-fingers period: the successor was
@@ -36,14 +41,9 @@ pub struct ChordConfig {
     /// Per-step RPC deadline in ms; should exceed one round trip on the
     /// slowest link (paper: 500 ms one-way).
     pub rpc_timeout_ms: u64,
-    /// Give up an external lookup after this many failed steps.
-    pub max_lookup_failures: u32,
     /// Whole-attempt deadline for recursive routes; should cover
     /// `O(log N)` one-way hops on slow links.
     pub recursive_deadline_ms: u64,
-    /// Attempts (through distinct first hops) before a recursive route
-    /// fails.
-    pub max_route_attempts: u32,
     /// Finger slots repaired per fix-fingers firing, so a full sweep takes
     /// `64 ÷ fingers_per_round × fix_fingers_period_ms` (one minute at the
     /// defaults). Under minute-scale churn the whole table must be swept in
@@ -56,14 +56,11 @@ pub struct ChordConfig {
 impl Default for ChordConfig {
     fn default() -> Self {
         ChordConfig {
-            successor_list_len: 8,
             stabilize_period_ms: 15_000,
             fix_fingers_period_ms: 15_000,
             check_predecessor_period_ms: 30_000,
             rpc_timeout_ms: 1_500,
-            max_lookup_failures: 8,
             recursive_deadline_ms: 3_500,
-            max_route_attempts: 4,
             fingers_per_round: 16,
         }
     }
@@ -238,7 +235,7 @@ impl Chord {
             node.standalone = true;
         }
         if n > 1 {
-            for k in 1..=node.cfg.successor_list_len.min(n - 1) {
+            for k in 1..=SUCCESSOR_LIST_LEN.min(n - 1) {
                 node.successors.push(ring[(me_idx + k) % n]);
             }
             node.predecessor = Some(ring[(me_idx + n - 1) % n]);
@@ -258,7 +255,6 @@ impl Chord {
     }
 
     fn bare(me: NodeRef, cfg: ChordConfig) -> Chord {
-        assert!(cfg.successor_list_len >= 1);
         Chord {
             me,
             cfg,
@@ -493,16 +489,17 @@ impl Chord {
     }
 
     fn on_route_deadline(&mut self, token: u64, attempt: u32) -> Vec<ChordAction> {
-        self.refresh_route();
         let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
         if lk.attempt != attempt {
             return Vec::new();
         }
-        if lk.attempt >= self.cfg.max_route_attempts {
+        if lk.attempt >= MAX_ROUTE_ATTEMPTS {
             return self.fail_lookup_now(token);
         }
+        self.refresh_route();
+        let lk = self.lookups.get(token).expect("present");
         // Retry through a different first hop; the previous one may be the
         // dead link (we can't know which hop on the path failed).
         let first = self.best_local_step(lk.key, &lk.dead);
@@ -552,33 +549,11 @@ impl Chord {
         }
     }
 
-    /// Whether `timer` would do anything if delivered right now.
-    ///
-    /// Deadline timers are armed per attempt/generation and superseded as
-    /// soon as the matching reply arrives, so under a healthy ring the vast
-    /// majority fire stale; hosts use this to skip the dispatch (and its
-    /// per-event accounting) entirely. The predicate must stay conservative:
-    /// it answers `true` for every timer whose handler could mutate state or
-    /// emit actions, mirroring the early-return guards in [`Self::handle_timer`].
-    pub fn timer_is_live(&self, timer: &ChordTimer) -> bool {
-        match *timer {
-            ChordTimer::Stabilize
-            | ChordTimer::StabilizeOnce
-            | ChordTimer::FixFingers
-            | ChordTimer::CheckPredecessor => true,
-            ChordTimer::LookupStep { token, attempt }
-            | ChordTimer::RouteDeadline { token, attempt } => self
-                .lookups
-                .get(token)
-                .is_some_and(|lk| lk.attempt == attempt),
-            ChordTimer::StabilizeDeadline { gen } => gen == self.stabilize_gen,
-            ChordTimer::PingDeadline { nonce } => {
-                self.pending_ping.is_some_and(|(n, _)| n == nonce)
-            }
-        }
-    }
-
-    /// Handle one of our timers firing.
+    /// Handle one of our timers firing. Deadlines are armed per attempt /
+    /// generation / nonce and superseded as soon as the matching reply
+    /// arrives, so on a healthy ring most fire stale: each deadline handler
+    /// checks that first and returns no actions, which is all a host needs
+    /// — it dispatches every timer it armed.
     pub fn handle_timer(&mut self, timer: ChordTimer) -> Vec<ChordAction> {
         match timer {
             ChordTimer::Stabilize => self.on_stabilize_timer(true),
@@ -819,7 +794,7 @@ impl Chord {
         let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
-        if lk.failures > self.cfg.max_lookup_failures {
+        if lk.failures > MAX_LOOKUP_FAILURES {
             return self.fail_lookup_now(token);
         }
         let start = self.best_local_step(lk.key, &lk.dead);
@@ -1100,10 +1075,10 @@ impl Chord {
             // in between fresh entries would make failure walks step
             // through corpses.
             let me = self.me;
-            let mut merged = Vec::with_capacity(self.cfg.successor_list_len);
+            let mut merged = Vec::with_capacity(SUCCESSOR_LIST_LEN);
             merged.push(sender);
             for cand in successors.iter().chain(&self.successors) {
-                if merged.len() == self.cfg.successor_list_len {
+                if merged.len() == SUCCESSOR_LIST_LEN {
                     break;
                 }
                 if cand.node != me.node
@@ -1324,7 +1299,7 @@ impl Chord {
             .position(|s| self.me.id.distance_to(n.id) < self.me.id.distance_to(s.id))
             .unwrap_or(self.successors.len());
         self.successors.insert(pos, n);
-        self.successors.truncate(self.cfg.successor_list_len);
+        self.successors.truncate(SUCCESSOR_LIST_LEN);
         self.route_stale = true;
     }
 

@@ -120,7 +120,7 @@ fn random_node(rng: &mut StdRng) -> (Chord, Vec<NodeRef>) {
 
     let mut node = Chord::bare(me, ChordConfig::default());
     node.joined = true;
-    for _ in 0..rng.gen_range(0..=node.cfg.successor_list_len) {
+    for _ in 0..rng.gen_range(0..=SUCCESSOR_LIST_LEN) {
         let s = pick(rng);
         node.successors.push(s);
     }
@@ -451,7 +451,6 @@ fn confirming_incumbent_costs_one_round_trip() {
     );
     // Its deadline fires stale.
     let deadline = w.step_deadline();
-    assert!(!w.me().timer_is_live(&deadline));
     assert!(w.me().handle_timer(deadline).is_empty());
     assert_eq!(w.finger(40), Some(F));
 }
@@ -522,7 +521,6 @@ fn dead_incumbent_is_purged_and_every_covered_slot_resolved_at_once() {
     w.run(actions);
     assert_eq!(w.log.len(), 1, "nobody answers for F");
     let deadline = w.step_deadline();
-    assert!(w.me().timer_is_live(&deadline));
     let actions = w.me().handle_timer(deadline);
     assert!((1..=41).all(|i| w.finger(i).is_none()), "F is purged");
     // All three slots are looked up in the deadline's own call.

@@ -111,14 +111,11 @@ fn bloomless_hash(mut x: u64) -> u64 {
 
 fn fast_cfg() -> ChordConfig {
     ChordConfig {
-        successor_list_len: 6,
         stabilize_period_ms: 500,
         fix_fingers_period_ms: 250,
         check_predecessor_period_ms: 500,
         rpc_timeout_ms: 200,
-        max_lookup_failures: 8,
         recursive_deadline_ms: 2_000,
-        max_route_attempts: 3,
         fingers_per_round: 4,
     }
 }

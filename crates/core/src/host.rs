@@ -3,9 +3,11 @@
 //! [`SimHost`] wraps a [`Machine`] together with its host-owned RNG and
 //! implements the simulator's [`Node`] trait by building an [`Env`] from
 //! the callback [`Ctx`], running [`Machine::handle`], and draining the
-//! returned [`Output`] commands back into the `Ctx` buffers. The world
-//! therefore applies effects in exactly the order the protocol emitted
-//! them, and the machine itself never touches simulator types.
+//! returned [`Output`] commands back into the `Ctx` buffers, one buffer per
+//! kind. The world applies them kind by kind — trace events, then sends,
+//! then timers, then reports — each kind in the order the protocol emitted
+//! it (`World::with_node`; every pin in the repository rests on that
+//! order), and the machine itself never touches simulator types.
 //!
 //! The buffer the machine writes into is the world's, not the host's
 //! ([`OutputBuf`]).

@@ -36,9 +36,7 @@ use std::rc::Rc;
 
 use simnet::{field_u64, FieldValue, NodeId, Time, TraceEvent, TraceSink};
 
-use chaos::tags::{pos_of, Pos};
-
-use crate::tags;
+use crate::tags::{self, pos_of, Pos};
 
 /// Tunables for the run being checked.
 #[derive(Debug, Clone)]

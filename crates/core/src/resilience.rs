@@ -28,6 +28,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use cdn_metrics::Provider;
 use simnet::{field_bool, field_str, Fields, NodeId, Time, TraceEvent, TraceSink};
 
 use crate::tags::{self, pos_of, Pos};
@@ -233,7 +234,7 @@ impl State {
             }
             tags::QUERY_COMPLETE => {
                 let hit = field_str(fields, "provider")
-                    .map(|p| p != tags::PROVIDER_ORIGIN)
+                    .map(|p| p != Provider::OriginServer.label())
                     .unwrap_or(false);
                 let start = at_ms - at_ms % self.bucket_ms;
                 let bucket = self.buckets.entry(start).or_insert((0, 0));

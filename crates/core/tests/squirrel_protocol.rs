@@ -107,3 +107,43 @@ fn squirrel_queries_always_pay_dht_routing() {
         assert_eq!(q.via, cdn_metrics::ResolvedVia::DhtRoute);
     }
 }
+
+#[test]
+fn failed_fetch_is_traced_under_the_querys_qid() {
+    // A listed downloader dies; the next requester the home sends to it
+    // waits out the fetch deadline. The trace must show that attempt on the
+    // query's causal path, as a Flower-CDN trace does.
+    let path = std::env::temp_dir().join(format!("sq_fetch_timeout_{}.jsonl", std::process::id()));
+    let mut sim = SquirrelSim::new(quiet_params(5), SquirrelMode::Directory);
+    sim.add_trace_sink(cdn_metrics::JsonlTraceWriter::create(&path).expect("temp file"));
+    let downloader = sim.spawn_client(WebsiteId(0), LocalityId(0));
+    sim.run_until(Time::from_mins(50));
+    sim.spawn_client(WebsiteId(0), LocalityId(1));
+    sim.fail_peer(downloader);
+    sim.run_until(Time::from_mins(110));
+    drop(sim.finish());
+
+    let text = std::fs::read_to_string(&path).expect("trace file readable");
+    std::fs::remove_file(&path).ok();
+    let lines: Vec<_> = text
+        .lines()
+        .map(|l| cdn_metrics::parse_trace_line(l).expect("well-formed line"))
+        .collect();
+    let timeout = lines
+        .iter()
+        .find(|l| l.name() == Some("fetch_timeout"))
+        .expect("a fetch_timeout line");
+    assert_eq!(timeout.num("attempt"), Some(1.0));
+    let qid = timeout.num("qid").expect("qid on the line");
+    let path_of_query: Vec<&str> = lines
+        .iter()
+        .filter(|l| l.num("qid") == Some(qid))
+        .filter_map(|l| l.name())
+        .collect();
+    let at = |name| path_of_query.iter().position(|n| *n == name);
+    assert_eq!(at("query_issued"), Some(0), "{path_of_query:?}");
+    assert!(
+        at("fetch") < at("fetch_timeout") && at("fetch_timeout") < at("query_complete"),
+        "{path_of_query:?}"
+    );
+}

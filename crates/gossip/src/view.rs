@@ -175,13 +175,6 @@ impl<P: Clone> View<P> {
         self.entries.iter().max_by_key(|e| e.age)
     }
 
-    /// A uniformly random entry, excluding `exclude`.
-    pub fn random_excluding(&self, rng: &mut impl Rng, exclude: NodeId) -> Option<&Entry<P>> {
-        let candidates: Vec<&Entry<P>> =
-            self.entries.iter().filter(|e| e.node != exclude).collect();
-        candidates.choose(rng).copied()
-    }
-
     /// A uniformly random entry.
     pub fn random(&self, rng: &mut impl Rng) -> Option<&Entry<P>> {
         self.entries.as_slice().choose(rng)
@@ -202,17 +195,6 @@ impl<P: Clone> View<P> {
     pub fn touch(&mut self, node: NodeId) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.node == node) {
             e.age = 0;
-        }
-    }
-
-    /// Replace the payload for `node` if present (e.g. a new summary pushed
-    /// directly by the contact).
-    pub fn set_payload(&mut self, node: NodeId, payload: P) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.node == node) {
-            e.payload = payload;
-            true
-        } else {
-            false
         }
     }
 }
@@ -296,15 +278,6 @@ mod tests {
         assert!(s.iter().all(|e| e.node != n(0) && e.node != n(3)));
         let all = v.sample(&mut rng, 100, None);
         assert_eq!(all.len(), 9, "sample caps at view size");
-    }
-
-    #[test]
-    fn set_payload_only_if_present() {
-        let mut v: View<u32> = View::unbounded();
-        v.upsert(Entry::new(n(1), 0));
-        assert!(v.set_payload(n(1), 5));
-        assert!(!v.set_payload(n(2), 5));
-        assert_eq!(v.get(n(1)).unwrap().payload, 5);
     }
 }
 

@@ -52,20 +52,6 @@ impl HitRatioSeries {
         self.totals.is_empty()
     }
 
-    /// `(bucket_end_ms, ratio)` per bucket; buckets with no queries carry
-    /// the previous ratio (flat segments, as a plotter would draw them).
-    pub fn per_bucket(&self) -> Vec<(u64, f64)> {
-        let mut out = Vec::with_capacity(self.totals.len());
-        let mut last = 0.0;
-        for (i, (&h, &t)) in self.hits.iter().zip(&self.totals).enumerate() {
-            if t > 0 {
-                last = h as f64 / t as f64;
-            }
-            out.push(((i as u64 + 1) * self.bucket_ms, last));
-        }
-        out
-    }
-
     /// `(bucket_end_ms, cumulative_ratio)` per bucket.
     pub fn cumulative(&self) -> Vec<(u64, f64)> {
         let mut out = Vec::with_capacity(self.totals.len());
@@ -83,22 +69,6 @@ impl HitRatioSeries {
         }
         out
     }
-
-    /// Final cumulative hit ratio.
-    pub fn final_ratio(&self) -> f64 {
-        let h: u64 = self.hits.iter().sum();
-        let t: u64 = self.totals.iter().sum();
-        if t == 0 {
-            0.0
-        } else {
-            h as f64 / t as f64
-        }
-    }
-
-    /// Total queries recorded.
-    pub fn total_queries(&self) -> u64 {
-        self.totals.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -113,12 +83,12 @@ mod tests {
         s.record_at(150, true);
         s.record_at(350, true);
         assert_eq!(s.len(), 4);
-        let pb = s.per_bucket();
-        assert_eq!(pb[0], (100, 0.5));
-        assert_eq!(pb[1], (200, 1.0));
-        // Empty bucket 2 carries the last ratio.
-        assert_eq!(pb[2], (300, 1.0));
-        assert_eq!(pb[3], (400, 1.0));
+        let c = s.cumulative();
+        assert_eq!(c[0], (100, 0.5));
+        assert_eq!(c[1], (200, 2.0 / 3.0));
+        // Empty bucket 2 carries the running ratio.
+        assert_eq!(c[2], (300, 2.0 / 3.0));
+        assert_eq!(c[3], (400, 0.75));
     }
 
     #[test]
@@ -131,15 +101,12 @@ mod tests {
         assert_eq!(c[0].1, 0.0);
         assert_eq!(c[1].1, 0.5);
         assert!((c[2].1 - 2.0 / 3.0).abs() < 1e-12);
-        assert!((s.final_ratio() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.total_queries(), 3);
     }
 
     #[test]
     fn empty_series() {
         let s = HitRatioSeries::new(1_000);
         assert!(s.is_empty());
-        assert_eq!(s.final_ratio(), 0.0);
         assert!(s.cumulative().is_empty());
     }
 }

@@ -228,11 +228,6 @@ impl Profiler {
             })
             .collect()
     }
-
-    /// Render the phase tree as an aligned self/total table.
-    pub fn phase_table(&self) -> String {
-        render_phase_table(&self.phase_rows())
-    }
 }
 
 /// RAII guard returned by [`Profiler::scope`]; closes the phase on drop.
@@ -247,32 +242,6 @@ impl Drop for PhaseGuard {
             prof.0.state.borrow_mut().exit(idx, ns);
         }
     }
-}
-
-/// Render phase rows as an indented self/total table (one line per phase,
-/// depth shown by indentation of the last path segment).
-pub fn render_phase_table(rows: &[PhaseRow]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<40} {:>12} {:>12} {:>12}",
-        "phase", "count", "total_ms", "self_ms"
-    );
-    for r in rows {
-        let depth = r.path.matches('/').count();
-        let leaf = r.path.rsplit('/').next().unwrap_or(&r.path);
-        let label = format!("{}{}", "  ".repeat(depth), leaf);
-        let _ = writeln!(
-            out,
-            "{:<40} {:>12} {:>12.3} {:>12.3}",
-            label,
-            r.count,
-            r.total_ns as f64 / 1e6,
-            r.self_ns as f64 / 1e6
-        );
-    }
-    out
 }
 
 #[cfg(test)]
@@ -339,19 +308,5 @@ mod tests {
         assert_eq!(msgs[0].class, "fetch");
         assert_eq!(msgs[0].count, 2);
         assert_eq!(msgs[0].bytes, 100);
-    }
-
-    #[test]
-    fn phase_table_renders_every_row() {
-        let p = Profiler::new();
-        p.enable();
-        {
-            let _a = p.scope("deliver");
-            let _b = p.scope("gossip");
-        }
-        let table = p.phase_table();
-        assert!(table.contains("deliver"));
-        assert!(table.contains("gossip"));
-        assert!(table.lines().count() >= 3);
     }
 }

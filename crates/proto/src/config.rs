@@ -7,6 +7,11 @@ use workload::{CatalogConfig, ChurnConfig};
 
 use crate::store::StorePolicy;
 
+/// Gossip descriptors older than this many periods are evicted.
+pub(crate) const VIEW_MAX_AGE: u32 = 6;
+/// Entries sent per gossip shuffle.
+pub(crate) const SHUFFLE_LEN: usize = 5;
+
 /// All parameters of one simulation run. [`SimParams::paper_defaults`]
 /// reproduces Table 1 exactly; experiments vary `population` (Table 2) and
 /// tests shrink the time constants.
@@ -39,10 +44,6 @@ pub struct SimParams {
     pub store_policy: StorePolicy,
     /// RPC deadline for application messages (fetch, keepalive ack, …).
     pub rpc_timeout_ms: u64,
-    /// Gossip descriptors older than this many periods are evicted.
-    pub view_max_age: u32,
-    /// Entries sent per gossip shuffle.
-    pub shuffle_len: usize,
     /// Workload shape (|W| = 100 websites × 500 objects, 6 active, Zipf).
     pub catalog: CatalogConfig,
     /// Topology shape (k = 6 localities, 10–500 ms links).
@@ -67,8 +68,6 @@ impl SimParams {
             directory_capacity: 30,
             store_policy: StorePolicy::Unlimited,
             rpc_timeout_ms: 1_200,
-            view_max_age: 6,
-            shuffle_len: 5,
             catalog: CatalogConfig::default(),
             topology: TopologyConfig::default(),
             chord: ChordConfig::default(),

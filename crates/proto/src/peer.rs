@@ -20,7 +20,7 @@ use workload::{Catalog, ObjectId, WebsiteId};
 
 use crate::api::{ApiCall, ApiResp, ProviderKind, RoleKind};
 use crate::bootstrap::SharedBootstrap;
-use crate::config::SimParams;
+use crate::config::{SimParams, SHUFFLE_LEN, VIEW_MAX_AGE};
 use crate::directory::DirectoryIndex;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
@@ -143,8 +143,6 @@ pub(crate) struct PendingQuery {
     pub phase: QueryPhase,
     /// Bootstrap / routing attempts used.
     pub route_attempts: u32,
-    /// Whether the directory has already been consulted.
-    pub asked_dir: bool,
     /// The bootstrap the in-flight route attempt went through; excluded
     /// from the next attempt if this one times out (partition backoff).
     pub last_bootstrap: Option<NodeId>,
@@ -206,8 +204,7 @@ impl FlowerPeer {
             locality,
             active,
             store: ContentStore::with_policy(params.store_policy),
-            gossip: Cyclon::new(me, ShuffleMode::Union, params.shuffle_len, 0)
-                .with_max_age(params.view_max_age),
+            gossip: Cyclon::new(me, ShuffleMode::Union, SHUFFLE_LEN, 0).with_max_age(VIEW_MAX_AGE),
             dir_info: None,
             role: Role::Client,
             pending: None,
@@ -649,13 +646,6 @@ impl FlowerPeer {
         match timer {
             FlowerTimer::Chord(t) => {
                 if let Role::Directory(d) = &mut self.role {
-                    // Deadline timers that were superseded by an in-time
-                    // reply are pure no-ops; skip the dispatch and its
-                    // profiler scope so ring-maintenance cost tracks actual
-                    // churn rather than the number of armed deadlines.
-                    if !d.chord.timer_is_live(&t) {
-                        return;
-                    }
                     let _p = self.pcx.profiler.scope("dring_maint");
                     let actions = d.chord.handle_timer(t);
                     self.apply_chord_actions(ctx, actions);
@@ -790,6 +780,10 @@ impl FlowerPeer {
 }
 
 impl QueryMachine for FlowerPeer {
+    fn query_timer() -> FlowerTimer {
+        FlowerTimer::Query
+    }
+
     fn fetch_msg(qid: QueryId, object: ObjectId) -> FlowerMsg {
         FlowerMsg::Fetch { qid, object }
     }
@@ -831,5 +825,111 @@ impl Machine for FlowerPeer {
 
     fn msg_wire_bytes(msg: &FlowerMsg) -> usize {
         msg.wire_bytes()
+    }
+}
+
+#[cfg(test)]
+impl PeerCtx {
+    /// Table-1 parameters, an empty registry, website 0.
+    pub(crate) fn for_tests() -> PeerCtx {
+        let params = Rc::new(SimParams::paper_defaults(10));
+        PeerCtx {
+            catalog: Rc::new(Catalog::new(params.catalog.clone())),
+            params,
+            bootstrap: crate::bootstrap::Bootstrap::shared(),
+            website: WebsiteId(0),
+            origin_latency_ms: 300,
+            origin_dial: crate::origin::OriginDial::shared(),
+            profiler: simnet::Profiler::new(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{machine_rng, Output};
+    use chord::{ChordMsg, ChordTimer, StepResult};
+
+    /// Both embeddings dispatch every Chord timer they armed; what keeps a
+    /// superseded deadline harmless is `Chord::handle_timer` alone.
+    #[test]
+    fn superseded_chord_deadline_is_a_no_op_at_a_directory() {
+        let position = DirPosition::base(WebsiteId(0), LocalityId(0));
+        let me = NodeRef::new(NodeId::from_index(0), position.chord_id());
+        // A near successor and a far member: the high finger slots hold
+        // `far`, and their starts are not ours or the successor's to decide.
+        let at = |i: usize, offset: u64| {
+            NodeRef::new(NodeId::from_index(i), ChordId(me.id.0.wrapping_add(offset)))
+        };
+        let far = at(2, 1 << 63);
+        let mut ring = [me, at(1, 1 << 20), far];
+        ring.sort_by_key(|r| r.id);
+        let me_idx = ring
+            .iter()
+            .position(|r| r.node == me.node)
+            .expect("in ring");
+        let pcx = PeerCtx::for_tests();
+        let (chord, actions) = Chord::converged(me_idx, &ring, pcx.params.chord.clone());
+        let mut peer = FlowerPeer::new_initial_directory(
+            pcx,
+            me.node,
+            LocalityId(0),
+            position,
+            chord,
+            actions,
+        );
+        let mut rng = machine_rng(1, me.node);
+        let mut now_ms = 0;
+        let mut step = |peer: &mut FlowerPeer, input| {
+            now_ms += 100;
+            let mut out = Vec::new();
+            peer.handle(
+                Env::bare(now_ms, me.node, LocalityId(0), &mut rng),
+                input,
+                &mut out,
+            );
+            out
+        };
+        step(&mut peer, Input::Start);
+
+        // The finger sweep reaches `far`'s slots, asks it whether it still
+        // owns them and arms a step deadline…
+        let (token, deadline) = (0..4)
+            .flat_map(|_| {
+                step(
+                    &mut peer,
+                    Input::Timer(FlowerTimer::Chord(ChordTimer::FixFingers)),
+                )
+            })
+            .find_map(|o| match o {
+                Output::SetTimer {
+                    timer: FlowerTimer::Chord(t @ ChordTimer::LookupStep { token, .. }),
+                    ..
+                } => Some((token, t)),
+                _ => None,
+            })
+            .expect("a step deadline");
+        // …the incumbent confirms in time…
+        step(
+            &mut peer,
+            Input::Deliver {
+                from: far.node,
+                msg: FlowerMsg::Chord(ChordMsg::FindNextReply {
+                    token,
+                    result: StepResult::Owner(far),
+                }),
+            },
+        );
+        let chord_of = |peer: &FlowerPeer| match &peer.role {
+            Role::Directory(d) => format!("{:?}", d.chord),
+            _ => panic!("still a directory"),
+        };
+        let before = chord_of(&peer);
+        assert!(before.contains("lookups: Lookups([])"), "question closed");
+        // …so the deadline fires superseded.
+        let out = step(&mut peer, Input::Timer(FlowerTimer::Chord(deadline)));
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(chord_of(&peer), before);
     }
 }

@@ -15,9 +15,10 @@ use cdn_metrics::{Provider, ResolvedVia};
 use chord::ChordId;
 use rand::Rng;
 use simnet::{LocalityId, NodeId};
-use workload::{sample_exp, ObjectId, WebsiteId};
+use workload::{ObjectId, WebsiteId};
 
 use crate::api::{ApiResp, ProviderKind as ApiProvider};
+use crate::config::SHUFFLE_LEN;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
@@ -25,7 +26,7 @@ use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, QueryPhase, Role};
 use crate::qid::QueryId;
 use crate::tags;
-use crate::timeline::Timeline;
+use crate::timeline::{self, Timeline};
 
 /// Directories a provider search may visit along the same-website ring
 /// successors (§3.2), the one it starts at included.
@@ -36,24 +37,13 @@ impl FlowerPeer {
     // Client side
     // ==================================================================
 
-    /// Periodic query issuance (active peers).
+    /// Periodic query issuance (active peers); a query still in flight
+    /// (rare) skips the turn.
     pub(crate) fn on_query_timer(&mut self, ctx: &mut Fx<Self>) {
-        // Schedule the next query regardless (Poisson stream, mean 6 min).
-        let gap = sample_exp(ctx.rng, self.pcx.params.query_period_ms as f64).ceil() as u64;
-        ctx.set_timer(gap.max(1_000), FlowerTimer::Query);
-        if self.pending.is_some() {
-            return; // previous query still in flight (rare)
+        let busy = self.pending.is_some();
+        if let Some(object) = timeline::next_arrival(ctx, &self.pcx, &self.store, busy) {
+            self.issue_query(ctx, object, None);
         }
-        let website = self.pcx.website;
-        let store = &self.store;
-        let Some(object) = self
-            .pcx
-            .catalog
-            .sample_new_object(website, ctx.rng, |o| store.contains(o))
-        else {
-            return; // local store covers the whole site
-        };
-        self.issue_query(ctx, object, None);
     }
 
     /// Open the pending state of a query — or, with no `object`, of a
@@ -72,7 +62,6 @@ impl FlowerPeer {
             via: ResolvedVia::LocalView,
             phase: QueryPhase::Resolving,
             route_attempts: 0,
-            asked_dir: false,
             last_bootstrap: None,
             api_token,
         });
@@ -187,13 +176,8 @@ impl FlowerPeer {
         let Some(object) = p.object else {
             return;
         };
-        if p.asked_dir || p.tl.fetch_attempts >= 3 {
-            self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
-            return;
-        }
         match self.dir_info {
             Some(di) => {
-                p.asked_dir = true;
                 p.via = ResolvedVia::Directory;
                 p.phase = QueryPhase::Resolving;
                 let qid = p.tl.qid;
@@ -398,21 +382,8 @@ impl FlowerPeer {
         if p.tl.qid != qid || p.phase != QueryPhase::Fetching(provider) {
             return;
         }
-        p.tl.excluded.push(provider);
-        let attempt = p.tl.fetch_attempts;
-        ctx.trace(
-            if timed_out {
-                tags::FETCH_TIMEOUT
-            } else {
-                tags::FETCH_MISS
-            },
-            || vec![("qid", qid.raw().into()), ("attempt", attempt.into())],
-        );
-        ctx.report(FlowerReport::Event(if timed_out {
-            ProtocolEvent::FetchTimeout
-        } else {
-            ProtocolEvent::FetchMiss
-        }));
+        p.phase = QueryPhase::Resolving;
+        let spent = p.tl.fetch_failed(ctx, provider, timed_out);
         if timed_out {
             // Unreachable contact: purge from the view (§6.1), and tell
             // our directory so the stale index pointer dies with it.
@@ -421,9 +392,7 @@ impl FlowerPeer {
                 ctx.send(di.holder.node, FlowerMsg::DeadPeerReport { peer: provider });
             }
         }
-        let p = self.pending.as_mut().expect("still pending");
-        p.phase = QueryPhase::Resolving;
-        if p.tl.fetch_attempts >= 3 {
+        if spent {
             self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
             return;
         }
@@ -432,8 +401,6 @@ impl FlowerPeer {
         }
         // Re-consult the directory with the updated exclusion list (it may
         // know another holder, or a sibling locality might).
-        let p = self.pending.as_mut().expect("still pending");
-        p.asked_dir = false;
         self.ask_directory_or_fallback(ctx);
     }
 
@@ -768,7 +735,6 @@ impl FlowerPeer {
         }
         let now_ms = ctx.now().as_millis();
         let self_info = self.self_dir_info().expect("directory role");
-        let shuffle_len = self.pcx.params.shuffle_len;
         if let Role::Directory(d) = &mut self.role {
             d.index.register_peer(client, now_ms);
         }
@@ -781,14 +747,14 @@ impl FlowerPeer {
             // (from a peer or the origin) — index it now (§3.2).
             d.index.record_objects(client, [o], now_ms);
         }
-        let mut petal_view = d.index.sample_contacts(shuffle_len + 3, client, ctx.rng);
+        let mut petal_view = d.index.sample_contacts(SHUFFLE_LEN + 3, client, ctx.rng);
         if petal_view.is_empty() {
             // Fresh (e.g. just-promoted) directory: hand out our own old
             // gossip view instead (§4).
             petal_view = self
                 .gossip
                 .view()
-                .sample(ctx.rng, shuffle_len, Some(client))
+                .sample(ctx.rng, SHUFFLE_LEN, Some(client))
                 .into_iter()
                 .map(|e| (e.node, e.payload))
                 .collect();

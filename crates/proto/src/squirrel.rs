@@ -31,14 +31,14 @@ use cdn_metrics::{Provider, ResolvedVia};
 use chord::{Chord, ChordAction, ChordId, ChordMsg, ChordTimer, NodeRef};
 use rand::Rng;
 use simnet::NodeId;
-use workload::{sample_exp, ObjectId};
+use workload::ObjectId;
 
 use crate::io::{Env, Fx, Input, InputOf, Machine, OutputOf};
 use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
-use crate::timeline::{QueryMachine, Timeline};
+use crate::timeline::{self, QueryMachine, Timeline};
 use crate::wire::{self, Enc};
 
 /// Which Squirrel scheme to run.
@@ -317,24 +317,14 @@ impl SquirrelPeer {
     // ------------------------------------------------------------------
 
     fn on_query_timer(&mut self, ctx: &mut Fx<Self>) {
-        let gap = sample_exp(ctx.rng, self.pcx.params.query_period_ms as f64).ceil() as u64;
-        ctx.set_timer(gap.max(1_000), SqTimer::Query);
-        if self.pending.is_some() || !self.chord.is_joined() {
-            return;
-        }
-        let website = self.pcx.website;
-        let store = &self.store;
-        let Some(object) = self
-            .pcx
-            .catalog
-            .sample_new_object(website, ctx.rng, |o| store.contains(o))
-        else {
+        let busy = self.pending.is_some() || !self.chord.is_joined();
+        let Some(object) = timeline::next_arrival(ctx, &self.pcx, &self.store, busy) else {
             return;
         };
         self.next_qid += 1;
         let qid = QueryId::new(self.me, self.next_qid);
         self.pending = Some(SqPending {
-            tl: Timeline::issue(ctx, qid, website, Some(object)),
+            tl: Timeline::issue(ctx, qid, self.pcx.website, Some(object)),
             object,
             phase: SqPhase::Routing,
             lookup_attempts: 1,
@@ -483,7 +473,15 @@ impl SquirrelPeer {
         self.complete(ctx, kind);
     }
 
-    fn on_fetch_failed(&mut self, ctx: &mut Fx<Self>, qid: QueryId, provider: NodeId) {
+    /// The provider refused (a listed downloader without the object) or
+    /// timed out: ask the home again, naming it dead.
+    fn on_fetch_failed(
+        &mut self,
+        ctx: &mut Fx<Self>,
+        qid: QueryId,
+        provider: NodeId,
+        timed_out: bool,
+    ) {
         let Some(p) = &mut self.pending else {
             return;
         };
@@ -500,8 +498,7 @@ impl SquirrelPeer {
         if provider != expected {
             return;
         }
-        p.tl.excluded.push(provider);
-        if p.tl.fetch_attempts >= 3 {
+        if p.tl.fetch_failed(ctx, provider, timed_out) {
             self.start_origin_fetch(ctx, qid, Some(home));
         } else {
             self.ask_home(ctx, home);
@@ -653,10 +650,7 @@ impl SquirrelPeer {
                 ctx.send(from, reply);
             }
             SqMsg::FetchOk { qid, .. } => self.on_fetch_ok(ctx, from, qid),
-            SqMsg::FetchMiss { qid, .. } => {
-                ctx.report(FlowerReport::Event(ProtocolEvent::FetchMiss));
-                self.on_fetch_failed(ctx, qid, from)
-            }
+            SqMsg::FetchMiss { qid, .. } => self.on_fetch_failed(ctx, qid, from, false),
             SqMsg::StoreCopy { object } => {
                 if self.mode == SquirrelMode::HomeStore {
                     self.store.insert(object);
@@ -683,8 +677,7 @@ impl SquirrelPeer {
                 let SqPhase::Fetching { provider, .. } = p.phase else {
                     return;
                 };
-                ctx.report(FlowerReport::Event(ProtocolEvent::FetchTimeout));
-                self.on_fetch_failed(ctx, qid, provider);
+                self.on_fetch_failed(ctx, qid, provider, true);
             }
             SqTimer::OriginDone { qid } => self.on_origin_done(ctx, qid),
         }
@@ -692,6 +685,10 @@ impl SquirrelPeer {
 }
 
 impl QueryMachine for SquirrelPeer {
+    fn query_timer() -> SqTimer {
+        SqTimer::Query
+    }
+
     fn fetch_msg(qid: QueryId, object: ObjectId) -> SqMsg {
         SqMsg::Fetch { qid, object }
     }

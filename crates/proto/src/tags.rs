@@ -6,7 +6,7 @@
 //! events about a directory position carry `("ws", _)`, `("loc", _)`,
 //! `("inst", _)`.
 
-use simnet::Fields;
+use simnet::{field_u64, FieldValue, Fields};
 
 use crate::dring::DirPosition;
 
@@ -17,6 +17,20 @@ pub fn pos_fields(pos: DirPosition) -> Fields {
         ("loc", pos.locality.0.into()),
         ("inst", pos.instance.into()),
     ]
+}
+
+/// A D-ring position as trace fields carry it: (website, locality,
+/// instance).
+pub type Pos = (u64, u64, u64);
+
+/// The position a [`BECAME_DIRECTORY`] / [`DEMOTED`] event names: what
+/// [`pos_fields`] wrote.
+pub fn pos_of(fields: &[(&'static str, FieldValue)]) -> Option<Pos> {
+    Some((
+        field_u64(fields, "ws")?,
+        field_u64(fields, "loc")?,
+        field_u64(fields, "inst")?,
+    ))
 }
 
 /// A peer issued a query (fields: qid, ws, rank).
@@ -46,7 +60,7 @@ pub const SIBLING_FORWARD: &str = "sibling_forward";
 pub const FETCH: &str = "fetch";
 /// The provider served the object (fields: qid).
 pub const FETCH_OK: &str = "fetch_ok";
-/// The provider did not have the object (fields: qid).
+/// The provider did not have the object (fields: qid, attempt).
 pub const FETCH_MISS: &str = "fetch_miss";
 /// A fetch attempt timed out (fields: qid, attempt).
 pub const FETCH_TIMEOUT: &str = "fetch_timeout";
@@ -83,24 +97,3 @@ pub const PROMOTE: &str = "promote";
 
 /// Squirrel: the home node answered a query (fields: qid, hit).
 pub const SQ_HOME_ANSWER: &str = "sq_home_answer";
-
-#[cfg(test)]
-mod tests {
-    /// The `chaos` crate sits below this one and mirrors the tag names it
-    /// consumes ([`chaos::tags`]). Keep the two sets identical.
-    #[test]
-    fn chaos_tag_mirror_stays_in_sync() {
-        assert_eq!(chaos::tags::BECAME_DIRECTORY, super::BECAME_DIRECTORY);
-        assert_eq!(chaos::tags::DEMOTED, super::DEMOTED);
-        assert_eq!(chaos::tags::REDIRECT, super::REDIRECT);
-        assert_eq!(chaos::tags::QUERY_COMPLETE, super::QUERY_COMPLETE);
-        assert_eq!(chaos::tags::SQ_HOME_ANSWER, super::SQ_HOME_ANSWER);
-    }
-
-    /// `chaos::tags::PROVIDER_ORIGIN` must match the provider string
-    /// `complete_query` emits for origin-served queries.
-    #[test]
-    fn origin_provider_string_matches() {
-        assert_eq!(chaos::tags::PROVIDER_ORIGIN, "origin");
-    }
-}

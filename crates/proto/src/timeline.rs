@@ -3,15 +3,18 @@
 //! §6 compares Flower-CDN and Squirrel on hit ratio, lookup latency and
 //! transfer distance "under identical workload". That holds only if both
 //! systems are timed by the same code, so the part of a query's life the
-//! metrics are read from exists once, here. Both peers embed a `Timeline`
-//! in their pending-query state and move it through four steps:
+//! metrics are read from exists once, here. Queries arrive through
+//! `next_arrival`; both peers embed a `Timeline` in their pending-query
+//! state and move it through five steps:
 //!
 //! 1. `Timeline::issue` — the query exists from now on;
 //! 2. `Timeline::fetch_from` — ask a provider for the object, under a
 //!    deadline (repeatable: each attempt restarts the transfer clock);
-//! 3. `Timeline::origin_round_trip` — give up on the overlay; the origin
+//! 3. `Timeline::fetch_failed` — the provider refused or stayed silent:
+//!    exclude it, and say whether `MAX_FETCH_ATTEMPTS` is spent;
+//! 4. `Timeline::origin_round_trip` — give up on the overlay; the origin
 //!    is a latency, not a peer, and always has the object;
-//! 4. `Timeline::complete` — the object arrived: emit the
+//! 5. `Timeline::complete` — the object arrived: emit the
 //!    [`QueryRecord`].
 //!
 //! The metrics follow from the record: a query is a **hit** iff a peer
@@ -26,16 +29,21 @@
 
 use cdn_metrics::{Provider, QueryRecord, ResolvedVia};
 use simnet::{NodeId, Time};
-use workload::{ObjectId, WebsiteId};
+use workload::{sample_exp, ObjectId, WebsiteId};
 
 use crate::io::{Fx, Machine};
-use crate::peer::{FlowerReport, PeerCtx};
+use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
+use crate::store::ContentStore;
 use crate::tags;
+
+/// Fetches a query may spend on peers before it goes to the origin.
+pub(crate) const MAX_FETCH_ATTEMPTS: u32 = 3;
 
 /// The wire shapes the timeline sends and arms, in the vocabulary of the
 /// machine embedding it.
 pub(crate) trait QueryMachine: Machine<Report = FlowerReport> {
+    fn query_timer() -> Self::Timer;
     fn fetch_msg(qid: QueryId, object: ObjectId) -> Self::Msg;
     fn fetch_deadline(qid: QueryId, attempt: u32) -> Self::Timer;
     fn origin_done(qid: QueryId) -> Self::Timer;
@@ -110,6 +118,29 @@ impl Timeline {
         self.qid == qid && self.fetch_attempts == attempt
     }
 
+    /// The outstanding fetch from `provider` failed — a refusal, or with
+    /// `timed_out` a deadline that fired. Returns whether the fetch budget
+    /// is spent, so the next stop is the origin.
+    pub fn fetch_failed<M: QueryMachine>(
+        &mut self,
+        ctx: &mut Fx<M>,
+        provider: NodeId,
+        timed_out: bool,
+    ) -> bool {
+        self.excluded.push(provider);
+        let (qid, attempt) = (self.qid, self.fetch_attempts);
+        let (tag, event) = if timed_out {
+            (tags::FETCH_TIMEOUT, ProtocolEvent::FetchTimeout)
+        } else {
+            (tags::FETCH_MISS, ProtocolEvent::FetchMiss)
+        };
+        ctx.trace(tag, || {
+            vec![("qid", qid.raw().into()), ("attempt", attempt.into())]
+        });
+        ctx.report(FlowerReport::Event(event));
+        self.fetch_attempts >= MAX_FETCH_ATTEMPTS
+    }
+
     /// Fall back to the origin server: `OriginDone` fires after the round
     /// trip.
     pub fn origin_round_trip<M: QueryMachine>(&mut self, ctx: &mut Fx<M>, pcx: &PeerCtx) {
@@ -149,8 +180,98 @@ impl Timeline {
     }
 }
 
+/// The arrival process of an active peer (§6.1): arm the next `Query` timer
+/// an exponential gap away (mean `query_period_ms`, at least a second), then
+/// — unless the peer is `busy` with an earlier query or not yet able to ask —
+/// draw an object of its website that `store` does not hold. `None` when
+/// busy, or when the store covers the whole site.
+pub(crate) fn next_arrival<M: QueryMachine>(
+    ctx: &mut Fx<M>,
+    pcx: &PeerCtx,
+    store: &ContentStore,
+    busy: bool,
+) -> Option<ObjectId> {
+    let gap = sample_exp(ctx.rng, pcx.params.query_period_ms as f64).ceil() as u64;
+    ctx.set_timer(gap.max(1_000), M::query_timer());
+    if busy {
+        return None;
+    }
+    pcx.catalog
+        .sample_new_object(pcx.website, ctx.rng, |o| store.contains(o))
+}
+
 /// One-way latency to the website's origin right now; a chaos brownout adds
 /// to the topology's figure while it lasts.
 fn origin_one_way_ms(pcx: &PeerCtx) -> u64 {
     pcx.origin_latency_ms + pcx.origin_dial.extra_ms(pcx.website)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{machine_rng, Env, Output};
+    use crate::squirrel::SquirrelPeer;
+    use simnet::{FieldValue, Fields, LocalityId};
+
+    /// The failure half of a query: every failed provider is excluded,
+    /// reported and traced under the query's `qid`, and the third failure
+    /// spends the budget.
+    #[test]
+    fn three_failed_fetches_spend_the_budget() {
+        let pcx = PeerCtx::for_tests();
+        let me = NodeId::from_index(9);
+        let mut rng = machine_rng(1, me);
+        let env = Env {
+            tracing: true,
+            ..Env::bare(0, me, LocalityId(0), &mut rng)
+        };
+        let mut out = Vec::new();
+        let mut ctx = Fx::<SquirrelPeer>::new(env, &mut out);
+        let qid = QueryId::new(me, 1);
+        let object = ObjectId::from_u64(7);
+        let mut tl = Timeline::issue(&mut ctx, qid, pcx.website, Some(object));
+        let providers = [1, 2, 3].map(NodeId::from_index);
+        let mut spent = Vec::new();
+        for (i, &provider) in providers.iter().enumerate() {
+            tl.fetch_from(&mut ctx, &pcx, provider, object);
+            spent.push(tl.fetch_failed(&mut ctx, provider, i != 1));
+        }
+        assert_eq!(spent, [false, false, true]);
+        assert_eq!(tl.excluded, [me, providers[0], providers[1], providers[2]]);
+
+        let reports: Vec<ProtocolEvent> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Report(FlowerReport::Event(e)) => Some(*e),
+                _ => None,
+            })
+            .collect();
+        use ProtocolEvent::{FetchMiss, FetchTimeout};
+        assert_eq!(reports, [FetchTimeout, FetchMiss, FetchTimeout]);
+        let traces: Vec<(&str, &Fields)> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Trace { name, fields }
+                    if [tags::FETCH_TIMEOUT, tags::FETCH_MISS].contains(name) =>
+                {
+                    Some((*name, fields))
+                }
+                _ => None,
+            })
+            .collect();
+        let want = |attempt: u64| -> Fields {
+            vec![
+                ("qid", FieldValue::U64(qid.raw())),
+                ("attempt", FieldValue::U64(attempt)),
+            ]
+        };
+        assert_eq!(
+            traces,
+            [
+                (tags::FETCH_TIMEOUT, &want(1)),
+                (tags::FETCH_MISS, &want(2)),
+                (tags::FETCH_TIMEOUT, &want(3)),
+            ]
+        );
+    }
 }

@@ -109,11 +109,6 @@ impl LinkConditioner {
         self.partitioned.clear();
     }
 
-    /// Whether `loc` is currently cut off.
-    pub fn is_partitioned(&self, loc: LocalityId) -> bool {
-        self.partitioned.contains(&loc)
-    }
-
     /// Localities currently cut off.
     pub fn partitioned(&self) -> impl Iterator<Item = LocalityId> + '_ {
         self.partitioned.iter().copied()
@@ -187,7 +182,6 @@ mod tests {
         let mut c = LinkConditioner::new(2);
         c.partition(LocalityId(3));
         assert!(c.is_active());
-        assert!(c.is_partitioned(LocalityId(3)));
         // Cross edge in either direction: cut.
         assert_eq!(c.judge(LocalityId(3), LocalityId(0)), LinkVerdict::Drop);
         assert_eq!(c.judge(LocalityId(0), LocalityId(3)), LinkVerdict::Drop);

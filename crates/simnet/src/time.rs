@@ -46,16 +46,6 @@ impl Time {
         self.0 / 1_000
     }
 
-    /// This instant expressed in fractional minutes.
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60_000.0
-    }
-
-    /// This instant expressed in fractional hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600_000.0
-    }
-
     /// Saturating difference `self - earlier`, as a duration in milliseconds.
     pub fn since(self, earlier: Time) -> u64 {
         self.0.saturating_sub(earlier.0)
@@ -116,9 +106,6 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let t = Time::from_hours(2) + 30 * 60_000;
-        assert!((t.as_hours_f64() - 2.5).abs() < 1e-9);
-        assert!((t.as_mins_f64() - 150.0).abs() < 1e-9);
         assert_eq!(Time::from_millis(2_500).as_secs(), 2);
     }
 

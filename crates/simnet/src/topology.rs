@@ -152,11 +152,6 @@ impl Topology {
         }
     }
 
-    /// Number of localities `k`.
-    pub fn locality_count(&self) -> u16 {
-        self.cfg.localities
-    }
-
     /// Sample a coordinate for a fresh peer: pick a locality uniformly, then
     /// place the peer with a Gaussian scatter around that locality's centre.
     pub fn sample_point(&self, rng: &mut impl Rng) -> Point {

@@ -301,16 +301,11 @@ impl<N: Node, C> World<N, C> {
         }
     }
 
-    /// Share a profiler handle with this world: the event loop opens a
-    /// phase scope per dispatched event (`deliver/<class>`,
-    /// `timer/<class>`, `control`) and accounts every send per message
-    /// class. The handle starts disabled — until [`Profiler::enable`] is
-    /// called the hot path pays one boolean load per event.
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = profiler;
-    }
-
-    /// The world's profiler handle (disabled unless the engine enabled it).
+    /// The world's profiler handle: the event loop opens a phase scope per
+    /// dispatched event (`deliver/<class>`, `timer/<class>`, `control`) and
+    /// accounts every send per message class. It starts disabled — until
+    /// [`Profiler::enable`] is called the hot path pays one boolean load
+    /// per event.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
     }

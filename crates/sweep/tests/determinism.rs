@@ -4,8 +4,8 @@
 //! byte-identical for any `--jobs` value.
 
 use cdn_metrics::parse_trace_line;
-use chaos::{FaultAction, ResilienceTracker, Scenario};
-use flower_cdn::{RunResult, SimParams, System};
+use chaos::{FaultAction, Scenario};
+use flower_cdn::{ResilienceTracker, RunResult, SimParams, System};
 use sweep::{run_grid, run_grid_with, runs_csv, summary_csv, summary_json, Cell, Grid, SweepOpts};
 
 fn tiny_params(population: usize) -> SimParams {

@@ -80,11 +80,6 @@ impl Catalog {
         &self.cfg
     }
 
-    /// Number of websites.
-    pub fn website_count(&self) -> u16 {
-        self.cfg.websites
-    }
-
     /// Objects per website.
     pub fn objects_per_site(&self) -> u16 {
         self.cfg.objects_per_site
@@ -184,7 +179,7 @@ mod tests {
     #[test]
     fn active_websites_are_exactly_the_configured_count() {
         let c = Catalog::new(CatalogConfig::default());
-        let active = (0..c.website_count())
+        let active = (0..c.config().websites)
             .filter(|&w| c.is_active(WebsiteId(w)))
             .count();
         assert_eq!(active, 6);

@@ -9,7 +9,10 @@
 //! The constant was re-recorded when finger repair began asking the
 //! incumbent finger before resolving a slot (16 slots a firing, and a
 //! stabilize round as often as a firing): that moved what the periodic
-//! timers send on purpose. A change that
+//! timers send on purpose. It was re-recorded once more when `Chord`'s
+//! host-side liveness predicate was deleted: every timer line used to end
+//! in a `live=` token computed with it, and with that token stripped the
+//! 648 642 lines of the old stream and of this one are equal. A change that
 //! only makes `Chord` faster must reproduce the stream byte for byte,
 //! tie-breaks included.
 
@@ -22,7 +25,7 @@ use simnet::NodeId;
 
 const RING: usize = 128;
 const LATENCY_MS: u64 = 40;
-const GOLDEN: u64 = 0x5f87_d0c7_c6bf_9fc7;
+const GOLDEN: u64 = 0xade7_b35d_7baa_4c75;
 
 struct Fnv(u64);
 
@@ -54,10 +57,8 @@ impl Policy for Pin {
     }
 
     fn timer_fires(&mut self, now: u64, node: &Chord, timer: &ChordTimer) {
-        let live = node.timer_is_live(timer);
         let id = node.me().node;
-        self.hash
-            .line(&format!("{now} {id:?} {timer:?} live={live}"));
+        self.hash.line(&format!("{now} {id:?} {timer:?}"));
     }
 
     fn outcome(host: &mut Harness, me: NodeId, action: ChordAction) {

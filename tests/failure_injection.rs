@@ -3,10 +3,11 @@
 //! assassination, graceful leave hand-over, locality partitions that heal,
 //! determinism under chaos, and the maintenance ablations.
 
-use chaos::ResilienceTracker;
 use flower_cdn::experiments::{run_maintenance_variant, MaintenanceVariant};
 use flower_cdn::invariants::InvariantConfig;
-use flower_cdn::{FaultAction, FlowerSim, InvariantChecker, Scenario, SimDriver, SimParams};
+use flower_cdn::{
+    FaultAction, FlowerSim, InvariantChecker, ResilienceTracker, Scenario, SimDriver, SimParams,
+};
 use simnet::Time;
 
 fn params(seed: u64) -> SimParams {

@@ -18,7 +18,10 @@
 //! The recorded streams are also **pinned**: an FNV-1a digest over every
 //! exchange — trace events included — is checked in debug and in release
 //! (last re-recorded when Chord's finger repair began asking the incumbent
-//! finger first, which changes what a tapped ring member sends). A refactor
+//! finger first, which changes what a tapped ring member sends; the Squirrel
+//! digest once more when a Squirrel peer began tracing `fetch_timeout` /
+//! `fetch_miss` as a Flower-CDN peer always has — one exchange of the script
+//! gained that one trace output, nothing else moved). A refactor
 //! of `crates/proto` that changes a message, a timer, an RNG draw, a trace
 //! shape or the order of outputs within one `handle` call moves a digest.
 
@@ -35,7 +38,7 @@ use simnet::{ClassCountSink, LocalityId, NodeId, Time};
 use workload::{ObjectId, WebsiteId};
 
 const FLOWER_STREAM_FNV: u64 = 0xea34_9992_d944_da90;
-const SQUIRREL_STREAM_FNV: u64 = 0x8cc0_c05e_5615_6e85;
+const SQUIRREL_STREAM_FNV: u64 = 0xc565_5eb9_2348_28b2;
 
 /// One website under test, `localities` initial ring members per website,
 /// no Poisson arrivals and no natural deaths: every event in the run is
