@@ -17,8 +17,11 @@ cargo test -q --workspace
 
 echo "==> golden tests, release build"
 # The benchmark and every committed number come from release builds, where
-# integer overflow wraps instead of panicking: the pins must hold there too.
+# integer overflow wraps instead of panicking: the pins must hold there too —
+# and so must the codec's length arithmetic (`as u32`, `div_ceil`, the caps),
+# which is where every committed byte count is produced.
 cargo test -q --release --test engine_golden --test chord_golden --test replay
+cargo test -q --release -p flower-net --test wire_roundtrip
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -18,7 +18,7 @@
 
 use std::io::{self, Read, Write};
 
-use flower_proto::wire::{Dec, Enc};
+use flower_proto::wire::{Dec, Enc, Wire};
 use flower_proto::{ApiCall, ApiResp, FlowerMsg};
 use simnet::NodeId;
 
@@ -56,30 +56,31 @@ const KIND_SHUTDOWN: u8 = 4;
 /// Encode one frame, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // The length prefix is written last, over these four bytes.
-    let mut e = Enc { out: vec![0u8; 4] };
-    e.u8(WIRE_VERSION);
+    let mut enc = Enc { out: vec![0u8; 4] };
+    let e = &mut enc;
+    WIRE_VERSION.put(e);
     match frame {
         Frame::Hello { node } => {
-            e.u8(KIND_HELLO);
-            e.node(*node);
+            KIND_HELLO.put(e);
+            node.put(e);
         }
         Frame::Peer(m) => {
-            e.u8(KIND_PEER);
-            e.flower(m);
+            KIND_PEER.put(e);
+            m.put(e);
         }
         Frame::Api { token, call } => {
-            e.u8(KIND_API);
-            e.u64(*token);
-            e.api_call(*call);
+            KIND_API.put(e);
+            token.put(e);
+            call.put(e);
         }
         Frame::ApiResp { token, resp } => {
-            e.u8(KIND_API_RESP);
-            e.u64(*token);
-            e.api_resp(resp);
+            KIND_API_RESP.put(e);
+            token.put(e);
+            resp.put(e);
         }
-        Frame::Shutdown => e.u8(KIND_SHUTDOWN),
+        Frame::Shutdown => KIND_SHUTDOWN.put(e),
     }
-    let mut out = e.out;
+    let mut out = enc.out;
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_le_bytes());
     out
@@ -87,21 +88,23 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 
 /// Decode one frame payload (everything after the length prefix).
 pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
-    let mut d = Dec { buf: payload };
-    let version = d.u8()?;
+    let d = &mut Dec { buf: payload };
+    let version = u8::get(d)?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let frame = match d.u8()? {
-        KIND_HELLO => Frame::Hello { node: d.node()? },
-        KIND_PEER => Frame::Peer(d.flower()?),
+    let frame = match u8::get(d)? {
+        KIND_HELLO => Frame::Hello {
+            node: Wire::get(d)?,
+        },
+        KIND_PEER => Frame::Peer(Wire::get(d)?),
         KIND_API => Frame::Api {
-            token: d.u64()?,
-            call: d.api_call()?,
+            token: Wire::get(d)?,
+            call: Wire::get(d)?,
         },
         KIND_API_RESP => Frame::ApiResp {
-            token: d.u64()?,
-            resp: d.api_resp()?,
+            token: Wire::get(d)?,
+            resp: Wire::get(d)?,
         },
         KIND_SHUTDOWN => Frame::Shutdown,
         kind => return Err(WireError::BadKind(kind)),

@@ -30,6 +30,35 @@ pub(crate) fn jittered_period(rng: &mut impl Rng, period: u64) -> u64 {
     rng.gen_range(lo..hi)
 }
 
+/// The arbiter's "taken": `position` is (or is about to be) `holder`'s.
+fn deny(ctx: &mut Fx<FlowerPeer>, claimer: NodeId, position: DirPosition, holder: NodeRef) {
+    ctx.trace(tags::CLAIM_DENIED, || {
+        let mut f = tags::pos_fields(position);
+        f.push(("holder", holder.node.into()));
+        f
+    });
+    ctx.send(claimer, FlowerMsg::ClaimDenied { position, holder });
+}
+
+/// The arbiter's "yours": note the grant under the position's ring id `key`
+/// and seed the claimer's D-ring join with ourselves.
+fn grant(
+    ctx: &mut Fx<FlowerPeer>,
+    d: &mut DirectoryRole,
+    key: ChordId,
+    claimer: NodeId,
+    position: DirPosition,
+) {
+    d.grants.insert(key, (claimer, ctx.now()));
+    let seed = d.chord.me();
+    ctx.trace(tags::CLAIM_GRANTED, || {
+        let mut f = tags::pos_fields(position);
+        f.push(("claimer", claimer.into()));
+        f
+    });
+    ctx.send(claimer, FlowerMsg::ClaimGranted { position, seed });
+}
+
 impl FlowerPeer {
     // ==================================================================
     // Petal gossip (§3.1, §5.1)
@@ -338,23 +367,13 @@ impl FlowerPeer {
             // petal peers that lost track — welcome it back (§5.2.2).
             let holder = d.chord.me();
             d.index.register_peer(claimer, now.as_millis());
-            ctx.trace(tags::CLAIM_DENIED, || {
-                let mut f = tags::pos_fields(position);
-                f.push(("holder", holder.node.into()));
-                f
-            });
-            ctx.send(claimer, FlowerMsg::ClaimDenied { position, holder });
+            deny(ctx, claimer, position, holder);
             return;
         }
         if let Some(holder) = d.chord.known_node_with_id(key) {
             // We can see a live-believed holder of the exact position:
             // deny with it instead of risking a duplicate grant.
-            ctx.trace(tags::CLAIM_DENIED, || {
-                let mut f = tags::pos_fields(position);
-                f.push(("holder", holder.node.into()));
-                f
-            });
-            ctx.send(claimer, FlowerMsg::ClaimDenied { position, holder });
+            deny(ctx, claimer, position, holder);
             return;
         }
         if !d.chord.owns_strict(key) && !d.chord.is_sole_member() {
@@ -375,24 +394,9 @@ impl FlowerPeer {
         }
         match d.grants.get(&key) {
             Some(&(granted, at)) if granted != claimer && now.since(at) < GRANT_TTL_MS => {
-                let holder = NodeRef::new(granted, key);
-                ctx.trace(tags::CLAIM_DENIED, || {
-                    let mut f = tags::pos_fields(position);
-                    f.push(("holder", holder.node.into()));
-                    f
-                });
-                ctx.send(claimer, FlowerMsg::ClaimDenied { position, holder });
+                deny(ctx, claimer, position, NodeRef::new(granted, key));
             }
-            _ => {
-                d.grants.insert(key, (claimer, now));
-                let seed = d.chord.me();
-                ctx.trace(tags::CLAIM_GRANTED, || {
-                    let mut f = tags::pos_fields(position);
-                    f.push(("claimer", claimer.into()));
-                    f
-                });
-                ctx.send(claimer, FlowerMsg::ClaimGranted { position, seed });
-            }
+            _ => grant(ctx, d, key, claimer, position),
         }
     }
 
@@ -452,16 +456,7 @@ impl FlowerPeer {
                     },
                 );
             }
-            _ => {
-                d.grants.insert(key, (client, now));
-                let seed = d.chord.me();
-                ctx.trace(tags::CLAIM_GRANTED, || {
-                    let mut f = tags::pos_fields(position);
-                    f.push(("claimer", client.into()));
-                    f
-                });
-                ctx.send(client, FlowerMsg::ClaimGranted { position, seed });
-            }
+            _ => grant(ctx, d, key, client, position),
         }
     }
 
@@ -599,17 +594,12 @@ impl FlowerPeer {
         } else {
             Chord::join(me_ref, seed, self.pcx.params.chord.clone())
         };
-        self.role = Role::Directory(Box::new(DirectoryRole {
+        self.role = Role::Directory(Box::new(DirectoryRole::new(
             position,
             chord,
             index,
-            route_jobs: std::collections::BTreeMap::new(),
-            grants: std::collections::BTreeMap::new(),
-            promotion_pending: None,
-            self_check_token: None,
-            self_check_misses: 0,
             replacement,
-        }));
+        )));
         self.dir_info = None;
         self.awaiting_ack = None;
         self.claim = None;
@@ -626,13 +616,7 @@ impl FlowerPeer {
             // JoinComplete bookkeeping never fires — do it here. The
             // synchronous rendezvous registration is what lets the next
             // claimer join *our* ring instead of founding another.
-            self.pcx.bootstrap.borrow_mut().add(me_ref);
-            ctx.report(FlowerReport::BecameDirectory {
-                position,
-                replacement,
-            });
-            let delay = 60_000 + ctx.rng.gen_range(0..60_000);
-            ctx.set_timer(delay, FlowerTimer::PositionCheck);
+            self.entered_dring(ctx);
         }
         let sweep = self.pcx.params.rpc_timeout_ms * 20;
         ctx.set_timer(sweep, FlowerTimer::DirSweep);

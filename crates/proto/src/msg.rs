@@ -12,7 +12,7 @@ use crate::directory::DirectorySnapshot;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::qid::QueryId;
-use crate::wire;
+use crate::wire::{self, Wire};
 
 /// A peer's content summary as carried in gossip views. A summary is
 /// built once and never changed, and one peer's summary ends up in many
@@ -187,14 +187,14 @@ impl FlowerMsg {
     }
 
     /// Bytes this message occupies on the wire: the length of the frame
-    /// the TCP host sends for it (the codec's own put code, counted), plus
-    /// the object body a `FetchOk` would carry.
+    /// the TCP host sends for it (the message's own `Wire::put`, counted),
+    /// plus the object body a `FetchOk` would carry.
     pub fn wire_bytes(&self) -> usize {
         let body = match self {
             FlowerMsg::FetchOk { .. } => wire::MODELLED_OBJECT_BYTES,
             _ => 0,
         };
-        wire::FRAME_OVERHEAD + wire::encoded_len(|e| e.flower(self)) + body
+        wire::FRAME_OVERHEAD + wire::encoded_len(|e| self.put(e)) + body
     }
 }
 

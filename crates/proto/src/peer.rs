@@ -106,8 +106,10 @@ pub struct DirectoryRole {
     pub chord: Chord,
     pub index: DirectoryIndex,
     /// Outstanding D-ring routings performed on behalf of other peers:
-    /// chord lookup token → payload to deliver.
-    pub route_jobs: BTreeMap<u64, RoutePayload>,
+    /// chord lookup token → (payload to deliver, hops it already spent
+    /// being re-routed). Tokens restart with every new `Chord`, so this
+    /// lives and dies with the role that issued them.
+    pub route_jobs: BTreeMap<u64, (RoutePayload, u32)>,
     /// Claim arbitration state (§5.2.2): position id → (granted claimer,
     /// grant time). Grants expire so a claimer that dies mid-join does not
     /// wedge the position.
@@ -120,6 +122,28 @@ pub struct DirectoryRole {
     pub self_check_misses: u8,
     /// Entered D-ring as a failure replacement (diagnostics).
     pub replacement: bool,
+}
+
+impl DirectoryRole {
+    /// The role as it is taken up: nothing routed, granted or checked yet.
+    pub(crate) fn new(
+        position: DirPosition,
+        chord: Chord,
+        index: DirectoryIndex,
+        replacement: bool,
+    ) -> DirectoryRole {
+        DirectoryRole {
+            position,
+            chord,
+            index,
+            route_jobs: BTreeMap::new(),
+            grants: BTreeMap::new(),
+            promotion_pending: None,
+            self_check_token: None,
+            self_check_misses: 0,
+            replacement,
+        }
+    }
 }
 
 /// Which hat the peer currently wears.
@@ -189,8 +213,6 @@ pub struct FlowerPeer {
     pub(crate) boot_exclude: Vec<NodeId>,
     /// Actions produced by the Chord constructor, applied at `on_start`.
     pub(crate) startup_chord_actions: Vec<ChordAction>,
-    /// Hops already spent by re-routed payloads, keyed by lookup token.
-    pub(crate) route_hops: BTreeMap<u64, u32>,
 }
 
 impl FlowerPeer {
@@ -214,7 +236,6 @@ impl FlowerPeer {
             claim: None,
             boot_exclude: Vec::new(),
             startup_chord_actions: Vec::new(),
-            route_hops: BTreeMap::new(),
         }
     }
 
@@ -229,17 +250,12 @@ impl FlowerPeer {
         startup_chord_actions: Vec<ChordAction>,
     ) -> FlowerPeer {
         let mut p = FlowerPeer::new_client(pcx, me, locality);
-        p.role = Role::Directory(Box::new(DirectoryRole {
+        p.role = Role::Directory(Box::new(DirectoryRole::new(
             position,
             chord,
-            index: DirectoryIndex::new(),
-            route_jobs: BTreeMap::new(),
-            grants: BTreeMap::new(),
-            promotion_pending: None,
-            self_check_token: None,
-            self_check_misses: 0,
-            replacement: false,
-        }));
+            DirectoryIndex::new(),
+            false,
+        )));
         p.startup_chord_actions = startup_chord_actions;
         p
     }
@@ -351,20 +367,7 @@ impl FlowerPeer {
                 ChordAction::LookupFailed { token, key: _ } => {
                     self.on_route_lookup_failed(ctx, token)
                 }
-                ChordAction::JoinComplete { .. } => {
-                    if let Role::Directory(d) = &self.role {
-                        let me_ref = d.chord.me();
-                        let position = d.position;
-                        let replacement = d.replacement;
-                        self.pcx.bootstrap.borrow_mut().add(me_ref);
-                        ctx.report(FlowerReport::BecameDirectory {
-                            position,
-                            replacement,
-                        });
-                        let delay = 60_000 + ctx.rng.gen_range(0..60_000);
-                        ctx.set_timer(delay, FlowerTimer::PositionCheck);
-                    }
-                }
+                ChordAction::JoinComplete { .. } => self.entered_dring(ctx),
                 ChordAction::JoinFailed => self.on_dring_join_failed(ctx),
                 ChordAction::Isolated => {
                     // Cut off from D-ring: we cannot serve as a directory.
@@ -373,6 +376,21 @@ impl FlowerPeer {
                 }
             }
         }
+    }
+
+    /// We are on D-ring: register with the rendezvous service, report the
+    /// occupancy, and arm the first position self-check.
+    pub(crate) fn entered_dring(&mut self, ctx: &mut Fx<Self>) {
+        let Role::Directory(d) = &self.role else {
+            return;
+        };
+        self.pcx.bootstrap.borrow_mut().add(d.chord.me());
+        ctx.report(FlowerReport::BecameDirectory {
+            position: d.position,
+            replacement: d.replacement,
+        });
+        let delay = 60_000 + ctx.rng.gen_range(0..60_000);
+        ctx.set_timer(delay, FlowerTimer::PositionCheck);
     }
 
     /// Our D-ring join could not complete (seed died): revert to content
@@ -405,10 +423,10 @@ impl FlowerPeer {
             self.position_check_result(ctx, owner.node == me);
             return;
         }
-        let Some(payload) = d.route_jobs.remove(&token) else {
+        let Some((payload, spent)) = d.route_jobs.remove(&token) else {
             return; // internal chord lookup (join / fingers)
         };
-        let hops = hops + self.route_hops.remove(&token).unwrap_or(0);
+        let hops = hops + spent;
         ctx.trace(tags::ROUTE_DONE, || {
             let mut f = vec![
                 ("key", key.0.into()),
@@ -436,7 +454,7 @@ impl FlowerPeer {
             self.position_check_result(ctx, false);
             return;
         }
-        let Some(payload) = d.route_jobs.remove(&token) else {
+        let Some((payload, _)) = d.route_jobs.remove(&token) else {
             return;
         };
         ctx.trace(tags::ROUTE_FAILED, || {
@@ -529,10 +547,7 @@ impl FlowerPeer {
             return;
         };
         let (token, actions) = d.chord.lookup_recursive(key);
-        d.route_jobs.insert(token, payload);
-        if hops > 0 {
-            self.route_hops.insert(token, hops);
-        }
+        d.route_jobs.insert(token, (payload, hops));
         self.apply_chord_actions(ctx, actions);
     }
 }
@@ -851,14 +866,20 @@ mod tests {
     use crate::io::{machine_rng, Output};
     use chord::{ChordMsg, ChordTimer, StepResult};
 
-    /// Both embeddings dispatch every Chord timer they armed; what keeps a
-    /// superseded deadline harmless is `Chord::handle_timer` alone.
-    #[test]
-    fn superseded_chord_deadline_is_a_no_op_at_a_directory() {
+    type Out = OutputOf<FlowerPeer>;
+
+    /// A started directory at the base position of (website 0, locality 0)
+    /// on a converged three-node ring — a near successor and a `far` member,
+    /// so the high finger slots hold `far` and their starts are not ours or
+    /// the successor's to decide. Returns the peer, `far`, and a `step` that
+    /// feeds it one input 100 ms after the last.
+    fn started_directory() -> (
+        FlowerPeer,
+        NodeRef,
+        impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
+    ) {
         let position = DirPosition::base(WebsiteId(0), LocalityId(0));
         let me = NodeRef::new(NodeId::from_index(0), position.chord_id());
-        // A near successor and a far member: the high finger slots hold
-        // `far`, and their starts are not ours or the successor's to decide.
         let at = |i: usize, offset: u64| {
             NodeRef::new(NodeId::from_index(i), ChordId(me.id.0.wrapping_add(offset)))
         };
@@ -881,7 +902,7 @@ mod tests {
         );
         let mut rng = machine_rng(1, me.node);
         let mut now_ms = 0;
-        let mut step = |peer: &mut FlowerPeer, input| {
+        let mut step = move |peer: &mut FlowerPeer, input| {
             now_ms += 100;
             let mut out = Vec::new();
             peer.handle(
@@ -892,6 +913,14 @@ mod tests {
             out
         };
         step(&mut peer, Input::Start);
+        (peer, far, step)
+    }
+
+    /// Both embeddings dispatch every Chord timer they armed; what keeps a
+    /// superseded deadline harmless is `Chord::handle_timer` alone.
+    #[test]
+    fn superseded_chord_deadline_is_a_no_op_at_a_directory() {
+        let (mut peer, far, mut step) = started_directory();
 
         // The finger sweep reaches `far`'s slots, asks it whether it still
         // owns them and arms a step deadline…
@@ -931,5 +960,105 @@ mod tests {
         let out = step(&mut peer, Input::Timer(FlowerTimer::Chord(deadline)));
         assert!(out.is_empty(), "{out:?}");
         assert_eq!(chord_of(&peer), before);
+    }
+    /// The hops a re-routed payload already spent belong to its routing job:
+    /// a failed lookup takes them with it, and a directory that stands down
+    /// and is promoted again — a new `Chord`, its tokens back at the first —
+    /// reports the hops of the lookup at hand and nothing older.
+    #[test]
+    fn spent_hops_die_with_their_routing_job() {
+        let (mut peer, far, mut step) = started_directory();
+        let me = NodeRef::new(peer.me, peer.directory_position().expect("dir").chord_id());
+        let client = NodeId::from_index(9);
+        let request = |seq| RoutePayload::ClientRequest {
+            client,
+            website: WebsiteId(0),
+            locality: LocalityId(0),
+            object: None,
+            qid: QueryId::new(client, seq),
+        };
+        // A payload that already spent two hops reaches us for a key that is
+        // `far`'s to own: we route it on, a third hop spent.
+        let misrouted = FlowerMsg::Routed {
+            key: ChordId(me.id.0.wrapping_add(1 << 62)),
+            payload: request(1),
+            hops: 2,
+        };
+        let mut out = step(
+            &mut peer,
+            Input::Deliver {
+                from: far.node,
+                msg: misrouted,
+            },
+        );
+        let jobs = |peer: &FlowerPeer| match &peer.role {
+            Role::Directory(d) => d.route_jobs.values().cloned().collect::<Vec<_>>(),
+            _ => panic!("still a directory"),
+        };
+        assert_eq!(jobs(&peer), [(request(1), 3)]);
+        // Nobody answers: every route deadline fires until Chord gives up
+        // and the client is told.
+        let failed = |out: &[Out]| {
+            out.iter().any(|o| {
+                matches!(o, Output::Send { to, msg: FlowerMsg::RouteFailed { .. } } if *to == client)
+            })
+        };
+        for _ in 0..8 {
+            if failed(&out) {
+                break;
+            }
+            let deadline = out
+                .iter()
+                .find_map(|o| match o {
+                    Output::SetTimer {
+                        timer: t @ FlowerTimer::Chord(ChordTimer::RouteDeadline { .. }),
+                        ..
+                    } => Some(t.clone()),
+                    _ => None,
+                })
+                .expect("a route deadline while the lookup is open");
+            out = step(&mut peer, Input::Timer(deadline));
+        }
+        assert!(failed(&out), "{out:?}");
+        assert!(jobs(&peer).is_empty(), "the failed job left state behind");
+
+        // Stand down, then get promoted onto a ring of our own: the first
+        // lookup of the new `Chord` reuses the failed one's token.
+        let mut rng = machine_rng(2, me.node);
+        let mut demoted = Vec::new();
+        let env = Env::bare(10_000, me.node, LocalityId(0), &mut rng);
+        peer.demote_to_client(&mut Fx::new(env, &mut demoted));
+        assert!(!peer.is_directory());
+        let promote = FlowerMsg::Promote {
+            position: DirPosition::base(WebsiteId(0), LocalityId(0)),
+            seed: me,
+            snapshot: None,
+        };
+        step(
+            &mut peer,
+            Input::Deliver {
+                from: far.node,
+                msg: promote,
+            },
+        );
+        assert!(peer.is_directory());
+        let out = step(
+            &mut peer,
+            Input::Deliver {
+                from: client,
+                msg: FlowerMsg::DRingRoute {
+                    key: me.id,
+                    payload: request(2),
+                },
+            },
+        );
+        let dht_hops = out.iter().find_map(|o| match o {
+            Output::Send {
+                msg: FlowerMsg::Redirect { dht_hops, .. },
+                ..
+            } => Some(*dht_hops),
+            _ => None,
+        });
+        assert_eq!(dht_hops, Some(0), "{out:?}");
     }
 }

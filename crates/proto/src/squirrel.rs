@@ -39,7 +39,7 @@ use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
 use crate::timeline::{self, QueryMachine, Timeline};
-use crate::wire::{self, Enc};
+use crate::wire::{self, Wire};
 
 /// Which Squirrel scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,7 @@ pub enum SquirrelMode {
 const HOME_DIR_CAPACITY: usize = 4;
 
 /// Squirrel wire messages.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SqMsg {
     Chord(ChordMsg),
     /// Query forwarded to the object's home node. `exclude` lists
@@ -91,50 +91,29 @@ pub enum SqMsg {
     },
 }
 
+// Squirrel's own rows; the shared messages (`Chord`, the three fetches) are
+// laid out as Flower-CDN's, so a byte means the same thing in both systems.
+wire::wire_enum!(SqMsg, "squirrel message" {
+    0 => Chord(msg),
+    1 => Query { qid, object, exclude },
+    2 => Answer { qid, object, provider },
+    3 => Fetch { qid, object },
+    4 => FetchOk { qid, object },
+    5 => FetchMiss { qid, object },
+    6 => StoreCopy { object },
+});
+
 impl SqMsg {
     /// Bytes this message would occupy on Flower-CDN's wire, counted exactly
     /// as [`FlowerMsg::wire_bytes`](crate::msg::FlowerMsg::wire_bytes)
-    /// counts — same frame overhead, same field encoders, same modelled
-    /// object body — so a byte means the same thing in both systems.
-    /// Encode-only: Squirrel runs under the simulator, so it has no decoder,
-    /// no frame kind, and its variant tag needs a width but no value.
+    /// counts — same frame overhead, same codec, same modelled object body.
+    /// Squirrel runs under the simulator only, so it has no frame kind.
     pub fn wire_bytes(&self) -> usize {
         let body = match self {
             SqMsg::FetchOk { .. } | SqMsg::StoreCopy { .. } => wire::MODELLED_OBJECT_BYTES,
             _ => 0,
         };
-        let fields = wire::encoded_len(|e| {
-            e.u8(0);
-            match self {
-                SqMsg::Chord(m) => e.chord(m),
-                SqMsg::Query {
-                    qid,
-                    object,
-                    exclude,
-                } => {
-                    e.qid(*qid);
-                    e.object(*object);
-                    e.nodes(exclude);
-                }
-                SqMsg::Answer {
-                    qid,
-                    object,
-                    provider,
-                } => {
-                    e.qid(*qid);
-                    e.object(*object);
-                    e.opt(*provider, Enc::node);
-                }
-                SqMsg::Fetch { qid, object }
-                | SqMsg::FetchOk { qid, object }
-                | SqMsg::FetchMiss { qid, object } => {
-                    e.qid(*qid);
-                    e.object(*object);
-                }
-                SqMsg::StoreCopy { object } => e.object(*object),
-            }
-        });
-        wire::FRAME_OVERHEAD + fields + body
+        wire::FRAME_OVERHEAD + wire::encoded_len(|e| self.put(e)) + body
     }
 
     pub fn class(&self) -> &'static str {

@@ -1,17 +1,30 @@
 //! The byte form of every protocol and API message, defined next to the
-//! messages themselves.
+//! messages themselves — each layout written once.
 //!
-//! All integers are little-endian and fixed-width. The codec is hand-rolled
-//! (no serde in the tree) and **total**: every decode path returns a typed
-//! [`WireError`] — malformed, truncated or corrupt input can never panic a
-//! node. Encoding is deterministic, so `decode(encode(m)) == m` holds for
-//! every message (property-tested in `crates/net/tests/wire_roundtrip.rs`).
+//! One trait, [`Wire`], says how a type is put and how it is got back. The
+//! *leaves* (fixed-width little-endian integers, `bool`, `NodeId`,
+//! `QueryId`, `Option`, `Vec`, tuples, [`Summary`], [`DirPosition`]) are
+//! written by hand and hold every decode check. Every record and enum is a
+//! *table*: `wire_record!(Type { fields in wire order })`, or
+//! `wire_enum!(Type, "what" { tag => Variant { fields in wire order }, … })`
+//! — a `u8` tag, then the fields. `put`, `get` and the counted length all
+//! come from that one row, so they cannot drift apart. To add a field, add
+//! it to the type and to its row; to add a message, add the variant and a
+//! row with the next free tag. Either one without its row does not compile.
+//! A row's tag and field order *are* the wire format: the exact bytes of
+//! one frame per variant are pinned in
+//! `crates/net/tests/wire_roundtrip.rs::frame_bytes_are_pinned`.
 //!
-//! One put code serves both hosts: `flower-net` runs [`Enc`] over a
-//! `Vec<u8>` and frames the result for a socket; the simulator runs the
-//! same [`Enc`] over a counter (`encoded_len`) to charge a message exactly
-//! the bytes TCP would carry ([`FlowerMsg::wire_bytes`],
-//! `SqMsg::wire_bytes`).
+//! The codec is hand-rolled (no serde in the tree) and **total**: every
+//! decode path returns a typed [`WireError`] — malformed, truncated or
+//! corrupt input can never panic a node. Encoding is deterministic, so
+//! `get(put(m)) == m` holds for every message (property-tested in
+//! `wire_roundtrip.rs`).
+//!
+//! One `put` serves both hosts: `flower-net` runs it over a `Vec<u8>` and
+//! frames the result for a socket; the simulator runs the same `put` over a
+//! counter (`encoded_len`) to charge a message exactly the bytes TCP would
+//! carry ([`FlowerMsg::wire_bytes`], `SqMsg::wire_bytes`).
 
 use std::fmt;
 use std::io;
@@ -93,7 +106,7 @@ impl From<io::Error> for WireError {
 }
 
 // ---------------------------------------------------------------------
-// Encoder
+// Sinks, the put cursor, the get cursor
 // ---------------------------------------------------------------------
 
 /// Where an [`Enc`] puts its bytes.
@@ -130,418 +143,6 @@ pub struct Enc<S> {
     pub out: S,
 }
 
-impl<S: Sink> Enc<S> {
-    pub fn u8(&mut self, v: u8) {
-        self.out.put(&[v]);
-    }
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.out.put(&v.to_le_bytes());
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.out.put(&v.to_le_bytes());
-    }
-    pub fn u64(&mut self, v: u64) {
-        self.out.put(&v.to_le_bytes());
-    }
-    pub(crate) fn boolean(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    pub(crate) fn len(&mut self, n: usize) {
-        debug_assert!(n <= u32::MAX as usize);
-        self.u32(n as u32);
-    }
-
-    pub fn node(&mut self, n: NodeId) {
-        self.u64(n.raw());
-    }
-    pub(crate) fn website(&mut self, w: WebsiteId) {
-        self.u16(w.0);
-    }
-    pub(crate) fn locality(&mut self, l: LocalityId) {
-        self.u16(l.0);
-    }
-    pub(crate) fn object(&mut self, o: ObjectId) {
-        self.website(o.website);
-        self.u16(o.rank);
-    }
-    pub(crate) fn chord_id(&mut self, id: ChordId) {
-        self.u64(id.0);
-    }
-    pub(crate) fn node_ref(&mut self, r: NodeRef) {
-        self.node(r.node);
-        self.chord_id(r.id);
-    }
-    pub(crate) fn qid(&mut self, q: QueryId) {
-        self.u64(q.raw());
-    }
-    pub(crate) fn position(&mut self, p: DirPosition) {
-        self.website(p.website);
-        self.locality(p.locality);
-        self.u32(p.instance);
-    }
-    pub(crate) fn dir_info(&mut self, d: &DirInfo) {
-        self.position(d.position);
-        self.node_ref(d.holder);
-        self.u32(d.age);
-    }
-    pub(crate) fn bloom(&mut self, b: &BloomFilter) {
-        self.u32(b.bit_len() as u32);
-        self.u32(b.hash_count());
-        self.u32(b.inserted() as u32);
-        for w in b.words() {
-            self.u64(*w);
-        }
-    }
-    pub(crate) fn opt<T>(&mut self, v: Option<T>, f: impl FnOnce(&mut Self, T)) {
-        match v {
-            None => self.u8(0),
-            Some(x) => {
-                self.u8(1);
-                f(self, x);
-            }
-        }
-    }
-    /// A length-prefixed sequence, each item put by `f`.
-    pub(crate) fn list<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        self.len(items.len());
-        for item in items {
-            f(self, item);
-        }
-    }
-    pub(crate) fn nodes(&mut self, ns: &[NodeId]) {
-        self.list(ns, |e, n| e.node(*n));
-    }
-    pub(crate) fn objects(&mut self, os: &[ObjectId]) {
-        self.list(os, |e, o| e.object(*o));
-    }
-    pub(crate) fn view(&mut self, view: &[(NodeId, Summary)]) {
-        self.list(view, |e, (n, s)| {
-            e.node(*n);
-            e.bloom(s);
-        });
-    }
-    pub(crate) fn step(&mut self, s: StepResult) {
-        match s {
-            StepResult::Owner(r) => {
-                self.u8(0);
-                self.node_ref(r);
-            }
-            StepResult::Forward(r) => {
-                self.u8(1);
-                self.node_ref(r);
-            }
-            StepResult::Unknown => self.u8(2),
-        }
-    }
-
-    pub(crate) fn chord(&mut self, m: &ChordMsg) {
-        match m {
-            ChordMsg::FindNext { key, token, from } => {
-                self.u8(0);
-                self.chord_id(*key);
-                self.u64(*token);
-                self.node_ref(*from);
-            }
-            ChordMsg::FindNextReply { token, result } => {
-                self.u8(1);
-                self.u64(*token);
-                self.step(*result);
-            }
-            ChordMsg::GetNeighbors { gen, from } => {
-                self.u8(2);
-                self.u64(*gen);
-                self.node_ref(*from);
-            }
-            ChordMsg::NeighborsReply {
-                gen,
-                sender,
-                predecessor,
-                successors,
-            } => {
-                self.u8(3);
-                self.u64(*gen);
-                self.node_ref(*sender);
-                self.opt(*predecessor, Self::node_ref);
-                self.list(successors, |e, s| e.node_ref(*s));
-            }
-            ChordMsg::Notify { candidate } => {
-                self.u8(4);
-                self.node_ref(*candidate);
-            }
-            ChordMsg::Ping { nonce } => {
-                self.u8(5);
-                self.u64(*nonce);
-            }
-            ChordMsg::Pong { nonce } => {
-                self.u8(6);
-                self.u64(*nonce);
-            }
-            ChordMsg::Route {
-                key,
-                token,
-                origin,
-                hops,
-            } => {
-                self.u8(7);
-                self.chord_id(*key);
-                self.u64(*token);
-                self.node_ref(*origin);
-                self.u32(*hops);
-            }
-            ChordMsg::RouteResult { token, owner, hops } => {
-                self.u8(8);
-                self.u64(*token);
-                self.node_ref(*owner);
-                self.u32(*hops);
-            }
-        }
-    }
-
-    pub(crate) fn payload(&mut self, p: &RoutePayload) {
-        match p {
-            RoutePayload::ClientRequest {
-                client,
-                website,
-                locality,
-                object,
-                qid,
-            } => {
-                self.u8(0);
-                self.node(*client);
-                self.website(*website);
-                self.locality(*locality);
-                self.opt(*object, Self::object);
-                self.qid(*qid);
-            }
-            RoutePayload::Claim { claimer, position } => {
-                self.u8(1);
-                self.node(*claimer);
-                self.position(*position);
-            }
-        }
-    }
-
-    pub(crate) fn gossip(&mut self, g: &GossipMsg<Summary>) {
-        let (tag, entries) = match g {
-            GossipMsg::ShuffleReq { entries } => (0, entries),
-            GossipMsg::ShuffleReply { entries } => (1, entries),
-        };
-        self.u8(tag);
-        self.list(entries, |e, entry| {
-            e.node(entry.node);
-            e.u32(entry.age);
-            e.bloom(&entry.payload);
-        });
-    }
-
-    pub(crate) fn snapshot(&mut self, s: &DirectorySnapshot) {
-        self.list(&s.entries, |e, (node, objects, heard)| {
-            e.node(*node);
-            e.objects(objects);
-            e.u64(*heard);
-        });
-    }
-
-    pub fn flower(&mut self, m: &FlowerMsg) {
-        match m {
-            FlowerMsg::Chord(c) => {
-                self.u8(0);
-                self.chord(c);
-            }
-            FlowerMsg::DRingRoute { key, payload } => {
-                self.u8(1);
-                self.chord_id(*key);
-                self.payload(payload);
-            }
-            FlowerMsg::Routed { key, payload, hops } => {
-                self.u8(2);
-                self.chord_id(*key);
-                self.payload(payload);
-                self.u32(*hops);
-            }
-            FlowerMsg::RouteFailed { req_qid } => {
-                self.u8(3);
-                self.qid(*req_qid);
-            }
-            FlowerMsg::Redirect {
-                qid,
-                object,
-                provider,
-                dir,
-                petal_view,
-                dht_hops,
-            } => {
-                self.u8(4);
-                self.qid(*qid);
-                self.opt(*object, Self::object);
-                self.opt(*provider, Self::node);
-                self.dir_info(dir);
-                self.view(petal_view);
-                self.u32(*dht_hops);
-            }
-            FlowerMsg::DirQuery {
-                qid,
-                object,
-                exclude,
-            } => {
-                self.u8(5);
-                self.qid(*qid);
-                self.object(*object);
-                self.nodes(exclude);
-            }
-            FlowerMsg::SiblingQuery {
-                client,
-                qid,
-                object,
-                dir,
-                petal_view,
-                exclude,
-                ttl,
-            } => {
-                self.u8(6);
-                self.node(*client);
-                self.qid(*qid);
-                self.object(*object);
-                self.dir_info(dir);
-                self.view(petal_view);
-                self.nodes(exclude);
-                self.u8(*ttl);
-            }
-            FlowerMsg::DeadPeerReport { peer } => {
-                self.u8(7);
-                self.node(*peer);
-            }
-            FlowerMsg::Retract { objects } => {
-                self.u8(8);
-                self.objects(objects);
-            }
-            FlowerMsg::ClaimGranted { position, seed } => {
-                self.u8(9);
-                self.position(*position);
-                self.node_ref(*seed);
-            }
-            FlowerMsg::ClaimDenied { position, holder } => {
-                self.u8(10);
-                self.position(*position);
-                self.node_ref(*holder);
-            }
-            FlowerMsg::Fetch { qid, object } => {
-                self.u8(11);
-                self.qid(*qid);
-                self.object(*object);
-            }
-            FlowerMsg::FetchOk { qid, object } => {
-                self.u8(12);
-                self.qid(*qid);
-                self.object(*object);
-            }
-            FlowerMsg::FetchMiss { qid, object } => {
-                self.u8(13);
-                self.qid(*qid);
-                self.object(*object);
-            }
-            FlowerMsg::Gossip { inner, dir_info } => {
-                self.u8(14);
-                self.gossip(inner);
-                self.opt(dir_info.as_ref(), |e, d| e.dir_info(d));
-            }
-            FlowerMsg::Keepalive { seq } => {
-                self.u8(15);
-                self.u64(*seq);
-            }
-            FlowerMsg::Push { seq, objects, full } => {
-                self.u8(16);
-                self.u64(*seq);
-                self.objects(objects);
-                self.boolean(*full);
-            }
-            FlowerMsg::DirAck { seq, dir } => {
-                self.u8(17);
-                self.u64(*seq);
-                self.dir_info(dir);
-            }
-            FlowerMsg::Promote {
-                position,
-                seed,
-                snapshot,
-            } => {
-                self.u8(18);
-                self.position(*position);
-                self.node_ref(*seed);
-                self.opt(snapshot.as_ref(), |e, s| e.snapshot(s));
-            }
-        }
-    }
-
-    pub fn api_call(&mut self, c: ApiCall) {
-        match c {
-            ApiCall::Ping => self.u8(0),
-            ApiCall::Put { object } => {
-                self.u8(1);
-                self.object(object);
-            }
-            ApiCall::Get { object } => {
-                self.u8(2);
-                self.object(object);
-            }
-            ApiCall::FindDirectory => self.u8(3),
-        }
-    }
-
-    pub fn api_resp(&mut self, r: &ApiResp) {
-        match r {
-            ApiResp::Pong {
-                node,
-                role,
-                website,
-                locality,
-                store_len,
-                view_len,
-            } => {
-                self.u8(0);
-                self.node(*node);
-                self.u8(match role {
-                    RoleKind::Client => 0,
-                    RoleKind::Content => 1,
-                    RoleKind::Directory => 2,
-                });
-                self.website(*website);
-                self.locality(*locality);
-                self.u64(*store_len);
-                self.u64(*view_len);
-            }
-            ApiResp::PutOk { object } => {
-                self.u8(1);
-                self.object(*object);
-            }
-            ApiResp::Got {
-                object,
-                provider,
-                elapsed_ms,
-            } => {
-                self.u8(2);
-                self.object(*object);
-                self.u8(match provider {
-                    ProviderKind::Local => 0,
-                    ProviderKind::ContentPeer => 1,
-                    ProviderKind::DirectoryPeer => 2,
-                    ProviderKind::Origin => 3,
-                });
-                self.u64(*elapsed_ms);
-            }
-            ApiResp::Directory { dir } => {
-                self.u8(3);
-                self.opt(dir.as_ref(), |e, d| e.dir_info(d));
-            }
-            ApiResp::Busy => self.u8(4),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoder
-// ---------------------------------------------------------------------
-
 /// The get half of the codec: a cursor over one received payload.
 pub struct Dec<'a> {
     /// What is left to read.
@@ -550,11 +151,9 @@ pub struct Dec<'a> {
 
 type R<T> = Result<T, WireError>;
 
-fn bad_tag<T>(what: &'static str, tag: u8) -> R<T> {
-    Err(WireError::BadTag { what, tag })
-}
-
 impl<'a> Dec<'a> {
+    /// The next `n` bytes, or `Truncated`: every read goes through here.
+    #[inline]
     fn take(&mut self, n: usize) -> R<&'a [u8]> {
         if self.buf.len() < n {
             return Err(WireError::Truncated);
@@ -563,357 +162,331 @@ impl<'a> Dec<'a> {
         self.buf = tail;
         Ok(head)
     }
-    pub fn u8(&mut self) -> R<u8> {
-        Ok(self.take(1)?[0])
+}
+
+/// A type with a byte form: [`put`](Wire::put) writes it, [`get`](Wire::get)
+/// reads it back and checks it.
+pub trait Wire: Sized {
+    fn put<S: Sink>(&self, e: &mut Enc<S>);
+    fn get(d: &mut Dec) -> Result<Self, WireError>;
+}
+
+// ---------------------------------------------------------------------
+// Leaves: written by hand, once; every decode check lives here
+// ---------------------------------------------------------------------
+
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put<S: Sink>(&self, e: &mut Enc<S>) {
+                e.out.put(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(d: &mut Dec) -> R<Self> {
+                let bytes = d.take(size_of::<$ty>())?.try_into();
+                Ok(<$ty>::from_le_bytes(bytes.expect("take gives the width asked for")))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64);
+
+impl Wire for bool {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        u8::from(*self).put(e);
     }
-    fn u16(&mut self) -> R<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> R<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub fn u64(&mut self) -> R<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn boolean(&mut self) -> R<bool> {
-        match self.u8()? {
+    #[inline]
+    fn get(d: &mut Dec) -> R<Self> {
+        match u8::get(d)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::Malformed("bool")),
         }
     }
-    fn count(&mut self) -> R<usize> {
-        let n = self.u32()? as usize;
-        if n > MAX_ITEMS {
-            return Err(WireError::Malformed("collection length"));
-        }
-        Ok(n)
-    }
+}
 
-    pub fn node(&mut self) -> R<NodeId> {
+impl Wire for NodeId {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        self.raw().put(e);
+    }
+    #[inline]
+    fn get(d: &mut Dec) -> R<Self> {
         // Wire ids are u64 for forward compatibility; live ids are dense
         // u32 indices, so anything wider is garbage, not a node.
-        let raw = self.u64()?;
+        let raw = u64::get(d)?;
         if raw >= u64::from(u32::MAX) {
             return Err(WireError::Malformed("node id"));
         }
         Ok(NodeId::from_index(raw as usize))
     }
-    fn website(&mut self) -> R<WebsiteId> {
-        Ok(WebsiteId(self.u16()?))
+}
+
+impl Wire for QueryId {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        self.raw().put(e);
     }
-    fn locality(&mut self) -> R<LocalityId> {
-        Ok(LocalityId(self.u16()?))
+    #[inline]
+    fn get(d: &mut Dec) -> R<Self> {
+        u64::get(d).map(QueryId::from_raw)
     }
-    fn object(&mut self) -> R<ObjectId> {
-        Ok(ObjectId {
-            website: self.website()?,
-            rank: self.u16()?,
-        })
+}
+
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        match self {
+            None => 0u8.put(e),
+            Some(x) => {
+                1u8.put(e);
+                x.put(e);
+            }
+        }
     }
-    fn chord_id(&mut self) -> R<ChordId> {
-        Ok(ChordId(self.u64()?))
+    #[inline]
+    fn get(d: &mut Dec) -> R<Self> {
+        match u8::get(d)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(d)?)),
+            _ => Err(WireError::Malformed("option tag")),
+        }
     }
-    fn node_ref(&mut self) -> R<NodeRef> {
-        Ok(NodeRef::new(self.node()?, self.chord_id()?))
+}
+
+/// A length-prefixed sequence. The announced length is capped and never
+/// trusted for more than a small pre-allocation: a hostile count runs into
+/// `Truncated` first.
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        debug_assert!(self.len() <= u32::MAX as usize);
+        (self.len() as u32).put(e);
+        for item in self {
+            item.put(e);
+        }
     }
-    fn qid(&mut self) -> R<QueryId> {
-        Ok(QueryId::from_raw(self.u64()?))
+    #[inline]
+    fn get(d: &mut Dec) -> R<Self> {
+        let n = u32::get(d)? as usize;
+        if n > MAX_ITEMS {
+            return Err(WireError::Malformed("collection length"));
+        }
+        let mut v = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            v.push(T::get(d)?);
+        }
+        Ok(v)
     }
-    fn position(&mut self) -> R<DirPosition> {
-        let website = self.website()?;
-        let locality = self.locality()?;
-        let instance = self.u32()?;
-        DirPosition::checked(website, locality, instance)
-            .ok_or(WireError::Malformed("dir position"))
+}
+
+macro_rules! wire_tuple {
+    ($($T:ident),*) => {
+        impl<$($T: Wire),*> Wire for ($($T,)*) {
+            #[inline]
+            #[allow(non_snake_case)]
+            fn put<S: Sink>(&self, e: &mut Enc<S>) {
+                let ($($T,)*) = self;
+                $($T.put(e);)*
+            }
+            #[inline]
+            fn get(d: &mut Dec) -> R<Self> {
+                Ok(($($T::get(d)?,)*))
+            }
+        }
+    };
+}
+wire_tuple!(A, B);
+wire_tuple!(A, B, C);
+
+impl Wire for Summary {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        (self.bit_len() as u32).put(e);
+        self.hash_count().put(e);
+        (self.inserted() as u32).put(e);
+        for w in self.words() {
+            w.put(e);
+        }
     }
-    fn dir_info(&mut self) -> R<DirInfo> {
-        Ok(DirInfo {
-            position: self.position()?,
-            holder: self.node_ref()?,
-            age: self.u32()?,
-        })
-    }
-    fn bloom(&mut self) -> R<Summary> {
-        let m = self.u32()? as usize;
-        let k = self.u32()?;
-        let items = self.u32()? as usize;
+    fn get(d: &mut Dec) -> R<Self> {
+        let m = u32::get(d)? as usize;
+        let k = u32::get(d)?;
+        let items = u32::get(d)? as usize;
         if m == 0 || m > MAX_BLOOM_BITS || k == 0 {
             return Err(WireError::Malformed("bloom parameters"));
         }
-        let words = m.div_ceil(64);
-        let mut bits = Vec::with_capacity(words);
-        for _ in 0..words {
-            bits.push(self.u64()?);
-        }
+        // One truncation check for the whole bit array, before any allocation.
+        let bits = d
+            .take(m.div_ceil(64) * 8)?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of 8")))
+            .collect();
         BloomFilter::from_parts(m, k, items, bits)
             .map(Arc::new)
             .ok_or(WireError::Malformed("bloom parameters"))
     }
-    fn opt<T>(&mut self, f: impl FnOnce(&mut Self) -> R<T>) -> R<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(f(self)?)),
-            _ => Err(WireError::Malformed("option tag")),
-        }
-    }
-    /// A length-prefixed sequence, each item got by `f`. The announced
-    /// length is capped and never trusted for more than a small
-    /// pre-allocation: a hostile count runs into `Truncated` first.
-    fn list<T>(&mut self, mut f: impl FnMut(&mut Self) -> R<T>) -> R<Vec<T>> {
-        let n = self.count()?;
-        let mut v = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            v.push(f(self)?);
-        }
-        Ok(v)
-    }
-    fn nodes(&mut self) -> R<Vec<NodeId>> {
-        self.list(Dec::node)
-    }
-    fn objects(&mut self) -> R<Vec<ObjectId>> {
-        self.list(Dec::object)
-    }
-    fn view(&mut self) -> R<Vec<(NodeId, Summary)>> {
-        self.list(|d| Ok((d.node()?, d.bloom()?)))
-    }
-    fn step(&mut self) -> R<StepResult> {
-        match self.u8()? {
-            0 => Ok(StepResult::Owner(self.node_ref()?)),
-            1 => Ok(StepResult::Forward(self.node_ref()?)),
-            2 => Ok(StepResult::Unknown),
-            tag => bad_tag("step result", tag),
-        }
-    }
+}
 
-    fn chord(&mut self) -> R<ChordMsg> {
-        Ok(match self.u8()? {
-            0 => ChordMsg::FindNext {
-                key: self.chord_id()?,
-                token: self.u64()?,
-                from: self.node_ref()?,
-            },
-            1 => ChordMsg::FindNextReply {
-                token: self.u64()?,
-                result: self.step()?,
-            },
-            2 => ChordMsg::GetNeighbors {
-                gen: self.u64()?,
-                from: self.node_ref()?,
-            },
-            3 => {
-                let gen = self.u64()?;
-                let sender = self.node_ref()?;
-                let predecessor = self.opt(Dec::node_ref)?;
-                let successors = self.list(Dec::node_ref)?;
-                ChordMsg::NeighborsReply {
-                    gen,
-                    sender,
-                    predecessor,
-                    successors,
-                }
-            }
-            4 => ChordMsg::Notify {
-                candidate: self.node_ref()?,
-            },
-            5 => ChordMsg::Ping { nonce: self.u64()? },
-            6 => ChordMsg::Pong { nonce: self.u64()? },
-            7 => ChordMsg::Route {
-                key: self.chord_id()?,
-                token: self.u64()?,
-                origin: self.node_ref()?,
-                hops: self.u32()?,
-            },
-            8 => ChordMsg::RouteResult {
-                token: self.u64()?,
-                owner: self.node_ref()?,
-                hops: self.u32()?,
-            },
-            tag => return bad_tag("chord message", tag),
-        })
+impl Wire for DirPosition {
+    #[inline]
+    fn put<S: Sink>(&self, e: &mut Enc<S>) {
+        self.website.put(e);
+        self.locality.put(e);
+        self.instance.put(e);
     }
-
-    fn payload(&mut self) -> R<RoutePayload> {
-        Ok(match self.u8()? {
-            0 => RoutePayload::ClientRequest {
-                client: self.node()?,
-                website: self.website()?,
-                locality: self.locality()?,
-                object: self.opt(Dec::object)?,
-                qid: self.qid()?,
-            },
-            1 => RoutePayload::Claim {
-                claimer: self.node()?,
-                position: self.position()?,
-            },
-            tag => return bad_tag("route payload", tag),
-        })
-    }
-
-    fn gossip(&mut self) -> R<GossipMsg<Summary>> {
-        let tag = self.u8()?;
-        if tag > 1 {
-            return bad_tag("gossip message", tag);
-        }
-        let entries = self.list(|d| {
-            Ok(Entry {
-                node: d.node()?,
-                age: d.u32()?,
-                payload: d.bloom()?,
-            })
-        })?;
-        Ok(if tag == 0 {
-            GossipMsg::ShuffleReq { entries }
-        } else {
-            GossipMsg::ShuffleReply { entries }
-        })
-    }
-
-    fn snapshot(&mut self) -> R<DirectorySnapshot> {
-        let entries = self.list(|d| Ok((d.node()?, d.objects()?, d.u64()?)))?;
-        Ok(DirectorySnapshot { entries })
-    }
-
-    pub fn flower(&mut self) -> R<FlowerMsg> {
-        Ok(match self.u8()? {
-            0 => FlowerMsg::Chord(self.chord()?),
-            1 => FlowerMsg::DRingRoute {
-                key: self.chord_id()?,
-                payload: self.payload()?,
-            },
-            2 => FlowerMsg::Routed {
-                key: self.chord_id()?,
-                payload: self.payload()?,
-                hops: self.u32()?,
-            },
-            3 => FlowerMsg::RouteFailed {
-                req_qid: self.qid()?,
-            },
-            4 => FlowerMsg::Redirect {
-                qid: self.qid()?,
-                object: self.opt(Dec::object)?,
-                provider: self.opt(Dec::node)?,
-                dir: self.dir_info()?,
-                petal_view: self.view()?,
-                dht_hops: self.u32()?,
-            },
-            5 => FlowerMsg::DirQuery {
-                qid: self.qid()?,
-                object: self.object()?,
-                exclude: self.nodes()?,
-            },
-            6 => FlowerMsg::SiblingQuery {
-                client: self.node()?,
-                qid: self.qid()?,
-                object: self.object()?,
-                dir: self.dir_info()?,
-                petal_view: self.view()?,
-                exclude: self.nodes()?,
-                ttl: self.u8()?,
-            },
-            7 => FlowerMsg::DeadPeerReport { peer: self.node()? },
-            8 => FlowerMsg::Retract {
-                objects: self.objects()?,
-            },
-            9 => FlowerMsg::ClaimGranted {
-                position: self.position()?,
-                seed: self.node_ref()?,
-            },
-            10 => FlowerMsg::ClaimDenied {
-                position: self.position()?,
-                holder: self.node_ref()?,
-            },
-            11 => FlowerMsg::Fetch {
-                qid: self.qid()?,
-                object: self.object()?,
-            },
-            12 => FlowerMsg::FetchOk {
-                qid: self.qid()?,
-                object: self.object()?,
-            },
-            13 => FlowerMsg::FetchMiss {
-                qid: self.qid()?,
-                object: self.object()?,
-            },
-            14 => FlowerMsg::Gossip {
-                inner: self.gossip()?,
-                dir_info: self.opt(Dec::dir_info)?,
-            },
-            15 => FlowerMsg::Keepalive { seq: self.u64()? },
-            16 => FlowerMsg::Push {
-                seq: self.u64()?,
-                objects: self.objects()?,
-                full: self.boolean()?,
-            },
-            17 => FlowerMsg::DirAck {
-                seq: self.u64()?,
-                dir: self.dir_info()?,
-            },
-            18 => FlowerMsg::Promote {
-                position: self.position()?,
-                seed: self.node_ref()?,
-                snapshot: self.opt(Dec::snapshot)?,
-            },
-            tag => return bad_tag("flower message", tag),
-        })
-    }
-
-    pub fn api_call(&mut self) -> R<ApiCall> {
-        Ok(match self.u8()? {
-            0 => ApiCall::Ping,
-            1 => ApiCall::Put {
-                object: self.object()?,
-            },
-            2 => ApiCall::Get {
-                object: self.object()?,
-            },
-            3 => ApiCall::FindDirectory,
-            tag => return bad_tag("api call", tag),
-        })
-    }
-
-    fn role(&mut self) -> R<RoleKind> {
-        Ok(match self.u8()? {
-            0 => RoleKind::Client,
-            1 => RoleKind::Content,
-            2 => RoleKind::Directory,
-            tag => return bad_tag("role", tag),
-        })
-    }
-
-    fn provider(&mut self) -> R<ProviderKind> {
-        Ok(match self.u8()? {
-            0 => ProviderKind::Local,
-            1 => ProviderKind::ContentPeer,
-            2 => ProviderKind::DirectoryPeer,
-            3 => ProviderKind::Origin,
-            tag => return bad_tag("provider", tag),
-        })
-    }
-
-    pub fn api_resp(&mut self) -> R<ApiResp> {
-        Ok(match self.u8()? {
-            0 => ApiResp::Pong {
-                node: self.node()?,
-                role: self.role()?,
-                website: self.website()?,
-                locality: self.locality()?,
-                store_len: self.u64()?,
-                view_len: self.u64()?,
-            },
-            1 => ApiResp::PutOk {
-                object: self.object()?,
-            },
-            2 => ApiResp::Got {
-                object: self.object()?,
-                provider: self.provider()?,
-                elapsed_ms: self.u64()?,
-            },
-            3 => ApiResp::Directory {
-                dir: self.opt(Dec::dir_info)?,
-            },
-            4 => ApiResp::Busy,
-            tag => return bad_tag("api response", tag),
-        })
+    #[inline]
+    fn get(d: &mut Dec) -> R<Self> {
+        DirPosition::checked(Wire::get(d)?, Wire::get(d)?, Wire::get(d)?)
+            .ok_or(WireError::Malformed("dir position"))
     }
 }
+
+// ---------------------------------------------------------------------
+// Tables: one row per record, one row per variant
+// ---------------------------------------------------------------------
+
+/// A record is its fields, in wire order. A field is named as in the type
+/// (`0` for a newtype's); adding one to the type without adding it here
+/// fails to compile in `get`.
+macro_rules! wire_record {
+    ($ty:ty { $($field:tt),* }) => {
+        impl Wire for $ty {
+            #[inline]
+            fn put<S: Sink>(&self, e: &mut Enc<S>) {
+                $(self.$field.put(e);)*
+            }
+            #[inline]
+            fn get(d: &mut Dec) -> R<Self> {
+                Ok(Self { $($field: Wire::get(d)?),* })
+            }
+        }
+    };
+}
+
+/// An enum is a `u8` tag, then the variant's fields in wire order:
+/// `tag => Variant { fields }`, `tag => Variant(field)` or `tag => Variant`.
+/// Both directions and the counted length (`put` over a `usize` sink) come
+/// from the row; `put`'s `match` is exhaustive, so a variant without a row
+/// does not compile, and an unknown tag is `BadTag { what, tag }`.
+macro_rules! wire_enum {
+    ($ty:ty, $what:literal {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(( $($item:ident),* ))?),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn put<S: $crate::wire::Sink>(&self, e: &mut $crate::wire::Enc<S>) {
+                match self {
+                    $(Self::$variant $({ $($field),* })? $(( $($item),* ))? => {
+                        <u8 as $crate::wire::Wire>::put(&$tag, e);
+                        $($($crate::wire::Wire::put($field, e);)*)?
+                        $($($crate::wire::Wire::put($item, e);)*)?
+                    })*
+                }
+            }
+            fn get(d: &mut $crate::wire::Dec) -> Result<Self, $crate::wire::WireError> {
+                Ok(match <u8 as $crate::wire::Wire>::get(d)? {
+                    $($tag => {
+                        $($(let $field = $crate::wire::Wire::get(d)?;)*)?
+                        $($(let $item = $crate::wire::Wire::get(d)?;)*)?
+                        Self::$variant $({ $($field),* })? $(( $($item),* ))?
+                    })*
+                    tag => return Err($crate::wire::WireError::BadTag { what: $what, tag }),
+                })
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+wire_record!(WebsiteId { 0 });
+wire_record!(LocalityId { 0 });
+wire_record!(ChordId { 0 });
+wire_record!(ObjectId { website, rank });
+wire_record!(NodeRef { node, id });
+wire_record!(DirInfo {
+    position,
+    holder,
+    age
+});
+wire_record!(Entry<Summary> { node, age, payload });
+wire_record!(DirectorySnapshot { entries });
+
+wire_enum!(StepResult, "step result" {
+    0 => Owner(owner),
+    1 => Forward(next),
+    2 => Unknown,
+});
+
+wire_enum!(ChordMsg, "chord message" {
+    0 => FindNext { key, token, from },
+    1 => FindNextReply { token, result },
+    2 => GetNeighbors { gen, from },
+    3 => NeighborsReply { gen, sender, predecessor, successors },
+    4 => Notify { candidate },
+    5 => Ping { nonce },
+    6 => Pong { nonce },
+    7 => Route { key, token, origin, hops },
+    8 => RouteResult { token, owner, hops },
+});
+
+wire_enum!(RoutePayload, "route payload" {
+    0 => ClientRequest { client, website, locality, object, qid },
+    1 => Claim { claimer, position },
+});
+
+wire_enum!(GossipMsg<Summary>, "gossip message" {
+    0 => ShuffleReq { entries },
+    1 => ShuffleReply { entries },
+});
+
+wire_enum!(FlowerMsg, "flower message" {
+    0 => Chord(msg),
+    1 => DRingRoute { key, payload },
+    2 => Routed { key, payload, hops },
+    3 => RouteFailed { req_qid },
+    4 => Redirect { qid, object, provider, dir, petal_view, dht_hops },
+    5 => DirQuery { qid, object, exclude },
+    6 => SiblingQuery { client, qid, object, dir, petal_view, exclude, ttl },
+    7 => DeadPeerReport { peer },
+    8 => Retract { objects },
+    9 => ClaimGranted { position, seed },
+    10 => ClaimDenied { position, holder },
+    11 => Fetch { qid, object },
+    12 => FetchOk { qid, object },
+    13 => FetchMiss { qid, object },
+    14 => Gossip { inner, dir_info },
+    15 => Keepalive { seq },
+    16 => Push { seq, objects, full },
+    17 => DirAck { seq, dir },
+    18 => Promote { position, seed, snapshot },
+});
+
+wire_enum!(ApiCall, "api call" {
+    0 => Ping,
+    1 => Put { object },
+    2 => Get { object },
+    3 => FindDirectory,
+});
+
+wire_enum!(RoleKind, "role" {
+    0 => Client,
+    1 => Content,
+    2 => Directory,
+});
+
+wire_enum!(ProviderKind, "provider" {
+    0 => Local,
+    1 => ContentPeer,
+    2 => DirectoryPeer,
+    3 => Origin,
+});
+
+wire_enum!(ApiResp, "api response" {
+    0 => Pong { node, role, website, locality, store_len, view_len },
+    1 => PutOk { object },
+    2 => Got { object, provider, elapsed_ms },
+    3 => Directory { dir },
+    4 => Busy,
+});
