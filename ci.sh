@@ -22,6 +22,9 @@ echo "==> golden tests, release build"
 # which is where every committed byte count is produced.
 cargo test -q --release --test engine_golden --test chord_golden --test replay
 cargo test -q --release -p flower-net --test wire_roundtrip
+# The timer wheel every simulated event is popped from: against a reference
+# heap, and allocation-free in steady state.
+cargo test -q --release -p simnet --test timer_wheel --test zero_alloc
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -369,7 +369,7 @@ impl Chord {
     /// `LookupFailed` action.
     pub fn lookup(&mut self, key: ChordId) -> (u64, Vec<ChordAction>) {
         let token = self.start_lookup(key, Purpose::External);
-        let actions = self.resolve_or_step(token);
+        let actions = self.resolve_or_send(token, false);
         (token, actions)
     }
 
@@ -392,52 +392,8 @@ impl Chord {
     /// whole-attempt retry through a different first hop.
     pub fn lookup_recursive(&mut self, key: ChordId) -> (u64, Vec<ChordAction>) {
         let token = self.start_lookup(key, Purpose::External);
-        let actions = self.route_or_resolve(token);
+        let actions = self.resolve_or_send(token, true);
         (token, actions)
-    }
-
-    /// Local resolution or first recursive forward.
-    fn route_or_resolve(&mut self, token: u64) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(token) else {
-            return Vec::new();
-        };
-        let key = lk.key;
-        if self.is_stranded() {
-            return self.fail_lookup_now(token);
-        }
-        if let Some(owner) = self.local_owner(key) {
-            return self.finish_lookup(token, owner);
-        }
-        let first = lk.current;
-        if first.node == self.me.node {
-            if self.standalone {
-                return self.finish_lookup(token, self.me);
-            }
-            return self.fail_lookup_now(token);
-        }
-        let me = self.me;
-        let deadline = self.cfg.recursive_deadline_ms;
-        let lk = self.lookups.get_mut(token).expect("present");
-        lk.attempt += 1;
-        lk.dead.push(first.node); // exclude this first hop from retries
-        vec![
-            ChordAction::Send {
-                to: first,
-                msg: ChordMsg::Route {
-                    key,
-                    token,
-                    origin: me,
-                    hops: 1,
-                },
-            },
-            ChordAction::SetTimer {
-                delay_ms: deadline,
-                timer: ChordTimer::RouteDeadline {
-                    token,
-                    attempt: lk.attempt,
-                },
-            },
-        ]
     }
 
     fn on_route(
@@ -447,25 +403,13 @@ impl Chord {
         origin: NodeRef,
         hops: u32,
     ) -> Vec<ChordAction> {
-        match self.routing_step(key) {
-            StepResult::Unknown => Vec::new(), // stranded: drop; origin retries
-            StepResult::Owner(owner) => vec![ChordAction::Send {
-                to: origin,
-                msg: ChordMsg::RouteResult { token, owner, hops },
-            }],
+        let owner = match self.routing_step(key) {
+            StepResult::Unknown => return Vec::new(), // stranded: drop; origin retries
+            StepResult::Owner(owner) => owner,
+            // Routing loop safety valve: answer with our best guess.
+            StepResult::Forward(_) if hops >= 64 => self.successor(),
             StepResult::Forward(next) => {
-                if hops >= 64 {
-                    // Routing loop safety valve: answer with our best guess.
-                    return vec![ChordAction::Send {
-                        to: origin,
-                        msg: ChordMsg::RouteResult {
-                            token,
-                            owner: self.successor(),
-                            hops,
-                        },
-                    }];
-                }
-                vec![ChordAction::Send {
+                return vec![ChordAction::Send {
                     to: next,
                     msg: ChordMsg::Route {
                         key,
@@ -475,7 +419,11 @@ impl Chord {
                     },
                 }]
             }
-        }
+        };
+        vec![ChordAction::Send {
+            to: origin,
+            msg: ChordMsg::RouteResult { token, owner, hops },
+        }]
     }
 
     fn on_route_result(&mut self, token: u64, owner: NodeRef, hops: u32) -> Vec<ChordAction> {
@@ -498,13 +446,9 @@ impl Chord {
         if lk.attempt >= MAX_ROUTE_ATTEMPTS {
             return self.fail_lookup_now(token);
         }
-        self.refresh_route();
-        let lk = self.lookups.get(token).expect("present");
         // Retry through a different first hop; the previous one may be the
         // dead link (we can't know which hop on the path failed).
-        let first = self.best_local_step(lk.key, &lk.dead);
-        self.lookups.get_mut(token).expect("present").current = first;
-        self.route_or_resolve(token)
+        self.restart(token, true)
     }
 
     /// Handle a received Chord message.
@@ -630,17 +574,17 @@ impl Chord {
         token
     }
 
-    /// If we can answer locally, finish; otherwise ask `current` for a step.
-    fn resolve_or_step(&mut self, token: u64) -> Vec<ChordAction> {
+    /// The one lookup driver. If we can answer locally, finish; otherwise
+    /// send `current` one step (iterative) or the whole route (recursive).
+    fn resolve_or_send(&mut self, token: u64, recursive: bool) -> Vec<ChordAction> {
         let Some(lk) = self.lookups.get(token) else {
             return Vec::new();
         };
-        let key = lk.key;
         if self.is_stranded() {
             return self.fail_lookup_now(token);
         }
         if !lk.skip_local {
-            if let Some(owner) = self.local_owner(key) {
+            if let Some(owner) = self.local_owner(lk.key) {
                 return self.finish_lookup(token, owner);
             }
         }
@@ -655,7 +599,51 @@ impl Chord {
             }
             return self.fail_lookup_now(token);
         }
-        self.send_step(token)
+        if recursive {
+            self.send_route(token)
+        } else {
+            self.send_step(token)
+        }
+    }
+
+    /// Start `token` again from our own tables, avoiding the nodes it found
+    /// dead. Callers check their own retry budget first.
+    fn restart(&mut self, token: u64, recursive: bool) -> Vec<ChordAction> {
+        self.refresh_route();
+        let lk = self.lookups.get(token).expect("restarting a live lookup");
+        let start = self.best_local_step(lk.key, &lk.dead);
+        self.lookups.get_mut(token).expect("present").current = start;
+        self.resolve_or_send(token, recursive)
+    }
+
+    /// Forward the whole lookup to `current`, which becomes a dead end for
+    /// any retry: it alone sees the route, so it may be the broken link.
+    fn send_route(&mut self, token: u64) -> Vec<ChordAction> {
+        let me = self.me;
+        let deadline = self.cfg.recursive_deadline_ms;
+        let Some(lk) = self.lookups.get_mut(token) else {
+            return Vec::new();
+        };
+        lk.attempt += 1;
+        lk.dead.push(lk.current.node);
+        vec![
+            ChordAction::Send {
+                to: lk.current,
+                msg: ChordMsg::Route {
+                    key: lk.key,
+                    token,
+                    origin: me,
+                    hops: 1,
+                },
+            },
+            ChordAction::SetTimer {
+                delay_ms: deadline,
+                timer: ChordTimer::RouteDeadline {
+                    token,
+                    attempt: lk.attempt,
+                },
+            },
+        ]
     }
 
     fn send_step(&mut self, token: u64) -> Vec<ChordAction> {
@@ -699,32 +687,22 @@ impl Chord {
 
     /// Compute the answer to "who should I ask next for `key`?".
     fn routing_step(&mut self, key: ChordId) -> StepResult {
-        if self.is_stranded() || (!self.joined && !self.standalone) {
+        if self.is_stranded() || !self.joined {
             return StepResult::Unknown;
         }
-        if let Some(p) = self.predecessor {
-            if key.in_open_closed(p.id, self.me.id) {
-                return StepResult::Owner(self.me);
-            }
-        }
-        let succ = self.successor();
-        if key.in_open_closed(self.me.id, succ.id) {
-            return StepResult::Owner(succ);
+        if let Some(owner) = self.local_owner(key) {
+            return StepResult::Owner(owner);
         }
         self.refresh_route();
-        let next = self.closest_preceding(key);
-        if next.node == self.me.node {
+        let succ = self.successor();
+        match self.closest_preceding(key) {
+            next if next.node != self.me.node => StepResult::Forward(next),
             // We know nothing strictly closer. Claiming ownership here
             // would terminate routes at wrong nodes whenever tables are
             // sparse (fresh joins, post-churn) — instead degrade to the
             // guaranteed-progress linear walk along the successor.
-            if succ.node != self.me.node {
-                StepResult::Forward(succ)
-            } else {
-                StepResult::Owner(self.me) // singleton ring
-            }
-        } else {
-            StepResult::Forward(next)
+            _ if succ.node != self.me.node => StepResult::Forward(succ),
+            _ => StepResult::Owner(self.me), // singleton ring
         }
     }
 
@@ -787,19 +765,16 @@ impl Chord {
         actions
     }
 
-    /// Pick a fresh routing start from local tables, avoiding known-dead
-    /// nodes; give up when the failure budget is spent.
+    /// Restart an iterative lookup; give up when the failure budget is spent.
     fn reroute(&mut self, token: u64) -> Vec<ChordAction> {
-        self.refresh_route();
-        let Some(lk) = self.lookups.get(token) else {
-            return Vec::new();
-        };
-        if lk.failures > MAX_LOOKUP_FAILURES {
+        if self
+            .lookups
+            .get(token)
+            .is_some_and(|lk| lk.failures > MAX_LOOKUP_FAILURES)
+        {
             return self.fail_lookup_now(token);
         }
-        let start = self.best_local_step(lk.key, &lk.dead);
-        self.lookups.get_mut(token).expect("present").current = start;
-        self.resolve_or_step(token)
+        self.restart(token, false)
     }
 
     /// Abort a lookup (stranded node, or its retries are spent).
@@ -1012,18 +987,26 @@ impl Chord {
         }
         let succ = self.successor();
         if succ.node != self.me.node {
-            self.stabilize_gen += 1;
-            let gen = self.stabilize_gen;
-            actions.push(ChordAction::Send {
-                to: succ,
-                msg: ChordMsg::GetNeighbors { gen, from: self.me },
-            });
-            actions.push(ChordAction::SetTimer {
-                delay_ms: self.cfg.rpc_timeout_ms,
-                timer: ChordTimer::StabilizeDeadline { gen },
-            });
+            actions.extend(self.ask_neighbors(succ));
         }
         actions
+    }
+
+    /// One stabilize round against `succ`, under a fresh generation: a
+    /// reply or deadline from any earlier round is stale from here on.
+    fn ask_neighbors(&mut self, succ: NodeRef) -> [ChordAction; 2] {
+        self.stabilize_gen += 1;
+        let gen = self.stabilize_gen;
+        [
+            ChordAction::Send {
+                to: succ,
+                msg: ChordMsg::GetNeighbors { gen, from: self.me },
+            },
+            ChordAction::SetTimer {
+                delay_ms: self.cfg.rpc_timeout_ms,
+                timer: ChordTimer::StabilizeDeadline { gen },
+            },
+        ]
     }
 
     fn on_get_neighbors(&mut self, gen: u64, from: NodeRef) -> Vec<ChordAction> {
@@ -1115,18 +1098,7 @@ impl Chord {
         if succ.node == self.me.node {
             return self.isolation_check();
         }
-        self.stabilize_gen += 1;
-        let gen = self.stabilize_gen;
-        vec![
-            ChordAction::Send {
-                to: succ,
-                msg: ChordMsg::GetNeighbors { gen, from: self.me },
-            },
-            ChordAction::SetTimer {
-                delay_ms: self.cfg.rpc_timeout_ms,
-                timer: ChordTimer::StabilizeDeadline { gen },
-            },
-        ]
+        self.ask_neighbors(succ).into()
     }
 
     fn on_notify(&mut self, candidate: NodeRef) {
@@ -1182,7 +1154,7 @@ impl Chord {
     /// Resolve `successor(finger_start(i))` from our own tables onward.
     fn resolve_finger(&mut self, i: u32) -> Vec<ChordAction> {
         let token = self.start_lookup(self.me.id.finger_start(i), Purpose::Finger(i));
-        self.resolve_or_step(token)
+        self.resolve_or_send(token, false)
     }
 
     /// Ask incumbent `f` of slot `i` whether it still owns `start` — unless

@@ -123,11 +123,8 @@ struct GaugeState {
     class_counts: ClassCountSink,
     last_counts: BTreeMap<&'static str, u64>,
     last_events: u64,
-    /// `rate/<class>` series names, formatted once per class and interned;
-    /// steady-state sampling resolves a 4-byte symbol instead of
-    /// re-running `format!` for every class on every tick.
-    rate_names: intern::Interner,
-    rate_syms: BTreeMap<&'static str, intern::Symbol>,
+    /// `rate/<class>` series names, formatted once per class.
+    rate_names: BTreeMap<&'static str, String>,
 }
 
 /// The next exact multiple of `period_ms` strictly after `now`. Gauge
@@ -147,8 +144,7 @@ impl GaugeState {
             class_counts,
             last_counts: BTreeMap::new(),
             last_events: 0,
-            rate_names: intern::Interner::new(),
-            rate_syms: BTreeMap::new(),
+            rate_names: BTreeMap::new(),
         }
     }
 
@@ -164,20 +160,12 @@ impl GaugeState {
         {
             let mut reg = self.registry.borrow_mut();
             for (class, &total) in &counts {
-                let sym = match self.rate_syms.get(class) {
-                    Some(&sym) => sym,
-                    None => {
-                        let sym = self.rate_names.intern(&format!("rate/{class}"));
-                        self.rate_syms.insert(class, sym);
-                        sym
-                    }
-                };
+                let name = self
+                    .rate_names
+                    .entry(class)
+                    .or_insert_with(|| format!("rate/{class}"));
                 let prev = self.last_counts.get(class).copied().unwrap_or(0);
-                reg.record(
-                    self.rate_names.resolve(sym),
-                    at_ms,
-                    (total - prev) as f64 / secs,
-                );
+                reg.record(name, at_ms, (total - prev) as f64 / secs);
             }
         }
         self.last_counts = counts;

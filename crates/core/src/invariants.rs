@@ -311,11 +311,6 @@ impl InvariantChecker {
         self.state.borrow().completed
     }
 
-    /// Directory positions currently multiply-held (inside a window).
-    pub fn contested_positions(&self) -> usize {
-        self.state.borrow().contested_since.len()
-    }
-
     /// Highest instance id ever seen for a `(ws, loc)` couple.
     pub fn max_instance(&self, ws: u64, loc: u64) -> Option<u64> {
         self.state

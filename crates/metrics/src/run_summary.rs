@@ -1,13 +1,13 @@
 //! The schema-stable scalar summary of one finished run.
 //!
 //! Every bench binary and the sweep orchestrator serialize run results
-//! through this one type, so the CSV column set, the JSON key set, the
-//! ordering and the float precision are fixed in exactly one place. The
+//! through this one type, so the CSV column set, the ordering and the
+//! float precision are fixed in exactly one place. The
 //! representation is deliberately flat (no nesting, no optional keys):
 //! byte-identical output for identical runs is part of the repo's
 //! determinism contract and is asserted in tests.
 
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 use crate::report::Csv;
 
@@ -50,8 +50,8 @@ type Column = (&'static str, fn(&RunSummary) -> Value);
 
 /// The schema: every column's name, where its value lives and its
 /// precision (ratios 6 decimals, latencies/hops/rates 3), in serialization
-/// order. CSV headers and cells, JSON keys and values and
-/// [`RunSummary::metrics`] are all read off this one table.
+/// order. CSV headers and cells and [`RunSummary::metrics`] are all read
+/// off this one table.
 const SCHEMA: [Column; 11] = [
     ("queries", |s| Count(s.queries)),
     ("hits", |s| Count(s.hits)),
@@ -96,18 +96,6 @@ impl RunSummary {
             .collect()
     }
 
-    /// Flat JSON object, keys in schema order, fixed precision (counts as
-    /// integers, floats as in [`RunSummary::csv_fields`]).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (name, get)) in SCHEMA.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\"{name}\":{}", get(self));
-        }
-        s.push('}');
-        s
-    }
-
     /// A [`Csv`] whose header is `prefix ++ COLUMNS` — the one way every
     /// binary builds a per-run results file.
     pub fn csv_with_prefix(prefix: &[&str]) -> Csv {
@@ -146,23 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_flat_and_schema_ordered() {
-        let j = sample().to_json();
-        assert!(j.starts_with("{\"queries\":1000,"));
-        assert!(j.ends_with("\"peak_population\":311}"));
-        assert!(j.contains("\"hit_ratio\":0.640000"));
-        // Keys appear in schema order.
-        let mut last = 0;
-        for c in RunSummary::COLUMNS {
-            let pos = j.find(&format!("\"{c}\":")).expect("key present");
-            assert!(pos >= last, "{c} out of order");
-            last = pos;
-        }
-    }
-
-    #[test]
     fn serialization_is_reproducible() {
-        assert_eq!(sample().to_json(), sample().to_json());
         assert_eq!(sample().csv_fields(), sample().csv_fields());
     }
 

@@ -58,9 +58,6 @@ impl<W: Write> JsonlTraceWriter<W> {
     fn push_field(buf: &mut String, key: &str, v: &FieldValue) {
         let _ = match v {
             FieldValue::U64(x) => write!(buf, ",\"{key}\":{x}"),
-            FieldValue::I64(x) => write!(buf, ",\"{key}\":{x}"),
-            FieldValue::F64(x) if x.is_finite() => write!(buf, ",\"{key}\":{x}"),
-            FieldValue::F64(_) => write!(buf, ",\"{key}\":null"),
             FieldValue::Str(s) => write!(buf, ",\"{key}\":\"{}\"", json_escape(s)),
             FieldValue::Bool(b) => write!(buf, ",\"{key}\":{b}"),
         };
@@ -334,7 +331,6 @@ mod tests {
                     ("qid", 99u64.into()),
                     ("hit", true.into()),
                     ("provider", "origin".into()),
-                    ("score", 0.5f64.into()),
                 ],
             },
         );
@@ -351,7 +347,6 @@ mod tests {
         assert_eq!(lines[3].num("qid"), Some(99.0));
         assert_eq!(lines[3].bool("hit"), Some(true));
         assert_eq!(lines[3].str("provider"), Some("origin"));
-        assert_eq!(lines[3].num("score"), Some(0.5));
     }
 
     #[test]

@@ -8,17 +8,17 @@
 //!   and spawns one reader thread per connection;
 //! * reader threads decode frames and forward them over an `mpsc`
 //!   channel to the **event loop thread**, which owns the machine, its
-//!   RNG and a timer heap, and is the only place `Machine::handle` runs;
+//!   RNG and its timers, and is the only place `Machine::handle` runs;
 //! * outputs map to real effects: `Send` → a cached outbound TCP stream
 //!   (dialed lazily, announced with a `Hello` frame), `SetTimer` → the
-//!   heap, `Respond` → the API connection the request arrived on.
+//!   timers, `Respond` → the API connection the request arrived on.
 //!
 //! Addressing is positional and hermetic: node `i` listens on
 //! `port_base + i`, so a `NodeId` *is* a loopback address and no
 //! discovery protocol is needed — the same trick the simulator plays
 //! with dense node indices.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
@@ -91,32 +91,6 @@ impl NodeConfig {
     }
 }
 
-/// One armed timer in the event loop's heap (min-heap by fire time;
-/// `seq` breaks ties in arm order, as the simulator does).
-struct TimerEntry {
-    fire_at_ms: u64,
-    seq: u64,
-    timer: FlowerTimer,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire_at_ms == other.fire_at_ms && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest timer.
-        (other.fire_at_ms, other.seq).cmp(&(self.fire_at_ms, self.seq))
-    }
-}
-
 /// What reader threads push into the event loop.
 enum Event {
     /// A connection produced a frame. `conn` identifies it for API
@@ -129,7 +103,7 @@ enum Event {
     Closed { conn: u64 },
 }
 
-/// The networked node. Owns the machine, its RNG, the timer heap and
+/// The networked node. Owns the machine, its RNG, its timers and
 /// all sockets; everything protocol happens on the thread that calls
 /// [`NetNode::run`].
 pub struct NetNode {
@@ -143,7 +117,9 @@ pub struct NetNode {
     bootstrap: SharedBootstrap,
     rng: rand::rngs::StdRng,
     started: Instant,
-    timers: BinaryHeap<TimerEntry>,
+    /// Armed timers keyed like the simulator's wheel: fire time, then arm
+    /// order.
+    timers: BTreeMap<(u64, u64), FlowerTimer>,
     timer_seq: u64,
     /// Cached outbound peer connections.
     outbound: HashMap<NodeId, TcpStream>,
@@ -198,7 +174,7 @@ impl NetNode {
             bootstrap,
             rng,
             started: Instant::now(),
-            timers: BinaryHeap::new(),
+            timers: BTreeMap::new(),
             timer_seq: 0,
             outbound: HashMap::new(),
             conns: HashMap::new(),
@@ -212,6 +188,18 @@ impl NetNode {
 
     fn now_ms(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
+    }
+
+    /// Arm `timer` for `fire_at_ms`; equal deadlines fire in arm order.
+    fn arm(&mut self, fire_at_ms: u64, timer: FlowerTimer) {
+        self.timer_seq += 1;
+        self.timers.insert((fire_at_ms, self.timer_seq), timer);
+    }
+
+    /// Take the earliest armed timer if it is due at `now_ms`.
+    fn pop_due(&mut self, now_ms: u64) -> Option<FlowerTimer> {
+        let (&(fire_at_ms, _), _) = self.timers.first_key_value()?;
+        (fire_at_ms <= now_ms).then(|| self.timers.pop_first().expect("non-empty").1)
     }
 
     /// Feed one input to the machine and apply its outputs. Returns
@@ -230,14 +218,7 @@ impl NetNode {
         for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => self.send_peer(to, &msg),
-                Output::SetTimer { delay_ms, timer } => {
-                    self.timer_seq += 1;
-                    self.timers.push(TimerEntry {
-                        fire_at_ms: self.now_ms() + delay_ms,
-                        seq: self.timer_seq,
-                        timer,
-                    });
-                }
+                Output::SetTimer { delay_ms, timer } => self.arm(self.now_ms() + delay_ms, timer),
                 Output::Respond { token, resp } => self.respond(token, resp),
                 Output::Report(r) => {
                     if self.cfg.verbose {
@@ -335,18 +316,15 @@ impl NetNode {
             // Fire every due timer, then sleep until the next deadline
             // or the next socket event, whichever comes first.
             let now = self.now_ms();
-            while self
-                .timers
-                .peek()
-                .is_some_and(|t| t.fire_at_ms <= self.now_ms())
-            {
-                let t = self.timers.pop().unwrap();
-                if !self.drive(Input::Timer(t.timer)) {
+            while let Some(timer) = self.pop_due(self.now_ms()) {
+                if !self.drive(Input::Timer(timer)) {
                     return Ok(());
                 }
             }
-            let timeout = match self.timers.peek() {
-                Some(t) => Duration::from_millis(t.fire_at_ms.saturating_sub(now).max(1)),
+            let timeout = match self.timers.first_key_value() {
+                Some((&(fire_at_ms, _), _)) => {
+                    Duration::from_millis(fire_at_ms.saturating_sub(now).max(1))
+                }
                 None => Duration::from_millis(250),
             };
             let event = match rx.recv_timeout(timeout) {
@@ -494,3 +472,6 @@ pub fn shutdown(addr: SocketAddr, timeout: Duration) -> Result<(), wire::WireErr
     let _ = stream.flush();
     Ok(())
 }
+
+#[cfg(test)]
+mod tests;

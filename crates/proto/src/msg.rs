@@ -42,16 +42,6 @@ pub enum RoutePayload {
     },
 }
 
-impl RoutePayload {
-    /// The peer awaiting a response to this payload.
-    pub fn requester(&self) -> NodeId {
-        match *self {
-            RoutePayload::ClientRequest { client, .. } => client,
-            RoutePayload::Claim { claimer, .. } => claimer,
-        }
-    }
-}
-
 /// All messages exchanged by Flower-CDN peers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowerMsg {

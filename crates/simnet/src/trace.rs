@@ -23,11 +23,9 @@ use crate::topology::LocalityId;
 use crate::{NodeId, Time};
 
 /// One dynamically-typed value in a [`Custom`](TraceEvent::Custom) event.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FieldValue {
     U64(u64),
-    I64(i64),
-    F64(f64),
     Str(&'static str),
     Bool(bool),
 }
@@ -52,16 +50,6 @@ impl From<usize> for FieldValue {
         FieldValue::U64(v as u64)
     }
 }
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> FieldValue {
-        FieldValue::I64(v)
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> FieldValue {
-        FieldValue::F64(v)
-    }
-}
 impl From<&'static str> for FieldValue {
     fn from(v: &'static str) -> FieldValue {
         FieldValue::Str(v)
@@ -82,8 +70,6 @@ impl fmt::Display for FieldValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FieldValue::U64(v) => write!(f, "{v}"),
-            FieldValue::I64(v) => write!(f, "{v}"),
-            FieldValue::F64(v) => write!(f, "{v}"),
             FieldValue::Str(v) => write!(f, "{v}"),
             FieldValue::Bool(v) => write!(f, "{v}"),
         }
@@ -97,11 +83,10 @@ fn field<'a>(fields: &'a [(&'static str, FieldValue)], key: &str) -> Option<&'a 
     fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
-/// Field `key` read as an unsigned integer; a non-negative `I64` counts.
+/// Field `key`, if it is an unsigned integer.
 pub fn field_u64(fields: &[(&'static str, FieldValue)], key: &str) -> Option<u64> {
     match *field(fields, key)? {
         FieldValue::U64(x) => Some(x),
-        FieldValue::I64(x) => u64::try_from(x).ok(),
         _ => None,
     }
 }
@@ -358,11 +343,10 @@ mod tests {
             ("a", 3u64.into()),
             ("b", "tag".into()),
             ("c", true.into()),
-            ("d", 0.5f64.into()),
             ("e", NodeId::from_index(7).into()),
         ];
         let rendered: Vec<String> = fields.iter().map(|(_, v)| v.to_string()).collect();
-        assert_eq!(rendered, ["3", "tag", "true", "0.5", "7"]);
+        assert_eq!(rendered, ["3", "tag", "true", "7"]);
     }
 
     #[test]

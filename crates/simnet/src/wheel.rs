@@ -55,15 +55,6 @@ const L1_TICK: u64 = SLOTS as u64;
 /// Null link / "no owner" sentinel.
 const NIL: u32 = u32::MAX;
 
-/// Where an event lives right now, as recomputed from its deadline and the
-/// wheel's current block. Valid at all times because entries move between
-/// levels exactly when `cur_block` advances.
-enum Place {
-    L0(usize),
-    L1(usize),
-    Overflow,
-}
-
 /// Occupancy bitmap over `SLOTS` slots with a one-word summary level, so
 /// "next occupied slot ≥ i" is two trailing-zeros scans.
 struct Bitmap {
@@ -128,6 +119,24 @@ impl Bitmap {
     }
 }
 
+/// One level of `SLOTS` buckets: each an intrusive list (head and tail
+/// indices into the slab), plus which buckets are non-empty.
+struct Level {
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    bits: Bitmap,
+}
+
+impl Level {
+    fn new() -> Level {
+        Level {
+            head: vec![NIL; SLOTS],
+            tail: vec![NIL; SLOTS],
+            bits: Bitmap::new(),
+        }
+    }
+}
+
 /// The timer wheel over payloads `P`. See the module docs for layout and
 /// the ordering contract.
 pub struct Wheel<P> {
@@ -146,13 +155,8 @@ pub struct Wheel<P> {
     /// Head of each owner's cancel list, indexed by owner.
     owner_head: Vec<u32>,
 
-    // --- buckets ---
-    l0_head: Vec<u32>,
-    l0_tail: Vec<u32>,
-    l1_head: Vec<u32>,
-    l1_tail: Vec<u32>,
-    l0_bits: Bitmap,
-    l1_bits: Bitmap,
+    /// Level 0 (1 ms slots) and level 1 (4096 ms slots).
+    levels: [Level; 2],
     /// The absolute block (`at / 4096`) level 0 currently covers.
     cur_block: u64,
     /// Scan position within level 0 (slots before it are drained).
@@ -182,12 +186,7 @@ impl<P> Wheel<P> {
             owner: Vec::new(),
             free: Vec::new(),
             owner_head: Vec::new(),
-            l0_head: vec![NIL; SLOTS],
-            l0_tail: vec![NIL; SLOTS],
-            l1_head: vec![NIL; SLOTS],
-            l1_tail: vec![NIL; SLOTS],
-            l0_bits: Bitmap::new(),
-            l1_bits: Bitmap::new(),
+            levels: [Level::new(), Level::new()],
             cur_block: 0,
             cursor0: 0,
             overflow: BinaryHeap::new(),
@@ -210,14 +209,17 @@ impl<P> Wheel<P> {
         self.dead_keys
     }
 
-    fn place(&self, at: u64) -> Place {
+    /// Where an event due at `at` lives right now: `(level, slot)`, or
+    /// `None` in overflow. Valid at all times because entries move between
+    /// levels exactly when `cur_block` advances.
+    fn place(&self, at: u64) -> Option<(usize, usize)> {
         let block = at / L1_TICK;
         if block <= self.cur_block {
-            Place::L0((at % L1_TICK) as usize)
+            Some((0, (at % L1_TICK) as usize))
         } else if block <= self.cur_block + SLOTS as u64 {
-            Place::L1((block % SLOTS as u64) as usize)
+            Some((1, (block % SLOTS as u64) as usize))
         } else {
-            Place::Overflow
+            None
         }
     }
 
@@ -253,65 +255,38 @@ impl<P> Wheel<P> {
         }
     }
 
-    fn push_l0(&mut self, s: usize, idx: u32) {
+    /// Append `idx` to bucket `s` of `level`.
+    fn push(&mut self, level: usize, s: usize, idx: u32) {
+        let l = &mut self.levels[level];
         let i = idx as usize;
-        self.prev[i] = self.l0_tail[s];
+        self.prev[i] = l.tail[s];
         self.next[i] = NIL;
-        if self.l0_tail[s] == NIL {
-            self.l0_head[s] = idx;
-            self.l0_bits.set(s);
+        if l.tail[s] == NIL {
+            l.head[s] = idx;
+            l.bits.set(s);
         } else {
-            self.next[self.l0_tail[s] as usize] = idx;
+            self.next[l.tail[s] as usize] = idx;
         }
-        self.l0_tail[s] = idx;
+        l.tail[s] = idx;
     }
 
-    fn push_l1(&mut self, s: usize, idx: u32) {
-        let i = idx as usize;
-        self.prev[i] = self.l1_tail[s];
-        self.next[i] = NIL;
-        if self.l1_tail[s] == NIL {
-            self.l1_head[s] = idx;
-            self.l1_bits.set(s);
-        } else {
-            self.next[self.l1_tail[s] as usize] = idx;
-        }
-        self.l1_tail[s] = idx;
-    }
-
-    fn unlink_l0(&mut self, s: usize, idx: u32) {
+    /// Take `idx` out of bucket `s` of `level`.
+    fn unlink(&mut self, level: usize, s: usize, idx: u32) {
+        let l = &mut self.levels[level];
         let i = idx as usize;
         let (p, n) = (self.prev[i], self.next[i]);
         if p == NIL {
-            self.l0_head[s] = n;
+            l.head[s] = n;
         } else {
             self.next[p as usize] = n;
         }
         if n == NIL {
-            self.l0_tail[s] = p;
+            l.tail[s] = p;
         } else {
             self.prev[n as usize] = p;
         }
-        if self.l0_head[s] == NIL {
-            self.l0_bits.clear(s);
-        }
-    }
-
-    fn unlink_l1(&mut self, s: usize, idx: u32) {
-        let i = idx as usize;
-        let (p, n) = (self.prev[i], self.next[i]);
-        if p == NIL {
-            self.l1_head[s] = n;
-        } else {
-            self.next[p as usize] = n;
-        }
-        if n == NIL {
-            self.l1_tail[s] = p;
-        } else {
-            self.prev[n as usize] = p;
-        }
-        if self.l1_head[s] == NIL {
-            self.l1_bits.clear(s);
+        if l.head[s] == NIL {
+            l.bits.clear(s);
         }
     }
 
@@ -349,9 +324,10 @@ impl<P> Wheel<P> {
     }
 
     /// Reclaim a slot whose entry is leaving the wheel, returning its
-    /// payload. The generation bump invalidates any overflow key.
+    /// payload. The generation bump invalidates any overflow key. Its owner
+    /// links are left as they are: `alloc` resets them, and the caller has
+    /// taken the entry off its owner's list (or is dropping the whole list).
     fn release(&mut self, idx: u32) -> P {
-        self.unlink_owner(idx);
         let i = idx as usize;
         self.gen[i] = self.gen[i].wrapping_add(1);
         self.free.push(idx);
@@ -378,12 +354,10 @@ impl<P> Wheel<P> {
     pub fn schedule(&mut self, at: u64, seq: u64, owner: Option<u32>, payload: P) {
         let idx = self.alloc(at, payload);
         match self.place(at) {
-            Place::L0(s) => self.push_l0(s, idx),
-            Place::L1(s) => self.push_l1(s, idx),
-            Place::Overflow => {
-                self.overflow
-                    .push(Reverse((at, seq, idx, self.gen[idx as usize])));
-            }
+            Some((level, s)) => self.push(level, s, idx),
+            None => self
+                .overflow
+                .push(Reverse((at, seq, idx, self.gen[idx as usize]))),
         }
         if let Some(o) = owner {
             self.link_owner(o, idx);
@@ -395,14 +369,15 @@ impl<P> Wheel<P> {
     /// wheel's block/horizon as far as needed (but never past `until`).
     pub fn pop_next(&mut self, until: u64) -> Option<(u64, P)> {
         loop {
-            if let Some(s) = self.l0_bits.next_from(self.cursor0) {
-                let idx = self.l0_head[s];
+            if let Some(s) = self.levels[0].bits.next_from(self.cursor0) {
+                let idx = self.levels[0].head[s];
                 let at = self.at[idx as usize];
                 if at > until {
                     return None;
                 }
                 self.cursor0 = s;
-                self.unlink_l0(s, idx);
+                self.unlink(0, s, idx);
+                self.unlink_owner(idx);
                 return Some((at, self.release(idx)));
             }
             self.advance(until)?;
@@ -415,8 +390,8 @@ impl<P> Wheel<P> {
     /// after `until`.
     fn advance(&mut self, until: u64) -> Option<()> {
         let cursor1 = (self.cur_block % SLOTS as u64) as usize;
-        let l1_next = self
-            .l1_bits
+        let l1_next = self.levels[1]
+            .bits
             .next_circular_after(cursor1)
             .map(|(_, dist)| self.cur_block + dist);
         let of_next = self.overflow_peek_live().map(|(at, _)| at / L1_TICK);
@@ -440,18 +415,18 @@ impl<P> Wheel<P> {
                 break;
             }
             self.overflow.pop();
-            self.push_l0((at % L1_TICK) as usize, idx);
+            self.push(0, (at % L1_TICK) as usize, idx);
         }
         // Cascade the block's level-1 slot into level 0 in list order.
         let s1 = (block % SLOTS as u64) as usize;
-        if self.l1_bits.get(s1) {
-            let mut idx = self.l1_head[s1];
-            self.l1_head[s1] = NIL;
-            self.l1_tail[s1] = NIL;
-            self.l1_bits.clear(s1);
+        let l1 = &mut self.levels[1];
+        if l1.bits.get(s1) {
+            let mut idx = std::mem::replace(&mut l1.head[s1], NIL);
+            l1.tail[s1] = NIL;
+            l1.bits.clear(s1);
             while idx != NIL {
                 let nx = self.next[idx as usize];
-                self.push_l0((self.at[idx as usize] % L1_TICK) as usize, idx);
+                self.push(0, (self.at[idx as usize] % L1_TICK) as usize, idx);
                 idx = nx;
             }
         }
@@ -464,7 +439,7 @@ impl<P> Wheel<P> {
                 break;
             }
             self.overflow.pop();
-            self.push_l1(((at / L1_TICK) % SLOTS as u64) as usize, idx);
+            self.push(1, ((at / L1_TICK) % SLOTS as u64) as usize, idx);
         }
         Some(())
     }
@@ -474,28 +449,22 @@ impl<P> Wheel<P> {
     /// leave a stale heap key behind (see [`Wheel::dead_keys`]). Returns
     /// the number of entries cancelled.
     pub fn cancel_owned(&mut self, owner: u32) -> u64 {
-        let Some(&head) = self.owner_head.get(owner as usize) else {
+        // Detach the whole list; its entries are released one by one.
+        let Some(head) = self.owner_head.get_mut(owner as usize) else {
             return 0;
         };
-        let mut idx = head;
+        let mut idx = std::mem::replace(head, NIL);
         let mut n = 0;
         while idx != NIL {
-            let i = idx as usize;
-            let nx = self.onext[i];
-            match self.place(self.at[i]) {
-                Place::L0(s) => self.unlink_l0(s, idx),
-                Place::L1(s) => self.unlink_l1(s, idx),
-                Place::Overflow => self.dead_keys += 1,
+            let nx = self.onext[idx as usize];
+            match self.place(self.at[idx as usize]) {
+                Some((level, s)) => self.unlink(level, s, idx),
+                None => self.dead_keys += 1,
             }
-            self.payload[i] = None;
-            self.gen[i] = self.gen[i].wrapping_add(1);
-            self.owner[i] = NIL;
-            self.free.push(idx);
-            self.live -= 1;
+            self.release(idx);
             n += 1;
             idx = nx;
         }
-        self.owner_head[owner as usize] = NIL;
         n
     }
 }

@@ -598,37 +598,20 @@ impl<N: Node, C> World<N, C> {
                 self.profiler
                     .count_msg(N::msg_class(&msg), N::msg_wire_bytes(&msg) as u64);
             }
+            // Verdict, then trace (a drop at its bare link latency), then drop.
             let mut delay = self.topology.latency(id, to).max(1);
-            let mut copies = 1u32;
+            let mut copies = 1u32; // 0: the conditioner drops it
             if self.conditioner.is_active() {
                 let src_loc = self.topology.locality(id);
                 let dst_loc = self.topology.locality(to);
                 match self.conditioner.judge(src_loc, dst_loc) {
-                    LinkVerdict::Drop => {
-                        self.stats.dropped_link += 1;
-                        if tracing {
-                            self.emit(TraceEvent::MsgSend {
-                                src: id,
-                                dst: to,
-                                class: N::msg_class(&msg),
-                                latency_ms: delay,
-                            });
-                            self.emit(TraceEvent::MsgDrop {
-                                src: id,
-                                dst: to,
-                                class: N::msg_class(&msg),
-                                reason: DropReason::Conditioner,
-                            });
-                        }
-                        continue;
-                    }
+                    LinkVerdict::Drop => copies = 0,
                     LinkVerdict::Deliver {
                         copies: c,
                         extra_delay_ms,
                     } => {
                         copies = c;
                         delay += extra_delay_ms;
-                        self.stats.duplicated += u64::from(c.saturating_sub(1));
                     }
                 }
             }
@@ -640,6 +623,19 @@ impl<N: Node, C> World<N, C> {
                     latency_ms: delay,
                 });
             }
+            if copies == 0 {
+                self.stats.dropped_link += 1;
+                if tracing {
+                    self.emit(TraceEvent::MsgDrop {
+                        src: id,
+                        dst: to,
+                        class: N::msg_class(&msg),
+                        reason: DropReason::Conditioner,
+                    });
+                }
+                continue;
+            }
+            self.stats.duplicated += u64::from(copies - 1);
             let at = (self.now + delay).as_millis();
             for _ in 1..copies {
                 let seq = self.bump_seq();
