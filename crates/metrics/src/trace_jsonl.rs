@@ -21,11 +21,17 @@ use std::path::Path;
 use simnet::{FieldValue, Time, TraceEvent, TraceSink};
 
 /// Streams trace events as JSON lines into any [`Write`] target.
+///
+/// A trace that cannot be written whole (a full disk) is an error, not a
+/// shorter trace: the writer keeps the first I/O error, stops writing, and
+/// panics with it on [`TraceSink::flush`], which the world's owner calls
+/// when the run finishes.
 pub struct JsonlTraceWriter<W: Write> {
     out: W,
     lines: u64,
     /// Reused per-event buffer.
     buf: String,
+    error: Option<io::Error>,
 }
 
 impl JsonlTraceWriter<BufWriter<File>> {
@@ -41,6 +47,7 @@ impl<W: Write> JsonlTraceWriter<W> {
             out,
             lines: 0,
             buf: String::with_capacity(256),
+            error: None,
         }
     }
 
@@ -49,9 +56,10 @@ impl<W: Write> JsonlTraceWriter<W> {
         self.lines
     }
 
-    /// Flush and return the underlying writer.
+    /// Flush and return the underlying writer. Panics on a write error,
+    /// as [`TraceSink::flush`] does.
     pub fn into_inner(mut self) -> W {
-        let _ = self.out.flush();
+        TraceSink::flush(&mut self);
         self.out
     }
 
@@ -65,9 +73,8 @@ impl<W: Write> JsonlTraceWriter<W> {
 }
 
 /// Escape `s` for use inside a JSON string literal: `"`, `\` and newline
-/// get their short forms, every other control character `\uXXXX`. The one
-/// escaper shared by the trace writer and the sweep's `summary.json`.
-pub fn json_escape(s: &str) -> String {
+/// get their short forms, every other control character `\uXXXX`.
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -169,12 +176,19 @@ impl<W: Write> TraceSink for JsonlTraceWriter<W> {
         }
         buf.push('}');
         buf.push('\n');
-        let _ = self.out.write_all(buf.as_bytes());
+        if self.error.is_none() {
+            self.error = self.out.write_all(buf.as_bytes()).err();
+        }
         self.lines += 1;
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+        if let Some(e) = &self.error {
+            panic!("write trace: {e}");
+        }
     }
 }
 
@@ -372,6 +386,43 @@ mod tests {
             "\\u0009\\u000d\\u0001\\u001f "
         );
         assert_eq!(json_escape("p=3000 (churn) é→"), "p=3000 (churn) é→");
+    }
+
+    /// Takes `room` bytes, then fails every write, as a full disk does.
+    struct FullDisk {
+        room: usize,
+    }
+
+    impl Write for FullDisk {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                return Err(io::Error::other("no space left on device"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "write trace: no space left on device")]
+    fn a_failed_write_surfaces_on_flush() {
+        let mut w = JsonlTraceWriter::new(FullDisk { room: 100 });
+        // Three 31-byte lines fit; the fourth runs out of room mid-line.
+        for node in 0..10 {
+            w.event(
+                Time(node),
+                &TraceEvent::NodeFail {
+                    node: n(node as usize),
+                },
+            );
+        }
+        assert_eq!(w.lines(), 10, "events after the error do not panic");
+        w.flush();
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Three layers, all dependency-free so every crate in the workspace can
 //! use them:
 //!
-//! * [`Profiler`] — hierarchical scoped phase timers with per-message
-//!   accounting. A profiler is cheaply cloneable (a shared handle); it
-//!   starts *disabled*, and a disabled profiler's [`Profiler::scope`] is a
-//!   single boolean load — hot paths keep it unconditionally.
+//! * [`Profiler`] — hierarchical scoped phase timers. A profiler is
+//!   cheaply cloneable (a shared handle); it starts *disabled*, and a
+//!   disabled profiler's [`Profiler::scope`] is a single boolean load —
+//!   hot paths keep it unconditionally.
 //! * [`sampler`] — process-level samplers: peak RSS from
 //!   `/proc/self/status` and a counting global allocator (behind the
 //!   `count-allocs` feature).
@@ -37,20 +37,11 @@ struct PhaseNode {
     total_ns: u64,
 }
 
-/// Per-message-class accounting: how many messages were sent and their
-/// wire bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MsgCount {
-    pub count: u64,
-    pub bytes: u64,
-}
-
 struct ProfState {
     /// `nodes[0]` is the synthetic root; real phases hang off it.
     nodes: Vec<PhaseNode>,
     /// Stack of open scopes (indices into `nodes`), root at the bottom.
     stack: Vec<usize>,
-    msgs: std::collections::BTreeMap<&'static str, MsgCount>,
 }
 
 impl ProfState {
@@ -63,7 +54,6 @@ impl ProfState {
                 total_ns: 0,
             }],
             stack: vec![0],
-            msgs: std::collections::BTreeMap::new(),
         }
     }
 
@@ -135,10 +125,10 @@ struct ProfCore {
     state: RefCell<ProfState>,
 }
 
-/// Shared handle to a phase-timer tree plus message accounting. Cloning
-/// shares the underlying state, so a handle can be distributed into the
-/// world and every peer context at construction time and flipped on later
-/// with [`Profiler::enable`].
+/// Shared handle to a phase-timer tree. Cloning shares the underlying
+/// state, so a handle can be distributed into the world and every peer
+/// context at construction time and flipped on later with
+/// [`Profiler::enable`].
 ///
 /// Single-threaded by design (the simulations are single-threaded); the
 /// handle is `!Send` like the worlds it instruments.
@@ -195,38 +185,10 @@ impl Profiler {
         self.scope(name())
     }
 
-    /// Account one protocol message of `class` and its serialized size
-    /// `bytes`. Disabled: one boolean load.
-    #[inline]
-    pub fn count_msg(&self, class: &'static str, bytes: u64) {
-        if !self.0.enabled.get() {
-            return;
-        }
-        let mut state = self.0.state.borrow_mut();
-        let e = state.msgs.entry(class).or_default();
-        e.count += 1;
-        e.bytes += bytes;
-    }
-
     /// Flamegraph-style rows (pre-order, `a/b/c` paths) with self and
     /// total times. `self_ns` is total minus the children's totals.
     pub fn phase_rows(&self) -> Vec<PhaseRow> {
         self.0.state.borrow().rows()
-    }
-
-    /// Per-message-class send counts and wire bytes, class-sorted.
-    pub fn msg_rows(&self) -> Vec<MsgRow> {
-        self.0
-            .state
-            .borrow()
-            .msgs
-            .iter()
-            .map(|(&class, c)| MsgRow {
-                class: class.to_string(),
-                count: c.count,
-                bytes: c.bytes,
-            })
-            .collect()
     }
 }
 
@@ -255,9 +217,7 @@ mod tests {
             let _a = p.scope("a");
             let _b = p.scope("b");
         }
-        p.count_msg("gossip", 100);
         assert!(p.phase_rows().is_empty());
-        assert!(p.msg_rows().is_empty());
     }
 
     #[test]
@@ -298,15 +258,8 @@ mod tests {
         {
             let _g = handle.scope("late");
         }
-        handle.count_msg("fetch", 64);
-        handle.count_msg("fetch", 36);
         let rows = p.phase_rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].path, "late");
-        let msgs = p.msg_rows();
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(msgs[0].class, "fetch");
-        assert_eq!(msgs[0].count, 2);
-        assert_eq!(msgs[0].bytes, 100);
     }
 }

@@ -30,10 +30,10 @@ pub use conditioner::{LinkConditioner, LinkVerdict};
 pub use time::Time;
 pub use topology::{LatencyModel, LocalityId, Point, Topology, TopologyConfig};
 pub use trace::{
-    field_bool, field_str, field_u64, ClassCountSink, DropReason, FieldValue, Fields,
-    LivenessChecker, TraceEvent, TraceSink, VecSink,
+    field_bool, field_str, field_u64, DropReason, FieldValue, Fields, LivenessChecker, TraceEvent,
+    TraceSink, VecSink,
 };
-pub use world::{Ctx, Node, NodeId, World, WorldStats};
+pub use world::{ClassCount, Ctx, Node, NodeId, World, WorldStats};
 
 // The profiler handle worlds carry; re-exported so engine crates can name
 // it without a direct `profile` dependency.
@@ -242,13 +242,11 @@ mod tests {
 
     #[test]
     fn trace_sinks_observe_every_scheduler_step() {
-        use crate::trace::{ClassCountSink, LivenessChecker, TraceEvent, VecSink};
+        use crate::trace::{LivenessChecker, TraceEvent, VecSink};
         let mut world = new_world(11);
         let sink = VecSink::new();
-        let counts = ClassCountSink::new();
         let checker = LivenessChecker::new();
         world.add_trace_sink(Box::new(sink.clone()));
-        world.add_trace_sink(Box::new(counts.clone()));
         world.add_trace_sink(Box::new(checker.clone()));
         assert!(world.tracing());
         let (a, b) = spawn_pair(&mut world);
@@ -288,7 +286,47 @@ mod tests {
             e,
             TraceEvent::Custom { name: "ping_round", node, .. } if *node == a
         )));
-        assert!(counts.counts().get("ping").copied().unwrap_or(0) >= 1);
+    }
+
+    #[test]
+    fn the_message_table_counts_sends_bytes_and_deliveries_per_class() {
+        let run = |profiled: bool| {
+            let mut world = new_world(11);
+            world.count_messages();
+            if profiled {
+                world.profiler().enable();
+            }
+            let (_a, b) = spawn_pair(&mut world);
+            world.run(Time::from_secs(3), |_, ()| {});
+            world.fail(b);
+            world.run(Time::from_secs(6), |_, ()| {});
+            assert_eq!(
+                world
+                    .msg_counts()
+                    .values()
+                    .map(|c| c.delivered)
+                    .sum::<u64>(),
+                world.stats().delivered
+            );
+            (world.msg_counts()["ping"], world.msg_counts()["pong"])
+        };
+        let (ping, pong) = run(false);
+        assert!(ping.sent >= 5 && pong.sent >= 2);
+        assert!(
+            ping.delivered < ping.sent,
+            "pings to the dead are not deliveries"
+        );
+        assert_eq!(pong.delivered, pong.sent);
+        assert_eq!(
+            ping.bytes + pong.bytes,
+            0,
+            "bytes are measured only while profiling"
+        );
+        // A profiled run counts the same messages and their bytes
+        // (`msg_wire_bytes` defaults to the one-byte in-memory size).
+        let (pping, ppong) = run(true);
+        assert_eq!((pping.sent, pping.delivered), (ping.sent, ping.delivered));
+        assert_eq!((pping.bytes, ppong.bytes), (ping.sent, pong.sent));
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! are both sinks.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -235,37 +234,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// Sink counting delivered messages per protocol class behind a shared
-/// handle — the cheap substrate for message-rate gauges.
-#[derive(Debug, Clone, Default)]
-pub struct ClassCountSink {
-    counts: Rc<RefCell<BTreeMap<&'static str, u64>>>,
-}
-
-impl ClassCountSink {
-    pub fn new() -> ClassCountSink {
-        ClassCountSink::default()
-    }
-
-    /// Snapshot of delivered-message counts per class.
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        self.counts.borrow().clone()
-    }
-
-    /// Total messages delivered across all classes.
-    pub fn total(&self) -> u64 {
-        self.counts.borrow().values().sum()
-    }
-}
-
-impl TraceSink for ClassCountSink {
-    fn event(&mut self, _at: Time, ev: &TraceEvent) {
-        if let TraceEvent::MsgDeliver { class, .. } = ev {
-            *self.counts.borrow_mut().entry(class).or_insert(0) += 1;
-        }
-    }
-}
-
 /// Simulator-level invariant checker: validates that the event stream
 /// itself is consistent — every delivery targets a node that spawned and
 /// has not failed, and nodes never spawn twice. Protocol-level invariants
@@ -379,33 +347,5 @@ mod tests {
             },
         );
         assert_eq!(checker.violations().len(), 1);
-    }
-
-    #[test]
-    fn class_counter_counts_only_deliveries() {
-        let counter = ClassCountSink::new();
-        let mut sink = counter.clone();
-        let n = NodeId::from_index(0);
-        for _ in 0..3 {
-            sink.event(
-                Time::ZERO,
-                &TraceEvent::MsgDeliver {
-                    src: n,
-                    dst: n,
-                    class: "gossip",
-                },
-            );
-        }
-        sink.event(
-            Time::ZERO,
-            &TraceEvent::MsgDrop {
-                src: n,
-                dst: n,
-                class: "gossip",
-                reason: DropReason::DeadDestination,
-            },
-        );
-        assert_eq!(counter.counts().get("gossip"), Some(&3));
-        assert_eq!(counter.total(), 3);
     }
 }

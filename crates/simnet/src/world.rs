@@ -24,6 +24,7 @@
 //! [`World::drain_reports`] from a buffer the world keeps, so an engine can
 //! fold them as often as it likes.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use profile::Profiler;
@@ -95,9 +96,9 @@ pub trait Node {
     fn on_leave(&mut self, _ctx: &mut Ctx<Self>) {}
 
     /// Stable protocol class of a message, used to label `MsgSend` /
-    /// `MsgDeliver` trace events, per-class message-rate gauges and the
-    /// profiler's per-class dispatch phases. Only called when a trace sink
-    /// is attached or the profiler is enabled.
+    /// `MsgDeliver` trace events, the world's per-class message counts and
+    /// the profiler's per-class dispatch phases. Only called when a trace
+    /// sink is attached, the profiler is enabled or message counting is on.
     fn msg_class(_msg: &Self::Msg) -> &'static str {
         "msg"
     }
@@ -109,8 +110,8 @@ pub trait Node {
         "timer"
     }
 
-    /// Serialized size of `msg` on the wire, in bytes, for the profiler's
-    /// per-class overhead accounting. The default — the message's
+    /// Serialized size of `msg` on the wire, in bytes, for the per-class
+    /// byte counts of a profiled run. The default — the message's
     /// in-memory size — is a stand-in for nodes without a codec; the
     /// protocols override it with the length their codec measures. Only
     /// called when the profiler is enabled.
@@ -231,6 +232,20 @@ pub struct WorldStats {
     pub removed: u64,
 }
 
+/// One row of the world's per-class message table
+/// ([`World::msg_counts`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClassCount {
+    /// Sends the protocol made, counted before the link conditioner judges
+    /// them: a link-dropped send counts, a conditioner duplicate does not.
+    pub sent: u64,
+    /// Encoded size of those sends; measured only while the profiler is
+    /// enabled.
+    pub bytes: u64,
+    /// Copies that reached a live destination, duplicates included.
+    pub delivered: u64,
+}
+
 impl WorldStats {
     /// Scheduler events processed so far: every queue pop the event loop
     /// dispatched (deliveries, dead-destination drops, timer fires,
@@ -278,6 +293,9 @@ pub struct World<N: Node, C> {
     sinks: Vec<Box<dyn TraceSink>>,
     conditioner: LinkConditioner,
     profiler: Profiler,
+    /// Whether `msg_counts` is kept ([`World::count_messages`]).
+    counting: bool,
+    msg_counts: BTreeMap<&'static str, ClassCount>,
     scratch: Scratch<N>,
 }
 
@@ -297,17 +315,32 @@ impl<N: Node, C> World<N, C> {
             sinks: Vec::new(),
             conditioner: LinkConditioner::new(seed),
             profiler: Profiler::new(),
+            counting: false,
+            msg_counts: BTreeMap::new(),
             scratch: Scratch::default(),
         }
     }
 
     /// The world's profiler handle: the event loop opens a phase scope per
-    /// dispatched event (`deliver/<class>`, `timer/<class>`, `control`) and
-    /// accounts every send per message class. It starts disabled — until
-    /// [`Profiler::enable`] is called the hot path pays one boolean load
-    /// per event.
+    /// dispatched event (`deliver/<class>`, `timer/<class>`, `control`).
+    /// It starts disabled — until [`Profiler::enable`] is called the hot
+    /// path pays one boolean load per event.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
+    }
+
+    /// Keep the per-class message table from now on: every send, its wire
+    /// bytes while the profiler is enabled, and every delivery. Until this
+    /// is called the hot path pays one boolean load per send and delivery.
+    pub fn count_messages(&mut self) {
+        self.counting = true;
+    }
+
+    /// The per-class message table, class-sorted: everything sent and
+    /// delivered since [`World::count_messages`]. A class enters at its
+    /// first send or delivery.
+    pub fn msg_counts(&self) -> &BTreeMap<&'static str, ClassCount> {
+        &self.msg_counts
     }
 
     /// Live events pending in the queue right now — the event-loop depth
@@ -493,6 +526,12 @@ impl<N: Node, C> World<N, C> {
                 EventKind::Deliver { to, from, msg } => {
                     if self.is_live(to) {
                         self.stats.delivered += 1;
+                        if self.counting {
+                            self.msg_counts
+                                .entry(N::msg_class(&msg))
+                                .or_default()
+                                .delivered += 1;
+                        }
                         if !self.sinks.is_empty() {
                             self.emit(TraceEvent::MsgDeliver {
                                 src: from,
@@ -591,12 +630,15 @@ impl<N: Node, C> World<N, C> {
             });
         }
         for (to, msg) in sends.drain(..) {
-            // One accounting entry per logical protocol send (conditioner
-            // duplicates are artifacts of the fault model, not overhead the
-            // protocol chose to pay).
-            if self.profiler.is_enabled() {
-                self.profiler
-                    .count_msg(N::msg_class(&msg), N::msg_wire_bytes(&msg) as u64);
+            // One count per logical protocol send (conditioner duplicates
+            // are artifacts of the fault model, not overhead the protocol
+            // chose to pay).
+            if self.counting {
+                let row = self.msg_counts.entry(N::msg_class(&msg)).or_default();
+                row.sent += 1;
+                if self.profiler.is_enabled() {
+                    row.bytes += N::msg_wire_bytes(&msg) as u64;
+                }
             }
             // Verdict, then trace (a drop at its bare link latency), then drop.
             let mut delay = self.topology.latency(id, to).max(1);

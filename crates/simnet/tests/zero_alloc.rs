@@ -138,7 +138,9 @@ impl Node for RingPinger {
 
 /// At P = 10_000 the steady state stays allocation-free: after warm-up
 /// (slab, buckets and scratch buffers at their high-water marks) a full
-/// measured minute of pops, deliveries and re-arms does not allocate once.
+/// measured minute of pops, deliveries and re-arms does not allocate once —
+/// nor does a second one with the per-class message table kept (the gauge
+/// runs' setting: counting on, profiler off), once its class is in.
 #[test]
 fn ten_thousand_node_steady_state_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap();
@@ -172,6 +174,22 @@ fn ten_thousand_node_steady_state_allocates_nothing() {
     assert_eq!(
         delta, 0,
         "P={P} steady state must not allocate: {events} events, {delta} allocations"
+    );
+
+    world.count_messages();
+    world.run(Time::from_millis(125_000), |_, ()| {});
+    let before = profile::alloc_count();
+    world.run(Time::from_millis(185_000), |_, ()| {});
+    let delta = profile::alloc_count() - before;
+    let counted = world.msg_counts()["msg"];
+    assert!(counted.delivered > 1_000_000, "counted {counted:?}");
+    assert_eq!(
+        counted.bytes, 0,
+        "wire bytes are measured only while profiling"
+    );
+    assert_eq!(
+        delta, 0,
+        "P={P} with message counting must not allocate: {delta} allocations"
     );
 }
 

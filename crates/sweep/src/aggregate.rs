@@ -1,16 +1,13 @@
 //! Aggregation across seeds and the schema-stable sweep output files.
 //!
-//! Three artifacts per sweep, all deterministic (fixed row order, fixed
+//! Two artifacts per sweep, both deterministic (fixed row order, fixed
 //! precision, no wall-clock content — timing goes to stderr only):
 //!
 //! * `runs.csv` — one row per (cell, seed): the full [`RunSummary`];
 //! * `summary.csv` — long format, one row per (cell, metric):
-//!   mean / sample stddev / 95% CI across the cell's seeds;
-//! * `summary.json` — the same aggregates as one JSON array.
+//!   mean / sample stddev / 95% CI across the cell's seeds.
 
-use std::fmt::Write as _;
-
-use cdn_metrics::{json_escape, Csv, RunSummary};
+use cdn_metrics::{Csv, RunSummary};
 
 use crate::exec::CellResult;
 
@@ -108,79 +105,6 @@ pub fn summary_csv(results: &[CellResult]) -> Csv {
     csv
 }
 
-/// `summary.json`: the per-cell aggregates as a JSON array, keys and
-/// cells in deterministic order, trailing newline included. Cells that
-/// carry perf data (profiled sweeps only) gain a `perf` object with
-/// wall-clock and peak-RSS aggregates; unprofiled sweeps emit no perf
-/// keys, keeping their output byte-identical across machines.
-pub fn summary_json(results: &[CellResult]) -> String {
-    let mut out = String::from("[");
-    for (i, cell) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n  {{\"cell\":\"{}\",\"system\":\"{}\",\"population\":{},\"runs\":{},\"metrics\":{{",
-            json_escape(&cell.label),
-            json_escape(cell.system.label()),
-            cell.population,
-            cell.runs.len()
-        );
-        for (mi, metric) in RunSummary::COLUMNS.iter().enumerate() {
-            let agg = cell.agg(metric);
-            if mi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{metric}\":{{\"mean\":{:.6},\"stddev\":{:.6},\"ci95\":{:.6}}}",
-                agg.mean, agg.stddev, agg.ci95
-            );
-        }
-        out.push('}');
-        if !cell.perf.is_empty() {
-            let wall = aggregate(&cell.perf.iter().map(|(_, p)| p.wall_ms).collect::<Vec<_>>());
-            let wall_max = cell
-                .perf
-                .iter()
-                .map(|(_, p)| p.wall_ms)
-                .fold(0.0_f64, f64::max);
-            let eps = aggregate(
-                &cell
-                    .perf
-                    .iter()
-                    .map(|(_, p)| p.events_per_sec)
-                    .collect::<Vec<_>>(),
-            );
-            let eps_min = cell
-                .perf
-                .iter()
-                .map(|(_, p)| p.events_per_sec)
-                .fold(f64::INFINITY, f64::min);
-            let rss_max = cell
-                .perf
-                .iter()
-                .map(|(_, p)| p.peak_rss_bytes)
-                .max()
-                .unwrap_or(0);
-            // Throughput regressions care about the *worst* run
-            // (events_per_sec_min); memory budgets care about the worst
-            // footprint (peak_rss_max) — both keyed per population cell.
-            let _ = write!(
-                out,
-                ",\"perf\":{{\"wall_ms_mean\":{:.3},\"wall_ms_max\":{wall_max:.3},\
-                 \"events_per_sec_mean\":{:.0},\"events_per_sec_min\":{eps_min:.0},\
-                 \"peak_rss_max\":{rss_max}}}",
-                wall.mean, eps.mean
-            );
-        }
-        out.push('}');
-    }
-    out.push_str("\n]\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,47 +173,5 @@ mod tests {
             .find(|l| l.contains(",hit_ratio,"))
             .expect("hit_ratio row");
         assert!(hit.contains(",0.600000,"), "{hit}");
-    }
-
-    #[test]
-    fn summary_json_is_deterministic_and_escaped() {
-        let mut c = cell();
-        c.label = "we\"ird".into();
-        let j1 = summary_json(std::slice::from_ref(&c));
-        let j2 = summary_json(std::slice::from_ref(&c));
-        assert_eq!(j1, j2);
-        assert!(j1.contains("we\\\"ird"));
-        assert!(j1.contains("\"hit_ratio\":{\"mean\":0.600000"));
-    }
-
-    #[test]
-    fn summary_json_perf_keys_only_when_profiled() {
-        let plain = cell();
-        assert!(!summary_json(std::slice::from_ref(&plain)).contains("\"perf\""));
-
-        let mut profiled = cell();
-        let perf = profile::RunPerf {
-            system: "Flower-CDN".into(),
-            population: 100,
-            seed: 1,
-            sim_hours: 1.0,
-            wall_ms: 250.0,
-            events: 1000,
-            events_per_sec: 0.0,
-            wall_ms_per_sim_hour: 0.0,
-            peak_rss_bytes: 64 << 20,
-            allocs: 0,
-            allocs_per_event: 0.0,
-            phases: Vec::new(),
-            messages: Vec::new(),
-        }
-        .with_derived();
-        profiled.perf = vec![(1, perf)];
-        let j = summary_json(std::slice::from_ref(&profiled));
-        assert!(j.contains("\"perf\":{\"wall_ms_mean\":250.000"));
-        assert!(j.contains("\"peak_rss_max\":67108864"));
-        // with_derived: 1000 events over 250 ms = 4000 events/sec.
-        assert!(j.contains("\"events_per_sec_mean\":4000"));
-        assert!(j.contains("\"events_per_sec_min\":4000"));
     }
 }

@@ -15,8 +15,7 @@
 //!   to [`CellResult`]s ([`run_grid_with`], which also hands each
 //!   finished run to the caller's hook);
 //! * [`mod@aggregate`] — mean / sample stddev / 95% CI per metric per cell,
-//!   and the schema-stable `runs.csv` / `summary.csv` / `summary.json`
-//!   writers.
+//!   and the schema-stable `runs.csv` / `summary.csv` writers.
 //!
 //! ```
 //! use flower_cdn::{SimParams, System};
@@ -38,7 +37,7 @@ pub mod exec;
 pub mod grid;
 pub mod pool;
 
-pub use aggregate::{aggregate, runs_csv, summary_csv, summary_json, MetricAgg};
+pub use aggregate::{aggregate, runs_csv, summary_csv, MetricAgg};
 pub use exec::{
     default_jobs, execute_cell, execute_cell_with, run_cells, run_grid, run_grid_with, CellResult,
     SweepOpts,

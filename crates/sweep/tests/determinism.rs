@@ -6,7 +6,7 @@
 use cdn_metrics::parse_trace_line;
 use chaos::{FaultAction, Scenario};
 use flower_cdn::{ResilienceTracker, RunResult, SimParams, System};
-use sweep::{run_grid, run_grid_with, runs_csv, summary_csv, summary_json, Cell, Grid, SweepOpts};
+use sweep::{run_grid, run_grid_with, runs_csv, summary_csv, Cell, Grid, SweepOpts};
 
 fn tiny_params(population: usize) -> SimParams {
     let mut p = SimParams::quick(population, 20 * 60_000);
@@ -55,11 +55,6 @@ fn aggregate_files_are_byte_identical_for_jobs_1_vs_4() {
         summary_csv(&seq).as_str(),
         summary_csv(&par).as_str(),
         "summary.csv must not depend on --jobs"
-    );
-    assert_eq!(
-        summary_json(&seq),
-        summary_json(&par),
-        "summary.json must not depend on --jobs"
     );
 }
 
@@ -117,8 +112,11 @@ fn a_hook_changes_no_aggregate_byte() {
             }
         });
         assert_eq!(runs_csv(&plain).as_str(), runs_csv(&hooked).as_str());
-        assert_eq!(summary_csv(&plain).as_str(), summary_csv(&hooked).as_str());
-        assert_eq!(summary_json(&plain), summary_json(&hooked), "jobs={jobs}");
+        assert_eq!(
+            summary_csv(&plain).as_str(),
+            summary_csv(&hooked).as_str(),
+            "jobs={jobs}"
+        );
         // One extract per run, in the cells' seed order: each one agrees
         // with the summary it sits next to.
         for (cell, extracts) in hooked.iter().zip(&extracted) {

@@ -1,7 +1,8 @@
 //! Golden determinism pins for both engines through the chaos and gauge
 //! paths: the exact summary row, event count, diagnostic-event map, gauge
-//! series and `records` line (count and FNV-1a over every `QueryRecord` in
-//! order) of one seeded run per system. A refactor or a pure optimisation
+//! series, `records` line (count and FNV-1a over every `QueryRecord` in
+//! order) and per-class message sends and wire bytes of one seeded run per
+//! system. A refactor or a pure optimisation
 //! must reproduce them digit for digit. They were last re-recorded when
 //! Chord's finger repair began asking the incumbent finger before
 //! resolving a slot, which moved the ring's traffic — and with it every
@@ -37,9 +38,13 @@ fn params() -> SimParams {
     p
 }
 
-/// Set a simulation up the way the harnesses do (gauges, then scenario),
-/// run it to the horizon and render everything the test pins as text.
+/// Set a simulation up the way the harnesses do (profiler, gauges, then
+/// scenario), run it to the horizon and render everything the test pins as
+/// text. Profiling only times phases, so every other line is what an
+/// unprofiled run produces; the `msg` lines are its per-class send counts
+/// and wire bytes.
 fn fingerprint<D: SimDriver>(mut sim: D, events_processed: impl Fn(&D) -> u64) -> String {
+    sim.enable_profiling();
     sim.enable_gauges(5 * 60_000);
     sim.apply_scenario(&SCENARIO.parse::<Scenario>().expect("scenario parses"));
     sim.run_until(Time::from_millis(HORIZON_MS));
@@ -61,6 +66,9 @@ fn fingerprint<D: SimDriver>(mut sim: D, events_processed: impl Fn(&D) -> u64) -
         let points = result.gauges.series(name).expect("named series");
         let (t, v) = *points.last().expect("non-empty series");
         writeln!(out, "gauge {name} n={} last=({t},{v})", points.len()).unwrap();
+    }
+    for m in &result.perf.expect("profiled run").messages {
+        writeln!(out, "msg {} count={} bytes={}", m.class, m.count, m.bytes).unwrap();
     }
     out
 }
@@ -102,6 +110,31 @@ gauge rate/redirect n=8 last=(2400000,1.7266666666666666)
 gauge rate/route_failed n=3 last=(2400000,0.0033333333333333335)
 gauge rate/routed n=8 last=(2400000,0.3333333333333333)
 gauge rate/sibling_query n=8 last=(2400000,0.63)
+msg chord_find_next count=133675 bytes=5347000
+msg chord_find_next_reply count=129813 bytes=4283813
+msg chord_get_neighbors count=24316 bytes=778112
+msg chord_neighbors_reply count=23875 bytes=4286543
+msg chord_notify count=23878 bytes=573072
+msg chord_ping count=23041 bytes=368656
+msg chord_pong count=22759 bytes=364144
+msg chord_route count=2721 bytes=119724
+msg chord_route_result count=1104 bytes=39744
+msg claim_denied count=224 bytes=6944
+msg claim_granted count=219 bytes=6789
+msg dead_peer_report count=157 bytes=2355
+msg dir_ack count=2181 bytes=93783
+msg dir_query count=2826 bytes=88598
+msg dring_route count=1085 bytes=38864
+msg fetch count=4390 bytes=83410
+msg fetch_ok count=4182 bytes=17208930
+msg gossip count=1491 bytes=937635
+msg keepalive count=1308 bytes=19620
+msg promote count=42 bytes=6180
+msg push count=1131 bytes=51504
+msg redirect count=3118 bytes=418234
+msg route_failed count=2 bytes=30
+msg routed count=999 bytes=39797
+msg sibling_query count=1274 bytes=141964
 ";
 
 const SQUIRREL_GOLDEN: &str = "\
@@ -128,6 +161,20 @@ gauge rate/fetch_ok n=8 last=(2400000,2.1766666666666667)
 gauge rate/sq_answer n=8 last=(2400000,3.34)
 gauge rate/sq_query n=8 last=(2400000,3.3433333333333333)
 gauge ring_size n=8 last=(2400000,126)
+msg chord_find_next count=264470 bytes=10578800
+msg chord_find_next_reply count=257623 bytes=8500359
+msg chord_get_neighbors count=61164 bytes=1957248
+msg chord_neighbors_reply count=59996 bytes=10758300
+msg chord_notify count=58553 bytes=1405272
+msg chord_ping count=56808 bytes=908928
+msg chord_pong count=56107 bytes=897712
+msg chord_route count=19410 bytes=854040
+msg chord_route_result count=6903 bytes=248508
+msg fetch count=4695 bytes=89205
+msg fetch_miss count=20 bytes=380
+msg fetch_ok count=3918 bytes=16122570
+msg sq_answer count=7541 bytes=189708
+msg sq_query count=7675 bytes=246565
 ";
 
 #[test]

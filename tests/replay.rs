@@ -34,7 +34,7 @@ use flower_cdn::{
     machine_rng, Bootstrap, Env, FlowerPeer, FlowerReport, FlowerSim, Machine, Output, PeerCtx,
     SimDriver, SimParams, SquirrelMode, SquirrelSim, TapEntry, TapLog,
 };
-use simnet::{ClassCountSink, LocalityId, NodeId, Time};
+use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
 use workload::{ObjectId, WebsiteId};
 
 const FLOWER_STREAM_FNV: u64 = 0xea34_9992_d944_da90;
@@ -103,6 +103,14 @@ where
     bloom::hash::fnv1a(stream.as_bytes())
 }
 
+/// A sink that keeps nothing: attaching it is what makes the machines emit
+/// their trace events into the tapped stream.
+struct Discard;
+
+impl TraceSink for Discard {
+    fn event(&mut self, _at: Time, _ev: &TraceEvent) {}
+}
+
 /// A registry presenting `members` in their original order.
 fn registry_of(members: &[chord::NodeRef]) -> flower_cdn::SharedBootstrap {
     let registry = Bootstrap::shared();
@@ -117,7 +125,7 @@ fn tapped_flower_client_replays_byte_identically() {
     let seed = 0xD1CE;
     let mut sim = FlowerSim::new(scripted_params(seed, 1));
     // With a sink attached the machines emit their trace events too.
-    sim.add_trace_sink_boxed(Box::new(ClassCountSink::new()));
+    sim.add_trace_sink(Discard);
 
     // Snapshot the rendezvous registry before anything runs: the replay
     // registry must present the same members in the same order.
@@ -199,7 +207,7 @@ fn tapped_flower_client_replays_byte_identically() {
 fn tapped_squirrel_client_replays_byte_identically() {
     let seed = 0x5C1D;
     let mut sim = SquirrelSim::new(scripted_params(seed, 3), SquirrelMode::Directory);
-    sim.add_trace_sink_boxed(Box::new(ClassCountSink::new()));
+    sim.add_trace_sink(Discard);
     let initial_members = sim.bootstrap_registry().borrow().members().to_vec();
     assert_eq!(initial_members.len(), 12, "one ring member per couple");
 
