@@ -21,6 +21,9 @@ echo "==> golden tests, release build"
 # and so must the codec's length arithmetic (`as u32`, `div_ceil`, the caps),
 # which is where every committed byte count is produced.
 cargo test -q --release --test engine_golden --test chord_golden --test replay
+# Chord's short cuts against the scans and lookups they replace
+# (`node/route_tests.rs`), in the code the benchmark runs.
+cargo test -q --release -p chord-dht
 cargo test -q --release -p flower-net --test wire_roundtrip
 # The timer wheel every simulated event is popped from: against a reference
 # heap, and allocation-free in steady state.

@@ -167,10 +167,15 @@ pub struct Chord {
     /// predecessor). Current only while `route_stale` is false.
     route: Vec<RouteEntry>,
     /// A finger, the successor list or the predecessor changed since
-    /// `route` was built. Set by every write that changes one of them:
-    /// `converged`, `set_finger`, `set_predecessor`, `note_alive`,
-    /// `adopt_successor`, `on_notify`, `on_neighbors_reply`, `purge`.
+    /// `route` was built. Set by every write that changes one of them, and
+    /// by no other: `converged`, `set_finger` (through which `note_alive`
+    /// and `purge` write fingers), `set_predecessor`, `adopt_successor`,
+    /// `on_notify`, `on_neighbors_reply`, `purge`.
     route_stale: bool,
+    /// How many finger slots, from slot 0 up, are settled: filled, each at
+    /// or past its start, their distances from `me` non-decreasing. `None`
+    /// after a finger write, until `note_alive` needs it again.
+    settled: Option<u32>,
     next_finger: u32,
     lookups: Lookups,
     next_token: u64,
@@ -245,7 +250,7 @@ impl Chord {
                 let pos = ring.partition_point(|r| r.id < start) % n;
                 let f = ring[pos];
                 if f.node != me.node {
-                    node.fingers[i as usize] = Some(f);
+                    node.set_finger(i as usize, Some(f));
                 }
             }
             node.route_stale = true;
@@ -263,6 +268,7 @@ impl Chord {
             fingers: vec![None; ChordId::BITS as usize],
             route: Vec::new(),
             route_stale: false,
+            settled: None,
             next_finger: 0,
             lookups: Lookups::default(),
             next_token: 0,
@@ -924,7 +930,12 @@ impl Chord {
         self.route_stale = false;
         let mut route = std::mem::take(&mut self.route);
         route.clear();
+        let mut last = None;
         for (rank, n) in self.known_nodes().enumerate() {
+            // Fingers come in runs of one node; only a run's first can be new.
+            if last.replace(n) == Some(n) {
+                continue;
+            }
             if !route.iter().any(|e| e.node == n.node && e.id == n.id) {
                 route.push(RouteEntry {
                     id: n.id,
@@ -934,14 +945,17 @@ impl Chord {
             }
         }
         let me = self.me.id;
-        route.sort_by_key(|e| me.distance_to(e.id)); // stable: ties keep table order
+        // Ranks are distinct, so ties in distance keep table order.
+        route.sort_unstable_by_key(|e| (me.distance_to(e.id), e.rank));
         self.route = route;
     }
 
+    /// The one finger write.
     fn set_finger(&mut self, i: usize, to: Option<NodeRef>) {
         if self.fingers[i] != to {
             self.fingers[i] = to;
             self.route_stale = true;
+            self.settled = None;
         }
     }
 
@@ -1151,9 +1165,20 @@ impl Chord {
         actions
     }
 
-    /// Resolve `successor(finger_start(i))` from our own tables onward.
+    /// Resolve `successor(finger_start(i))` from our own tables onward. A
+    /// start our own neighbourhood decides is settled here, as the lookup
+    /// would settle it at once; the token the lookup would have taken is
+    /// still taken, so every later token is the one it always was.
     fn resolve_finger(&mut self, i: u32) -> Vec<ChordAction> {
-        let token = self.start_lookup(self.me.id.finger_start(i), Purpose::Finger(i));
+        let start = self.me.id.finger_start(i);
+        if let Some(owner) = self.local_owner(start) {
+            self.next_token += 1;
+            if owner.node != self.me.node {
+                self.set_finger(i as usize, Some(owner));
+            }
+            return Vec::new();
+        }
+        let token = self.start_lookup(start, Purpose::Finger(i));
         self.resolve_or_send(token, false)
     }
 
@@ -1235,7 +1260,7 @@ impl Chord {
     /// the ring's correctness backbone and are maintained exclusively by
     /// the stabilize/notify protocol, as in the original Chord.
     fn note_alive(&mut self, n: NodeRef) {
-        if n.node == self.me.node || n.id == self.me.id {
+        if n.node == self.me.node || n.id == self.me.id || self.settled_covers(n) {
             return;
         }
         // Opportunistic finger repair from every node heard: fill empty
@@ -1253,26 +1278,44 @@ impl Chord {
                 Some(cur) => start.distance_to(n.id) < start.distance_to(cur.id),
             };
             if better {
-                self.fingers[idx] = Some(n);
-                self.route_stale = true;
+                self.set_finger(idx, Some(n));
             }
         }
+    }
+
+    /// `n` (not at our id) improves no finger, known in O(1): it covers
+    /// slots `0..=top`, and over the settled prefix each of those holds a
+    /// finger at or past its start and no farther from us than slot
+    /// `top`'s — so when that one is no farther than `n`, `n` is closer to
+    /// no start. In a converged table the prefix spans every filled slot,
+    /// so every live ring member is answered here.
+    fn settled_covers(&mut self, n: NodeRef) -> bool {
+        let d = self.me.id.distance_to(n.id);
+        let top = d.ilog2();
+        let settled = *self
+            .settled
+            .get_or_insert_with(|| settled_len(self.me.id, &self.fingers));
+        top < settled
+            && self.fingers[top as usize].is_some_and(|f| self.me.id.distance_to(f.id) <= d)
     }
 
     fn adopt_successor(&mut self, n: NodeRef) {
         if n.node == self.me.node || n.id == self.me.id {
             return;
         }
-        self.successors.retain(|s| s.node != n.node);
+        let mut list = self.successors.clone();
+        list.retain(|s| s.node != n.node);
         // Insert keeping clockwise order from me.
-        let pos = self
-            .successors
+        let pos = list
             .iter()
             .position(|s| self.me.id.distance_to(n.id) < self.me.id.distance_to(s.id))
-            .unwrap_or(self.successors.len());
-        self.successors.insert(pos, n);
-        self.successors.truncate(SUCCESSOR_LIST_LEN);
-        self.route_stale = true;
+            .unwrap_or(list.len());
+        list.insert(pos, n);
+        list.truncate(SUCCESSOR_LIST_LEN);
+        if list != self.successors {
+            self.successors = list;
+            self.route_stale = true;
+        }
     }
 
     /// Remove a failed node from every table. Callers that can emit
@@ -1281,10 +1324,9 @@ impl Chord {
         let listed = self.successors.len();
         self.successors.retain(|s| s.node != node);
         self.route_stale |= self.successors.len() != listed;
-        for f in &mut self.fingers {
-            if f.is_some_and(|n| n.node == node) {
-                *f = None;
-                self.route_stale = true;
+        for i in 0..self.fingers.len() {
+            if self.fingers[i].is_some_and(|n| n.node == node) {
+                self.set_finger(i, None);
             }
         }
         if self.predecessor.is_some_and(|p| p.node == node) {
@@ -1334,6 +1376,23 @@ impl Chord {
             .min_by_key(|e| e.rank)
             .map_or(NodeRef::new(node, ChordId(0)), RouteEntry::node_ref)
     }
+}
+
+/// The length of `fingers`' settled prefix (see `Chord::settled`).
+fn settled_len(me: ChordId, fingers: &[Option<NodeRef>]) -> u32 {
+    let mut floor = 0;
+    fingers
+        .iter()
+        .zip(0u32..)
+        .take_while(|&(f, i)| {
+            f.is_some_and(|f| {
+                let d = me.distance_to(f.id);
+                let settled = d >= 1u64 << i && d >= floor;
+                floor = d;
+                settled
+            })
+        })
+        .count() as u32
 }
 
 #[cfg(test)]

@@ -2,7 +2,10 @@
 //! are kept here, verbatim, as the oracle, and random tables — sparse and
 //! stale fingers, several nodes under one ring id, one node under several,
 //! holders of our own id, empty successor lists — must get the same answer
-//! from both, tie-breaks included.
+//! from both, tie-breaks included. The same goes for the two short cuts
+//! over the finger table: `note_alive`'s settled prefix against the 64-slot
+//! scan, and local finger starts settled in place against the lookup that
+//! used to settle them.
 //!
 //! Below them, the finger-repair cases: what `FixFingers` sends, to whom,
 //! and what each answer does to the table.
@@ -16,7 +19,8 @@ use rand::{Rng, SeedableRng};
 use super::*;
 
 // ----------------------------------------------------------------------
-// The oracle: one pass over every table entry per question.
+// The oracles: one pass over every table entry per question, every slot
+// per heard node, a lookup per finger start.
 // ----------------------------------------------------------------------
 
 impl Chord {
@@ -73,6 +77,78 @@ impl Chord {
         self.route_stale = true;
         self.refresh_route();
         assert_eq!(lazy, self.route, "route index stale after {after}");
+    }
+
+    /// A settled prefix, once known, must be the fingers' own: a finger
+    /// write that forgot to clear it shows here.
+    fn assert_settled_current(&self, after: &str) {
+        if let Some(settled) = self.settled {
+            let fresh = settled_len(self.me.id, &self.fingers);
+            assert_eq!(settled, fresh, "settled prefix stale after {after}");
+        }
+    }
+
+    /// `note_alive` before the settled prefix: every slot, every time.
+    fn note_alive_scan(&mut self, n: NodeRef) {
+        if n.node == self.me.node || n.id == self.me.id {
+            return;
+        }
+        for i in 0..ChordId::BITS {
+            let idx = i as usize;
+            let start = self.me.id.finger_start(i);
+            if !start.in_open_closed(self.me.id, n.id) {
+                continue; // n does not cover this finger interval
+            }
+            let better = match self.fingers[idx] {
+                None => true,
+                Some(cur) => start.distance_to(n.id) < start.distance_to(cur.id),
+            };
+            if better {
+                self.fingers[idx] = Some(n);
+                self.route_stale = true;
+            }
+        }
+    }
+
+    /// `resolve_finger` before local starts were settled in place: every
+    /// slot opens a lookup, which a local start finishes at once.
+    fn resolve_finger_by_lookup(&mut self, i: u32) -> Vec<ChordAction> {
+        let token = self.start_lookup(self.me.id.finger_start(i), Purpose::Finger(i));
+        self.resolve_or_send(token, false)
+    }
+
+    /// `on_fix_fingers_timer` over `resolve_finger_by_lookup`.
+    fn on_fix_fingers_timer_by_lookup(&mut self) -> Vec<ChordAction> {
+        let delay_ms = self.jittered(self.cfg.fix_fingers_period_ms);
+        let mut actions = vec![ChordAction::SetTimer {
+            delay_ms,
+            timer: ChordTimer::FixFingers,
+        }];
+        if !self.joined || self.successor().node == self.me.node {
+            return actions;
+        }
+        let first_token = self.next_token;
+        for _ in 0..self.cfg.fingers_per_round.max(1) {
+            let i = self.next_finger;
+            self.next_finger = (self.next_finger + 1) % ChordId::BITS;
+            let start = self.me.id.finger_start(i);
+            actions.extend(match self.fingers[i as usize] {
+                Some(f) if self.local_owner(start).is_none() => {
+                    self.verify_finger(i, start, f, first_token)
+                }
+                _ => self.resolve_finger_by_lookup(i),
+            });
+        }
+        actions
+    }
+
+    /// Everything a lookup in flight holds, in token order.
+    fn lookups_in_flight(&self) -> Vec<(u64, ChordId, Purpose, NodeRef, u32)> {
+        self.lookups
+            .0
+            .iter()
+            .map(|lk| (lk.token, lk.key, lk.purpose, lk.current, lk.attempt))
+            .collect()
     }
 }
 
@@ -140,6 +216,69 @@ fn random_node(rng: &mut StdRng) -> (Chord, Vec<NodeRef>) {
     }
     node.route_stale = true;
     (node, pool)
+}
+
+/// A member of a converged ring whose table was then disturbed: a few slots
+/// emptied, or pointed at another member (often one behind the slot's
+/// start) or at a stranger — a second holder of a member's ring id, a
+/// holder of our own id, a node just beside a member. The pool is the ring
+/// and the strangers.
+fn ring_node(rng: &mut StdRng) -> (Chord, Vec<NodeRef>) {
+    // Ids at every scale, so fingers of every height differ.
+    let mut ids: Vec<u64> = (0..rng.gen_range(1..40))
+        .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64))
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let ring: Vec<NodeRef> = ids
+        .iter()
+        .enumerate()
+        .map(|(k, &id)| NodeRef::new(NodeId::from_index(k), ChordId(id)))
+        .collect();
+    let (mut node, _) =
+        Chord::converged(rng.gen_range(0..ring.len()), &ring, ChordConfig::default());
+    let mut pool = ring.clone();
+    for k in 0..rng.gen_range(0..6) {
+        let near = ring[rng.gen_range(0..ring.len())].id.0;
+        let id = match rng.gen_range(0..4) {
+            0 => node.me.id.0,
+            1 => near,
+            2 => near.wrapping_add(rng.gen_range(1..4)),
+            _ => near.wrapping_sub(rng.gen_range(1..4)),
+        };
+        pool.push(NodeRef::new(
+            NodeId::from_index(ring.len() + k),
+            ChordId(id),
+        ));
+    }
+    for _ in 0..rng.gen_range(0..4) {
+        let to = rng
+            .gen_bool(0.8)
+            .then(|| pool[rng.gen_range(0..pool.len())]);
+        node.set_finger(rng.gen_range(0..64), to);
+    }
+    (node, pool)
+}
+
+/// Two equal nodes from one seed (`Chord` has no `Clone`), either kind, and
+/// the generator positioned after them, for what is then done to both.
+fn twins(seed: u64) -> (Chord, Chord, Vec<NodeRef>, StdRng) {
+    let make = |rng: &mut StdRng| {
+        if rng.gen_bool(0.5) {
+            random_node(rng)
+        } else {
+            ring_node(rng)
+        }
+    };
+    let (b, _) = make(&mut StdRng::seed_from_u64(seed));
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (a, pool) = make(&mut rng);
+    (a, b, pool, rng)
+}
+
+/// Actions compared as the golden test sees them.
+fn shown(actions: &[ChordAction]) -> String {
+    format!("{actions:?}")
 }
 
 fn random_key(rng: &mut StdRng, me: NodeRef, pool: &[NodeRef]) -> ChordId {
@@ -264,8 +403,136 @@ proptest! {
                 }
             };
             node.assert_route_current(op);
+            node.assert_settled_current(op);
         }
     }
+
+    /// `note_alive` against the 64-slot scan it short-cuts, between every
+    /// other finger write: the same fingers and the same stale mark, and a
+    /// known settled prefix is always the fingers' own.
+    #[test]
+    fn note_alive_answers_like_the_scan(seed: u64) {
+        let (mut node, mut scan, pool, mut rng) = twins(seed);
+        for _ in 0..48 {
+            let r = pool[rng.gen_range(0..pool.len())];
+            let op = match rng.gen_range(0..10) {
+                0 => {
+                    node.purge(r.node);
+                    scan.purge(r.node);
+                    "purge"
+                }
+                1 => {
+                    let (i, to) = (rng.gen_range(0..64), rng.gen_bool(0.7).then_some(r));
+                    node.set_finger(i, to);
+                    scan.set_finger(i, to);
+                    "set_finger"
+                }
+                2 => {
+                    node.refresh_route();
+                    scan.refresh_route();
+                    "refresh_route"
+                }
+                _ => {
+                    // A node we know of, or one just beside it.
+                    let heard = match rng.gen_range(0..4) {
+                        0 => NodeRef::new(r.node, ChordId(r.id.0.wrapping_add(1))),
+                        1 => NodeRef::new(r.node, ChordId(r.id.0.wrapping_sub(1))),
+                        _ => r,
+                    };
+                    node.note_alive(heard);
+                    scan.note_alive_scan(heard);
+                    "note_alive"
+                }
+            };
+            prop_assert_eq!(&node.fingers, &scan.fingers, "fingers after {}", op);
+            prop_assert_eq!(node.route_stale, scan.route_stale, "stale mark after {}", op);
+            node.assert_settled_current(op);
+        }
+    }
+
+    /// Every slot resolved both ways, in sweep order: a local start settled
+    /// in place leaves what its lookup left — tokens, fingers, lookups in
+    /// flight, the index once rebuilt — and emits what it emitted.
+    #[test]
+    fn resolve_finger_settles_like_its_lookup(seed: u64) {
+        let (mut node, mut lookup, _, _) = twins(seed);
+        for i in 0..ChordId::BITS {
+            let (ours, theirs) = (node.resolve_finger(i), lookup.resolve_finger_by_lookup(i));
+            prop_assert_eq!(shown(&ours), shown(&theirs), "slot {}", i);
+            prop_assert_eq!(node.next_token, lookup.next_token, "slot {}", i);
+            prop_assert_eq!(&node.fingers, &lookup.fingers, "slot {}", i);
+            prop_assert_eq!(node.lookups_in_flight(), lookup.lookups_in_flight(), "slot {}", i);
+        }
+        node.refresh_route();
+        lookup.refresh_route();
+        prop_assert_eq!(&node.route, &lookup.route);
+    }
+
+    /// A whole sweep, four firings of 16 slots: the same actions with the
+    /// same tokens as when every slot opened a lookup.
+    #[test]
+    fn fix_fingers_sweep_matches_the_lookup_path(seed: u64) {
+        let (mut node, mut lookup, _, _) = twins(seed);
+        for firing in 0..4 {
+            let ours = node.handle_timer(ChordTimer::FixFingers);
+            let theirs = lookup.on_fix_fingers_timer_by_lookup();
+            prop_assert_eq!(shown(&ours), shown(&theirs), "firing {}", firing);
+            prop_assert_eq!(node.next_token, lookup.next_token, "firing {}", firing);
+            prop_assert_eq!(&node.fingers, &lookup.fingers, "firing {}", firing);
+            prop_assert_eq!(node.lookups_in_flight(), lookup.lookups_in_flight(), "firing {}", firing);
+        }
+    }
+}
+
+#[test]
+fn a_converged_table_hears_every_member_in_constant_time() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut ids: Vec<u64> = (0..600).map(|_| rng.gen()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let ring: Vec<NodeRef> = ids
+        .iter()
+        .enumerate()
+        .map(|(k, &id)| NodeRef::new(NodeId::from_index(k), ChordId(id)))
+        .collect();
+    for me in [0, 1, 300, ring.len() - 1] {
+        let (mut node, _) = Chord::converged(me, &ring, ChordConfig::default());
+        for (k, &n) in ring.iter().enumerate() {
+            assert!(
+                k == me || node.settled_covers(n),
+                "member {k} scans at {me}"
+            );
+        }
+        // A newcomer just in front of a finger is closer to its start: it
+        // is not covered, and the scan takes it.
+        let start = node.me.id.finger_start(60);
+        let f = node.fingers[60].expect("slot 60 is filled");
+        assert_ne!(f.id, start);
+        let newcomer = NodeRef::new(NodeId::from_index(9_999), ChordId(f.id.0.wrapping_sub(1)));
+        assert!(!node.settled_covers(newcomer));
+        node.note_alive(newcomer);
+        assert_eq!(node.fingers[60], Some(newcomer));
+        node.assert_settled_current("note_alive");
+    }
+}
+
+#[test]
+fn adopting_the_successor_list_as_it_stands_leaves_the_index_current() {
+    let ring: Vec<NodeRef> = (0..40u64)
+        .map(|i| NodeRef::new(NodeId::from_index(i as usize), ChordId(i << 58)))
+        .collect();
+    let (mut node, _) = Chord::converged(3, &ring, ChordConfig::default());
+    node.refresh_route();
+    // Every member of the list, and the next one past it (inserted at the
+    // tail and cut off again), changes nothing.
+    for &s in &ring[4..=4 + SUCCESSOR_LIST_LEN] {
+        node.adopt_successor(s);
+        assert!(!node.route_stale, "adopting {s} marked the index stale");
+    }
+    // A newcomer in front of the successor does.
+    node.adopt_successor(NodeRef::new(NodeId::from_index(99), ChordId((3 << 58) + 1)));
+    assert!(node.route_stale);
+    node.assert_route_current("adopt_successor");
 }
 
 #[test]
