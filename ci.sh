@@ -82,6 +82,9 @@ for f in runs.csv summary.csv; do
     diff "$smoke_out/j2/$f" "$smoke_out/j1/$f" \
         || { echo "sweep output $f depends on --jobs"; exit 1; }
 done
+# A scenario file parsed, bounds-checked and run end to end: every verb once.
+cargo run --release -p flower-bench --bin sweep -- --smoke \
+    --scenario scripts/all_verbs.scenario --out "$smoke_out/verbs"
 rm -rf "$smoke_out"
 
 echo "==> repository benchmark (binding surface + outcome_digest guard)"

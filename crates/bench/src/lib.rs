@@ -1,37 +1,10 @@
 //! Shared harness for the figure/table regeneration binaries.
 //!
-//! Every grid binary accepts (see [`opts::USAGE`]):
-//!
-//! * `--quick` — a reduced-scale run (minutes of virtual time, small
-//!   population) for smoke-testing the pipeline;
-//! * `--seed N` / `--seeds a,b,c|start..end` — one run or a multi-seed
-//!   sweep; multi-seed harnesses aggregate across seeds;
-//! * `--jobs N` — worker threads (default: available cores; the
-//!   aggregated output never depends on it);
-//! * `--out DIR` — result-file directory (default `results/`);
-//! * `--trace-out DIR` — stream every simulation event of every run as
-//!   JSON lines to `DIR/<cell-label>_s<seed>.jsonl`; one query's causal
-//!   path is the set of lines sharing its `qid`;
-//! * `--profile-out PATH` — enable the performance profiler (phase
-//!   timers, per-message-class accounting) in every run and write the
-//!   collected cells as one `BENCH`-schema report to `PATH`;
-//! * `--scenario FILE` — apply a [`chaos`] fault schedule (scenario text
-//!   format; see `DESIGN.md` §7) identically to every run, in place of
-//!   any canned schedule.
-//!
-//! These reach the runs one way: [`HarnessOpts::sweep_opts`] and
-//! [`HarnessOpts::cell`] into [`sweep::run_grid_with`]. Four more flags
-//! mean something only to some binaries; each `main` names the ones it
-//! acts on in its [`HarnessOpts::parse`] call and the rest exit 2 with
-//! the usage text, like any unknown flag:
-//!
-//! * `--population N` — override the mean population (not
-//!   `table2_scalability` and `sweep`, which sweep it);
-//! * `--gauges MS` — sample live gauges (population, D-ring size, petal
-//!   sizes, per-class message rates) every `MS` of virtual time
-//!   (`figures_p3000` charts and writes them, `ablation_petalup` reads
-//!   its structure columns from them);
-//! * `--assert-recovery` — `resilience` only; `--smoke` — `sweep` only.
+//! Every binary takes the flags [`opts::USAGE`] lists. The ones every
+//! binary accepts reach the runs one way: [`HarnessOpts::sweep_opts`] and
+//! [`HarnessOpts::cell`] into [`sweep::run_grid_with`]. The ones only some
+//! binaries act on are named by each `main` in its [`HarnessOpts::parse`]
+//! call; the rest exit 2 with the usage text, like any unknown flag.
 //!
 //! Without flags, binaries run the **paper-scale** configuration
 //! (Table 1: 24 simulated hours, 100 websites × 500 objects, k = 6,

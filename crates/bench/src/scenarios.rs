@@ -55,3 +55,25 @@ pub fn canned_resilience_scenario(params: &SimParams) -> Scenario {
             },
         )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::HarnessOpts;
+
+    /// The schedule `resilience --quick` prints and runs, pinned as text.
+    #[test]
+    fn canned_schedule_text_is_pinned_at_the_quick_horizon() {
+        let params = HarnessOpts::from_args(["--quick"], &[])
+            .unwrap()
+            .params(3_000);
+        assert_eq!(
+            canned_resilience_scenario(&params).to_string(),
+            "at 30m kill-directories\n\
+             at 1h partition locality=1 heal-after=10m\n\
+             at 75m join-wave count=75 website=0\n\
+             at 90m link-fault loss=0.05 duplicate=0.01 jitter=30ms for=10m\n\
+             at 105m origin-brownout extra=400ms for=5m\n"
+        );
+    }
+}

@@ -23,18 +23,12 @@
 //! and every scenario round-trips: `scenario.to_string().parse()` yields
 //! an equal value (property-tested in `tests/scenario_roundtrip.rs`).
 //!
-//! | verb | keys | meaning |
-//! |------|------|---------|
-//! | `kill-directories` | `website?` `count?` | fail-stop current directory holders (all websites / all holders unless narrowed) |
-//! | `kill-random` | `count` `locality?` | fail-stop random live peers |
-//! | `leave-wave` | `count` | graceful departure of random live peers |
-//! | `join-wave` | `count` `website?` `lifetime?` | flash crowd: spawn peers at once |
-//! | `partition` | `locality` `heal-after?` | isolate a locality (optionally auto-heal) |
-//! | `heal` | `locality?` | heal one partition, or all |
-//! | `link-fault` | `loss?` `duplicate?` `jitter?` `for?` | random loss / duplication / extra delay on every link |
-//! | `clear-link-fault` | | reset loss/duplication/jitter |
-//! | `origin-brownout` | `extra` `website?` `for?` | add latency to origin fetches |
-//! | `origin-restore` | | end all brownouts |
+//! The verbs and their keys are the rows of the `fault_rows!` table in
+//! this file: one row per verb gives its text, its [`FaultAction`] variant
+//! and each key in print order with the field it fills, its kind and
+//! whether it is required. Printing, parsing and
+//! [`Scenario::check_bounds`] are all read off those rows; each variant's
+//! doc says what the fault does.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -146,28 +140,17 @@ impl Scenario {
     /// names the offending fault and the bound.
     pub fn check_bounds(&self, websites: u16, localities: u16) -> Result<(), String> {
         for fault in &self.faults {
-            let (website, locality) = match fault.action {
-                FaultAction::KillDirectories { website, .. }
-                | FaultAction::JoinWave { website, .. }
-                | FaultAction::OriginBrownout { website, .. } => (website, None),
-                FaultAction::KillRandom { locality, .. } | FaultAction::Heal { locality } => {
-                    (None, locality)
-                }
-                FaultAction::Partition { locality, .. } => (None, Some(locality)),
-                FaultAction::LeaveWave { .. }
-                | FaultAction::LinkFault { .. }
-                | FaultAction::ClearLinkFault
-                | FaultAction::OriginRestore => (None, None),
-            };
-            if let Some(w) = website.filter(|&w| w >= u32::from(websites)) {
-                return Err(format!(
-                    "`{fault}`: website={w} is out of range: the catalog has {websites} websites"
-                ));
-            }
-            if let Some(l) = locality.filter(|&l| l >= u32::from(localities)) {
-                return Err(format!(
-                    "`{fault}`: locality={l} is out of range: the topology has {localities} localities"
-                ));
+            for (key, value) in fault.action.row().1 {
+                let bound = match value {
+                    Value::Website(w) if w >= u32::from(websites) => {
+                        format!("the catalog has {websites} websites")
+                    }
+                    Value::Locality(l) if l >= u32::from(localities) => {
+                        format!("the topology has {localities} localities")
+                    }
+                    _ => continue,
+                };
+                return Err(format!("`{fault}`: {key}={value} is out of range: {bound}"));
             }
         }
         Ok(())
@@ -203,94 +186,12 @@ fn fmt_dur(ms: u64) -> String {
 
 impl fmt::Display for FaultAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultAction::KillDirectories { website, count } => {
-                write!(f, "kill-directories")?;
-                if let Some(w) = website {
-                    write!(f, " website={w}")?;
-                }
-                if let Some(c) = count {
-                    write!(f, " count={c}")?;
-                }
-                Ok(())
-            }
-            FaultAction::KillRandom { count, locality } => {
-                write!(f, "kill-random count={count}")?;
-                if let Some(l) = locality {
-                    write!(f, " locality={l}")?;
-                }
-                Ok(())
-            }
-            FaultAction::LeaveWave { count } => write!(f, "leave-wave count={count}"),
-            FaultAction::JoinWave {
-                count,
-                website,
-                lifetime_ms,
-            } => {
-                write!(f, "join-wave count={count}")?;
-                if let Some(w) = website {
-                    write!(f, " website={w}")?;
-                }
-                if let Some(ms) = lifetime_ms {
-                    write!(f, " lifetime={}", fmt_dur(*ms))?;
-                }
-                Ok(())
-            }
-            FaultAction::Partition {
-                locality,
-                heal_after_ms,
-            } => {
-                write!(f, "partition locality={locality}")?;
-                if let Some(ms) = heal_after_ms {
-                    write!(f, " heal-after={}", fmt_dur(*ms))?;
-                }
-                Ok(())
-            }
-            FaultAction::Heal { locality } => {
-                write!(f, "heal")?;
-                if let Some(l) = locality {
-                    write!(f, " locality={l}")?;
-                }
-                Ok(())
-            }
-            FaultAction::LinkFault {
-                loss,
-                duplicate,
-                jitter_ms,
-                for_ms,
-            } => {
-                write!(f, "link-fault")?;
-                if *loss > 0.0 {
-                    write!(f, " loss={loss}")?;
-                }
-                if *duplicate > 0.0 {
-                    write!(f, " duplicate={duplicate}")?;
-                }
-                if *jitter_ms > 0 {
-                    write!(f, " jitter={}", fmt_dur(*jitter_ms))?;
-                }
-                if let Some(ms) = for_ms {
-                    write!(f, " for={}", fmt_dur(*ms))?;
-                }
-                Ok(())
-            }
-            FaultAction::ClearLinkFault => write!(f, "clear-link-fault"),
-            FaultAction::OriginBrownout {
-                website,
-                extra_ms,
-                for_ms,
-            } => {
-                write!(f, "origin-brownout extra={}", fmt_dur(*extra_ms))?;
-                if let Some(w) = website {
-                    write!(f, " website={w}")?;
-                }
-                if let Some(ms) = for_ms {
-                    write!(f, " for={}", fmt_dur(*ms))?;
-                }
-                Ok(())
-            }
-            FaultAction::OriginRestore => write!(f, "origin-restore"),
+        let (verb, keys) = self.row();
+        f.write_str(verb)?;
+        for (key, value) in keys {
+            write!(f, " {key}={value}")?;
         }
+        Ok(())
     }
 }
 
@@ -403,12 +304,12 @@ fn dur(kv: &mut BTreeMap<&str, &str>, key: &str) -> Result<Option<u64>, String> 
     }
 }
 
-fn prob(kv: &mut BTreeMap<&str, &str>, key: &str) -> Result<f64, String> {
-    let p: f64 = num(kv, key)?.unwrap_or(0.0);
-    if (0.0..=1.0).contains(&p) {
-        Ok(p)
-    } else {
-        Err(format!("`{key}` must be a probability in [0,1], got {p}"))
+fn prob(kv: &mut BTreeMap<&str, &str>, key: &str) -> Result<Option<f64>, String> {
+    match num(kv, key)? {
+        Some(p) if !(0.0..=1.0).contains(&p) => {
+            Err(format!("`{key}` must be a probability in [0,1], got {p}"))
+        }
+        p => Ok(p),
     }
 }
 
@@ -416,50 +317,125 @@ fn require<T>(v: Option<T>, key: &str, verb: &str) -> Result<T, String> {
     v.ok_or_else(|| format!("`{verb}` requires `{key}=`"))
 }
 
-fn build_action(verb: &str, kv: &mut BTreeMap<&str, &str>) -> Result<FaultAction, String> {
-    match verb {
-        "kill-directories" => Ok(FaultAction::KillDirectories {
-            website: num(kv, "website")?,
-            count: num(kv, "count")?,
-        }),
-        "kill-random" => Ok(FaultAction::KillRandom {
-            count: require(num(kv, "count")?, "count", verb)?,
-            locality: num(kv, "locality")?,
-        }),
-        "leave-wave" => Ok(FaultAction::LeaveWave {
-            count: require(num(kv, "count")?, "count", verb)?,
-        }),
-        "join-wave" => Ok(FaultAction::JoinWave {
-            count: require(num(kv, "count")?, "count", verb)?,
-            website: num(kv, "website")?,
-            lifetime_ms: dur(kv, "lifetime")?,
-        }),
-        "partition" => Ok(FaultAction::Partition {
-            locality: require(num(kv, "locality")?, "locality", verb)?,
-            heal_after_ms: dur(kv, "heal-after")?,
-        }),
-        "heal" => Ok(FaultAction::Heal {
-            locality: num(kv, "locality")?,
-        }),
-        "link-fault" => Ok(FaultAction::LinkFault {
-            loss: prob(kv, "loss")?,
-            duplicate: prob(kv, "duplicate")?,
-            jitter_ms: dur(kv, "jitter")?.unwrap_or(0),
-            for_ms: dur(kv, "for")?,
-        }),
-        "clear-link-fault" => Ok(FaultAction::ClearLinkFault),
-        "origin-brownout" => Ok(FaultAction::OriginBrownout {
-            website: num(kv, "website")?,
-            extra_ms: require(dur(kv, "extra")?, "extra", verb)?,
-            for_ms: dur(kv, "for")?,
-        }),
-        "origin-restore" => Ok(FaultAction::OriginRestore),
-        other => Err(format!("unknown fault verb `{other}`")),
+// ---------------------------------------------------------------------
+// The verb table: one row per verb.
+// ---------------------------------------------------------------------
+
+/// One key's value, tagged with its kind: the kind says how the value is
+/// read and printed, and which dimension of the run, if any, bounds it.
+#[derive(Debug, Clone, Copy)]
+enum Value {
+    /// A number of peers.
+    Count(u32),
+    /// A website index: below the catalog's website count.
+    Website(u32),
+    /// A locality index: below the topology's locality count.
+    Locality(u32),
+    /// Milliseconds, printed by [`fmt_dur`] and read by [`parse_dur`].
+    Duration(u64),
+    /// A per-message probability in [0,1].
+    Probability(f64),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Value::Count(n) | Value::Website(n) | Value::Locality(n) => write!(f, "{n}"),
+            Value::Duration(ms) => f.write_str(&fmt_dur(ms)),
+            Value::Probability(p) => write!(f, "{p}"),
+        }
     }
+}
+
+/// `"verb" => Variant { "key" => field: Kind presence, ... }`, keys in
+/// print order. `Kind` is a [`Value`] variant. `presence` is `required`
+/// (parsing fails without the key), `optional` (an `Option` field, printed
+/// when set) or `default_zero` (absent reads as zero, and zero is not
+/// printed). The row generates `FaultAction::row`, which `Display` and
+/// `check_bounds` read, and `build_action`, which parses. The patterns
+/// and constructors name every field, so a field without a key does not
+/// compile; a key's field type must match its kind and presence.
+macro_rules! fault_rows {
+    (@read Count, $kv:ident, $key:literal) => { num($kv, $key)? };
+    (@read Website, $kv:ident, $key:literal) => { num($kv, $key)? };
+    (@read Locality, $kv:ident, $key:literal) => { num($kv, $key)? };
+    (@read Duration, $kv:ident, $key:literal) => { dur($kv, $key)? };
+    (@read Probability, $kv:ident, $key:literal) => { prob($kv, $key)? };
+    (@fill required, $v:expr, $key:literal, $verb:ident) => { require($v, $key, $verb)? };
+    (@fill optional, $v:expr, $key:literal, $verb:ident) => { $v };
+    (@fill default_zero, $v:expr, $key:literal, $verb:ident) => { $v.unwrap_or_default() };
+    (@show required, $v:expr) => { Some($v) };
+    (@show optional, $v:expr) => { $v };
+    (@show default_zero, $v:expr) => { Some($v).filter(|v| *v > Default::default()) };
+    ($($verb:literal => $variant:ident {
+        $($key:literal => $field:ident: $kind:ident $presence:ident),* $(,)?
+    }),* $(,)?) => {
+        impl FaultAction {
+            /// The verb's text, then each key the action prints, in order.
+            fn row(&self) -> (&'static str, Vec<(&'static str, Value)>) {
+                let (verb, keys): (_, Vec<Option<(&'static str, Value)>>) = match self {
+                    $(FaultAction::$variant { $($field),* } => ($verb, vec![$(
+                        fault_rows!(@show $presence, *$field).map(|v| ($key, Value::$kind(v)))
+                    ),*]),)*
+                };
+                (verb, keys.into_iter().flatten().collect())
+            }
+        }
+
+        fn build_action(verb: &str, kv: &mut BTreeMap<&str, &str>) -> Result<FaultAction, String> {
+            match verb {
+                $($verb => Ok(FaultAction::$variant {
+                    $($field: fault_rows!(@fill $presence, fault_rows!(@read $kind, kv, $key), $key, verb)),*
+                }),)*
+                other => Err(format!("unknown fault verb `{other}`")),
+            }
+        }
+    };
+}
+
+fault_rows! {
+    "kill-directories" => KillDirectories {
+        "website" => website: Website optional,
+        "count" => count: Count optional,
+    },
+    "kill-random" => KillRandom {
+        "count" => count: Count required,
+        "locality" => locality: Locality optional,
+    },
+    "leave-wave" => LeaveWave {
+        "count" => count: Count required,
+    },
+    "join-wave" => JoinWave {
+        "count" => count: Count required,
+        "website" => website: Website optional,
+        "lifetime" => lifetime_ms: Duration optional,
+    },
+    "partition" => Partition {
+        "locality" => locality: Locality required,
+        "heal-after" => heal_after_ms: Duration optional,
+    },
+    "heal" => Heal {
+        "locality" => locality: Locality optional,
+    },
+    "link-fault" => LinkFault {
+        "loss" => loss: Probability default_zero,
+        "duplicate" => duplicate: Probability default_zero,
+        "jitter" => jitter_ms: Duration default_zero,
+        "for" => for_ms: Duration optional,
+    },
+    "clear-link-fault" => ClearLinkFault {},
+    "origin-brownout" => OriginBrownout {
+        "extra" => extra_ms: Duration required,
+        "website" => website: Website optional,
+        "for" => for_ms: Duration optional,
+    },
+    "origin-restore" => OriginRestore {},
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -608,6 +584,59 @@ at 6m heal
             let sc: Scenario = line.parse().unwrap();
             assert!(sc.check_bounds(10, 6).is_err(), "{line}");
         }
+    }
+
+    #[test]
+    fn rows_require_their_keys_and_bound_their_targets() {
+        for (line, verb, key) in [
+            ("at 1s kill-random locality=1", "kill-random", "count"),
+            ("at 1s leave-wave", "leave-wave", "count"),
+            (
+                "at 1s join-wave website=1 lifetime=1m",
+                "join-wave",
+                "count",
+            ),
+            ("at 1s partition heal-after=1m", "partition", "locality"),
+            (
+                "at 1s origin-brownout website=1 for=1m",
+                "origin-brownout",
+                "extra",
+            ),
+        ] {
+            let err = line.parse::<Scenario>().unwrap_err();
+            assert_eq!(err.msg, format!("`{verb}` requires `{key}=`"), "{line}");
+        }
+        // Every website and locality key, one past the largest u16 bound.
+        for line in [
+            "at 1m kill-directories website=65536",
+            "at 1m kill-random count=1 locality=65536",
+            "at 1m join-wave count=1 website=65536",
+            "at 1m partition locality=65536",
+            "at 1m heal locality=65536",
+            "at 1m origin-brownout extra=1s website=65536",
+        ] {
+            let sc: Scenario = line.parse().unwrap();
+            let err = sc.check_bounds(u16::MAX, u16::MAX).unwrap_err();
+            assert!(err.contains("=65536 is out of range"), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn all_verbs_script_is_canonical_and_fits_the_smoke_grid() {
+        let text = include_str!("../../../scripts/all_verbs.scenario");
+        let sc: Scenario = text.parse().unwrap();
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        assert_eq!(lines.len(), sc.len());
+        for (line, fault) in lines.iter().zip(sc.iter()) {
+            assert_eq!(*line, fault.to_string(), "not in canonical spelling");
+        }
+        let verbs: BTreeSet<&str> = sc.iter().map(|f| f.action.row().0).collect();
+        assert_eq!(verbs.len(), 10, "every verb once at least: {verbs:?}");
+        // `sweep --smoke`: 4 websites, the default 6 localities.
+        assert_eq!(sc.check_bounds(4, 6), Ok(()));
     }
 
     #[test]

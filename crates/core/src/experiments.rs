@@ -56,11 +56,6 @@ pub fn run_system_with(
     }
 }
 
-/// [`run_system_with`] without customization.
-pub fn run_system(system: System, params: SimParams) -> RunResult {
-    run_system_with(system, params, |_| {})
-}
-
 /// Both systems run under the same parameters.
 pub struct ComparisonRun {
     pub params: SimParams,
@@ -71,8 +66,8 @@ pub struct ComparisonRun {
 /// Run Flower-CDN and Squirrel side by side (two OS threads).
 pub fn run_comparison(params: SimParams) -> ComparisonRun {
     let (flower, squirrel) = std::thread::scope(|s| {
-        let squirrel = s.spawn(|| run_system(System::Squirrel, params.clone()));
-        let flower = run_system(System::FlowerCdn, params.clone());
+        let squirrel = s.spawn(|| run_system_with(System::Squirrel, params.clone(), |_| {}));
+        let flower = run_system_with(System::FlowerCdn, params.clone(), |_| {});
         (flower, squirrel.join().expect("squirrel run"))
     });
     ComparisonRun {
@@ -142,15 +137,6 @@ impl MaintenanceVariant {
             }
         }
     }
-}
-
-/// Run Flower-CDN with parts of the maintenance machinery disabled, to
-/// quantify what each contributes (the paper argues §5 is what keeps the
-/// hit ratio climbing under churn; this measures it).
-pub fn run_maintenance_variant(params: SimParams, variant: MaintenanceVariant) -> RunResult {
-    let mut params = params;
-    variant.apply(&mut params);
-    run_system(System::FlowerCdn, params)
 }
 
 /// A reduced-scale configuration that preserves the *ratios* that drive the

@@ -62,9 +62,7 @@ pub use dirinfo::DirInfo;
 pub use dring::DirPosition;
 pub use driver::SimDriver;
 pub use engine::{Control, Engine, RunResult, SimSystem};
-pub use experiments::{
-    run_comparison, run_system, run_system_with, shape_params, ComparisonRun, System,
-};
+pub use experiments::{run_comparison, run_system_with, shape_params, ComparisonRun, System};
 pub use flower::{Flower, FlowerHost, FlowerSim};
 pub use flower_proto::{
     machine_rng, machine_seed, ApiCall, ApiResp, Env, Fx, Input, Machine, OriginDial, Output,

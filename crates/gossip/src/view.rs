@@ -6,11 +6,9 @@
 //! subject, and an application payload (Flower-CDN piggybacks the contact's
 //! content summary).
 //!
-//! Flower-CDN deliberately does *not* bound the view: "we do not limit the
-//! view size of a content peer and allow it to grow with the size of its
-//! petal" (§6.1), relying on failure-detection removals to keep it tight. The
-//! classic fixed-capacity behaviour is still supported for protocols that
-//! need it (and for the Cyclon conformance tests).
+//! The view is not bounded: "we do not limit the view size of a content
+//! peer and allow it to grow with the size of its petal" (§6.1), relying on
+//! failure-detection removals and age expiry to keep it tight.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -42,24 +40,13 @@ impl<P> Entry<P> {
 #[derive(Debug, Clone)]
 pub struct View<P> {
     entries: Vec<Entry<P>>,
-    capacity: Option<usize>,
 }
 
 impl<P: Clone> View<P> {
-    /// An unbounded view (Flower-CDN mode).
+    /// An empty view.
     pub fn unbounded() -> View<P> {
         View {
             entries: Vec::new(),
-            capacity: None,
-        }
-    }
-
-    /// A view with a fixed capacity (classic Cyclon mode).
-    pub fn bounded(capacity: usize) -> View<P> {
-        assert!(capacity > 0);
-        View {
-            entries: Vec::new(),
-            capacity: Some(capacity),
         }
     }
 
@@ -69,10 +56,6 @@ impl<P: Clone> View<P> {
 
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     pub fn contains(&self, node: NodeId) -> bool {
@@ -98,9 +81,6 @@ impl<P: Clone> View<P> {
     /// from the fresher descriptor) — this is the freshness rule Flower-CDN
     /// also applies to dir-info records (§5.1). Returns `true` if the view
     /// changed.
-    ///
-    /// On a full bounded view a new contact is dropped (the shuffle logic
-    /// handles replacement explicitly).
     pub fn upsert(&mut self, entry: Entry<P>) -> bool {
         if let Some(existing) = self.entries.iter_mut().find(|e| e.node == entry.node) {
             if entry.age < existing.age {
@@ -109,32 +89,8 @@ impl<P: Clone> View<P> {
             }
             return false;
         }
-        if let Some(cap) = self.capacity {
-            if self.entries.len() >= cap {
-                return false;
-            }
-        }
         self.entries.push(entry);
         true
-    }
-
-    /// Insert or refresh, replacing one of the nodes in `replaceable` if the
-    /// view is full (classic Cyclon slot reuse). Returns `true` on change.
-    pub fn upsert_replacing(&mut self, entry: Entry<P>, replaceable: &mut Vec<NodeId>) -> bool {
-        if self.contains(entry.node) || self.capacity.is_none() {
-            return self.upsert(entry);
-        }
-        let cap = self.capacity.expect("bounded");
-        if self.entries.len() < cap {
-            return self.upsert(entry);
-        }
-        while let Some(victim) = replaceable.pop() {
-            if let Some(pos) = self.entries.iter().position(|e| e.node == victim) {
-                self.entries[pos] = entry;
-                return true;
-            }
-        }
-        false
     }
 
     /// Remove a contact (e.g. one found unreachable). Returns the removed
@@ -170,7 +126,7 @@ impl<P: Clone> View<P> {
         evicted
     }
 
-    /// The entry with the highest age (classic Cyclon's shuffle target).
+    /// The entry with the highest age (the shuffle target).
     pub fn oldest(&self) -> Option<&Entry<P>> {
         self.entries.iter().max_by_key(|e| e.age)
     }
@@ -233,21 +189,6 @@ mod tests {
         assert_eq!(v.get(n(1)).unwrap().age, 2);
         assert_eq!(v.get(n(1)).unwrap().payload, 42);
         assert_eq!(v.len(), 1);
-    }
-
-    #[test]
-    fn bounded_view_rejects_overflow_but_replaces_sent() {
-        let mut v: View<()> = View::bounded(2);
-        assert!(v.upsert(Entry::new(n(1), ())));
-        assert!(v.upsert(Entry::new(n(2), ())));
-        assert!(
-            !v.upsert(Entry::new(n(3), ())),
-            "full view drops new contact"
-        );
-        let mut sent = vec![n(1)];
-        assert!(v.upsert_replacing(Entry::new(n(3), ()), &mut sent));
-        assert!(v.contains(n(3)) && !v.contains(n(1)));
-        assert_eq!(v.len(), 2);
     }
 
     #[test]
@@ -316,20 +257,6 @@ mod prop_tests {
             for e in v.entries() {
                 prop_assert!(seen.insert(e.node), "duplicate {:?}", e.node);
                 prop_assert_eq!(e.age, freshest[&e.node.index()]);
-            }
-        }
-
-        /// Bounded views never exceed capacity, whatever the workload.
-        #[test]
-        fn prop_bounded_capacity_holds(
-            cap in 1usize..8,
-            entries in proptest::collection::vec(arb_entry(), 0..64),
-        ) {
-            let mut v: View<u8> = View::bounded(cap);
-            let mut replaceable = Vec::new();
-            for e in entries {
-                v.upsert_replacing(e, &mut replaceable);
-                prop_assert!(v.len() <= cap);
             }
         }
 

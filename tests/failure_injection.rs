@@ -3,10 +3,11 @@
 //! assassination, graceful leave hand-over, locality partitions that heal,
 //! determinism under chaos, and the maintenance ablations.
 
-use flower_cdn::experiments::{run_maintenance_variant, MaintenanceVariant};
+use flower_cdn::experiments::MaintenanceVariant;
 use flower_cdn::invariants::InvariantConfig;
 use flower_cdn::{
-    FaultAction, FlowerSim, InvariantChecker, ResilienceTracker, Scenario, SimDriver, SimParams,
+    run_system_with, FaultAction, FlowerSim, InvariantChecker, ResilienceTracker, Scenario,
+    SimDriver, SimParams, System,
 };
 use simnet::Time;
 
@@ -198,8 +199,13 @@ fn maintenance_ablation_full_beats_no_push() {
         p.seed = 29;
         p
     };
-    let full = run_maintenance_variant(base.clone(), MaintenanceVariant::Full);
-    let no_push = run_maintenance_variant(base, MaintenanceVariant::NoPush);
+    let run = |variant: MaintenanceVariant| {
+        let mut params = base.clone();
+        variant.apply(&mut params);
+        run_system_with(System::FlowerCdn, params, |_| {})
+    };
+    let full = run(MaintenanceVariant::Full);
+    let no_push = run(MaintenanceVariant::NoPush);
     assert!(
         full.stats.hit_ratio() > no_push.stats.hit_ratio(),
         "full {:.3} should beat no-push {:.3}",
