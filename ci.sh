@@ -24,6 +24,10 @@ cargo test -q --release --test engine_golden --test chord_golden --test replay
 # Chord's short cuts against the scans and lookups they replace
 # (`node/route_tests.rs`), in the code the benchmark runs.
 cargo test -q --release -p chord-dht
+# The protocol machines' oracles (summary draws, the store against its
+# reference, the bootstrap registry, the fetch budget, the peer cases),
+# likewise in release.
+cargo test -q --release -p flower-proto
 cargo test -q --release -p flower-net --test wire_roundtrip
 # The timer wheel every simulated event is popped from: against a reference
 # heap, and allocation-free in steady state.

@@ -1,13 +1,16 @@
 //! The simulation host for sans-io protocol machines.
 //!
 //! [`SimHost`] wraps a [`Machine`] together with its host-owned RNG and
-//! implements the simulator's [`Node`] trait by building an [`Env`] from
-//! the callback [`Ctx`], running [`Machine::handle`], and draining the
-//! returned [`Output`] commands back into the `Ctx` buffers, one buffer per
-//! kind. The world applies them kind by kind — trace events, then sends,
-//! then timers, then reports — each kind in the order the protocol emitted
-//! it (`World::with_node`; every pin in the repository rests on that
-//! order), and the machine itself never touches simulator types.
+//! implements the simulator's [`Node`] trait by lending the machine an
+//! [`Fx`] built from the callback [`Ctx`] (its time, id, locality and
+//! tracing flag, the host's RNG, the world's output buffer), running
+//! [`Machine::handle`], and draining the recorded [`Output`] commands back
+//! into the `Ctx` buffers, one buffer per kind. The world applies them
+//! kind by kind — trace events, then sends, then timers, then reports —
+//! each kind in the order the protocol emitted it (`World::with_node`;
+//! every pin in the repository rests on that order), and the machine
+//! itself never touches simulator types. Only the world removes a node
+//! (`World::fail`, `World::leave`); a machine cannot retire itself.
 //!
 //! The buffer the machine writes into is the world's, not the host's
 //! ([`OutputBuf`]).
@@ -17,10 +20,10 @@
 //! machine and asserts the output streams are byte-identical.
 
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::rc::Rc;
 
-use flower_proto::io::{machine_rng, Env, Input, InputOf, Machine, Output, OutputOf};
+use flower_proto::io::{machine_rng, Fx, Input, InputOf, Machine, Output, OutputOf};
 use rand::rngs::StdRng;
 use simnet::{Ctx, Node, NodeId, Time};
 
@@ -73,23 +76,19 @@ impl<M: Machine> SimHost<M> {
         }
     }
 
-    /// The hosted machine.
-    pub fn machine(&self) -> &M {
-        &self.machine
-    }
-
     fn drive(&mut self, ctx: &mut Ctx<Self>, input: InputOf<M>) {
         let recorded = self.tap.is_some().then(|| input.clone());
-        let env = Env {
-            now: ctx.now(),
-            me: ctx.me(),
-            locality: ctx.locality(),
-            rng: &mut self.rng,
-            tracing: ctx.tracing(),
-        };
         // Nothing below calls back into a host, so the borrow is unique.
         let mut outputs = self.out.borrow_mut();
-        self.machine.handle(env, input, &mut outputs);
+        let fx = Fx::new(
+            ctx.now(),
+            ctx.me(),
+            ctx.locality(),
+            &mut self.rng,
+            ctx.tracing(),
+            &mut outputs,
+        );
+        self.machine.handle(fx, input);
         if let (Some(tap), Some(input)) = (&self.tap, recorded) {
             tap.borrow_mut().push(TapEntry {
                 now: ctx.now(),
@@ -105,7 +104,6 @@ impl<M: Machine> SimHost<M> {
                 Output::Trace { name, fields } => ctx.trace(name, || fields),
                 // The simulator has no API clients; responses are inert.
                 Output::Respond { .. } => {}
-                Output::Stop => ctx.stop(),
             }
         }
     }
@@ -117,12 +115,6 @@ impl<M: Machine> Deref for SimHost<M> {
     type Target = M;
     fn deref(&self) -> &M {
         &self.machine
-    }
-}
-
-impl<M: Machine> DerefMut for SimHost<M> {
-    fn deref_mut(&mut self) -> &mut M {
-        &mut self.machine
     }
 }
 

@@ -11,17 +11,19 @@
 //!    creates transient overlaps (a replacement is installed while the
 //!    ghost holder has not yet purged itself via its position check), so
 //!    overlap is only a violation when it outlives the grace window.
-//! 2. **No delivery to the dead** — the simulator must never hand a
-//!    message to a node that failed or left (scheduler-level sanity).
-//! 3. **Query termination** — every `query_issued` is matched by a
+//! 2. **Query termination** — every `query_issued` is matched by a
 //!    `query_complete`, unless the issuer died mid-query or the query was
 //!    issued too close to the horizon to finish.
-//! 4. **PetalUp contiguity** — instance ids of a `(ws, loc)` couple appear
+//! 3. **PetalUp contiguity** — instance ids of a `(ws, loc)` couple appear
 //!    in order: instance *i* may only materialise once *i − 1* has (§4's
 //!    splits extend the couple one instance at a time).
 //!
+//! That the simulator hands no message to a dead node is the simulator's
+//! own invariant, checked by [`LivenessChecker`](simnet::LivenessChecker).
+//!
 //! The checker is cheap enough to leave on in every integration test: it
-//! keeps only id sets and per-position holder lists, no event log.
+//! keeps only per-position holder lists and outstanding queries, no event
+//! log.
 //!
 //! Clone the checker before handing it to
 //! [`World::add_trace_sink`](simnet::World::add_trace_sink) — all clones
@@ -65,10 +67,6 @@ impl Default for InvariantConfig {
 struct State {
     cfg: InvariantConfig,
     violations: Vec<String>,
-    /// Every node ever spawned.
-    spawned: BTreeSet<NodeId>,
-    /// Nodes that failed or left.
-    dead: BTreeSet<NodeId>,
     /// Live holders of each directory position, with the time each
     /// arrived. More than one entry = inside a replacement window.
     holders: BTreeMap<Pos, Vec<(NodeId, Time)>>,
@@ -93,7 +91,6 @@ impl State {
 
     /// A node stopped being able to hold positions or answer queries.
     fn node_gone(&mut self, at: Time, node: NodeId) {
-        self.dead.insert(node);
         for (pos, hs) in self.holders.iter_mut() {
             hs.retain(|(n, _)| *n != node);
             if hs.len() <= 1 {
@@ -326,18 +323,8 @@ impl TraceSink for InvariantChecker {
         let mut s = self.state.borrow_mut();
         s.last_event_at = at;
         match ev {
-            TraceEvent::NodeSpawn { node, .. } => {
-                s.spawned.insert(*node);
-                s.dead.remove(node);
-            }
             TraceEvent::NodeFail { node } | TraceEvent::NodeLeave { node } => {
                 s.node_gone(at, *node);
-            }
-            TraceEvent::MsgDeliver { src, dst, class } if s.dead.contains(dst) => {
-                s.violation(
-                    at,
-                    format!("{class:?} message from {src} delivered to dead node {dst}"),
-                );
             }
             TraceEvent::Custom { node, name, fields } => {
                 let (node, name) = (*node, *name);
@@ -508,30 +495,5 @@ mod tests {
         let v = c2.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("i2"), "{v:?}");
-    }
-
-    #[test]
-    fn delivery_to_dead_node_is_flagged() {
-        let mut c = InvariantChecker::new();
-        let n = NodeId::from_index(5);
-        ev(
-            &mut c,
-            0,
-            TraceEvent::NodeSpawn {
-                node: n,
-                locality: simnet::LocalityId(0),
-            },
-        );
-        ev(&mut c, 10, TraceEvent::NodeFail { node: n });
-        ev(
-            &mut c,
-            20,
-            TraceEvent::MsgDeliver {
-                src: NodeId::from_index(6),
-                dst: n,
-                class: "fetch",
-            },
-        );
-        assert_eq!(c.violations().len(), 1);
     }
 }

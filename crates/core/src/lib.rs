@@ -65,7 +65,7 @@ pub use engine::{Control, Engine, RunResult, SimSystem};
 pub use experiments::{run_comparison, run_system_with, shape_params, ComparisonRun, System};
 pub use flower::{Flower, FlowerHost, FlowerSim};
 pub use flower_proto::{
-    machine_rng, machine_seed, ApiCall, ApiResp, Env, Fx, Input, Machine, OriginDial, Output,
+    machine_rng, machine_seed, ApiCall, ApiResp, Fx, Input, Machine, OriginDial, Output,
     ProviderKind, RoleKind,
 };
 pub use host::{OutputBuf, SimHost, TapEntry, TapLog};

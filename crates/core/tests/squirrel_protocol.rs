@@ -3,7 +3,7 @@
 //! directory loss on home-node failure (§2, §6.2.1).
 
 use flower_cdn::squirrel::{object_key, SquirrelMode, SquirrelSim};
-use flower_cdn::{SimDriver, SimParams};
+use flower_cdn::{SimDriver, SimParams, StorePolicy};
 use simnet::{LocalityId, Time};
 use workload::{ObjectId, WebsiteId};
 
@@ -92,6 +92,21 @@ fn home_store_mode_caches_at_the_home_node() {
         "home-store never served from a home node ({} hits total)",
         r.stats.hits
     );
+}
+
+#[test]
+fn lru_home_store_copies_obey_the_store_policy() {
+    // A copy handed to a home node is a download like any other: under an
+    // LRU policy it evicts, so no home ever holds more than its capacity.
+    let horizon = 2 * 3_600_000;
+    let mut params = SimParams::quick(150, horizon);
+    params.seed = 1;
+    params.store_policy = StorePolicy::Lru { capacity: 2 };
+    let mut sim = SquirrelSim::new(params, SquirrelMode::HomeStore);
+    sim.run_until(Time::from_millis(horizon));
+    let fullest = sim.world().live_nodes().map(|(_, p)| p.store_len()).max();
+    assert!(fullest.is_some_and(|n| n <= 2), "fullest store {fullest:?}");
+    assert!(sim.finish().stats.queries > 0);
 }
 
 #[test]

@@ -23,10 +23,6 @@ impl HitRatioSeries {
         }
     }
 
-    pub fn bucket_ms(&self) -> u64 {
-        self.bucket_ms
-    }
-
     pub fn record(&mut self, q: &QueryRecord) {
         self.record_at(q.issued_at_ms, q.is_hit());
     }

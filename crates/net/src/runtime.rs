@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use chord::{Chord, NodeRef};
 use flower_proto::io::machine_rng;
 use flower_proto::{
-    ApiResp, Bootstrap, DirPosition, Env, FlowerMsg, FlowerPeer, FlowerReport, FlowerTimer, Input,
+    ApiResp, Bootstrap, DirPosition, FlowerMsg, FlowerPeer, FlowerReport, FlowerTimer, Fx, Input,
     InputOf, Machine, OriginDial, Output, OutputOf, PeerCtx, SharedBootstrap, SimParams,
 };
 use simnet::{LocalityId, NodeId, Time};
@@ -202,19 +202,19 @@ impl NetNode {
         (fire_at_ms <= now_ms).then(|| self.timers.pop_first().expect("non-empty").1)
     }
 
-    /// Feed one input to the machine and apply its outputs. Returns
-    /// `false` when the machine asked to stop.
-    fn drive(&mut self, input: InputOf<FlowerPeer>) -> bool {
-        let env = Env {
-            now: Time::from_millis(self.now_ms()),
-            me: self.me,
-            locality: self.cfg.locality,
-            rng: &mut self.rng,
-            tracing: false,
-        };
+    /// Feed one input to the machine and apply its outputs.
+    fn drive(&mut self, input: InputOf<FlowerPeer>) {
+        let now = Time::from_millis(self.now_ms());
         let mut outputs = std::mem::take(&mut self.scratch);
-        self.machine.handle(env, input, &mut outputs);
-        let mut keep_running = true;
+        let fx = Fx::new(
+            now,
+            self.me,
+            self.cfg.locality,
+            &mut self.rng,
+            false,
+            &mut outputs,
+        );
+        self.machine.handle(fx, input);
         for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => self.send_peer(to, &msg),
@@ -226,11 +226,9 @@ impl NetNode {
                     }
                 }
                 Output::Trace { .. } => {}
-                Output::Stop => keep_running = false,
             }
         }
         self.scratch = outputs;
-        keep_running
     }
 
     fn log_report(&self, r: &FlowerReport) {
@@ -291,7 +289,7 @@ impl NetNode {
         }
     }
 
-    /// Run the node until a `Shutdown` frame or a machine stop.
+    /// Run the node until a `Shutdown` frame.
     /// Binds the listener, then drives the machine's `Start` input and
     /// the event/timer loop forever.
     pub fn run(mut self) -> Result<(), wire::WireError> {
@@ -309,17 +307,13 @@ impl NetNode {
         let (tx, rx) = mpsc::channel::<Event>();
         spawn_listener(listener, tx);
 
-        if !self.drive(Input::Start) {
-            return Ok(());
-        }
+        self.drive(Input::Start);
         loop {
             // Fire every due timer, then sleep until the next deadline
             // or the next socket event, whichever comes first.
             let now = self.now_ms();
             while let Some(timer) = self.pop_due(self.now_ms()) {
-                if !self.drive(Input::Timer(timer)) {
-                    return Ok(());
-                }
+                self.drive(Input::Timer(timer));
             }
             let timeout = match self.timers.first_key_value() {
                 Some((&(fire_at_ms, _), _)) => {
@@ -350,9 +344,7 @@ impl NetNode {
                         let Some(&from) = self.conn_peer.get(&conn) else {
                             continue;
                         };
-                        if !self.drive(Input::Deliver { from, msg }) {
-                            return Ok(());
-                        }
+                        self.drive(Input::Deliver { from, msg });
                     }
                     Frame::Api { token: _, call } => {
                         // Tokens are node-allocated: the CLI's token only
@@ -360,17 +352,16 @@ impl NetNode {
                         let token = self.next_token;
                         self.next_token += 1;
                         self.api_conns.insert(token, conn);
-                        if !self.drive(Input::Api { token, call }) {
-                            return Ok(());
-                        }
+                        self.drive(Input::Api { token, call });
                     }
                     Frame::ApiResp { .. } => {
                         // Nodes never receive API responses; ignore.
                     }
                     Frame::Shutdown => {
                         eprintln!("[n{}] shutdown requested", self.cfg.id);
-                        let keep = self.drive(Input::Leave);
-                        let _ = keep; // Leave's outputs (handover) flushed above.
+                        // Leave's outputs (the hand-over) go out before the
+                        // loop ends.
+                        self.drive(Input::Leave);
                         return Ok(());
                     }
                 },

@@ -2,19 +2,20 @@
 //!
 //! A protocol core is a [`Machine`]: a pure state machine that consumes one
 //! [`Input`] at a time — a delivered message, a timer fire, a local API
-//! call, a start or leave notification — and appends to the host's buffer
-//! the complete list of [`Output`] commands it wants executed (sends, timer
-//! arms, measurement reports, API responses). The machine performs no I/O and
-//! reads no clocks: the host supplies the current time and a deterministic
-//! RNG through [`Env`], so the same machine state, the same input sequence
-//! and the same RNG seed always produce byte-identical output streams —
-//! whether the host is the discrete-event simulator, a replay harness or a
-//! real TCP event loop.
+//! call, a start or leave notification — and records the complete list of
+//! [`Output`] commands it wants executed (sends, timer arms, measurement
+//! reports, API responses). The machine performs no I/O and reads no
+//! clocks: for each input the host lends it an [`Fx`] — the current time,
+//! its id and locality, a deterministic RNG, whether a trace sink listens,
+//! and the host's output buffer — so the same machine state, the same input
+//! sequence and the same RNG seed always produce byte-identical output
+//! streams, whether the host is the discrete-event simulator, a replay
+//! harness or a real TCP event loop.
 //!
-//! Protocol method bodies are written against [`Fx`], an effects buffer
-//! whose API mirrors the simulator's `Ctx` (send / set_timer / report /
-//! trace / now / me / locality / stop) and records every effect as an
-//! [`Output`] in call order.
+//! [`Fx`]'s API mirrors the simulator's `Ctx` (send / set_timer / report /
+//! trace / now / me / locality) and records every effect as an [`Output`]
+//! in call order. A machine never retires itself: a node leaves only when
+//! its host removes it, after an [`Input::Leave`] or without notice.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -54,12 +55,10 @@ pub enum Output<Msg, Timer, Report, ApiResp> {
     SetTimer { delay_ms: u64, timer: Timer },
     /// Emit a measurement record for the experiment engine.
     Report(Report),
-    /// A structured trace event (only emitted when [`Env::tracing`]).
+    /// A structured trace event (only emitted while a sink listens).
     Trace { name: &'static str, fields: Fields },
     /// Answer the API call identified by `token`.
     Respond { token: u64, resp: ApiResp },
-    /// Retire this node (voluntary shutdown).
-    Stop,
 }
 
 /// The [`Output`] of machine `M`.
@@ -69,34 +68,6 @@ pub type OutputOf<M> = Output<
     <M as Machine>::Report,
     <M as Machine>::ApiResp,
 >;
-
-/// Host-supplied execution environment for one [`Machine::handle`] call.
-pub struct Env<'a> {
-    /// Current time (virtual in the simulator, wall-clock in `net`).
-    pub now: Time,
-    /// This node's id.
-    pub me: NodeId,
-    /// This node's physical locality (landmark bin).
-    pub locality: LocalityId,
-    /// The host-owned deterministic RNG for this machine.
-    pub rng: &'a mut StdRng,
-    /// Whether a trace sink is attached (machines skip trace-only work
-    /// otherwise).
-    pub tracing: bool,
-}
-
-impl<'a> Env<'a> {
-    /// An environment for tests and replay: time `now_ms`, no tracing.
-    pub fn bare(now_ms: u64, me: NodeId, locality: LocalityId, rng: &'a mut StdRng) -> Env<'a> {
-        Env {
-            now: Time::from_millis(now_ms),
-            me,
-            locality,
-            rng,
-            tracing: false,
-        }
-    }
-}
 
 /// A pure protocol state machine.
 pub trait Machine: Sized {
@@ -111,10 +82,10 @@ pub trait Machine: Sized {
     /// Local API response type.
     type ApiResp: Clone;
 
-    /// Consume one input and append every resulting command to `out`, in
-    /// order. `out` is the host's buffer: a host that drains it after each
+    /// Consume one input and record every resulting command through `ctx`,
+    /// in order. Its buffer is the host's: a host that drains it after each
     /// call reuses one allocation per node in steady state.
-    fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>);
+    fn handle(&mut self, ctx: Fx<'_, Self>, input: InputOf<Self>);
 
     /// Stable protocol class of a message (trace/gauge/profiler label).
     fn msg_class(_msg: &Self::Msg) -> &'static str {
@@ -155,8 +126,9 @@ pub fn machine_rng(run_seed: u64, me: NodeId) -> StdRng {
     StdRng::seed_from_u64(machine_seed(run_seed, me))
 }
 
-/// Effects buffer handed to protocol method bodies. Mirrors the simulator
-/// `Ctx` API so protocol code is written once and runs under any host.
+/// The context a host lends a machine for one [`Machine::handle`] call.
+/// Mirrors the simulator `Ctx` API so protocol code is written once and
+/// runs under any host.
 pub struct Fx<'a, M: Machine> {
     now: Time,
     me: NodeId,
@@ -168,15 +140,23 @@ pub struct Fx<'a, M: Machine> {
 }
 
 impl<'a, M: Machine> Fx<'a, M> {
-    /// Open an effects buffer over `env` for one `handle` call; effects are
-    /// appended to `out` in call order.
-    pub fn new(env: Env<'a>, out: &'a mut Vec<OutputOf<M>>) -> Fx<'a, M> {
+    /// Lend node `me` at `locality` the time `now` and its RNG for one
+    /// `handle` call; effects are appended to `out` in call order, trace
+    /// events only while `tracing` (a sink is attached).
+    pub fn new(
+        now: Time,
+        me: NodeId,
+        locality: LocalityId,
+        rng: &'a mut StdRng,
+        tracing: bool,
+        out: &'a mut Vec<OutputOf<M>>,
+    ) -> Fx<'a, M> {
         Fx {
-            now: env.now,
-            me: env.me,
-            locality: env.locality,
-            rng: env.rng,
-            tracing: env.tracing,
+            now,
+            me,
+            locality,
+            rng,
+            tracing,
             outputs: out,
         }
     }
@@ -216,16 +196,6 @@ impl<'a, M: Machine> Fx<'a, M> {
         self.outputs.push(Output::Respond { token, resp });
     }
 
-    /// Retire this node after the current input is processed.
-    pub fn stop(&mut self) {
-        self.outputs.push(Output::Stop);
-    }
-
-    /// Whether a trace sink is attached to the host.
-    pub fn tracing(&self) -> bool {
-        self.tracing
-    }
-
     /// Emit a protocol trace event. `fields` is a closure so field
     /// construction costs nothing when no sink is attached.
     pub fn trace(&mut self, name: &'static str, fields: impl FnOnce() -> Fields) {
@@ -249,8 +219,7 @@ mod tests {
         type Report = ();
         type Api = ();
         type ApiResp = ();
-        fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>) {
-            let mut fx = Fx::<Self>::new(env, out);
+        fn handle(&mut self, mut fx: Fx<'_, Self>, input: InputOf<Self>) {
             if let Input::Deliver { from, msg } = input {
                 fx.send(from, msg);
                 fx.set_timer(5, msg);
@@ -260,16 +229,15 @@ mod tests {
 
     #[test]
     fn fx_records_effects_in_call_order() {
-        let mut rng = machine_rng(1, NodeId::from_index(0));
-        let env = Env::bare(0, NodeId::from_index(0), LocalityId(0), &mut rng);
+        let me = NodeId::from_index(0);
+        let mut rng = machine_rng(1, me);
         let mut out = Vec::new();
         Echo.handle(
-            env,
+            Fx::new(Time::ZERO, me, LocalityId(0), &mut rng, false, &mut out),
             Input::Deliver {
                 from: NodeId::from_index(7),
                 msg: 3,
             },
-            &mut out,
         );
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], Output::Send { to, msg: 3 } if to == NodeId::from_index(7)));

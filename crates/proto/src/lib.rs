@@ -39,7 +39,7 @@ pub use config::SimParams;
 pub use directory::{DirectoryIndex, DirectorySnapshot};
 pub use dirinfo::DirInfo;
 pub use dring::DirPosition;
-pub use io::{machine_rng, machine_seed, Env, Fx, Input, InputOf, Machine, Output, OutputOf};
+pub use io::{machine_rng, machine_seed, Fx, Input, InputOf, Machine, Output, OutputOf};
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 pub use origin::OriginDial;
 pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};

@@ -8,6 +8,7 @@ use rand::Rng;
 use simnet::{LocalityId, NodeId};
 use workload::{ObjectId, WebsiteId};
 
+use crate::config::SimParams;
 use crate::directory::{DirectoryIndex, DirectorySnapshot};
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
@@ -618,22 +619,25 @@ impl FlowerPeer {
             // claimer join *our* ring instead of founding another.
             self.entered_dring(ctx);
         }
-        let sweep = self.pcx.params.rpc_timeout_ms * 20;
-        ctx.set_timer(sweep, FlowerTimer::DirSweep);
+        Self::arm_dir_sweep(ctx, &self.pcx.params);
     }
 
     // ==================================================================
     // Directory housekeeping
     // ==================================================================
 
+    /// Arm the next directory sweep, twenty RPC timeouts away.
+    pub(crate) fn arm_dir_sweep(ctx: &mut Fx<Self>, params: &SimParams) {
+        ctx.set_timer(params.rpc_timeout_ms * 20, FlowerTimer::DirSweep);
+    }
+
     pub(crate) fn on_dir_sweep(&mut self, ctx: &mut Fx<Self>) {
         let now = ctx.now();
         let ttl = self.pcx.params.gossip_period_ms * 2 + self.pcx.params.rpc_timeout_ms * 4;
-        let sweep = self.pcx.params.rpc_timeout_ms * 20;
         let Role::Directory(d) = &mut self.role else {
             return;
         };
-        ctx.set_timer(sweep, FlowerTimer::DirSweep);
+        Self::arm_dir_sweep(ctx, &self.pcx.params);
         d.index.expire(now.as_millis(), ttl);
         d.grants
             .retain(|_, &mut (_, at)| now.since(at) < GRANT_TTL_MS);
@@ -650,6 +654,12 @@ impl FlowerPeer {
     // Ghost-holder purge: position self-check & demotion
     // ==================================================================
 
+    /// Arm the next position self-check, one to two minutes away.
+    pub(crate) fn arm_position_check(ctx: &mut Fx<Self>) {
+        let delay = 60_000 + ctx.rng.gen_range(0..60_000);
+        ctx.set_timer(delay, FlowerTimer::PositionCheck);
+    }
+
     /// Periodically verify that the overlay still resolves our position to
     /// us. A claim granted during a stale-predecessor window can mint a
     /// *duplicate* holder with our exact ring id; exactly one of us is
@@ -660,8 +670,7 @@ impl FlowerPeer {
             return;
         };
         if !d.chord.is_joined() || d.self_check_token.is_some() {
-            let delay = 60_000 + ctx.rng.gen_range(0..60_000);
-            ctx.set_timer(delay, crate::msg::FlowerTimer::PositionCheck);
+            Self::arm_position_check(ctx);
             return;
         }
         let key = d.position.chord_id();
@@ -671,8 +680,7 @@ impl FlowerPeer {
         let (token, actions) = d.chord.lookup_from(key, start);
         d.self_check_token = Some(token);
         self.apply_chord_actions(ctx, actions);
-        let delay = 60_000 + ctx.rng.gen_range(0..60_000);
-        ctx.set_timer(delay, crate::msg::FlowerTimer::PositionCheck);
+        Self::arm_position_check(ctx);
     }
 
     /// Outcome of a position self-check. Two consecutive misses demote us.

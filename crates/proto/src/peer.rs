@@ -24,12 +24,12 @@ use crate::config::{SimParams, SHUFFLE_LEN, VIEW_MAX_AGE};
 use crate::directory::DirectoryIndex;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
-use crate::io::{Env, Fx, Input, InputOf, Machine, OutputOf};
+use crate::io::{Fx, Input, InputOf, Machine};
 use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
-use crate::timeline::{QueryMachine, Timeline};
+use crate::timeline::{self, QueryMachine, Timeline};
 
 /// Immutable per-peer context handed in by the experiment engine, the same
 /// for a Flower-CDN and a Squirrel peer.
@@ -389,8 +389,7 @@ impl FlowerPeer {
             position: d.position,
             replacement: d.replacement,
         });
-        let delay = 60_000 + ctx.rng.gen_range(0..60_000);
-        ctx.set_timer(delay, FlowerTimer::PositionCheck);
+        Self::arm_position_check(ctx);
     }
 
     /// Our D-ring join could not complete (seed died): revert to content
@@ -565,19 +564,15 @@ impl FlowerPeer {
                     f
                 });
                 self.apply_chord_actions(ctx, startup);
-                let sweep = self.pcx.params.rpc_timeout_ms * 20;
-                ctx.set_timer(sweep, FlowerTimer::DirSweep);
+                Self::arm_dir_sweep(ctx, &self.pcx.params);
                 if self.active {
-                    let delay = ctx.rng.gen_range(1_000..30_000);
-                    ctx.set_timer(delay, FlowerTimer::Query);
+                    timeline::first_arrival(ctx, true);
                 }
             }
             _ => {
                 if self.active {
-                    // "submits queries on a regular basis, as soon as it
-                    // arrives" — the first query doubles as the petal join.
-                    let delay = ctx.rng.gen_range(500..5_000);
-                    ctx.set_timer(delay, FlowerTimer::Query);
+                    // The first query doubles as the petal join.
+                    timeline::first_arrival(ctx, false);
                 } else {
                     // Non-active website: join the petal outright (§6.1).
                     self.start_petal_join(ctx);
@@ -819,8 +814,7 @@ impl Machine for FlowerPeer {
     type Api = ApiCall;
     type ApiResp = ApiResp;
 
-    fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>) {
-        let mut ctx = Fx::new(env, out);
+    fn handle(&mut self, mut ctx: Fx<'_, Self>, input: InputOf<Self>) {
         match input {
             Input::Start => self.on_start(&mut ctx),
             Input::Deliver { from, msg } => self.on_message(&mut ctx, from, msg),
@@ -863,7 +857,7 @@ impl PeerCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{machine_rng, Output};
+    use crate::io::{machine_rng, Output, OutputOf};
     use chord::{ChordMsg, ChordTimer, StepResult};
 
     type Out = OutputOf<FlowerPeer>;
@@ -905,10 +899,10 @@ mod tests {
         let mut step = move |peer: &mut FlowerPeer, input| {
             now_ms += 100;
             let mut out = Vec::new();
+            let at = Time::from_millis(now_ms);
             peer.handle(
-                Env::bare(now_ms, me.node, LocalityId(0), &mut rng),
+                Fx::new(at, me.node, LocalityId(0), &mut rng, false, &mut out),
                 input,
-                &mut out,
             );
             out
         };
@@ -1026,8 +1020,15 @@ mod tests {
         // lookup of the new `Chord` reuses the failed one's token.
         let mut rng = machine_rng(2, me.node);
         let mut demoted = Vec::new();
-        let env = Env::bare(10_000, me.node, LocalityId(0), &mut rng);
-        peer.demote_to_client(&mut Fx::new(env, &mut demoted));
+        let at = Time::from_millis(10_000);
+        peer.demote_to_client(&mut Fx::new(
+            at,
+            me.node,
+            LocalityId(0),
+            &mut rng,
+            false,
+            &mut demoted,
+        ));
         assert!(!peer.is_directory());
         let promote = FlowerMsg::Promote {
             position: DirPosition::base(WebsiteId(0), LocalityId(0)),

@@ -33,7 +33,7 @@ use rand::Rng;
 use simnet::NodeId;
 use workload::ObjectId;
 
-use crate::io::{Env, Fx, Input, InputOf, Machine, OutputOf};
+use crate::io::{Fx, Input, InputOf, Machine};
 use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
@@ -268,8 +268,7 @@ impl SquirrelPeer {
                 ChordAction::JoinComplete { .. } => {
                     self.pcx.bootstrap.borrow_mut().add(self.chord.me());
                     if self.active {
-                        let delay = ctx.rng.gen_range(500..5_000);
-                        ctx.set_timer(delay, SqTimer::Query);
+                        timeline::first_arrival(ctx, false);
                     }
                 }
                 ChordAction::JoinFailed | ChordAction::Isolated => {
@@ -579,8 +578,7 @@ impl SquirrelPeer {
             // Initial member: no JoinComplete will fire.
             self.pcx.bootstrap.borrow_mut().add(self.chord.me());
             if self.active {
-                let delay = ctx.rng.gen_range(1_000..30_000);
-                ctx.set_timer(delay, SqTimer::Query);
+                timeline::first_arrival(ctx, true);
             }
         }
     }
@@ -632,7 +630,8 @@ impl SquirrelPeer {
             SqMsg::FetchMiss { qid, .. } => self.on_fetch_failed(ctx, qid, from, false),
             SqMsg::StoreCopy { object } => {
                 if self.mode == SquirrelMode::HomeStore {
-                    self.store.insert(object);
+                    // A home's copy obeys the store policy like a download.
+                    let _evicted = self.store.insert_with_eviction(object);
                 }
             }
         }
@@ -689,8 +688,7 @@ impl Machine for SquirrelPeer {
     type Api = ();
     type ApiResp = ();
 
-    fn handle(&mut self, env: Env<'_>, input: InputOf<Self>, out: &mut Vec<OutputOf<Self>>) {
-        let mut ctx = Fx::new(env, out);
+    fn handle(&mut self, mut ctx: Fx<'_, Self>, input: InputOf<Self>) {
         match input {
             Input::Start => self.on_start(&mut ctx),
             Input::Deliver { from, msg } => self.on_message(&mut ctx, from, msg),

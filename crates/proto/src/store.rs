@@ -202,10 +202,6 @@ impl ContentStore {
         }
     }
 
-    pub fn policy(&self) -> StorePolicy {
-        self.policy
-    }
-
     /// The one place LRU stamps change: `used` gives `o` the newest stamp,
     /// otherwise its stamp is dropped with the object. `Unlimited` never
     /// reads a stamp, so it keeps none.

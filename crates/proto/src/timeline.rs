@@ -4,7 +4,7 @@
 //! transfer distance "under identical workload". That holds only if both
 //! systems are timed by the same code, so the part of a query's life the
 //! metrics are read from exists once, here. Queries arrive through
-//! `next_arrival`; both peers embed a `Timeline` in their pending-query
+//! `first_arrival` and then `next_arrival`; both peers embed a `Timeline` in their pending-query
 //! state and move it through five steps:
 //!
 //! 1. `Timeline::issue` — the query exists from now on;
@@ -28,6 +28,7 @@
 //! `squirrel.rs`.
 
 use cdn_metrics::{Provider, QueryRecord, ResolvedVia};
+use rand::Rng;
 use simnet::{NodeId, Time};
 use workload::{sample_exp, ObjectId, WebsiteId};
 
@@ -180,6 +181,19 @@ impl Timeline {
     }
 }
 
+/// The first query of an active peer (§6.1): a member of the t = 0
+/// population (a Squirrel ring member, a Flower-CDN directory) staggers it
+/// over its first half minute; a peer that arrives later — "submits queries
+/// on a regular basis, as soon as it arrives" — asks within seconds.
+pub(crate) fn first_arrival<M: QueryMachine>(ctx: &mut Fx<M>, initial: bool) {
+    let delay = if initial {
+        ctx.rng.gen_range(1_000..30_000)
+    } else {
+        ctx.rng.gen_range(500..5_000)
+    };
+    ctx.set_timer(delay, M::query_timer());
+}
+
 /// The arrival process of an active peer (§6.1): arm the next `Query` timer
 /// an exponential gap away (mean `query_period_ms`, at least a second), then
 /// — unless the peer is `busy` with an earlier query or not yet able to ask —
@@ -209,7 +223,7 @@ fn origin_one_way_ms(pcx: &PeerCtx) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{machine_rng, Env, Output};
+    use crate::io::{machine_rng, Output};
     use crate::squirrel::SquirrelPeer;
     use simnet::{FieldValue, Fields, LocalityId};
 
@@ -221,12 +235,9 @@ mod tests {
         let pcx = PeerCtx::for_tests();
         let me = NodeId::from_index(9);
         let mut rng = machine_rng(1, me);
-        let env = Env {
-            tracing: true,
-            ..Env::bare(0, me, LocalityId(0), &mut rng)
-        };
         let mut out = Vec::new();
-        let mut ctx = Fx::<SquirrelPeer>::new(env, &mut out);
+        let mut ctx =
+            Fx::<SquirrelPeer>::new(Time::ZERO, me, LocalityId(0), &mut rng, true, &mut out);
         let qid = QueryId::new(me, 1);
         let object = ObjectId::from_u64(7);
         let mut tl = Timeline::issue(&mut ctx, qid, pcx.website, Some(object));

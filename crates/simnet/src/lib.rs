@@ -362,15 +362,14 @@ mod tests {
         assert_eq!(world.stats().removed, 2);
     }
 
-    /// `fail`, `leave` and `Ctx::stop` free the node's state at once — a
-    /// dead peer keeps its id, not its memory.
+    /// `fail` and `leave` free the node's state at once — a dead peer keeps
+    /// its id, not its memory.
     #[test]
     fn removed_nodes_release_their_state_immediately() {
         use std::cell::Cell;
         use std::rc::Rc;
 
-        /// Counts its own drops, says `farewell` when it leaves and stops
-        /// itself when told 0.
+        /// Counts its own drops and says `farewell` when it leaves.
         struct Mortal {
             drops: Rc<Cell<u32>>,
             farewell: Option<(NodeId, u8)>,
@@ -385,11 +384,7 @@ mod tests {
             type Timer = ();
             type Report = ();
             fn on_start(&mut self, _ctx: &mut Ctx<Self>) {}
-            fn on_message(&mut self, ctx: &mut Ctx<Self>, _f: NodeId, m: u8) {
-                if m == 0 {
-                    ctx.stop();
-                }
-            }
+            fn on_message(&mut self, _ctx: &mut Ctx<Self>, _f: NodeId, _m: u8) {}
             fn on_timer(&mut self, _ctx: &mut Ctx<Self>, _t: ()) {}
             fn on_leave(&mut self, ctx: &mut Ctx<Self>) {
                 if let Some((to, m)) = self.farewell {
@@ -406,11 +401,10 @@ mod tests {
             let drops = Rc::clone(&drops);
             world.spawn(Point::new(5.0, 5.0), |_, _| Mortal { drops, farewell })
         };
-        let stopper = spawn(&mut world, None);
         let victim = spawn(&mut world, None);
         let survivor = spawn(&mut world, None);
         let herald = spawn(&mut world, Some((victim, 9)));
-        let leaver = spawn(&mut world, Some((stopper, 0)));
+        let leaver = spawn(&mut world, Some((survivor, 0)));
         let gone = |world: &World<Mortal, ()>, id| !world.is_live(id) && world.node(id).is_none();
 
         world.leave(herald);
@@ -423,13 +417,9 @@ mod tests {
         assert!(gone(&world, victim));
 
         world.leave(leaver);
+        assert_eq!(drops.get(), 3);
+        assert!(gone(&world, leaver));
         world.run(Time::from_secs(1), |_, ()| {});
-        assert_eq!(
-            drops.get(),
-            4,
-            "`Ctx::stop` drops the state after the callback"
-        );
-        assert!(gone(&world, stopper));
         assert_eq!(world.stats().delivered, 1, "the leaver's farewell");
         assert_eq!(world.stats().dropped, 1, "the herald's, to a freed node");
 
@@ -439,9 +429,9 @@ mod tests {
         let live: Vec<NodeId> = world.live_nodes().map(|(id, _)| id).collect();
         assert_eq!(live, vec![survivor, late]);
         assert_eq!(world.live_count(), 2);
-        assert_eq!(drops.get(), 4, "the living keep their state");
+        assert_eq!(drops.get(), 3, "the living keep their state");
         drop(world);
-        assert_eq!(drops.get(), 6);
+        assert_eq!(drops.get(), 5);
     }
 
     #[test]
@@ -486,28 +476,5 @@ mod tests {
             fired_before,
             "no cancelled timer ever fired"
         );
-    }
-
-    #[test]
-    fn stop_self_removes_node_after_callback() {
-        struct Quitter;
-        impl Node for Quitter {
-            type Msg = ();
-            type Timer = ();
-            type Report = ();
-            fn on_start(&mut self, ctx: &mut Ctx<Self>) {
-                ctx.set_timer(10, ());
-            }
-            fn on_message(&mut self, _ctx: &mut Ctx<Self>, _f: NodeId, _m: ()) {}
-            fn on_timer(&mut self, ctx: &mut Ctx<Self>, _t: ()) {
-                ctx.stop();
-            }
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let topo = Topology::new(TopologyConfig::default(), &mut rng);
-        let mut world: World<Quitter, ()> = World::new(topo, 8);
-        let a = world.spawn(Point::new(0.0, 0.0), |_, _| Quitter);
-        world.run(Time::from_secs(1), |_, ()| {});
-        assert!(!world.is_live(a));
     }
 }

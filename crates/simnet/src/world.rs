@@ -19,7 +19,7 @@
 //!
 //! Memory follows the *live* population. Every id ever spawned keeps one
 //! slot in the node table, but the node itself is boxed and dropped the
-//! moment it fails, leaves or stops, so a dead peer costs a pointer (plus
+//! moment it fails or leaves, so a dead peer costs a pointer (plus
 //! its topology coordinates); and reports are handed out by
 //! [`World::drain_reports`] from a buffer the world keeps, so an engine can
 //! fold them as often as it likes.
@@ -136,7 +136,6 @@ pub struct Ctx<'a, N: Node + ?Sized> {
     sends: Vec<(NodeId, N::Msg)>,
     timers: Vec<(u64, N::Timer)>,
     reports: Vec<N::Report>,
-    stop_self: bool,
     tracing: bool,
     customs: Vec<(&'static str, Fields)>,
 }
@@ -173,12 +172,6 @@ impl<'a, N: Node + ?Sized> Ctx<'a, N> {
     /// Emit a measurement record for the experiment engine.
     pub fn report(&mut self, r: N::Report) {
         self.reports.push(r);
-    }
-
-    /// Remove this node from the world after the callback returns (used by
-    /// protocols that decide to retire a peer, e.g. a voluntary leave).
-    pub fn stop(&mut self) {
-        self.stop_self = true;
     }
 
     /// Whether a trace sink is attached to the world. Protocol code can
@@ -609,7 +602,6 @@ impl<N: Node, C> World<N, C> {
             sends: std::mem::take(&mut self.scratch.sends),
             timers: std::mem::take(&mut self.scratch.timers),
             reports: std::mem::take(&mut self.scratch.reports),
-            stop_self: false,
             tracing,
             customs: std::mem::take(&mut self.scratch.customs),
         };
@@ -618,7 +610,6 @@ impl<N: Node, C> World<N, C> {
             mut sends,
             mut timers,
             mut reports,
-            stop_self,
             mut customs,
             ..
         } = ctx;
@@ -720,8 +711,5 @@ impl<N: Node, C> World<N, C> {
         self.scratch.timers = timers;
         self.scratch.reports = reports;
         self.scratch.customs = customs;
-        if stop_self {
-            self.fail(id);
-        }
     }
 }

@@ -70,7 +70,7 @@ pub struct CellResult {
 impl CellResult {
     /// This cell's values for one metric (schema name from
     /// [`RunSummary::COLUMNS`]), in seed order.
-    pub fn metric_values(&self, metric: &str) -> Vec<f64> {
+    fn metric_values(&self, metric: &str) -> Vec<f64> {
         self.runs
             .iter()
             .filter_map(|(_, s)| {

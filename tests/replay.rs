@@ -31,7 +31,7 @@ use std::rc::Rc;
 use flower_cdn::peer::ProtocolEvent;
 use flower_cdn::squirrel::{object_key, peer_ring_id, SquirrelPeer};
 use flower_cdn::{
-    machine_rng, Bootstrap, Env, FlowerPeer, FlowerReport, FlowerSim, Machine, Output, PeerCtx,
+    machine_rng, Bootstrap, FlowerPeer, FlowerReport, FlowerSim, Fx, Machine, Output, PeerCtx,
     SimDriver, SimParams, SquirrelMode, SquirrelSim, TapEntry, TapLog,
 };
 use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
@@ -82,15 +82,9 @@ where
     let mut stream = String::new();
     for (i, e) in entries.iter().enumerate() {
         before(e.now);
-        let env = Env {
-            now: e.now,
-            me,
-            locality,
-            rng: &mut rng,
-            tracing: true,
-        };
         replayed.clear();
-        machine.handle(env, e.input.clone(), &mut replayed);
+        let fx = Fx::new(e.now, me, locality, &mut rng, true, &mut replayed);
+        machine.handle(fx, e.input.clone());
         let recorded = format!("{} {:?} {:?}\n", e.now.as_millis(), e.input, e.outputs);
         assert_eq!(
             format!("{} {:?} {:?}\n", e.now.as_millis(), e.input, replayed),
