@@ -21,6 +21,9 @@ echo "==> golden tests, release build"
 # and so must the codec's length arithmetic (`as u32`, `div_ceil`, the caps),
 # which is where every committed byte count is produced.
 cargo test -q --release --test engine_golden --test chord_golden --test replay
+# The scripted peer cases of both machines (the query stages a reply must
+# match, the home a Squirrel origin fetch hands its copy to), likewise.
+cargo test -q --release -p flower-cdn --test squirrel_protocol --test protocol
 # Chord's short cuts against the scans and lookups they replace
 # (`node/route_tests.rs`), in the code the benchmark runs.
 cargo test -q --release -p chord-dht

@@ -95,7 +95,6 @@ fn main() {
             // though — scale the grace to the churn law.
             InvariantChecker::with_config(InvariantConfig {
                 replacement_grace_ms: mean_uptime_ms.max(150_000),
-                ..InvariantConfig::default()
             })
         });
         sim.add_trace_sink_boxed(Box::new(tracker.clone()));

@@ -40,6 +40,11 @@ use simnet::{field_u64, FieldValue, NodeId, Time, TraceEvent, TraceSink};
 
 use crate::tags::{self, pos_of, Pos};
 
+/// Worst-case query lifetime (routing retries + fetch retries + origin
+/// fallback). Queries issued within this window of the horizon are allowed
+/// to still be pending when the run stops.
+const QUERY_DEADLINE_MS: u64 = 120_000;
+
 /// Tunables for the run being checked.
 #[derive(Debug, Clone)]
 pub struct InvariantConfig {
@@ -48,17 +53,12 @@ pub struct InvariantConfig {
     /// violation. Must cover a position-check round trip plus the ghost
     /// holder's purge timer.
     pub replacement_grace_ms: u64,
-    /// Worst-case query lifetime (routing retries + fetch retries +
-    /// origin fallback). Queries issued within this window of the horizon
-    /// are allowed to still be pending when the run stops.
-    pub query_deadline_ms: u64,
 }
 
 impl Default for InvariantConfig {
     fn default() -> InvariantConfig {
         InvariantConfig {
             replacement_grace_ms: 150_000,
-            query_deadline_ms: 120_000,
         }
     }
 }
@@ -223,7 +223,7 @@ impl State {
         }
         self.finalized = true;
         let end = self.last_event_at;
-        let deadline = self.cfg.query_deadline_ms;
+        let deadline = QUERY_DEADLINE_MS;
         let overdue: Vec<(u64, NodeId, Time)> = self
             .pending
             .iter()
@@ -398,7 +398,6 @@ mod tests {
     fn persistent_double_holding_is_flagged() {
         let mut c = InvariantChecker::with_config(InvariantConfig {
             replacement_grace_ms: 30_000,
-            ..InvariantConfig::default()
         });
         ev(
             &mut c,
@@ -422,10 +421,7 @@ mod tests {
 
     #[test]
     fn query_must_terminate_unless_issuer_dies() {
-        let mut c = InvariantChecker::with_config(InvariantConfig {
-            query_deadline_ms: 10_000,
-            ..InvariantConfig::default()
-        });
+        let mut c = InvariantChecker::new();
         let q1 = crate::qid::QueryId::new(NodeId::from_index(1), 1).raw();
         let q2 = crate::qid::QueryId::new(NodeId::from_index(2), 1).raw();
         let q3 = crate::qid::QueryId::new(NodeId::from_index(3), 1).raw();
@@ -457,7 +453,7 @@ mod tests {
                 node: NodeId::from_index(2),
             },
         );
-        ev(&mut c, 50_000, custom(9, "noop", vec![]));
+        ev(&mut c, 150_000, custom(9, "noop", vec![]));
         let v = c.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("q3.1"), "{v:?}");

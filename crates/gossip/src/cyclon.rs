@@ -29,16 +29,6 @@ pub enum GossipMsg<P> {
     ShuffleReply { entries: Vec<Entry<P>> },
 }
 
-impl<P> GossipMsg<P> {
-    /// Stable protocol-class label for trace events.
-    pub fn class(&self) -> &'static str {
-        match self {
-            GossipMsg::ShuffleReq { .. } => "shuffle_req",
-            GossipMsg::ShuffleReply { .. } => "shuffle_reply",
-        }
-    }
-}
-
 /// View-merge discipline: the freshness union over an unbounded view.
 /// [`Cyclon::new`] takes the mode and ignores it, because the benchmark
 /// binds that signature.

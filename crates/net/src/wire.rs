@@ -4,12 +4,13 @@
 //!
 //! ```text
 //! [u32 LE payload length][payload]
-//! payload = [u8 version][u8 kind][body...]
+//! payload = [u8 version][Frame]
 //! ```
 //!
-//! This module owns what belongs to a socket: the [`Frame`] kinds, the
-//! length prefix and version byte, and blocking stream I/O. The byte form
-//! of the bodies — every protocol and API message — is
+//! This module owns what belongs to a socket: the length prefix, the
+//! version byte and blocking stream I/O. A [`Frame`] is a `wire_enum!` row
+//! like every message it carries — a `u8` tag, then the variant's fields —
+//! so its byte form, and that of every protocol and API message, is
 //! [`flower_proto::wire`], defined beside the messages and shared with the
 //! simulator's byte accounting; its error type is re-exported here. Decoding
 //! is **total**: malformed, truncated or corrupt input yields a typed
@@ -19,7 +20,7 @@
 use std::io::{self, Read, Write};
 
 use flower_proto::wire::{Dec, Enc, Wire};
-use flower_proto::{ApiCall, ApiResp, FlowerMsg};
+use flower_proto::{wire_enum, ApiCall, ApiResp, FlowerMsg};
 use simnet::NodeId;
 
 pub use flower_proto::wire::WireError;
@@ -47,39 +48,20 @@ pub enum Frame {
     Shutdown,
 }
 
-const KIND_HELLO: u8 = 0;
-const KIND_PEER: u8 = 1;
-const KIND_API: u8 = 2;
-const KIND_API_RESP: u8 = 3;
-const KIND_SHUTDOWN: u8 = 4;
+wire_enum!(Frame, "frame kind" {
+    0 => Hello { node },
+    1 => Peer(msg),
+    2 => Api { token, call },
+    3 => ApiResp { token, resp },
+    4 => Shutdown,
+});
 
 /// Encode one frame, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     // The length prefix is written last, over these four bytes.
     let mut enc = Enc { out: vec![0u8; 4] };
-    let e = &mut enc;
-    WIRE_VERSION.put(e);
-    match frame {
-        Frame::Hello { node } => {
-            KIND_HELLO.put(e);
-            node.put(e);
-        }
-        Frame::Peer(m) => {
-            KIND_PEER.put(e);
-            m.put(e);
-        }
-        Frame::Api { token, call } => {
-            KIND_API.put(e);
-            token.put(e);
-            call.put(e);
-        }
-        Frame::ApiResp { token, resp } => {
-            KIND_API_RESP.put(e);
-            token.put(e);
-            resp.put(e);
-        }
-        Frame::Shutdown => KIND_SHUTDOWN.put(e),
-    }
+    WIRE_VERSION.put(&mut enc);
+    frame.put(&mut enc);
     let mut out = enc.out;
     let len = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&len.to_le_bytes());
@@ -93,22 +75,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let frame = match u8::get(d)? {
-        KIND_HELLO => Frame::Hello {
-            node: Wire::get(d)?,
-        },
-        KIND_PEER => Frame::Peer(Wire::get(d)?),
-        KIND_API => Frame::Api {
-            token: Wire::get(d)?,
-            call: Wire::get(d)?,
-        },
-        KIND_API_RESP => Frame::ApiResp {
-            token: Wire::get(d)?,
-            resp: Wire::get(d)?,
-        },
-        KIND_SHUTDOWN => Frame::Shutdown,
-        kind => return Err(WireError::BadKind(kind)),
-    };
+    let frame = Frame::get(d)?;
     if !d.buf.is_empty() {
         return Err(WireError::TrailingBytes(d.buf.len()));
     }

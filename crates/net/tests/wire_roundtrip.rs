@@ -500,8 +500,11 @@ fn wrong_version_is_rejected() {
 fn unknown_kind_is_rejected() {
     let payload = [WIRE_VERSION, 99];
     match decode_payload(&payload) {
-        Err(WireError::BadKind(99)) => {}
-        other => panic!("expected BadKind, got {other:?}"),
+        Err(WireError::BadTag {
+            what: "frame kind",
+            tag: 99,
+        }) => {}
+        other => panic!("expected BadTag for the frame kind, got {other:?}"),
     }
 }
 

@@ -478,7 +478,7 @@ impl FlowerPeer {
         if self
             .pending
             .as_ref()
-            .is_some_and(|p| p.phase == crate::peer::QueryPhase::Resolving)
+            .is_some_and(|p| p.tl.stage == crate::timeline::Stage::Resolving)
         {
             self.start_origin_fetch(ctx, cdn_metrics::ResolvedVia::DhtRoute);
         }

@@ -164,7 +164,6 @@ pub(crate) struct PendingQuery {
     /// `None` = pure petal-join request (non-active websites).
     pub object: Option<ObjectId>,
     pub via: ResolvedVia,
-    pub phase: QueryPhase,
     /// Bootstrap / routing attempts used.
     pub route_attempts: u32,
     /// The bootstrap the in-flight route attempt went through; excluded
@@ -173,17 +172,6 @@ pub(crate) struct PendingQuery {
     /// Set when the query was issued by a local API `Get`: the token to
     /// answer with [`ApiResp::Got`] on completion.
     pub api_token: Option<u64>,
-}
-
-/// Phase of the pending query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum QueryPhase {
-    /// Waiting for a Redirect (via D-ring routing or DirQuery).
-    Resolving,
-    /// Fetch outstanding against a provider.
-    Fetching(NodeId),
-    /// Origin-server round trip in progress.
-    Origin,
 }
 
 /// Outstanding position claim (§5.2.2).

@@ -23,7 +23,7 @@ use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
 use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
-use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, QueryPhase, Role};
+use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, Role};
 use crate::qid::QueryId;
 use crate::tags;
 use crate::timeline::{self, Timeline};
@@ -60,7 +60,6 @@ impl FlowerPeer {
             object,
             // Each resolution step names its own `via` before it sends.
             via: ResolvedVia::LocalView,
-            phase: QueryPhase::Resolving,
             route_attempts: 0,
             last_bootstrap: None,
             api_token,
@@ -163,7 +162,6 @@ impl FlowerPeer {
     /// Fetch the pending query's `object` from `target`.
     fn fetch_from(&mut self, ctx: &mut Fx<Self>, target: NodeId, object: ObjectId) {
         let p = self.pending.as_mut().expect("pending query");
-        p.phase = QueryPhase::Fetching(target);
         p.tl.fetch_from(ctx, &self.pcx, target, object);
     }
 
@@ -179,7 +177,6 @@ impl FlowerPeer {
         match self.dir_info {
             Some(di) => {
                 p.via = ResolvedVia::Directory;
-                p.phase = QueryPhase::Resolving;
                 let qid = p.tl.qid;
                 let exclude = p.tl.excluded.clone();
                 ctx.send(
@@ -215,7 +212,6 @@ impl FlowerPeer {
             return;
         }
         p.via = via;
-        p.phase = QueryPhase::Origin;
         p.tl.origin_round_trip(ctx, &self.pcx);
     }
 
@@ -291,9 +287,7 @@ impl FlowerPeer {
 
     /// Whether query `qid` is ours and still waiting for a Redirect.
     fn is_resolving(&self, qid: QueryId) -> bool {
-        self.pending
-            .as_ref()
-            .is_some_and(|p| p.tl.qid == qid && p.phase == QueryPhase::Resolving)
+        self.pending.as_ref().is_some_and(|p| p.tl.resolving(qid))
     }
 
     /// The bootstrap could not route our request.
@@ -356,7 +350,7 @@ impl FlowerPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.tl.qid != qid || p.phase != QueryPhase::Fetching(from) {
+        if !p.tl.fetching(qid, from) {
             return;
         }
         ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
@@ -379,10 +373,9 @@ impl FlowerPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.tl.qid != qid || p.phase != QueryPhase::Fetching(provider) {
+        if !p.tl.fetching(qid, provider) {
             return;
         }
-        p.phase = QueryPhase::Resolving;
         let spent = p.tl.fetch_failed(ctx, provider, timed_out);
         if timed_out {
             // Unreachable contact: purge from the view (§6.1), and tell
@@ -405,16 +398,13 @@ impl FlowerPeer {
     }
 
     pub(crate) fn on_fetch_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId, attempt: u32) {
-        let Some(p) = &self.pending else {
-            return;
-        };
-        if !p.tl.awaits_fetch(qid, attempt) {
-            return;
+        if let Some(provider) = self
+            .pending
+            .as_ref()
+            .and_then(|p| p.tl.expired(qid, attempt))
+        {
+            self.on_fetch_failed(ctx, qid, provider, true);
         }
-        let QueryPhase::Fetching(provider) = p.phase else {
-            return;
-        };
-        self.on_fetch_failed(ctx, qid, provider, true);
     }
 
     /// Origin round trip finished: a P2P miss, but the client now holds the
@@ -423,7 +413,7 @@ impl FlowerPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.tl.qid != qid || p.phase != QueryPhase::Origin {
+        if !p.tl.origin_due(qid) {
             return;
         }
         let Some(object) = p.object else {

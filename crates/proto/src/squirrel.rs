@@ -93,7 +93,7 @@ pub enum SqMsg {
 
 // Squirrel's own rows; the shared messages (`Chord`, the three fetches) are
 // laid out as Flower-CDN's, so a byte means the same thing in both systems.
-wire::wire_enum!(SqMsg, "squirrel message" {
+crate::wire_enum!(SqMsg, "squirrel message" {
     0 => Chord(msg),
     1 => Query { qid, object, exclude },
     2 => Answer { qid, object, provider },
@@ -107,7 +107,7 @@ impl SqMsg {
     /// Bytes this message would occupy on Flower-CDN's wire, counted exactly
     /// as [`FlowerMsg::wire_bytes`](crate::msg::FlowerMsg::wire_bytes)
     /// counts — same frame overhead, same codec, same modelled object body.
-    /// Squirrel runs under the simulator only, so it has no frame kind.
+    /// Squirrel runs under the simulator only, so it has no frame of its own.
     pub fn wire_bytes(&self) -> usize {
         let body = match self {
             SqMsg::FetchOk { .. } | SqMsg::StoreCopy { .. } => wire::MODELLED_OBJECT_BYTES,
@@ -151,19 +151,13 @@ impl SqTimer {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SqPhase {
-    Routing,
-    AwaitAnswer { home: NodeId },
-    Fetching { provider: NodeId, home: NodeId },
-    Origin { home: Option<NodeId> },
-}
-
 struct SqPending {
-    /// The timed part every system shares.
+    /// The timed part every system shares; its stage says where the fetch
+    /// stands.
     tl: Timeline,
     object: ObjectId,
-    phase: SqPhase,
+    /// The home node last asked; `None` while the DHT lookup for it runs.
+    home: Option<NodeId>,
     lookup_attempts: u32,
 }
 
@@ -304,7 +298,7 @@ impl SquirrelPeer {
         self.pending = Some(SqPending {
             tl: Timeline::issue(ctx, qid, self.pcx.website, Some(object)),
             object,
-            phase: SqPhase::Routing,
+            home: None,
             lookup_attempts: 1,
         });
         self.start_home_lookup(ctx, qid, object);
@@ -329,7 +323,7 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.tl.qid != qid || p.phase != SqPhase::Routing {
+        if !p.tl.resolving(qid) || p.home.is_some() {
             return;
         }
         p.tl.dht_hops = hops;
@@ -340,7 +334,7 @@ impl SquirrelPeer {
     /// downloaders we already found dead so it prunes them.
     fn ask_home(&mut self, ctx: &mut Fx<Self>, home: NodeId) {
         let p = self.pending.as_mut().expect("pending query");
-        p.phase = SqPhase::AwaitAnswer { home };
+        p.home = Some(home);
         let (qid, object, exclude) = (p.tl.qid, p.object, p.tl.excluded.clone());
         if home == self.me {
             // We are the home node ourselves: consult our own directory.
@@ -379,7 +373,7 @@ impl SquirrelPeer {
         }
         if p.lookup_attempts < 2 {
             p.lookup_attempts += 1;
-            p.phase = SqPhase::Routing;
+            p.home = None;
             let object = p.object;
             self.start_home_lookup(ctx, qid, object);
         } else {
@@ -397,18 +391,14 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.tl.qid != qid || p.object != object {
+        if !p.tl.resolving(qid) || p.object != object {
             return;
         }
-        let SqPhase::AwaitAnswer { home } = p.phase else {
+        let Some(home) = p.home else {
             return;
         };
         match provider {
             Some(target) if !p.tl.excluded.contains(&target) => {
-                p.phase = SqPhase::Fetching {
-                    provider: target,
-                    home,
-                };
                 p.tl.fetch_from(ctx, &self.pcx, target, object);
             }
             _ => {
@@ -425,7 +415,7 @@ impl SquirrelPeer {
         if p.tl.qid != qid {
             return;
         }
-        p.phase = SqPhase::Origin { home };
+        p.home = home;
         p.tl.origin_round_trip(ctx, &self.pcx);
     }
 
@@ -433,17 +423,11 @@ impl SquirrelPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.tl.qid != qid {
-            return;
-        }
-        let SqPhase::Fetching { provider, home } = p.phase else {
-            return;
-        };
-        if provider != from {
+        if !p.tl.fetching(qid, from) {
             return;
         }
         ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
-        let kind = if from == home {
+        let kind = if p.home == Some(from) {
             Provider::DirectoryPeer // home-store service
         } else {
             Provider::ContentPeer
@@ -463,19 +447,12 @@ impl SquirrelPeer {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if p.tl.qid != qid {
+        if !p.tl.fetching(qid, provider) {
             return;
         }
-        let SqPhase::Fetching {
-            provider: expected,
-            home,
-        } = p.phase
-        else {
+        let Some(home) = p.home else {
             return;
         };
-        if provider != expected {
-            return;
-        }
         if p.tl.fetch_failed(ctx, provider, timed_out) {
             self.start_origin_fetch(ctx, qid, Some(home));
         } else {
@@ -487,7 +464,7 @@ impl SquirrelPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.tl.qid != qid || !matches!(p.phase, SqPhase::AwaitAnswer { .. }) {
+        if !p.tl.resolving(qid) || p.home.is_none() {
             return;
         }
         // Home node died between lookup and query: re-route; the DHT will
@@ -501,14 +478,11 @@ impl SquirrelPeer {
         let Some(p) = &self.pending else {
             return;
         };
-        if p.tl.qid != qid {
+        if !p.tl.origin_due(qid) {
             return;
         }
-        let SqPhase::Origin { home } = p.phase else {
-            return;
-        };
         if self.mode == SquirrelMode::HomeStore {
-            if let Some(home) = home {
+            if let Some(home) = p.home {
                 if home != self.me {
                     let object = p.object;
                     ctx.send(home, SqMsg::StoreCopy { object });
@@ -646,16 +620,13 @@ impl SquirrelPeer {
             SqTimer::Query => self.on_query_timer(ctx),
             SqTimer::AnswerDeadline { qid } => self.on_answer_deadline(ctx, qid),
             SqTimer::FetchDeadline { qid, attempt } => {
-                let Some(p) = &self.pending else {
-                    return;
-                };
-                if !p.tl.awaits_fetch(qid, attempt) {
-                    return;
+                if let Some(provider) = self
+                    .pending
+                    .as_ref()
+                    .and_then(|p| p.tl.expired(qid, attempt))
+                {
+                    self.on_fetch_failed(ctx, qid, provider, true);
                 }
-                let SqPhase::Fetching { provider, .. } = p.phase else {
-                    return;
-                };
-                self.on_fetch_failed(ctx, qid, provider, true);
             }
             SqTimer::OriginDone { qid } => self.on_origin_done(ctx, qid),
         }

@@ -7,15 +7,22 @@
 //! `first_arrival` and then `next_arrival`; both peers embed a `Timeline` in their pending-query
 //! state and move it through five steps:
 //!
-//! 1. `Timeline::issue` — the query exists from now on;
+//! 1. `Timeline::issue` — the query exists from now on, `Resolving`;
 //! 2. `Timeline::fetch_from` — ask a provider for the object, under a
-//!    deadline (repeatable: each attempt restarts the transfer clock);
+//!    deadline (repeatable: each attempt restarts the transfer clock),
+//!    `Fetching` from it;
 //! 3. `Timeline::fetch_failed` — the provider refused or stayed silent:
-//!    exclude it, and say whether `MAX_FETCH_ATTEMPTS` is spent;
+//!    exclude it, say whether `MAX_FETCH_ATTEMPTS` is spent, and go back
+//!    to `Resolving`;
 //! 4. `Timeline::origin_round_trip` — give up on the overlay; the origin
-//!    is a latency, not a peer, and always has the object;
+//!    is a latency, not a peer, and always has the object: `Origin`;
 //! 5. `Timeline::complete` — the object arrived: emit the
 //!    [`QueryRecord`].
+//!
+//! The `Stage` those steps set is the one record of where a fetch stands,
+//! and four predicates read it to tell whether a reply or a timer is about
+//! the query outstanding now: `resolving`, `fetching`, `expired` and
+//! `origin_due`.
 //!
 //! The metrics follow from the record: a query is a **hit** iff a peer
 //! provided the object; **transfer distance** is the one-way latency to
@@ -50,9 +57,21 @@ pub(crate) trait QueryMachine: Machine<Report = FlowerReport> {
     fn origin_done(qid: QueryId) -> Self::Timer;
 }
 
+/// Where an outstanding query's fetch stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// Looking for a provider: a route, a directory or a home node.
+    Resolving,
+    /// A fetch is outstanding against this provider.
+    Fetching(NodeId),
+    /// The origin round trip is under way.
+    Origin,
+}
+
 /// The timed part of one outstanding query.
 pub(crate) struct Timeline {
     pub qid: QueryId,
+    pub stage: Stage,
     pub issued_at: Time,
     /// When the current fetch (or origin round trip) started.
     pub fetch_sent_at: Time,
@@ -83,6 +102,7 @@ impl Timeline {
         }
         Timeline {
             qid,
+            stage: Stage::Resolving,
             issued_at: ctx.now(),
             fetch_sent_at: ctx.now(),
             fetch_attempts: 0,
@@ -100,6 +120,7 @@ impl Timeline {
         target: NodeId,
         object: ObjectId,
     ) {
+        self.stage = Stage::Fetching(target);
         self.fetch_sent_at = ctx.now();
         self.fetch_attempts += 1;
         let qid = self.qid;
@@ -113,21 +134,44 @@ impl Timeline {
         );
     }
 
-    /// Whether a firing `FetchDeadline { qid, attempt }` is about the fetch
-    /// outstanding right now.
-    pub fn awaits_fetch(&self, qid: QueryId, attempt: u32) -> bool {
-        self.qid == qid && self.fetch_attempts == attempt
+    /// Whether query `qid` is this one, still looking for a provider.
+    pub fn resolving(&self, qid: QueryId) -> bool {
+        self.qid == qid && self.stage == Stage::Resolving
+    }
+
+    /// Whether a reply from `from` answers this query's outstanding fetch.
+    pub fn fetching(&self, qid: QueryId, from: NodeId) -> bool {
+        self.qid == qid && self.stage == Stage::Fetching(from)
+    }
+
+    /// The provider a firing `FetchDeadline { qid, attempt }` gave up on,
+    /// if it is about the fetch outstanding right now.
+    pub fn expired(&self, qid: QueryId, attempt: u32) -> Option<NodeId> {
+        match self.stage {
+            Stage::Fetching(provider) if self.qid == qid && self.fetch_attempts == attempt => {
+                Some(provider)
+            }
+            _ => None,
+        }
+    }
+
+    /// Whether a firing `OriginDone { qid }` ends this query's origin round
+    /// trip.
+    pub fn origin_due(&self, qid: QueryId) -> bool {
+        self.qid == qid && self.stage == Stage::Origin
     }
 
     /// The outstanding fetch from `provider` failed — a refusal, or with
-    /// `timed_out` a deadline that fired. Returns whether the fetch budget
-    /// is spent, so the next stop is the origin.
+    /// `timed_out` a deadline that fired — and the query is resolving again.
+    /// Returns whether the fetch budget is spent, so the next stop is the
+    /// origin.
     pub fn fetch_failed<M: QueryMachine>(
         &mut self,
         ctx: &mut Fx<M>,
         provider: NodeId,
         timed_out: bool,
     ) -> bool {
+        self.stage = Stage::Resolving;
         self.excluded.push(provider);
         let (qid, attempt) = (self.qid, self.fetch_attempts);
         let (tag, event) = if timed_out {
@@ -145,6 +189,7 @@ impl Timeline {
     /// Fall back to the origin server: `OriginDone` fires after the round
     /// trip.
     pub fn origin_round_trip<M: QueryMachine>(&mut self, ctx: &mut Fx<M>, pcx: &PeerCtx) {
+        self.stage = Stage::Origin;
         self.fetch_sent_at = ctx.now();
         let qid = self.qid;
         ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
@@ -226,6 +271,45 @@ mod tests {
     use crate::io::{machine_rng, Output};
     use crate::squirrel::SquirrelPeer;
     use simnet::{FieldValue, Fields, LocalityId};
+
+    /// A reply or a timer is about the query only at the stage the steps
+    /// set, and only for its own qid, provider and attempt.
+    #[test]
+    fn replies_match_only_the_outstanding_stage() {
+        let pcx = PeerCtx::for_tests();
+        let me = NodeId::from_index(9);
+        let mut rng = machine_rng(1, me);
+        let mut out = Vec::new();
+        let mut ctx =
+            Fx::<SquirrelPeer>::new(Time::ZERO, me, LocalityId(0), &mut rng, true, &mut out);
+        let (qid, other) = (QueryId::new(me, 1), QueryId::new(me, 2));
+        let object = ObjectId::from_u64(7);
+        let [a, b] = [1, 2].map(NodeId::from_index);
+        let mut tl = Timeline::issue(&mut ctx, qid, pcx.website, Some(object));
+        assert!(tl.resolving(qid) && !tl.resolving(other));
+        assert!(!tl.fetching(qid, a) && tl.expired(qid, 0).is_none() && !tl.origin_due(qid));
+
+        tl.fetch_from(&mut ctx, &pcx, a, object);
+        assert!(tl.fetching(qid, a) && !tl.fetching(qid, b) && !tl.fetching(other, a));
+        assert_eq!(tl.expired(qid, 1), Some(a));
+        assert_eq!(tl.expired(qid, 0), None);
+        assert_eq!(tl.expired(other, 1), None);
+        assert!(!tl.resolving(qid));
+
+        tl.fetch_failed(&mut ctx, a, true);
+        assert!(tl.resolving(qid) && !tl.fetching(qid, a));
+        assert_eq!(tl.expired(qid, 1), None);
+
+        // The first attempt's deadline is stale once the second is out.
+        tl.fetch_from(&mut ctx, &pcx, b, object);
+        assert_eq!(tl.expired(qid, 1), None);
+        assert_eq!(tl.expired(qid, 2), Some(b));
+
+        tl.origin_round_trip(&mut ctx, &pcx);
+        assert!(tl.origin_due(qid) && !tl.origin_due(other));
+        assert!(!tl.resolving(qid) && !tl.fetching(qid, b));
+        assert_eq!(tl.expired(qid, 2), None);
+    }
 
     /// The failure half of a query: every failed provider is excluded,
     /// reported and traced under the query's `qid`, and the third failure

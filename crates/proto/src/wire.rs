@@ -42,7 +42,7 @@ use crate::{
 };
 
 /// Bytes the TCP host's frame adds around an encoded message: the `u32`
-/// length prefix, the version byte and the kind byte.
+/// length prefix, the version byte and the frame's tag.
 pub const FRAME_OVERHEAD: usize = 4 + 1 + 1;
 
 /// The object body a transfer (`FetchOk`, Squirrel's `StoreCopy`) would
@@ -68,8 +68,6 @@ pub enum WireError {
     Truncated,
     /// Version byte we do not speak.
     BadVersion(u8),
-    /// Unknown frame kind.
-    BadKind(u8),
     /// Unknown enum discriminant inside a known structure.
     BadTag { what: &'static str, tag: u8 },
     /// A length or parameter field is inconsistent or absurd.
@@ -87,7 +85,6 @@ impl fmt::Display for WireError {
         match self {
             WireError::Truncated => write!(f, "frame truncated"),
             WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
-            WireError::BadKind(k) => write!(f, "unknown frame kind {k}"),
             WireError::BadTag { what, tag } => write!(f, "unknown {what} tag {tag}"),
             WireError::Malformed(what) => write!(f, "malformed {what}"),
             WireError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
@@ -371,6 +368,9 @@ macro_rules! wire_record {
 /// Both directions and the counted length (`put` over a `usize` sink) come
 /// from the row; `put`'s `match` is exhaustive, so a variant without a row
 /// does not compile, and an unknown tag is `BadTag { what, tag }`.
+/// Exported, so a host's own envelope (`flower-net`'s socket frame) is a row
+/// too.
+#[macro_export]
 macro_rules! wire_enum {
     ($ty:ty, $what:literal {
         $($tag:literal => $variant:ident $({ $($field:ident),* })? $(( $($item:ident),* ))?),* $(,)?
@@ -398,7 +398,6 @@ macro_rules! wire_enum {
         }
     };
 }
-pub(crate) use wire_enum;
 
 wire_record!(WebsiteId { 0 });
 wire_record!(LocalityId { 0 });

@@ -1,11 +1,13 @@
 //! The discrete-event simulation world.
 //!
 //! A [`World`] owns a set of protocol nodes (anything implementing [`Node`]),
-//! a [`Topology`] that prices each link in milliseconds, a single seeded RNG,
-//! and a time-ordered event queue. It is strictly single-threaded and fully
-//! deterministic: the same seed and the same schedule of control events
-//! produce bit-identical runs (ties in the queue are broken by insertion
-//! sequence number).
+//! a [`Topology`] that prices each link in milliseconds, and a time-ordered
+//! event queue. It is strictly single-threaded and fully deterministic: the
+//! same seed and the same schedule of control events produce bit-identical
+//! runs (ties in the queue are broken by insertion sequence number). The
+//! world draws no randomness of its own; the seed only drives the
+//! [`LinkConditioner`], and a node that needs random numbers carries its own
+//! generator.
 //!
 //! The queue is a two-level timer [`Wheel`]: event
 //! payloads live in a flat slab and schedule/pop/cancel are O(1) on the hot
@@ -28,8 +30,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use profile::Profiler;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::conditioner::{LinkConditioner, LinkVerdict};
 use crate::topology::{LocalityId, Point, Topology};
@@ -122,17 +122,15 @@ pub trait Node {
 
 /// Execution context passed to node callbacks. Collects the node's outputs
 /// (sends, timers, reports) and exposes the node's identity, the current
-/// time, its locality and the world RNG.
+/// time and its locality.
 ///
 /// The output `Vec`s are on loan from the world's scratch pool: they keep
 /// their capacity across callbacks, so steady-state dispatch allocates
 /// nothing.
-pub struct Ctx<'a, N: Node + ?Sized> {
+pub struct Ctx<N: Node + ?Sized> {
     now: Time,
     me: NodeId,
     locality: LocalityId,
-    /// The world's deterministic RNG, shared by all nodes.
-    pub rng: &'a mut StdRng,
     sends: Vec<(NodeId, N::Msg)>,
     timers: Vec<(u64, N::Timer)>,
     reports: Vec<N::Report>,
@@ -140,7 +138,7 @@ pub struct Ctx<'a, N: Node + ?Sized> {
     customs: Vec<(&'static str, Fields)>,
 }
 
-impl<'a, N: Node + ?Sized> Ctx<'a, N> {
+impl<N: Node + ?Sized> Ctx<N> {
     /// The current virtual time.
     pub fn now(&self) -> Time {
         self.now
@@ -280,7 +278,6 @@ pub struct World<N: Node, C> {
     nodes: Vec<Option<Box<N>>>,
     live: usize,
     topology: Topology,
-    rng: StdRng,
     reports: Vec<(Time, NodeId, N::Report)>,
     stats: WorldStats,
     sinks: Vec<Box<dyn TraceSink>>,
@@ -293,7 +290,8 @@ pub struct World<N: Node, C> {
 }
 
 impl<N: Node, C> World<N, C> {
-    /// Create an empty world over `topology`, seeding the deterministic RNG.
+    /// Create an empty world over `topology`; `seed` seeds the link
+    /// conditioner's loss, duplication and jitter draws.
     pub fn new(topology: Topology, seed: u64) -> World<N, C> {
         World {
             now: Time::ZERO,
@@ -302,7 +300,6 @@ impl<N: Node, C> World<N, C> {
             nodes: Vec::new(),
             live: 0,
             topology,
-            rng: StdRng::seed_from_u64(seed),
             reports: Vec::new(),
             stats: WorldStats::default(),
             sinks: Vec::new(),
@@ -396,11 +393,6 @@ impl<N: Node, C> World<N, C> {
     /// The topology (latencies, localities, coordinates).
     pub fn topology(&self) -> &Topology {
         &self.topology
-    }
-
-    /// Mutable access to the world RNG (for engine-level sampling).
-    pub fn rng(&mut self) -> &mut StdRng {
-        &mut self.rng
     }
 
     /// Run statistics so far.
@@ -585,7 +577,7 @@ impl<N: Node, C> World<N, C> {
     /// Run `f` against node `id` with a `Ctx` over the pooled scratch
     /// buffers, then apply the collected actions (sends priced by topology
     /// latency, timers, reports).
-    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<'_, N>)) {
+    fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut N, &mut Ctx<N>)) {
         let locality = self.topology.locality(id);
         let Some(slot) = self.nodes.get_mut(id.index()) else {
             return;
@@ -598,7 +590,6 @@ impl<N: Node, C> World<N, C> {
             now: self.now,
             me: id,
             locality,
-            rng: &mut self.rng,
             sends: std::mem::take(&mut self.scratch.sends),
             timers: std::mem::take(&mut self.scratch.timers),
             reports: std::mem::take(&mut self.scratch.reports),

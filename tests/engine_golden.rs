@@ -2,7 +2,7 @@
 //! paths: the exact summary row, event count, diagnostic-event map, gauge
 //! series, `records` line (count and FNV-1a over every `QueryRecord` in
 //! order) and per-class message sends and wire bytes of one seeded run per
-//! system. A refactor or a pure optimisation
+//! system, and of Squirrel's home-store scheme. A refactor or a pure optimisation
 //! must reproduce them digit for digit. They were last re-recorded when
 //! Chord's finger repair began asking the incumbent finger before
 //! resolving a slot, which moved the ring's traffic — and with it every
@@ -191,4 +191,55 @@ fn squirrel_engine_matches_pre_refactor_golden() {
         s.world().stats().events_processed()
     });
     assert_eq!(got, SQUIRREL_GOLDEN, "got:\n{got}");
+}
+
+const SQUIRREL_HOME_STORE_GOLDEN: &str = "\
+summary 6756,4438,0.656898,1857.084,221.410,2.519,849997,125.814,0,0,126
+events_processed 1508071
+events {FetchTimeout: 36, DirQueryTimeout: 225, RouteFailure: 30, DirNoProvider: 2259, AnsweredByNonOwner: 312}
+records n=6756 fnv=bcdc4feff4d09064
+gauge events_per_sim_sec n=8 last=(2400000,619.8)
+gauge homed_objects n=8 last=(2400000,0)
+gauge population n=8 last=(2400000,126)
+gauge queue_depth n=8 last=(2400000,934)
+gauge rate/chord_find_next n=8 last=(2400000,92.78)
+gauge rate/chord_find_next_reply n=8 last=(2400000,92.69666666666667)
+gauge rate/chord_get_neighbors n=8 last=(2400000,27.413333333333334)
+gauge rate/chord_neighbors_reply n=8 last=(2400000,27.393333333333334)
+gauge rate/chord_notify n=8 last=(2400000,27.186666666666667)
+gauge rate/chord_ping n=8 last=(2400000,26.47)
+gauge rate/chord_pong n=8 last=(2400000,26.446666666666665)
+gauge rate/chord_route n=8 last=(2400000,8.166666666666666)
+gauge rate/chord_route_result n=8 last=(2400000,2.97)
+gauge rate/fetch n=8 last=(2400000,2.1766666666666667)
+gauge rate/fetch_ok n=8 last=(2400000,2.1733333333333333)
+gauge rate/sq_answer n=8 last=(2400000,2.95)
+gauge rate/sq_query n=8 last=(2400000,2.9466666666666668)
+gauge rate/sq_store_copy n=8 last=(2400000,0.7833333333333333)
+gauge ring_size n=8 last=(2400000,126)
+msg chord_find_next count=263697 bytes=10547880
+msg chord_find_next_reply count=256664 bytes=8468184
+msg chord_get_neighbors count=60822 bytes=1946304
+msg chord_neighbors_reply count=59731 bytes=10668799
+msg chord_notify count=58252 bytes=1398048
+msg chord_ping count=56682 bytes=906912
+msg chord_pong count=55924 bytes=894784
+msg chord_route count=19046 bytes=838024
+msg chord_route_result count=6756 bytes=243216
+msg fetch count=4477 bytes=85063
+msg fetch_ok count=4472 bytes=18402280
+msg sq_answer count=6710 bytes=170632
+msg sq_query count=6875 bytes=213573
+msg sq_store_copy count=2163 bytes=8883441
+";
+
+/// The home-store scheme: the home node caches the object and is handed a
+/// copy after every origin fetch (`sq_store_copy`), so which home a query
+/// last asked is pinned here too.
+#[test]
+fn squirrel_home_store_engine_matches_golden() {
+    let got = fingerprint(SquirrelSim::new(params(), SquirrelMode::HomeStore), |s| {
+        s.world().stats().events_processed()
+    });
+    assert_eq!(got, SQUIRREL_HOME_STORE_GOLDEN, "got:\n{got}");
 }

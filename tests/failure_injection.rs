@@ -108,7 +108,6 @@ fn healed_partition_queries_terminate() {
     // the uniqueness grace must cover the partition window.
     let checker = InvariantChecker::with_config(InvariantConfig {
         replacement_grace_ms: partition_ms + 5 * 60_000,
-        ..InvariantConfig::default()
     });
     sim.add_trace_sink(checker.clone());
     let result = sim.run();
