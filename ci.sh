@@ -45,8 +45,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc -D warnings (no dead intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "==> rendered docs (EXPERIMENTS.md tables are what results/*.csv render to)"
-python3 render_results.py --check
+echo "==> rendered docs (EXPERIMENTS.md tables are what results/*.csv render to, README's what BENCH_*.json do)"
+python3 render_results.py --check EXPERIMENTS.md README.md
 
 echo "==> loopback cluster smoke (5 live nodes, failure + re-founding)"
 bash scripts/loopback_smoke.sh

@@ -13,20 +13,30 @@
 //! cargo run --release -p flower-bench --bin ablation_cache -- --seeds 1..4 --jobs 4
 //! ```
 
-use cdn_metrics::{ascii_table, Csv};
-use flower_bench::{fmt_mean_spread, HarnessOpts, Scale};
+use flower_bench::{HarnessOpts, Scale};
 use flower_cdn::peer::ProtocolEvent;
 use flower_cdn::{RunResult, StorePolicy, System};
 use sweep::{aggregate, run_grid_with, Grid};
 
+/// The printed table's columns, which are the CSV's.
+const HEADER: [&str; 7] = [
+    "policy",
+    "runs",
+    "hit_ratio_mean",
+    "hit_ratio_stddev",
+    "mean_lookup_ms_mean",
+    "fetch_misses_mean",
+    "queries_mean",
+];
+
 fn main() {
     let opts = HarnessOpts::parse(&["--population"]);
     let policies = [
-        (StorePolicy::Unlimited, "unlimited", "unlimited (paper)"),
-        (StorePolicy::Lru { capacity: 20 }, "lru20", "LRU 20"),
-        (StorePolicy::Lru { capacity: 10 }, "lru10", "LRU 10"),
-        (StorePolicy::Lru { capacity: 5 }, "lru5", "LRU 5"),
-        (StorePolicy::Lru { capacity: 2 }, "lru2", "LRU 2"),
+        (StorePolicy::Unlimited, "unlimited"),
+        (StorePolicy::Lru { capacity: 20 }, "lru20"),
+        (StorePolicy::Lru { capacity: 10 }, "lru10"),
+        (StorePolicy::Lru { capacity: 5 }, "lru5"),
+        (StorePolicy::Lru { capacity: 2 }, "lru2"),
     ];
     let mut base = opts.params(3_000);
     if opts.scale == Scale::Quick {
@@ -37,15 +47,14 @@ fn main() {
     }
     let seeds = opts.seed_list(base.seed);
     let mut grid = Grid::new(seeds.clone());
-    for (policy, tag, _) in policies {
+    for (policy, tag) in policies {
         let mut params = base.clone();
         params.store_policy = policy;
         grid.push(opts.cell(tag, System::FlowerCdn, params));
     }
     println!(
-        "sweeping {} cache policies × {} seed(s) ({} runs, --jobs {})…",
+        "sweeping {} cache policies × seeds {seeds:?} ({} runs, --jobs {})…",
         grid.cells.len(),
-        seeds.len(),
         grid.total_runs(),
         opts.jobs()
     );
@@ -58,51 +67,26 @@ fn main() {
         }
     });
 
-    let mut rendered = Vec::new();
-    let mut csv = Csv::new(&[
-        "policy",
-        "runs",
-        "hit_ratio_mean",
-        "hit_ratio_stddev",
-        "mean_lookup_ms_mean",
-        "fetch_misses_mean",
-        "queries_mean",
-    ]);
-    for (i, (_, _, label)) in policies.iter().enumerate() {
-        let hit = cells[i].agg("hit_ratio");
-        let lookup = cells[i].agg("mean_lookup_ms");
-        let queries = cells[i].agg("queries");
-        let misses = aggregate(&fetch_misses[i]);
-        rendered.push(vec![
-            label.to_string(),
-            fmt_mean_spread(&hit, 3),
-            format!("{:.0} ms", lookup.mean),
-            format!("{:.1}", misses.mean),
-            format!("{:.0}", queries.mean),
-        ]);
-        csv.row(&[
-            policies[i].1.to_string(),
-            hit.n.to_string(),
-            format!("{:.6}", hit.mean),
-            format!("{:.6}", hit.stddev),
-            format!("{:.3}", lookup.mean),
-            format!("{:.3}", misses.mean),
-            format!("{:.3}", queries.mean),
-        ]);
-    }
-    println!(
-        "{}",
-        ascii_table(
-            "Ablation A3: LRU cache capacity vs hit ratio",
-            &[
-                "policy",
-                "hit ratio",
-                "mean lookup",
-                "fetch misses",
-                "queries"
-            ],
-            &rendered,
-        )
+    let rows: Vec<Vec<String>> = cells
+        .iter()
+        .zip(&fetch_misses)
+        .map(|(cell, misses)| {
+            let hit = cell.agg("hit_ratio");
+            vec![
+                cell.label.clone(),
+                hit.n.to_string(),
+                format!("{:.6}", hit.mean),
+                format!("{:.6}", hit.stddev),
+                format!("{:.3}", cell.agg("mean_lookup_ms").mean),
+                format!("{:.3}", aggregate(misses).mean),
+                format!("{:.3}", cell.agg("queries").mean),
+            ]
+        })
+        .collect();
+    let csv = flower_bench::print_table(
+        "Ablation A3: LRU cache capacity vs hit ratio",
+        &HEADER,
+        &rows,
     );
     println!(
         "shape check: Zipf workloads keep most of the useful mass in small\n\

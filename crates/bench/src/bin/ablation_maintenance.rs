@@ -43,9 +43,8 @@ fn main() {
         grid.push(opts.cell(tag, System::FlowerCdn, params));
     }
     println!(
-        "running {} maintenance variants × {} seed(s) ({} runs, --jobs {})…",
+        "running {} maintenance variants × seeds {seeds:?} ({} runs, --jobs {})…",
         grid.cells.len(),
-        seeds.len(),
         grid.total_runs(),
         opts.jobs()
     );

@@ -18,8 +18,7 @@
 //! cargo run --release -p flower-bench --bin ablation_petalup -- --seeds 1..4 --jobs 4
 //! ```
 
-use cdn_metrics::{ascii_table, Csv};
-use flower_bench::{fmt_mean_spread, HarnessOpts, Scale};
+use flower_bench::{HarnessOpts, Scale};
 use flower_cdn::{RunResult, SimParams, System};
 use sweep::{aggregate, run_grid_with, Grid};
 
@@ -30,7 +29,6 @@ fn crowd_params(opts: &HarnessOpts, capacity: usize) -> SimParams {
         Scale::Quick => (400, 2 * 3_600_000),
     };
     let mut p = SimParams::quick(opts.population.unwrap_or(population), horizon);
-    p.seed = opts.seed.unwrap_or(0xF10E);
     p.catalog.websites = 1;
     p.catalog.active_websites = 1;
     p.catalog.objects_per_site = 300;
@@ -45,14 +43,26 @@ fn crowd_params(opts: &HarnessOpts, capacity: usize) -> SimParams {
 /// instances, deepest instance chain, peak per-instance load.
 const STRUCTURE_GAUGES: [&str; 3] = ["dring_size", "instance_depth_max", "petal_size_max"];
 
+/// The printed table's columns, which are the CSV's.
+const HEADER: [&str; 8] = [
+    "capacity",
+    "runs",
+    "instances_mean",
+    "max_instance_mean",
+    "max_load_mean",
+    "splits_mean",
+    "hit_ratio_mean",
+    "hit_ratio_stddev",
+];
+
 fn main() {
     let opts = HarnessOpts::parse(&["--population", "--gauges"]);
-    // (capacity, cell label, CSV label, table label)
+    // (capacity, cell label, table label)
     let capacities = [
-        (usize::MAX, "cap_inf", "inf", "∞ (no splits)"),
-        (30, "cap30", "30", "30"),
-        (12, "cap12", "12", "12"),
-        (6, "cap6", "6", "6"),
+        (usize::MAX, "cap_inf", "inf"),
+        (30, "cap30", "30"),
+        (12, "cap12", "12"),
+        (6, "cap6", "6"),
     ];
     let base = crowd_params(&opts, usize::MAX);
     let seeds = opts.seed_list(base.seed);
@@ -61,9 +71,8 @@ fn main() {
         grid.push(opts.cell(tag, System::FlowerCdn, crowd_params(&opts, cap)));
     }
     println!(
-        "sweeping {} directory capacities × {} seed(s) ({} runs, --jobs {})…",
+        "sweeping {} directory capacities × seeds {seeds:?} ({} runs, --jobs {})…",
         capacities.len(),
-        seeds.len(),
         grid.total_runs(),
         opts.jobs()
     );
@@ -78,55 +87,30 @@ fn main() {
         |r: RunResult| STRUCTURE_GAUGES.map(|g| r.gauges.last(g).unwrap_or(0.0))
     });
 
-    let mut rendered = Vec::new();
-    let mut csv = Csv::new(&[
-        "capacity",
-        "runs",
-        "instances_mean",
-        "max_instance_mean",
-        "max_load_mean",
-        "splits_mean",
-        "hit_ratio_mean",
-        "hit_ratio_stddev",
-    ]);
-    for (i, (_, _, csv_label, table_label)) in capacities.into_iter().enumerate() {
-        let [instances, max_instance, max_load] =
-            [0, 1, 2].map(|g| aggregate(&structures[i].iter().map(|s| s[g]).collect::<Vec<_>>()));
-        let splits = cells[i].agg("splits");
-        let hit = cells[i].agg("hit_ratio");
-        rendered.push(vec![
-            table_label.to_string(),
-            format!("{:.1}", instances.mean),
-            format!("{:.1}", max_instance.mean),
-            format!("{:.1}", max_load.mean),
-            format!("{:.1}", splits.mean),
-            fmt_mean_spread(&hit, 3),
-        ]);
-        csv.row(&[
-            csv_label.to_string(),
-            hit.n.to_string(),
-            format!("{:.3}", instances.mean),
-            format!("{:.3}", max_instance.mean),
-            format!("{:.3}", max_load.mean),
-            format!("{:.3}", splits.mean),
-            format!("{:.6}", hit.mean),
-            format!("{:.6}", hit.stddev),
-        ]);
-    }
-    println!(
-        "{}",
-        ascii_table(
-            "Ablation A1: PetalUp-CDN splitting vs directory capacity (one crowded website)",
-            &[
-                "capacity",
-                "live instances",
-                "max instance",
-                "max load",
-                "splits",
-                "hit ratio"
-            ],
-            &rendered,
-        )
+    let rows: Vec<Vec<String>> = capacities
+        .iter()
+        .zip(&cells)
+        .zip(&structures)
+        .map(|((&(_, _, label), cell), structure)| {
+            let [instances, max_instance, max_load] =
+                [0, 1, 2].map(|g| aggregate(&structure.iter().map(|s| s[g]).collect::<Vec<_>>()));
+            let hit = cell.agg("hit_ratio");
+            vec![
+                label.to_string(),
+                hit.n.to_string(),
+                format!("{:.3}", instances.mean),
+                format!("{:.3}", max_instance.mean),
+                format!("{:.3}", max_load.mean),
+                format!("{:.3}", cell.agg("splits").mean),
+                format!("{:.6}", hit.mean),
+                format!("{:.6}", hit.stddev),
+            ]
+        })
+        .collect();
+    let csv = flower_bench::print_table(
+        "Ablation A1: PetalUp-CDN splitting vs directory capacity (one crowded website)",
+        &HEADER,
+        &rows,
     );
     println!(
         "shape check: smaller capacity → longer instance chains, bounded\n\

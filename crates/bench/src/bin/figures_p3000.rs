@@ -19,9 +19,19 @@
 //!     --quick --trace-out results/traces --gauges 300000
 //! ```
 
-use cdn_metrics::{ascii_bars, ascii_lines, Csv};
+use cdn_metrics::{ascii_bars, ascii_lines, Csv, Histogram};
 use flower_bench::{run_comparison_sweep, HarnessOpts};
 use flower_cdn::experiments::{hit_ratio_series, lookup_histogram, transfer_histogram};
+
+/// Figure 4 or 5 as CSV: each bucket's fraction of queries, both systems.
+fn histogram_csv(flower: &Histogram, squirrel: &Histogram) -> Csv {
+    let mut csv = Csv::new(&["bucket_ms", "flower_fraction", "squirrel_fraction"]);
+    let (ff, sf) = (flower.fractions(), squirrel.fractions());
+    for (i, label) in flower.labels().into_iter().enumerate() {
+        csv.row(&[label, format!("{:.4}", ff[i]), format!("{:.4}", sf[i])]);
+    }
+    csv
+}
 
 fn main() {
     let opts = HarnessOpts::parse(&["--population", "--gauges"]);
@@ -29,8 +39,7 @@ fn main() {
     println!("{}", params.table1());
     let seeds = opts.seed_list(params.seed);
     println!(
-        "running Flower-CDN and Squirrel over {} seed(s) with --jobs {}…",
-        seeds.len(),
+        "running Flower-CDN and Squirrel over seeds {seeds:?} with --jobs {}…",
         opts.jobs()
     );
     let run = run_comparison_sweep(&opts, params.clone());
@@ -83,16 +92,9 @@ fn main() {
         sl.mean(),
         sl.mean() / fl.mean().max(1.0),
     );
-    let mut csv = Csv::new(&["bucket_ms", "flower_fraction", "squirrel_fraction"]);
-    let (ff, sf) = (fl.fractions(), sl.fractions());
-    for (i, label) in fl.labels().iter().enumerate() {
-        csv.row(&[
-            label.clone(),
-            format!("{:.4}", ff[i]),
-            format!("{:.4}", sf[i]),
-        ]);
-    }
-    csv.save(dir.join("fig4_lookup_latency.csv")).expect("csv");
+    histogram_csv(&fl, &sl)
+        .save(dir.join("fig4_lookup_latency.csv"))
+        .expect("csv");
 
     // ---------------- Figure 5 ----------------
     let ft = transfer_histogram(&run.flower.records);
@@ -113,16 +115,8 @@ fn main() {
         st.mean(),
         st.mean() / ft.mean().max(1.0),
     );
-    let mut csv = Csv::new(&["bucket_ms", "flower_fraction", "squirrel_fraction"]);
-    let (ff, sf) = (ft.fractions(), st.fractions());
-    for (i, label) in ft.labels().iter().enumerate() {
-        csv.row(&[
-            label.clone(),
-            format!("{:.4}", ff[i]),
-            format!("{:.4}", sf[i]),
-        ]);
-    }
-    csv.save(dir.join("fig5_transfer_distance.csv"))
+    histogram_csv(&ft, &st)
+        .save(dir.join("fig5_transfer_distance.csv"))
         .expect("csv");
 
     sweep::runs_csv(&run.cells)

@@ -53,6 +53,18 @@ struct SystemRun {
     violations: Vec<String>,
 }
 
+/// The printed report's columns, which are the CSV's.
+const HEADER: [&str; 8] = [
+    "system",
+    "seed",
+    "dirs_killed",
+    "replaced",
+    "served",
+    "mean_ttr_s",
+    "worst_hit_ratio_after_kill",
+    "final_hit_ratio",
+];
+
 fn main() {
     let opts = HarnessOpts::parse(&["--population", "--assert-recovery"]);
     let params = opts.params(3_000);
@@ -77,8 +89,7 @@ fn main() {
     let scenario = grid.cells[0].scenario.clone().expect("set just above");
     println!("fault schedule:\n{scenario}");
     println!(
-        "running Flower-CDN and Squirrel under the schedule, {} seed(s), --jobs {}…",
-        seeds.len(),
+        "running Flower-CDN and Squirrel under the schedule, seeds {seeds:?}, --jobs {}…",
         opts.jobs()
     );
 
@@ -119,57 +130,29 @@ fn main() {
         .map(|f| f.at_ms)
         .unwrap_or(0);
 
-    println!(
-        "\nresilience report (MTTR = directory kill → first \
-         replacement-served query)"
-    );
-    println!(
-        "{:<12} {:>6} {:>12} {:>10} {:>8} {:>12} {:>22}",
-        "system",
-        "seed",
-        "dirs killed",
-        "replaced",
-        "served",
-        "mean TTR (s)",
-        "worst hit-ratio after"
-    );
-    let mut csv = Csv::new(&[
-        "system",
-        "seed",
-        "dirs_killed",
-        "replaced",
-        "served",
-        "mean_ttr_s",
-        "worst_hit_ratio_after_kill",
-        "final_hit_ratio",
-    ]);
+    let mut rows = Vec::new();
     for (label, runs) in [("Flower-CDN", flower_runs), ("Squirrel", squirrel_runs)] {
         for (seed, run) in runs {
             let r = &run.resilience;
-            let ttr_s = r.mean_ttr_ms().map(|ms| ms / 1_000.0);
-            let worst = r.worst_hit_ratio_after(kill_at);
-            println!(
-                "{:<12} {:>6} {:>12} {:>10} {:>8} {:>12} {:>22}",
-                label,
-                seed,
-                r.recoveries.len(),
-                r.replaced(),
-                r.served(),
-                ttr_s.map_or("—".into(), |s| format!("{s:.1}")),
-                worst.map_or("—".into(), |w| format!("{w:.3}")),
-            );
-            csv.row(&[
+            rows.push(vec![
                 label.to_string(),
                 seed.to_string(),
                 r.recoveries.len().to_string(),
                 r.replaced().to_string(),
                 r.served().to_string(),
-                ttr_s.map_or(String::new(), |s| format!("{s:.3}")),
-                worst.map_or(String::new(), |w| format!("{w:.4}")),
+                r.mean_ttr_ms()
+                    .map_or(String::new(), |ms| format!("{:.3}", ms / 1_000.0)),
+                r.worst_hit_ratio_after(kill_at)
+                    .map_or(String::new(), |w| format!("{w:.4}")),
                 format!("{:.4}", run.final_hit_ratio),
             ]);
         }
     }
+    let csv = flower_bench::print_table(
+        "\nresilience report (MTTR = directory kill → first replacement-served query)",
+        &HEADER,
+        &rows,
+    );
     println!(
         "(Squirrel tracks zero recoveries by construction: it has no \
          directory replacement protocol, so a killed directory is simply \

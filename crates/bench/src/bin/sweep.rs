@@ -83,9 +83,8 @@ fn main() {
     }
 
     println!(
-        "sweep grid: {} cells × {} seeds = {} runs  (systems × P {:?} × {:?}), --jobs {}",
+        "sweep grid: {} cells × seeds {seeds:?} = {} runs  (systems × P {:?} × {:?}), --jobs {}",
         grid.cells.len(),
-        seeds.len(),
         grid.total_runs(),
         populations,
         variants,

@@ -44,9 +44,8 @@ fn main() {
         }
     }
     println!(
-        "sweeping populations {:?} × both systems × {} seed(s) ({} runs, --jobs {})…",
+        "sweeping populations {:?} × both systems × seeds {seeds:?} ({} runs, --jobs {})…",
         populations,
-        seeds.len(),
         grid.total_runs(),
         opts.jobs()
     );

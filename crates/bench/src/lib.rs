@@ -17,7 +17,7 @@ pub mod comparison;
 pub mod opts;
 pub mod scenarios;
 
-use cdn_metrics::Csv;
+use cdn_metrics::{ascii_table, Csv};
 use sweep::CellResult;
 
 pub use comparison::{run_comparison_sweep, ComparisonOut, SystemOut};
@@ -32,6 +32,18 @@ pub fn fmt_mean_spread(agg: &sweep::MetricAgg, precision: usize) -> String {
     } else {
         format!("{:.p$}", agg.mean, p = precision)
     }
+}
+
+/// Print `rows` under `header` as an ASCII table titled `title`, and
+/// return the same rows as the CSV the binary writes: what a table-shaped
+/// binary prints is its CSV.
+pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Csv {
+    println!("{}", ascii_table(title, header, rows));
+    let mut csv = Csv::new(header);
+    for row in rows {
+        csv.row(row);
+    }
+    csv
 }
 
 /// Under `--profile-out PATH`: write every perf cell the sweep collected
@@ -71,4 +83,26 @@ pub fn write_results(
         .expect("write runs csv");
     println!("wrote {} and {}", path.display(), runs_path.display());
     write_profile_report(opts, cells);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn profile_report_is_labelled_by_its_file_stem() {
+        let dir = std::env::temp_dir().join(format!("flower_bench_label_{}", std::process::id()));
+        let path = dir.join("BENCH_x.json");
+        let opts = HarnessOpts {
+            profile_out: Some(path.clone()),
+            ..HarnessOpts::default()
+        };
+        write_profile_report(&opts, &[]);
+        let json = std::fs::read_to_string(&path).expect("report written");
+        std::fs::remove_dir_all(&dir).expect("clean up");
+        assert_eq!(
+            json,
+            "{\"schema\":\"bench-v1\",\"label\":\"x\",\"cells\":[\n]}\n"
+        );
+    }
 }

@@ -25,23 +25,27 @@ pub enum Scale {
 /// The usage message shared by every harness binary.
 pub const USAGE: &str = "usage: <bin> [flags]
  every binary:
-  --quick              reduced-scale run (minutes of virtual time)
-  --seed N             override the RNG seed (single run)
-  --seeds SPEC         run every seed in SPEC: 'a,b,c' or 'start..end'
+  --quick              reduced-scale run (minutes of virtual time; perf:
+                       the P = 150 / 300 / 10 000 ladder, without
+                       P = 50 000 / 100 000)
+  --seeds SPEC         run every seed in SPEC: 'N', 'a,b,c' or 'start..end'
   --jobs N             worker threads (default: available cores; results
-                       never depend on it)
-  --out DIR            write result files under DIR (default: results/)
+                       never depend on it; perf: pass 1 for quiet walls)
+  --out DIR            write result files under DIR (default: results/;
+                       perf: perf_runs.csv)
   --trace-out DIR      stream every run's simulation events as JSON lines
                        to DIR/<cell>_s<seed>.jsonl
-  --profile-out PATH   enable the profiler and write a BENCH-schema perf
-                       report (phase timers, message accounting) to PATH
+  --profile-out PATH   write a BENCH-schema perf report (phase timers,
+                       message accounting) of every run to PATH, labelled
+                       with its file stem less 'BENCH_' (perf profiles
+                       every run; elsewhere this enables the profiler)
   --scenario FILE      apply a chaos fault schedule to every run (replaces
                        a canned schedule)
   --help               print this message
  only where the binary acts on it (refused elsewhere):
   --population N       override the mean population (figures_p3000,
-                       resilience, ablation_*; not table2_scalability and
-                       sweep, which sweep it)
+                       resilience, ablation_*; not table2_scalability,
+                       sweep and perf, which sweep it)
   --gauges MS          sample live gauges every MS of virtual time
                        (figures_p3000: chart + fig3_gauges.csv;
                        ablation_petalup: its structure sampling period)
@@ -79,8 +83,7 @@ impl std::error::Error for OptsError {}
 pub struct HarnessOpts {
     pub scale: Scale,
     pub population: Option<usize>,
-    pub seed: Option<u64>,
-    /// Explicit seed list (`--seeds`); takes precedence over `--seed`.
+    /// The seeds to run (`--seeds`); each binary has its own default.
     pub seeds: Option<Vec<u64>>,
     /// Worker threads for multi-run harnesses (`--jobs`).
     pub jobs: Option<usize>,
@@ -177,10 +180,6 @@ impl HarnessOpts {
                     let v = value(&mut args, "--population", "a value")?;
                     opts.population = Some(number(&v, "--population")?);
                 }
-                "--seed" => {
-                    let v = value(&mut args, "--seed", "a value")?;
-                    opts.seed = Some(number(&v, "--seed")?);
-                }
                 "--seeds" => {
                     let v = value(&mut args, "--seeds", "a list 'a,b,c' or range 'start..end'")?;
                     opts.seeds = Some(parse_seeds(&v).map_err(OptsError::Invalid)?);
@@ -253,7 +252,7 @@ impl HarnessOpts {
     /// is the population used at paper scale when none is given (300
     /// under `--quick`).
     pub fn params(&self, default_pop: usize) -> SimParams {
-        let mut p = match self.scale {
+        match self.scale {
             Scale::Paper => SimParams::paper_defaults(self.population.unwrap_or(default_pop)),
             Scale::Quick => {
                 let horizon = 2 * 3_600_000;
@@ -266,11 +265,7 @@ impl HarnessOpts {
                 p.catalog.objects_per_site = 200;
                 p
             }
-        };
-        if let Some(seed) = self.seed {
-            p.seed = seed;
         }
-        p
     }
 
     /// One grid cell of this invocation, carrying the `--scenario`
@@ -292,22 +287,18 @@ impl HarnessOpts {
         cell
     }
 
-    /// The seed list this invocation sweeps: explicit `--seeds` wins,
-    /// else the single `--seed` (or `fallback` when neither is given).
+    /// The seed list this invocation sweeps: `--seeds`, else `fallback`.
     pub fn seed_list(&self, fallback: u64) -> Vec<u64> {
         self.seed_list_n(fallback, 1)
     }
 
-    /// Like [`seed_list`](Self::seed_list) but defaulting to `n`
-    /// consecutive seeds — for harnesses (the sweep binary) whose normal
-    /// mode is multi-seed.
+    /// Like [`seed_list`](Self::seed_list) but defaulting to the `n`
+    /// consecutive seeds from `base` — for harnesses (the sweep binary)
+    /// whose normal mode is multi-seed.
     pub fn seed_list_n(&self, base: u64, n: usize) -> Vec<u64> {
         match &self.seeds {
             Some(seeds) => seeds.clone(),
-            None => {
-                let base = self.seed.unwrap_or(base);
-                (base..base + n as u64).collect()
-            }
+            None => (base..base + n as u64).collect(),
         }
     }
 
@@ -355,11 +346,9 @@ mod tests {
 
     #[test]
     fn overrides_apply() {
-        let opts =
-            HarnessOpts::from_args(["--quick", "--population", "123", "--seed", "9"], ALL).unwrap();
+        let opts = HarnessOpts::from_args(["--quick", "--population", "123"], ALL).unwrap();
         let p = opts.params(3_000);
         assert_eq!(p.population, 123);
-        assert_eq!(p.seed, 9);
         assert!(p.horizon_ms < 24 * 3_600_000);
     }
 
@@ -423,17 +412,11 @@ mod tests {
     #[test]
     fn seed_list_precedence() {
         let explicit = HarnessOpts {
-            seed: Some(7),
             seeds: Some(vec![1, 2]),
             ..HarnessOpts::default()
         };
         assert_eq!(explicit.seed_list(0), vec![1, 2]);
-        let single = HarnessOpts {
-            seed: Some(7),
-            ..HarnessOpts::default()
-        };
-        assert_eq!(single.seed_list(0), vec![7]);
-        assert_eq!(single.seed_list_n(1, 3), vec![7, 8, 9]);
+        assert_eq!(explicit.seed_list_n(1, 3), vec![1, 2]);
         let neither = HarnessOpts::default();
         assert_eq!(neither.seed_list(42), vec![42]);
         assert_eq!(neither.seed_list_n(1, 3), vec![1, 2, 3]);

@@ -26,4 +26,23 @@ fn unconsumed_flags_exit_2_with_usage() {
     // Nothing is written from gauge samples outside figures_p3000 and
     // ablation_petalup.
     assert_refused(env!("CARGO_BIN_EXE_resilience"), &["--gauges", "60000"]);
+    // perf sweeps the population on its ladder and reads no gauges.
+    let perf = env!("CARGO_BIN_EXE_perf");
+    assert_refused(perf, &["--population", "9"]);
+    assert_refused(perf, &["--gauges", "60000"]);
+}
+
+#[test]
+fn removed_flags_exit_2_with_usage() {
+    // One seed is `--seeds N`, a BENCH report is named by its
+    // `--profile-out` file, and the P = 50 000 / 100 000 rungs are perf's
+    // paper-scale ladder: none of these spellings is a harness flag.
+    for bin in [
+        env!("CARGO_BIN_EXE_perf"),
+        env!("CARGO_BIN_EXE_figures_p3000"),
+    ] {
+        for args in ["--seed 7", "--label eq --out A", "--scale --label arena"] {
+            assert_refused(bin, &args.split(' ').collect::<Vec<_>>());
+        }
+    }
 }

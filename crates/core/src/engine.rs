@@ -449,7 +449,6 @@ impl<S: SimSystem> Engine<S> {
                 SimHost::new(run_seed, me, machine, outputs, None)
             });
             debug_assert_eq!(spawned, me_ref.node);
-            self.ctl.bootstrap.borrow_mut().add(me_ref);
         }
     }
 

@@ -160,8 +160,6 @@ impl NetNode {
         let machine = if cfg.founder {
             let position = DirPosition::base(cfg.website, cfg.locality);
             let me_ref = NodeRef::new(me, position.chord_id());
-            // A founder is its own bootstrap, so local CLI queries route.
-            bootstrap.borrow_mut().add(me_ref);
             let (chord, actions) = Chord::create(me_ref, params.chord.clone());
             FlowerPeer::new_initial_directory(pcx, me, cfg.locality, position, chord, actions)
         } else {

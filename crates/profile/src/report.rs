@@ -151,11 +151,6 @@ impl BenchReport {
         }
     }
 
-    /// Canonical file name for a label: `BENCH_<label>.json`.
-    pub fn file_name(label: &str) -> String {
-        format!("BENCH_{label}.json")
-    }
-
     /// Serialize. Byte-stable for equal data: fixed key order, fixed
     /// float precision, trailing newline.
     pub fn to_json(&self) -> String {

@@ -5,10 +5,13 @@
 //! D-ring" without describing the entry point. We model the natural choice:
 //! the supported websites run a tiny rendezvous service listing some live
 //! overlay members (for Flower-CDN: directory peers; for Squirrel: any
-//! peers). Members self-register when they join; the experiment engine
-//! removes entries on failure, modelling the rendezvous service's own
-//! liveness checking. Peers still tolerate stale entries — picks are
-//! retried through alternatives on timeout.
+//! peers). Members register themselves — an initial member when it
+//! starts, a later one when its ring join completes. The simulation
+//! engine only removes entries, on failure, modelling the rendezvous
+//! service's own liveness checking (the TCP host, which is configured
+//! with one remote seed directory, likewise removes a node whose dial is
+//! refused). Peers still tolerate stale entries — picks are retried
+//! through alternatives on timeout.
 //!
 //! Being engine-level shared state (`Rc<RefCell<…>>`), it deliberately sits
 //! outside the simulated network: rendezvous traffic is not part of any

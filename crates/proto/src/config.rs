@@ -123,8 +123,7 @@ impl SimParams {
              Query rate at a peer         1 query every {} min\n\
              Push threshold               {}\n\
              Gossip/keepalive period      {} min\n\
-             Zipf exponent                {}\n\
-             Seed                         {:#x}\n",
+             Zipf exponent                {}\n",
             t.min_ms,
             t.max_ms,
             self.topology.localities,
@@ -137,7 +136,6 @@ impl SimParams {
             self.push_threshold,
             self.gossip_period_ms / 60_000,
             self.catalog.zipf_alpha,
-            self.seed,
         )
     }
 }

@@ -544,7 +544,7 @@ impl FlowerPeer {
         let startup = std::mem::take(&mut self.startup_chord_actions);
         match &self.role {
             Role::Directory(d) => {
-                let pos = d.position;
+                let (me, pos) = (d.chord.me(), d.position);
                 ctx.trace(tags::BECAME_DIRECTORY, || {
                     let mut f = tags::pos_fields(pos);
                     f.push(("replacement", false.into()));
@@ -556,6 +556,12 @@ impl FlowerPeer {
                 if self.active {
                     timeline::first_arrival(ctx, true);
                 }
+                // Initial member: no JoinComplete will fire, so register
+                // here (a founder is its own bootstrap, so local queries
+                // route). Last, once the start-up outputs are queued:
+                // registering before them raises small runs' peak RSS
+                // (`grid_small`, ~5 %).
+                self.pcx.bootstrap.borrow_mut().add(me);
             }
             _ => {
                 if self.active {
