@@ -42,6 +42,7 @@
 
 pub mod id;
 pub mod node;
+pub mod outstanding;
 pub mod proto;
 
 #[cfg(test)]
@@ -49,4 +50,5 @@ mod tests_unit;
 
 pub use id::{ChordId, NodeRef};
 pub use node::{Chord, ChordConfig};
+pub use outstanding::{Outstanding, Request, FIRST_ATTEMPT};
 pub use proto::{ChordAction, ChordMsg, ChordTimer, StepResult};

@@ -13,6 +13,7 @@
 use simnet::NodeId;
 
 use crate::id::{ChordId, NodeRef};
+use crate::outstanding::{Outstanding, Request, FIRST_ATTEMPT};
 use crate::proto::{ChordAction, ChordMsg, ChordTimer, StepResult};
 
 /// Successor list length `r`. Chord survives `r-1` consecutive successor
@@ -82,54 +83,47 @@ enum Purpose {
     VerifyFingers(u64),
 }
 
+/// A request this node has in flight. The entry's `to` is the node asked:
+/// for a lookup, the one currently asked for a step.
+#[derive(Debug)]
+enum Rpc {
+    /// A lookup, from its first step to its last: its rid is the token
+    /// every `FindNext`, `Route` and `LookupDone` of it carries.
+    Lookup(Lookup),
+    /// A stabilize round (`GetNeighbors`); its rid is the round's `gen`.
+    Stabilize,
+    /// A predecessor ping; its rid is the ping's `nonce`.
+    Ping,
+}
+
 #[derive(Debug)]
 struct Lookup {
-    token: u64,
     key: ChordId,
     purpose: Purpose,
     /// Never answer this lookup from our own tables (used for self-audits
     /// where our tables are exactly what is being verified).
     skip_local: bool,
-    /// Node currently being asked for a step.
-    current: NodeRef,
-    /// Monotone per-lookup attempt counter; stale timeouts are ignored.
-    attempt: u32,
     hops: u32,
     failures: u32,
     /// Nodes that timed out during this lookup; excluded from retries.
     dead: Vec<NodeId>,
 }
 
-/// The lookups in flight, ordered by token. Tokens are allocated
-/// monotonically, so a new lookup goes at the end, and a node holds a
-/// handful at a time.
-#[derive(Debug, Default)]
-struct Lookups(Vec<Lookup>);
+fn is_lookup(rpc: &Rpc) -> bool {
+    matches!(rpc, Rpc::Lookup(_))
+}
 
-impl Lookups {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn position(&self, token: u64) -> Option<usize> {
-        self.0.binary_search_by_key(&token, |lk| lk.token).ok()
-    }
-
-    fn get(&self, token: u64) -> Option<&Lookup> {
-        self.position(token).map(|at| &self.0[at])
-    }
-
-    fn get_mut(&mut self, token: u64) -> Option<&mut Lookup> {
-        self.position(token).map(|at| &mut self.0[at])
-    }
-
-    fn insert(&mut self, lk: Lookup) {
-        debug_assert!(self.0.last().is_none_or(|last| last.token < lk.token));
-        self.0.push(lk);
-    }
-
-    fn remove(&mut self, token: u64) -> Option<Lookup> {
-        self.position(token).map(|at| self.0.remove(at))
+impl Rpc {
+    /// A lookup request's node asked and lookup state.
+    fn lookup(req: &mut Request<Rpc>) -> Option<(&mut NodeRef, &mut Lookup)> {
+        match req {
+            Request {
+                to,
+                purpose: Rpc::Lookup(lk),
+                ..
+            } => Some((to, lk)),
+            _ => None,
+        }
     }
 }
 
@@ -177,12 +171,8 @@ pub struct Chord {
     /// after a finger write, until `note_alive` needs it again.
     settled: Option<u32>,
     next_finger: u32,
-    lookups: Lookups,
-    next_token: u64,
-    stabilize_gen: u64,
-    ping_nonce: u64,
-    /// Ping nonce outstanding against the predecessor, if any.
-    pending_ping: Option<(u64, NodeRef)>,
+    /// Lookups, the stabilize round and the predecessor ping in flight.
+    reqs: Outstanding<Rpc>,
     joined: bool,
     /// Cheap deterministic jitter state (derived from our id), used to
     /// de-synchronize periodic timers across the ring.
@@ -270,11 +260,7 @@ impl Chord {
             route_stale: false,
             settled: None,
             next_finger: 0,
-            lookups: Lookups::default(),
-            next_token: 0,
-            stabilize_gen: 0,
-            ping_nonce: 0,
-            pending_ping: None,
+            reqs: Outstanding::default(),
             joined: false,
             jitter_state: me.id.0 ^ 0x9e37_79b9_7f4a_7c15,
             standalone: false,
@@ -320,7 +306,7 @@ impl Chord {
 
     /// Number of lookups in flight.
     pub fn pending_lookups(&self) -> usize {
-        self.lookups.len()
+        self.reqs.iter().filter(|r| is_lookup(&r.purpose)).count()
     }
 
     /// True when this node believes `key` belongs to it: `key ∈ (pred, me]`.
@@ -433,28 +419,12 @@ impl Chord {
     }
 
     fn on_route_result(&mut self, token: u64, owner: NodeRef, hops: u32) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get_mut(token) else {
+        let Some((_, lk)) = self.reqs.answer(token, is_lookup).and_then(Rpc::lookup) else {
             return Vec::new(); // late result after deadline-retry success
         };
-        lk.attempt += 1; // invalidate the outstanding deadline
         lk.hops = hops;
         self.note_alive(owner);
         self.finish_lookup(token, owner)
-    }
-
-    fn on_route_deadline(&mut self, token: u64, attempt: u32) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(token) else {
-            return Vec::new();
-        };
-        if lk.attempt != attempt {
-            return Vec::new();
-        }
-        if lk.attempt >= MAX_ROUTE_ATTEMPTS {
-            return self.fail_lookup_now(token);
-        }
-        // Retry through a different first hop; the previous one may be the
-        // dead link (we can't know which hop on the path failed).
-        self.restart(token, true)
     }
 
     /// Handle a received Chord message.
@@ -482,9 +452,7 @@ impl Chord {
                 }]
             }
             ChordMsg::Pong { nonce } => {
-                if self.pending_ping.is_some_and(|(n, _)| n == nonce) {
-                    self.pending_ping = None;
-                }
+                self.reqs.settle(nonce, |r| matches!(r, Rpc::Ping));
                 Vec::new()
             }
             ChordMsg::Route {
@@ -499,29 +467,42 @@ impl Chord {
         }
     }
 
-    /// Handle one of our timers firing. Deadlines are armed per attempt /
-    /// generation / nonce and superseded as soon as the matching reply
-    /// arrives, so on a healthy ring most fire stale: each deadline handler
-    /// checks that first and returns no actions, which is all a host needs
-    /// — it dispatches every timer it armed.
+    /// Handle one of our timers firing. Each deadline carries the rid of
+    /// the request it guards (a lookup's `token`, a stabilize round's
+    /// `gen`, a ping's `nonce`) and, for a lookup, the attempt it was
+    /// armed for. A reply makes the armed deadline stale, and a new
+    /// stabilize round or ping closes the one it supersedes, so on a
+    /// healthy ring most deadlines fire stale: the one `expire` call below
+    /// finds nothing and no actions are returned, which is all a host
+    /// needs — it dispatches every timer it armed.
     pub fn handle_timer(&mut self, timer: ChordTimer) -> Vec<ChordAction> {
-        match timer {
-            ChordTimer::Stabilize => self.on_stabilize_timer(true),
-            ChordTimer::StabilizeOnce => self.on_stabilize_timer(false),
-            ChordTimer::FixFingers => self.on_fix_fingers_timer(),
-            ChordTimer::CheckPredecessor => self.on_check_predecessor_timer(),
-            ChordTimer::LookupStep { token, attempt } => self.on_step_timeout(token, attempt),
-            ChordTimer::StabilizeDeadline { gen } => self.on_stabilize_timeout(gen),
-            ChordTimer::RouteDeadline { token, attempt } => self.on_route_deadline(token, attempt),
-            ChordTimer::PingDeadline { nonce } => {
-                if self.pending_ping.is_some_and(|(n, _)| n == nonce) {
-                    // Predecessor is unresponsive: forget it so a live
-                    // candidate can take the slot via notify.
-                    self.pending_ping = None;
-                    self.set_predecessor(None);
-                }
+        let (rid, attempt) = match timer {
+            ChordTimer::Stabilize => return self.on_stabilize_timer(true),
+            ChordTimer::StabilizeOnce => return self.on_stabilize_timer(false),
+            ChordTimer::FixFingers => return self.on_fix_fingers_timer(),
+            ChordTimer::CheckPredecessor => return self.on_check_predecessor_timer(),
+            ChordTimer::LookupStep { token, attempt }
+            | ChordTimer::RouteDeadline { token, attempt } => (token, attempt),
+            ChordTimer::StabilizeDeadline { gen } => (gen, FIRST_ATTEMPT),
+            ChordTimer::PingDeadline { nonce } => (nonce, FIRST_ATTEMPT),
+        };
+        let Some(req) = self.reqs.expire(rid, attempt) else {
+            return Vec::new();
+        };
+        match (timer, &req.purpose) {
+            (ChordTimer::LookupStep { .. }, Rpc::Lookup(_)) => self.on_step_timeout(rid),
+            // Retry through a different first hop; the previous one may be
+            // the dead link (we can't know which hop on the path failed).
+            (ChordTimer::RouteDeadline { .. }, Rpc::Lookup(_)) => self.retry(rid, true),
+            (ChordTimer::StabilizeDeadline { .. }, Rpc::Stabilize) => self.on_stabilize_timeout(),
+            (ChordTimer::PingDeadline { .. }, Rpc::Ping) => {
+                // Predecessor is unresponsive: forget it so a live
+                // candidate can take the slot via notify.
+                self.reqs.close(rid);
+                self.set_predecessor(None);
                 Vec::new()
             }
+            _ => Vec::new(), // a deadline of another kind under this rid
         }
     }
 
@@ -564,37 +545,38 @@ impl Chord {
         current: NodeRef,
         skip_local: bool,
     ) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.lookups.insert(Lookup {
-            token,
+        let lookup = Lookup {
             key,
             purpose,
             skip_local,
-            current,
-            attempt: 0,
             hops: 0,
             failures: 0,
             dead: Vec::new(),
-        });
-        token
+        };
+        self.reqs.open(current, Rpc::Lookup(lookup))
+    }
+
+    /// The lookup `token`, and the node it is asking.
+    fn in_flight(&mut self, token: u64) -> Option<(&mut NodeRef, &mut Lookup)> {
+        self.reqs.get_mut(token).and_then(Rpc::lookup)
     }
 
     /// The one lookup driver. If we can answer locally, finish; otherwise
     /// send `current` one step (iterative) or the whole route (recursive).
     fn resolve_or_send(&mut self, token: u64, recursive: bool) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get(token) else {
+        let Some((&mut current, lk)) = self.in_flight(token) else {
             return Vec::new();
         };
+        let (key, skip_local) = (lk.key, lk.skip_local);
         if self.is_stranded() {
             return self.fail_lookup_now(token);
         }
-        if !lk.skip_local {
-            if let Some(owner) = self.local_owner(lk.key) {
+        if !skip_local {
+            if let Some(owner) = self.local_owner(key) {
                 return self.finish_lookup(token, owner);
             }
         }
-        if lk.current.node == self.me.node {
+        if current.node == self.me.node {
             // Our tables point nowhere but ourselves. Only a deliberate
             // singleton ring may claim the key; anyone else has simply run
             // out of contacts and must report failure (a join "completing"
@@ -613,68 +595,78 @@ impl Chord {
     }
 
     /// Start `token` again from our own tables, avoiding the nodes it found
-    /// dead. Callers check their own retry budget first.
-    fn restart(&mut self, token: u64, recursive: bool) -> Vec<ChordAction> {
+    /// dead — or give up once its budget is spent: more than
+    /// `MAX_LOOKUP_FAILURES` failed steps, or `MAX_ROUTE_ATTEMPTS` routes.
+    fn retry(&mut self, token: u64, recursive: bool) -> Vec<ChordAction> {
         self.refresh_route();
-        let lk = self.lookups.get(token).expect("restarting a live lookup");
+        let Some(Request {
+            attempt,
+            purpose: Rpc::Lookup(lk),
+            ..
+        }) = self.reqs.get(token)
+        else {
+            return Vec::new();
+        };
+        let spent = match recursive {
+            true => *attempt >= MAX_ROUTE_ATTEMPTS,
+            false => lk.failures > MAX_LOOKUP_FAILURES,
+        };
+        if spent {
+            return self.fail_lookup_now(token);
+        }
         let start = self.best_local_step(lk.key, &lk.dead);
-        self.lookups.get_mut(token).expect("present").current = start;
+        self.reqs.get_mut(token).expect("open").to = start;
         self.resolve_or_send(token, recursive)
     }
 
     /// Forward the whole lookup to `current`, which becomes a dead end for
     /// any retry: it alone sees the route, so it may be the broken link.
     fn send_route(&mut self, token: u64) -> Vec<ChordAction> {
-        let me = self.me;
-        let deadline = self.cfg.recursive_deadline_ms;
-        let Some(lk) = self.lookups.get_mut(token) else {
+        let origin = self.me;
+        let Some((&mut to, lk)) = self.in_flight(token) else {
             return Vec::new();
         };
-        lk.attempt += 1;
-        lk.dead.push(lk.current.node);
-        vec![
-            ChordAction::Send {
-                to: lk.current,
-                msg: ChordMsg::Route {
-                    key: lk.key,
-                    token,
-                    origin: me,
-                    hops: 1,
-                },
-            },
-            ChordAction::SetTimer {
-                delay_ms: deadline,
-                timer: ChordTimer::RouteDeadline {
-                    token,
-                    attempt: lk.attempt,
-                },
-            },
-        ]
+        lk.dead.push(to.node);
+        let msg = ChordMsg::Route {
+            key: lk.key,
+            token,
+            origin,
+            hops: 1,
+        };
+        self.send_armed(token, to, msg).into()
     }
 
     fn send_step(&mut self, token: u64) -> Vec<ChordAction> {
-        let me = self.me;
-        let timeout = self.cfg.rpc_timeout_ms;
-        let Some(lk) = self.lookups.get_mut(token) else {
+        let from = self.me;
+        let Some((&mut to, lk)) = self.in_flight(token) else {
             return Vec::new();
         };
-        lk.attempt += 1;
-        vec![
-            ChordAction::Send {
-                to: lk.current,
-                msg: ChordMsg::FindNext {
-                    key: lk.key,
-                    token,
-                    from: me,
-                },
-            },
-            ChordAction::SetTimer {
-                delay_ms: timeout,
-                timer: ChordTimer::LookupStep {
-                    token,
-                    attempt: lk.attempt,
-                },
-            },
+        let msg = ChordMsg::FindNext {
+            key: lk.key,
+            token,
+            from,
+        };
+        self.send_armed(token, to, msg).into()
+    }
+
+    /// Send the open request `rid` its `msg` to `to` and arm its next
+    /// deadline: the one site every request this node sends leaves through.
+    fn send_armed(&mut self, rid: u64, to: NodeRef, msg: ChordMsg) -> [ChordAction; 2] {
+        let attempt = self.reqs.arm(rid).expect("sending an open request");
+        let mut delay_ms = self.cfg.rpc_timeout_ms;
+        let timer = match msg {
+            ChordMsg::Route { token, .. } => {
+                delay_ms = self.cfg.recursive_deadline_ms;
+                ChordTimer::RouteDeadline { token, attempt }
+            }
+            ChordMsg::FindNext { token, .. } => ChordTimer::LookupStep { token, attempt },
+            ChordMsg::GetNeighbors { gen, .. } => ChordTimer::StabilizeDeadline { gen },
+            ChordMsg::Ping { nonce } => ChordTimer::PingDeadline { nonce },
+            _ => unreachable!("{msg:?} is no request"),
+        };
+        [
+            ChordAction::Send { to, msg },
+            ChordAction::SetTimer { delay_ms, timer },
         ]
     }
 
@@ -713,26 +705,24 @@ impl Chord {
     }
 
     fn on_step_reply(&mut self, token: u64, result: StepResult) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get_mut(token) else {
+        let Some((current, lk)) = self.reqs.answer(token, is_lookup).and_then(Rpc::lookup) else {
             return Vec::new(); // late reply for a finished lookup
         };
         if let Purpose::VerifyFingers(slots) = lk.purpose {
             // Only "I own it" from the incumbent itself confirms. A forward
             // means somebody joined in front of it, and where it points is
             // its view of the ring, not an owner.
-            if result != StepResult::Owner(lk.current) {
+            if result != StepResult::Owner(*current) {
                 return self.resolve_fingers(token, slots);
             }
         }
-        lk.attempt += 1; // invalidate the outstanding timeout
         lk.hops += 1;
         match result {
             StepResult::Unknown => {
                 // The answerer is stranded: route around it.
-                let current = lk.current;
                 lk.dead.push(current.node);
                 lk.failures += 1;
-                self.reroute(token)
+                self.retry(token, false)
             }
             StepResult::Owner(owner) => {
                 self.note_alive(owner);
@@ -742,23 +732,17 @@ impl Chord {
                 if lk.dead.contains(&next.node) || next.node == self.me.node {
                     // The answerer pointed at a node we know is dead (or at
                     // us); treat as a failed step and re-route.
-                    return self.reroute(token);
+                    return self.retry(token, false);
                 }
-                lk.current = next;
+                *current = next;
                 self.note_alive(next);
                 self.send_step(token)
             }
         }
     }
 
-    fn on_step_timeout(&mut self, token: u64, attempt: u32) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.get_mut(token) else {
-            return Vec::new();
-        };
-        if lk.attempt != attempt {
-            return Vec::new(); // step already progressed
-        }
-        let failed = lk.current;
+    fn on_step_timeout(&mut self, token: u64) -> Vec<ChordAction> {
+        let (&mut failed, lk) = self.in_flight(token).expect("expired lookup");
         let purpose = lk.purpose;
         lk.dead.push(failed.node);
         lk.failures += 1;
@@ -766,26 +750,14 @@ impl Chord {
         let mut actions = self.isolation_check();
         actions.extend(match purpose {
             Purpose::VerifyFingers(slots) => self.resolve_fingers(token, slots),
-            Purpose::External | Purpose::Join | Purpose::Finger(_) => self.reroute(token),
+            Purpose::External | Purpose::Join | Purpose::Finger(_) => self.retry(token, false),
         });
         actions
     }
 
-    /// Restart an iterative lookup; give up when the failure budget is spent.
-    fn reroute(&mut self, token: u64) -> Vec<ChordAction> {
-        if self
-            .lookups
-            .get(token)
-            .is_some_and(|lk| lk.failures > MAX_LOOKUP_FAILURES)
-        {
-            return self.fail_lookup_now(token);
-        }
-        self.restart(token, false)
-    }
-
     /// Abort a lookup (stranded node, or its retries are spent).
     fn fail_lookup_now(&mut self, token: u64) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.remove(token) else {
+        let Some(Rpc::Lookup(lk)) = self.reqs.close(token).map(|r| r.purpose) else {
             return Vec::new();
         };
         match lk.purpose {
@@ -796,7 +768,7 @@ impl Chord {
     }
 
     fn finish_lookup(&mut self, token: u64, owner: NodeRef) -> Vec<ChordAction> {
-        let Some(lk) = self.lookups.remove(token) else {
+        let Some(Rpc::Lookup(lk)) = self.reqs.close(token).map(|r| r.purpose) else {
             return Vec::new();
         };
         match lk.purpose {
@@ -1006,21 +978,10 @@ impl Chord {
         actions
     }
 
-    /// One stabilize round against `succ`, under a fresh generation: a
-    /// reply or deadline from any earlier round is stale from here on.
+    /// One stabilize round against `succ`, superseding the last.
     fn ask_neighbors(&mut self, succ: NodeRef) -> [ChordAction; 2] {
-        self.stabilize_gen += 1;
-        let gen = self.stabilize_gen;
-        [
-            ChordAction::Send {
-                to: succ,
-                msg: ChordMsg::GetNeighbors { gen, from: self.me },
-            },
-            ChordAction::SetTimer {
-                delay_ms: self.cfg.rpc_timeout_ms,
-                timer: ChordTimer::StabilizeDeadline { gen },
-            },
-        ]
+        let gen = self.reqs.supersede(succ, Rpc::Stabilize);
+        self.send_armed(gen, succ, ChordMsg::GetNeighbors { gen, from: self.me })
     }
 
     fn on_get_neighbors(&mut self, gen: u64, from: NodeRef) -> Vec<ChordAction> {
@@ -1050,11 +1011,14 @@ impl Chord {
         predecessor: Option<NodeRef>,
         successors: Vec<NodeRef>,
     ) -> Vec<ChordAction> {
-        if gen != self.stabilize_gen {
-            return Vec::new(); // stale round
+        if self
+            .reqs
+            .settle(gen, |r| matches!(r, Rpc::Stabilize))
+            .is_none()
+        {
+            return Vec::new(); // stale round, or a duplicate reply
         }
-        self.stabilize_gen += 1; // consume: deadline becomes stale
-                                 // Rectify: if our successor's predecessor sits between us, adopt it.
+        // Rectify: if our successor's predecessor sits between us, adopt it.
         if let Some(p) = predecessor {
             if p.node != self.me.node && p.id.in_open(self.me.id, sender.id) {
                 self.adopt_successor(p);
@@ -1100,10 +1064,9 @@ impl Chord {
         Vec::new()
     }
 
-    fn on_stabilize_timeout(&mut self, gen: u64) -> Vec<ChordAction> {
-        if gen != self.stabilize_gen {
-            return Vec::new(); // reply arrived in time
-        }
+    /// The round went unanswered. It stays open (a late reply is still
+    /// taken) until the next round supersedes it.
+    fn on_stabilize_timeout(&mut self) -> Vec<ChordAction> {
         // Successor is dead: drop it and immediately stabilize against the
         // next one in the list.
         let dead = self.successor();
@@ -1150,7 +1113,7 @@ impl Chord {
         // lookup; a filled one asks its incumbent, since between two sweeps
         // most fingers have not changed and the incumbent says so in one
         // round trip.
-        let first_token = self.next_token;
+        let first_token = self.reqs.next_rid();
         for _ in 0..self.cfg.fingers_per_round.max(1) {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
@@ -1167,12 +1130,12 @@ impl Chord {
 
     /// Resolve `successor(finger_start(i))` from our own tables onward. A
     /// start our own neighbourhood decides is settled here, as the lookup
-    /// would settle it at once; the token the lookup would have taken is
-    /// still taken, so every later token is the one it always was.
+    /// would settle it at once; the rid the lookup would have taken is
+    /// burned, so every later rid is the one the lookup path gives.
     fn resolve_finger(&mut self, i: u32) -> Vec<ChordAction> {
         let start = self.me.id.finger_start(i);
         if let Some(owner) = self.local_owner(start) {
-            self.next_token += 1;
+            self.reqs.burn();
             if owner.node != self.me.node {
                 self.set_finger(i as usize, Some(owner));
             }
@@ -1195,17 +1158,16 @@ impl Chord {
     ) -> Vec<ChordAction> {
         let slot = 1u64 << i;
         let asked = self
-            .lookups
-            .0
+            .reqs
             .iter_mut()
             .rev()
-            .take_while(|lk| lk.token >= first_token)
-            .find_map(|lk| match &mut lk.purpose {
-                Purpose::VerifyFingers(slots)
-                    if lk.current == f && start.distance_to(f.id) <= lk.key.distance_to(f.id) =>
-                {
-                    Some(slots)
-                }
+            .take_while(|r| r.rid >= first_token)
+            .find_map(|r| match &mut r.purpose {
+                Rpc::Lookup(Lookup {
+                    purpose: Purpose::VerifyFingers(slots),
+                    key,
+                    ..
+                }) if r.to == f && start.distance_to(f.id) <= key.distance_to(f.id) => Some(slots),
                 _ => None,
             });
         if let Some(slots) = asked {
@@ -1220,7 +1182,7 @@ impl Chord {
     /// node, is stranded, or timed out. Close the question and resolve every
     /// slot it stood for.
     fn resolve_fingers(&mut self, token: u64, slots: u64) -> Vec<ChordAction> {
-        self.lookups.remove(token);
+        self.reqs.close(token);
         (0..ChordId::BITS)
             .filter(|i| slots >> i & 1 == 1)
             .flat_map(|i| self.resolve_finger(i))
@@ -1234,17 +1196,8 @@ impl Chord {
             timer: ChordTimer::CheckPredecessor,
         }];
         if let Some(p) = self.predecessor {
-            self.ping_nonce += 1;
-            let nonce = self.ping_nonce;
-            self.pending_ping = Some((nonce, p));
-            actions.push(ChordAction::Send {
-                to: p,
-                msg: ChordMsg::Ping { nonce },
-            });
-            actions.push(ChordAction::SetTimer {
-                delay_ms: self.cfg.rpc_timeout_ms,
-                timer: ChordTimer::PingDeadline { nonce },
-            });
+            let nonce = self.reqs.supersede(p, Rpc::Ping);
+            actions.extend(self.send_armed(nonce, p, ChordMsg::Ping { nonce }));
         }
         actions
     }
@@ -1332,9 +1285,9 @@ impl Chord {
         if self.predecessor.is_some_and(|p| p.node == node) {
             self.set_predecessor(None);
         }
-        if self.pending_ping.is_some_and(|(_, p)| p.node == node) {
-            self.pending_ping = None;
-        }
+        // A ping to the failed node is answered by nobody.
+        self.reqs
+            .retain(|r| !(matches!(r.purpose, Rpc::Ping) && r.to.node == node));
     }
 
     /// Emit `Isolated` once per strand episode so the host can

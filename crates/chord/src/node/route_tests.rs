@@ -127,7 +127,7 @@ impl Chord {
         if !self.joined || self.successor().node == self.me.node {
             return actions;
         }
-        let first_token = self.next_token;
+        let first_token = self.reqs.next_rid();
         for _ in 0..self.cfg.fingers_per_round.max(1) {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
@@ -144,11 +144,34 @@ impl Chord {
 
     /// Everything a lookup in flight holds, in token order.
     fn lookups_in_flight(&self) -> Vec<(u64, ChordId, Purpose, NodeRef, u32)> {
-        self.lookups
-            .0
+        self.reqs
             .iter()
-            .map(|lk| (lk.token, lk.key, lk.purpose, lk.current, lk.attempt))
+            .filter_map(|r| match &r.purpose {
+                Rpc::Lookup(lk) => Some((r.rid, lk.key, lk.purpose, r.to, r.attempt)),
+                _ => None,
+            })
             .collect()
+    }
+
+    /// The purposes of the lookups in flight, in token order.
+    fn lookup_purposes(&self) -> Vec<Purpose> {
+        self.lookups_in_flight()
+            .into_iter()
+            .map(|lk| lk.2)
+            .collect()
+    }
+
+    /// The rid of the open request of this kind (a stabilize round or a
+    /// ping), opened and armed towards `to` if there is none.
+    fn live_or_open(&mut self, to: NodeRef, kind: fn(&Rpc) -> bool, open: fn() -> Rpc) -> u64 {
+        match self.reqs.iter().find(|r| kind(&r.purpose)) {
+            Some(r) => r.rid,
+            None => {
+                let rid = self.reqs.open(to, open());
+                self.reqs.arm(rid);
+                rid
+            }
+        }
     }
 }
 
@@ -365,7 +388,12 @@ proptest! {
                         .map(|_| pool[rng.gen_range(0..pool.len())])
                         .collect();
                     let pred = rng.gen_bool(0.7).then(|| pool[rng.gen_range(0..pool.len())]);
-                    node.on_neighbors_reply(node.stabilize_gen, sender, pred, theirs);
+                    let gen = node.live_or_open(
+                        node.successor(),
+                        |r| matches!(r, Rpc::Stabilize),
+                        || Rpc::Stabilize,
+                    );
+                    node.on_neighbors_reply(gen, sender, pred, theirs);
                     "on_neighbors_reply"
                 }
                 4 => {
@@ -380,20 +408,25 @@ proptest! {
                 6 => {
                     // An unanswered predecessor ping.
                     if let Some(p) = node.predecessor {
-                        node.pending_ping = Some((7, p));
-                        node.handle_timer(ChordTimer::PingDeadline { nonce: 7 });
+                        let nonce = node.live_or_open(p, |r| matches!(r, Rpc::Ping), || Rpc::Ping);
+                        node.handle_timer(ChordTimer::PingDeadline { nonce });
                     }
                     "ping deadline"
                 }
                 7 => {
                     // An unanswered stabilize round drops the successor.
-                    node.handle_timer(ChordTimer::StabilizeDeadline { gen: node.stabilize_gen });
+                    let gen = node.live_or_open(
+                        node.successor(),
+                        |r| matches!(r, Rpc::Stabilize),
+                        || Rpc::Stabilize,
+                    );
+                    node.handle_timer(ChordTimer::StabilizeDeadline { gen });
                     "stabilize deadline"
                 }
                 _ => {
                     // A finger-repair lookup answered by `r`.
                     node.handle_timer(ChordTimer::FixFingers);
-                    if let Some(token) = node.next_token.checked_sub(1) {
+                    if let Some(token) = node.reqs.next_rid().checked_sub(1) {
                         node.handle_message(
                             r.node,
                             ChordMsg::FindNextReply { token, result: StepResult::Owner(r) },
@@ -459,7 +492,7 @@ proptest! {
         for i in 0..ChordId::BITS {
             let (ours, theirs) = (node.resolve_finger(i), lookup.resolve_finger_by_lookup(i));
             prop_assert_eq!(shown(&ours), shown(&theirs), "slot {}", i);
-            prop_assert_eq!(node.next_token, lookup.next_token, "slot {}", i);
+            prop_assert_eq!(node.reqs.next_rid(), lookup.reqs.next_rid(), "slot {}", i);
             prop_assert_eq!(&node.fingers, &lookup.fingers, "slot {}", i);
             prop_assert_eq!(node.lookups_in_flight(), lookup.lookups_in_flight(), "slot {}", i);
         }
@@ -477,7 +510,7 @@ proptest! {
             let ours = node.handle_timer(ChordTimer::FixFingers);
             let theirs = lookup.on_fix_fingers_timer_by_lookup();
             prop_assert_eq!(shown(&ours), shown(&theirs), "firing {}", firing);
-            prop_assert_eq!(node.next_token, lookup.next_token, "firing {}", firing);
+            prop_assert_eq!(node.reqs.next_rid(), lookup.reqs.next_rid(), "firing {}", firing);
             prop_assert_eq!(&node.fingers, &lookup.fingers, "firing {}", firing);
             prop_assert_eq!(node.lookups_in_flight(), lookup.lookups_in_flight(), "firing {}", firing);
         }
@@ -731,7 +764,7 @@ fn slots_sharing_an_incumbent_ask_once() {
     // covers the rest.
     assert_eq!(find_nexts(&actions), [(F, 1 << 34)]);
     assert_eq!(
-        w.me().lookups.0[0].purpose,
+        w.me().lookup_purposes()[0],
         Purpose::VerifyFingers(0xff << 34)
     );
     w.run(actions);
@@ -848,7 +881,7 @@ fn local_starts_cost_nothing_and_are_not_folded_into_a_question() {
     assert!((0..=10).all(|i| w.finger(i) == Some(1)));
     assert_eq!(find_nexts(&actions), [(2, 1 << 11)]);
     assert_eq!(
-        w.me().lookups.0[0].purpose,
+        w.me().lookup_purposes()[0],
         Purpose::VerifyFingers(0x1f << 11)
     );
     w.run(actions);
@@ -863,9 +896,8 @@ fn empty_slot_is_resolved_not_asked_of_a_neighbouring_finger() {
     w.me().set_finger(40, None);
     let actions = w.fix_fingers();
     assert_eq!(find_nexts(&actions), [(S, 1 << 40), (F, 1 << 41)]);
-    let purposes: Vec<Purpose> = w.me().lookups.0.iter().map(|lk| lk.purpose).collect();
     assert_eq!(
-        purposes,
+        w.me().lookup_purposes(),
         [Purpose::Finger(40), Purpose::VerifyFingers(1 << 41)]
     );
     w.run(actions);
@@ -887,4 +919,80 @@ fn slot_past_the_wrap_is_not_covered_by_an_earlier_key() {
     assert_eq!(w.finger(63), Some(3));
     assert_eq!(w.finger(1), Some(2));
     assert_eq!(w.me().pending_lookups(), 0);
+}
+
+#[test]
+fn a_reply_of_another_kind_settles_nothing() {
+    let ring = [0, S, F, G];
+    let mut w = Wire::new(&IDS, &ring, &ring, 1, 40);
+    let actions = w.fix_fingers();
+    let token = actions
+        .iter()
+        .find_map(|a| match a {
+            ChordAction::Send {
+                msg: ChordMsg::FindNext { token, .. },
+                ..
+            } => Some(*token),
+            _ => None,
+        })
+        .expect("a question to F");
+    // F died: nobody answers the question. A pong and a stabilize reply
+    // carrying its token are not its answer.
+    w.nodes[F] = None;
+    w.run(actions);
+    let f = w.refs[F];
+    let foreign = [
+        ChordMsg::Pong { nonce: token },
+        ChordMsg::NeighborsReply {
+            gen: token,
+            sender: f,
+            predecessor: None,
+            successors: Vec::new(),
+        },
+    ];
+    for msg in foreign {
+        assert!(w.me().handle_message(f.node, msg).is_empty());
+    }
+    assert_eq!(w.me().pending_lookups(), 1, "the question is still open");
+    let deadline = w.step_deadline();
+    assert!(
+        !w.me().handle_timer(deadline).is_empty(),
+        "its deadline is still live"
+    );
+    // Nor are a step reply, a route result and a pong carrying a
+    // stabilize round's gen its answer.
+    w.nodes[S] = None;
+    let gen = w
+        .me()
+        .handle_timer(ChordTimer::Stabilize)
+        .iter()
+        .find_map(|a| match a {
+            ChordAction::SetTimer {
+                timer: ChordTimer::StabilizeDeadline { gen },
+                ..
+            } => Some(*gen),
+            _ => None,
+        })
+        .expect("a stabilize round");
+    let s = w.refs[S];
+    let foreign = [
+        ChordMsg::FindNextReply {
+            token: gen,
+            result: StepResult::Owner(s),
+        },
+        ChordMsg::RouteResult {
+            token: gen,
+            owner: s,
+            hops: 1,
+        },
+        ChordMsg::Pong { nonce: gen },
+    ];
+    for msg in foreign {
+        assert!(w.me().handle_message(s.node, msg).is_empty());
+    }
+    let deadline = ChordTimer::StabilizeDeadline { gen };
+    assert!(
+        !w.me().handle_timer(deadline).is_empty(),
+        "the round's deadline is still live"
+    );
 }

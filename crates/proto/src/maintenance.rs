@@ -3,7 +3,7 @@
 //! replacement via position claims, PetalUp promotion, and directory
 //! housekeeping.
 
-use chord::{Chord, ChordId, NodeRef};
+use chord::{Chord, ChordId, NodeRef, FIRST_ATTEMPT};
 use rand::Rng;
 use simnet::{LocalityId, NodeId};
 use workload::{ObjectId, WebsiteId};
@@ -14,7 +14,7 @@ use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
 use crate::msg::{FlowerMsg, FlowerTimer, Summary};
-use crate::peer::{DirectoryRole, FlowerPeer, FlowerReport, ProtocolEvent, Role};
+use crate::peer::{Await, DirectoryRole, FlowerPeer, FlowerReport, ProtocolEvent, Role};
 use crate::qid::QueryId;
 use crate::tags;
 
@@ -162,7 +162,7 @@ impl FlowerPeer {
         ctx.set_timer(jitter, FlowerTimer::Keepalive);
         if let Some(di) = &mut self.dir_info {
             di.bump();
-            let holder = di.holder.node;
+            let holder = di.holder;
             let push = self.store.should_push(self.pcx.params.push_threshold);
             self.start_dir_exchange(ctx, holder, push.then_some(false));
         } else {
@@ -182,22 +182,23 @@ impl FlowerPeer {
         if !self.store.should_push(self.pcx.params.push_threshold) {
             return;
         }
-        if self.awaiting_ack.is_some() {
+        if self.awaiting.iter().any(|r| r.purpose.is_ack()) {
             return; // one outstanding exchange at a time
         }
         let Some(di) = self.dir_info else {
             return;
         };
-        self.start_dir_exchange(ctx, di.holder.node, Some(false));
+        self.start_dir_exchange(ctx, di.holder, Some(false));
     }
 
     /// One exchange with our directory `holder`, acknowledged by a
     /// `DirAck` or else suspected dead at the deadline: a `Push` of
     /// everything the store has not announced yet (`push` carries its
-    /// `full` flag), or a bare `Keepalive`.
-    fn start_dir_exchange(&mut self, ctx: &mut Fx<Self>, holder: NodeId, push: Option<bool>) {
-        let seq = self.alloc_seq();
-        self.awaiting_ack = Some(seq);
+    /// `full` flag), or a bare `Keepalive`. It supersedes the exchange in
+    /// flight.
+    fn start_dir_exchange(&mut self, ctx: &mut Fx<Self>, holder: NodeRef, push: Option<bool>) {
+        let seq = self.awaiting.supersede(holder, Await::DirAck);
+        self.awaiting.arm(seq);
         let msg = match push {
             Some(full) => {
                 let objects = self.store.take_push_delta();
@@ -215,7 +216,7 @@ impl FlowerPeer {
                 FlowerMsg::Keepalive { seq }
             }
         };
-        ctx.send(holder, msg);
+        ctx.send(holder.node, msg);
         ctx.set_timer(
             self.pcx.params.rpc_timeout_ms * 2,
             FlowerTimer::DirAckDeadline { seq },
@@ -253,18 +254,18 @@ impl FlowerPeer {
     }
 
     pub(crate) fn on_dir_ack(&mut self, _ctx: &mut Fx<Self>, seq: u64, dir: DirInfo) {
-        if self.awaiting_ack == Some(seq) {
-            self.awaiting_ack = None;
+        if self.awaiting.settle(seq, Await::is_ack).is_some() {
             // The ack names the current holder — adopt it fresh.
             self.dir_info = Some(DirInfo::fresh(dir.position, dir.holder));
         }
     }
 
     pub(crate) fn on_dir_ack_deadline(&mut self, ctx: &mut Fx<Self>, seq: u64) {
-        if self.awaiting_ack != Some(seq) {
+        let expired = self.awaiting.expire(seq, FIRST_ATTEMPT);
+        if !expired.is_some_and(|r| r.purpose.is_ack()) {
             return;
         }
-        self.awaiting_ack = None;
+        self.awaiting.close(seq);
         ctx.report(FlowerReport::Event(ProtocolEvent::AckTimeout));
         self.suspect_directory(ctx);
     }
@@ -277,7 +278,7 @@ impl FlowerPeer {
     /// claim on its position; the first petal peer whose claim reaches the
     /// vacant position's ring owner takes over (§5.2.2).
     pub(crate) fn suspect_directory(&mut self, ctx: &mut Fx<Self>) {
-        if self.claim.is_some() || self.is_directory() {
+        if self.claim().is_some() || self.is_directory() {
             return;
         }
         let Some(di) = self.dir_info else {
@@ -286,14 +287,25 @@ impl FlowerPeer {
         self.start_claim(ctx, di.position);
     }
 
+    /// How many claims in a row the claim in flight is.
+    fn claim(&self) -> Option<u32> {
+        self.awaiting.iter().find_map(|r| match r.purpose {
+            Await::Claim { attempts, .. } => Some(attempts),
+            Await::DirAck => None,
+        })
+    }
+
+    pub(crate) fn close_claim(&mut self) {
+        self.awaiting
+            .retain(|r| !matches!(r.purpose, Await::Claim { .. }));
+    }
+
+    /// Claim `position`, superseding the claim in flight: the next attempt
+    /// of it, or the first.
     pub(crate) fn start_claim(&mut self, ctx: &mut Fx<Self>, position: DirPosition) {
-        let seq = self.alloc_seq();
-        let attempts = match &self.claim {
-            Some(c) => c.attempts + 1,
-            None => 1,
-        };
+        let attempts = self.claim().map_or(1, |attempts| attempts + 1);
+        self.close_claim();
         if attempts > 3 {
-            self.claim = None;
             return; // give up; the next keepalive cycle may retry
         }
         let Some(b) = self.pick_bootstrap(ctx) else {
@@ -305,7 +317,6 @@ impl FlowerPeer {
             // rendezvous synchronously (inside `become_directory`), so
             // every later claimer bootstraps through us and the D-ring
             // regrows from this seed instead of fragmenting.
-            self.claim = None;
             let me_ref = NodeRef::new(self.me, position.chord_id());
             self.become_directory(ctx, position, me_ref, None, true);
             return;
@@ -316,11 +327,8 @@ impl FlowerPeer {
             f.push(("attempt", attempts.into()));
             f
         });
-        self.claim = Some(crate::peer::PendingClaim {
-            seq,
-            position,
-            attempts,
-        });
+        let seq = self.awaiting.open(b, Await::Claim { position, attempts });
+        self.awaiting.arm(seq);
         ctx.send(
             b.node,
             FlowerMsg::DRingRoute {
@@ -338,13 +346,13 @@ impl FlowerPeer {
     }
 
     pub(crate) fn on_claim_deadline(&mut self, ctx: &mut Fx<Self>, claim_seq: u64) {
-        let Some(c) = &self.claim else {
+        let Some(&mut chord::Request {
+            purpose: Await::Claim { position, .. },
+            ..
+        }) = self.awaiting.expire(claim_seq, FIRST_ATTEMPT)
+        else {
             return;
         };
-        if c.seq != claim_seq {
-            return;
-        }
-        let position = c.position;
         self.start_claim(ctx, position); // bumps attempts, repicks bootstrap
     }
 
@@ -468,7 +476,7 @@ impl FlowerPeer {
         position: DirPosition,
         seed: NodeRef,
     ) {
-        self.claim = None;
+        self.close_claim();
         if self.is_directory() {
             return;
         }
@@ -492,14 +500,14 @@ impl FlowerPeer {
         position: DirPosition,
         holder: NodeRef,
     ) {
-        self.claim = None;
+        self.close_claim();
         if self.is_directory() {
             return;
         }
         self.dir_info = Some(DirInfo::fresh(position, holder));
         if !self.store.is_empty() && matches!(self.role, Role::Content) {
             self.store.mark_all_unpushed();
-            self.start_dir_exchange(ctx, holder.node, Some(true));
+            self.start_dir_exchange(ctx, holder, Some(true));
         }
     }
 
@@ -602,8 +610,7 @@ impl FlowerPeer {
             replacement,
         )));
         self.dir_info = None;
-        self.awaiting_ack = None;
-        self.claim = None;
+        self.awaiting.retain(|_| false);
         let had_snapshot = snapshot.is_some();
         ctx.trace(tags::BECAME_DIRECTORY, || {
             let mut f = tags::pos_fields(position);
@@ -718,8 +725,7 @@ impl FlowerPeer {
         self.pcx.bootstrap.borrow_mut().remove(self.me);
         self.role = Role::Client;
         self.dir_info = None;
-        self.claim = None;
-        self.awaiting_ack = None;
+        self.awaiting.retain(|_| false);
         self.store.mark_all_unpushed();
         if self.pending.is_none() {
             self.start_petal_join(ctx);

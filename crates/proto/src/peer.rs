@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cdn_metrics::{QueryRecord, ResolvedVia};
-use chord::{Chord, ChordAction, ChordId, NodeRef};
+use chord::{Chord, ChordAction, ChordId, NodeRef, Outstanding};
 use gossip::{Cyclon, ShuffleMode};
 use rand::Rng;
 use simnet::{LocalityId, NodeId, Time};
@@ -174,11 +174,24 @@ pub(crate) struct PendingQuery {
     pub api_token: Option<u64>,
 }
 
-/// Outstanding position claim (§5.2.2).
-pub struct PendingClaim {
-    pub seq: u64,
-    pub position: DirPosition,
-    pub attempts: u32,
+/// What a content peer awaits an answer to. Its rid is the `seq` the
+/// request and its deadline carry.
+pub(crate) enum Await {
+    /// A keepalive or push to our directory, acknowledged by a `DirAck`
+    /// (§5.1); at most one at a time.
+    DirAck,
+    /// The `attempts`-th claim in a row on our dead directory's
+    /// `position`, answered by a grant or a denial (§5.2.2).
+    Claim {
+        position: DirPosition,
+        attempts: u32,
+    },
+}
+
+impl Await {
+    pub(crate) fn is_ack(&self) -> bool {
+        matches!(self, Await::DirAck)
+    }
 }
 
 /// The Flower-CDN peer.
@@ -194,9 +207,8 @@ pub struct FlowerPeer {
     pub(crate) role: Role,
     pub(crate) pending: Option<PendingQuery>,
     pub(crate) next_qid: u32,
-    pub(crate) ka_seq: u64,
-    pub(crate) awaiting_ack: Option<u64>,
-    pub(crate) claim: Option<PendingClaim>,
+    /// The dir-ack exchange and the position claim in flight.
+    pub(crate) awaiting: Outstanding<Await>,
     /// Bootstraps that failed to route for us recently.
     pub(crate) boot_exclude: Vec<NodeId>,
     /// Actions produced by the Chord constructor, applied at `on_start`.
@@ -219,9 +231,7 @@ impl FlowerPeer {
             role: Role::Client,
             pending: None,
             next_qid: 0,
-            ka_seq: 0,
-            awaiting_ack: None,
-            claim: None,
+            awaiting: Outstanding::default(),
             boot_exclude: Vec::new(),
             startup_chord_actions: Vec::new(),
         }
@@ -310,11 +320,6 @@ impl FlowerPeer {
         QueryId::new(self.me, self.next_qid)
     }
 
-    pub(crate) fn alloc_seq(&mut self) -> u64 {
-        self.ka_seq += 1;
-        self.ka_seq
-    }
-
     /// DirInfo describing *me* as directory (for acks and redirects).
     pub(crate) fn self_dir_info(&self) -> Option<DirInfo> {
         match &self.role {
@@ -386,7 +391,7 @@ impl FlowerPeer {
         if let Role::Directory(d) = &self.role {
             if !d.chord.is_joined() {
                 self.role = Role::Content;
-                self.claim = None;
+                self.close_claim();
             }
         }
     }
@@ -747,7 +752,8 @@ impl FlowerPeer {
                     if !evicted.is_empty() {
                         ctx.send(di.holder.node, FlowerMsg::Retract { objects: evicted });
                     }
-                    let seq = self.alloc_seq();
+                    // Nobody awaits this push's ack: its seq is no request's.
+                    let seq = self.awaiting.burn();
                     let objects = self.store.take_push_delta();
                     ctx.send(
                         di.holder.node,
@@ -943,7 +949,10 @@ mod tests {
             _ => panic!("still a directory"),
         };
         let before = chord_of(&peer);
-        assert!(before.contains("lookups: Lookups([])"), "question closed");
+        assert!(
+            before.contains("reqs: Outstanding { reqs: []"),
+            "question closed"
+        );
         // …so the deadline fires superseded.
         let out = step(&mut peer, Input::Timer(FlowerTimer::Chord(deadline)));
         assert!(out.is_empty(), "{out:?}");
@@ -1055,5 +1064,100 @@ mod tests {
             _ => None,
         });
         assert_eq!(dht_hops, Some(0), "{out:?}");
+    }
+
+    /// A content peer's dir-ack exchange and its claim are each settled
+    /// only by their own kind of answer: the ack of an API `Put`'s push,
+    /// whose seq no request holds, leaves the keepalive awaited, and a
+    /// `DirAck` carrying the claim's seq leaves the claim to be retried.
+    #[test]
+    fn acks_settle_only_the_request_they_answer() {
+        let me = NodeId::from_index(0);
+        let position = DirPosition::base(WebsiteId(0), LocalityId(0));
+        let holder = NodeRef::new(NodeId::from_index(1), position.chord_id());
+        let pcx = PeerCtx::for_tests();
+        let boot = NodeRef::new(NodeId::from_index(2), ChordId(7));
+        pcx.bootstrap.borrow_mut().add(boot);
+        let mut peer = FlowerPeer::new_client(pcx, me, LocalityId(0));
+        peer.role = Role::Content;
+        peer.dir_info = Some(DirInfo::fresh(position, holder));
+        let (mut rng, mut now_ms) = (machine_rng(1, me), 0);
+        let mut step = |peer: &mut FlowerPeer, input| {
+            now_ms += 100;
+            let mut out = Vec::new();
+            let at = Time::from_millis(now_ms);
+            peer.handle(
+                Fx::new(at, me, LocalityId(0), &mut rng, false, &mut out),
+                input,
+            );
+            out
+        };
+        let deadline = |out: &[Out]| {
+            out.iter().find_map(|o| match o {
+                Output::SetTimer {
+                    timer: t @ (FlowerTimer::DirAckDeadline { .. } | FlowerTimer::ClaimDeadline { .. }),
+                    ..
+                } => Some(t.clone()),
+                _ => None,
+            })
+        };
+        let ack = |seq| Input::Deliver {
+            from: holder.node,
+            msg: FlowerMsg::DirAck {
+                seq,
+                dir: DirInfo::fresh(position, holder),
+            },
+        };
+
+        let out = step(&mut peer, Input::Timer(FlowerTimer::Keepalive));
+        let Some(FlowerTimer::DirAckDeadline { seq: keepalive }) = deadline(&out) else {
+            panic!("a keepalive awaits its ack: {out:?}");
+        };
+        let call = ApiCall::Put {
+            object: ObjectId {
+                website: WebsiteId(0),
+                rank: 3,
+            },
+        };
+        let out = step(&mut peer, Input::Api { token: 1, call });
+        let put = out.iter().find_map(|o| match o {
+            Output::Send {
+                msg: FlowerMsg::Push { seq, .. },
+                ..
+            } => Some(*seq),
+            _ => None,
+        });
+        assert!(put.is_some_and(|put| put != keepalive), "{out:?}");
+        assert!(step(&mut peer, ack(put.expect("pushed"))).is_empty());
+
+        // The keepalive is still awaited: its deadline suspects the
+        // directory and a claim goes out through the bootstrap.
+        let out = step(
+            &mut peer,
+            Input::Timer(FlowerTimer::DirAckDeadline { seq: keepalive }),
+        );
+        let timed_out = |o: &Out| {
+            matches!(
+                o,
+                Output::Report(FlowerReport::Event(ProtocolEvent::AckTimeout))
+            )
+        };
+        assert!(out.iter().any(timed_out), "{out:?}");
+        let Some(FlowerTimer::ClaimDeadline { claim_seq }) = deadline(&out) else {
+            panic!("a claim awaits its verdict: {out:?}");
+        };
+        assert!(step(&mut peer, ack(claim_seq)).is_empty());
+
+        // The claim is still in flight: its deadline claims again.
+        let out = step(
+            &mut peer,
+            Input::Timer(FlowerTimer::ClaimDeadline { claim_seq }),
+        );
+        let routed = |o: &Out| matches!(o, Output::Send { to, msg: FlowerMsg::DRingRoute { .. } } if *to == boot.node);
+        assert!(out.iter().any(routed), "{out:?}");
+        assert!(
+            matches!(deadline(&out), Some(FlowerTimer::ClaimDeadline { claim_seq: next }) if next != claim_seq),
+            "{out:?}"
+        );
     }
 }

@@ -67,8 +67,16 @@ fn fingerprint<D: SimDriver>(mut sim: D, events_processed: impl Fn(&D) -> u64) -
         let (t, v) = *points.last().expect("non-empty series");
         writeln!(out, "gauge {name} n={} last=({t},{v})", points.len()).unwrap();
     }
-    for m in &result.perf.expect("profiled run").messages {
+    let perf = result.perf.expect("profiled run");
+    for m in &perf.messages {
         writeln!(out, "msg {} count={} bytes={}", m.class, m.count, m.bytes).unwrap();
+    }
+    // How often each timer class fired: a deadline renamed, merged or
+    // armed a different number of times shows here.
+    for p in &perf.phases {
+        if let Some(class) = p.path.strip_prefix("timer/").filter(|c| !c.contains('/')) {
+            writeln!(out, "timer {class} count={}", p.count).unwrap();
+        }
     }
     out
 }
@@ -135,6 +143,25 @@ msg redirect count=3118 bytes=418234
 msg route_failed count=2 bytes=30
 msg routed count=999 bytes=39797
 msg sibling_query count=1274 bytes=141964
+timer chord_fix_fingers count=47003
+timer query count=8444
+timer origin_done count=3282
+timer chord_check_predecessor count=23514
+timer chord_stabilize count=23367
+timer chord_ping_deadline count=22963
+timer chord_stabilize_deadline count=24243
+timer chord_lookup_step count=133242
+timer chord_route_deadline count=1196
+timer route_deadline count=3422
+timer dir_ack_deadline count=2422
+timer dir_sweep count=4999
+timer chord_stabilize_once count=434
+timer keepalive count=1435
+timer gossip count=1402
+timer fetch_deadline count=4379
+timer gossip_deadline count=974
+timer position_check count=938
+timer claim_deadline count=418
 ";
 
 const SQUIRREL_GOLDEN: &str = "\
@@ -175,6 +202,18 @@ msg fetch_miss count=20 bytes=380
 msg fetch_ok count=3918 bytes=16122570
 msg sq_answer count=7541 bytes=189708
 msg sq_query count=7675 bytes=246565
+timer chord_fix_fingers count=117972
+timer query count=9036
+timer chord_check_predecessor count=58759
+timer chord_stabilize count=58791
+timer origin_done count=2746
+timer chord_stabilize_once count=1066
+timer chord_lookup_step count=263609
+timer chord_ping_deadline count=56619
+timer chord_stabilize_deadline count=60982
+timer sq_answer_deadline count=7630
+timer chord_route_deadline count=7515
+timer fetch_deadline count=4683
 ";
 
 #[test]
@@ -231,6 +270,18 @@ msg fetch_ok count=4472 bytes=18402280
 msg sq_answer count=6710 bytes=170632
 msg sq_query count=6875 bytes=213573
 msg sq_store_copy count=2163 bytes=8883441
+timer chord_fix_fingers count=119657
+timer query count=9026
+timer chord_check_predecessor count=59591
+timer chord_stabilize count=59635
+timer origin_done count=2318
+timer chord_stabilize_once count=1062
+timer chord_lookup_step count=262776
+timer chord_ping_deadline count=56492
+timer chord_stabilize_deadline count=60641
+timer sq_answer_deadline count=6843
+timer chord_route_deadline count=7319
+timer fetch_deadline count=4471
 ";
 
 /// The home-store scheme: the home node caches the object and is handed a

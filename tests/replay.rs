@@ -21,7 +21,10 @@
 //! finger first, which changes what a tapped ring member sends; the Squirrel
 //! digest once more when a Squirrel peer began tracing `fetch_timeout` /
 //! `fetch_miss` as a Flower-CDN peer always has — one exchange of the script
-//! gained that one trace output, nothing else moved). A refactor
+//! gained that one trace output, nothing else moved; both once more when
+//! Chord's and Flower-CDN's request keys — `token`, `gen`, `nonce`, `seq`,
+//! `claim_seq` — began coming from one table of outstanding requests: with
+//! those values masked, both streams are equal line for line). A refactor
 //! of `crates/proto` that changes a message, a timer, an RNG draw, a trace
 //! shape or the order of outputs within one `handle` call moves a digest.
 
@@ -37,8 +40,8 @@ use flower_cdn::{
 use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
 use workload::{ObjectId, WebsiteId};
 
-const FLOWER_STREAM_FNV: u64 = 0xea34_9992_d944_da90;
-const SQUIRREL_STREAM_FNV: u64 = 0xc565_5eb9_2348_28b2;
+const FLOWER_STREAM_FNV: u64 = 0x3d83_24bf_3edb_3545;
+const SQUIRREL_STREAM_FNV: u64 = 0x3a37_8db7_c434_4dba;
 
 /// One website under test, `localities` initial ring members per website,
 /// no Poisson arrivals and no natural deaths: every event in the run is
