@@ -15,6 +15,7 @@
 
 pub mod comparison;
 pub mod opts;
+pub mod report;
 pub mod scenarios;
 
 use cdn_metrics::{ascii_table, Csv};
@@ -22,6 +23,7 @@ use sweep::CellResult;
 
 pub use comparison::{run_comparison_sweep, ComparisonOut, SystemOut};
 pub use opts::{HarnessOpts, OptsError, Scale, USAGE};
+pub use report::{write_profile_report, BenchReport};
 pub use scenarios::canned_resilience_scenario;
 
 /// `mean ±stddev` when a cell aggregated several seeds, plain mean
@@ -46,24 +48,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> Csv {
     csv
 }
 
-/// Under `--profile-out PATH`: write every perf cell the sweep collected
-/// as one BENCH-schema report, labelled with the file stem less a `BENCH_`
-/// prefix (`--profile-out BENCH_figures.json` labels the report `figures`).
-pub fn write_profile_report(opts: &HarnessOpts, cells: &[CellResult]) {
-    let Some(path) = &opts.profile_out else {
-        return;
-    };
-    let stem = path.file_stem().unwrap_or_default().to_string_lossy();
-    let label = stem.strip_prefix("BENCH_").unwrap_or(&stem);
-    let perf: Vec<profile::RunPerf> = cells
-        .iter()
-        .flat_map(|c| c.perf.iter().map(|(_, p)| p.clone()))
-        .collect();
-    let report = profile::BenchReport::new(label, perf);
-    report.save(path).expect("write profile report");
-    eprintln!("wrote {}", path.display());
-}
-
 /// The tail of a table-shaped binary: its table as `table_name`, the
 /// per-run rows as `runs_name`, both under the `--out` directory, and the
 /// `--profile-out` report.
@@ -83,26 +67,4 @@ pub fn write_results(
         .expect("write runs csv");
     println!("wrote {} and {}", path.display(), runs_path.display());
     write_profile_report(opts, cells);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profile_report_is_labelled_by_its_file_stem() {
-        let dir = std::env::temp_dir().join(format!("flower_bench_label_{}", std::process::id()));
-        let path = dir.join("BENCH_x.json");
-        let opts = HarnessOpts {
-            profile_out: Some(path.clone()),
-            ..HarnessOpts::default()
-        };
-        write_profile_report(&opts, &[]);
-        let json = std::fs::read_to_string(&path).expect("report written");
-        std::fs::remove_dir_all(&dir).expect("clean up");
-        assert_eq!(
-            json,
-            "{\"schema\":\"bench-v1\",\"label\":\"x\",\"cells\":[\n]}\n"
-        );
-    }
 }

@@ -5,8 +5,9 @@
 //! across `--jobs` values. This is also the test that drives the `perf`
 //! binary's library path (profiled `run_grid` → `BenchReport::to_json`).
 
+use flower_bench::BenchReport;
 use flower_cdn::{shape_params, System};
-use profile::{BenchReport, RunPerf};
+use profile::RunPerf;
 use sweep::{run_grid, Cell, Grid, SweepOpts};
 
 fn tiny_grid(seed: u64) -> Grid {

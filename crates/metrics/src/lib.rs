@@ -41,7 +41,7 @@ pub use query::{Provider, QueryRecord, QueryStats, ResolvedVia};
 pub use report::{ascii_bars, ascii_lines, ascii_table, Csv};
 pub use run_summary::RunSummary;
 pub use series::HitRatioSeries;
-pub use trace_jsonl::{parse_trace_line, JsonlTraceWriter, TraceLine};
+pub use trace_jsonl::{json_escape, parse_trace_line, JsonlTraceWriter, TraceLine};
 
 /// The bucket edges used to report Figure 4 (lookup latency distribution).
 /// The paper's prose anchors 150 ms and 1200 ms; intermediate edges give

@@ -73,8 +73,10 @@ impl<W: Write> JsonlTraceWriter<W> {
 }
 
 /// Escape `s` for use inside a JSON string literal: `"`, `\` and newline
-/// get their short forms, every other control character `\uXXXX`.
-fn json_escape(s: &str) -> String {
+/// get their short forms, every other control character `\uXXXX` — the
+/// forms [`parse_trace_line`] reads back. The one escaper of every JSON
+/// this workspace writes (the trace here, the harness's BENCH report).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -375,8 +377,20 @@ mod tests {
                 fields: vec![("v", FieldValue::Str("quoted"))],
             },
         );
+        // Every character the escaper has a rule for comes back as written.
+        let every_rule = "a\"b\\c\nd\t\r\u{1}é→";
+        w.event(
+            Time(1),
+            &TraceEvent::Custom {
+                node: n(0),
+                name: "y",
+                fields: vec![("v", FieldValue::Str(every_rule))],
+            },
+        );
         let text = String::from_utf8(w.into_inner()).unwrap();
-        assert!(parse_trace_line(&text).is_some());
+        let lines: Vec<_> = text.lines().map(parse_trace_line).collect();
+        assert_eq!(lines[0].as_ref().and_then(|l| l.str("v")), Some("quoted"));
+        assert_eq!(lines[1].as_ref().and_then(|l| l.str("v")), Some(every_rule));
         // The escape helper itself handles the metacharacters.
         assert_eq!(json_escape(s), "a\\\"b\\\\c\\nd");
         // Every other control character takes the \uXXXX form; anything

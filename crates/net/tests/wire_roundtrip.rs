@@ -16,7 +16,7 @@ use flower_proto::squirrel::SqMsg;
 use flower_proto::wire::{Dec, Enc, Wire, FRAME_OVERHEAD, MODELLED_OBJECT_BYTES};
 use flower_proto::{
     ApiCall, ApiResp, DirInfo, DirPosition, DirectorySnapshot, FlowerMsg, ProviderKind, QueryId,
-    RoleKind, RoutePayload, Summary,
+    Redirect, RoleKind, RoutePayload, SiblingQuery, Summary,
 };
 use gossip::{Entry, GossipMsg};
 use proptest::prelude::*;
@@ -204,14 +204,14 @@ fn flower_msg() -> impl Strategy<Value = FlowerMsg> {
             any::<u32>(),
         )
             .prop_map(|(qid, object, provider, dir, petal_view, dht_hops)| {
-                FlowerMsg::Redirect {
+                FlowerMsg::Redirect(Redirect {
                     qid,
                     object,
                     provider,
                     dir,
                     petal_view,
                     dht_hops,
-                }
+                })
             }),
         (qid(), object(), proptest::collection::vec(node(), 0..6)).prop_map(
             |(qid, object, exclude)| FlowerMsg::DirQuery {
@@ -230,7 +230,7 @@ fn flower_msg() -> impl Strategy<Value = FlowerMsg> {
             any::<u8>(),
         )
             .prop_map(|(client, qid, object, dir, petal_view, exclude, ttl)| {
-                FlowerMsg::SiblingQuery {
+                FlowerMsg::SiblingQuery(SiblingQuery {
                     client,
                     qid,
                     object,
@@ -238,7 +238,7 @@ fn flower_msg() -> impl Strategy<Value = FlowerMsg> {
                     petal_view,
                     exclude,
                     ttl,
-                }
+                })
             }),
         node().prop_map(|peer| FlowerMsg::DeadPeerReport { peer }),
         proptest::collection::vec(object(), 0..8)
@@ -674,13 +674,15 @@ fn shared_empty_summary_encodes_like_a_fresh_one() {
     assert!(Arc::ptr_eq(&shared(), &shared()));
     // The summary sizing, said as a literal (`store.rs`: 256 items at 2 %).
     let fresh = || Arc::new(BloomFilter::with_rate(256, 0.02));
-    let redirect = |s: &dyn Fn() -> Summary| FlowerMsg::Redirect {
-        qid: qid(),
-        object: None,
-        provider: None,
-        dir: dir(),
-        petal_view: (0..3).map(|i| (node(20 + i), s())).collect(),
-        dht_hops: 0,
+    let redirect = |s: &dyn Fn() -> Summary| {
+        FlowerMsg::Redirect(Redirect {
+            qid: qid(),
+            object: None,
+            provider: None,
+            dir: dir(),
+            petal_view: (0..3).map(|i| (node(20 + i), s())).collect(),
+            dht_hops: 0,
+        })
     };
     let gossip = |s: &dyn Fn() -> Summary| FlowerMsg::Gossip {
         inner: GossipMsg::ShuffleReply {
@@ -812,28 +814,28 @@ fn golden_corpus() -> Vec<Frame> {
             hops: 6,
         },
         FlowerMsg::RouteFailed { req_qid: qid },
-        FlowerMsg::Redirect {
+        FlowerMsg::Redirect(Redirect {
             qid,
             object: Some(object),
             provider: Some(node(14)),
             dir,
             petal_view: vec![(node(20), summary(1)), (node(21), summary(2))],
             dht_hops: 2,
-        },
-        FlowerMsg::Redirect {
+        }),
+        FlowerMsg::Redirect(Redirect {
             qid,
             object: None,
             provider: None,
             dir,
             petal_view: vec![],
             dht_hops: 0,
-        },
+        }),
         FlowerMsg::DirQuery {
             qid,
             object,
             exclude: vec![node(15), node(16)],
         },
-        FlowerMsg::SiblingQuery {
+        FlowerMsg::SiblingQuery(SiblingQuery {
             client: node(12),
             qid,
             object,
@@ -841,7 +843,7 @@ fn golden_corpus() -> Vec<Frame> {
             petal_view: vec![(node(22), summary(3))],
             exclude: vec![node(17)],
             ttl: 7,
-        },
+        }),
         FlowerMsg::DeadPeerReport { peer: node(18) },
         FlowerMsg::Retract {
             objects: vec![object, ObjectId { rank: 9, ..object }],

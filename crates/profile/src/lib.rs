@@ -10,15 +10,15 @@
 //! * [`sampler`] — process-level samplers: peak RSS from
 //!   `/proc/self/status` and a counting global allocator (behind the
 //!   `count-allocs` feature).
-//! * [`report`] — the schema-stable `BENCH_<label>.json` perf-trajectory
-//!   records ([`RunPerf`], [`BenchReport`]) and their byte-stable writer.
-//!   It writes and never judges: whether a change is faster is decided by
-//!   the repository benchmark (`benchmark/`).
+//! * [`report`] — the perf cell of a profiled run ([`RunPerf`], with its
+//!   [`PhaseRow`]s and [`MsgRow`]s). `flower-bench` writes the cells as
+//!   `BENCH_<label>.json`; whether a change is faster is decided by the
+//!   repository benchmark (`benchmark/`).
 
 pub mod report;
 pub mod sampler;
 
-pub use report::{BenchReport, MsgRow, PhaseRow, RunPerf};
+pub use report::{MsgRow, PhaseRow, RunPerf};
 #[cfg(feature = "count-allocs")]
 pub use sampler::CountingAlloc;
 pub use sampler::{alloc_count, peak_rss_bytes};

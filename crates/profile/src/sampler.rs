@@ -1,10 +1,11 @@
 //! Process-level samplers: peak RSS and allocation counts.
 //!
-//! Both are whole-process measurements, so perf harnesses that want clean
-//! per-run numbers should run simulations sequentially (the `perf` binary
-//! defaults to `--jobs 1` for exactly this reason).
+//! Peak RSS is a whole-process measurement, so perf harnesses that want
+//! clean per-run numbers should run simulations sequentially (the `perf`
+//! binary defaults to `--jobs 1` for exactly this reason). Allocations are
+//! counted per thread: a run's count is what its own thread allocated.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). Returns 0 where procfs is unavailable, so perf
@@ -26,18 +27,31 @@ fn parse_vm_hwm(status: &str) -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Process-global allocation counter, incremented by [`CountingAlloc`]
-/// when a binary installs it as its `#[global_allocator]`.
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation counter, incremented by [`CountingAlloc`]
+    /// when a binary installs it as its `#[global_allocator]`. Const-
+    /// initialised and without a destructor, so touching it from inside
+    /// the allocator never allocates.
+    static ALLOC_COUNT: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Allocations observed so far. Always callable; stays 0 unless the
-/// running binary installed `CountingAlloc` (feature `count-allocs`).
+/// Allocations the calling thread made so far. Always callable; stays 0
+/// unless the running binary installed `CountingAlloc` (feature
+/// `count-allocs`).
 pub fn alloc_count() -> u64 {
-    ALLOC_COUNT.load(Ordering::Relaxed)
+    ALLOC_COUNT.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Count one allocation on the calling thread (none once its
+/// thread-locals are torn down).
+#[cfg(feature = "count-allocs")]
+fn count_one() {
+    let _ = ALLOC_COUNT.try_with(|c| c.set(c.get() + 1));
 }
 
 /// A `#[global_allocator]` wrapper over the system allocator that counts
-/// every allocation (including the allocating half of `realloc`). Install
+/// every allocation (including the allocating half of `realloc`) on the
+/// thread that makes it. Install
 /// it in a binary to make [`alloc_count`] live:
 ///
 /// ```ignore
@@ -49,10 +63,11 @@ pub struct CountingAlloc;
 
 #[cfg(feature = "count-allocs")]
 // SAFETY: delegates every operation to `std::alloc::System`; the counter
-// update has no effect on allocation behavior.
+// update touches a const-initialised thread-local and has no effect on
+// allocation behavior.
 unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        count_one();
         std::alloc::System.alloc(layout)
     }
 
@@ -61,12 +76,12 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        count_one();
         std::alloc::System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        count_one();
         std::alloc::System.realloc(ptr, layout, new_size)
     }
 }

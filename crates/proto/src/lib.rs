@@ -40,7 +40,7 @@ pub use directory::{DirectoryIndex, DirectorySnapshot};
 pub use dirinfo::DirInfo;
 pub use dring::DirPosition;
 pub use io::{machine_rng, machine_seed, Fx, Input, InputOf, Machine, Output, OutputOf};
-pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
+pub use msg::{FlowerMsg, FlowerTimer, Redirect, RoutePayload, SiblingQuery, Summary};
 pub use origin::OriginDial;
 pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};
 pub use qid::QueryId;

@@ -13,7 +13,7 @@ use crate::directory::{DirectoryIndex, DirectorySnapshot};
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
-use crate::msg::{FlowerMsg, FlowerTimer, Summary};
+use crate::msg::{FlowerMsg, FlowerTimer, Redirect, Summary};
 use crate::peer::{Await, DirectoryRole, FlowerPeer, FlowerReport, ProtocolEvent, Role};
 use crate::qid::QueryId;
 use crate::tags;
@@ -453,17 +453,15 @@ impl FlowerPeer {
                 // stale age so its keepalive verifies soon.
                 let mut dir = DirInfo::fresh(position, NodeRef::new(granted, key));
                 dir.age = 3;
-                ctx.send(
-                    client,
-                    FlowerMsg::Redirect {
-                        qid,
-                        object: None, // forces origin fetch at the client
-                        provider: None,
-                        dir,
-                        petal_view: Vec::new(),
-                        dht_hops: hops,
-                    },
-                );
+                let r = Redirect {
+                    qid,
+                    object: None, // forces origin fetch at the client
+                    provider: None,
+                    dir,
+                    petal_view: Vec::new(),
+                    dht_hops: hops,
+                };
+                ctx.send(client, FlowerMsg::Redirect(r));
             }
             _ => grant(ctx, d, key, client, position),
         }

@@ -42,6 +42,41 @@ pub enum RoutePayload {
     },
 }
 
+/// A directory peer answers a query: where to get the object. Also the
+/// join ticket into the petal (`dir` + `petal_view`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Redirect {
+    pub qid: QueryId,
+    pub object: Option<ObjectId>,
+    /// `None`: fetch from the origin server (miss).
+    pub provider: Option<NodeId>,
+    /// The responding directory instance (the client's new dir-info).
+    pub dir: DirInfo,
+    /// Contacts to seed the client's petal view (§4).
+    pub petal_view: Vec<(NodeId, Summary)>,
+    /// DHT hops spent reaching this directory (0 for direct asks).
+    pub dht_hops: u32,
+}
+
+/// A provider search for `client`'s query (§3.2). The directory that got
+/// the query, finding no provider in its petal, walks it along its
+/// same-website ring neighbours; whichever sibling can serve (or the last
+/// one) answers the client directly with the first directory's join ticket
+/// (`dir` + `petal_view`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SiblingQuery {
+    pub client: NodeId,
+    pub qid: QueryId,
+    pub object: ObjectId,
+    pub dir: DirInfo,
+    pub petal_view: Vec<(NodeId, Summary)>,
+    /// Providers that must not be named: the ones that already failed the
+    /// client, the client, and every directory the search visited.
+    pub exclude: Vec<NodeId>,
+    /// Further siblings the search may visit.
+    pub ttl: u8,
+}
+
 /// All messages exchanged by Flower-CDN peers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowerMsg {
@@ -62,20 +97,8 @@ pub enum FlowerMsg {
     },
     /// The bootstrap could not route (D-ring lookup failed).
     RouteFailed { req_qid: QueryId },
-    /// A directory peer answers a query: where to get the object. Also the
-    /// join ticket into the petal (`dir` + `petal_view`).
-    Redirect {
-        qid: QueryId,
-        object: Option<ObjectId>,
-        /// `None`: fetch from the origin server (miss).
-        provider: Option<NodeId>,
-        /// The responding directory instance (the client's new dir-info).
-        dir: DirInfo,
-        /// Contacts to seed the client's petal view (§4).
-        petal_view: Vec<(NodeId, Summary)>,
-        /// DHT hops spent reaching this directory (0 for direct asks).
-        dht_hops: u32,
-    },
+    /// A directory peer answers a query.
+    Redirect(Redirect),
     /// A content peer asks its own directory to resolve a query (§5.1
     /// restricts it to the instance it joined through). `exclude` lists
     /// providers that already failed the client on this query.
@@ -84,19 +107,8 @@ pub enum FlowerMsg {
         object: ObjectId,
         exclude: Vec<NodeId>,
     },
-    /// Cross-locality collaboration (§3.2): a directory without a local
-    /// provider walks the query along its same-website ring neighbours;
-    /// whichever sibling can serve (or the last one) answers the client
-    /// directly with the original directory's join ticket.
-    SiblingQuery {
-        client: NodeId,
-        qid: QueryId,
-        object: ObjectId,
-        dir: DirInfo,
-        petal_view: Vec<(NodeId, Summary)>,
-        exclude: Vec<NodeId>,
-        ttl: u8,
-    },
+    /// A provider search walking the website's sibling directories.
+    SiblingQuery(SiblingQuery),
     /// A client reports a provider that failed to deliver, so the
     /// directory can drop the stale pointer.
     DeadPeerReport { peer: NodeId },

@@ -591,28 +591,13 @@ impl FlowerPeer {
             FlowerMsg::DRingRoute { key, payload } => self.on_dring_route(ctx, key, payload),
             FlowerMsg::Routed { key, payload, hops } => self.handle_routed(ctx, key, payload, hops),
             FlowerMsg::RouteFailed { req_qid } => self.on_route_failed(ctx, req_qid),
-            FlowerMsg::Redirect {
-                qid,
-                object,
-                provider,
-                dir,
-                petal_view,
-                dht_hops,
-            } => self.on_redirect(ctx, qid, object, provider, dir, petal_view, dht_hops),
+            FlowerMsg::Redirect(r) => self.on_redirect(ctx, r),
             FlowerMsg::DirQuery {
                 qid,
                 object,
                 exclude,
             } => self.on_dir_query(ctx, from, qid, object, exclude),
-            FlowerMsg::SiblingQuery {
-                client,
-                qid,
-                object,
-                dir,
-                petal_view,
-                exclude,
-                ttl,
-            } => self.on_sibling_query(ctx, client, qid, object, dir, petal_view, exclude, ttl),
+            FlowerMsg::SiblingQuery(q) => self.on_sibling_query(ctx, q),
             FlowerMsg::DeadPeerReport { peer } => {
                 if let Role::Directory(d) = &mut self.role {
                     d.index.remove_peer(peer);
@@ -858,6 +843,7 @@ impl PeerCtx {
 mod tests {
     use super::*;
     use crate::io::{machine_rng, Output, OutputOf};
+    use crate::msg::{Redirect, SiblingQuery};
     use chord::{ChordMsg, ChordTimer, StepResult};
 
     type Out = OutputOf<FlowerPeer>;
@@ -872,13 +858,25 @@ mod tests {
         NodeRef,
         impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
     ) {
+        // The successor (node 1) is website 0's directory of locality 1.
+        directory_with_successor_at(1 << 20)
+    }
+
+    /// [`started_directory`] with its successor `offset` ids past it.
+    fn directory_with_successor_at(
+        offset: u64,
+    ) -> (
+        FlowerPeer,
+        NodeRef,
+        impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
+    ) {
         let position = DirPosition::base(WebsiteId(0), LocalityId(0));
         let me = NodeRef::new(NodeId::from_index(0), position.chord_id());
         let at = |i: usize, offset: u64| {
             NodeRef::new(NodeId::from_index(i), ChordId(me.id.0.wrapping_add(offset)))
         };
         let far = at(2, 1 << 63);
-        let mut ring = [me, at(1, 1 << 20), far];
+        let mut ring = [me, at(1, offset), far];
         ring.sort_by_key(|r| r.id);
         let me_idx = ring
             .iter()
@@ -1058,7 +1056,7 @@ mod tests {
         );
         let dht_hops = out.iter().find_map(|o| match o {
             Output::Send {
-                msg: FlowerMsg::Redirect { dht_hops, .. },
+                msg: FlowerMsg::Redirect(Redirect { dht_hops, .. }),
                 ..
             } => Some(*dht_hops),
             _ => None,
@@ -1159,5 +1157,378 @@ mod tests {
             matches!(deadline(&out), Some(FlowerTimer::ClaimDeadline { claim_seq: next }) if next != claim_seq),
             "{out:?}"
         );
+    }
+
+    // ------------------------------------------------------------------
+    // The provider search (§3.2): answer from the petal or walk on.
+    // ------------------------------------------------------------------
+
+    fn sibling_query_msg(q: SiblingQuery) -> FlowerMsg {
+        FlowerMsg::SiblingQuery(q)
+    }
+
+    fn as_sibling_query(msg: &FlowerMsg) -> Option<SiblingQuery> {
+        match msg {
+            FlowerMsg::SiblingQuery(q) => Some(q.clone()),
+            _ => None,
+        }
+    }
+
+    fn as_redirect(msg: &FlowerMsg) -> Option<Redirect> {
+        match msg {
+            FlowerMsg::Redirect(r) => Some(r.clone()),
+            _ => None,
+        }
+    }
+
+    /// Every message the step sent, with its addressee.
+    fn sends(out: &[Out]) -> Vec<(NodeId, FlowerMsg)> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Send { to, msg } => Some((*to, msg.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn no_provider_reports(out: &[Out]) -> usize {
+        out.iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    Output::Report(FlowerReport::Event(ProtocolEvent::DirNoProvider))
+                )
+            })
+            .count()
+    }
+
+    /// The object the cases search, and the content peer that pushes it.
+    const OBJECT: ObjectId = ObjectId {
+        website: WebsiteId(0),
+        rank: 3,
+    };
+    const HOLDER: usize = 5;
+    const CLIENT: usize = 9;
+
+    /// Index `OBJECT` under [`HOLDER`], as its push does.
+    fn index_holder(
+        peer: &mut FlowerPeer,
+        step: &mut impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
+    ) {
+        let push = FlowerMsg::Push {
+            seq: 1,
+            objects: vec![OBJECT],
+            full: true,
+        };
+        let out = step(
+            peer,
+            Input::Deliver {
+                from: NodeId::from_index(HOLDER),
+                msg: push,
+            },
+        );
+        assert!(matches!(sends(&out)[..], [(_, FlowerMsg::DirAck { .. })]));
+    }
+
+    /// The join ticket of another directory of website 0 (locality 1),
+    /// whose search reached us along the walk.
+    fn first_directory() -> DirInfo {
+        let position = DirPosition::base(WebsiteId(0), LocalityId(1));
+        DirInfo::fresh(
+            position,
+            NodeRef::new(NodeId::from_index(7), position.chord_id()),
+        )
+    }
+
+    fn walked_view() -> Vec<(NodeId, Summary)> {
+        let summary = std::sync::Arc::new(crate::store::empty_summary(0));
+        vec![(NodeId::from_index(11), summary)]
+    }
+
+    /// A content peer's `DirQuery` with no provider in our petal goes on to
+    /// our same-website successor, once, with the walk's full budget less
+    /// one hop; the client, the asker and we are excluded, and the join
+    /// ticket is ours. Only this directory reports the miss.
+    #[test]
+    fn dir_query_without_provider_walks_to_the_next_sibling() {
+        let (mut peer, _far, mut step) = started_directory();
+        let me = peer.me;
+        let asker = NodeId::from_index(CLIENT);
+        let failed = NodeId::from_index(4);
+        let qid = QueryId::new(asker, 1);
+        let ticket = peer.self_dir_info().expect("directory");
+        let msg = FlowerMsg::DirQuery {
+            qid,
+            object: OBJECT,
+            exclude: vec![failed],
+        };
+        let out = step(&mut peer, Input::Deliver { from: asker, msg });
+        assert_eq!(no_provider_reports(&out), 1, "{out:?}");
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(
+            sent[0].0,
+            NodeId::from_index(1),
+            "the same-website successor"
+        );
+        assert_eq!(
+            as_sibling_query(&sent[0].1),
+            Some(SiblingQuery {
+                client: asker,
+                qid,
+                object: OBJECT,
+                dir: ticket,
+                petal_view: Vec::new(),
+                exclude: vec![failed, asker, me],
+                ttl: 6,
+            })
+        );
+    }
+
+    /// A `DirQuery` our petal can answer is redirected on the spot.
+    #[test]
+    fn dir_query_with_a_provider_is_redirected_directly() {
+        let (mut peer, _far, mut step) = started_directory();
+        index_holder(&mut peer, &mut step);
+        let asker = NodeId::from_index(CLIENT);
+        let qid = QueryId::new(asker, 1);
+        let ticket = peer.self_dir_info().expect("directory");
+        let msg = FlowerMsg::DirQuery {
+            qid,
+            object: OBJECT,
+            exclude: Vec::new(),
+        };
+        let out = step(&mut peer, Input::Deliver { from: asker, msg });
+        assert_eq!(no_provider_reports(&out), 0, "{out:?}");
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(sent[0].0, asker);
+        assert_eq!(
+            as_redirect(&sent[0].1),
+            Some(Redirect {
+                qid,
+                object: Some(OBJECT),
+                provider: Some(NodeId::from_index(HOLDER)),
+                dir: ticket,
+                petal_view: Vec::new(),
+                dht_hops: 0,
+            })
+        );
+    }
+
+    /// A sibling that holds a provider sends the original client straight
+    /// to it, with the first directory's join ticket and petal view.
+    #[test]
+    fn sibling_with_a_provider_redirects_the_client() {
+        let (mut peer, _far, mut step) = started_directory();
+        index_holder(&mut peer, &mut step);
+        let client = NodeId::from_index(CLIENT);
+        let qid = QueryId::new(client, 1);
+        let walked = SiblingQuery {
+            client,
+            qid,
+            object: OBJECT,
+            dir: first_directory(),
+            petal_view: walked_view(),
+            exclude: vec![client, NodeId::from_index(7)],
+            ttl: 6,
+        };
+        let out = step(
+            &mut peer,
+            Input::Deliver {
+                from: NodeId::from_index(7),
+                msg: sibling_query_msg(walked),
+            },
+        );
+        assert_eq!(no_provider_reports(&out), 0, "{out:?}");
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(sent[0].0, client);
+        assert_eq!(
+            as_redirect(&sent[0].1),
+            Some(Redirect {
+                qid,
+                object: Some(OBJECT),
+                provider: Some(NodeId::from_index(HOLDER)),
+                dir: first_directory(),
+                petal_view: walked_view(),
+                dht_hops: 0,
+            })
+        );
+    }
+
+    /// A sibling without a provider passes the search on, one hop spent,
+    /// adding itself to the exclusions.
+    #[test]
+    fn sibling_without_a_provider_walks_on() {
+        let (mut peer, _far, mut step) = started_directory();
+        let me = peer.me;
+        let client = NodeId::from_index(CLIENT);
+        let qid = QueryId::new(client, 1);
+        let walked = SiblingQuery {
+            client,
+            qid,
+            object: OBJECT,
+            dir: first_directory(),
+            petal_view: walked_view(),
+            exclude: vec![client, NodeId::from_index(7)],
+            ttl: 4,
+        };
+        let out = step(
+            &mut peer,
+            Input::Deliver {
+                from: NodeId::from_index(7),
+                msg: sibling_query_msg(walked.clone()),
+            },
+        );
+        assert_eq!(no_provider_reports(&out), 0, "{out:?}");
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(sent[0].0, NodeId::from_index(1));
+        assert_eq!(
+            as_sibling_query(&sent[0].1),
+            Some(SiblingQuery {
+                exclude: vec![client, NodeId::from_index(7), me],
+                ttl: 3,
+                ..walked
+            })
+        );
+    }
+
+    /// The walk ends in a `Redirect` without a provider — the client goes
+    /// to the origin — when its budget is spent, or when our successor is
+    /// a directory of another website.
+    #[test]
+    fn walk_ends_at_its_budget_or_the_website_edge() {
+        let client = NodeId::from_index(CLIENT);
+        let qid = QueryId::new(client, 1);
+        let walked = |ttl| SiblingQuery {
+            client,
+            qid,
+            object: OBJECT,
+            dir: first_directory(),
+            petal_view: walked_view(),
+            exclude: vec![client],
+            ttl,
+        };
+        let miss = Redirect {
+            qid,
+            object: Some(OBJECT),
+            provider: None,
+            dir: first_directory(),
+            petal_view: walked_view(),
+            dht_hops: 0,
+        };
+        let (mut peer, _far, mut step) = started_directory();
+        // Website 1's block starts 2^30 ids on.
+        let (mut edge, _far, mut edge_step) = directory_with_successor_at(1 << 30);
+        type Step<'a> = &'a mut dyn FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>;
+        for (peer, step, ttl) in [
+            (&mut peer, &mut step as Step, 0),
+            (&mut edge, &mut edge_step as Step, 6),
+        ] {
+            let out = step(
+                peer,
+                Input::Deliver {
+                    from: NodeId::from_index(7),
+                    msg: sibling_query_msg(walked(ttl)),
+                },
+            );
+            assert_eq!(no_provider_reports(&out), 0, "{out:?}");
+            let sent = sends(&out);
+            assert_eq!(sent.len(), 1, "ttl {ttl}: {out:?}");
+            assert_eq!(sent[0].0, client);
+            assert_eq!(as_redirect(&sent[0].1), Some(miss.clone()), "ttl {ttl}");
+        }
+
+        // At the website's edge, a `DirQuery` without a provider is
+        // answered with the miss by the directory that got it.
+        let asker = NodeId::from_index(CLIENT);
+        let msg = FlowerMsg::DirQuery {
+            qid,
+            object: OBJECT,
+            exclude: Vec::new(),
+        };
+        let out = edge_step(&mut edge, Input::Deliver { from: asker, msg });
+        assert_eq!(no_provider_reports(&out), 1, "{out:?}");
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(
+            as_redirect(&sent[0].1),
+            Some(Redirect {
+                dir: edge.self_dir_info().expect("directory"),
+                petal_view: Vec::new(),
+                ..miss
+            })
+        );
+    }
+
+    /// A routed first query our petal can serve is answered on the spot
+    /// and reports the hops its route took; one it cannot goes along the
+    /// walk with the join ticket and petal view the client will need, and
+    /// no `DirNoProvider`.
+    #[test]
+    fn routed_client_request_answers_with_the_route_hops_or_walks() {
+        let (mut peer, _far, mut step) = started_directory();
+        let me = peer.me;
+        let ticket = peer.self_dir_info().expect("directory");
+        let client = NodeId::from_index(CLIENT);
+        let routed = |object, seq| FlowerMsg::Routed {
+            key: ticket.position.chord_id(),
+            payload: RoutePayload::ClientRequest {
+                client,
+                website: WebsiteId(0),
+                locality: LocalityId(0),
+                object: Some(object),
+                qid: QueryId::new(client, seq),
+            },
+            hops: 3,
+        };
+        index_holder(&mut peer, &mut step);
+        let out = step(
+            &mut peer,
+            Input::Deliver {
+                from: NodeId::from_index(1),
+                msg: routed(OBJECT, 1),
+            },
+        );
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(sent[0].0, client);
+        let hit = as_redirect(&sent[0].1).expect("a redirect");
+        assert_eq!(
+            (hit.qid, hit.object, hit.provider, hit.dir, hit.dht_hops),
+            (
+                QueryId::new(client, 1),
+                Some(OBJECT),
+                Some(NodeId::from_index(HOLDER)),
+                ticket,
+                3
+            )
+        );
+        assert!(hit.petal_view.iter().any(|(n, _)| n.index() == HOLDER));
+
+        let other = ObjectId {
+            website: WebsiteId(0),
+            rank: 4,
+        };
+        let out = step(
+            &mut peer,
+            Input::Deliver {
+                from: NodeId::from_index(1),
+                msg: routed(other, 2),
+            },
+        );
+        assert_eq!(no_provider_reports(&out), 0, "{out:?}");
+        let sent = sends(&out);
+        assert_eq!(sent.len(), 1, "{out:?}");
+        assert_eq!(sent[0].0, NodeId::from_index(1));
+        let walk = as_sibling_query(&sent[0].1).expect("a sibling query");
+        assert_eq!(
+            (walk.client, walk.qid, walk.object, walk.dir, walk.ttl),
+            (client, QueryId::new(client, 2), other, ticket, 6)
+        );
+        assert_eq!(walk.exclude, [client, me]);
+        assert!(walk.petal_view.iter().any(|(n, _)| n.index() == HOLDER));
     }
 }

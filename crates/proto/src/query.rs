@@ -19,10 +19,9 @@ use workload::{ObjectId, WebsiteId};
 
 use crate::api::{ApiResp, ProviderKind as ApiProvider};
 use crate::config::SHUFFLE_LEN;
-use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
-use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
+use crate::msg::{FlowerMsg, FlowerTimer, Redirect, RoutePayload, SiblingQuery, Summary};
 use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, Role};
 use crate::qid::QueryId;
 use crate::tags;
@@ -216,43 +215,28 @@ impl FlowerPeer {
     }
 
     /// A directory answered our query (or petal join).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_redirect(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        qid: QueryId,
-        object: Option<ObjectId>,
-        provider: Option<NodeId>,
-        dir: DirInfo,
-        petal_view: Vec<(NodeId, Summary)>,
-        dht_hops: u32,
-    ) {
-        if self.pending.as_ref().is_none_or(|p| p.tl.qid != qid) {
+    pub(crate) fn on_redirect(&mut self, ctx: &mut Fx<Self>, r: Redirect) {
+        if self.pending.as_ref().is_none_or(|p| p.tl.qid != r.qid) {
             return;
         }
         // Adopt the answering directory and, if fresh, join the petal.
         if !self.is_directory() {
-            self.dir_info = Some(dir);
+            self.dir_info = Some(r.dir);
             if matches!(self.role, Role::Client) {
-                self.become_content_peer(ctx, &petal_view);
-            } else {
-                for (node, summary) in petal_view {
-                    if node != self.me {
-                        self.gossip
-                            .view_mut()
-                            .upsert(gossip::Entry::new(node, summary));
-                    }
-                }
+                self.become_content_peer(ctx);
             }
+            let contacts = r.petal_view.into_iter();
+            self.gossip
+                .seed(contacts.map(|(node, summary)| gossip::Entry::new(node, summary)));
         }
         let p = self.pending.as_mut().expect("checked above");
-        p.tl.dht_hops = p.tl.dht_hops.max(dht_hops);
-        let Some(object) = object.or(p.object) else {
+        p.tl.dht_hops = p.tl.dht_hops.max(r.dht_hops);
+        let Some(object) = r.object.or(p.object) else {
             // Pure petal join completed.
             self.pending = None;
             return;
         };
-        match provider {
+        match r.provider {
             Some(target) if !p.tl.excluded.contains(&target) => {
                 self.fetch_from(ctx, target, object)
             }
@@ -263,21 +247,10 @@ impl FlowerPeer {
         }
     }
 
-    /// Join the petal: seed the gossip view and start the maintenance
-    /// timers (§3.1, §5.1).
-    pub(crate) fn become_content_peer(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        petal_view: &[(NodeId, Summary)],
-    ) {
+    /// Join the petal: start the maintenance timers (§3.1, §5.1). The
+    /// caller seeds the gossip view from the directory's answer.
+    pub(crate) fn become_content_peer(&mut self, ctx: &mut Fx<Self>) {
         self.role = Role::Content;
-        for (node, summary) in petal_view {
-            if *node != self.me {
-                self.gossip
-                    .view_mut()
-                    .upsert(gossip::Entry::new(*node, summary.clone()));
-            }
-        }
         let period = self.pcx.params.gossip_period_ms;
         let g0 = ctx.rng.gen_range(period / 10..period);
         let k0 = ctx.rng.gen_range(period / 10..period);
@@ -514,36 +487,32 @@ impl FlowerPeer {
             .or_else(|| summary_match(&self.gossip, object, exclude, ctx.rng))
     }
 
-    /// Answer `client`'s query: fetch from `provider`, or — with none —
+    /// Answer `client`'s query: fetch from `r.provider`, or — with none —
     /// from the origin.
-    #[allow(clippy::too_many_arguments)]
-    fn redirect(
-        ctx: &mut Fx<Self>,
-        client: NodeId,
-        qid: QueryId,
-        object: Option<ObjectId>,
-        provider: Option<NodeId>,
-        dir: DirInfo,
-        petal_view: Vec<(NodeId, Summary)>,
-        dht_hops: u32,
-    ) {
+    fn redirect(ctx: &mut Fx<Self>, client: NodeId, r: Redirect) {
         ctx.trace(tags::REDIRECT, || {
             vec![
-                ("qid", qid.raw().into()),
-                ("hit", provider.is_some().into()),
+                ("qid", r.qid.raw().into()),
+                ("hit", r.provider.is_some().into()),
             ]
         });
-        ctx.send(
-            client,
-            FlowerMsg::Redirect {
-                qid,
-                object,
-                provider,
-                dir,
-                petal_view,
-                dht_hops,
-            },
-        );
+        ctx.send(client, FlowerMsg::Redirect(r));
+    }
+
+    /// One step of a provider search (§3.2): send the client to the
+    /// `provider` this directory chose, reporting `dht_hops`, or — with
+    /// none — pass the search on to the next sibling.
+    fn search_step(
+        &mut self,
+        ctx: &mut Fx<Self>,
+        q: SiblingQuery,
+        provider: Option<NodeId>,
+        dht_hops: u32,
+    ) {
+        match provider {
+            Some(_) => Self::redirect(ctx, q.client, q.answer(provider, dht_hops)),
+            None => self.walk_siblings(ctx, q),
+        }
     }
 
     /// A content peer of our partition asks us to resolve a query (§5.1).
@@ -553,107 +522,56 @@ impl FlowerPeer {
         from: NodeId,
         qid: QueryId,
         object: ObjectId,
-        client_exclude: Vec<NodeId>,
+        mut exclude: Vec<NodeId>,
     ) {
-        let Some(self_info) = self.self_dir_info() else {
+        let Some(dir) = self.self_dir_info() else {
             return; // stale dir-info at the sender; it will time out
         };
         if let Role::Directory(d) = &mut self.role {
             d.index.heard_from(from, ctx.now().as_millis());
         }
-        let mut exclude = client_exclude;
-        exclude.push(from);
-        exclude.push(self.me);
+        exclude.extend([from, self.me]);
         let provider = self.petal_provider(ctx, object, &exclude);
         if provider.is_none() {
             ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
-            // §3.2 collaboration: walk the query through our same-website
-            // ring neighbours before giving up.
-            self.walk_siblings(
-                ctx,
-                from,
-                qid,
-                object,
-                self_info,
-                Vec::new(),
-                exclude,
-                SIBLING_WALK_HOPS,
-            );
-        } else {
-            Self::redirect(
-                ctx,
-                from,
-                qid,
-                Some(object),
-                provider,
-                self_info,
-                Vec::new(),
-                0,
-            );
         }
+        let q = SiblingQuery {
+            client: from,
+            qid,
+            object,
+            dir,
+            petal_view: Vec::new(),
+            exclude,
+            ttl: SIBLING_WALK_HOPS,
+        };
+        self.search_step(ctx, q, provider, 0);
     }
 
     /// Pass a provider search on to our ring successor if it is a directory
-    /// of the same website (§3.2) and the walk has `hops_left`; otherwise
-    /// the chain ends here and the client is sent to the origin.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_siblings(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        client: NodeId,
-        qid: QueryId,
-        object: ObjectId,
-        dir: DirInfo,
-        petal_view: Vec<(NodeId, Summary)>,
-        exclude: Vec<NodeId>,
-        hops_left: u8,
-    ) {
+    /// of the same website (§3.2) and the walk has hops left; otherwise the
+    /// chain ends here and the client is sent to the origin.
+    fn walk_siblings(&mut self, ctx: &mut Fx<Self>, mut q: SiblingQuery) {
         let Role::Directory(d) = &self.role else {
             return; // chain broken: the client's deadline handles it
         };
         let succ = d.chord.successor();
-        if hops_left > 0 && d.position.same_website(succ.id) && succ.node != self.me {
-            let ttl = hops_left - 1;
+        if q.ttl > 0 && d.position.same_website(succ.id) && succ.node != self.me {
+            q.ttl -= 1;
+            let (qid, ttl) = (q.qid.raw(), u64::from(q.ttl));
             ctx.trace(tags::SIBLING_FORWARD, || {
-                vec![("qid", qid.raw().into()), ("ttl", u64::from(ttl).into())]
+                vec![("qid", qid.into()), ("ttl", ttl.into())]
             });
-            ctx.send(
-                succ.node,
-                FlowerMsg::SiblingQuery {
-                    client,
-                    qid,
-                    object,
-                    dir,
-                    petal_view,
-                    exclude,
-                    ttl,
-                },
-            );
+            ctx.send(succ.node, FlowerMsg::SiblingQuery(q));
         } else {
-            Self::redirect(ctx, client, qid, Some(object), None, dir, petal_view, 0);
+            Self::redirect(ctx, q.client, q.answer(None, 0));
         }
     }
 
     /// A sibling directory's provider search reached us.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_sibling_query(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        client: NodeId,
-        qid: QueryId,
-        object: ObjectId,
-        dir: DirInfo,
-        petal_view: Vec<(NodeId, Summary)>,
-        mut exclude: Vec<NodeId>,
-        ttl: u8,
-    ) {
-        exclude.push(self.me);
-        let provider = self.petal_provider(ctx, object, &exclude);
-        if provider.is_some() {
-            Self::redirect(ctx, client, qid, Some(object), provider, dir, petal_view, 0);
-        } else {
-            self.walk_siblings(ctx, client, qid, object, dir, petal_view, exclude, ttl);
-        }
+    pub(crate) fn on_sibling_query(&mut self, ctx: &mut Fx<Self>, mut q: SiblingQuery) {
+        q.exclude.push(self.me);
+        let provider = self.petal_provider(ctx, q.object, &q.exclude);
+        self.search_step(ctx, q, provider, 0);
     }
 
     /// A routed new-client request reached us as ring owner of `key`.
@@ -724,7 +642,7 @@ impl FlowerPeer {
             }
         }
         let now_ms = ctx.now().as_millis();
-        let self_info = self.self_dir_info().expect("directory role");
+        let dir = self.self_dir_info().expect("directory role");
         if let Role::Directory(d) = &mut self.role {
             d.index.register_peer(client, now_ms);
         }
@@ -750,21 +668,46 @@ impl FlowerPeer {
                 .collect();
         }
         match object {
-            // No petal-local provider for the new client: try the website's
-            // sibling directories before sending it to the origin (§3.2).
-            Some(o) if provider.is_none() => self.walk_siblings(
-                ctx,
-                client,
-                qid,
-                o,
-                self_info,
-                petal_view,
-                vec![client, me],
-                SIBLING_WALK_HOPS,
-            ),
-            _ => Self::redirect(
-                ctx, client, qid, object, provider, self_info, petal_view, hops,
-            ),
+            // A first query: answered from our petal or, with no provider
+            // here, walked along the website's sibling directories (§3.2).
+            Some(object) => {
+                let q = SiblingQuery {
+                    client,
+                    qid,
+                    object,
+                    dir,
+                    petal_view,
+                    exclude: vec![client, me],
+                    ttl: SIBLING_WALK_HOPS,
+                };
+                self.search_step(ctx, q, provider, hops);
+            }
+            // A petal join: the join ticket alone.
+            None => {
+                let join = Redirect {
+                    qid,
+                    object,
+                    provider: None,
+                    dir,
+                    petal_view,
+                    dht_hops: hops,
+                };
+                Self::redirect(ctx, client, join);
+            }
+        }
+    }
+}
+
+impl SiblingQuery {
+    /// The search's answer to its client: `provider`, or the origin.
+    fn answer(self, provider: Option<NodeId>, dht_hops: u32) -> Redirect {
+        Redirect {
+            qid: self.qid,
+            object: Some(self.object),
+            provider,
+            dir: self.dir,
+            petal_view: self.petal_view,
+            dht_hops,
         }
     }
 }

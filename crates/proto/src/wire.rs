@@ -38,7 +38,7 @@ use workload::{ObjectId, WebsiteId};
 
 use crate::{
     ApiCall, ApiResp, DirInfo, DirPosition, DirectorySnapshot, FlowerMsg, ProviderKind, QueryId,
-    RoleKind, RoutePayload, Summary,
+    Redirect, RoleKind, RoutePayload, SiblingQuery, Summary,
 };
 
 /// Bytes the TCP host's frame adds around an encoded message: the `u32`
@@ -410,6 +410,23 @@ wire_record!(DirInfo {
     age
 });
 wire_record!(Entry<Summary> { node, age, payload });
+wire_record!(Redirect {
+    qid,
+    object,
+    provider,
+    dir,
+    petal_view,
+    dht_hops
+});
+wire_record!(SiblingQuery {
+    client,
+    qid,
+    object,
+    dir,
+    petal_view,
+    exclude,
+    ttl
+});
 wire_record!(DirectorySnapshot { entries });
 
 wire_enum!(StepResult, "step result" {
@@ -445,9 +462,9 @@ wire_enum!(FlowerMsg, "flower message" {
     1 => DRingRoute { key, payload },
     2 => Routed { key, payload, hops },
     3 => RouteFailed { req_qid },
-    4 => Redirect { qid, object, provider, dir, petal_view, dht_hops },
+    4 => Redirect(r),
     5 => DirQuery { qid, object, exclude },
-    6 => SiblingQuery { client, qid, object, dir, petal_view, exclude, ttl },
+    6 => SiblingQuery(q),
     7 => DeadPeerReport { peer },
     8 => Retract { objects },
     9 => ClaimGranted { position, seed },

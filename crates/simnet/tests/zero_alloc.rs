@@ -2,19 +2,19 @@
 //! trace sink attached and the profiler disabled, dispatching events
 //! allocates nothing. Measured with the counting global allocator, so a
 //! regression (an eager `format!`, a `Vec` built for a sink that isn't
-//! there) fails the suite instead of silently taxing every run.
+//! there) fails the suite instead of silently taxing every run. The
+//! counter is per thread, so a window counts only what the world's own
+//! thread allocated: libtest's other threads (and the other tests here)
+//! cannot land in it.
 
-use std::sync::Mutex;
+use std::hint::{black_box, spin_loop};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use rand::SeedableRng;
 use simnet::{Ctx, Node, NodeId, Point, Time, Topology, TopologyConfig, VecSink, World};
 
 #[global_allocator]
 static ALLOC: profile::CountingAlloc = profile::CountingAlloc;
-
-/// The allocation counter is process-global, so the tests in this file
-/// must not overlap; each one holds this lock for its whole body.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A node that pre-arms a long ladder of one-shot timers at spawn and
 /// then does nothing in its callbacks: after setup, the event loop only
@@ -54,11 +54,9 @@ fn build_world(seed: u64) -> World<Metronome, ()> {
     world
 }
 
-/// Both measurements live in one test function: the allocation counter is
-/// process-global, so concurrent test threads would pollute the window.
+/// The fast path, and the same workload observed as the control.
 #[test]
 fn dispatch_fast_path_allocates_nothing_and_observability_is_the_only_cost() {
-    let _serial = SERIAL.lock().unwrap();
     // --- Fast path: no sink, profiler disabled. ---
     let mut world = build_world(7);
     // Warm up: the first stretch absorbs any lazy one-time setup.
@@ -143,7 +141,6 @@ impl Node for RingPinger {
 /// runs' setting: counting on, profiler off), once its class is in.
 #[test]
 fn ten_thousand_node_steady_state_allocates_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     const P: usize = 10_000;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -218,7 +215,6 @@ impl Node for Teller {
 /// no allocation for it.
 #[test]
 fn draining_reports_keeps_the_buffer() {
-    let _serial = SERIAL.lock().unwrap();
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);
     let topo = Topology::new(TopologyConfig::default(), &mut rng);
     let mut world: World<Teller, ()> = World::new(topo, 13);
@@ -244,4 +240,33 @@ fn draining_reports_keeps_the_buffer() {
     let delta = profile::alloc_count() - before;
     assert_eq!(last, 120_000, "every slice was drained");
     assert_eq!(delta, 0, "draining must not give the buffer away");
+}
+
+/// The counter is the calling thread's: this thread's allocations show in
+/// it, and another thread allocating all through a window does not.
+#[test]
+fn only_the_measuring_threads_allocations_count() {
+    let before = profile::alloc_count();
+    black_box(vec![1u8; 16]);
+    assert!(profile::alloc_count() > before, "the counter is live");
+
+    let (go, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !go.load(Ordering::Acquire) {
+                spin_loop();
+            }
+            for i in 0..1_000u32 {
+                black_box(vec![i; 4]);
+            }
+            done.store(true, Ordering::Release);
+        });
+        let before = profile::alloc_count();
+        go.store(true, Ordering::Release);
+        while !done.load(Ordering::Acquire) {
+            spin_loop();
+        }
+        let delta = profile::alloc_count() - before;
+        assert_eq!(delta, 0, "another thread's allocations were counted");
+    });
 }
