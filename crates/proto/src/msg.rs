@@ -12,6 +12,7 @@ use crate::directory::DirectorySnapshot;
 use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::qid::QueryId;
+use crate::timeline::Stage;
 use crate::wire::{self, Wire};
 
 /// A peer's content summary as carried in gossip views. A summary is
@@ -215,13 +216,12 @@ pub enum FlowerTimer {
     Keepalive,
     /// The directory failed to acknowledge keepalive/push `seq`.
     DirAckDeadline { seq: u64 },
-    /// A fetch was not answered.
-    FetchDeadline { qid: QueryId, attempt: u32 },
-    /// A routed request (D-ring query / DirQuery) was not answered.
-    RouteDeadline { qid: QueryId },
-    /// The origin-server round trip completed (origin fetches are modelled
-    /// as a latency, not as messages — the origin is not a peer).
-    OriginDone { qid: QueryId },
+    /// A deadline query `qid` armed in `stage`: a routed request (D-ring
+    /// query / DirQuery) or a fetch was not answered, or the origin-server
+    /// round trip completed (origin fetches are modelled as a latency, not
+    /// as messages — the origin is not a peer). Due only while the query is
+    /// still in `stage`.
+    Deadline { qid: QueryId, stage: Stage },
     /// Periodic directory housekeeping: index expiry, grant expiry.
     DirSweep,
     /// A position claim received no verdict.
@@ -241,9 +241,7 @@ impl FlowerTimer {
             FlowerTimer::GossipDeadline { .. } => "gossip_deadline",
             FlowerTimer::Keepalive => "keepalive",
             FlowerTimer::DirAckDeadline { .. } => "dir_ack_deadline",
-            FlowerTimer::FetchDeadline { .. } => "fetch_deadline",
-            FlowerTimer::RouteDeadline { .. } => "route_deadline",
-            FlowerTimer::OriginDone { .. } => "origin_done",
+            FlowerTimer::Deadline { stage, .. } => stage.deadline_class("route_deadline"),
             FlowerTimer::DirSweep => "dir_sweep",
             FlowerTimer::ClaimDeadline { .. } => "claim_deadline",
             FlowerTimer::PositionCheck => "position_check",

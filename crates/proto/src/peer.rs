@@ -29,7 +29,7 @@ use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
-use crate::timeline::{self, QueryMachine, Timeline};
+use crate::timeline::{self, QueryMachine, Stage, Timeline};
 
 /// Immutable per-peer context handed in by the experiment engine, the same
 /// for a Flower-CDN and a Squirrel peer.
@@ -652,11 +652,7 @@ impl FlowerPeer {
             }
             FlowerTimer::Keepalive => self.on_keepalive_timer(ctx),
             FlowerTimer::DirAckDeadline { seq } => self.on_dir_ack_deadline(ctx, seq),
-            FlowerTimer::FetchDeadline { qid, attempt } => {
-                self.on_fetch_deadline(ctx, qid, attempt)
-            }
-            FlowerTimer::RouteDeadline { qid } => self.on_route_deadline(ctx, qid),
-            FlowerTimer::OriginDone { qid } => self.on_origin_done(ctx, qid),
+            FlowerTimer::Deadline { qid, stage } => self.on_deadline(ctx, qid, stage),
             FlowerTimer::DirSweep => self.on_dir_sweep(ctx),
             FlowerTimer::ClaimDeadline { claim_seq } => self.on_claim_deadline(ctx, claim_seq),
             FlowerTimer::PositionCheck => self.on_position_check(ctx),
@@ -783,12 +779,8 @@ impl QueryMachine for FlowerPeer {
         FlowerMsg::Fetch { qid, object }
     }
 
-    fn fetch_deadline(qid: QueryId, attempt: u32) -> FlowerTimer {
-        FlowerTimer::FetchDeadline { qid, attempt }
-    }
-
-    fn origin_done(qid: QueryId) -> FlowerTimer {
-        FlowerTimer::OriginDone { qid }
+    fn deadline(qid: QueryId, stage: Stage) -> FlowerTimer {
+        FlowerTimer::Deadline { qid, stage }
     }
 }
 
@@ -837,6 +829,11 @@ impl PeerCtx {
             profiler: simnet::Profiler::new(),
         }
     }
+
+    /// The RPC timeout every query deadline is a multiple of.
+    pub(crate) fn rpc_ms(&self) -> u64 {
+        self.params.rpc_timeout_ms
+    }
 }
 
 #[cfg(test)]
@@ -844,6 +841,7 @@ mod tests {
     use super::*;
     use crate::io::{machine_rng, Output, OutputOf};
     use crate::msg::{Redirect, SiblingQuery};
+    use cdn_metrics::Provider;
     use chord::{ChordMsg, ChordTimer, StepResult};
 
     type Out = OutputOf<FlowerPeer>;
@@ -1530,5 +1528,378 @@ mod tests {
         );
         assert_eq!(walk.exclude, [client, me]);
         assert!(walk.petal_view.iter().any(|(n, _)| n.index() == HOLDER));
+    }
+
+    // ------------------------------------------------------------------
+    // The query's deadlines: each is taken only while the query is still
+    // in the stage that armed it.
+    // ------------------------------------------------------------------
+
+    /// The provider the directory names first, and the one it names next.
+    const PROVIDER: usize = 5;
+    const NEXT_PROVIDER: usize = 6;
+
+    /// The RPC timeout the client's deadlines are multiples of.
+    fn rpc_ms() -> u64 {
+        PeerCtx::for_tests().rpc_ms()
+    }
+
+    /// The deadline of query `qid`'s origin round trip.
+    fn origin_deadline(qid: QueryId) -> FlowerTimer {
+        FlowerTimer::Deadline {
+            qid,
+            stage: Stage::Origin,
+        }
+    }
+
+    /// A fresh client of website 0 with bootstraps 2 and 3 registered, and
+    /// a `step` that feeds it one input 100 ms after the last.
+    fn client_peer() -> (
+        FlowerPeer,
+        impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
+    ) {
+        let me = NodeId::from_index(0);
+        let pcx = PeerCtx::for_tests();
+        for i in [2, 3] {
+            let boot = NodeRef::new(NodeId::from_index(i), ChordId(7 + i as u64));
+            pcx.bootstrap.borrow_mut().add(boot);
+        }
+        let peer = FlowerPeer::new_client(pcx, me, LocalityId(0));
+        let (mut rng, mut now_ms) = (machine_rng(1, me), 0);
+        let step = move |peer: &mut FlowerPeer, input| {
+            now_ms += 100;
+            let mut out = Vec::new();
+            let at = Time::from_millis(now_ms);
+            peer.handle(
+                Fx::new(at, me, LocalityId(0), &mut rng, false, &mut out),
+                input,
+            );
+            out
+        };
+        (peer, step)
+    }
+
+    /// A content peer whose directory is node 1 and whose view holds
+    /// [`PROVIDER`] under a summary that claims nothing.
+    fn content_peer() -> (
+        FlowerPeer,
+        DirInfo,
+        impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
+    ) {
+        let position = DirPosition::base(WebsiteId(0), LocalityId(0));
+        let dir = DirInfo::fresh(
+            position,
+            NodeRef::new(NodeId::from_index(1), position.chord_id()),
+        );
+        let (mut peer, step) = client_peer();
+        peer.role = Role::Content;
+        peer.dir_info = Some(dir);
+        let summary = std::sync::Arc::new(crate::store::empty_summary(0));
+        let provider = NodeId::from_index(PROVIDER);
+        peer.gossip.seed([gossip::Entry::new(provider, summary)]);
+        (peer, dir, step)
+    }
+
+    /// A local `Get` of `object`.
+    fn get(object: ObjectId) -> InputOf<FlowerPeer> {
+        Input::Api {
+            token: 1,
+            call: ApiCall::Get { object },
+        }
+    }
+
+    /// `msg` from `from`.
+    fn from(from: usize, msg: FlowerMsg) -> InputOf<FlowerPeer> {
+        Input::Deliver {
+            from: NodeId::from_index(from),
+            msg,
+        }
+    }
+
+    /// The directory `dir` sends query `qid` for [`OBJECT`] to `provider`.
+    fn redirect(qid: QueryId, dir: DirInfo, provider: usize) -> InputOf<FlowerPeer> {
+        let r = Redirect {
+            qid,
+            object: Some(OBJECT),
+            provider: Some(NodeId::from_index(provider)),
+            dir,
+            petal_view: Vec::new(),
+            dht_hops: 0,
+        };
+        from(dir.holder.node.index(), FlowerMsg::Redirect(r))
+    }
+
+    /// The qid and exclusion list of the `DirQuery` the step sent.
+    fn dir_query(out: &[Out]) -> Option<(QueryId, Vec<NodeId>)> {
+        out.iter().find_map(|o| match o {
+            Output::Send {
+                msg: FlowerMsg::DirQuery { qid, exclude, .. },
+                ..
+            } => Some((*qid, exclude.clone())),
+            _ => None,
+        })
+    }
+
+    /// The timers the step armed, as (class label, delay, timer).
+    fn armed(out: &[Out]) -> Vec<(&'static str, u64, FlowerTimer)> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::SetTimer { delay_ms, timer } => {
+                    Some((FlowerPeer::timer_class(timer), *delay_ms, timer.clone()))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The one timer of class `class` the step armed, and its delay.
+    fn armed_one(out: &[Out], class: &str) -> (u64, FlowerTimer) {
+        let mut found = armed(out).into_iter().filter(|(c, ..)| *c == class);
+        let (_, delay, timer) = found
+            .next()
+            .unwrap_or_else(|| panic!("no {class}: {out:?}"));
+        assert!(found.next().is_none(), "two {class}: {out:?}");
+        (delay, timer)
+    }
+
+    fn events(out: &[Out]) -> Vec<ProtocolEvent> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Report(FlowerReport::Event(e)) => Some(*e),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The record of the query the step completed.
+    fn completed(out: &[Out]) -> Option<QueryRecord> {
+        out.iter().find_map(|o| match o {
+            Output::Report(FlowerReport::Query(r)) => Some(*r),
+            _ => None,
+        })
+    }
+
+    /// A query that asked its directory, was sent to [`PROVIDER`] and is
+    /// fetching from it: its qid, the answer deadline the `DirQuery` armed
+    /// and the fetch deadline.
+    fn fetching_from_provider(
+        peer: &mut FlowerPeer,
+        dir: DirInfo,
+        step: &mut impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
+    ) -> (QueryId, FlowerTimer, FlowerTimer) {
+        let out = step(peer, get(OBJECT));
+        let (qid, _) = dir_query(&out).expect("asks its directory");
+        let (_, answer) = armed_one(&out, "route_deadline");
+        let out = step(peer, redirect(qid, dir, PROVIDER));
+        let fetch = FlowerMsg::Fetch {
+            qid,
+            object: OBJECT,
+        };
+        assert_eq!(sends(&out), [(NodeId::from_index(PROVIDER), fetch)]);
+        let (_, deadline) = armed_one(&out, "fetch_deadline");
+        (qid, answer, deadline)
+    }
+
+    /// A fetch deadline is about one attempt: once the directory has named
+    /// another provider, the first attempt's deadline does nothing, and the
+    /// second fetch is still the one an answer completes.
+    #[test]
+    fn fetch_deadline_of_an_earlier_attempt_is_a_no_op() {
+        let (mut peer, dir, mut step) = content_peer();
+        let (qid, _, first) = fetching_from_provider(&mut peer, dir, &mut step);
+        let miss = FlowerMsg::FetchMiss {
+            qid,
+            object: OBJECT,
+        };
+        let out = step(&mut peer, from(PROVIDER, miss));
+        assert_eq!(events(&out), [ProtocolEvent::FetchMiss]);
+        assert!(dir_query(&out).is_some(), "{out:?}");
+        let out = step(&mut peer, redirect(qid, dir, NEXT_PROVIDER));
+        armed_one(&out, "fetch_deadline");
+
+        let out = step(&mut peer, Input::Timer(first));
+        assert!(out.is_empty(), "{out:?}");
+        let ok = FlowerMsg::FetchOk {
+            qid,
+            object: OBJECT,
+        };
+        let record = completed(&step(&mut peer, from(NEXT_PROVIDER, ok))).expect("completes");
+        assert_eq!(record.provider, Provider::ContentPeer);
+    }
+
+    /// The current attempt's deadline gives up on the provider: it is
+    /// reported, excluded, dropped from the view and reported dead to the
+    /// directory, which is asked again under a fresh answer deadline.
+    #[test]
+    fn fetch_deadline_of_the_current_attempt_fails_the_fetch_and_asks_again() {
+        let (mut peer, dir, mut step) = content_peer();
+        let provider = NodeId::from_index(PROVIDER);
+        let (qid, _, deadline) = fetching_from_provider(&mut peer, dir, &mut step);
+        assert!(peer.gossip.view().contains(provider));
+
+        let out = step(&mut peer, Input::Timer(deadline));
+        assert_eq!(events(&out), [ProtocolEvent::FetchTimeout]);
+        assert!(!peer.gossip.view().contains(provider));
+        let again = FlowerMsg::DirQuery {
+            qid,
+            object: OBJECT,
+            exclude: vec![peer.me, provider],
+        };
+        assert_eq!(
+            sends(&out),
+            [
+                (
+                    dir.holder.node,
+                    FlowerMsg::DeadPeerReport { peer: provider }
+                ),
+                (dir.holder.node, again),
+            ]
+        );
+        assert_eq!(armed_one(&out, "route_deadline").0, 5 * rpc_ms());
+    }
+
+    /// The origin deadline is only the origin stage's: fired while the
+    /// query resolves or fetches, it does nothing.
+    #[test]
+    fn origin_deadline_is_a_no_op_before_the_origin_stage() {
+        let (mut peer, dir, mut step) = content_peer();
+        let out = step(&mut peer, get(OBJECT));
+        let (qid, _) = dir_query(&out).expect("asks its directory");
+        let out = step(&mut peer, Input::Timer(origin_deadline(qid)));
+        assert!(out.is_empty(), "{out:?}");
+
+        let out = step(&mut peer, redirect(qid, dir, PROVIDER));
+        armed_one(&out, "fetch_deadline");
+        let out = step(&mut peer, Input::Timer(origin_deadline(qid)));
+        assert!(out.is_empty(), "{out:?}");
+        let ok = FlowerMsg::FetchOk {
+            qid,
+            object: OBJECT,
+        };
+        let record = completed(&step(&mut peer, from(PROVIDER, ok))).expect("completes");
+        assert_eq!(record.provider, Provider::ContentPeer);
+    }
+
+    /// The answer deadline a `DirQuery` armed does nothing once the
+    /// directory's answer has the query fetching.
+    #[test]
+    fn answer_deadline_is_a_no_op_while_fetching() {
+        let (mut peer, dir, mut step) = content_peer();
+        let (_, answer, deadline) = fetching_from_provider(&mut peer, dir, &mut step);
+        let out = step(&mut peer, Input::Timer(answer));
+        assert!(out.is_empty(), "{out:?}");
+        let out = step(&mut peer, Input::Timer(deadline));
+        assert_eq!(events(&out), [ProtocolEvent::FetchTimeout]);
+    }
+
+    /// Our own directory stayed silent: the query goes to the origin and
+    /// a claim on the directory's position starts (§5.2).
+    #[test]
+    fn directory_answer_deadline_goes_to_the_origin_and_claims() {
+        let (mut peer, _dir, mut step) = content_peer();
+        let out = step(&mut peer, get(OBJECT));
+        let (delay, answer) = armed_one(&out, "route_deadline");
+        assert_eq!(delay, 5 * rpc_ms());
+
+        let out = step(&mut peer, Input::Timer(answer));
+        use ProtocolEvent::{ClaimStarted, DirQueryTimeout};
+        assert_eq!(events(&out), [DirQueryTimeout, ClaimStarted]);
+        let classes: Vec<&str> = armed(&out).iter().map(|(c, ..)| *c).collect();
+        assert_eq!(classes, ["origin_done", "claim_deadline"]);
+        let (_, origin) = armed_one(&out, "origin_done");
+        let record = completed(&step(&mut peer, Input::Timer(origin))).expect("completes");
+        assert_eq!(
+            (record.provider, record.via),
+            (Provider::OriginServer, ResolvedVia::DirectOrigin)
+        );
+    }
+
+    /// A fresh client's D-ring route went unanswered: the query is routed
+    /// again through the other bootstrap under the next multiple of the
+    /// route deadline, and after the third silence goes to the origin.
+    #[test]
+    fn route_answer_deadline_reroutes_with_the_next_multiple() {
+        let (mut peer, mut step) = client_peer();
+        let routed_to = |out: &[Out]| {
+            let to = sends(out)
+                .into_iter()
+                .filter_map(|(to, msg)| matches!(msg, FlowerMsg::DRingRoute { .. }).then_some(to));
+            to.collect::<Vec<_>>()
+        };
+        let mut out = step(&mut peer, get(OBJECT));
+        let first = routed_to(&out);
+        for multiple in [8, 16] {
+            let (delay, deadline) = armed_one(&out, "route_deadline");
+            assert_eq!(delay, multiple * rpc_ms());
+            out = step(&mut peer, Input::Timer(deadline));
+            assert!(events(&out).is_empty(), "{out:?}");
+            if multiple == 8 {
+                let second = routed_to(&out);
+                assert_eq!((first.len(), second.len()), (1, 1), "{out:?}");
+                assert_ne!(first, second, "the silent bootstrap is excluded");
+            }
+        }
+        let (delay, deadline) = armed_one(&out, "route_deadline");
+        assert_eq!(delay, 24 * rpc_ms());
+        let out = step(&mut peer, Input::Timer(deadline));
+        assert_eq!(events(&out), [ProtocolEvent::RouteFailure]);
+        armed_one(&out, "origin_done");
+    }
+
+    /// A finished query's deadlines are not the next query's, even where
+    /// the next one stands at the same stage, provider and attempt.
+    #[test]
+    fn a_finished_querys_deadlines_are_no_ops_for_the_next() {
+        let (mut peer, dir, mut step) = content_peer();
+        let (qid, answer, fetch) = fetching_from_provider(&mut peer, dir, &mut step);
+        let ok = FlowerMsg::FetchOk {
+            qid,
+            object: OBJECT,
+        };
+        assert!(completed(&step(&mut peer, from(PROVIDER, ok))).is_some());
+
+        let other = ObjectId {
+            website: WebsiteId(0),
+            rank: 4,
+        };
+        let out = step(&mut peer, get(other));
+        let (next, _) = dir_query(&out).expect("asks its directory");
+        assert_ne!(next, qid);
+        let out = step(&mut peer, Input::Timer(answer));
+        assert!(out.is_empty(), "{out:?}");
+        let r = Redirect {
+            qid: next,
+            object: Some(other),
+            provider: Some(NodeId::from_index(PROVIDER)),
+            dir,
+            petal_view: Vec::new(),
+            dht_hops: 0,
+        };
+        let out = step(&mut peer, from(1, FlowerMsg::Redirect(r)));
+        armed_one(&out, "fetch_deadline");
+        let out = step(&mut peer, Input::Timer(fetch));
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    /// ROADMAP 2(e), pinned as it stands: an answer deadline is taken
+    /// whenever the query is resolving, whichever wait armed it. The first
+    /// `DirQuery`'s deadline fires while the second `DirQuery` waits, and
+    /// sends the query to the origin. The fix for 2(e) flips this case.
+    #[test]
+    fn roadmap_2e_an_earlier_waits_answer_deadline_is_taken_by_a_later_wait() {
+        let (mut peer, dir, mut step) = content_peer();
+        let (qid, first, _) = fetching_from_provider(&mut peer, dir, &mut step);
+        let miss = FlowerMsg::FetchMiss {
+            qid,
+            object: OBJECT,
+        };
+        let out = step(&mut peer, from(PROVIDER, miss));
+        assert!(dir_query(&out).is_some(), "{out:?}");
+        armed_one(&out, "route_deadline");
+
+        let out = step(&mut peer, Input::Timer(first));
+        use ProtocolEvent::{ClaimStarted, DirQueryTimeout};
+        assert_eq!(events(&out), [DirQueryTimeout, ClaimStarted]);
+        armed_one(&out, "origin_done");
     }
 }

@@ -25,7 +25,7 @@ use crate::msg::{FlowerMsg, FlowerTimer, Redirect, RoutePayload, SiblingQuery, S
 use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, Role};
 use crate::qid::QueryId;
 use crate::tags;
-use crate::timeline::{self, Timeline};
+use crate::timeline::{self, Stage, Timeline};
 
 /// Directories a provider search may visit along the same-website ring
 /// successors (§3.2), the one it starts at included.
@@ -100,9 +100,8 @@ impl FlowerPeer {
         let key = DirPosition::base(self.pcx.website, self.locality).chord_id();
         match self.pick_bootstrap(ctx) {
             Some(b) => {
-                if let Some(p) = &mut self.pending {
-                    p.last_bootstrap = Some(b.node);
-                }
+                let p = self.pending.as_mut().expect("checked above");
+                p.last_bootstrap = Some(b.node);
                 let payload = RoutePayload::ClientRequest {
                     client: self.me,
                     website: self.pcx.website,
@@ -119,8 +118,7 @@ impl FlowerPeer {
                 // degrades to the origin, while the whole ladder
                 // (8+16+24 timeouts) stays well under the liveness
                 // checker's 120 s query deadline.
-                let deadline = self.pcx.params.rpc_timeout_ms * 8 * u64::from(attempt + 1);
-                ctx.set_timer(deadline, FlowerTimer::RouteDeadline { qid });
+                p.tl.await_answer(ctx, &self.pcx, 8 * u64::from(attempt + 1));
             }
             None => {
                 // No D-ring entry point: fall back to the origin server.
@@ -187,10 +185,7 @@ impl FlowerPeer {
                     },
                 );
                 // Budget covers a full sibling-directory walk (§3.2).
-                ctx.set_timer(
-                    self.pcx.params.rpc_timeout_ms * 5,
-                    FlowerTimer::RouteDeadline { qid },
-                );
+                p.tl.await_answer(ctx, &self.pcx, 5);
             }
             None => {
                 ctx.report(FlowerReport::Event(ProtocolEvent::NoDirInfo));
@@ -270,11 +265,21 @@ impl FlowerPeer {
         }
     }
 
-    /// No Redirect arrived in time (bootstrap or directory unresponsive).
-    pub(crate) fn on_route_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
-        if !self.is_resolving(qid) {
+    /// A deadline query `qid` armed in `stage` fired; it is taken only
+    /// while the query is still in that stage.
+    pub(crate) fn on_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId, stage: Stage) {
+        if !self.pending.as_ref().is_some_and(|p| p.tl.due(qid, stage)) {
             return;
         }
+        match stage {
+            Stage::Resolving => self.on_answer_deadline(ctx),
+            Stage::Fetching { provider, .. } => self.on_fetch_failed(ctx, qid, provider, true),
+            Stage::Origin => self.on_origin_done(ctx),
+        }
+    }
+
+    /// No Redirect arrived in time (bootstrap or directory unresponsive).
+    fn on_answer_deadline(&mut self, ctx: &mut Fx<Self>) {
         if self
             .pending
             .as_ref()
@@ -370,26 +375,10 @@ impl FlowerPeer {
         self.ask_directory_or_fallback(ctx);
     }
 
-    pub(crate) fn on_fetch_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId, attempt: u32) {
-        if let Some(provider) = self
-            .pending
-            .as_ref()
-            .and_then(|p| p.tl.expired(qid, attempt))
-        {
-            self.on_fetch_failed(ctx, qid, provider, true);
-        }
-    }
-
     /// Origin round trip finished: a P2P miss, but the client now holds the
     /// object and becomes a provider for the petal.
-    pub(crate) fn on_origin_done(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
-        let Some(p) = &self.pending else {
-            return;
-        };
-        if !p.tl.origin_due(qid) {
-            return;
-        }
-        let Some(object) = p.object else {
+    fn on_origin_done(&mut self, ctx: &mut Fx<Self>) {
+        let Some(object) = self.pending.as_ref().and_then(|p| p.object) else {
             self.pending = None;
             return;
         };

@@ -38,7 +38,7 @@ use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
 use crate::tags;
-use crate::timeline::{self, QueryMachine, Timeline};
+use crate::timeline::{self, QueryMachine, Stage, Timeline};
 use crate::wire::{self, Wire};
 
 /// Which Squirrel scheme to run.
@@ -134,9 +134,13 @@ impl SqMsg {
 pub enum SqTimer {
     Chord(ChordTimer),
     Query,
-    AnswerDeadline { qid: QueryId },
-    FetchDeadline { qid: QueryId, attempt: u32 },
-    OriginDone { qid: QueryId },
+    /// A deadline query `qid` armed in `stage`: the home's answer or a
+    /// fetch was not answered, or the origin round trip completed. Due only
+    /// while the query is still in `stage`.
+    Deadline {
+        qid: QueryId,
+        stage: Stage,
+    },
 }
 
 impl SqTimer {
@@ -144,9 +148,7 @@ impl SqTimer {
         match self {
             SqTimer::Chord(t) => t.class(),
             SqTimer::Query => "query",
-            SqTimer::AnswerDeadline { .. } => "sq_answer_deadline",
-            SqTimer::FetchDeadline { .. } => "fetch_deadline",
-            SqTimer::OriginDone { .. } => "origin_done",
+            SqTimer::Deadline { stage, .. } => stage.deadline_class("sq_answer_deadline"),
         }
     }
 }
@@ -350,10 +352,7 @@ impl SquirrelPeer {
                 exclude,
             },
         );
-        ctx.set_timer(
-            self.pcx.params.rpc_timeout_ms * 2,
-            SqTimer::AnswerDeadline { qid },
-        );
+        p.tl.await_answer(ctx, &self.pcx, 2);
     }
 
     fn on_lookup_failed(&mut self, ctx: &mut Fx<Self>, token: u64) {
@@ -460,13 +459,25 @@ impl SquirrelPeer {
         }
     }
 
-    fn on_answer_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
+    /// A deadline query `qid` armed in `stage` fired; it is taken only
+    /// while the query is still in that stage.
+    fn on_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId, stage: Stage) {
         let Some(p) = &self.pending else {
             return;
         };
-        if !p.tl.resolving(qid) || p.home.is_none() {
+        if !p.tl.due(qid, stage) {
             return;
         }
+        match stage {
+            // No home is asked while its lookup runs, which ends itself.
+            Stage::Resolving if p.home.is_none() => {}
+            Stage::Resolving => self.on_answer_deadline(ctx, qid),
+            Stage::Fetching { provider, .. } => self.on_fetch_failed(ctx, qid, provider, true),
+            Stage::Origin => self.on_origin_done(ctx),
+        }
+    }
+
+    fn on_answer_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
         // Home node died between lookup and query: re-route; the DHT will
         // have promoted a successor (whose directory starts empty — the
         // Squirrel weakness the paper highlights).
@@ -474,13 +485,8 @@ impl SquirrelPeer {
         self.retry_or_origin(ctx, qid);
     }
 
-    fn on_origin_done(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
-        let Some(p) = &self.pending else {
-            return;
-        };
-        if !p.tl.origin_due(qid) {
-            return;
-        }
+    fn on_origin_done(&mut self, ctx: &mut Fx<Self>) {
+        let p = self.pending.as_ref().expect("pending query");
         if self.mode == SquirrelMode::HomeStore {
             if let Some(home) = p.home {
                 if home != self.me {
@@ -618,17 +624,7 @@ impl SquirrelPeer {
                 self.apply_chord_actions(ctx, actions);
             }
             SqTimer::Query => self.on_query_timer(ctx),
-            SqTimer::AnswerDeadline { qid } => self.on_answer_deadline(ctx, qid),
-            SqTimer::FetchDeadline { qid, attempt } => {
-                if let Some(provider) = self
-                    .pending
-                    .as_ref()
-                    .and_then(|p| p.tl.expired(qid, attempt))
-                {
-                    self.on_fetch_failed(ctx, qid, provider, true);
-                }
-            }
-            SqTimer::OriginDone { qid } => self.on_origin_done(ctx, qid),
+            SqTimer::Deadline { qid, stage } => self.on_deadline(ctx, qid, stage),
         }
     }
 }
@@ -642,12 +638,8 @@ impl QueryMachine for SquirrelPeer {
         SqMsg::Fetch { qid, object }
     }
 
-    fn fetch_deadline(qid: QueryId, attempt: u32) -> SqTimer {
-        SqTimer::FetchDeadline { qid, attempt }
-    }
-
-    fn origin_done(qid: QueryId) -> SqTimer {
-        SqTimer::OriginDone { qid }
+    fn deadline(qid: QueryId, stage: Stage) -> SqTimer {
+        SqTimer::Deadline { qid, stage }
     }
 }
 
@@ -679,5 +671,269 @@ impl Machine for SquirrelPeer {
 
     fn msg_wire_bytes(msg: &SqMsg) -> usize {
         msg.wire_bytes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::io::{machine_rng, Output, OutputOf};
+    use cdn_metrics::QueryRecord;
+    use simnet::{LocalityId, Time};
+
+    type Out = OutputOf<SquirrelPeer>;
+
+    /// The downloader the home names.
+    const PROVIDER: usize = 5;
+
+    /// The deadline of query `qid`'s wait for its home's answer.
+    fn answer_deadline(qid: QueryId) -> SqTimer {
+        SqTimer::Deadline {
+            qid,
+            stage: Stage::Resolving,
+        }
+    }
+
+    /// A started member of a converged three-node ring — we at id 1, our
+    /// successor at 2, `far` at the top of the id space — so every object
+    /// is homed at `far` and its lookup leaves us. Returns the peer, `far`,
+    /// and a `step` that feeds it one input 100 ms after the last.
+    fn ring_member(
+        mode: SquirrelMode,
+    ) -> (
+        SquirrelPeer,
+        NodeRef,
+        impl FnMut(&mut SquirrelPeer, InputOf<SquirrelPeer>) -> Vec<Out>,
+    ) {
+        let at = |i: usize, id: u64| NodeRef::new(NodeId::from_index(i), ChordId(id));
+        let (me, far) = (at(0, 1), at(2, u64::MAX));
+        let pcx = PeerCtx::for_tests();
+        let (chord, actions) = Chord::converged(0, &[me, at(1, 2), far], pcx.params.chord.clone());
+        let mut peer = SquirrelPeer::initial(pcx, mode, me.node, chord, actions);
+        let (mut rng, mut now_ms) = (machine_rng(1, me.node), 0);
+        let mut step = move |peer: &mut SquirrelPeer, input| {
+            now_ms += 100;
+            let mut out = Vec::new();
+            let at = Time::from_millis(now_ms);
+            peer.handle(
+                Fx::new(at, me.node, LocalityId(0), &mut rng, false, &mut out),
+                input,
+            );
+            out
+        };
+        step(&mut peer, Input::Start);
+        (peer, far, step)
+    }
+
+    fn rpc_ms() -> u64 {
+        PeerCtx::for_tests().rpc_ms()
+    }
+
+    /// The token of the home lookup the step started, if it did.
+    fn home_lookup(out: &[Out]) -> Option<u64> {
+        out.iter().find_map(|o| match o {
+            Output::Send {
+                msg: SqMsg::Chord(ChordMsg::Route { token, .. }),
+                ..
+            } => Some(*token),
+            _ => None,
+        })
+    }
+
+    /// `far`'s answer to home lookup `token`: the home is `far`.
+    fn home_found(far: NodeRef, token: u64) -> InputOf<SquirrelPeer> {
+        let msg = ChordMsg::RouteResult {
+            token,
+            owner: far,
+            hops: 2,
+        };
+        Input::Deliver {
+            from: far.node,
+            msg: SqMsg::Chord(msg),
+        }
+    }
+
+    /// `msg` from node `from`.
+    fn from(from: usize, msg: SqMsg) -> InputOf<SquirrelPeer> {
+        Input::Deliver {
+            from: NodeId::from_index(from),
+            msg,
+        }
+    }
+
+    /// Every message the step sent, with its addressee, Chord's aside.
+    fn sends(out: &[Out]) -> Vec<(NodeId, SqMsg)> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Send {
+                    msg: SqMsg::Chord(_),
+                    ..
+                } => None,
+                Output::Send { to, msg } => Some((*to, msg.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The one timer of class `class` the step armed, and its delay.
+    fn armed_one(out: &[Out], class: &str) -> (u64, SqTimer) {
+        let mut found = out.iter().filter_map(|o| match o {
+            Output::SetTimer { delay_ms, timer } if timer.class() == class => {
+                Some((*delay_ms, timer.clone()))
+            }
+            _ => None,
+        });
+        let one = found
+            .next()
+            .unwrap_or_else(|| panic!("no {class}: {out:?}"));
+        assert!(found.next().is_none(), "two {class}: {out:?}");
+        one
+    }
+
+    fn events(out: &[Out]) -> Vec<ProtocolEvent> {
+        out.iter()
+            .filter_map(|o| match o {
+                Output::Report(FlowerReport::Event(e)) => Some(*e),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn completed(out: &[Out]) -> Option<QueryRecord> {
+        out.iter().find_map(|o| match o {
+            Output::Report(FlowerReport::Query(r)) => Some(*r),
+            _ => None,
+        })
+    }
+
+    /// Issue a query and let its home lookup find `far`: its qid, object
+    /// and the answer deadline the ask armed.
+    fn asked_home(
+        peer: &mut SquirrelPeer,
+        far: NodeRef,
+        step: &mut impl FnMut(&mut SquirrelPeer, InputOf<SquirrelPeer>) -> Vec<Out>,
+    ) -> (QueryId, ObjectId, SqTimer) {
+        let out = step(peer, Input::Timer(SqTimer::Query));
+        let token = home_lookup(&out).expect("looks the home up");
+        let out = step(peer, home_found(far, token));
+        let [(to, SqMsg::Query { qid, object, .. })] = &sends(&out)[..] else {
+            panic!("asks the home: {out:?}");
+        };
+        assert_eq!(*to, far.node);
+        let (delay, answer) = armed_one(&out, "sq_answer_deadline");
+        assert_eq!(delay, 2 * rpc_ms());
+        (*qid, *object, answer)
+    }
+
+    /// While the home lookup runs there is no home to have timed out: an
+    /// answer deadline does nothing, and the lookup's answer still asks
+    /// the home.
+    #[test]
+    fn answer_deadline_is_a_no_op_while_the_home_lookup_runs() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        let out = step(&mut peer, Input::Timer(SqTimer::Query));
+        let token = home_lookup(&out).expect("looks the home up");
+        let qid = peer.pending.as_ref().expect("pending").tl.qid;
+        let out = step(&mut peer, Input::Timer(answer_deadline(qid)));
+        assert!(out.is_empty(), "{out:?}");
+        let out = step(&mut peer, home_found(far, token));
+        assert!(
+            matches!(&sends(&out)[..], [(to, SqMsg::Query { .. })] if *to == far.node),
+            "{out:?}"
+        );
+    }
+
+    /// The home went silent: the query looks its home up again; when the
+    /// second home is silent too, it goes to the origin.
+    #[test]
+    fn answer_deadline_looks_the_home_up_again_then_goes_to_the_origin() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        let (_, _, first) = asked_home(&mut peer, far, &mut step);
+        let out = step(&mut peer, Input::Timer(first));
+        assert_eq!(events(&out), [ProtocolEvent::DirQueryTimeout]);
+        assert!(sends(&out).is_empty(), "{out:?}");
+        let token = home_lookup(&out).expect("looks the home up again");
+
+        let out = step(&mut peer, home_found(far, token));
+        let (_, second) = armed_one(&out, "sq_answer_deadline");
+        let out = step(&mut peer, Input::Timer(second));
+        assert_eq!(events(&out), [ProtocolEvent::DirQueryTimeout]);
+        assert!(home_lookup(&out).is_none(), "{out:?}");
+        let (delay, origin) = armed_one(&out, "origin_done");
+        assert_eq!(delay, 2 * peer.pcx.origin_latency_ms);
+        let record = completed(&step(&mut peer, Input::Timer(origin))).expect("completes");
+        assert_eq!(record.provider, Provider::OriginServer);
+    }
+
+    /// The named downloader stayed silent: the home is asked again, told
+    /// the downloader is dead.
+    #[test]
+    fn fetch_deadline_asks_the_home_again_excluding_the_provider() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        let (qid, object, _) = asked_home(&mut peer, far, &mut step);
+        let provider = NodeId::from_index(PROVIDER);
+        let answer = SqMsg::Answer {
+            qid,
+            object,
+            provider: Some(provider),
+        };
+        let out = step(&mut peer, from(far.node.index(), answer));
+        assert_eq!(sends(&out), [(provider, SqMsg::Fetch { qid, object })]);
+        let (delay, deadline) = armed_one(&out, "fetch_deadline");
+        assert_eq!(delay, rpc_ms());
+
+        let out = step(&mut peer, Input::Timer(deadline));
+        assert_eq!(events(&out), [ProtocolEvent::FetchTimeout]);
+        let again = SqMsg::Query {
+            qid,
+            object,
+            exclude: vec![peer.me, provider],
+        };
+        assert_eq!(sends(&out), [(far.node, again)]);
+        armed_one(&out, "sq_answer_deadline");
+    }
+
+    /// In home-store mode the origin's copy is handed to the home, so the
+    /// home can serve the next query itself.
+    #[test]
+    fn home_store_origin_completion_hands_the_home_a_copy() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::HomeStore);
+        let (qid, object, _) = asked_home(&mut peer, far, &mut step);
+        let answer = SqMsg::Answer {
+            qid,
+            object,
+            provider: None,
+        };
+        let out = step(&mut peer, from(far.node.index(), answer));
+        assert_eq!(events(&out), [ProtocolEvent::DirNoProvider]);
+        let (_, origin) = armed_one(&out, "origin_done");
+        let out = step(&mut peer, Input::Timer(origin));
+        assert_eq!(sends(&out), [(far.node, SqMsg::StoreCopy { object })]);
+        let record = completed(&out).expect("completes");
+        assert_eq!(record.provider, Provider::OriginServer);
+    }
+
+    /// ROADMAP 2(e), pinned as it stands: an answer deadline is taken
+    /// whenever the query is resolving, whichever ask armed it. The first
+    /// ask's deadline fires while the second ask waits, and looks the home
+    /// up again. The fix for 2(e) flips this case.
+    #[test]
+    fn roadmap_2e_an_earlier_asks_answer_deadline_is_taken_by_a_later_ask() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        let (qid, object, first) = asked_home(&mut peer, far, &mut step);
+        let provider = NodeId::from_index(PROVIDER);
+        let answer = SqMsg::Answer {
+            qid,
+            object,
+            provider: Some(provider),
+        };
+        step(&mut peer, from(far.node.index(), answer));
+        let out = step(&mut peer, from(PROVIDER, SqMsg::FetchMiss { qid, object }));
+        assert_eq!(events(&out), [ProtocolEvent::FetchMiss]);
+        armed_one(&out, "sq_answer_deadline");
+
+        let out = step(&mut peer, Input::Timer(first));
+        assert_eq!(events(&out), [ProtocolEvent::DirQueryTimeout]);
+        assert!(home_lookup(&out).is_some(), "{out:?}");
     }
 }

@@ -33,9 +33,9 @@ pub fn pos_of(fields: &[(&'static str, FieldValue)]) -> Option<Pos> {
     ))
 }
 
-/// A peer issued a query (fields: qid, ws, rank).
+/// A peer issued a query (fields: qid, ws, object).
 pub const QUERY_ISSUED: &str = "query_issued";
-/// A query reached a terminal state (fields: qid, outcome, provider kind).
+/// A query reached a terminal state (fields: qid, provider kind label).
 pub const QUERY_COMPLETE: &str = "query_complete";
 /// A client handed its query to a bootstrap for D-ring routing
 /// (fields: qid, key).
@@ -43,7 +43,7 @@ pub const ROUTE_REQUEST: &str = "route_request";
 /// A D-ring lookup finished on behalf of a routed payload
 /// (fields: qid?, key, owner, hops).
 pub const ROUTE_DONE: &str = "route_done";
-/// A D-ring lookup failed (fields: key).
+/// A D-ring lookup failed (fields: qid — client requests only).
 pub const ROUTE_FAILED: &str = "route_failed";
 /// A routed client request arrived at a directory instance
 /// (fields: qid, ws, loc, inst).
@@ -51,7 +51,7 @@ pub const ROUTED_ARRIVED: &str = "routed_arrived";
 /// PetalUp (§4): a full instance forwarded a join/query to the next
 /// instance of its couple (fields: qid, from_inst, to_inst).
 pub const INSTANCE_FORWARD: &str = "instance_forward";
-/// A directory answered a query (fields: qid, hit, provider?).
+/// A directory answered a query (fields: qid, hit).
 pub const REDIRECT: &str = "redirect";
 /// §3.2 cross-locality walk: a directory passed the query to a
 /// same-website sibling (fields: qid, ttl).
@@ -67,7 +67,7 @@ pub const FETCH_TIMEOUT: &str = "fetch_timeout";
 /// The client fell back to the origin server (fields: qid).
 pub const ORIGIN_FETCH: &str = "origin_fetch";
 
-/// A content peer started a gossip shuffle (fields: partner, len).
+/// A content peer started a gossip shuffle (fields: partner, gen).
 pub const GOSSIP_SHUFFLE: &str = "gossip_shuffle";
 /// A content peer sent its periodic keepalive (fields: seq).
 pub const KEEPALIVE: &str = "keepalive";

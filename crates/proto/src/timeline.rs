@@ -8,6 +8,8 @@
 //! state and move it through five steps:
 //!
 //! 1. `Timeline::issue` — the query exists from now on, `Resolving`;
+//!    each wait for an answer naming a provider (a route, a directory, a
+//!    home node) is bounded by `Timeline::await_answer`;
 //! 2. `Timeline::fetch_from` — ask a provider for the object, under a
 //!    deadline (repeatable: each attempt restarts the transfer clock),
 //!    `Fetching` from it;
@@ -19,10 +21,11 @@
 //! 5. `Timeline::complete` — the object arrived: emit the
 //!    [`QueryRecord`].
 //!
-//! The `Stage` those steps set is the one record of where a fetch stands,
-//! and four predicates read it to tell whether a reply or a timer is about
-//! the query outstanding now: `resolving`, `fetching`, `expired` and
-//! `origin_due`.
+//! The [`Stage`] those steps set is the one record of where a fetch stands.
+//! Every deadline a query arms is armed here and carries the stage its step
+//! set; `due` takes it only while the query is still in that stage, and
+//! `resolving` and `fetching` tell whether a reply is about the query
+//! outstanding now.
 //!
 //! The metrics follow from the record: a query is a **hit** iff a peer
 //! provided the object; **transfer distance** is the one-way latency to
@@ -53,19 +56,32 @@ pub(crate) const MAX_FETCH_ATTEMPTS: u32 = 3;
 pub(crate) trait QueryMachine: Machine<Report = FlowerReport> {
     fn query_timer() -> Self::Timer;
     fn fetch_msg(qid: QueryId, object: ObjectId) -> Self::Msg;
-    fn fetch_deadline(qid: QueryId, attempt: u32) -> Self::Timer;
-    fn origin_done(qid: QueryId) -> Self::Timer;
+    /// The deadline query `qid` arms in `stage`.
+    fn deadline(qid: QueryId, stage: Stage) -> Self::Timer;
 }
 
 /// Where an outstanding query's fetch stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stage {
+pub enum Stage {
     /// Looking for a provider: a route, a directory or a home node.
     Resolving,
-    /// A fetch is outstanding against this provider.
-    Fetching(NodeId),
+    /// The `attempt`-th fetch of the query is outstanding against
+    /// `provider`.
+    Fetching { provider: NodeId, attempt: u32 },
     /// The origin round trip is under way.
     Origin,
+}
+
+impl Stage {
+    /// The timer class label of a deadline armed in this stage; a
+    /// `Resolving` one is the machine's own, `resolving`.
+    pub(crate) fn deadline_class(self, resolving: &'static str) -> &'static str {
+        match self {
+            Stage::Resolving => resolving,
+            Stage::Fetching { .. } => "fetch_deadline",
+            Stage::Origin => "origin_done",
+        }
+    }
 }
 
 /// The timed part of one outstanding query.
@@ -111,8 +127,19 @@ impl Timeline {
         }
     }
 
-    /// Ask `target` for `object`; a `FetchDeadline` carrying the attempt
-    /// number bounds the wait.
+    /// Arm the deadline of the stage the query is in now, `delay_ms` away.
+    fn arm<M: QueryMachine>(&self, ctx: &mut Fx<M>, delay_ms: u64) {
+        ctx.set_timer(delay_ms, M::deadline(self.qid, self.stage));
+    }
+
+    /// Wait `rpc_timeouts` RPC timeouts for the answer to the question the
+    /// resolving query just sent: a route, a directory or a home node
+    /// naming a provider.
+    pub fn await_answer<M: QueryMachine>(&self, ctx: &mut Fx<M>, pcx: &PeerCtx, rpc_timeouts: u64) {
+        self.arm(ctx, pcx.params.rpc_timeout_ms * rpc_timeouts);
+    }
+
+    /// Ask `target` for `object`, under a deadline carrying the attempt.
     pub fn fetch_from<M: QueryMachine>(
         &mut self,
         ctx: &mut Fx<M>,
@@ -120,18 +147,18 @@ impl Timeline {
         target: NodeId,
         object: ObjectId,
     ) {
-        self.stage = Stage::Fetching(target);
-        self.fetch_sent_at = ctx.now();
         self.fetch_attempts += 1;
+        self.stage = Stage::Fetching {
+            provider: target,
+            attempt: self.fetch_attempts,
+        };
+        self.fetch_sent_at = ctx.now();
         let qid = self.qid;
         ctx.trace(tags::FETCH, || {
             vec![("qid", qid.raw().into()), ("provider", target.into())]
         });
         ctx.send(target, M::fetch_msg(qid, object));
-        ctx.set_timer(
-            pcx.params.rpc_timeout_ms,
-            M::fetch_deadline(qid, self.fetch_attempts),
-        );
+        self.arm(ctx, pcx.params.rpc_timeout_ms);
     }
 
     /// Whether query `qid` is this one, still looking for a provider.
@@ -141,24 +168,14 @@ impl Timeline {
 
     /// Whether a reply from `from` answers this query's outstanding fetch.
     pub fn fetching(&self, qid: QueryId, from: NodeId) -> bool {
-        self.qid == qid && self.stage == Stage::Fetching(from)
+        self.qid == qid
+            && matches!(self.stage, Stage::Fetching { provider, .. } if provider == from)
     }
 
-    /// The provider a firing `FetchDeadline { qid, attempt }` gave up on,
-    /// if it is about the fetch outstanding right now.
-    pub fn expired(&self, qid: QueryId, attempt: u32) -> Option<NodeId> {
-        match self.stage {
-            Stage::Fetching(provider) if self.qid == qid && self.fetch_attempts == attempt => {
-                Some(provider)
-            }
-            _ => None,
-        }
-    }
-
-    /// Whether a firing `OriginDone { qid }` ends this query's origin round
-    /// trip.
-    pub fn origin_due(&self, qid: QueryId) -> bool {
-        self.qid == qid && self.stage == Stage::Origin
+    /// Whether a deadline query `qid` armed in `stage` is due: the query is
+    /// this one, still in that stage.
+    pub fn due(&self, qid: QueryId, stage: Stage) -> bool {
+        self.qid == qid && self.stage == stage
     }
 
     /// The outstanding fetch from `provider` failed — a refusal, or with
@@ -186,14 +203,14 @@ impl Timeline {
         self.fetch_attempts >= MAX_FETCH_ATTEMPTS
     }
 
-    /// Fall back to the origin server: `OriginDone` fires after the round
-    /// trip.
+    /// Fall back to the origin server: the `Origin` deadline fires after
+    /// the round trip.
     pub fn origin_round_trip<M: QueryMachine>(&mut self, ctx: &mut Fx<M>, pcx: &PeerCtx) {
         self.stage = Stage::Origin;
         self.fetch_sent_at = ctx.now();
         let qid = self.qid;
         ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
-        ctx.set_timer(2 * origin_one_way_ms(pcx).max(1), M::origin_done(qid));
+        self.arm(ctx, 2 * origin_one_way_ms(pcx).max(1));
     }
 
     /// The object arrived from `provider`: emit the record.
@@ -269,11 +286,12 @@ fn origin_one_way_ms(pcx: &PeerCtx) -> u64 {
 mod tests {
     use super::*;
     use crate::io::{machine_rng, Output};
-    use crate::squirrel::SquirrelPeer;
+    use crate::squirrel::{SqTimer, SquirrelPeer};
     use simnet::{FieldValue, Fields, LocalityId};
 
-    /// A reply or a timer is about the query only at the stage the steps
-    /// set, and only for its own qid, provider and attempt.
+    /// A reply or a deadline is about the query only at the stage the steps
+    /// set, and only for its own qid, provider and attempt; each deadline
+    /// the steps arm carries that stage.
     #[test]
     fn replies_match_only_the_outstanding_stage() {
         let pcx = PeerCtx::for_tests();
@@ -285,30 +303,74 @@ mod tests {
         let (qid, other) = (QueryId::new(me, 1), QueryId::new(me, 2));
         let object = ObjectId::from_u64(7);
         let [a, b] = [1, 2].map(NodeId::from_index);
+        let fetching = |provider, attempt| Stage::Fetching { provider, attempt };
         let mut tl = Timeline::issue(&mut ctx, qid, pcx.website, Some(object));
         assert!(tl.resolving(qid) && !tl.resolving(other));
-        assert!(!tl.fetching(qid, a) && tl.expired(qid, 0).is_none() && !tl.origin_due(qid));
+        assert!(tl.due(qid, Stage::Resolving) && !tl.due(other, Stage::Resolving));
+        assert!(!tl.fetching(qid, a) && !tl.due(qid, fetching(a, 0)));
+        assert!(!tl.due(qid, Stage::Origin));
+        tl.await_answer(&mut ctx, &pcx, 2);
 
         tl.fetch_from(&mut ctx, &pcx, a, object);
+        assert_eq!(tl.stage, fetching(a, 1));
         assert!(tl.fetching(qid, a) && !tl.fetching(qid, b) && !tl.fetching(other, a));
-        assert_eq!(tl.expired(qid, 1), Some(a));
-        assert_eq!(tl.expired(qid, 0), None);
-        assert_eq!(tl.expired(other, 1), None);
-        assert!(!tl.resolving(qid));
+        assert!(tl.due(qid, fetching(a, 1)) && !tl.due(other, fetching(a, 1)));
+        assert!(!tl.due(qid, fetching(a, 0)) && !tl.due(qid, fetching(b, 1)));
+        assert!(!tl.resolving(qid) && !tl.due(qid, Stage::Resolving));
 
         tl.fetch_failed(&mut ctx, a, true);
         assert!(tl.resolving(qid) && !tl.fetching(qid, a));
-        assert_eq!(tl.expired(qid, 1), None);
+        assert!(!tl.due(qid, fetching(a, 1)));
 
         // The first attempt's deadline is stale once the second is out.
         tl.fetch_from(&mut ctx, &pcx, b, object);
-        assert_eq!(tl.expired(qid, 1), None);
-        assert_eq!(tl.expired(qid, 2), Some(b));
+        assert!(!tl.due(qid, fetching(a, 1)) && tl.due(qid, fetching(b, 2)));
 
         tl.origin_round_trip(&mut ctx, &pcx);
-        assert!(tl.origin_due(qid) && !tl.origin_due(other));
+        assert!(tl.due(qid, Stage::Origin) && !tl.due(other, Stage::Origin));
         assert!(!tl.resolving(qid) && !tl.fetching(qid, b));
-        assert_eq!(tl.expired(qid, 2), None);
+        assert!(!tl.due(qid, fetching(b, 2)));
+
+        // Each fetch is sent before its deadline is armed.
+        let order: Vec<&str> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Send { .. } => Some("send"),
+                Output::SetTimer { .. } => Some("timer"),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, ["timer", "send", "timer", "send", "timer", "timer"]);
+        let armed: Vec<(u64, SqTimer)> = out
+            .into_iter()
+            .filter_map(|o| match o {
+                Output::SetTimer { delay_ms, timer } => Some((delay_ms, timer)),
+                _ => None,
+            })
+            .collect();
+        let rpc = pcx.params.rpc_timeout_ms;
+        let origin = 2 * pcx.origin_latency_ms;
+        let deadline = |stage| SqTimer::Deadline { qid, stage };
+        assert_eq!(
+            format!("{armed:?}"),
+            format!(
+                "{:?}",
+                [
+                    (2 * rpc, deadline(Stage::Resolving)),
+                    (rpc, deadline(fetching(a, 1))),
+                    (rpc, deadline(fetching(b, 2))),
+                    (origin, deadline(Stage::Origin)),
+                ]
+            )
+        );
+    }
+
+    /// A deadline carries its stage whole, and the timers the simulator's
+    /// wheel holds one of per armed event stay at 24 bytes.
+    #[test]
+    fn deadline_timers_stay_at_24_bytes() {
+        assert!(std::mem::size_of::<crate::msg::FlowerTimer>() <= 24);
+        assert!(std::mem::size_of::<SqTimer>() <= 24);
     }
 
     /// The failure half of a query: every failed provider is excluded,

@@ -16,20 +16,14 @@
 //! shared registry script) influences what the machine emits.
 //!
 //! The recorded streams are also **pinned**: an FNV-1a digest over every
-//! exchange — trace events included — is checked in debug and in release
-//! (last re-recorded when Chord's finger repair began asking the incumbent
-//! finger first, which changes what a tapped ring member sends; the Squirrel
-//! digest once more when a Squirrel peer began tracing `fetch_timeout` /
-//! `fetch_miss` as a Flower-CDN peer always has — one exchange of the script
-//! gained that one trace output, nothing else moved; both once more when
-//! Chord's and Flower-CDN's request keys — `token`, `gen`, `nonce`, `seq`,
-//! `claim_seq` — began coming from one table of outstanding requests: with
-//! those values masked, both streams are equal line for line; the Flower-CDN
-//! digest once more when `Redirect` became a record, so its `Debug` text
-//! reads `Redirect(Redirect { … })`: with that wrapper unwrapped, the stream
-//! is equal line for line). A refactor
-//! of `crates/proto` that changes a message, a timer, an RNG draw, a trace
-//! shape or the order of outputs within one `handle` call moves a digest.
+//! exchange — trace events included — is checked in debug and in release.
+//! A refactor of `crates/proto` that changes a message, a timer, an RNG
+//! draw, a trace shape or the order of outputs within one `handle` call
+//! moves a digest. So does one that only renames a variant or a field,
+//! because the digest hashes `Debug` text. A re-record shows the old and
+//! the new stream (dump `stream` in `replay()` on both commits) equal line
+//! for line once what the change renamed or added is mapped or stripped;
+//! CHANGES.md lists each re-record and its proof.
 
 use std::fmt::Debug;
 use std::rc::Rc;
@@ -43,8 +37,8 @@ use flower_cdn::{
 use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
 use workload::{ObjectId, WebsiteId};
 
-const FLOWER_STREAM_FNV: u64 = 0xe5cb_0f02_5bed_5ae9;
-const SQUIRREL_STREAM_FNV: u64 = 0x3a37_8db7_c434_4dba;
+const FLOWER_STREAM_FNV: u64 = 0xf700_f815_d1c0_2d47;
+const SQUIRREL_STREAM_FNV: u64 = 0xc0eb_fefa_4604_09de;
 
 /// One website under test, `localities` initial ring members per website,
 /// no Poisson arrivals and no natural deaths: every event in the run is
