@@ -35,6 +35,10 @@ cargo test -q --release -p flower-net --test wire_roundtrip
 # The timer wheel every simulated event is popped from: against a reference
 # heap, and allocation-free in steady state.
 cargo test -q --release -p simnet --test timer_wheel --test zero_alloc
+# The byte pins of the two JSON artifacts (a line of every trace event
+# shape, the BENCH report), in the build that writes every committed
+# BENCH_*.json.
+cargo test -q --release -p cdn-metrics -p flower-bench --lib
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -3,14 +3,13 @@
 //! Schema (`"bench-v1"`): one [`BenchReport`] per file, holding one
 //! [`RunPerf`] cell per (system, population, seed). Key order and number
 //! formatting are fixed, so serializing the same data twice is
-//! byte-identical — the files are diffable artifacts. Strings are escaped
-//! by [`cdn_metrics::json_escape`], as the JSONL trace's are. Nothing here
+//! byte-identical — the files are diffable artifacts. The report is
+//! written through [`cdn_metrics::json::Object`], the writer of the JSONL
+//! trace too: this module only names the fields, in order. Nothing here
 //! reads a report back or judges one: claims about speed go through the
 //! repository benchmark (`benchmark/`), which brings its own JSON reader.
 
-use std::fmt::Write as _;
-
-use cdn_metrics::json_escape;
+use cdn_metrics::json::Object;
 use profile::RunPerf;
 use sweep::CellResult;
 
@@ -23,7 +22,6 @@ pub const SCHEMA: &str = "bench-v1";
 /// harness invocation across its population ladder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    pub schema: String,
     pub label: String,
     pub cells: Vec<RunPerf>,
 }
@@ -31,7 +29,6 @@ pub struct BenchReport {
 impl BenchReport {
     pub fn new(label: impl Into<String>, cells: Vec<RunPerf>) -> BenchReport {
         BenchReport {
-            schema: SCHEMA.to_string(),
             label: label.into(),
             cells,
         }
@@ -41,72 +38,40 @@ impl BenchReport {
     /// float precision, trailing newline.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{}\",\"label\":\"{}\",\"cells\":[",
-            json_escape(&self.schema),
-            json_escape(&self.label)
-        );
-        for (i, cell) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            cell_json(cell, &mut out, "  ");
-        }
-        out.push_str("\n]}\n");
+        let mut o = Object::open(&mut out);
+        o.str("schema", SCHEMA)
+            .str("label", &self.label)
+            .array("cells", &self.cells, cell_json);
+        o.close();
+        out.push('\n');
         out
     }
 }
 
-/// One cell of the report, its rows indented one level past `indent`.
-fn cell_json(p: &RunPerf, out: &mut String, indent: &str) {
-    let _ = write!(
-        out,
-        "{indent}{{\"system\":\"{}\",\"population\":{},\"seed\":{},\
-         \"sim_hours\":{:.3},\"wall_ms\":{:.3},\"events\":{},\
-         \"events_per_sec\":{:.1},\"wall_ms_per_sim_hour\":{:.3},\
-         \"peak_rss_bytes\":{},\"allocs\":{},\"allocs_per_event\":{:.3},",
-        json_escape(&p.system),
-        p.population,
-        p.seed,
-        p.sim_hours,
-        p.wall_ms,
-        p.events,
-        p.events_per_sec,
-        p.wall_ms_per_sim_hour,
-        p.peak_rss_bytes,
-        p.allocs,
-        p.allocs_per_event,
-    );
-    out.push_str("\"phases\":[");
-    for (i, ph) in p.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n{indent}  {{\"path\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-            json_escape(&ph.path),
-            ph.count,
-            ph.total_ns,
-            ph.self_ns
-        );
-    }
-    out.push_str("],\"messages\":[");
-    for (i, m) in p.messages.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n{indent}  {{\"class\":\"{}\",\"count\":{},\"bytes\":{}}}",
-            json_escape(&m.class),
-            m.count,
-            m.bytes
-        );
-    }
-    out.push_str("]}");
+/// One cell of the report; its phase and message rows one line each.
+fn cell_json(o: &mut Object<'_>, p: &RunPerf) {
+    o.str("system", &p.system)
+        .u64("population", p.population)
+        .u64("seed", p.seed)
+        .real("sim_hours", p.sim_hours, 3)
+        .real("wall_ms", p.wall_ms, 3)
+        .u64("events", p.events)
+        .real("events_per_sec", p.events_per_sec, 1)
+        .real("wall_ms_per_sim_hour", p.wall_ms_per_sim_hour, 3)
+        .u64("peak_rss_bytes", p.peak_rss_bytes)
+        .u64("allocs", p.allocs)
+        .real("allocs_per_event", p.allocs_per_event, 3)
+        .array("phases", &p.phases, |o, ph| {
+            o.str("path", &ph.path)
+                .u64("count", ph.count)
+                .u64("total_ns", ph.total_ns)
+                .u64("self_ns", ph.self_ns);
+        })
+        .array("messages", &p.messages, |o, m| {
+            o.str("class", &m.class)
+                .u64("count", m.count)
+                .u64("bytes", m.bytes);
+        });
 }
 
 /// Under `--profile-out PATH`: write every perf cell the sweep collected

@@ -91,37 +91,36 @@ impl State {
 
     /// A node stopped being able to hold positions or answer queries.
     fn node_gone(&mut self, at: Time, node: NodeId) {
-        for (pos, hs) in self.holders.iter_mut() {
-            hs.retain(|(n, _)| *n != node);
-            if hs.len() <= 1 {
-                Self::settle_contest(
-                    &mut self.contested_since,
-                    &mut self.violations,
-                    self.cfg.replacement_grace_ms,
-                    *pos,
-                    at,
-                );
-            }
+        let positions: Vec<Pos> = self.holders.keys().copied().collect();
+        for pos in positions {
+            self.drop_holder(at, node, pos);
         }
         // A dead issuer can never complete its queries; drop them.
         self.pending.retain(|_, (issuer, _)| *issuer != node);
     }
 
-    fn settle_contest(
-        contested: &mut BTreeMap<Pos, Time>,
-        violations: &mut Vec<String>,
-        grace_ms: u64,
-        pos: Pos,
-        at: Time,
-    ) {
-        if let Some(since) = contested.remove(&pos) {
+    /// `node` no longer holds `pos`. A contest left with one holder or none
+    /// is over: it is a violation if it outlasted the replacement grace.
+    fn drop_holder(&mut self, at: Time, node: NodeId, pos: Pos) {
+        let Some(hs) = self.holders.get_mut(&pos) else {
+            return;
+        };
+        hs.retain(|(n, _)| *n != node);
+        if hs.len() > 1 {
+            return;
+        }
+        if let Some(since) = self.contested_since.remove(&pos) {
             let lasted = at.since(since);
-            if lasted > grace_ms && violations.len() < 64 {
-                violations.push(format!(
-                    "[{at}] position (ws{}, loc{}, i{}) was multiply-held for \
-                     {lasted}ms (> {grace_ms}ms replacement grace)",
-                    pos.0, pos.1, pos.2
-                ));
+            let grace_ms = self.cfg.replacement_grace_ms;
+            if lasted > grace_ms {
+                self.violation(
+                    at,
+                    format!(
+                        "position (ws{}, loc{}, i{}) was multiply-held for \
+                         {lasted}ms (> {grace_ms}ms replacement grace)",
+                        pos.0, pos.1, pos.2
+                    ),
+                );
             }
         }
     }
@@ -134,21 +133,6 @@ impl State {
             self.contested_since.insert(pos, at);
         }
         self.instance_seen(at, pos);
-    }
-
-    fn demoted(&mut self, at: Time, node: NodeId, pos: Pos) {
-        if let Some(hs) = self.holders.get_mut(&pos) {
-            hs.retain(|(n, _)| *n != node);
-            if hs.len() <= 1 {
-                Self::settle_contest(
-                    &mut self.contested_since,
-                    &mut self.violations,
-                    self.cfg.replacement_grace_ms,
-                    pos,
-                    at,
-                );
-            }
-        }
     }
 
     /// PetalUp contiguity: instance `i` requires `i − 1` to exist first.
@@ -200,7 +184,7 @@ impl State {
             }
             tags::DEMOTED => {
                 if let Some(pos) = pos_of(fields) {
-                    self.demoted(at, node, pos);
+                    self.drop_holder(at, node, pos);
                 }
             }
             tags::PETAL_SPLIT => {

@@ -16,7 +16,8 @@
 //! * [`gauges::GaugeRegistry`] — sampled time-series gauges (petal sizes,
 //!   D-ring size, live population, per-class message rates);
 //! * [`trace_jsonl`] — a [`simnet::TraceSink`] that streams structured
-//!   trace events as JSON lines, plus a parser to read them back.
+//!   trace events as JSON lines, plus a parser to read them back;
+//! * [`json`] — the one JSON writer, of the trace and the BENCH report.
 //!
 //! ```
 //! use cdn_metrics::{Histogram, fig4_lookup_edges};
@@ -29,6 +30,7 @@
 
 pub mod gauges;
 pub mod histogram;
+pub mod json;
 pub mod query;
 pub mod report;
 pub mod run_summary;
@@ -41,7 +43,7 @@ pub use query::{Provider, QueryRecord, QueryStats, ResolvedVia};
 pub use report::{ascii_bars, ascii_lines, ascii_table, Csv};
 pub use run_summary::RunSummary;
 pub use series::HitRatioSeries;
-pub use trace_jsonl::{json_escape, parse_trace_line, JsonlTraceWriter, TraceLine};
+pub use trace_jsonl::{parse_trace_line, JsonlTraceWriter, TraceLine};
 
 /// The bucket edges used to report Figure 4 (lookup latency distribution).
 /// The paper's prose anchors 150 ms and 1200 ms; intermediate edges give

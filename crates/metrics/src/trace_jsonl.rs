@@ -13,12 +13,13 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use simnet::{FieldValue, Time, TraceEvent, TraceSink};
+use simnet::{Time, TraceEvent, TraceSink};
+
+use crate::json::Object;
 
 /// Streams trace events as JSON lines into any [`Write`] target.
 ///
@@ -62,121 +63,50 @@ impl<W: Write> JsonlTraceWriter<W> {
         TraceSink::flush(&mut self);
         self.out
     }
-
-    fn push_field(buf: &mut String, key: &str, v: &FieldValue) {
-        let _ = match v {
-            FieldValue::U64(x) => write!(buf, ",\"{key}\":{x}"),
-            FieldValue::Str(s) => write!(buf, ",\"{key}\":\"{}\"", json_escape(s)),
-            FieldValue::Bool(b) => write!(buf, ",\"{key}\":{b}"),
-        };
-    }
-}
-
-/// Escape `s` for use inside a JSON string literal: `"`, `\` and newline
-/// get their short forms, every other control character `\uXXXX` — the
-/// forms [`parse_trace_line`] reads back. The one escaper of every JSON
-/// this workspace writes (the trace here, the harness's BENCH report).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl<W: Write> TraceSink for JsonlTraceWriter<W> {
     fn event(&mut self, at: Time, ev: &TraceEvent) {
         let buf = &mut self.buf;
         buf.clear();
-        let _ = write!(buf, "{{\"t\":{},\"kind\":\"{}\"", at.as_millis(), ev.kind());
+        let mut o = Object::open(buf);
+        o.u64("t", at.as_millis()).str("kind", ev.kind());
+        // Whom the event concerns, then its own figure: the message events
+        // share `src`, `dst` and `class`, the timer events `node` and `class`.
         match ev {
             TraceEvent::NodeSpawn { node, locality } => {
-                let _ = write!(buf, ",\"node\":{},\"loc\":{}", node.raw(), locality.0);
+                o.u64("node", node.raw()).u64("loc", locality.0.into());
             }
             TraceEvent::NodeFail { node } | TraceEvent::NodeLeave { node } => {
-                let _ = write!(buf, ",\"node\":{}", node.raw());
+                o.u64("node", node.raw());
             }
             TraceEvent::MsgSend {
-                src,
-                dst,
-                class,
-                latency_ms,
+                src, dst, class, ..
+            }
+            | TraceEvent::MsgDeliver { src, dst, class }
+            | TraceEvent::MsgDrop {
+                src, dst, class, ..
             } => {
-                let _ = write!(
-                    buf,
-                    ",\"src\":{},\"dst\":{},\"class\":\"{}\",\"latency_ms\":{}",
-                    src.raw(),
-                    dst.raw(),
-                    json_escape(class),
-                    latency_ms
-                );
+                o.u64("src", src.raw()).u64("dst", dst.raw());
+                o.str("class", class);
             }
-            TraceEvent::MsgDeliver { src, dst, class } => {
-                let _ = write!(
-                    buf,
-                    ",\"src\":{},\"dst\":{},\"class\":\"{}\"",
-                    src.raw(),
-                    dst.raw(),
-                    json_escape(class)
-                );
-            }
-            TraceEvent::MsgDrop {
-                src,
-                dst,
-                class,
-                reason,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"src\":{},\"dst\":{},\"class\":\"{}\",\"reason\":\"{}\"",
-                    src.raw(),
-                    dst.raw(),
-                    json_escape(class),
-                    reason.as_str()
-                );
-            }
-            TraceEvent::TimerSet {
-                node,
-                class,
-                delay_ms,
-            } => {
-                let _ = write!(
-                    buf,
-                    ",\"node\":{},\"class\":\"{}\",\"delay_ms\":{}",
-                    node.raw(),
-                    json_escape(class),
-                    delay_ms
-                );
-            }
-            TraceEvent::TimerFire { node, class } => {
-                let _ = write!(
-                    buf,
-                    ",\"node\":{},\"class\":\"{}\"",
-                    node.raw(),
-                    json_escape(class)
-                );
+            TraceEvent::TimerSet { node, class, .. } | TraceEvent::TimerFire { node, class } => {
+                o.u64("node", node.raw()).str("class", class);
             }
             TraceEvent::Custom { node, name, fields } => {
-                let _ = write!(
-                    buf,
-                    ",\"node\":{},\"name\":\"{}\"",
-                    node.raw(),
-                    json_escape(name)
-                );
+                o.u64("node", node.raw()).str("name", name);
                 for (k, v) in fields {
-                    Self::push_field(buf, k, v);
+                    o.field(k, v);
                 }
             }
         }
-        buf.push('}');
+        match ev {
+            TraceEvent::MsgSend { latency_ms, .. } => o.u64("latency_ms", *latency_ms),
+            TraceEvent::MsgDrop { reason, .. } => o.str("reason", reason.as_str()),
+            TraceEvent::TimerSet { delay_ms, .. } => o.u64("delay_ms", *delay_ms),
+            _ => &mut o,
+        };
+        o.close();
         buf.push('\n');
         if self.error.is_none() {
             self.error = self.out.write_all(buf.as_bytes()).err();
@@ -265,8 +195,8 @@ pub fn parse_trace_line(line: &str) -> Option<TraceLine> {
         let (value, after) = if let Some(vr) = r.strip_prefix('"') {
             let mut s = String::new();
             let mut it = vr.char_indices();
-            let mut end = None;
-            while let Some((i, c)) = it.next() {
+            let end = loop {
+                let (i, c) = it.next()?;
                 match c {
                     '\\' => match it.next()?.1 {
                         'n' => s.push('\n'),
@@ -277,14 +207,11 @@ pub fn parse_trace_line(line: &str) -> Option<TraceLine> {
                         }
                         c => s.push(c),
                     },
-                    '"' => {
-                        end = Some(i);
-                        break;
-                    }
+                    '"' => break i,
                     c => s.push(c),
                 }
-            }
-            (JsonScalar::Str(s), &vr[end? + 1..])
+            };
+            (JsonScalar::Str(s), &vr[end + 1..])
         } else {
             let vend = r.find(',').unwrap_or(r.len());
             let raw = &r[..vend];
@@ -305,7 +232,7 @@ pub fn parse_trace_line(line: &str) -> Option<TraceLine> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::NodeId;
+    use simnet::{FieldValue, NodeId};
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
@@ -365,9 +292,90 @@ mod tests {
         assert_eq!(lines[3].str("provider"), Some("origin"));
     }
 
+    /// The JSONL format is this byte layout: one line per event of each of
+    /// the nine shapes, key order, the drop reasons' and the field kinds'
+    /// spelling, and a string that needs escaping.
+    #[test]
+    fn every_event_shape_is_pinned_to_the_byte() {
+        let mut w = JsonlTraceWriter::new(Vec::new());
+        let events = [
+            TraceEvent::NodeSpawn {
+                node: n(1),
+                locality: simnet::LocalityId(3),
+            },
+            TraceEvent::NodeFail { node: n(2) },
+            TraceEvent::NodeLeave { node: n(3) },
+            TraceEvent::MsgSend {
+                src: n(1),
+                dst: n(2),
+                class: "fetch",
+                latency_ms: 17,
+            },
+            TraceEvent::MsgDeliver {
+                src: n(1),
+                dst: n(2),
+                class: "fetch",
+            },
+            TraceEvent::MsgDrop {
+                src: n(4),
+                dst: n(5),
+                class: "keepalive",
+                reason: simnet::DropReason::DeadDestination,
+            },
+            TraceEvent::MsgDrop {
+                src: n(5),
+                dst: n(4),
+                class: "push",
+                reason: simnet::DropReason::Conditioner,
+            },
+            TraceEvent::TimerSet {
+                node: n(6),
+                class: "gossip",
+                delay_ms: 60000,
+            },
+            TraceEvent::TimerFire {
+                node: n(6),
+                class: "gossip",
+            },
+            TraceEvent::Custom {
+                node: n(7),
+                name: "query_issued",
+                fields: vec![
+                    ("qid", u64::MAX.into()),
+                    ("ws", 0u64.into()),
+                    ("provider", "origin".into()),
+                    ("hit", true.into()),
+                    ("stale", false.into()),
+                    ("note", "a\"b\\c\nd\t\u{1}é".into()),
+                ],
+            },
+            TraceEvent::Custom {
+                node: n(0),
+                name: "bare",
+                fields: vec![],
+            },
+        ];
+        for (t, ev) in events.iter().enumerate() {
+            w.event(Time(t as u64 * 1000 + 7), ev);
+        }
+        let expected = r#"{"t":7,"kind":"spawn","node":1,"loc":3}
+{"t":1007,"kind":"fail","node":2}
+{"t":2007,"kind":"leave","node":3}
+{"t":3007,"kind":"send","src":1,"dst":2,"class":"fetch","latency_ms":17}
+{"t":4007,"kind":"deliver","src":1,"dst":2,"class":"fetch"}
+{"t":5007,"kind":"drop","src":4,"dst":5,"class":"keepalive","reason":"dead_dst"}
+{"t":6007,"kind":"drop","src":5,"dst":4,"class":"push","reason":"link"}
+{"t":7007,"kind":"timer_set","node":6,"class":"gossip","delay_ms":60000}
+{"t":8007,"kind":"timer_fire","node":6,"class":"gossip"}
+{"t":9007,"kind":"custom","node":7,"name":"query_issued","qid":18446744073709551615,"ws":0,"provider":"origin","hit":true,"stale":false,"note":"a\"b\\c\nd\u0009\u0001é"}
+{"t":10007,"kind":"custom","node":0,"name":"bare"}
+"#;
+        assert_eq!(w.lines(), 11);
+        assert_eq!(String::from_utf8(w.into_inner()).unwrap(), expected);
+    }
+
     #[test]
     fn escaping_round_trips() {
-        let s = "a\"b\\c\nd";
         let mut w = JsonlTraceWriter::new(Vec::new());
         w.event(
             Time(0),
@@ -391,15 +399,6 @@ mod tests {
         let lines: Vec<_> = text.lines().map(parse_trace_line).collect();
         assert_eq!(lines[0].as_ref().and_then(|l| l.str("v")), Some("quoted"));
         assert_eq!(lines[1].as_ref().and_then(|l| l.str("v")), Some(every_rule));
-        // The escape helper itself handles the metacharacters.
-        assert_eq!(json_escape(s), "a\\\"b\\\\c\\nd");
-        // Every other control character takes the \uXXXX form; anything
-        // from U+0020 up passes through, multi-byte characters included.
-        assert_eq!(
-            json_escape("\t\r\u{1}\u{1f} "),
-            "\\u0009\\u000d\\u0001\\u001f "
-        );
-        assert_eq!(json_escape("p=3000 (churn) é→"), "p=3000 (churn) é→");
     }
 
     /// Takes `room` bytes, then fails every write, as a full disk does.

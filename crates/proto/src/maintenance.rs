@@ -223,32 +223,26 @@ impl FlowerPeer {
         );
     }
 
-    /// Directory side: keepalive refreshes liveness.
-    pub(crate) fn on_keepalive(&mut self, ctx: &mut Fx<Self>, from: NodeId, seq: u64) {
-        let Some(dir) = self.self_dir_info() else {
-            return; // stale dir-info at sender → its ack deadline fires
-        };
-        if let Role::Directory(d) = &mut self.role {
-            d.index.heard_from(from, ctx.now().as_millis());
-            ctx.send(from, FlowerMsg::DirAck { seq, dir });
-        }
-    }
-
-    /// Directory side: push updates the directory-index. A `full` push
-    /// (re-registration after replacement) also implicitly registers.
-    pub(crate) fn on_push(
+    /// Directory side of the dir-ack exchange: note the sender — a push's
+    /// `objects` go into the directory-index (a `full` one, re-registration
+    /// after replacement, registers the sender as any push does), a
+    /// keepalive only refreshes its liveness — then ack with my dir-info.
+    pub(crate) fn on_dir_exchange(
         &mut self,
         ctx: &mut Fx<Self>,
         from: NodeId,
         seq: u64,
-        objects: Vec<ObjectId>,
-        _full: bool,
+        objects: Option<Vec<ObjectId>>,
     ) {
         let Some(dir) = self.self_dir_info() else {
-            return;
+            return; // stale dir-info at sender → its ack deadline fires
         };
         if let Role::Directory(d) = &mut self.role {
-            d.index.record_objects(from, objects, ctx.now().as_millis());
+            let now = ctx.now().as_millis();
+            match objects {
+                Some(objects) => d.index.record_objects(from, objects, now),
+                None => d.index.heard_from(from, now),
+            }
             ctx.send(from, FlowerMsg::DirAck { seq, dir });
         }
     }

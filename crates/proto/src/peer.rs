@@ -625,8 +625,10 @@ impl FlowerPeer {
             FlowerMsg::FetchOk { qid, object } => self.on_fetch_ok(ctx, from, qid, object),
             FlowerMsg::FetchMiss { qid, .. } => self.on_fetch_failed(ctx, qid, from, false),
             FlowerMsg::Gossip { inner, dir_info } => self.on_gossip(ctx, from, inner, dir_info),
-            FlowerMsg::Keepalive { seq } => self.on_keepalive(ctx, from, seq),
-            FlowerMsg::Push { seq, objects, full } => self.on_push(ctx, from, seq, objects, full),
+            FlowerMsg::Keepalive { seq } => self.on_dir_exchange(ctx, from, seq, None),
+            FlowerMsg::Push { seq, objects, .. } => {
+                self.on_dir_exchange(ctx, from, seq, Some(objects))
+            }
             FlowerMsg::DirAck { seq, dir } => self.on_dir_ack(ctx, seq, dir),
             FlowerMsg::Promote {
                 position,
