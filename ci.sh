@@ -32,6 +32,10 @@ cargo test -q --release -p chord-dht
 # likewise in release.
 cargo test -q --release -p flower-proto
 cargo test -q --release -p flower-net --test wire_roundtrip
+# The live node's own cases (its timer order, a refused dial pruning its
+# registry) in the build `flower-node` ships in: the loopback smoke below
+# runs those release binaries.
+cargo test -q --release -p flower-net --lib
 # The timer wheel every simulated event is popped from: against a reference
 # heap, and allocation-free in steady state.
 cargo test -q --release -p simnet --test timer_wheel --test zero_alloc

@@ -140,10 +140,10 @@ pub(crate) fn dispatch<S: SimSystem>(
             extra_ms,
             for_ms,
         } => {
-            ctl.origin_dial
-                .brownout(website.map(|w| w as u16), extra_ms);
+            let website = website.map(|w| w as u16);
+            ctl.lent.borrow_mut().dial.brownout(website, extra_ms);
             follow_up(world, for_ms, FA::OriginRestore);
         }
-        FA::OriginRestore => ctl.origin_dial.restore(),
+        FA::OriginRestore => ctl.lent.borrow_mut().dial.restore(),
     }
 }

@@ -10,25 +10,24 @@
 //! trait, implemented by [`crate::flower::Flower`] and
 //! [`crate::squirrel::Squirrel`].
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use cdn_metrics::{GaugeRegistry, QueryRecord, QueryStats};
 use chord::{Chord, ChordAction, ChordId, NodeRef};
 use flower_proto::io::Machine;
-use flower_proto::origin::OriginDial;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{ClassCount, LocalityId, NodeId, Point, Time, Topology, TraceSink, World};
 use workload::{generate_sessions, Catalog, WebsiteId};
 
-use crate::bootstrap::{Bootstrap, SharedBootstrap};
+use crate::bootstrap::Bootstrap;
 use crate::chaos_driver;
 use crate::config::SimParams;
 use crate::driver::SimDriver;
 use crate::experiments::System;
-use crate::host::{OutputBuf, SimHost, TapLog};
+use crate::host::{SimHost, TapLog, WorldLent};
 use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
 
 /// Engine-level control events scheduled into the simulation.
@@ -85,14 +84,16 @@ pub trait SimSystem: Sized {
     ) -> Self::Machine;
 
     /// Constructor for the machine of a peer arriving mid-run, or `None`
-    /// if the arrival is lost (no overlay member left to join through).
-    /// Whatever the system draws from the engine RNG it draws here, right
-    /// after the engine sampled the peer's coordinate.
+    /// if the arrival is lost (no overlay member of `registry` left to
+    /// join through). Whatever the system draws from the engine RNG it
+    /// draws here, right after the engine sampled the peer's coordinate.
+    /// It keeps no borrow (`use<Self>`): the machine starts in `spawn`.
     fn arriving(
         &self,
         pcx: PeerCtx,
+        registry: &Bootstrap,
         rng: &mut StdRng,
-    ) -> Option<impl FnOnce(NodeId, LocalityId) -> Self::Machine>;
+    ) -> Option<impl FnOnce(NodeId, LocalityId) -> Self::Machine + use<Self>>;
 
     /// Victims of a `kill-directories` fault: the peers holding the
     /// system's "who holds what" knowledge for `website` (every website if
@@ -259,16 +260,15 @@ pub(crate) struct Controller<S: SimSystem> {
     system: S,
     pub(crate) params: Rc<SimParams>,
     pub(crate) catalog: Rc<Catalog>,
-    bootstrap: SharedBootstrap,
     /// Per-website origin server coordinates.
     origins: Vec<Point>,
-    pub(crate) origin_dial: Rc<OriginDial>,
     /// Engine-level randomness (placement, churn, victim selection);
     /// machines draw from their own per-node RNGs.
     pub(crate) rng: StdRng,
     gauges: Option<GaugeState>,
-    /// The world's one machine-output buffer, lent to every host spawned.
-    outputs: OutputBuf<S::Machine>,
+    /// The world's one output buffer, rendezvous registry and origin dial,
+    /// lent to every host spawned.
+    pub(crate) lent: WorldLent<S::Machine>,
     /// The run's result so far: reports are folded into it as the world
     /// hands them over (at every control event and at the end of every
     /// `run_until`), so none is held longer than until the next control
@@ -282,10 +282,8 @@ impl<S: SimSystem> Controller<S> {
         PeerCtx {
             catalog: Rc::clone(&self.catalog),
             params: Rc::clone(&self.params),
-            bootstrap: Rc::clone(&self.bootstrap),
             website,
             origin_latency_ms: world.topology().latency_between(at, origin),
-            origin_dial: Rc::clone(&self.origin_dial),
             profiler: world.profiler().clone(),
         }
     }
@@ -305,10 +303,12 @@ impl<S: SimSystem> Controller<S> {
             None => world.topology().sample_point(&mut self.rng),
         };
         let pcx = self.peer_ctx(world, website, at);
-        let make = self.system.arriving(pcx, &mut self.rng)?;
-        let (run_seed, outputs) = (self.params.seed, Rc::clone(&self.outputs));
+        let make = self
+            .system
+            .arriving(pcx, &self.lent.borrow().registry, &mut self.rng)?;
+        let (run_seed, lent) = (self.params.seed, Rc::clone(&self.lent));
         Some(world.spawn(at, |me, locality| {
-            SimHost::new(run_seed, me, make(me, locality), outputs, tap)
+            SimHost::new(run_seed, me, make(me, locality), lent, tap)
         }))
     }
 
@@ -321,7 +321,7 @@ impl<S: SimSystem> Controller<S> {
         } else {
             world.fail(id);
         }
-        self.bootstrap.borrow_mut().remove(id);
+        self.lent.borrow_mut().registry.remove(id);
     }
 
     /// Fold what the machines reported since the last call into the
@@ -400,12 +400,10 @@ impl<S: SimSystem> Engine<S> {
                 system,
                 params,
                 catalog,
-                bootstrap: Bootstrap::shared(),
                 origins,
-                origin_dial: OriginDial::shared(),
                 rng,
                 gauges: None,
-                outputs: OutputBuf::<S::Machine>::default(),
+                lent: WorldLent::<S::Machine>::default(),
                 result: RunResult::default(),
             },
             built_at,
@@ -443,10 +441,10 @@ impl<S: SimSystem> Engine<S> {
                 .sample_point_in(loc, &mut self.ctl.rng);
             let pcx = self.ctl.peer_ctx(&self.world, ws, at);
             let (run_seed, system) = (self.ctl.params.seed, &self.ctl.system);
-            let outputs = Rc::clone(&self.ctl.outputs);
+            let lent = Rc::clone(&self.ctl.lent);
             let spawned = self.world.spawn(at, |me, locality| {
                 let machine = system.initial_machine(pcx, me, locality, chord, actions);
-                SimHost::new(run_seed, me, machine, outputs, None)
+                SimHost::new(run_seed, me, machine, lent, None)
             });
             debug_assert_eq!(spawned, me_ref.node);
         }
@@ -486,10 +484,10 @@ impl<S: SimSystem> Engine<S> {
         &self.world
     }
 
-    /// The shared rendezvous registry (replay tests snapshot its t=0
+    /// The world's rendezvous registry (replay tests snapshot its t=0
     /// contents to reconstruct what a recorded machine saw).
-    pub fn bootstrap_registry(&self) -> SharedBootstrap {
-        Rc::clone(&self.ctl.bootstrap)
+    pub fn bootstrap_registry(&self) -> Ref<'_, Bootstrap> {
+        Ref::map(self.ctl.lent.borrow(), |lent| &lent.registry)
     }
 
     /// Manually spawn a client peer interested in `website`, placed in

@@ -7,6 +7,7 @@ use rand::rngs::StdRng;
 use simnet::{LocalityId, NodeId, TraceEvent, TraceSink};
 use workload::{Catalog, WebsiteId};
 
+use crate::bootstrap::Bootstrap;
 use crate::chaos_driver;
 use crate::config::SimParams;
 use crate::dring::DirPosition;
@@ -51,8 +52,9 @@ impl SimSystem for Flower {
     fn arriving(
         &self,
         pcx: PeerCtx,
+        _registry: &Bootstrap,
         _rng: &mut StdRng,
-    ) -> Option<impl FnOnce(NodeId, LocalityId) -> FlowerPeer> {
+    ) -> Option<impl FnOnce(NodeId, LocalityId) -> FlowerPeer + use<>> {
         Some(move |me, locality| FlowerPeer::new_client(pcx, me, locality))
     }
 

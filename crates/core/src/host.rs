@@ -3,7 +3,7 @@
 //! [`SimHost`] wraps a [`Machine`] together with its host-owned RNG and
 //! implements the simulator's [`Node`] trait by lending the machine an
 //! [`Fx`] built from the callback [`Ctx`] (its time, id, locality and
-//! tracing flag, the host's RNG, the world's output buffer), running
+//! tracing flag, the host's RNG, the world's [`Lent`]), running
 //! [`Machine::handle`], and draining the recorded [`Output`] commands back
 //! into the `Ctx` buffers, one buffer per kind. The world applies them
 //! kind by kind — trace events, then sends, then timers, then reports —
@@ -12,8 +12,8 @@
 //! itself never touches simulator types. Only the world removes a node
 //! (`World::fail`, `World::leave`); a machine cannot retire itself.
 //!
-//! The buffer the machine writes into is the world's, not the host's
-//! ([`OutputBuf`]).
+//! The buffer the machine writes into, the rendezvous registry and the
+//! origin dial are the world's, not the host's ([`WorldLent`]).
 //!
 //! An optional **tap** records every `(input, outputs)` exchange — the
 //! deterministic-replay test replays the recorded inputs against a fresh
@@ -23,7 +23,7 @@ use std::cell::RefCell;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use flower_proto::io::{machine_rng, Fx, Input, InputOf, Machine, Output, OutputOf};
+use flower_proto::io::{machine_rng, Fx, Input, InputOf, Lent, Machine, Output, OutputOf};
 use rand::rngs::StdRng;
 use simnet::{Ctx, Node, NodeId, Time};
 
@@ -37,66 +37,67 @@ pub struct TapEntry<M: Machine> {
 /// Shared recording buffer for one tapped host.
 pub type TapLog<M> = Rc<RefCell<Vec<TapEntry<M>>>>;
 
-/// The buffer machines write their outputs to: one per world, owned by the
-/// engine and lent to every host it spawns. A host fills and drains it
+/// What machines are lent: one [`Lent`] per world, owned by the engine and
+/// handed to every host it spawns. Its output buffer is filled and drained
 /// within one `handle` exchange and the world runs one callback at a time,
 /// so it is always empty between exchanges and its capacity — the largest
 /// burst any machine ever emitted — exists once, not once per peer (a
 /// buffer per host held 9 MiB over 8 000 peers, each at its own largest
-/// burst for the peer's whole life).
-pub type OutputBuf<M> = Rc<RefCell<Vec<OutputOf<M>>>>;
+/// burst for the peer's whole life). The engine and the chaos dispatch
+/// prune its registry and turn its dial between exchanges.
+pub type WorldLent<M> = Rc<RefCell<Lent<M>>>;
 
 /// A [`Machine`] plus the host-side state the simulator owns for it: its
-/// deterministic RNG (seeded via [`machine_rng`]), the world's output
-/// buffer and an optional tap.
+/// deterministic RNG (seeded via [`machine_rng`]), the world's [`Lent`]
+/// and an optional tap.
 pub struct SimHost<M: Machine> {
     machine: M,
     rng: StdRng,
     tap: Option<TapLog<M>>,
-    out: OutputBuf<M>,
+    lent: WorldLent<M>,
 }
 
 impl<M: Machine> SimHost<M> {
     /// Host `machine` under `run_seed`; the RNG is derived per-node so a
     /// machine's draws depend only on the run seed, its id and its own
-    /// input sequence. `out` is the world's output buffer. With a `tap`,
-    /// every exchange is recorded into it.
+    /// input sequence. `lent` is the world's. With a `tap`, every exchange
+    /// is recorded into it.
     pub fn new(
         run_seed: u64,
         me: NodeId,
         machine: M,
-        out: OutputBuf<M>,
+        lent: WorldLent<M>,
         tap: Option<TapLog<M>>,
     ) -> SimHost<M> {
         SimHost {
             machine,
             rng: machine_rng(run_seed, me),
             tap,
-            out,
+            lent,
         }
     }
 
     fn drive(&mut self, ctx: &mut Ctx<Self>, input: InputOf<M>) {
         let recorded = self.tap.is_some().then(|| input.clone());
         // Nothing below calls back into a host, so the borrow is unique.
-        let mut outputs = self.out.borrow_mut();
+        let mut lent = self.lent.borrow_mut();
         let fx = Fx::new(
             ctx.now(),
             ctx.me(),
             ctx.locality(),
             &mut self.rng,
             ctx.tracing(),
-            &mut outputs,
+            &mut lent,
         );
         self.machine.handle(fx, input);
         if let (Some(tap), Some(input)) = (&self.tap, recorded) {
             tap.borrow_mut().push(TapEntry {
                 now: ctx.now(),
                 input,
-                outputs: outputs.clone(),
+                outputs: lent.out.clone(),
             });
         }
-        for out in outputs.drain(..) {
+        for out in lent.out.drain(..) {
             match out {
                 Output::Send { to, msg } => ctx.send(to, msg),
                 Output::SetTimer { delay_ms, timer } => ctx.set_timer(delay_ms, timer),

@@ -54,7 +54,7 @@ pub mod invariants;
 pub mod resilience;
 pub mod squirrel;
 
-pub use bootstrap::{Bootstrap, SharedBootstrap};
+pub use bootstrap::Bootstrap;
 pub use chaos::{FaultAction, Scenario};
 pub use config::SimParams;
 pub use directory::{DirectoryIndex, DirectorySnapshot};
@@ -65,10 +65,10 @@ pub use engine::{Control, Engine, RunResult, SimSystem};
 pub use experiments::{run_comparison, run_system_with, shape_params, ComparisonRun, System};
 pub use flower::{Flower, FlowerHost, FlowerSim};
 pub use flower_proto::{
-    machine_rng, machine_seed, ApiCall, ApiResp, Fx, Input, Machine, OriginDial, Output,
+    machine_rng, machine_seed, ApiCall, ApiResp, Fx, Input, Lent, Machine, OriginDial, Output,
     ProviderKind, RoleKind,
 };
-pub use host::{OutputBuf, SimHost, TapEntry, TapLog};
+pub use host::{SimHost, TapEntry, TapLog, WorldLent};
 pub use invariants::InvariantChecker;
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};

@@ -13,6 +13,7 @@ use rand::rngs::StdRng;
 use simnet::{LocalityId, NodeId};
 use workload::{Catalog, ObjectId, WebsiteId};
 
+use crate::bootstrap::Bootstrap;
 use crate::config::SimParams;
 use crate::engine::{Engine, SimSystem, SimWorld};
 use crate::experiments::System;
@@ -60,9 +61,10 @@ impl SimSystem for Squirrel {
     fn arriving(
         &self,
         pcx: PeerCtx,
+        registry: &Bootstrap,
         rng: &mut StdRng,
-    ) -> Option<impl FnOnce(NodeId, LocalityId) -> SquirrelPeer> {
-        let seed: NodeRef = pcx.bootstrap.borrow().pick(rng, &[])?;
+    ) -> Option<impl FnOnce(NodeId, LocalityId) -> SquirrelPeer + use<>> {
+        let seed: NodeRef = registry.pick(rng, &[])?;
         let mode = self.mode;
         Some(move |me, _locality| SquirrelPeer::arriving(pcx, mode, me, seed))
     }

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 use chord::{Chord, NodeRef};
 use flower_proto::io::machine_rng;
 use flower_proto::{
-    ApiResp, Bootstrap, DirPosition, FlowerMsg, FlowerPeer, FlowerReport, FlowerTimer, Fx, Input,
-    InputOf, Machine, OriginDial, Output, OutputOf, PeerCtx, SharedBootstrap, SimParams,
+    ApiResp, DirPosition, FlowerMsg, FlowerPeer, FlowerReport, FlowerTimer, Fx, Input, InputOf,
+    Lent, Machine, Output, PeerCtx, SimParams,
 };
 use simnet::{LocalityId, NodeId, Time};
 use workload::{Catalog, WebsiteId};
@@ -103,19 +103,19 @@ enum Event {
     Closed { conn: u64 },
 }
 
-/// The networked node. Owns the machine, its RNG, its timers and
-/// all sockets; everything protocol happens on the thread that calls
-/// [`NetNode::run`].
+/// The networked node. Owns the machine, its RNG, what it lends the
+/// machine, its timers and all sockets; everything protocol happens on the
+/// thread that calls [`NetNode::run`].
 pub struct NetNode {
     cfg: NodeConfig,
     me: NodeId,
     machine: FlowerPeer,
-    /// The process-local stand-in for the paper's rendezvous service.
-    /// The simulator's engine prunes dead directories from its shared
-    /// registry; here the TCP host does the same job when a dial is
-    /// refused (see [`NetNode::send_peer`]).
-    bootstrap: SharedBootstrap,
     rng: rand::rngs::StdRng,
+    /// What the machine is lent: the output buffer, drained by `drive`; the
+    /// process-local stand-in for the paper's rendezvous service, pruned
+    /// of a peer whose dial is refused (see [`NetNode::send_peer`]); an
+    /// origin dial no fault turns.
+    lent: Lent<FlowerPeer>,
     started: Instant,
     /// Armed timers keyed like the simulator's wheel: fire time, then arm
     /// order.
@@ -130,9 +130,6 @@ pub struct NetNode {
     /// API token → connection it arrived on.
     api_conns: HashMap<u64, u64>,
     next_token: u64,
-    /// The buffer the machine writes its outputs to, emptied by `drive`
-    /// after every input.
-    scratch: Vec<OutputOf<FlowerPeer>>,
 }
 
 impl NetNode {
@@ -140,21 +137,17 @@ impl NetNode {
         let me = NodeId::from_index(cfg.id as usize);
         let params = Rc::new(cfg.params());
         let catalog = Rc::new(Catalog::new(params.catalog.clone()));
-        let bootstrap = Bootstrap::shared();
+        let mut lent = Lent::default();
         if let Some(seed) = cfg.seed_dir {
             let pos = DirPosition::base(cfg.website, cfg.seed_locality);
-            bootstrap.borrow_mut().add(NodeRef::new(
-                NodeId::from_index(seed as usize),
-                pos.chord_id(),
-            ));
+            let seed = NodeRef::new(NodeId::from_index(seed as usize), pos.chord_id());
+            lent.registry.add(seed);
         }
         let pcx = PeerCtx {
             catalog,
             params: Rc::clone(&params),
-            bootstrap: Rc::clone(&bootstrap),
             website: cfg.website,
             origin_latency_ms: 300,
-            origin_dial: Rc::new(OriginDial::default()),
             profiler: simnet::Profiler::new(),
         };
         let machine = if cfg.founder {
@@ -169,8 +162,8 @@ impl NetNode {
         NetNode {
             me,
             machine,
-            bootstrap,
             rng,
+            lent,
             started: Instant::now(),
             timers: BTreeMap::new(),
             timer_seq: 0,
@@ -179,7 +172,6 @@ impl NetNode {
             conn_peer: HashMap::new(),
             api_conns: HashMap::new(),
             next_token: 1,
-            scratch: Vec::new(),
             cfg,
         }
     }
@@ -203,16 +195,17 @@ impl NetNode {
     /// Feed one input to the machine and apply its outputs.
     fn drive(&mut self, input: InputOf<FlowerPeer>) {
         let now = Time::from_millis(self.now_ms());
-        let mut outputs = std::mem::take(&mut self.scratch);
         let fx = Fx::new(
             now,
             self.me,
             self.cfg.locality,
             &mut self.rng,
             false,
-            &mut outputs,
+            &mut self.lent,
         );
         self.machine.handle(fx, input);
+        // A refused send prunes the registry while the outputs are applied.
+        let mut outputs = std::mem::take(&mut self.lent.out);
         for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg } => self.send_peer(to, &msg),
@@ -226,7 +219,7 @@ impl NetNode {
                 Output::Trace { .. } => {}
             }
         }
-        self.scratch = outputs;
+        self.lent.out = outputs;
     }
 
     fn log_report(&self, r: &FlowerReport) {
@@ -263,10 +256,10 @@ impl NetNode {
             // Connection refused is a definite failure signal TCP gives
             // us that the simulator's lossy sends do not. Pruning the
             // dead node from the local rendezvous registry is the job
-            // the sim engine does for its shared registry — without it,
+            // the sim engine does for the world's registry — without it,
             // claims after a directory death would route to the corpse
             // forever instead of degenerating to a re-found (§5.2.2).
-            self.bootstrap.borrow_mut().remove(to);
+            self.lent.registry.remove(to);
             return;
         };
         let _ = stream.set_nodelay(true);

@@ -13,12 +13,10 @@
 //! refused). Peers still tolerate stale entries — picks are retried
 //! through alternatives on timeout.
 //!
-//! Being engine-level shared state (`Rc<RefCell<…>>`), it deliberately sits
-//! outside the simulated network: rendezvous traffic is not part of any
-//! metric the paper measures.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! The host owns the registry (in its [`Lent`](crate::io::Lent)) and a
+//! machine reaches it only through the [`Fx`](crate::io::Fx) it is lent.
+//! It deliberately sits outside the simulated network: rendezvous traffic
+//! is not part of any metric the paper measures.
 
 use chord::NodeRef;
 use rand::Rng;
@@ -34,17 +32,9 @@ pub struct Bootstrap {
     listed: Vec<u64>,
 }
 
-/// Shared handle used by peers and the engine.
-pub type SharedBootstrap = Rc<RefCell<Bootstrap>>;
-
 impl Bootstrap {
     pub fn new() -> Bootstrap {
         Bootstrap::default()
-    }
-
-    /// Create a shared, empty registry.
-    pub fn shared() -> SharedBootstrap {
-        Rc::new(RefCell::new(Bootstrap::new()))
     }
 
     pub fn len(&self) -> usize {

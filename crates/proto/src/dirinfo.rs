@@ -41,26 +41,13 @@ impl DirInfo {
         self.age = self.age.saturating_add(1);
     }
 
-    /// Reset after a successful contact with (a possibly new) holder.
-    pub fn reset(&mut self, holder: NodeRef) {
-        self.holder = holder;
-        self.age = 0;
-    }
-
     /// §5.1 merge rule: records for the same position resolve by freshness.
     /// Records for *different* positions are unrelated (the peers belong to
-    /// different directory instances) and `self` is kept. Returns `true`
-    /// if `self` changed.
-    pub fn merge(&mut self, other: &DirInfo) -> bool {
-        if self.position.chord_id() != other.position.chord_id() {
-            return false;
-        }
-        if other.age < self.age {
+    /// different directory instances) and `self` is kept.
+    pub fn merge(&mut self, other: &DirInfo) {
+        if self.position.chord_id() == other.position.chord_id() && other.age < self.age {
             self.holder = other.holder;
             self.age = other.age;
-            true
-        } else {
-            false
         }
     }
 }
@@ -92,7 +79,7 @@ mod tests {
             holder: holder(2),
             age: 2,
         };
-        assert!(a.merge(&b));
+        a.merge(&b);
         assert_eq!(a.holder, holder(2));
         assert_eq!(a.age, 2);
         // Merging an older record changes nothing.
@@ -101,8 +88,9 @@ mod tests {
             holder: holder(3),
             age: 9,
         };
-        assert!(!a.merge(&c));
+        a.merge(&c);
         assert_eq!(a.holder, holder(2));
+        assert_eq!(a.age, 2);
     }
 
     #[test]
@@ -117,19 +105,18 @@ mod tests {
             holder: holder(2),
             age: 0,
         };
-        assert!(!a.merge(&b), "different instances never merge");
-        assert_eq!(a.holder, holder(1));
+        a.merge(&b);
+        assert_eq!(a.holder, holder(1), "different instances never merge");
+        assert_eq!(a.age, 9);
     }
 
     #[test]
-    fn bump_and_reset() {
+    fn bump_ages_a_fresh_record() {
         let mut a = DirInfo::fresh(pos(0), holder(1));
         assert_eq!(a.age, 0);
         a.bump();
         a.bump();
         assert_eq!(a.age, 2);
-        a.reset(holder(4));
-        assert_eq!(a.age, 0);
-        assert_eq!(a.holder, holder(4));
+        assert_eq!(a.holder, holder(1));
     }
 }

@@ -4,13 +4,13 @@
 //! [`Input`] at a time — a delivered message, a timer fire, a local API
 //! call, a start or leave notification — and records the complete list of
 //! [`Output`] commands it wants executed (sends, timer arms, measurement
-//! reports, API responses). The machine performs no I/O and reads no
-//! clocks: for each input the host lends it an [`Fx`] — the current time,
-//! its id and locality, a deterministic RNG, whether a trace sink listens,
-//! and the host's output buffer — so the same machine state, the same input
-//! sequence and the same RNG seed always produce byte-identical output
-//! streams, whether the host is the discrete-event simulator, a replay
-//! harness or a real TCP event loop.
+//! reports, API responses). The machine performs no I/O, reads no clocks
+//! and shares no state: for each input the host lends it an [`Fx`] — the
+//! current time, its id and locality, a deterministic RNG, whether a trace
+//! sink listens, and the host's [`Lent`] (output buffer, rendezvous
+//! registry, origin dial) — so the same state, inputs, seed and registry
+//! always produce byte-identical output streams, whether the host is the
+//! discrete-event simulator, a replay harness or a real TCP event loop.
 //!
 //! [`Fx`]'s API mirrors the simulator's `Ctx` (send / set_timer / report /
 //! trace / now / me / locality) and records every effect as an [`Output`]
@@ -20,6 +20,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simnet::{Fields, LocalityId, NodeId, Time};
+
+use crate::bootstrap::Bootstrap;
+use crate::origin::OriginDial;
 
 /// One event handed to a machine by its host.
 ///
@@ -126,6 +129,27 @@ pub fn machine_rng(run_seed: u64, me: NodeId) -> StdRng {
     StdRng::seed_from_u64(machine_seed(run_seed, me))
 }
 
+/// What a host owns and lends its machines, one exchange at a time,
+/// besides each machine's own RNG. The simulator keeps one per world, the
+/// TCP node one of its own, a replay harness or a unit test a local one.
+pub struct Lent<M: Machine> {
+    /// The exchange's outputs in call order; the host drains it after
+    /// every `handle`, so its capacity is reused.
+    pub out: Vec<OutputOf<M>>,
+    pub registry: Bootstrap,
+    pub dial: OriginDial,
+}
+
+impl<M: Machine> Default for Lent<M> {
+    fn default() -> Lent<M> {
+        Lent {
+            out: Vec::new(),
+            registry: Bootstrap::new(),
+            dial: OriginDial::default(),
+        }
+    }
+}
+
 /// The context a host lends a machine for one [`Machine::handle`] call.
 /// Mirrors the simulator `Ctx` API so protocol code is written once and
 /// runs under any host.
@@ -135,29 +159,35 @@ pub struct Fx<'a, M: Machine> {
     locality: LocalityId,
     /// The host-owned deterministic RNG for this machine.
     pub rng: &'a mut StdRng,
+    /// The host's rendezvous registry; picks draw from `rng`.
+    pub registry: &'a mut Bootstrap,
+    /// Origin health: a chaos brownout adds to every origin round trip.
+    pub dial: &'a OriginDial,
     tracing: bool,
     outputs: &'a mut Vec<OutputOf<M>>,
 }
 
 impl<'a, M: Machine> Fx<'a, M> {
-    /// Lend node `me` at `locality` the time `now` and its RNG for one
-    /// `handle` call; effects are appended to `out` in call order, trace
-    /// events only while `tracing` (a sink is attached).
+    /// Lend node `me` at `locality` the time `now`, its RNG and the host's
+    /// `lent` state for one `handle` call; effects are appended to
+    /// `lent.out` in call order, trace events only while `tracing`.
     pub fn new(
         now: Time,
         me: NodeId,
         locality: LocalityId,
         rng: &'a mut StdRng,
         tracing: bool,
-        out: &'a mut Vec<OutputOf<M>>,
+        lent: &'a mut Lent<M>,
     ) -> Fx<'a, M> {
         Fx {
             now,
             me,
             locality,
             rng,
+            registry: &mut lent.registry,
+            dial: &lent.dial,
             tracing,
-            outputs: out,
+            outputs: &mut lent.out,
         }
     }
 
@@ -231,14 +261,15 @@ mod tests {
     fn fx_records_effects_in_call_order() {
         let me = NodeId::from_index(0);
         let mut rng = machine_rng(1, me);
-        let mut out = Vec::new();
+        let mut lent = Lent::default();
         Echo.handle(
-            Fx::new(Time::ZERO, me, LocalityId(0), &mut rng, false, &mut out),
+            Fx::new(Time::ZERO, me, LocalityId(0), &mut rng, false, &mut lent),
             Input::Deliver {
                 from: NodeId::from_index(7),
                 msg: 3,
             },
         );
+        let out = lent.out;
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0], Output::Send { to, msg: 3 } if to == NodeId::from_index(7)));
         assert!(matches!(

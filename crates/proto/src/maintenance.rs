@@ -135,9 +135,7 @@ impl FlowerPeer {
             return;
         };
         match &mut self.dir_info {
-            Some(mine) => {
-                mine.merge(&incoming);
-            }
+            Some(mine) => mine.merge(&incoming),
             None => {
                 // Adopt only if it is a directory for our own petal.
                 if incoming.position.website == self.pcx.website
@@ -682,7 +680,9 @@ impl FlowerPeer {
         Self::arm_position_check(ctx);
     }
 
-    /// Outcome of a position self-check. Two consecutive misses demote us.
+    /// Outcome of a position self-check. The first miss re-asserts us to
+    /// our successor, the third in a row demotes us; a check that resolves
+    /// to us starts the count over.
     pub(crate) fn position_check_result(&mut self, ctx: &mut Fx<Self>, reachable: bool) {
         let Role::Directory(d) = &mut self.role else {
             return;
@@ -714,7 +714,7 @@ impl FlowerPeer {
             let pos = d.position;
             ctx.trace(tags::DEMOTED, || tags::pos_fields(pos));
         }
-        self.pcx.bootstrap.borrow_mut().remove(self.me);
+        ctx.registry.remove(self.me);
         self.role = Role::Client;
         self.dir_info = None;
         self.awaiting.retain(|_| false);

@@ -19,7 +19,6 @@ use simnet::{LocalityId, NodeId, Time};
 use workload::{Catalog, ObjectId, WebsiteId};
 
 use crate::api::{ApiCall, ApiResp, ProviderKind, RoleKind};
-use crate::bootstrap::SharedBootstrap;
 use crate::config::{SimParams, SHUFFLE_LEN, VIEW_MAX_AGE};
 use crate::directory::DirectoryIndex;
 use crate::dirinfo::DirInfo;
@@ -32,18 +31,18 @@ use crate::tags;
 use crate::timeline::{self, QueryMachine, Stage, Timeline};
 
 /// Immutable per-peer context handed in by the experiment engine, the same
-/// for a Flower-CDN and a Squirrel peer.
+/// for a Flower-CDN and a Squirrel peer. What changes under a peer — the
+/// rendezvous registry, the origin dial — is its host's, lent through
+/// [`Fx`] for each exchange.
 #[derive(Clone)]
 pub struct PeerCtx {
     pub catalog: Rc<Catalog>,
     pub params: Rc<SimParams>,
-    pub bootstrap: SharedBootstrap,
     /// The website this peer is interested in, fixed for its lifetime.
     pub website: WebsiteId,
-    /// One-way latency to this website's origin server, ms.
+    /// One-way latency to this website's origin server, ms, while the
+    /// origin is healthy.
     pub origin_latency_ms: u64,
-    /// Shared origin health state: chaos brownouts add latency here.
-    pub origin_dial: Rc<crate::origin::OriginDial>,
     /// The engine's profiler handle (shared with the world). Disabled
     /// unless the run enables profiling; protocol hot spots (gossip
     /// summary builds, PetalUp scans, Bloom matching) open scopes on it.
@@ -118,7 +117,8 @@ pub struct DirectoryRole {
     pub promotion_pending: Option<(NodeId, Time)>,
     /// Outstanding position self-check lookup token.
     pub self_check_token: Option<u64>,
-    /// Consecutive self-checks that did not resolve to us.
+    /// Consecutive self-checks that did not resolve to us: the first
+    /// re-asserts us to our successor, the third demotes us.
     pub self_check_misses: u8,
     /// Entered D-ring as a failure replacement (diagnostics).
     pub replacement: bool,
@@ -297,16 +297,12 @@ impl FlowerPeer {
         self.store.len()
     }
 
-    pub fn view_len(&self) -> usize {
-        self.gossip.view().len()
-    }
-
     pub fn dir_info(&self) -> Option<&DirInfo> {
         self.dir_info.as_ref()
     }
 
-    /// The context this peer was built with (replay harnesses clone it,
-    /// swapping in a reconstructed bootstrap registry).
+    /// The context this peer was built with (replay harnesses rebuild the
+    /// machine from a clone of it).
     pub fn peer_ctx(&self) -> &PeerCtx {
         &self.pcx
     }
@@ -331,15 +327,10 @@ impl FlowerPeer {
     /// Pick a bootstrap directory, avoiding recently failed ones (with a
     /// reset once everything is excluded).
     pub(crate) fn pick_bootstrap(&mut self, ctx: &mut Fx<Self>) -> Option<NodeRef> {
-        let reg = self.pcx.bootstrap.borrow();
-        match reg.pick(ctx.rng, &self.boot_exclude) {
-            Some(r) => Some(r),
-            None => {
-                drop(reg);
-                self.boot_exclude.clear();
-                self.pcx.bootstrap.borrow().pick(ctx.rng, &[self.me])
-            }
-        }
+        ctx.registry.pick(ctx.rng, &self.boot_exclude).or_else(|| {
+            self.boot_exclude.clear();
+            ctx.registry.pick(ctx.rng, &[self.me])
+        })
     }
 
     /// Apply Chord actions to the world; routes lookup completions to the
@@ -377,7 +368,7 @@ impl FlowerPeer {
         let Role::Directory(d) = &self.role else {
             return;
         };
-        self.pcx.bootstrap.borrow_mut().add(d.chord.me());
+        ctx.registry.add(d.chord.me());
         ctx.report(FlowerReport::BecameDirectory {
             position: d.position,
             replacement: d.replacement,
@@ -566,7 +557,7 @@ impl FlowerPeer {
                 // route). Last, once the start-up outputs are queued:
                 // registering before them raises small runs' peak RSS
                 // (`grid_small`, ~5 %).
-                self.pcx.bootstrap.borrow_mut().add(me);
+                ctx.registry.add(me);
             }
             _ => {
                 if self.active {
@@ -720,21 +711,12 @@ impl FlowerPeer {
                 ctx.respond(token, ApiResp::Directory { dir });
             }
             ApiCall::Put { object } => {
-                let evicted = self.store.insert_with_eviction(object);
-                let now_ms = ctx.now().as_millis();
-                let me = self.me;
-                if let Role::Directory(d) = &mut self.role {
-                    d.index.record_objects(me, [object], now_ms);
-                    if !evicted.is_empty() {
-                        d.index.retract_objects(me, evicted.iter().copied());
-                    }
+                self.store_object(ctx, object);
+                if self.is_directory() {
                     self.store.take_push_delta();
                 } else if let Some(di) = self.dir_info {
                     // Advertise immediately (no push-threshold batching):
                     // a `put` object must be findable right away.
-                    if !evicted.is_empty() {
-                        ctx.send(di.holder.node, FlowerMsg::Retract { objects: evicted });
-                    }
                     // Nobody awaits this push's ack: its seq is no request's.
                     let seq = self.awaiting.burn();
                     let objects = self.store.take_push_delta();
@@ -818,16 +800,14 @@ impl Machine for FlowerPeer {
 
 #[cfg(test)]
 impl PeerCtx {
-    /// Table-1 parameters, an empty registry, website 0.
+    /// Table-1 parameters, website 0.
     pub(crate) fn for_tests() -> PeerCtx {
         let params = Rc::new(SimParams::paper_defaults(10));
         PeerCtx {
             catalog: Rc::new(Catalog::new(params.catalog.clone())),
             params,
-            bootstrap: crate::bootstrap::Bootstrap::shared(),
             website: WebsiteId(0),
             origin_latency_ms: 300,
-            origin_dial: crate::origin::OriginDial::shared(),
             profiler: simnet::Profiler::new(),
         }
     }
@@ -841,12 +821,55 @@ impl PeerCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{machine_rng, Output, OutputOf};
+    use crate::io::{machine_rng, Lent, Output, OutputOf};
     use crate::msg::{Redirect, SiblingQuery};
     use cdn_metrics::Provider;
     use chord::{ChordMsg, ChordTimer, StepResult};
+    use rand::rngs::StdRng;
 
     type Out = OutputOf<FlowerPeer>;
+
+    /// What the cases lend a peer: a clock 100 ms further on at every
+    /// step, the peer's RNG, and a registry and dial of its own. Trace
+    /// events are emitted only once `tracing` is set.
+    struct Host {
+        me: NodeId,
+        now_ms: u64,
+        rng: StdRng,
+        tracing: bool,
+        lent: Lent<FlowerPeer>,
+    }
+
+    impl Host {
+        /// A host for node `me` with `registered` in its registry.
+        fn new(me: NodeId, registered: &[NodeRef]) -> Host {
+            let mut lent = Lent::default();
+            for &r in registered {
+                lent.registry.add(r);
+            }
+            Host {
+                me,
+                now_ms: 0,
+                rng: machine_rng(1, me),
+                tracing: false,
+                lent,
+            }
+        }
+
+        /// Feed `peer` one input and take what it emitted.
+        fn step(&mut self, peer: &mut FlowerPeer, input: InputOf<FlowerPeer>) -> Vec<Out> {
+            self.now_ms += 100;
+            let at = Time::from_millis(self.now_ms);
+            let (rng, lent) = (&mut self.rng, &mut self.lent);
+            let fx = Fx::new(at, self.me, LocalityId(0), rng, self.tracing, lent);
+            peer.handle(fx, input);
+            std::mem::take(&mut self.lent.out)
+        }
+
+        fn registered(&self, node: NodeId) -> bool {
+            self.lent.registry.members().iter().any(|m| m.node == node)
+        }
+    }
 
     /// A started directory at the base position of (website 0, locality 0)
     /// on a converged three-node ring — a near successor and a `far` member,
@@ -859,17 +882,15 @@ mod tests {
         impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
     ) {
         // The successor (node 1) is website 0's directory of locality 1.
-        directory_with_successor_at(1 << 20)
+        let (peer, far, mut host) = directory_with_successor_at(1 << 20);
+        (peer, far, move |peer: &mut FlowerPeer, input| {
+            host.step(peer, input)
+        })
     }
 
-    /// [`started_directory`] with its successor `offset` ids past it.
-    fn directory_with_successor_at(
-        offset: u64,
-    ) -> (
-        FlowerPeer,
-        NodeRef,
-        impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
-    ) {
+    /// [`started_directory`] with its successor `offset` ids past it, and
+    /// the host it was started on.
+    fn directory_with_successor_at(offset: u64) -> (FlowerPeer, NodeRef, Host) {
         let position = DirPosition::base(WebsiteId(0), LocalityId(0));
         let me = NodeRef::new(NodeId::from_index(0), position.chord_id());
         let at = |i: usize, offset: u64| {
@@ -892,20 +913,9 @@ mod tests {
             chord,
             actions,
         );
-        let mut rng = machine_rng(1, me.node);
-        let mut now_ms = 0;
-        let mut step = move |peer: &mut FlowerPeer, input| {
-            now_ms += 100;
-            let mut out = Vec::new();
-            let at = Time::from_millis(now_ms);
-            peer.handle(
-                Fx::new(at, me.node, LocalityId(0), &mut rng, false, &mut out),
-                input,
-            );
-            out
-        };
-        step(&mut peer, Input::Start);
-        (peer, far, step)
+        let mut host = Host::new(me.node, &[]);
+        host.step(&mut peer, Input::Start);
+        (peer, far, host)
     }
 
     /// Both embeddings dispatch every Chord timer they armed; what keeps a
@@ -956,6 +966,70 @@ mod tests {
         assert!(out.is_empty(), "{out:?}");
         assert_eq!(chord_of(&peer), before);
     }
+
+    /// The ghost-holder ladder: a directory whose position self-check
+    /// resolves to someone else re-asserts itself to its successor on the
+    /// first miss, waits out the second, and stands down on the third —
+    /// traced, reported, and off the registry its host lent it. A check
+    /// that resolves to it starts the count over.
+    #[test]
+    fn self_check_misses_climb_the_demotion_ladder() {
+        let (mut peer, _far, mut host) = directory_with_successor_at(1 << 20);
+        host.tracing = true;
+        let me = NodeRef::new(peer.me, peer.directory_position().expect("dir").chord_id());
+        let successor = match &peer.role {
+            Role::Directory(d) => d.chord.successor(),
+            _ => panic!("a directory"),
+        };
+        assert!(host.registered(me.node), "a founder registers at start");
+        // One self-check whose lookup the successor answers with `owner`:
+        // what the answer made the directory emit.
+        let mut check = |peer: &mut FlowerPeer, owner: NodeRef| {
+            let out = host.step(peer, Input::Timer(FlowerTimer::PositionCheck));
+            let token = out
+                .iter()
+                .find_map(|o| match o {
+                    Output::Send {
+                        to,
+                        msg: FlowerMsg::Chord(ChordMsg::FindNext { token, .. }),
+                    } if *to == successor.node => Some(*token),
+                    _ => None,
+                })
+                .expect("the check asks the successor");
+            let result = StepResult::Owner(owner);
+            let answer = FlowerMsg::Chord(ChordMsg::FindNextReply { token, result });
+            (
+                host.step(peer, from(successor.node.index(), answer)),
+                host.registered(me.node),
+            )
+        };
+        let reassert = |out: &[Out]| {
+            matches!(out, [Output::Send { to, msg: FlowerMsg::Chord(ChordMsg::Notify { candidate }) }]
+                if *to == successor.node && *candidate == me)
+        };
+        for _ in 0..2 {
+            let (out, _) = check(&mut peer, successor);
+            assert!(reassert(&out), "a first miss re-asserts: {out:?}");
+            let (out, _) = check(&mut peer, successor);
+            assert!(out.is_empty(), "a second miss waits: {out:?}");
+            // Found after all: the next miss is a first one again.
+            let (out, _) = check(&mut peer, me);
+            assert!(out.is_empty(), "{out:?}");
+        }
+        let (out, _) = check(&mut peer, successor);
+        assert!(reassert(&out), "{out:?}");
+        check(&mut peer, successor);
+        let (out, still_registered) = check(&mut peer, successor);
+        assert!(!peer.is_directory(), "a third miss demotes");
+        assert!(
+            out.iter()
+                .any(|o| matches!(o, Output::Trace { name, .. } if *name == tags::DEMOTED)),
+            "{out:?}"
+        );
+        assert_eq!(events(&out), [ProtocolEvent::Demoted]);
+        assert!(!still_registered, "a demoted directory leaves the registry");
+    }
+
     /// The hops a re-routed payload already spent belong to its routing job:
     /// a failed lookup takes them with it, and a directory that stands down
     /// and is promoted again — a new `Chord`, its tokens back at the first —
@@ -1020,7 +1094,6 @@ mod tests {
         // Stand down, then get promoted onto a ring of our own: the first
         // lookup of the new `Chord` reuses the failed one's token.
         let mut rng = machine_rng(2, me.node);
-        let mut demoted = Vec::new();
         let at = Time::from_millis(10_000);
         peer.demote_to_client(&mut Fx::new(
             at,
@@ -1028,7 +1101,7 @@ mod tests {
             LocalityId(0),
             &mut rng,
             false,
-            &mut demoted,
+            &mut Lent::default(),
         ));
         assert!(!peer.is_directory());
         let promote = FlowerMsg::Promote {
@@ -1073,23 +1146,12 @@ mod tests {
         let me = NodeId::from_index(0);
         let position = DirPosition::base(WebsiteId(0), LocalityId(0));
         let holder = NodeRef::new(NodeId::from_index(1), position.chord_id());
-        let pcx = PeerCtx::for_tests();
         let boot = NodeRef::new(NodeId::from_index(2), ChordId(7));
-        pcx.bootstrap.borrow_mut().add(boot);
-        let mut peer = FlowerPeer::new_client(pcx, me, LocalityId(0));
+        let mut peer = FlowerPeer::new_client(PeerCtx::for_tests(), me, LocalityId(0));
         peer.role = Role::Content;
         peer.dir_info = Some(DirInfo::fresh(position, holder));
-        let (mut rng, mut now_ms) = (machine_rng(1, me), 0);
-        let mut step = |peer: &mut FlowerPeer, input| {
-            now_ms += 100;
-            let mut out = Vec::new();
-            let at = Time::from_millis(now_ms);
-            peer.handle(
-                Fx::new(at, me, LocalityId(0), &mut rng, false, &mut out),
-                input,
-            );
-            out
-        };
+        let mut host = Host::new(me, &[boot]);
+        let mut step = |peer: &mut FlowerPeer, input| host.step(peer, input);
         let deadline = |out: &[Out]| {
             out.iter().find_map(|o| match o {
                 Output::SetTimer {
@@ -1421,7 +1483,8 @@ mod tests {
         };
         let (mut peer, _far, mut step) = started_directory();
         // Website 1's block starts 2^30 ids on.
-        let (mut edge, _far, mut edge_step) = directory_with_successor_at(1 << 30);
+        let (mut edge, _far, mut edge_host) = directory_with_successor_at(1 << 30);
+        let mut edge_step = |peer: &mut FlowerPeer, input| edge_host.step(peer, input);
         type Step<'a> = &'a mut dyn FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>;
         for (peer, step, ttl) in [
             (&mut peer, &mut step as Step, 0),
@@ -1561,24 +1624,12 @@ mod tests {
         impl FnMut(&mut FlowerPeer, InputOf<FlowerPeer>) -> Vec<Out>,
     ) {
         let me = NodeId::from_index(0);
-        let pcx = PeerCtx::for_tests();
-        for i in [2, 3] {
-            let boot = NodeRef::new(NodeId::from_index(i), ChordId(7 + i as u64));
-            pcx.bootstrap.borrow_mut().add(boot);
-        }
-        let peer = FlowerPeer::new_client(pcx, me, LocalityId(0));
-        let (mut rng, mut now_ms) = (machine_rng(1, me), 0);
-        let step = move |peer: &mut FlowerPeer, input| {
-            now_ms += 100;
-            let mut out = Vec::new();
-            let at = Time::from_millis(now_ms);
-            peer.handle(
-                Fx::new(at, me, LocalityId(0), &mut rng, false, &mut out),
-                input,
-            );
-            out
-        };
-        (peer, step)
+        let boots = [2, 3].map(|i| NodeRef::new(NodeId::from_index(i), ChordId(7 + i as u64)));
+        let peer = FlowerPeer::new_client(PeerCtx::for_tests(), me, LocalityId(0));
+        let mut host = Host::new(me, &boots);
+        (peer, move |peer: &mut FlowerPeer, input| {
+            host.step(peer, input)
+        })
     }
 
     /// A content peer whose directory is node 1 and whose view holds

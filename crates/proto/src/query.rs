@@ -385,26 +385,27 @@ impl FlowerPeer {
         self.complete_query(ctx, object, Provider::OriginServer);
     }
 
+    /// Store `object`. A directory indexes its own store as petal content;
+    /// a content peer has its directory retract what the store evicted (the
+    /// object itself is the push's to announce).
+    pub(crate) fn store_object(&mut self, ctx: &mut Fx<Self>, object: ObjectId) {
+        let evicted = self.store.insert_with_eviction(object);
+        if let Role::Directory(d) = &mut self.role {
+            d.index
+                .record_objects(self.me, [object], ctx.now().as_millis());
+            d.index.retract_objects(self.me, evicted);
+        } else if let Some(di) = self.dir_info {
+            if !evicted.is_empty() {
+                ctx.send(di.holder.node, FlowerMsg::Retract { objects: evicted });
+            }
+        }
+    }
+
     /// Wrap up the pending query: store the object, emit the record, push
     /// to the directory if the threshold is crossed.
     fn complete_query(&mut self, ctx: &mut Fx<Self>, object: ObjectId, provider: Provider) {
         let p = self.pending.take().expect("pending query");
-        let evicted = self.store.insert_with_eviction(object);
-        // Directory peers index their own store as petal content.
-        if let Role::Directory(d) = &mut self.role {
-            d.index
-                .record_objects(self.me, [object], ctx.now().as_millis());
-            if !evicted.is_empty() {
-                let me = self.me;
-                d.index.retract_objects(me, evicted.iter().copied());
-            }
-        } else if !evicted.is_empty() {
-            // Retract evicted objects from our directory's index so it
-            // stops redirecting queriers to content we no longer hold.
-            if let Some(di) = self.dir_info {
-                ctx.send(di.holder.node, FlowerMsg::Retract { objects: evicted });
-            }
-        }
+        self.store_object(ctx, object);
         let issued_at = p.tl.issued_at;
         p.tl.complete(ctx, &self.pcx, provider, p.via);
         if let Some(token) = p.api_token {

@@ -244,8 +244,8 @@ impl SquirrelPeer {
         &self.chord
     }
 
-    /// The context this peer was built with (replay harnesses clone it,
-    /// swapping in a reconstructed bootstrap registry).
+    /// The context this peer was built with (replay harnesses rebuild the
+    /// machine from a clone of it).
     pub fn peer_ctx(&self) -> &PeerCtx {
         &self.pcx
     }
@@ -262,7 +262,7 @@ impl SquirrelPeer {
                 } => self.on_lookup_done(ctx, token, owner, hops),
                 ChordAction::LookupFailed { token, .. } => self.on_lookup_failed(ctx, token),
                 ChordAction::JoinComplete { .. } => {
-                    self.pcx.bootstrap.borrow_mut().add(self.chord.me());
+                    ctx.registry.add(self.chord.me());
                     if self.active {
                         timeline::first_arrival(ctx, false);
                     }
@@ -271,10 +271,8 @@ impl SquirrelPeer {
                     // Join failed or we lost every successor: re-bootstrap
                     // through a fresh seed. Deregister first so nobody
                     // bootstraps through us while we are cut off.
-                    self.pcx.bootstrap.borrow_mut().remove(self.me);
-                    let exclude = [self.me];
-                    let seed = self.pcx.bootstrap.borrow().pick(ctx.rng, &exclude);
-                    if let Some(seed) = seed {
+                    ctx.registry.remove(self.me);
+                    if let Some(seed) = ctx.registry.pick(ctx.rng, &[self.me]) {
                         let me_ref = NodeRef::new(self.me, peer_ring_id(self.me));
                         let (chord, actions) =
                             Chord::join(me_ref, seed, self.pcx.params.chord.clone());
@@ -556,7 +554,7 @@ impl SquirrelPeer {
         self.apply_chord_actions(ctx, startup);
         if self.chord.is_joined() {
             // Initial member: no JoinComplete will fire.
-            self.pcx.bootstrap.borrow_mut().add(self.chord.me());
+            ctx.registry.add(self.chord.me());
             if self.active {
                 timeline::first_arrival(ctx, true);
             }
@@ -677,7 +675,7 @@ impl Machine for SquirrelPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{machine_rng, Output, OutputOf};
+    use crate::io::{machine_rng, Lent, Output, OutputOf};
     use cdn_metrics::QueryRecord;
     use simnet::{LocalityId, Time};
 
@@ -710,16 +708,13 @@ mod tests {
         let pcx = PeerCtx::for_tests();
         let (chord, actions) = Chord::converged(0, &[me, at(1, 2), far], pcx.params.chord.clone());
         let mut peer = SquirrelPeer::initial(pcx, mode, me.node, chord, actions);
-        let (mut rng, mut now_ms) = (machine_rng(1, me.node), 0);
+        let (mut rng, mut now_ms, mut lent) = (machine_rng(1, me.node), 0, Lent::default());
         let mut step = move |peer: &mut SquirrelPeer, input| {
             now_ms += 100;
-            let mut out = Vec::new();
             let at = Time::from_millis(now_ms);
-            peer.handle(
-                Fx::new(at, me.node, LocalityId(0), &mut rng, false, &mut out),
-                input,
-            );
-            out
+            let fx = Fx::new(at, me.node, LocalityId(0), &mut rng, false, &mut lent);
+            peer.handle(fx, input);
+            std::mem::take(&mut lent.out)
         };
         step(&mut peer, Input::Start);
         (peer, far, step)

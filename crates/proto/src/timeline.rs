@@ -210,7 +210,7 @@ impl Timeline {
         self.fetch_sent_at = ctx.now();
         let qid = self.qid;
         ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
-        self.arm(ctx, 2 * origin_one_way_ms(pcx).max(1));
+        self.arm(ctx, 2 * origin_one_way_ms(ctx, pcx).max(1));
     }
 
     /// The object arrived from `provider`: emit the record.
@@ -222,7 +222,7 @@ impl Timeline {
         via: ResolvedVia,
     ) {
         let one_way_ms = match provider {
-            Provider::OriginServer => origin_one_way_ms(pcx),
+            Provider::OriginServer => origin_one_way_ms(ctx, pcx),
             Provider::ContentPeer | Provider::DirectoryPeer => (ctx.now() - self.fetch_sent_at) / 2,
         };
         let record = QueryRecord {
@@ -276,16 +276,16 @@ pub(crate) fn next_arrival<M: QueryMachine>(
         .sample_new_object(pcx.website, ctx.rng, |o| store.contains(o))
 }
 
-/// One-way latency to the website's origin right now; a chaos brownout adds
-/// to the topology's figure while it lasts.
-fn origin_one_way_ms(pcx: &PeerCtx) -> u64 {
-    pcx.origin_latency_ms + pcx.origin_dial.extra_ms(pcx.website)
+/// One-way latency to the website's origin right now; a chaos brownout on
+/// the lent dial adds to the topology's figure while it lasts.
+fn origin_one_way_ms<M: QueryMachine>(ctx: &Fx<M>, pcx: &PeerCtx) -> u64 {
+    pcx.origin_latency_ms + ctx.dial.extra_ms(pcx.website)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{machine_rng, Output};
+    use crate::io::{machine_rng, Lent, Output};
     use crate::squirrel::{SqTimer, SquirrelPeer};
     use simnet::{FieldValue, Fields, LocalityId};
 
@@ -297,9 +297,9 @@ mod tests {
         let pcx = PeerCtx::for_tests();
         let me = NodeId::from_index(9);
         let mut rng = machine_rng(1, me);
-        let mut out = Vec::new();
+        let mut lent = Lent::default();
         let mut ctx =
-            Fx::<SquirrelPeer>::new(Time::ZERO, me, LocalityId(0), &mut rng, true, &mut out);
+            Fx::<SquirrelPeer>::new(Time::ZERO, me, LocalityId(0), &mut rng, true, &mut lent);
         let (qid, other) = (QueryId::new(me, 1), QueryId::new(me, 2));
         let object = ObjectId::from_u64(7);
         let [a, b] = [1, 2].map(NodeId::from_index);
@@ -332,6 +332,7 @@ mod tests {
         assert!(!tl.due(qid, fetching(b, 2)));
 
         // Each fetch is sent before its deadline is armed.
+        let out = lent.out;
         let order: Vec<&str> = out
             .iter()
             .filter_map(|o| match o {
@@ -365,6 +366,54 @@ mod tests {
         );
     }
 
+    /// An origin round trip is timed by the dial its host lends: a
+    /// brownout of the peer's website stretches the deadline and the
+    /// recorded transfer, one of another website does not.
+    #[test]
+    fn origin_round_trip_reads_the_lent_dial() {
+        let pcx = PeerCtx::for_tests();
+        let me = NodeId::from_index(9);
+        let mut rng = machine_rng(1, me);
+        let round_trip = |lent: &mut Lent<SquirrelPeer>, rng: &mut _| {
+            let mut ctx = Fx::new(Time::ZERO, me, LocalityId(0), rng, false, lent);
+            let mut tl = Timeline::issue(&mut ctx, QueryId::new(me, 1), pcx.website, None);
+            tl.origin_round_trip(&mut ctx, &pcx);
+            tl.complete(
+                &mut ctx,
+                &pcx,
+                Provider::OriginServer,
+                ResolvedVia::DirectOrigin,
+            );
+            let armed = lent.out.iter().find_map(|o| match o {
+                Output::SetTimer { delay_ms, .. } => Some(*delay_ms),
+                _ => None,
+            });
+            let transfer = lent.out.iter().find_map(|o| match o {
+                Output::Report(FlowerReport::Query(q)) => Some(q.transfer_ms),
+                _ => None,
+            });
+            lent.out.clear();
+            (armed, transfer)
+        };
+        let mut lent = Lent::default();
+        let healthy = pcx.origin_latency_ms;
+        assert_eq!(
+            round_trip(&mut lent, &mut rng),
+            (Some(2 * healthy), Some(healthy))
+        );
+        lent.dial.brownout(Some(pcx.website.0 + 1), 50);
+        assert_eq!(
+            round_trip(&mut lent, &mut rng),
+            (Some(2 * healthy), Some(healthy))
+        );
+        lent.dial.brownout(Some(pcx.website.0), 50);
+        let slow = healthy + 50;
+        assert_eq!(
+            round_trip(&mut lent, &mut rng),
+            (Some(2 * slow), Some(slow))
+        );
+    }
+
     /// A deadline carries its stage whole, and the timers the simulator's
     /// wheel holds one of per armed event stay at 24 bytes.
     #[test]
@@ -381,9 +430,9 @@ mod tests {
         let pcx = PeerCtx::for_tests();
         let me = NodeId::from_index(9);
         let mut rng = machine_rng(1, me);
-        let mut out = Vec::new();
+        let mut lent = Lent::default();
         let mut ctx =
-            Fx::<SquirrelPeer>::new(Time::ZERO, me, LocalityId(0), &mut rng, true, &mut out);
+            Fx::<SquirrelPeer>::new(Time::ZERO, me, LocalityId(0), &mut rng, true, &mut lent);
         let qid = QueryId::new(me, 1);
         let object = ObjectId::from_u64(7);
         let mut tl = Timeline::issue(&mut ctx, qid, pcx.website, Some(object));
@@ -396,6 +445,7 @@ mod tests {
         assert_eq!(spent, [false, false, true]);
         assert_eq!(tl.excluded, [me, providers[0], providers[1], providers[2]]);
 
+        let out = lent.out;
         let reports: Vec<ProtocolEvent> = out
             .iter()
             .filter_map(|o| match o {

@@ -11,10 +11,18 @@
 //! runs on: a virtual millisecond clock, a `(time, seq)`-ordered event
 //! queue, and a synthetic 2-D latency topology with landmark-based
 //! locality binning (k = 6 localities, 10–500 ms links — §6.1 of the
-//! paper). Protocol code implements [`simnet::Node`] and interacts with
-//! the world only through a [`simnet::Ctx`]: sends (delayed by link
+//! paper). A simulated node implements [`simnet::Node`] and interacts
+//! with the world only through a [`simnet::Ctx`]: sends (delayed by link
 //! latency, silently dropped to dead nodes), timers, and measurement
 //! reports. Same seed → bit-identical run.
+//!
+//! Protocol code is not a `Node`: each protocol is a sans-io
+//! [`flower_cdn::Machine`] that sees only the [`flower_cdn::Fx`] its host
+//! lends it for one input — the time, its identity, its RNG, and the
+//! host's [`flower_cdn::Lent`] (output buffer, rendezvous registry, origin
+//! dial). [`flower_cdn::SimHost`] is the `Node` that drives a machine from
+//! simulator callbacks; `flower-net`'s `NetNode` drives the same machine
+//! from TCP frames and wall-clock timers.
 //!
 //! **[`chord`]** is a sans-io Chord DHT. Hosts drive it by calling
 //! `handle_message` / `handle_timer` / `lookup*` and applying the returned

@@ -6,14 +6,18 @@
 //! outputs)` exchange the machine performs — for Flower-CDN a directory
 //! failure and the client's §5.2.2 replacement take-over, for Squirrel the
 //! loss of a home node and of a listed downloader. A scripted harness then
-//! rebuilds the machine from scratch — same blueprint, same `machine_rng`
-//! derivation, a reconstructed bootstrap registry — and feeds it the
-//! recorded inputs at the recorded times. Every output stream must match
+//! rebuilds the machine from scratch — the recorded peer's own `PeerCtx`,
+//! the same `machine_rng` derivation — and feeds it the recorded inputs at
+//! the recorded times, lending it through `Fx::new` a plain registry
+//! rebuilt from the world's t=0 members. Every output stream must match
 //! the recording byte-for-byte (compared via `Debug`).
 //!
 //! This is the property that lets one protocol core run under both the
-//! simulator and the networked node: nothing outside (inputs, env, the
-//! shared registry script) influences what the machine emits.
+//! simulator and the networked node: nothing but its inputs and what its
+//! host lends it influences what the machine emits. The only change to
+//! the lent registry the harness scripts is the engine's own removal of
+//! the failed peers at the failure point; what the machine registers or
+//! deregisters itself, it does to the registry it is lent.
 //!
 //! The recorded streams are also **pinned**: an FNV-1a digest over every
 //! exchange — trace events included — is checked in debug and in release.
@@ -31,8 +35,8 @@ use std::rc::Rc;
 use flower_cdn::peer::ProtocolEvent;
 use flower_cdn::squirrel::{object_key, peer_ring_id, SquirrelPeer};
 use flower_cdn::{
-    machine_rng, Bootstrap, FlowerPeer, FlowerReport, FlowerSim, Fx, Machine, Output, PeerCtx,
-    SimDriver, SimParams, SquirrelMode, SquirrelSim, TapEntry, TapLog,
+    machine_rng, Bootstrap, FlowerPeer, FlowerReport, FlowerSim, Fx, Lent, Machine, Output,
+    PeerCtx, SimDriver, SimParams, SquirrelMode, SquirrelSim, TapEntry, TapLog,
 };
 use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
 use workload::{ObjectId, WebsiteId};
@@ -58,17 +62,18 @@ fn scripted_params(seed: u64, localities: u16) -> SimParams {
     p
 }
 
-/// Re-feed the recorded inputs to `machine` (node `me`, fresh RNG) and
-/// demand the recorded outputs back; `before` mirrors what the engine did
-/// to the shared registry by the time of each exchange. Returns the FNV-1a
-/// digest of the recorded stream.
+/// Re-feed the recorded inputs to `machine` (node `me`, fresh RNG, lent
+/// `registry`) and demand the recorded outputs back; `before` mirrors what
+/// the engine did to the registry by the time of each exchange. Returns
+/// the FNV-1a digest of the recorded stream.
 fn replay<M: Machine>(
     entries: &[TapEntry<M>],
     machine: &mut M,
     seed: u64,
     me: NodeId,
     locality: LocalityId,
-    mut before: impl FnMut(Time),
+    registry: Bootstrap,
+    mut before: impl FnMut(Time, &mut Bootstrap),
 ) -> u64
 where
     M::Msg: Debug,
@@ -78,16 +83,19 @@ where
     M::ApiResp: Debug,
 {
     let mut rng = machine_rng(seed, me);
-    let mut replayed = Vec::new();
+    let mut lent = Lent {
+        registry,
+        ..Lent::default()
+    };
     let mut stream = String::new();
     for (i, e) in entries.iter().enumerate() {
-        before(e.now);
-        replayed.clear();
-        let fx = Fx::new(e.now, me, locality, &mut rng, true, &mut replayed);
+        before(e.now, &mut lent.registry);
+        lent.out.clear();
+        let fx = Fx::new(e.now, me, locality, &mut rng, true, &mut lent);
         machine.handle(fx, e.input.clone());
         let recorded = format!("{} {:?} {:?}\n", e.now.as_millis(), e.input, e.outputs);
         assert_eq!(
-            format!("{} {:?} {:?}\n", e.now.as_millis(), e.input, replayed),
+            format!("{} {:?} {:?}\n", e.now.as_millis(), e.input, lent.out),
             recorded,
             "exchange {i} of {} diverged",
             entries.len(),
@@ -106,10 +114,10 @@ impl TraceSink for Discard {
 }
 
 /// A registry presenting `members` in their original order.
-fn registry_of(members: &[chord::NodeRef]) -> flower_cdn::SharedBootstrap {
-    let registry = Bootstrap::shared();
+fn registry_of(members: &[chord::NodeRef]) -> Bootstrap {
+    let mut registry = Bootstrap::new();
     for m in members {
-        registry.borrow_mut().add(*m);
+        registry.add(*m);
     }
     registry
 }
@@ -123,7 +131,7 @@ fn tapped_flower_client_replays_byte_identically() {
 
     // Snapshot the rendezvous registry before anything runs: the replay
     // registry must present the same members in the same order.
-    let initial_members = sim.bootstrap_registry().borrow().members().to_vec();
+    let initial_members = sim.bootstrap_registry().members().to_vec();
     assert_eq!(initial_members.len(), 4, "one directory per website");
 
     let log: TapLog<FlowerPeer> = TapLog::default();
@@ -140,9 +148,9 @@ fn tapped_flower_client_replays_byte_identically() {
         .expect("website 0 directory alive");
     assert_ne!(victim, c);
 
-    // Phase 2: kill the directory. The engine prunes it from the shared
-    // registry (rendezvous liveness checking) — the one external mutation
-    // the replay harness must mirror.
+    // Phase 2: kill the directory. The engine prunes it from the world's
+    // registry (rendezvous liveness checking) — the one change to the lent
+    // registry the replay harness must script.
     sim.fail_peer(victim);
     sim.run_until(Time::from_mins(75));
 
@@ -172,20 +180,23 @@ fn tapped_flower_client_replays_byte_identically() {
     );
 
     // --- Scripted replay: fresh machine, fresh RNG, fresh registry. ---
-    let registry = registry_of(&initial_members);
-    let pcx = PeerCtx {
-        bootstrap: Rc::clone(&registry),
-        ..blueprint
-    };
-    let mut machine = FlowerPeer::new_client(pcx, c, LocalityId(0));
+    let mut machine = FlowerPeer::new_client(blueprint, c, LocalityId(0));
     let mut fail_applied = false;
-    let digest = replay(&entries, &mut machine, seed, c, LocalityId(0), |now| {
-        // All phase-1 events fire at or before `fail_at`.
-        if !fail_applied && now > fail_at {
-            registry.borrow_mut().remove(victim);
-            fail_applied = true;
-        }
-    });
+    let digest = replay(
+        &entries,
+        &mut machine,
+        seed,
+        c,
+        LocalityId(0),
+        registry_of(&initial_members),
+        |now, registry| {
+            // All phase-1 events fire at or before `fail_at`.
+            if !fail_applied && now > fail_at {
+                registry.remove(victim);
+                fail_applied = true;
+            }
+        },
+    );
     assert!(fail_applied, "replay never crossed the failure point");
     assert!(
         machine.is_directory(),
@@ -202,7 +213,7 @@ fn tapped_squirrel_client_replays_byte_identically() {
     let seed = 0x5C1D;
     let mut sim = SquirrelSim::new(scripted_params(seed, 3), SquirrelMode::Directory);
     sim.add_trace_sink(Discard);
-    let initial_members = sim.bootstrap_registry().borrow().members().to_vec();
+    let initial_members = sim.bootstrap_registry().members().to_vec();
     assert_eq!(initial_members.len(), 12, "one ring member per couple");
 
     let log: TapLog<SquirrelPeer> = TapLog::default();
@@ -254,23 +265,26 @@ fn tapped_squirrel_client_replays_byte_identically() {
         .expect("a join request");
     let join_seed = chord::NodeRef::new(seed_node, peer_ring_id(seed_node));
 
-    let registry = registry_of(&initial_members);
-    let pcx = PeerCtx {
-        bootstrap: Rc::clone(&registry),
-        ..blueprint
-    };
-    let mut machine = SquirrelPeer::arriving(pcx, SquirrelMode::Directory, c, join_seed);
+    let mut machine = SquirrelPeer::arriving(blueprint, SquirrelMode::Directory, c, join_seed);
     let mut fail_applied = false;
-    let digest = replay(&entries, &mut machine, seed, c, LocalityId(0), |now| {
-        // A Squirrel peer reads the registry only to re-join after losing
-        // the ring, which this script never causes; the engine's pruning
-        // is mirrored all the same.
-        if !fail_applied && now > fail_at {
-            registry.borrow_mut().remove(home);
-            registry.borrow_mut().remove(mates[0]);
-            fail_applied = true;
-        }
-    });
+    let digest = replay(
+        &entries,
+        &mut machine,
+        seed,
+        c,
+        LocalityId(0),
+        registry_of(&initial_members),
+        |now, registry| {
+            // A Squirrel peer reads the registry only to re-join after losing
+            // the ring, which this script never causes; the engine's pruning
+            // is mirrored all the same.
+            if !fail_applied && now > fail_at {
+                registry.remove(home);
+                registry.remove(mates[0]);
+                fail_applied = true;
+            }
+        },
+    );
     assert!(fail_applied, "replay never crossed the failure point");
     assert!(machine.is_joined());
     assert_eq!(
