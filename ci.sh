@@ -24,6 +24,8 @@ cargo test -q --release --test engine_golden --test chord_golden --test replay
 # The scripted peer cases of both machines (the query stages a reply must
 # match, the home a Squirrel origin fetch hands its copy to), likewise.
 cargo test -q --release -p flower-cdn --test squirrel_protocol --test protocol
+# Live heap per peer, in the build whose peak RSS the benchmark measures.
+cargo test -q --release -p flower-cdn --test footprint
 # Chord's short cuts against the scans and lookups they replace
 # (`node/route_tests.rs`), in the code the benchmark runs.
 cargo test -q --release -p chord-dht

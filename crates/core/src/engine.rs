@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use cdn_metrics::{GaugeRegistry, QueryRecord, QueryStats};
 use chord::{Chord, ChordAction, ChordId, NodeRef};
-use flower_proto::io::Machine;
+use flower_proto::io::{Lent, Machine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simnet::{ClassCount, LocalityId, NodeId, Point, Time, Topology, TraceSink, World};
@@ -266,8 +266,8 @@ pub(crate) struct Controller<S: SimSystem> {
     /// machines draw from their own per-node RNGs.
     pub(crate) rng: StdRng,
     gauges: Option<GaugeState>,
-    /// The world's one output buffer, rendezvous registry and origin dial,
-    /// lent to every host spawned.
+    /// The world's one output buffer, rendezvous registry, origin dial and
+    /// profiler, lent to every host spawned.
     pub(crate) lent: WorldLent<S::Machine>,
     /// The run's result so far: reports are folded into it as the world
     /// hands them over (at every control event and at the end of every
@@ -284,7 +284,6 @@ impl<S: SimSystem> Controller<S> {
             params: Rc::clone(&self.params),
             website,
             origin_latency_ms: world.topology().latency_between(at, origin),
-            profiler: world.profiler().clone(),
         }
     }
 
@@ -394,8 +393,15 @@ impl<S: SimSystem> Engine<S> {
                 )
             })
             .collect();
+        let world = World::new(topology, params.seed);
+        // Machines open their scopes on the world's profiler, so one
+        // switch turns the whole run's phase timers on.
+        let lent = Lent {
+            profiler: world.profiler().clone(),
+            ..Lent::default()
+        };
         let mut sim = Engine {
-            world: World::new(topology, params.seed),
+            world,
             ctl: Controller {
                 system,
                 params,
@@ -403,7 +409,7 @@ impl<S: SimSystem> Engine<S> {
                 origins,
                 rng,
                 gauges: None,
-                lent: WorldLent::<S::Machine>::default(),
+                lent: Rc::new(RefCell::new(lent)),
                 result: RunResult::default(),
             },
             built_at,

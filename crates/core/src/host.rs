@@ -12,8 +12,9 @@
 //! itself never touches simulator types. Only the world removes a node
 //! (`World::fail`, `World::leave`); a machine cannot retire itself.
 //!
-//! The buffer the machine writes into, the rendezvous registry and the
-//! origin dial are the world's, not the host's ([`WorldLent`]).
+//! The buffer the machine writes into, the rendezvous registry, the
+//! origin dial and the profiler are the world's, not the host's
+//! ([`WorldLent`]).
 //!
 //! An optional **tap** records every `(input, outputs)` exchange — the
 //! deterministic-replay test replays the recorded inputs against a fresh

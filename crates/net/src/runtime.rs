@@ -114,7 +114,7 @@ pub struct NetNode {
     /// What the machine is lent: the output buffer, drained by `drive`; the
     /// process-local stand-in for the paper's rendezvous service, pruned
     /// of a peer whose dial is refused (see [`NetNode::send_peer`]); an
-    /// origin dial no fault turns.
+    /// origin dial no fault turns; a profiler nobody enables.
     lent: Lent<FlowerPeer>,
     started: Instant,
     /// Armed timers keyed like the simulator's wheel: fire time, then arm
@@ -148,7 +148,6 @@ impl NetNode {
             params: Rc::clone(&params),
             website: cfg.website,
             origin_latency_ms: 300,
-            profiler: simnet::Profiler::new(),
         };
         let machine = if cfg.founder {
             let position = DirPosition::base(cfg.website, cfg.locality);

@@ -25,8 +25,10 @@ use simnet::NodeId;
 
 pub use flower_proto::wire::WireError;
 
-/// Protocol version carried in every frame.
-pub const WIRE_VERSION: u8 = 1;
+/// Protocol version carried in every frame. Version 2: replies name their
+/// query only (`FetchOk`, `FetchMiss` and `Redirect` carry no object) and
+/// `Push` carries no `full` flag.
+pub const WIRE_VERSION: u8 = 2;
 
 /// Upper bound on one frame's payload; a corrupt length prefix must not
 /// make the reader allocate gigabytes.

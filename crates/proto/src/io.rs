@@ -8,7 +8,7 @@
 //! and shares no state: for each input the host lends it an [`Fx`] — the
 //! current time, its id and locality, a deterministic RNG, whether a trace
 //! sink listens, and the host's [`Lent`] (output buffer, rendezvous
-//! registry, origin dial) — so the same state, inputs, seed and registry
+//! registry, origin dial, profiler) — so the same state, inputs, seed and registry
 //! always produce byte-identical output streams, whether the host is the
 //! discrete-event simulator, a replay harness or a real TCP event loop.
 //!
@@ -19,7 +19,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{Fields, LocalityId, NodeId, Time};
+use simnet::{Fields, LocalityId, NodeId, Profiler, Time};
 
 use crate::bootstrap::Bootstrap;
 use crate::origin::OriginDial;
@@ -138,6 +138,10 @@ pub struct Lent<M: Machine> {
     pub out: Vec<OutputOf<M>>,
     pub registry: Bootstrap,
     pub dial: OriginDial,
+    /// Phase timers: disabled unless the host's run profiles; protocol
+    /// hot spots (gossip summary builds, PetalUp scans, Bloom matching,
+    /// D-ring maintenance) open scopes on it.
+    pub profiler: Profiler,
 }
 
 impl<M: Machine> Default for Lent<M> {
@@ -146,6 +150,7 @@ impl<M: Machine> Default for Lent<M> {
             out: Vec::new(),
             registry: Bootstrap::new(),
             dial: OriginDial::default(),
+            profiler: Profiler::new(),
         }
     }
 }
@@ -163,6 +168,8 @@ pub struct Fx<'a, M: Machine> {
     pub registry: &'a mut Bootstrap,
     /// Origin health: a chaos brownout adds to every origin round trip.
     pub dial: &'a OriginDial,
+    /// The host's phase timers.
+    pub profiler: &'a Profiler,
     tracing: bool,
     outputs: &'a mut Vec<OutputOf<M>>,
 }
@@ -186,6 +193,7 @@ impl<'a, M: Machine> Fx<'a, M> {
             rng,
             registry: &mut lent.registry,
             dial: &lent.dial,
+            profiler: &lent.profiler,
             tracing,
             outputs: &mut lent.out,
         }

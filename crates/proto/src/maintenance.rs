@@ -14,7 +14,7 @@ use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
 use crate::msg::{FlowerMsg, FlowerTimer, Redirect, Summary};
-use crate::peer::{Await, DirectoryRole, FlowerPeer, FlowerReport, ProtocolEvent, Role};
+use crate::peer::{Await, DirectoryRole, FlowerPeer, FlowerReport, ProtocolEvent, Role, RouteJob};
 use crate::qid::QueryId;
 use crate::tags;
 
@@ -73,7 +73,7 @@ impl FlowerPeer {
         let jitter = jittered_period(ctx.rng, period);
         ctx.set_timer(jitter, FlowerTimer::Gossip);
         let summary = {
-            let _p = self.pcx.profiler.scope("bloom_summary");
+            let _p = ctx.profiler.scope("bloom_summary");
             self.store.summary()
         };
         if let Some((target, msg, gen)) = self.gossip.start_shuffle(summary, ctx.rng) {
@@ -110,7 +110,7 @@ impl FlowerPeer {
         match inner {
             gossip::GossipMsg::ShuffleReq { entries } => {
                 let summary = {
-                    let _p = self.pcx.profiler.scope("bloom_summary");
+                    let _p = ctx.profiler.scope("bloom_summary");
                     self.store.summary()
                 };
                 let reply = self.gossip.handle_request(from, entries, summary, ctx.rng);
@@ -162,7 +162,7 @@ impl FlowerPeer {
             di.bump();
             let holder = di.holder;
             let push = self.store.should_push(self.pcx.params.push_threshold);
-            self.start_dir_exchange(ctx, holder, push.then_some(false));
+            self.start_dir_exchange(ctx, holder, push);
         } else {
             // Detached content peer (lost its directory and every claim so
             // far failed): try to re-enter the petal through D-ring.
@@ -186,33 +186,25 @@ impl FlowerPeer {
         let Some(di) = self.dir_info else {
             return;
         };
-        self.start_dir_exchange(ctx, di.holder, Some(false));
+        self.start_dir_exchange(ctx, di.holder, true);
     }
 
     /// One exchange with our directory `holder`, acknowledged by a
-    /// `DirAck` or else suspected dead at the deadline: a `Push` of
-    /// everything the store has not announced yet (`push` carries its
-    /// `full` flag), or a bare `Keepalive`. It supersedes the exchange in
-    /// flight.
-    fn start_dir_exchange(&mut self, ctx: &mut Fx<Self>, holder: NodeRef, push: Option<bool>) {
+    /// `DirAck` or else suspected dead at the deadline: with `push`, a
+    /// `Push` of everything the store has not announced yet, else a bare
+    /// `Keepalive`. It supersedes the exchange in flight.
+    fn start_dir_exchange(&mut self, ctx: &mut Fx<Self>, holder: NodeRef, push: bool) {
         let seq = self.awaiting.supersede(holder, Await::DirAck);
         self.awaiting.arm(seq);
-        let msg = match push {
-            Some(full) => {
-                let objects = self.store.take_push_delta();
-                ctx.trace(tags::PUSH, || {
-                    vec![
-                        ("seq", seq.into()),
-                        ("objects", objects.len().into()),
-                        ("full", full.into()),
-                    ]
-                });
-                FlowerMsg::Push { seq, objects, full }
-            }
-            None => {
-                ctx.trace(tags::KEEPALIVE, || vec![("seq", seq.into())]);
-                FlowerMsg::Keepalive { seq }
-            }
+        let msg = if push {
+            let objects = self.store.take_push_delta();
+            ctx.trace(tags::PUSH, || {
+                vec![("seq", seq.into()), ("objects", objects.len().into())]
+            });
+            FlowerMsg::Push { seq, objects }
+        } else {
+            ctx.trace(tags::KEEPALIVE, || vec![("seq", seq.into())]);
+            FlowerMsg::Keepalive { seq }
         };
         ctx.send(holder.node, msg);
         ctx.set_timer(
@@ -222,9 +214,9 @@ impl FlowerPeer {
     }
 
     /// Directory side of the dir-ack exchange: note the sender — a push's
-    /// `objects` go into the directory-index (a `full` one, re-registration
-    /// after replacement, registers the sender as any push does), a
-    /// keepalive only refreshes its liveness — then ack with my dir-info.
+    /// `objects` go into the directory-index (a re-registration after
+    /// replacement registers the sender as any push does), a keepalive
+    /// only refreshes its liveness — then ack with my dir-info.
     pub(crate) fn on_dir_exchange(
         &mut self,
         ctx: &mut Fx<Self>,
@@ -447,8 +439,7 @@ impl FlowerPeer {
                 dir.age = 3;
                 let r = Redirect {
                     qid,
-                    object: None, // forces origin fetch at the client
-                    provider: None,
+                    provider: None, // forces origin fetch at the client
                     dir,
                     petal_view: Vec::new(),
                     dht_hops: hops,
@@ -497,7 +488,7 @@ impl FlowerPeer {
         self.dir_info = Some(DirInfo::fresh(position, holder));
         if !self.store.is_empty() && matches!(self.role, Role::Content) {
             self.store.mark_all_unpushed();
-            self.start_dir_exchange(ctx, holder, Some(true));
+            self.start_dir_exchange(ctx, holder, true);
         }
     }
 
@@ -666,7 +657,8 @@ impl FlowerPeer {
         let Role::Directory(d) = &mut self.role else {
             return;
         };
-        if !d.chord.is_joined() || d.self_check_token.is_some() {
+        let checking = d.route_jobs.values().any(|j| *j == RouteJob::PositionCheck);
+        if !d.chord.is_joined() || checking {
             Self::arm_position_check(ctx);
             return;
         }
@@ -675,7 +667,7 @@ impl FlowerPeer {
         // vacuously resolve our position to ourselves.
         let start = d.chord.successor();
         let (token, actions) = d.chord.lookup_from(key, start);
-        d.self_check_token = Some(token);
+        d.route_jobs.insert(token, RouteJob::PositionCheck);
         self.apply_chord_actions(ctx, actions);
         Self::arm_position_check(ctx);
     }

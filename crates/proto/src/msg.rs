@@ -43,12 +43,12 @@ pub enum RoutePayload {
     },
 }
 
-/// A directory peer answers a query: where to get the object. Also the
-/// join ticket into the petal (`dir` + `petal_view`).
+/// A directory peer answers query `qid`: where to get the object the
+/// client's pending query names. Also the join ticket into the petal
+/// (`dir` + `petal_view`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Redirect {
     pub qid: QueryId,
-    pub object: Option<ObjectId>,
     /// `None`: fetch from the origin server (miss).
     pub provider: Option<NodeId>,
     /// The responding directory instance (the client's new dir-info).
@@ -129,10 +129,11 @@ pub enum FlowerMsg {
     },
     /// Object transfer request…
     Fetch { qid: QueryId, object: ObjectId },
-    /// …granted (the object travels back)…
-    FetchOk { qid: QueryId, object: ObjectId },
+    /// …granted (the object travels back; the client's pending query
+    /// names it)…
+    FetchOk { qid: QueryId },
     /// …or refused (summary false positive / stale index entry).
-    FetchMiss { qid: QueryId, object: ObjectId },
+    FetchMiss { qid: QueryId },
     /// Petal gossip: a Cyclon shuffle half, piggybacking the sender's
     /// dir-info (§5.1).
     Gossip {
@@ -142,13 +143,9 @@ pub enum FlowerMsg {
     /// Content peer liveness signal to its directory (§5.1).
     Keepalive { seq: u64 },
     /// Content peer content update to its directory: the objects added
-    /// since the last push (§5.1). `full` marks a complete re-registration
+    /// since the last push (§5.1), or all of them when re-registering
     /// with a replacement directory (§5.2.2).
-    Push {
-        seq: u64,
-        objects: Vec<ObjectId>,
-        full: bool,
-    },
+    Push { seq: u64, objects: Vec<ObjectId> },
     /// Directory acknowledgement of keepalive/push; carries the directory's
     /// identity so dir-info ages reset (and re-point after replacement).
     DirAck { seq: u64, dir: DirInfo },

@@ -32,8 +32,8 @@ use crate::timeline::{self, QueryMachine, Stage, Timeline};
 
 /// Immutable per-peer context handed in by the experiment engine, the same
 /// for a Flower-CDN and a Squirrel peer. What changes under a peer — the
-/// rendezvous registry, the origin dial — is its host's, lent through
-/// [`Fx`] for each exchange.
+/// rendezvous registry, the origin dial, the profiler — is its host's,
+/// lent through [`Fx`] for each exchange.
 #[derive(Clone)]
 pub struct PeerCtx {
     pub catalog: Rc<Catalog>,
@@ -43,10 +43,6 @@ pub struct PeerCtx {
     /// One-way latency to this website's origin server, ms, while the
     /// origin is healthy.
     pub origin_latency_ms: u64,
-    /// The engine's profiler handle (shared with the world). Disabled
-    /// unless the run enables profiling; protocol hot spots (gossip
-    /// summary builds, PetalUp scans, Bloom matching) open scopes on it.
-    pub profiler: simnet::Profiler,
 }
 
 /// Events the engine collects (via `simnet` reports). Squirrel peers
@@ -104,19 +100,16 @@ pub struct DirectoryRole {
     pub position: DirPosition,
     pub chord: Chord,
     pub index: DirectoryIndex,
-    /// Outstanding D-ring routings performed on behalf of other peers:
-    /// chord lookup token → (payload to deliver, hops it already spent
-    /// being re-routed). Tokens restart with every new `Chord`, so this
-    /// lives and dies with the role that issued them.
-    pub route_jobs: BTreeMap<u64, (RoutePayload, u32)>,
+    /// Every D-ring lookup this directory awaits, by its Chord lookup
+    /// token. Tokens restart with every new `Chord`, so this lives and
+    /// dies with the role that issued them.
+    pub(crate) route_jobs: BTreeMap<u64, RouteJob>,
     /// Claim arbitration state (§5.2.2): position id → (granted claimer,
     /// grant time). Grants expire so a claimer that dies mid-join does not
     /// wedge the position.
     pub grants: BTreeMap<ChordId, (NodeId, Time)>,
     /// PetalUp promotion in flight: (chosen peer, when).
     pub promotion_pending: Option<(NodeId, Time)>,
-    /// Outstanding position self-check lookup token.
-    pub self_check_token: Option<u64>,
     /// Consecutive self-checks that did not resolve to us: the first
     /// re-asserts us to our successor, the third demotes us.
     pub self_check_misses: u8,
@@ -139,11 +132,20 @@ impl DirectoryRole {
             route_jobs: BTreeMap::new(),
             grants: BTreeMap::new(),
             promotion_pending: None,
-            self_check_token: None,
             self_check_misses: 0,
             replacement,
         }
     }
+}
+
+/// What a directory's D-ring lookup was started for.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RouteJob {
+    /// Deliver `payload` to the key's ring owner, on behalf of another
+    /// peer; it already spent `spent` hops being re-routed.
+    Deliver { payload: RoutePayload, spent: u32 },
+    /// The position self-check: does our position still resolve to us?
+    PositionCheck,
 }
 
 /// Which hat the peer currently wears.
@@ -400,16 +402,13 @@ impl FlowerPeer {
         let Role::Directory(d) = &mut self.role else {
             return;
         };
-        if d.self_check_token == Some(token) {
-            d.self_check_token = None;
-            let me = self.me;
-            self.position_check_result(ctx, owner.node == me);
-            return;
-        }
-        let Some((payload, spent)) = d.route_jobs.remove(&token) else {
-            return; // internal chord lookup (join / fingers)
+        let (payload, hops) = match d.route_jobs.remove(&token) {
+            Some(RouteJob::Deliver { payload, spent }) => (payload, hops + spent),
+            Some(RouteJob::PositionCheck) => {
+                return self.position_check_result(ctx, owner.node == self.me)
+            }
+            None => return, // internal chord lookup (join / fingers)
         };
-        let hops = hops + spent;
         ctx.trace(tags::ROUTE_DONE, || {
             let mut f = vec![
                 ("key", key.0.into()),
@@ -432,13 +431,10 @@ impl FlowerPeer {
         let Role::Directory(d) = &mut self.role else {
             return;
         };
-        if d.self_check_token == Some(token) {
-            d.self_check_token = None;
-            self.position_check_result(ctx, false);
-            return;
-        }
-        let Some((payload, _)) = d.route_jobs.remove(&token) else {
-            return;
+        let payload = match d.route_jobs.remove(&token) {
+            Some(RouteJob::Deliver { payload, .. }) => payload,
+            Some(RouteJob::PositionCheck) => return self.position_check_result(ctx, false),
+            None => return,
         };
         ctx.trace(tags::ROUTE_FAILED, || {
             let mut f = Vec::new();
@@ -514,13 +510,13 @@ impl FlowerPeer {
     }
 
     /// Route (or re-route after a misroute) a payload toward `key`'s owner,
-    /// preserving the hop count already spent.
+    /// preserving the hops it already `spent`.
     pub(crate) fn on_dring_route_with_hops(
         &mut self,
         ctx: &mut Fx<Self>,
         key: ChordId,
         payload: RoutePayload,
-        hops: u32,
+        spent: u32,
     ) {
         let Role::Directory(d) = &mut self.role else {
             // We are no directory (stale bootstrap entry): tell the client.
@@ -530,7 +526,8 @@ impl FlowerPeer {
             return;
         };
         let (token, actions) = d.chord.lookup_recursive(key);
-        d.route_jobs.insert(token, (payload, hops));
+        d.route_jobs
+            .insert(token, RouteJob::Deliver { payload, spent });
         self.apply_chord_actions(ctx, actions);
     }
 }
@@ -607,19 +604,17 @@ impl FlowerPeer {
             }
             FlowerMsg::Fetch { qid, object } => {
                 let reply = if self.store.serve(object) {
-                    FlowerMsg::FetchOk { qid, object }
+                    FlowerMsg::FetchOk { qid }
                 } else {
-                    FlowerMsg::FetchMiss { qid, object }
+                    FlowerMsg::FetchMiss { qid }
                 };
                 ctx.send(from, reply);
             }
-            FlowerMsg::FetchOk { qid, object } => self.on_fetch_ok(ctx, from, qid, object),
-            FlowerMsg::FetchMiss { qid, .. } => self.on_fetch_failed(ctx, qid, from, false),
+            FlowerMsg::FetchOk { qid } => self.on_fetch_ok(ctx, from, qid),
+            FlowerMsg::FetchMiss { qid } => self.on_fetch_failed(ctx, qid, from, false),
             FlowerMsg::Gossip { inner, dir_info } => self.on_gossip(ctx, from, inner, dir_info),
             FlowerMsg::Keepalive { seq } => self.on_dir_exchange(ctx, from, seq, None),
-            FlowerMsg::Push { seq, objects, .. } => {
-                self.on_dir_exchange(ctx, from, seq, Some(objects))
-            }
+            FlowerMsg::Push { seq, objects } => self.on_dir_exchange(ctx, from, seq, Some(objects)),
             FlowerMsg::DirAck { seq, dir } => self.on_dir_ack(ctx, seq, dir),
             FlowerMsg::Promote {
                 position,
@@ -633,7 +628,7 @@ impl FlowerPeer {
         match timer {
             FlowerTimer::Chord(t) => {
                 if let Role::Directory(d) = &mut self.role {
-                    let _p = self.pcx.profiler.scope("dring_maint");
+                    let _p = ctx.profiler.scope("dring_maint");
                     let actions = d.chord.handle_timer(t);
                     self.apply_chord_actions(ctx, actions);
                 }
@@ -720,14 +715,7 @@ impl FlowerPeer {
                     // Nobody awaits this push's ack: its seq is no request's.
                     let seq = self.awaiting.burn();
                     let objects = self.store.take_push_delta();
-                    ctx.send(
-                        di.holder.node,
-                        FlowerMsg::Push {
-                            seq,
-                            objects,
-                            full: false,
-                        },
-                    );
+                    ctx.send(di.holder.node, FlowerMsg::Push { seq, objects });
                 }
                 ctx.respond(token, ApiResp::PutOk { object });
             }
@@ -808,7 +796,6 @@ impl PeerCtx {
             params,
             website: WebsiteId(0),
             origin_latency_ms: 300,
-            profiler: simnet::Profiler::new(),
         }
     }
 
@@ -1064,7 +1051,11 @@ mod tests {
             Role::Directory(d) => d.route_jobs.values().cloned().collect::<Vec<_>>(),
             _ => panic!("still a directory"),
         };
-        assert_eq!(jobs(&peer), [(request(1), 3)]);
+        let job = RouteJob::Deliver {
+            payload: request(1),
+            spent: 3,
+        };
+        assert_eq!(jobs(&peer), [job]);
         // Nobody answers: every route deadline fires until Chord gives up
         // and the client is told.
         let failed = |out: &[Out]| {
@@ -1280,7 +1271,6 @@ mod tests {
         let push = FlowerMsg::Push {
             seq: 1,
             objects: vec![OBJECT],
-            full: true,
         };
         let out = step(
             peer,
@@ -1369,7 +1359,6 @@ mod tests {
             as_redirect(&sent[0].1),
             Some(Redirect {
                 qid,
-                object: Some(OBJECT),
                 provider: Some(NodeId::from_index(HOLDER)),
                 dir: ticket,
                 petal_view: Vec::new(),
@@ -1410,7 +1399,6 @@ mod tests {
             as_redirect(&sent[0].1),
             Some(Redirect {
                 qid,
-                object: Some(OBJECT),
                 provider: Some(NodeId::from_index(HOLDER)),
                 dir: first_directory(),
                 petal_view: walked_view(),
@@ -1475,7 +1463,6 @@ mod tests {
         };
         let miss = Redirect {
             qid,
-            object: Some(OBJECT),
             provider: None,
             dir: first_directory(),
             petal_view: walked_view(),
@@ -1560,10 +1547,9 @@ mod tests {
         assert_eq!(sent[0].0, client);
         let hit = as_redirect(&sent[0].1).expect("a redirect");
         assert_eq!(
-            (hit.qid, hit.object, hit.provider, hit.dir, hit.dht_hops),
+            (hit.qid, hit.provider, hit.dir, hit.dht_hops),
             (
                 QueryId::new(client, 1),
-                Some(OBJECT),
                 Some(NodeId::from_index(HOLDER)),
                 ticket,
                 3
@@ -1673,7 +1659,6 @@ mod tests {
     fn redirect(qid: QueryId, dir: DirInfo, provider: usize) -> InputOf<FlowerPeer> {
         let r = Redirect {
             qid,
-            object: Some(OBJECT),
             provider: Some(NodeId::from_index(provider)),
             dir,
             petal_view: Vec::new(),
@@ -1760,10 +1745,7 @@ mod tests {
     fn fetch_deadline_of_an_earlier_attempt_is_a_no_op() {
         let (mut peer, dir, mut step) = content_peer();
         let (qid, _, first) = fetching_from_provider(&mut peer, dir, &mut step);
-        let miss = FlowerMsg::FetchMiss {
-            qid,
-            object: OBJECT,
-        };
+        let miss = FlowerMsg::FetchMiss { qid };
         let out = step(&mut peer, from(PROVIDER, miss));
         assert_eq!(events(&out), [ProtocolEvent::FetchMiss]);
         assert!(dir_query(&out).is_some(), "{out:?}");
@@ -1772,10 +1754,7 @@ mod tests {
 
         let out = step(&mut peer, Input::Timer(first));
         assert!(out.is_empty(), "{out:?}");
-        let ok = FlowerMsg::FetchOk {
-            qid,
-            object: OBJECT,
-        };
+        let ok = FlowerMsg::FetchOk { qid };
         let record = completed(&step(&mut peer, from(NEXT_PROVIDER, ok))).expect("completes");
         assert_eq!(record.provider, Provider::ContentPeer);
     }
@@ -1825,10 +1804,7 @@ mod tests {
         armed_one(&out, "fetch_deadline");
         let out = step(&mut peer, Input::Timer(origin_deadline(qid)));
         assert!(out.is_empty(), "{out:?}");
-        let ok = FlowerMsg::FetchOk {
-            qid,
-            object: OBJECT,
-        };
+        let ok = FlowerMsg::FetchOk { qid };
         let record = completed(&step(&mut peer, from(PROVIDER, ok))).expect("completes");
         assert_eq!(record.provider, Provider::ContentPeer);
     }
@@ -1905,10 +1881,7 @@ mod tests {
     fn a_finished_querys_deadlines_are_no_ops_for_the_next() {
         let (mut peer, dir, mut step) = content_peer();
         let (qid, answer, fetch) = fetching_from_provider(&mut peer, dir, &mut step);
-        let ok = FlowerMsg::FetchOk {
-            qid,
-            object: OBJECT,
-        };
+        let ok = FlowerMsg::FetchOk { qid };
         assert!(completed(&step(&mut peer, from(PROVIDER, ok))).is_some());
 
         let other = ObjectId {
@@ -1922,7 +1895,6 @@ mod tests {
         assert!(out.is_empty(), "{out:?}");
         let r = Redirect {
             qid: next,
-            object: Some(other),
             provider: Some(NodeId::from_index(PROVIDER)),
             dir,
             petal_view: Vec::new(),
@@ -1942,10 +1914,7 @@ mod tests {
     fn roadmap_2e_an_earlier_waits_answer_deadline_is_taken_by_a_later_wait() {
         let (mut peer, dir, mut step) = content_peer();
         let (qid, first, _) = fetching_from_provider(&mut peer, dir, &mut step);
-        let miss = FlowerMsg::FetchMiss {
-            qid,
-            object: OBJECT,
-        };
+        let miss = FlowerMsg::FetchMiss { qid };
         let out = step(&mut peer, from(PROVIDER, miss));
         assert!(dir_query(&out).is_some(), "{out:?}");
         armed_one(&out, "route_deadline");
@@ -1954,5 +1923,95 @@ mod tests {
         use ProtocolEvent::{ClaimStarted, DirQueryTimeout};
         assert_eq!(events(&out), [DirQueryTimeout, ClaimStarted]);
         armed_one(&out, "origin_done");
+    }
+
+    /// The pending query is the one record of what was asked: a fresh
+    /// client's API `Get` is routed over D-ring and redirected to a
+    /// provider, the `Fetch` names the pending object, and its `FetchOk`
+    /// leaves that object in the store, in the `Got` answer and in the
+    /// next `Push`.
+    #[test]
+    fn a_fetch_completes_the_object_its_query_asked_for() {
+        let (mut peer, mut step) = client_peer();
+        let out = step(&mut peer, get(OBJECT));
+        let qid = out
+            .iter()
+            .find_map(|o| match o {
+                Output::Send {
+                    msg:
+                        FlowerMsg::DRingRoute {
+                            payload: RoutePayload::ClientRequest { qid, object, .. },
+                            ..
+                        },
+                    ..
+                } => (*object == Some(OBJECT)).then_some(*qid),
+                _ => None,
+            })
+            .expect("routes the query");
+        let position = DirPosition::base(WebsiteId(0), LocalityId(0));
+        let dir = DirInfo::fresh(
+            position,
+            NodeRef::new(NodeId::from_index(1), position.chord_id()),
+        );
+        let out = step(&mut peer, redirect(qid, dir, PROVIDER));
+        let fetch = FlowerMsg::Fetch {
+            qid,
+            object: OBJECT,
+        };
+        assert_eq!(sends(&out), [(NodeId::from_index(PROVIDER), fetch)]);
+
+        let ok = FlowerMsg::FetchOk { qid };
+        let out = step(&mut peer, from(PROVIDER, ok));
+        assert!(peer.store.contains(OBJECT), "{out:?}");
+        let got = out.iter().find_map(|o| match o {
+            Output::Respond {
+                token: 1,
+                resp: ApiResp::Got {
+                    object, provider, ..
+                },
+            } => Some((*object, *provider)),
+            _ => None,
+        });
+        assert_eq!(got, Some((OBJECT, ProviderKind::ContentPeer)));
+        let pushed = |out: &[Out]| {
+            out.iter().find_map(|o| match o {
+                Output::Send {
+                    msg: FlowerMsg::Push { objects, .. },
+                    ..
+                } => Some(objects.clone()),
+                _ => None,
+            })
+        };
+        let objects = pushed(&out)
+            .or_else(|| pushed(&step(&mut peer, Input::Timer(FlowerTimer::Keepalive))))
+            .expect("pushes");
+        assert_eq!(objects, [OBJECT]);
+    }
+
+    /// The protocol's phase scopes open on the profiler the host lends —
+    /// the world's, in a simulation — so enabling it once times them all.
+    #[test]
+    fn scopes_open_on_the_lent_profiler() {
+        let (mut dir, _far, mut host) = directory_with_successor_at(1 << 20);
+        host.lent.profiler.enable();
+        host.step(
+            &mut dir,
+            Input::Timer(FlowerTimer::Chord(ChordTimer::FixFingers)),
+        );
+        let (mut peer, _, _) = content_peer();
+        let mut host = Host {
+            lent: host.lent,
+            ..Host::new(peer.me, &[])
+        };
+        host.step(&mut peer, Input::Timer(FlowerTimer::Gossip));
+        host.step(&mut peer, get(OBJECT));
+        let phases: Vec<String> = host
+            .lent
+            .profiler
+            .phase_rows()
+            .into_iter()
+            .map(|row| row.path)
+            .collect();
+        assert_eq!(phases, ["dring_maint", "bloom_summary", "bloom_match"]);
     }
 }

@@ -145,7 +145,7 @@ impl FlowerPeer {
             return false;
         };
         let target = {
-            let _p = self.pcx.profiler.scope("bloom_match");
+            let _p = ctx.profiler.scope("bloom_match");
             summary_match(&self.gossip, object, &p.tl.excluded, ctx.rng)
         };
         let Some(target) = target else {
@@ -226,7 +226,7 @@ impl FlowerPeer {
         }
         let p = self.pending.as_mut().expect("checked above");
         p.tl.dht_hops = p.tl.dht_hops.max(r.dht_hops);
-        let Some(object) = r.object.or(p.object) else {
+        let Some(object) = p.object else {
             // Pure petal join completed.
             self.pending = None;
             return;
@@ -318,13 +318,7 @@ impl FlowerPeer {
     }
 
     /// Provider delivered the object.
-    pub(crate) fn on_fetch_ok(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        from: NodeId,
-        qid: QueryId,
-        object: ObjectId,
-    ) {
+    pub(crate) fn on_fetch_ok(&mut self, ctx: &mut Fx<Self>, from: NodeId, qid: QueryId) {
         let Some(p) = &self.pending else {
             return;
         };
@@ -337,7 +331,7 @@ impl FlowerPeer {
         } else {
             Provider::ContentPeer
         };
-        self.complete_query(ctx, object, provider);
+        self.complete_query(ctx, provider);
     }
 
     /// Provider refused (summary false positive / stale index) or timed out.
@@ -378,11 +372,7 @@ impl FlowerPeer {
     /// Origin round trip finished: a P2P miss, but the client now holds the
     /// object and becomes a provider for the petal.
     fn on_origin_done(&mut self, ctx: &mut Fx<Self>) {
-        let Some(object) = self.pending.as_ref().and_then(|p| p.object) else {
-            self.pending = None;
-            return;
-        };
-        self.complete_query(ctx, object, Provider::OriginServer);
+        self.complete_query(ctx, Provider::OriginServer);
     }
 
     /// Store `object`. A directory indexes its own store as petal content;
@@ -401,10 +391,14 @@ impl FlowerPeer {
         }
     }
 
-    /// Wrap up the pending query: store the object, emit the record, push
-    /// to the directory if the threshold is crossed.
-    fn complete_query(&mut self, ctx: &mut Fx<Self>, object: ObjectId, provider: Provider) {
+    /// Wrap up the pending query: store its object, emit the record, push
+    /// to the directory if the threshold is crossed. A petal join has no
+    /// object to complete and just ends.
+    fn complete_query(&mut self, ctx: &mut Fx<Self>, provider: Provider) {
         let p = self.pending.take().expect("pending query");
+        let Some(object) = p.object else {
+            return;
+        };
         self.store_object(ctx, object);
         let issued_at = p.tl.issued_at;
         p.tl.complete(ctx, &self.pcx, provider, p.via);
@@ -597,7 +591,7 @@ impl FlowerPeer {
         // PetalUp scan (§4): overloaded instances pass the query along the
         // instance chain; the final overloaded instance splits.
         if d.index.peer_count() >= capacity && !d.index.contains_peer(client) {
-            let _p = self.pcx.profiler.scope("petalup_scan");
+            let _p = ctx.profiler.scope("petalup_scan");
             let next_pos = d.position.next_instance();
             if let Some(next_pos) = next_pos {
                 let succ = d.chord.successor();
@@ -676,7 +670,6 @@ impl FlowerPeer {
             None => {
                 let join = Redirect {
                     qid,
-                    object,
                     provider: None,
                     dir,
                     petal_view,
@@ -693,7 +686,6 @@ impl SiblingQuery {
     fn answer(self, provider: Option<NodeId>, dht_hops: u32) -> Redirect {
         Redirect {
             qid: self.qid,
-            object: Some(self.object),
             provider,
             dir: self.dir,
             petal_view: self.petal_view,

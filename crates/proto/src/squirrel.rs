@@ -66,10 +66,10 @@ pub enum SqMsg {
         object: ObjectId,
         exclude: Vec<NodeId>,
     },
-    /// Home node's verdict: fetch from `provider`, or from the origin.
+    /// Home node's verdict on query `qid`: fetch from `provider`, or from
+    /// the origin.
     Answer {
         qid: QueryId,
-        object: ObjectId,
         provider: Option<NodeId>,
     },
     Fetch {
@@ -78,11 +78,9 @@ pub enum SqMsg {
     },
     FetchOk {
         qid: QueryId,
-        object: ObjectId,
     },
     FetchMiss {
         qid: QueryId,
-        object: ObjectId,
     },
     /// Home-store mode: the requester hands the home node a copy after a
     /// miss, so the home can serve the next query itself.
@@ -96,10 +94,10 @@ pub enum SqMsg {
 crate::wire_enum!(SqMsg, "squirrel message" {
     0 => Chord(msg),
     1 => Query { qid, object, exclude },
-    2 => Answer { qid, object, provider },
+    2 => Answer { qid, provider },
     3 => Fetch { qid, object },
-    4 => FetchOk { qid, object },
-    5 => FetchMiss { qid, object },
+    4 => FetchOk { qid },
+    5 => FetchMiss { qid },
     6 => StoreCopy { object },
 });
 
@@ -158,9 +156,29 @@ struct SqPending {
     /// stands.
     tl: Timeline,
     object: ObjectId,
-    /// The home node last asked; `None` while the DHT lookup for it runs.
-    home: Option<NodeId>,
+    home: Home,
     lookup_attempts: u32,
+}
+
+/// How far a query got finding its object's home node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Home {
+    /// Not known, and no lookup for it runs: the query has yet to look,
+    /// or went to the origin without one.
+    Unknown,
+    /// The DHT lookup for it runs under this Chord token.
+    Lookup(u64),
+    /// The home node last asked.
+    Asked(NodeId),
+}
+
+impl Home {
+    fn asked(self) -> Option<NodeId> {
+        match self {
+            Home::Asked(home) => Some(home),
+            Home::Unknown | Home::Lookup(_) => None,
+        }
+    }
 }
 
 /// The object's DHT key: hash of its identifier (the "URL").
@@ -184,8 +202,6 @@ pub struct SquirrelPeer {
     /// Directory mode: recent downloaders of objects homed at me.
     home_dir: BTreeMap<ObjectId, Vec<NodeId>>,
     pending: Option<SqPending>,
-    /// chord lookup token → qid.
-    lookup_jobs: BTreeMap<u64, QueryId>,
     next_qid: u32,
     /// Actions from the Chord constructor, applied at `on_start`.
     startup_chord_actions: Vec<ChordAction>,
@@ -220,7 +236,6 @@ impl SquirrelPeer {
             chord,
             home_dir: BTreeMap::new(),
             pending: None,
-            lookup_jobs: BTreeMap::new(),
             next_qid: 0,
             startup_chord_actions,
         }
@@ -298,32 +313,31 @@ impl SquirrelPeer {
         self.pending = Some(SqPending {
             tl: Timeline::issue(ctx, qid, self.pcx.website, Some(object)),
             object,
-            home: None,
+            home: Home::Unknown,
             lookup_attempts: 1,
         });
-        self.start_home_lookup(ctx, qid, object);
+        self.start_home_lookup(ctx);
     }
 
-    fn start_home_lookup(&mut self, ctx: &mut Fx<Self>, qid: QueryId, object: ObjectId) {
+    /// Look the pending object's home up over the DHT.
+    fn start_home_lookup(&mut self, ctx: &mut Fx<Self>) {
+        let p = self.pending.as_mut().expect("pending query");
+        let (qid, key) = (p.tl.qid, object_key(p.object));
         ctx.trace(tags::ROUTE_REQUEST, || {
-            vec![
-                ("qid", qid.raw().into()),
-                ("key", object_key(object).0.into()),
-            ]
+            vec![("qid", qid.raw().into()), ("key", key.0.into())]
         });
-        let (token, actions) = self.chord.lookup_recursive(object_key(object));
-        self.lookup_jobs.insert(token, qid);
+        let (token, actions) = self.chord.lookup_recursive(key);
+        p.home = Home::Lookup(token);
         self.apply_chord_actions(ctx, actions);
     }
 
+    /// Chord's lookup `token` ended at `owner`: if it is the pending
+    /// query's home lookup, ask that home.
     fn on_lookup_done(&mut self, ctx: &mut Fx<Self>, token: u64, owner: NodeRef, hops: u32) {
-        let Some(qid) = self.lookup_jobs.remove(&token) else {
-            return;
-        };
         let Some(p) = &mut self.pending else {
             return;
         };
-        if !p.tl.resolving(qid) || p.home.is_some() {
+        if p.home != Home::Lookup(token) {
             return;
         }
         p.tl.dht_hops = hops;
@@ -334,12 +348,12 @@ impl SquirrelPeer {
     /// downloaders we already found dead so it prunes them.
     fn ask_home(&mut self, ctx: &mut Fx<Self>, home: NodeId) {
         let p = self.pending.as_mut().expect("pending query");
-        p.home = Some(home);
+        p.home = Home::Asked(home);
         let (qid, object, exclude) = (p.tl.qid, p.object, p.tl.excluded.clone());
         if home == self.me {
             // We are the home node ourselves: consult our own directory.
             let provider = self.home_answer(ctx, self.me, object, &exclude);
-            self.on_answer(ctx, qid, object, provider);
+            self.on_answer(ctx, qid, provider);
             return;
         }
         ctx.send(
@@ -354,66 +368,47 @@ impl SquirrelPeer {
     }
 
     fn on_lookup_failed(&mut self, ctx: &mut Fx<Self>, token: u64) {
-        let Some(qid) = self.lookup_jobs.remove(&token) else {
-            return;
-        };
-        ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
-        self.retry_or_origin(ctx, qid);
-    }
-
-    fn retry_or_origin(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
-        let Some(p) = &mut self.pending else {
-            return;
-        };
-        if p.tl.qid != qid {
+        if self
+            .pending
+            .as_ref()
+            .is_none_or(|p| p.home != Home::Lookup(token))
+        {
             return;
         }
+        ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
+        self.retry_or_origin(ctx);
+    }
+
+    /// The pending query found no home to answer it: look the home up
+    /// again, or — with the second lookup spent — go to the origin, with no
+    /// home to hand a copy to.
+    fn retry_or_origin(&mut self, ctx: &mut Fx<Self>) {
+        let p = self.pending.as_mut().expect("pending query");
         if p.lookup_attempts < 2 {
             p.lookup_attempts += 1;
-            p.home = None;
-            let object = p.object;
-            self.start_home_lookup(ctx, qid, object);
+            self.start_home_lookup(ctx);
         } else {
-            self.start_origin_fetch(ctx, qid, None);
+            p.home = Home::Unknown;
+            p.tl.origin_round_trip(ctx, &self.pcx);
         }
     }
 
-    fn on_answer(
-        &mut self,
-        ctx: &mut Fx<Self>,
-        qid: QueryId,
-        object: ObjectId,
-        provider: Option<NodeId>,
-    ) {
+    fn on_answer(&mut self, ctx: &mut Fx<Self>, qid: QueryId, provider: Option<NodeId>) {
         let Some(p) = &mut self.pending else {
             return;
         };
-        if !p.tl.resolving(qid) || p.object != object {
+        if !p.tl.resolving(qid) || p.home.asked().is_none() {
             return;
         }
-        let Some(home) = p.home else {
-            return;
-        };
         match provider {
             Some(target) if !p.tl.excluded.contains(&target) => {
-                p.tl.fetch_from(ctx, &self.pcx, target, object);
+                p.tl.fetch_from(ctx, &self.pcx, target, p.object);
             }
             _ => {
                 ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
-                self.start_origin_fetch(ctx, qid, Some(home))
+                p.tl.origin_round_trip(ctx, &self.pcx);
             }
         }
-    }
-
-    fn start_origin_fetch(&mut self, ctx: &mut Fx<Self>, qid: QueryId, home: Option<NodeId>) {
-        let Some(p) = &mut self.pending else {
-            return;
-        };
-        if p.tl.qid != qid {
-            return;
-        }
-        p.home = home;
-        p.tl.origin_round_trip(ctx, &self.pcx);
     }
 
     fn on_fetch_ok(&mut self, ctx: &mut Fx<Self>, from: NodeId, qid: QueryId) {
@@ -424,7 +419,7 @@ impl SquirrelPeer {
             return;
         }
         ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
-        let kind = if p.home == Some(from) {
+        let kind = if p.home == Home::Asked(from) {
             Provider::DirectoryPeer // home-store service
         } else {
             Provider::ContentPeer
@@ -447,11 +442,11 @@ impl SquirrelPeer {
         if !p.tl.fetching(qid, provider) {
             return;
         }
-        let Some(home) = p.home else {
+        let Some(home) = p.home.asked() else {
             return;
         };
         if p.tl.fetch_failed(ctx, provider, timed_out) {
-            self.start_origin_fetch(ctx, qid, Some(home));
+            p.tl.origin_round_trip(ctx, &self.pcx);
         } else {
             self.ask_home(ctx, home);
         }
@@ -468,25 +463,25 @@ impl SquirrelPeer {
         }
         match stage {
             // No home is asked while its lookup runs, which ends itself.
-            Stage::Resolving if p.home.is_none() => {}
-            Stage::Resolving => self.on_answer_deadline(ctx, qid),
+            Stage::Resolving if p.home.asked().is_none() => {}
+            Stage::Resolving => self.on_answer_deadline(ctx),
             Stage::Fetching { provider, .. } => self.on_fetch_failed(ctx, qid, provider, true),
             Stage::Origin => self.on_origin_done(ctx),
         }
     }
 
-    fn on_answer_deadline(&mut self, ctx: &mut Fx<Self>, qid: QueryId) {
+    fn on_answer_deadline(&mut self, ctx: &mut Fx<Self>) {
         // Home node died between lookup and query: re-route; the DHT will
         // have promoted a successor (whose directory starts empty — the
         // Squirrel weakness the paper highlights).
         ctx.report(FlowerReport::Event(ProtocolEvent::DirQueryTimeout));
-        self.retry_or_origin(ctx, qid);
+        self.retry_or_origin(ctx);
     }
 
     fn on_origin_done(&mut self, ctx: &mut Fx<Self>) {
         let p = self.pending.as_ref().expect("pending query");
         if self.mode == SquirrelMode::HomeStore {
-            if let Some(home) = p.home {
+            if let Home::Asked(home) = p.home {
                 if home != self.me {
                     let object = p.object;
                     ctx.send(home, SqMsg::StoreCopy { object });
@@ -582,30 +577,19 @@ impl SquirrelPeer {
                         ("hit", provider.is_some().into()),
                     ]
                 });
-                ctx.send(
-                    from,
-                    SqMsg::Answer {
-                        qid,
-                        object,
-                        provider,
-                    },
-                );
+                ctx.send(from, SqMsg::Answer { qid, provider });
             }
-            SqMsg::Answer {
-                qid,
-                object,
-                provider,
-            } => self.on_answer(ctx, qid, object, provider),
+            SqMsg::Answer { qid, provider } => self.on_answer(ctx, qid, provider),
             SqMsg::Fetch { qid, object } => {
                 let reply = if self.store.serve(object) {
-                    SqMsg::FetchOk { qid, object }
+                    SqMsg::FetchOk { qid }
                 } else {
-                    SqMsg::FetchMiss { qid, object }
+                    SqMsg::FetchMiss { qid }
                 };
                 ctx.send(from, reply);
             }
-            SqMsg::FetchOk { qid, .. } => self.on_fetch_ok(ctx, from, qid),
-            SqMsg::FetchMiss { qid, .. } => self.on_fetch_failed(ctx, qid, from, false),
+            SqMsg::FetchOk { qid } => self.on_fetch_ok(ctx, from, qid),
+            SqMsg::FetchMiss { qid } => self.on_fetch_failed(ctx, qid, from, false),
             SqMsg::StoreCopy { object } => {
                 if self.mode == SquirrelMode::HomeStore {
                     // A home's copy obeys the store policy like a download.
@@ -869,7 +853,6 @@ mod tests {
         let provider = NodeId::from_index(PROVIDER);
         let answer = SqMsg::Answer {
             qid,
-            object,
             provider: Some(provider),
         };
         let out = step(&mut peer, from(far.node.index(), answer));
@@ -896,7 +879,6 @@ mod tests {
         let (qid, object, _) = asked_home(&mut peer, far, &mut step);
         let answer = SqMsg::Answer {
             qid,
-            object,
             provider: None,
         };
         let out = step(&mut peer, from(far.node.index(), answer));
@@ -915,20 +897,68 @@ mod tests {
     #[test]
     fn roadmap_2e_an_earlier_asks_answer_deadline_is_taken_by_a_later_ask() {
         let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
-        let (qid, object, first) = asked_home(&mut peer, far, &mut step);
+        let (qid, _, first) = asked_home(&mut peer, far, &mut step);
         let provider = NodeId::from_index(PROVIDER);
         let answer = SqMsg::Answer {
             qid,
-            object,
             provider: Some(provider),
         };
         step(&mut peer, from(far.node.index(), answer));
-        let out = step(&mut peer, from(PROVIDER, SqMsg::FetchMiss { qid, object }));
+        let out = step(&mut peer, from(PROVIDER, SqMsg::FetchMiss { qid }));
         assert_eq!(events(&out), [ProtocolEvent::FetchMiss]);
         armed_one(&out, "sq_answer_deadline");
 
         let out = step(&mut peer, Input::Timer(first));
         assert_eq!(events(&out), [ProtocolEvent::DirQueryTimeout]);
         assert!(home_lookup(&out).is_some(), "{out:?}");
+    }
+
+    /// The pending query is the one record of what was asked: the home's
+    /// answer sends the named downloader a `Fetch` of the pending object,
+    /// and its `FetchOk` stores that object.
+    #[test]
+    fn the_homes_answer_fetches_the_pending_object() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        let (qid, _, _) = asked_home(&mut peer, far, &mut step);
+        let object = peer.pending.as_ref().expect("pending").object;
+        let provider = NodeId::from_index(PROVIDER);
+        let answer = SqMsg::Answer {
+            qid,
+            provider: Some(provider),
+        };
+        let out = step(&mut peer, from(far.node.index(), answer));
+        assert_eq!(sends(&out), [(provider, SqMsg::Fetch { qid, object })]);
+
+        let out = step(&mut peer, from(PROVIDER, SqMsg::FetchOk { qid }));
+        let record = completed(&out).expect("completes");
+        assert_eq!(record.provider, Provider::ContentPeer);
+        assert!(peer.store.contains(object));
+    }
+
+    /// Only the pending query's own home lookup names its home: a
+    /// `LookupDone` under another token does nothing, and the query's
+    /// lookup still asks the home it finds.
+    #[test]
+    fn a_lookup_done_of_another_token_is_a_no_op() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        let out = step(&mut peer, Input::Timer(SqTimer::Query));
+        let token = home_lookup(&out).expect("looks the home up");
+        let (mut rng, mut lent) = (machine_rng(2, peer.me), Lent::default());
+        let stray = ChordAction::LookupDone {
+            token: token + 1,
+            key: ChordId(0),
+            owner: far,
+            hops: 1,
+        };
+        let at = Time::from_millis(10_000);
+        let mut fx = Fx::new(at, peer.me, LocalityId(0), &mut rng, false, &mut lent);
+        peer.apply_chord_actions(&mut fx, vec![stray]);
+        assert!(lent.out.is_empty(), "{:?}", lent.out);
+
+        let out = step(&mut peer, home_found(far, token));
+        assert!(
+            matches!(&sends(&out)[..], [(to, SqMsg::Query { .. })] if *to == far.node),
+            "{out:?}"
+        );
     }
 }

@@ -72,7 +72,7 @@ pub const GOSSIP_SHUFFLE: &str = "gossip_shuffle";
 /// A content peer sent its periodic keepalive (fields: seq).
 pub const KEEPALIVE: &str = "keepalive";
 /// A content peer pushed new objects to its directory
-/// (fields: seq, objects, full).
+/// (fields: seq, objects).
 pub const PUSH: &str = "push";
 
 /// §5.2.2: a peer started claiming a directory position

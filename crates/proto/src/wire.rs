@@ -2,8 +2,8 @@
 //! messages themselves — each layout written once.
 //!
 //! One trait, [`Wire`], says how a type is put and how it is got back. The
-//! *leaves* (fixed-width little-endian integers, `bool`, `NodeId`,
-//! `QueryId`, `Option`, `Vec`, tuples, [`Summary`], [`DirPosition`]) are
+//! *leaves* (fixed-width little-endian integers, `NodeId`, `QueryId`,
+//! `Option`, `Vec`, tuples, [`Summary`], [`DirPosition`]) are
 //! written by hand and hold every decode check. Every record and enum is a
 //! *table*: `wire_record!(Type { fields in wire order })`, or
 //! `wire_enum!(Type, "what" { tag => Variant { fields in wire order }, … })`
@@ -14,6 +14,11 @@
 //! A row's tag and field order *are* the wire format: the exact bytes of
 //! one frame per variant are pinned in
 //! `crates/net/tests/wire_roundtrip.rs::frame_bytes_are_pinned`.
+//!
+//! A reply names the query it answers by its `qid` and echoes nothing the
+//! asker already holds: `FetchOk`, `FetchMiss`, [`Redirect`] and Squirrel's
+//! `Answer` carry no object, because the asker's pending query is the one
+//! record of what it asked for.
 //!
 //! The codec is hand-rolled (no serde in the tree) and **total**: every
 //! decode path returns a typed [`WireError`] — malformed, truncated or
@@ -188,21 +193,6 @@ macro_rules! wire_int {
     )*};
 }
 wire_int!(u8, u16, u32, u64);
-
-impl Wire for bool {
-    #[inline]
-    fn put<S: Sink>(&self, e: &mut Enc<S>) {
-        u8::from(*self).put(e);
-    }
-    #[inline]
-    fn get(d: &mut Dec) -> R<Self> {
-        match u8::get(d)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("bool")),
-        }
-    }
-}
 
 impl Wire for NodeId {
     #[inline]
@@ -412,7 +402,6 @@ wire_record!(DirInfo {
 wire_record!(Entry<Summary> { node, age, payload });
 wire_record!(Redirect {
     qid,
-    object,
     provider,
     dir,
     petal_view,
@@ -470,11 +459,11 @@ wire_enum!(FlowerMsg, "flower message" {
     9 => ClaimGranted { position, seed },
     10 => ClaimDenied { position, holder },
     11 => Fetch { qid, object },
-    12 => FetchOk { qid, object },
-    13 => FetchMiss { qid, object },
+    12 => FetchOk { qid },
+    13 => FetchMiss { qid },
     14 => Gossip { inner, dir_info },
     15 => Keepalive { seq },
-    16 => Push { seq, objects, full },
+    16 => Push { seq, objects },
     17 => DirAck { seq, dir },
     18 => Promote { position, seed, snapshot },
 });

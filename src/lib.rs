@@ -20,7 +20,7 @@
 //! [`flower_cdn::Machine`] that sees only the [`flower_cdn::Fx`] its host
 //! lends it for one input — the time, its identity, its RNG, and the
 //! host's [`flower_cdn::Lent`] (output buffer, rendezvous registry, origin
-//! dial). [`flower_cdn::SimHost`] is the `Node` that drives a machine from
+//! dial, profiler). [`flower_cdn::SimHost`] is the `Node` that drives a machine from
 //! simulator callbacks; `flower-net`'s `NetNode` drives the same machine
 //! from TCP frames and wall-clock timers.
 //!

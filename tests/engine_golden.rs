@@ -6,7 +6,10 @@
 //! must reproduce them digit for digit. They were last re-recorded when
 //! Chord's finger repair began asking the incumbent finger before
 //! resolving a slot, which moved the ring's traffic — and with it every
-//! number here — on purpose.
+//! number here — on purpose. Since then only the `bytes=` of `fetch_ok`,
+//! `fetch_miss`, `redirect`, `push` and `sq_answer` moved, when replies
+//! stopped echoing the object their query names and `Push` lost its
+//! `full` byte.
 
 use std::fmt::Write as _;
 
@@ -134,12 +137,12 @@ msg dir_ack count=2181 bytes=93783
 msg dir_query count=2826 bytes=88598
 msg dring_route count=1085 bytes=38864
 msg fetch count=4390 bytes=83410
-msg fetch_ok count=4182 bytes=17208930
+msg fetch_ok count=4182 bytes=17192202
 msg gossip count=1491 bytes=937635
 msg keepalive count=1308 bytes=19620
 msg promote count=42 bytes=6180
-msg push count=1131 bytes=51504
-msg redirect count=3118 bytes=418234
+msg push count=1131 bytes=50373
+msg redirect count=3118 bytes=403784
 msg route_failed count=2 bytes=30
 msg routed count=999 bytes=39797
 msg sibling_query count=1274 bytes=141964
@@ -198,9 +201,9 @@ msg chord_pong count=56107 bytes=897712
 msg chord_route count=19410 bytes=854040
 msg chord_route_result count=6903 bytes=248508
 msg fetch count=4695 bytes=89205
-msg fetch_miss count=20 bytes=380
-msg fetch_ok count=3918 bytes=16122570
-msg sq_answer count=7541 bytes=189708
+msg fetch_miss count=20 bytes=300
+msg fetch_ok count=3918 bytes=16106898
+msg sq_answer count=7541 bytes=159544
 msg sq_query count=7675 bytes=246565
 timer chord_fix_fingers count=117972
 timer query count=9036
@@ -266,8 +269,8 @@ msg chord_pong count=55924 bytes=894784
 msg chord_route count=19046 bytes=838024
 msg chord_route_result count=6756 bytes=243216
 msg fetch count=4477 bytes=85063
-msg fetch_ok count=4472 bytes=18402280
-msg sq_answer count=6710 bytes=170632
+msg fetch_ok count=4472 bytes=18384392
+msg sq_answer count=6710 bytes=143792
 msg sq_query count=6875 bytes=213573
 msg sq_store_copy count=2163 bytes=8883441
 timer chord_fix_fingers count=119657

@@ -26,7 +26,7 @@
 //! moves a digest. So does one that only renames a variant or a field,
 //! because the digest hashes `Debug` text. A re-record shows the old and
 //! the new stream (dump `stream` in `replay()` on both commits) equal line
-//! for line once what the change renamed or added is mapped or stripped;
+//! for line once what the change renamed or added or removed is mapped or stripped;
 //! CHANGES.md lists each re-record and its proof.
 
 use std::fmt::Debug;
@@ -41,8 +41,8 @@ use flower_cdn::{
 use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
 use workload::{ObjectId, WebsiteId};
 
-const FLOWER_STREAM_FNV: u64 = 0xf700_f815_d1c0_2d47;
-const SQUIRREL_STREAM_FNV: u64 = 0xc0eb_fefa_4604_09de;
+const FLOWER_STREAM_FNV: u64 = 0x76ad_616d_d304_6922;
+const SQUIRREL_STREAM_FNV: u64 = 0x5d78_cfe0_3c54_e781;
 
 /// One website under test, `localities` initial ring members per website,
 /// no Poisson arrivals and no natural deaths: every event in the run is
