@@ -10,11 +10,20 @@
 //! `fetch_miss`, `redirect`, `push` and `sq_answer` moved, when replies
 //! stopped echoing the object their query names and `Push` lost its
 //! `full` byte.
+//!
+//! A second, traced run of the Flower-CDN and the Squirrel configuration
+//! pins what the machines themselves trace: the count of every custom
+//! event tag and an FNV-1a over those events' JSONL lines, in order, from
+//! the t = 0 positions replayed into the sink to the horizon.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
+use cdn_metrics::JsonlTraceWriter;
 use flower_cdn::{FlowerSim, Scenario, SimDriver, SimParams, SquirrelMode, SquirrelSim};
-use simnet::Time;
+use simnet::{Time, TraceEvent, TraceSink};
 
 const HORIZON_MS: u64 = 40 * 60_000;
 
@@ -296,4 +305,105 @@ fn squirrel_home_store_engine_matches_golden() {
         s.world().stats().events_processed()
     });
     assert_eq!(got, SQUIRREL_HOME_STORE_GOLDEN, "got:\n{got}");
+}
+
+/// Keeps only what the machines emit — [`TraceEvent::Custom`], including
+/// the `"replayed":true` positions a sink attached at t = 0 is handed —
+/// as the JSONL lines the trace writer renders, with a count per tag.
+struct Customs {
+    jsonl: JsonlTraceWriter<Vec<u8>>,
+    per_tag: BTreeMap<&'static str, u64>,
+}
+
+impl Default for Customs {
+    fn default() -> Customs {
+        Customs {
+            jsonl: JsonlTraceWriter::new(Vec::new()),
+            per_tag: BTreeMap::new(),
+        }
+    }
+}
+
+/// A shared handle, so the test reads the sink after the run.
+#[derive(Clone, Default)]
+struct CustomSink(Rc<RefCell<Customs>>);
+
+impl TraceSink for CustomSink {
+    fn event(&mut self, at: Time, ev: &TraceEvent) {
+        if let TraceEvent::Custom { name, .. } = ev {
+            let mut c = self.0.borrow_mut();
+            *c.per_tag.entry(name).or_default() += 1;
+            c.jsonl.event(at, ev);
+        }
+    }
+}
+
+/// The golden run of `sim`, traced: one line per tag with its count, then
+/// the count and FNV-1a of every machine-emitted JSONL line in order.
+fn custom_trace<D: SimDriver>(mut sim: D) -> String {
+    let sink = CustomSink::default();
+    sim.add_trace_sink(sink.clone());
+    sim.apply_scenario(&SCENARIO.parse::<Scenario>().expect("scenario parses"));
+    sim.run_until(Time::from_millis(HORIZON_MS));
+    drop(sim.finish());
+    let c = std::mem::take(&mut *sink.0.borrow_mut());
+    let mut out = String::new();
+    for (tag, n) in &c.per_tag {
+        writeln!(out, "custom {tag} n={n}").unwrap();
+    }
+    let lines = c.jsonl.lines();
+    let fnv = bloom::hash::fnv1a(&c.jsonl.into_inner());
+    writeln!(out, "jsonl lines={lines} fnv={fnv:016x}").unwrap();
+    out
+}
+
+const FLOWER_CUSTOM_TRACE: &str = "\
+custom became_directory n=313
+custom claim_denied n=224
+custom claim_granted n=219
+custom claim_started n=429
+custom demoted n=17
+custom fetch n=4390
+custom fetch_ok n=4148
+custom fetch_timeout n=227
+custom gossip_shuffle n=978
+custom keepalive n=1308
+custom origin_fetch n=3285
+custom push n=1131
+custom query_complete n=7427
+custom query_issued n=7441
+custom redirect n=3116
+custom route_done n=1115
+custom route_failed n=4
+custom route_request n=656
+custom routed_arrived n=556
+custom sibling_forward n=1274
+jsonl lines=38258 fnv=9119c989a32afda7
+";
+
+/// What the Flower-CDN machines trace over the golden run, to the byte.
+#[test]
+fn flower_machine_trace_is_pinned() {
+    let got = custom_trace(FlowerSim::new(params()));
+    assert_eq!(got, FLOWER_CUSTOM_TRACE, "got:\n{got}");
+}
+
+const SQUIRREL_CUSTOM_TRACE: &str = "\
+custom fetch n=4695
+custom fetch_miss n=20
+custom fetch_ok n=3901
+custom fetch_timeout n=768
+custom origin_fetch n=2748
+custom query_complete n=6647
+custom query_issued n=6701
+custom route_request n=7069
+custom sq_home_answer n=7541
+jsonl lines=40090 fnv=02d18836465dfcdc
+";
+
+/// What the Squirrel machines trace over the golden run, to the byte.
+#[test]
+fn squirrel_machine_trace_is_pinned() {
+    let got = custom_trace(SquirrelSim::new(params(), SquirrelMode::Directory));
+    assert_eq!(got, SQUIRREL_CUSTOM_TRACE, "got:\n{got}");
 }
