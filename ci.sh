@@ -22,8 +22,10 @@ echo "==> golden tests, release build"
 # which is where every committed byte count is produced.
 cargo test -q --release --test engine_golden --test chord_golden --test replay
 # The scripted peer cases of both machines (the query stages a reply must
-# match, the home a Squirrel origin fetch hands its copy to), likewise.
-cargo test -q --release -p flower-cdn --test squirrel_protocol --test protocol
+# match, the home a Squirrel origin fetch hands its copy to), likewise; and
+# the unit cases of the trace consumers the benchmark attaches (the
+# invariant checker, the resilience tracker).
+cargo test -q --release -p flower-cdn --lib --test squirrel_protocol --test protocol
 # Live heap per peer, in the build whose peak RSS the benchmark measures.
 cargo test -q --release -p flower-cdn --test footprint
 # Chord's short cuts against the scans and lookups they replace

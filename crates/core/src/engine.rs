@@ -28,7 +28,8 @@ use crate::config::SimParams;
 use crate::driver::SimDriver;
 use crate::experiments::System;
 use crate::host::{SimHost, TapLog, WorldLent};
-use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
+use crate::peer::{PeerCtx, ProtocolEvent};
+use crate::tags::Event;
 
 /// Engine-level control events scheduled into the simulation.
 pub enum Control {
@@ -59,9 +60,9 @@ pub type SimWorld<S> = World<SimHost<<S as SimSystem>::Machine>, Control>;
 /// collection — is [`Engine`], shared.
 pub trait SimSystem: Sized {
     /// The sans-io protocol machine every peer of this system runs. Both
-    /// systems report in one vocabulary, so a run folds into its
+    /// systems emit one [`Event`] vocabulary, so a run folds into its
     /// [`RunResult`] the same way.
-    type Machine: Machine<Report = FlowerReport>;
+    type Machine: Machine;
 
     /// Which of the compared systems this is (labels the perf cell).
     const SYSTEM: System;
@@ -179,12 +180,13 @@ impl GaugeState {
 /// Everything a finished run produced.
 #[derive(Default)]
 pub struct RunResult {
-    /// Count per low-level protocol event (diagnostics). The map is
-    /// sparse: a key is present iff the event was reported at least once
+    /// Count per low-level protocol event (diagnostics): one per emitted
+    /// [`Event`] that [counts](Event::counted) it, traced or not. The map
+    /// is sparse: a key is present iff the event was emitted at least once
     /// during the run, so a missing key means zero occurrences. Counts
     /// cover the whole run regardless of warm-up windows, and Squirrel
-    /// peers report in the same vocabulary, so both systems are
-    /// inspectable the same way.
+    /// peers emit the same vocabulary, so both systems are inspectable the
+    /// same way.
     pub events: BTreeMap<ProtocolEvent, u64>,
     /// One record per completed object query (active websites only).
     pub records: Vec<QueryRecord>,
@@ -323,21 +325,24 @@ impl<S: SimSystem> Controller<S> {
         self.lent.borrow_mut().registry.remove(id);
     }
 
-    /// Fold what the machines reported since the last call into the
-    /// result, in report order.
+    /// Fold the events the machines emitted since the last call into the
+    /// result, in emission order.
     fn fold_reports(&mut self, world: &mut SimWorld<S>) {
         let result = &mut self.result;
-        for (_, _, report) in world.drain_reports() {
-            match report {
-                FlowerReport::Query(q) => {
-                    result.stats.record(&q);
-                    result.records.push(q);
+        for (_, _, event) in world.drain_reports() {
+            match event {
+                Event::QueryComplete { record, .. } => {
+                    result.stats.record(&record);
+                    result.records.push(record);
                 }
-                FlowerReport::BecameDirectory { replacement, .. } => {
+                Event::EnteredDRing { replacement, .. } => {
                     result.replacements += u64::from(replacement)
                 }
-                FlowerReport::PetalSplit { .. } => result.splits += 1,
-                FlowerReport::Event(e) => *result.events.entry(e).or_default() += 1,
+                Event::PetalSplit { .. } => result.splits += 1,
+                e => {
+                    let counted = e.counted().expect("the host reports only folded events");
+                    *result.events.entry(counted).or_default() += 1;
+                }
             }
         }
     }

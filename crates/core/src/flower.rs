@@ -15,6 +15,7 @@ use crate::engine::{Engine, SimSystem, SimWorld};
 use crate::experiments::System;
 use crate::host::SimHost;
 use crate::peer::{FlowerPeer, PeerCtx};
+use crate::tags::{Event, BECAME_DIRECTORY};
 
 /// Flower-CDN: petals of content peers behind a D-ring of directory peers.
 pub struct Flower;
@@ -100,21 +101,18 @@ impl SimSystem for Flower {
         record("petal_size_mean", mean);
     }
 
-    /// One `became_directory` per held position, so a late-attached
-    /// invariant checker knows the t=0 D-ring.
+    /// One replayed `became_directory` per held position, so a
+    /// late-attached invariant checker knows the t=0 D-ring.
     fn replay_state(world: &SimWorld<Flower>, sink: &mut dyn TraceSink) {
-        for (id, pos, _) in live_directories(world) {
-            let mut fields = crate::tags::pos_fields(pos);
-            fields.push(("replacement", false.into()));
-            fields.push(("replayed", true.into()));
-            sink.event(
-                world.now(),
-                &TraceEvent::Custom {
-                    node: id,
-                    name: crate::tags::BECAME_DIRECTORY,
-                    fields,
-                },
-            );
+        for (node, position, _) in live_directories(world) {
+            let held = Event::BecameDirectory {
+                position,
+                replacement: false,
+                snapshot: None,
+                replayed: Some(true),
+            };
+            let (name, fields) = (BECAME_DIRECTORY, held.fields());
+            sink.event(world.now(), &TraceEvent::Custom { node, name, fields });
         }
     }
 }

@@ -5,11 +5,12 @@
 //! [`Fx`] built from the callback [`Ctx`] (its time, id, locality and
 //! tracing flag, the host's RNG, the world's [`Lent`]), running
 //! [`Machine::handle`], and draining the recorded [`Output`] commands back
-//! into the `Ctx` buffers, one buffer per kind. The world applies them
-//! kind by kind — trace events, then sends, then timers, then reports —
-//! each kind in the order the protocol emitted it (`World::with_node`;
-//! every pin in the repository rests on that order), and the machine
-//! itself never touches simulator types. Only the world removes a node
+//! into the `Ctx` buffers, one buffer per kind (an [`Event`] becomes a
+//! trace event while tracing, and a report if the engine folds it). The
+//! world applies them kind by kind — trace events, then sends, then
+//! timers, then reports — each kind in the order the protocol emitted it
+//! (`World::with_node`; every pin in the repository rests on that order),
+//! and the machine itself never touches simulator types. Only the world removes a node
 //! (`World::fail`, `World::leave`); a machine cannot retire itself.
 //!
 //! The buffer the machine writes into, the rendezvous registry, the
@@ -25,6 +26,7 @@ use std::ops::Deref;
 use std::rc::Rc;
 
 use flower_proto::io::{machine_rng, Fx, Input, InputOf, Lent, Machine, Output, OutputOf};
+use flower_proto::Event;
 use rand::rngs::StdRng;
 use simnet::{Ctx, Node, NodeId, Time};
 
@@ -102,8 +104,14 @@ impl<M: Machine> SimHost<M> {
             match out {
                 Output::Send { to, msg } => ctx.send(to, msg),
                 Output::SetTimer { delay_ms, timer } => ctx.set_timer(delay_ms, timer),
-                Output::Report(r) => ctx.report(r),
-                Output::Trace { name, fields } => ctx.trace(name, || fields),
+                Output::Event(e) => {
+                    if let Some(name) = e.name() {
+                        ctx.trace(name, || e.fields());
+                    }
+                    if e.folded() {
+                        ctx.report(e);
+                    }
+                }
                 // The simulator has no API clients; responses are inert.
                 Output::Respond { .. } => {}
             }
@@ -123,7 +131,7 @@ impl<M: Machine> Deref for SimHost<M> {
 impl<M: Machine> Node for SimHost<M> {
     type Msg = M::Msg;
     type Timer = M::Timer;
-    type Report = M::Report;
+    type Report = Event;
 
     fn on_start(&mut self, ctx: &mut Ctx<Self>) {
         self.drive(ctx, Input::Start);

@@ -310,13 +310,7 @@ impl TraceSink for InvariantChecker {
             TraceEvent::NodeFail { node } | TraceEvent::NodeLeave { node } => {
                 s.node_gone(at, *node);
             }
-            TraceEvent::Custom { node, name, fields } => {
-                let (node, name) = (*node, *name);
-                // Split borrow: clone the (small) field vec is avoided by
-                // passing the slice; `custom` takes &mut self via `s`.
-                let fields: &[(&'static str, FieldValue)] = fields;
-                s.custom(at, node, name, fields);
-            }
+            TraceEvent::Custom { node, name, fields } => s.custom(at, *node, name, fields),
             _ => {}
         }
     }

@@ -65,13 +65,13 @@ pub use engine::{Control, Engine, RunResult, SimSystem};
 pub use experiments::{run_comparison, run_system_with, shape_params, ComparisonRun, System};
 pub use flower::{Flower, FlowerHost, FlowerSim};
 pub use flower_proto::{
-    machine_rng, machine_seed, ApiCall, ApiResp, Fx, Input, Lent, Machine, OriginDial, Output,
-    ProviderKind, RoleKind,
+    machine_rng, machine_seed, ApiCall, ApiResp, Event, Fx, Input, Lent, Machine, OriginDial,
+    Output, ProviderKind, RoleKind,
 };
 pub use host::{SimHost, TapEntry, TapLog, WorldLent};
 pub use invariants::InvariantChecker;
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
-pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};
+pub use peer::{FlowerPeer, PeerCtx, Role};
 pub use qid::QueryId;
 pub use resilience::{AvailabilityBucket, Recovery, ResilienceSummary, ResilienceTracker};
 pub use squirrel::{Squirrel, SquirrelHost, SquirrelMode, SquirrelSim};

@@ -26,7 +26,7 @@ const USAGE: &str = "usage: flower-node --id <n> [options]
   --seed-locality <l> locality of the seed directory (default 0)
   --run-seed <s>      RNG seed (default 61710)
   --fast              compress protocol periods for smoke tests
-  --verbose           log protocol reports to stderr";
+  --verbose           log protocol events to stderr";
 
 fn fail(msg: &str) -> ! {
     eprintln!("flower-node: {msg}\n{USAGE}");

@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 use chord::{Chord, NodeRef};
 use flower_proto::io::machine_rng;
 use flower_proto::{
-    ApiResp, DirPosition, FlowerMsg, FlowerPeer, FlowerReport, FlowerTimer, Fx, Input, InputOf,
-    Lent, Machine, Output, PeerCtx, SimParams,
+    ApiResp, DirPosition, FlowerMsg, FlowerPeer, FlowerTimer, Fx, Input, InputOf, Lent, Machine,
+    Output, PeerCtx, SimParams,
 };
 use simnet::{LocalityId, NodeId, Time};
 use workload::{Catalog, WebsiteId};
@@ -57,7 +57,7 @@ pub struct NodeConfig {
     pub fast: bool,
     /// Seed of the machine RNG (per-node derivation as in the sim).
     pub run_seed: u64,
-    /// Log protocol reports to stderr.
+    /// Log the events the machine emits to stderr.
     pub verbose: bool,
 }
 
@@ -210,32 +210,12 @@ impl NetNode {
                 Output::Send { to, msg } => self.send_peer(to, &msg),
                 Output::SetTimer { delay_ms, timer } => self.arm(self.now_ms() + delay_ms, timer),
                 Output::Respond { token, resp } => self.respond(token, resp),
-                Output::Report(r) => {
-                    if self.cfg.verbose {
-                        self.log_report(&r);
-                    }
-                }
-                Output::Trace { .. } => {}
+                // Untraced: only the events a simulation would fold.
+                Output::Event(e) if self.cfg.verbose => eprintln!("[n{}] {e:?}", self.cfg.id),
+                Output::Event(_) => {}
             }
         }
         self.lent.out = outputs;
-    }
-
-    fn log_report(&self, r: &FlowerReport) {
-        match r {
-            FlowerReport::Query(q) => eprintln!("[n{}] query via {:?}", self.cfg.id, q.via),
-            FlowerReport::BecameDirectory {
-                position,
-                replacement,
-            } => eprintln!(
-                "[n{}] became directory of {:?} (replacement: {replacement})",
-                self.cfg.id, position
-            ),
-            FlowerReport::PetalSplit { from, to } => {
-                eprintln!("[n{}] petal split {from:?} -> {to:?}", self.cfg.id)
-            }
-            FlowerReport::Event(e) => eprintln!("[n{}] event {e:?}", self.cfg.id),
-        }
     }
 
     /// Send a protocol message to a peer, dialing and caching the

@@ -3,26 +3,29 @@
 //! A protocol core is a [`Machine`]: a pure state machine that consumes one
 //! [`Input`] at a time — a delivered message, a timer fire, a local API
 //! call, a start or leave notification — and records the complete list of
-//! [`Output`] commands it wants executed (sends, timer arms, measurement
-//! reports, API responses). The machine performs no I/O, reads no clocks
-//! and shares no state: for each input the host lends it an [`Fx`] — the
-//! current time, its id and locality, a deterministic RNG, whether a trace
-//! sink listens, and the host's [`Lent`] (output buffer, rendezvous
-//! registry, origin dial, profiler) — so the same state, inputs, seed and registry
-//! always produce byte-identical output streams, whether the host is the
+//! [`Output`] commands it wants executed (sends, timer arms, events, API
+//! responses). The machine performs no I/O, reads no clocks and shares no
+//! state: for each input the host lends it an [`Fx`] — the current time,
+//! its id and locality, a deterministic RNG, whether a trace sink listens,
+//! and the host's [`Lent`] (output buffer, rendezvous registry, origin
+//! dial, profiler) — so the same state, inputs, seed and registry always
+//! produce byte-identical output streams, whether the host is the
 //! discrete-event simulator, a replay harness or a real TCP event loop.
 //!
-//! [`Fx`]'s API mirrors the simulator's `Ctx` (send / set_timer / report /
-//! trace / now / me / locality) and records every effect as an [`Output`]
-//! in call order. A machine never retires itself: a node leaves only when
-//! its host removes it, after an [`Input::Leave`] or without notice.
+//! [`Fx`]'s API mirrors the simulator's `Ctx` (send / set_timer / now / me
+//! / locality) and records every effect as an [`Output`] in call order.
+//! What happened is said once, as one typed [`Event`] ([`Fx::emit`]); each
+//! host turns it into what it needs, the engine's fold and, while tracing,
+//! the trace. A machine never retires itself: a node leaves only when its
+//! host removes it, after an [`Input::Leave`] or without notice.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use simnet::{Fields, LocalityId, NodeId, Profiler, Time};
+use simnet::{LocalityId, NodeId, Profiler, Time};
 
 use crate::bootstrap::Bootstrap;
 use crate::origin::OriginDial;
+use crate::tags::Event;
 
 /// One event handed to a machine by its host.
 ///
@@ -51,26 +54,19 @@ pub type InputOf<M> = Input<<M as Machine>::Msg, <M as Machine>::Timer, <M as Ma
 /// Generic over the payload types for the same reason as [`Input`];
 /// signatures say [`OutputOf<M>`].
 #[derive(Clone, Debug)]
-pub enum Output<Msg, Timer, Report, ApiResp> {
+pub enum Output<Msg, Timer, ApiResp> {
     /// Send `msg` to `to` (unreliable; the protocol tolerates loss).
     Send { to: NodeId, msg: Msg },
     /// Deliver `timer` back to this machine after `delay_ms`.
     SetTimer { delay_ms: u64, timer: Timer },
-    /// Emit a measurement record for the experiment engine.
-    Report(Report),
-    /// A structured trace event (only emitted while a sink listens).
-    Trace { name: &'static str, fields: Fields },
+    /// Something happened (a trace-only event only while a sink listens).
+    Event(Event),
     /// Answer the API call identified by `token`.
     Respond { token: u64, resp: ApiResp },
 }
 
 /// The [`Output`] of machine `M`.
-pub type OutputOf<M> = Output<
-    <M as Machine>::Msg,
-    <M as Machine>::Timer,
-    <M as Machine>::Report,
-    <M as Machine>::ApiResp,
->;
+pub type OutputOf<M> = Output<<M as Machine>::Msg, <M as Machine>::Timer, <M as Machine>::ApiResp>;
 
 /// A pure protocol state machine.
 pub trait Machine: Sized {
@@ -78,8 +74,6 @@ pub trait Machine: Sized {
     type Msg: Clone;
     /// Timer tag type delivered back via [`Output::SetTimer`].
     type Timer: Clone;
-    /// Measurement record type collected by the experiment engine.
-    type Report: Clone;
     /// Local API request type (empty `()` for machines with no API).
     type Api: Clone;
     /// Local API response type.
@@ -177,7 +171,7 @@ pub struct Fx<'a, M: Machine> {
 impl<'a, M: Machine> Fx<'a, M> {
     /// Lend node `me` at `locality` the time `now`, its RNG and the host's
     /// `lent` state for one `handle` call; effects are appended to
-    /// `lent.out` in call order, trace events only while `tracing`.
+    /// `lent.out` in call order, trace-only events only while `tracing`.
     pub fn new(
         now: Time,
         me: NodeId,
@@ -224,24 +218,17 @@ impl<'a, M: Machine> Fx<'a, M> {
         self.outputs.push(Output::SetTimer { delay_ms, timer });
     }
 
-    /// Emit a measurement record.
-    pub fn report(&mut self, r: M::Report) {
-        self.outputs.push(Output::Report(r));
-    }
-
     /// Answer the API call identified by `token`.
     pub fn respond(&mut self, token: u64, resp: M::ApiResp) {
         self.outputs.push(Output::Respond { token, resp });
     }
 
-    /// Emit a protocol trace event. `fields` is a closure so field
-    /// construction costs nothing when no sink is attached.
-    pub fn trace(&mut self, name: &'static str, fields: impl FnOnce() -> Fields) {
-        if self.tracing {
-            self.outputs.push(Output::Trace {
-                name,
-                fields: fields(),
-            });
+    /// Report what happened. A [folded](Event::folded) event is recorded
+    /// always, a trace-only one only while a sink listens, so an untraced
+    /// exchange records nothing the engine does not fold.
+    pub fn emit(&mut self, e: Event) {
+        if self.tracing || e.folded() {
+            self.outputs.push(Output::Event(e));
         }
     }
 }
@@ -249,20 +236,52 @@ impl<'a, M: Machine> Fx<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peer::ProtocolEvent;
 
     struct Echo;
     impl Machine for Echo {
         type Msg = u8;
         type Timer = u8;
-        type Report = ();
         type Api = ();
         type ApiResp = ();
         fn handle(&mut self, mut fx: Fx<'_, Self>, input: InputOf<Self>) {
-            if let Input::Deliver { from, msg } = input {
-                fx.send(from, msg);
-                fx.set_timer(5, msg);
+            match input {
+                Input::Deliver { from, msg } => {
+                    fx.send(from, msg);
+                    fx.set_timer(5, msg);
+                }
+                // A trace-only event, a folded one, a trace-only one.
+                Input::Start => {
+                    fx.emit(Event::Keepalive { seq: 1 });
+                    fx.emit(Event::Count(ProtocolEvent::AckTimeout));
+                    fx.emit(Event::Push { seq: 2, objects: 0 });
+                }
+                _ => {}
             }
         }
+    }
+
+    /// What `Echo` records on `Start`, traced or not.
+    fn started(tracing: bool) -> Vec<String> {
+        let me = NodeId::from_index(0);
+        let mut rng = machine_rng(1, me);
+        let mut lent = Lent::default();
+        let fx = Fx::new(Time::ZERO, me, LocalityId(0), &mut rng, tracing, &mut lent);
+        Echo.handle(fx, Input::Start);
+        lent.out.iter().map(|o| format!("{o:?}")).collect()
+    }
+
+    #[test]
+    fn fx_records_trace_only_events_only_while_tracing() {
+        assert_eq!(started(false), ["Event(Count(AckTimeout))"]);
+        assert_eq!(
+            started(true),
+            [
+                "Event(Keepalive { seq: 1 })",
+                "Event(Count(AckTimeout))",
+                "Event(Push { seq: 2, objects: 0 })",
+            ]
+        );
     }
 
     #[test]

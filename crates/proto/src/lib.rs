@@ -5,7 +5,8 @@
 //! machines: each implements [`io::Machine`] — `handle(fx, input)` —
 //! where inputs are delivered messages, timer fires and API calls, and the
 //! outputs recorded through the lent [`io::Fx`] are send / set-timer /
-//! report / respond commands. Both embed one query [`timeline`]: the fetch → retry → origin
+//! event / respond commands, each event one typed [`tags::Event`] per
+//! fact. Both embed one query [`timeline`]: the fetch → retry → origin
 //! → record path the paper's three metrics are read from.
 //!
 //! No I/O, no clock, no global RNG, no shared state: hosts (the
@@ -44,7 +45,8 @@ pub use dring::DirPosition;
 pub use io::{machine_rng, machine_seed, Fx, Input, InputOf, Lent, Machine, Output, OutputOf};
 pub use msg::{FlowerMsg, FlowerTimer, Redirect, RoutePayload, SiblingQuery, Summary};
 pub use origin::OriginDial;
-pub use peer::{FlowerPeer, FlowerReport, PeerCtx, Role};
+pub use peer::{FlowerPeer, PeerCtx, Role};
 pub use qid::QueryId;
 pub use squirrel::{SquirrelMode, SquirrelPeer};
 pub use store::{ContentStore, StorePolicy};
+pub use tags::Event;

@@ -14,9 +14,9 @@ use crate::dirinfo::DirInfo;
 use crate::dring::DirPosition;
 use crate::io::Fx;
 use crate::msg::{FlowerMsg, FlowerTimer, Redirect, Summary};
-use crate::peer::{Await, DirectoryRole, FlowerPeer, FlowerReport, ProtocolEvent, Role, RouteJob};
+use crate::peer::{Await, DirectoryRole, FlowerPeer, ProtocolEvent, Role, RouteJob};
 use crate::qid::QueryId;
-use crate::tags;
+use crate::tags::Event;
 
 /// Grants and promotions older than this are considered abandoned.
 const GRANT_TTL_MS: u64 = 60_000;
@@ -33,11 +33,7 @@ pub(crate) fn jittered_period(rng: &mut impl Rng, period: u64) -> u64 {
 
 /// The arbiter's "taken": `position` is (or is about to be) `holder`'s.
 fn deny(ctx: &mut Fx<FlowerPeer>, claimer: NodeId, position: DirPosition, holder: NodeRef) {
-    ctx.trace(tags::CLAIM_DENIED, || {
-        let mut f = tags::pos_fields(position);
-        f.push(("holder", holder.node.into()));
-        f
-    });
+    ctx.emit(Event::ClaimDenied { position, holder });
     ctx.send(claimer, FlowerMsg::ClaimDenied { position, holder });
 }
 
@@ -52,11 +48,7 @@ fn grant(
 ) {
     d.grants.insert(key, (claimer, ctx.now()));
     let seed = d.chord.me();
-    ctx.trace(tags::CLAIM_GRANTED, || {
-        let mut f = tags::pos_fields(position);
-        f.push(("claimer", claimer.into()));
-        f
-    });
+    ctx.emit(Event::ClaimGranted { position, claimer });
     ctx.send(claimer, FlowerMsg::ClaimGranted { position, seed });
 }
 
@@ -76,12 +68,10 @@ impl FlowerPeer {
             let _p = ctx.profiler.scope("bloom_summary");
             self.store.summary()
         };
-        if let Some((target, msg, gen)) = self.gossip.start_shuffle(summary, ctx.rng) {
-            ctx.trace(tags::GOSSIP_SHUFFLE, || {
-                vec![("partner", target.into()), ("gen", gen.into())]
-            });
+        if let Some((partner, msg, gen)) = self.gossip.start_shuffle(summary, ctx.rng) {
+            ctx.emit(Event::GossipShuffle { partner, gen });
             ctx.send(
-                target,
+                partner,
                 FlowerMsg::Gossip {
                     inner: msg,
                     dir_info: self.dir_info,
@@ -198,12 +188,13 @@ impl FlowerPeer {
         self.awaiting.arm(seq);
         let msg = if push {
             let objects = self.store.take_push_delta();
-            ctx.trace(tags::PUSH, || {
-                vec![("seq", seq.into()), ("objects", objects.len().into())]
+            ctx.emit(Event::Push {
+                seq,
+                objects: objects.len(),
             });
             FlowerMsg::Push { seq, objects }
         } else {
-            ctx.trace(tags::KEEPALIVE, || vec![("seq", seq.into())]);
+            ctx.emit(Event::Keepalive { seq });
             FlowerMsg::Keepalive { seq }
         };
         ctx.send(holder.node, msg);
@@ -250,7 +241,7 @@ impl FlowerPeer {
             return;
         }
         self.awaiting.close(seq);
-        ctx.report(FlowerReport::Event(ProtocolEvent::AckTimeout));
+        ctx.emit(Event::Count(ProtocolEvent::AckTimeout));
         self.suspect_directory(ctx);
     }
 
@@ -305,11 +296,9 @@ impl FlowerPeer {
             self.become_directory(ctx, position, me_ref, None, true);
             return;
         };
-        ctx.report(FlowerReport::Event(ProtocolEvent::ClaimStarted));
-        ctx.trace(tags::CLAIM_STARTED, || {
-            let mut f = tags::pos_fields(position);
-            f.push(("attempt", attempts.into()));
-            f
+        ctx.emit(Event::ClaimStarted {
+            position,
+            attempt: attempts,
         });
         let seq = self.awaiting.open(b, Await::Claim { position, attempts });
         self.awaiting.arm(seq);
@@ -497,8 +486,8 @@ impl FlowerPeer {
     // ==================================================================
 
     /// PetalUp split (§4): choose a managed content peer and promote it to
-    /// the next instance position.
-    pub(crate) fn split_petal(&mut self, ctx: &mut Fx<Self>, next_pos: DirPosition) {
+    /// `position`, the next instance.
+    pub(crate) fn split_petal(&mut self, ctx: &mut Fx<Self>, position: DirPosition) {
         let me = self.me;
         let now = ctx.now();
         let Role::Directory(d) = &mut self.role else {
@@ -513,35 +502,28 @@ impl FlowerPeer {
         if candidates.is_empty() {
             return;
         }
-        let chosen = candidates[ctx.rng.gen_range(0..candidates.len())];
-        d.promotion_pending = Some((chosen, now));
+        let member = candidates[ctx.rng.gen_range(0..candidates.len())];
+        d.promotion_pending = Some((member, now));
         // "The replacing content peer is then removed from the
         // directory-index of d^i" (§4).
-        d.index.remove_peer(chosen);
+        d.index.remove_peer(member);
         let seed = d.chord.me();
         let from = d.position;
-        ctx.trace(tags::PETAL_SPLIT, || {
-            vec![
-                ("ws", from.website.0.into()),
-                ("loc", from.locality.0.into()),
-                ("from_inst", from.instance.into()),
-                ("to_inst", next_pos.instance.into()),
-            ]
+        ctx.emit(Event::PetalSplit {
+            ws: from.website,
+            loc: from.locality,
+            from_inst: from.instance,
+            to_inst: position.instance,
         });
-        ctx.trace(tags::PROMOTE, || {
-            let mut f = tags::pos_fields(next_pos);
-            f.push(("member", chosen.into()));
-            f
-        });
+        ctx.emit(Event::Promote { position, member });
         ctx.send(
-            chosen,
+            member,
             FlowerMsg::Promote {
-                position: next_pos,
+                position,
                 seed,
                 snapshot: None,
             },
         );
-        ctx.report(FlowerReport::PetalSplit { from, to: next_pos });
     }
 
     /// A directory chose us: PetalUp promotion (no snapshot — we keep using
@@ -592,12 +574,11 @@ impl FlowerPeer {
         )));
         self.dir_info = None;
         self.awaiting.retain(|_| false);
-        let had_snapshot = snapshot.is_some();
-        ctx.trace(tags::BECAME_DIRECTORY, || {
-            let mut f = tags::pos_fields(position);
-            f.push(("replacement", replacement.into()));
-            f.push(("snapshot", had_snapshot.into()));
-            f
+        ctx.emit(Event::BecameDirectory {
+            position,
+            replacement,
+            snapshot: Some(snapshot.is_some()),
+            replayed: None,
         });
         self.apply_chord_actions(ctx, actions);
         if standalone {
@@ -693,7 +674,7 @@ impl FlowerPeer {
             return;
         }
         if d.self_check_misses >= 3 {
-            ctx.report(FlowerReport::Event(ProtocolEvent::Demoted));
+            ctx.emit(Event::Count(ProtocolEvent::Demoted));
             self.demote_to_client(ctx);
         }
     }
@@ -703,8 +684,8 @@ impl FlowerPeer {
     /// fresh client (our store is re-announced on arrival).
     pub(crate) fn demote_to_client(&mut self, ctx: &mut Fx<Self>) {
         if let Role::Directory(d) = &self.role {
-            let pos = d.position;
-            ctx.trace(tags::DEMOTED, || tags::pos_fields(pos));
+            let position = d.position;
+            ctx.emit(Event::Demoted { position });
         }
         ctx.registry.remove(self.me);
         self.role = Role::Client;

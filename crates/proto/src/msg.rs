@@ -43,6 +43,16 @@ pub enum RoutePayload {
     },
 }
 
+impl RoutePayload {
+    /// The query a client request carries; a claim carries none.
+    pub(crate) fn client_qid(&self) -> Option<QueryId> {
+        match self {
+            RoutePayload::ClientRequest { qid, .. } => Some(*qid),
+            RoutePayload::Claim { .. } => None,
+        }
+    }
+}
+
 /// A directory peer answers query `qid`: where to get the object the
 /// client's pending query names. Also the join ticket into the petal
 /// (`dir` + `petal_view`).

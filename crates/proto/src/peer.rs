@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use cdn_metrics::{QueryRecord, ResolvedVia};
+use cdn_metrics::ResolvedVia;
 use chord::{Chord, ChordAction, ChordId, NodeRef, Outstanding};
 use gossip::{Cyclon, ShuffleMode};
 use rand::Rng;
@@ -27,7 +27,7 @@ use crate::io::{Fx, Input, InputOf, Machine};
 use crate::msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
-use crate::tags;
+use crate::tags::Event;
 use crate::timeline::{self, QueryMachine, Stage, Timeline};
 
 /// Immutable per-peer context handed in by the experiment engine, the same
@@ -45,26 +45,9 @@ pub struct PeerCtx {
     pub origin_latency_ms: u64,
 }
 
-/// Events the engine collects (via `simnet` reports). Squirrel peers
-/// report in the same vocabulary — `Query` and `Event` only — so a run of
-/// either system folds into one result the same way.
-#[derive(Debug, Clone)]
-pub enum FlowerReport {
-    /// A query completed (the paper's three metrics derive from these).
-    Query(QueryRecord),
-    /// This peer entered D-ring at `position`; `replacement` marks §5.2
-    /// repair (vs. initial/bootstrap/promotion occupancy).
-    BecameDirectory {
-        position: DirPosition,
-        replacement: bool,
-    },
-    /// A directory split off a new PetalUp instance (§4).
-    PetalSplit { from: DirPosition, to: DirPosition },
-    /// Low-level protocol event (diagnostics; see [`ProtocolEvent`]).
-    Event(ProtocolEvent),
-}
-
-/// Fine-grained protocol events for diagnosing where queries are lost.
+/// Fine-grained protocol events for diagnosing where queries are lost,
+/// counted per run. Squirrel peers count in the same vocabulary, so a run
+/// of either system folds into one result the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ProtocolEvent {
     /// A provider answered `FetchMiss` (stale index / summary false
@@ -371,7 +354,7 @@ impl FlowerPeer {
             return;
         };
         ctx.registry.add(d.chord.me());
-        ctx.report(FlowerReport::BecameDirectory {
+        ctx.emit(Event::EnteredDRing {
             position: d.position,
             replacement: d.replacement,
         });
@@ -409,16 +392,11 @@ impl FlowerPeer {
             }
             None => return, // internal chord lookup (join / fingers)
         };
-        ctx.trace(tags::ROUTE_DONE, || {
-            let mut f = vec![
-                ("key", key.0.into()),
-                ("owner", owner.node.into()),
-                ("hops", hops.into()),
-            ];
-            if let RoutePayload::ClientRequest { qid, .. } = &payload {
-                f.push(("qid", qid.raw().into()));
-            }
-            f
+        ctx.emit(Event::RouteDone {
+            key,
+            owner: owner.node,
+            hops,
+            qid: payload.client_qid(),
         });
         if owner.node == self.me {
             self.handle_routed(ctx, key, payload, hops);
@@ -436,13 +414,8 @@ impl FlowerPeer {
             Some(RouteJob::PositionCheck) => return self.position_check_result(ctx, false),
             None => return,
         };
-        ctx.trace(tags::ROUTE_FAILED, || {
-            let mut f = Vec::new();
-            if let RoutePayload::ClientRequest { qid, .. } = &payload {
-                f.push(("qid", qid.raw().into()));
-            }
-            f
-        });
+        let qid = payload.client_qid();
+        ctx.emit(Event::RouteFailed { qid });
         if let RoutePayload::ClientRequest { client, qid, .. } = payload {
             ctx.send(client, FlowerMsg::RouteFailed { req_qid: qid });
         }
@@ -537,12 +510,12 @@ impl FlowerPeer {
         let startup = std::mem::take(&mut self.startup_chord_actions);
         match &self.role {
             Role::Directory(d) => {
-                let (me, pos) = (d.chord.me(), d.position);
-                ctx.trace(tags::BECAME_DIRECTORY, || {
-                    let mut f = tags::pos_fields(pos);
-                    f.push(("replacement", false.into()));
-                    f.push(("snapshot", false.into()));
-                    f
+                let (me, position) = (d.chord.me(), d.position);
+                ctx.emit(Event::BecameDirectory {
+                    position,
+                    replacement: false,
+                    snapshot: Some(false),
+                    replayed: None,
                 });
                 self.apply_chord_actions(ctx, startup);
                 Self::arm_dir_sweep(ctx, &self.pcx.params);
@@ -759,7 +732,6 @@ impl QueryMachine for FlowerPeer {
 impl Machine for FlowerPeer {
     type Msg = FlowerMsg;
     type Timer = FlowerTimer;
-    type Report = FlowerReport;
     type Api = ApiCall;
     type ApiResp = ApiResp;
 
@@ -810,7 +782,7 @@ mod tests {
     use super::*;
     use crate::io::{machine_rng, Lent, Output, OutputOf};
     use crate::msg::{Redirect, SiblingQuery};
-    use cdn_metrics::Provider;
+    use cdn_metrics::{Provider, QueryRecord};
     use chord::{ChordMsg, ChordTimer, StepResult};
     use rand::rngs::StdRng;
 
@@ -1010,7 +982,7 @@ mod tests {
         assert!(!peer.is_directory(), "a third miss demotes");
         assert!(
             out.iter()
-                .any(|o| matches!(o, Output::Trace { name, .. } if *name == tags::DEMOTED)),
+                .any(|o| matches!(o, Output::Event(Event::Demoted { .. }))),
             "{out:?}"
         );
         assert_eq!(events(&out), [ProtocolEvent::Demoted]);
@@ -1187,12 +1159,8 @@ mod tests {
             &mut peer,
             Input::Timer(FlowerTimer::DirAckDeadline { seq: keepalive }),
         );
-        let timed_out = |o: &Out| {
-            matches!(
-                o,
-                Output::Report(FlowerReport::Event(ProtocolEvent::AckTimeout))
-            )
-        };
+        let timed_out =
+            |o: &Out| matches!(o, Output::Event(Event::Count(ProtocolEvent::AckTimeout)));
         assert!(out.iter().any(timed_out), "{out:?}");
         let Some(FlowerTimer::ClaimDeadline { claim_seq }) = deadline(&out) else {
             panic!("a claim awaits its verdict: {out:?}");
@@ -1246,12 +1214,7 @@ mod tests {
 
     fn no_provider_reports(out: &[Out]) -> usize {
         out.iter()
-            .filter(|o| {
-                matches!(
-                    o,
-                    Output::Report(FlowerReport::Event(ProtocolEvent::DirNoProvider))
-                )
-            })
+            .filter(|o| matches!(o, Output::Event(Event::Count(ProtocolEvent::DirNoProvider))))
             .count()
     }
 
@@ -1703,7 +1666,7 @@ mod tests {
     fn events(out: &[Out]) -> Vec<ProtocolEvent> {
         out.iter()
             .filter_map(|o| match o {
-                Output::Report(FlowerReport::Event(e)) => Some(*e),
+                Output::Event(e) => e.counted(),
                 _ => None,
             })
             .collect()
@@ -1712,7 +1675,7 @@ mod tests {
     /// The record of the query the step completed.
     fn completed(out: &[Out]) -> Option<QueryRecord> {
         out.iter().find_map(|o| match o {
-            Output::Report(FlowerReport::Query(r)) => Some(*r),
+            Output::Event(Event::QueryComplete { record, .. }) => Some(*record),
             _ => None,
         })
     }

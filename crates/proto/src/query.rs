@@ -22,9 +22,9 @@ use crate::config::SHUFFLE_LEN;
 use crate::dring::DirPosition;
 use crate::io::Fx;
 use crate::msg::{FlowerMsg, FlowerTimer, Redirect, RoutePayload, SiblingQuery, Summary};
-use crate::peer::{FlowerPeer, FlowerReport, PendingQuery, ProtocolEvent, Role};
+use crate::peer::{FlowerPeer, PendingQuery, ProtocolEvent, Role};
 use crate::qid::QueryId;
-use crate::tags;
+use crate::tags::Event;
 use crate::timeline::{self, Stage, Timeline};
 
 /// Directories a provider search may visit along the same-website ring
@@ -109,9 +109,7 @@ impl FlowerPeer {
                     object,
                     qid,
                 };
-                ctx.trace(tags::ROUTE_REQUEST, || {
-                    vec![("qid", qid.raw().into()), ("key", key.0.into())]
-                });
+                ctx.emit(Event::RouteRequest { qid, key });
                 ctx.send(b.node, FlowerMsg::DRingRoute { key, payload });
                 // Linear backoff per retry: a partitioned or overloaded
                 // D-ring gets progressively more slack before the query
@@ -188,7 +186,7 @@ impl FlowerPeer {
                 p.tl.await_answer(ctx, &self.pcx, 5);
             }
             None => {
-                ctx.report(FlowerReport::Event(ProtocolEvent::NoDirInfo));
+                ctx.emit(Event::Count(ProtocolEvent::NoDirInfo));
                 self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin)
             }
         }
@@ -287,7 +285,7 @@ impl FlowerPeer {
         {
             // Our own directory went silent: fall back and trigger the
             // §5.2 replacement machinery.
-            ctx.report(FlowerReport::Event(ProtocolEvent::DirQueryTimeout));
+            ctx.emit(Event::Count(ProtocolEvent::DirQueryTimeout));
             self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
             self.suspect_directory(ctx);
             return;
@@ -312,7 +310,7 @@ impl FlowerPeer {
         if attempts < 3 {
             self.route_pending_over_dring(ctx);
         } else {
-            ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
+            ctx.emit(Event::Count(ProtocolEvent::RouteFailure));
             self.start_origin_fetch(ctx, ResolvedVia::DirectOrigin);
         }
     }
@@ -325,7 +323,7 @@ impl FlowerPeer {
         if !p.tl.fetching(qid, from) {
             return;
         }
-        ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
+        ctx.emit(Event::FetchOk { qid });
         let provider = if self.dir_info.is_some_and(|d| d.holder.node == from) {
             Provider::DirectoryPeer
         } else {
@@ -474,12 +472,8 @@ impl FlowerPeer {
     /// Answer `client`'s query: fetch from `r.provider`, or — with none —
     /// from the origin.
     fn redirect(ctx: &mut Fx<Self>, client: NodeId, r: Redirect) {
-        ctx.trace(tags::REDIRECT, || {
-            vec![
-                ("qid", r.qid.raw().into()),
-                ("hit", r.provider.is_some().into()),
-            ]
-        });
+        let (qid, hit) = (r.qid, r.provider.is_some());
+        ctx.emit(Event::Redirect { qid, hit });
         ctx.send(client, FlowerMsg::Redirect(r));
     }
 
@@ -517,7 +511,7 @@ impl FlowerPeer {
         exclude.extend([from, self.me]);
         let provider = self.petal_provider(ctx, object, &exclude);
         if provider.is_none() {
-            ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
+            ctx.emit(Event::Count(ProtocolEvent::DirNoProvider));
         }
         let q = SiblingQuery {
             client: from,
@@ -541,10 +535,8 @@ impl FlowerPeer {
         let succ = d.chord.successor();
         if q.ttl > 0 && d.position.same_website(succ.id) && succ.node != self.me {
             q.ttl -= 1;
-            let (qid, ttl) = (q.qid.raw(), u64::from(q.ttl));
-            ctx.trace(tags::SIBLING_FORWARD, || {
-                vec![("qid", qid.into()), ("ttl", ttl.into())]
-            });
+            let (qid, ttl) = (q.qid, q.ttl.into());
+            ctx.emit(Event::SiblingForward { qid, ttl });
             ctx.send(succ.node, FlowerMsg::SiblingQuery(q));
         } else {
             Self::redirect(ctx, q.client, q.answer(None, 0));
@@ -576,12 +568,8 @@ impl FlowerPeer {
         let Role::Directory(d) = &mut self.role else {
             return;
         };
-        let arrived_pos = d.position;
-        ctx.trace(tags::ROUTED_ARRIVED, || {
-            let mut f = tags::pos_fields(arrived_pos);
-            f.push(("qid", qid.raw().into()));
-            f
-        });
+        let position = d.position;
+        ctx.emit(Event::RoutedArrived { position, qid });
         if !d.position.same_couple(key) {
             // We are not a directory for this couple: the base position is
             // vacant (§5.2.2 case 2). Arbitrate the client straight in.
@@ -596,13 +584,10 @@ impl FlowerPeer {
             if let Some(next_pos) = next_pos {
                 let succ = d.chord.successor();
                 if succ.id == next_pos.chord_id() {
-                    let from_inst = d.position.instance;
-                    ctx.trace(tags::INSTANCE_FORWARD, || {
-                        vec![
-                            ("qid", qid.raw().into()),
-                            ("from_inst", from_inst.into()),
-                            ("to_inst", next_pos.instance.into()),
-                        ]
+                    ctx.emit(Event::InstanceForward {
+                        qid,
+                        from_inst: d.position.instance,
+                        to_inst: next_pos.instance,
                     });
                     ctx.send(
                         succ.node,

@@ -34,10 +34,10 @@ use simnet::NodeId;
 use workload::ObjectId;
 
 use crate::io::{Fx, Input, InputOf, Machine};
-use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
+use crate::peer::{PeerCtx, ProtocolEvent};
 use crate::qid::QueryId;
 use crate::store::ContentStore;
-use crate::tags;
+use crate::tags::Event;
 use crate::timeline::{self, QueryMachine, Stage, Timeline};
 use crate::wire::{self, Wire};
 
@@ -323,9 +323,7 @@ impl SquirrelPeer {
     fn start_home_lookup(&mut self, ctx: &mut Fx<Self>) {
         let p = self.pending.as_mut().expect("pending query");
         let (qid, key) = (p.tl.qid, object_key(p.object));
-        ctx.trace(tags::ROUTE_REQUEST, || {
-            vec![("qid", qid.raw().into()), ("key", key.0.into())]
-        });
+        ctx.emit(Event::RouteRequest { qid, key });
         let (token, actions) = self.chord.lookup_recursive(key);
         p.home = Home::Lookup(token);
         self.apply_chord_actions(ctx, actions);
@@ -375,7 +373,7 @@ impl SquirrelPeer {
         {
             return;
         }
-        ctx.report(FlowerReport::Event(ProtocolEvent::RouteFailure));
+        ctx.emit(Event::Count(ProtocolEvent::RouteFailure));
         self.retry_or_origin(ctx);
     }
 
@@ -405,7 +403,7 @@ impl SquirrelPeer {
                 p.tl.fetch_from(ctx, &self.pcx, target, p.object);
             }
             _ => {
-                ctx.report(FlowerReport::Event(ProtocolEvent::DirNoProvider));
+                ctx.emit(Event::Count(ProtocolEvent::DirNoProvider));
                 p.tl.origin_round_trip(ctx, &self.pcx);
             }
         }
@@ -418,7 +416,7 @@ impl SquirrelPeer {
         if !p.tl.fetching(qid, from) {
             return;
         }
-        ctx.trace(tags::FETCH_OK, || vec![("qid", qid.raw().into())]);
+        ctx.emit(Event::FetchOk { qid });
         let kind = if p.home == Home::Asked(from) {
             Provider::DirectoryPeer // home-store service
         } else {
@@ -474,7 +472,7 @@ impl SquirrelPeer {
         // Home node died between lookup and query: re-route; the DHT will
         // have promoted a successor (whose directory starts empty — the
         // Squirrel weakness the paper highlights).
-        ctx.report(FlowerReport::Event(ProtocolEvent::DirQueryTimeout));
+        ctx.emit(Event::Count(ProtocolEvent::DirQueryTimeout));
         self.retry_or_origin(ctx);
     }
 
@@ -568,15 +566,11 @@ impl SquirrelPeer {
                 exclude,
             } => {
                 if !self.chord.owns_strict(object_key(object)) {
-                    ctx.report(FlowerReport::Event(ProtocolEvent::AnsweredByNonOwner));
+                    ctx.emit(Event::Count(ProtocolEvent::AnsweredByNonOwner));
                 }
                 let provider = self.home_answer(ctx, from, object, &exclude);
-                ctx.trace(tags::SQ_HOME_ANSWER, || {
-                    vec![
-                        ("qid", qid.raw().into()),
-                        ("hit", provider.is_some().into()),
-                    ]
-                });
+                let hit = provider.is_some();
+                ctx.emit(Event::HomeAnswer { qid, hit });
                 ctx.send(from, SqMsg::Answer { qid, provider });
             }
             SqMsg::Answer { qid, provider } => self.on_answer(ctx, qid, provider),
@@ -628,7 +622,6 @@ impl QueryMachine for SquirrelPeer {
 impl Machine for SquirrelPeer {
     type Msg = SqMsg;
     type Timer = SqTimer;
-    type Report = FlowerReport;
     /// Squirrel has no local control surface.
     type Api = ();
     type ApiResp = ();
@@ -772,7 +765,7 @@ mod tests {
     fn events(out: &[Out]) -> Vec<ProtocolEvent> {
         out.iter()
             .filter_map(|o| match o {
-                Output::Report(FlowerReport::Event(e)) => Some(*e),
+                Output::Event(e) => e.counted(),
                 _ => None,
             })
             .collect()
@@ -780,7 +773,7 @@ mod tests {
 
     fn completed(out: &[Out]) -> Option<QueryRecord> {
         out.iter().find_map(|o| match o {
-            Output::Report(FlowerReport::Query(r)) => Some(*r),
+            Output::Event(Event::QueryComplete { record, .. }) => Some(*record),
             _ => None,
         })
     }

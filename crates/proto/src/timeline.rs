@@ -43,17 +43,17 @@ use simnet::{NodeId, Time};
 use workload::{sample_exp, ObjectId, WebsiteId};
 
 use crate::io::{Fx, Machine};
-use crate::peer::{FlowerReport, PeerCtx, ProtocolEvent};
+use crate::peer::PeerCtx;
 use crate::qid::QueryId;
 use crate::store::ContentStore;
-use crate::tags;
+use crate::tags::Event;
 
 /// Fetches a query may spend on peers before it goes to the origin.
 pub(crate) const MAX_FETCH_ATTEMPTS: u32 = 3;
 
 /// The wire shapes the timeline sends and arms, in the vocabulary of the
 /// machine embedding it.
-pub(crate) trait QueryMachine: Machine<Report = FlowerReport> {
+pub(crate) trait QueryMachine: Machine {
     fn query_timer() -> Self::Timer;
     fn fetch_msg(qid: QueryId, object: ObjectId) -> Self::Msg;
     /// The deadline query `qid` arms in `stage`.
@@ -99,22 +99,17 @@ pub(crate) struct Timeline {
 }
 
 impl Timeline {
-    /// Start the clock. `object` is `None` for a Flower-CDN petal join,
-    /// which travels the query path but asks for nothing.
+    /// Start the clock on query `qid` of website `ws`. `object` is `None`
+    /// for a Flower-CDN petal join, which travels the query path but asks
+    /// for nothing.
     pub fn issue<M: Machine>(
         ctx: &mut Fx<M>,
         qid: QueryId,
-        website: WebsiteId,
+        ws: WebsiteId,
         object: Option<ObjectId>,
     ) -> Timeline {
         if let Some(object) = object {
-            ctx.trace(tags::QUERY_ISSUED, || {
-                vec![
-                    ("qid", qid.raw().into()),
-                    ("ws", website.0.into()),
-                    ("object", object.as_u64().into()),
-                ]
-            });
+            ctx.emit(Event::QueryIssued { qid, ws, object });
         }
         Timeline {
             qid,
@@ -139,25 +134,23 @@ impl Timeline {
         self.arm(ctx, pcx.params.rpc_timeout_ms * rpc_timeouts);
     }
 
-    /// Ask `target` for `object`, under a deadline carrying the attempt.
+    /// Ask `provider` for `object`, under a deadline carrying the attempt.
     pub fn fetch_from<M: QueryMachine>(
         &mut self,
         ctx: &mut Fx<M>,
         pcx: &PeerCtx,
-        target: NodeId,
+        provider: NodeId,
         object: ObjectId,
     ) {
         self.fetch_attempts += 1;
         self.stage = Stage::Fetching {
-            provider: target,
+            provider,
             attempt: self.fetch_attempts,
         };
         self.fetch_sent_at = ctx.now();
         let qid = self.qid;
-        ctx.trace(tags::FETCH, || {
-            vec![("qid", qid.raw().into()), ("provider", target.into())]
-        });
-        ctx.send(target, M::fetch_msg(qid, object));
+        ctx.emit(Event::Fetch { qid, provider });
+        ctx.send(provider, M::fetch_msg(qid, object));
         self.arm(ctx, pcx.params.rpc_timeout_ms);
     }
 
@@ -191,15 +184,11 @@ impl Timeline {
         self.stage = Stage::Resolving;
         self.excluded.push(provider);
         let (qid, attempt) = (self.qid, self.fetch_attempts);
-        let (tag, event) = if timed_out {
-            (tags::FETCH_TIMEOUT, ProtocolEvent::FetchTimeout)
+        ctx.emit(if timed_out {
+            Event::FetchTimeout { qid, attempt }
         } else {
-            (tags::FETCH_MISS, ProtocolEvent::FetchMiss)
-        };
-        ctx.trace(tag, || {
-            vec![("qid", qid.raw().into()), ("attempt", attempt.into())]
+            Event::FetchMiss { qid, attempt }
         });
-        ctx.report(FlowerReport::Event(event));
         self.fetch_attempts >= MAX_FETCH_ATTEMPTS
     }
 
@@ -208,8 +197,7 @@ impl Timeline {
     pub fn origin_round_trip<M: QueryMachine>(&mut self, ctx: &mut Fx<M>, pcx: &PeerCtx) {
         self.stage = Stage::Origin;
         self.fetch_sent_at = ctx.now();
-        let qid = self.qid;
-        ctx.trace(tags::ORIGIN_FETCH, || vec![("qid", qid.raw().into())]);
+        ctx.emit(Event::OriginFetch { qid: self.qid });
         self.arm(ctx, 2 * origin_one_way_ms(ctx, pcx).max(1));
     }
 
@@ -233,13 +221,8 @@ impl Timeline {
             provider,
             via,
         };
-        ctx.trace(tags::QUERY_COMPLETE, || {
-            vec![
-                ("qid", self.qid.raw().into()),
-                ("provider", provider.label().into()),
-            ]
-        });
-        ctx.report(FlowerReport::Query(record));
+        let qid = self.qid;
+        ctx.emit(Event::QueryComplete { qid, record });
     }
 }
 
@@ -287,6 +270,7 @@ mod tests {
     use super::*;
     use crate::io::{machine_rng, Lent, Output};
     use crate::squirrel::{SqTimer, SquirrelPeer};
+    use crate::tags::{FETCH_MISS, FETCH_TIMEOUT};
     use simnet::{FieldValue, Fields, LocalityId};
 
     /// A reply or a deadline is about the query only at the stage the steps
@@ -389,7 +373,7 @@ mod tests {
                 _ => None,
             });
             let transfer = lent.out.iter().find_map(|o| match o {
-                Output::Report(FlowerReport::Query(q)) => Some(q.transfer_ms),
+                Output::Event(Event::QueryComplete { record, .. }) => Some(record.transfer_ms),
                 _ => None,
             });
             lent.out.clear();
@@ -446,25 +430,19 @@ mod tests {
         assert_eq!(tl.excluded, [me, providers[0], providers[1], providers[2]]);
 
         let out = lent.out;
-        let reports: Vec<ProtocolEvent> = out
+        let failures: Vec<Event> = out
             .iter()
             .filter_map(|o| match o {
-                Output::Report(FlowerReport::Event(e)) => Some(*e),
+                Output::Event(e) if e.counted().is_some() => Some(*e),
                 _ => None,
             })
             .collect();
-        use ProtocolEvent::{FetchMiss, FetchTimeout};
-        assert_eq!(reports, [FetchTimeout, FetchMiss, FetchTimeout]);
-        let traces: Vec<(&str, &Fields)> = out
+        use crate::peer::ProtocolEvent::{FetchMiss, FetchTimeout};
+        let counted: Vec<_> = failures.iter().filter_map(Event::counted).collect();
+        assert_eq!(counted, [FetchTimeout, FetchMiss, FetchTimeout]);
+        let traces: Vec<(&str, Fields)> = failures
             .iter()
-            .filter_map(|o| match o {
-                Output::Trace { name, fields }
-                    if [tags::FETCH_TIMEOUT, tags::FETCH_MISS].contains(name) =>
-                {
-                    Some((*name, fields))
-                }
-                _ => None,
-            })
+            .map(|e| (e.name().expect("traced"), e.fields()))
             .collect();
         let want = |attempt: u64| -> Fields {
             vec![
@@ -475,9 +453,9 @@ mod tests {
         assert_eq!(
             traces,
             [
-                (tags::FETCH_TIMEOUT, &want(1)),
-                (tags::FETCH_MISS, &want(2)),
-                (tags::FETCH_TIMEOUT, &want(3)),
+                (FETCH_TIMEOUT, want(1)),
+                (FETCH_MISS, want(2)),
+                (FETCH_TIMEOUT, want(3)),
             ]
         );
     }

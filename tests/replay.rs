@@ -20,14 +20,15 @@
 //! deregisters itself, it does to the registry it is lent.
 //!
 //! The recorded streams are also **pinned**: an FNV-1a digest over every
-//! exchange — trace events included — is checked in debug and in release.
-//! A refactor of `crates/proto` that changes a message, a timer, an RNG
-//! draw, a trace shape or the order of outputs within one `handle` call
+//! exchange — each `Event` the machine emits, trace-only ones included,
+//! since a sink listens — is checked in debug and in release. A refactor
+//! of `crates/proto` that changes a message, a timer, an RNG draw, an
+//! event or its fields, or the order of outputs within one `handle` call
 //! moves a digest. So does one that only renames a variant or a field,
 //! because the digest hashes `Debug` text. A re-record shows the old and
 //! the new stream (dump `stream` in `replay()` on both commits) equal line
-//! for line once what the change renamed or added or removed is mapped or stripped;
-//! CHANGES.md lists each re-record and its proof.
+//! for line once what the change renamed or added or removed is mapped or
+//! stripped; CHANGES.md lists each re-record and its proof.
 
 use std::fmt::Debug;
 use std::rc::Rc;
@@ -35,14 +36,14 @@ use std::rc::Rc;
 use flower_cdn::peer::ProtocolEvent;
 use flower_cdn::squirrel::{object_key, peer_ring_id, SquirrelPeer};
 use flower_cdn::{
-    machine_rng, Bootstrap, FlowerPeer, FlowerReport, FlowerSim, Fx, Lent, Machine, Output,
-    PeerCtx, SimDriver, SimParams, SquirrelMode, SquirrelSim, TapEntry, TapLog,
+    machine_rng, Bootstrap, Event, FlowerPeer, FlowerSim, Fx, Lent, Machine, Output, PeerCtx,
+    SimDriver, SimParams, SquirrelMode, SquirrelSim, TapEntry, TapLog,
 };
 use simnet::{LocalityId, NodeId, Time, TraceEvent, TraceSink};
 use workload::{ObjectId, WebsiteId};
 
-const FLOWER_STREAM_FNV: u64 = 0x76ad_616d_d304_6922;
-const SQUIRREL_STREAM_FNV: u64 = 0x5d78_cfe0_3c54_e781;
+const FLOWER_STREAM_FNV: u64 = 0x2746_db78_3f1c_9b32;
+const SQUIRREL_STREAM_FNV: u64 = 0xe5e2_f230_05cd_5db4;
 
 /// One website under test, `localities` initial ring members per website,
 /// no Poisson arrivals and no natural deaths: every event in the run is
@@ -78,7 +79,6 @@ fn replay<M: Machine>(
 where
     M::Msg: Debug,
     M::Timer: Debug,
-    M::Report: Debug,
     M::Api: Debug,
     M::ApiResp: Debug,
 {
@@ -106,7 +106,7 @@ where
 }
 
 /// A sink that keeps nothing: attaching it is what makes the machines emit
-/// their trace events into the tapped stream.
+/// their trace-only events into the tapped stream.
 struct Discard;
 
 impl TraceSink for Discard {
@@ -126,7 +126,7 @@ fn registry_of(members: &[chord::NodeRef]) -> Bootstrap {
 fn tapped_flower_client_replays_byte_identically() {
     let seed = 0xD1CE;
     let mut sim = FlowerSim::new(scripted_params(seed, 1));
-    // With a sink attached the machines emit their trace events too.
+    // With a sink attached the machines emit their trace-only events too.
     sim.add_trace_sink(Discard);
 
     // Snapshot the rendezvous registry before anything runs: the replay
@@ -167,7 +167,7 @@ fn tapped_flower_client_replays_byte_identically() {
         e.outputs.iter().any(|o| {
             matches!(
                 o,
-                Output::Report(FlowerReport::BecameDirectory {
+                Output::Event(Event::EnteredDRing {
                     replacement: true,
                     ..
                 })
@@ -246,7 +246,7 @@ fn tapped_squirrel_client_replays_byte_identically() {
         entries
             .iter()
             .flat_map(|e| &e.outputs)
-            .any(|o| matches!(o, Output::Report(FlowerReport::Event(e)) if *e == want))
+            .any(|o| matches!(o, Output::Event(e) if e.counted() == Some(want)))
     };
     assert!(
         reported(ProtocolEvent::DirQueryTimeout) && reported(ProtocolEvent::FetchTimeout),
