@@ -14,7 +14,9 @@
 //! A second, traced run of the Flower-CDN and the Squirrel configuration
 //! pins what the machines themselves trace: the count of every custom
 //! event tag and an FNV-1a over those events' JSONL lines, in order, from
-//! the t = 0 positions replayed into the sink to the horizon.
+//! the t = 0 positions replayed into the sink to the horizon. A third traced
+//! run, of one crowded website with small directories, pins PetalUp's
+//! trace shapes (`petal_split`, `promote`, `instance_forward`).
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -340,11 +342,19 @@ impl TraceSink for CustomSink {
 
 /// The golden run of `sim`, traced: one line per tag with its count, then
 /// the count and FNV-1a of every machine-emitted JSONL line in order.
-fn custom_trace<D: SimDriver>(mut sim: D) -> String {
+fn custom_trace<D: SimDriver>(sim: D) -> String {
+    traced_until(sim, Some(SCENARIO), HORIZON_MS)
+}
+
+/// `sim` traced to `horizon_ms` under `scenario`, rendered as
+/// [`custom_trace`] renders it.
+fn traced_until<D: SimDriver>(mut sim: D, scenario: Option<&str>, horizon_ms: u64) -> String {
     let sink = CustomSink::default();
     sim.add_trace_sink(sink.clone());
-    sim.apply_scenario(&SCENARIO.parse::<Scenario>().expect("scenario parses"));
-    sim.run_until(Time::from_millis(HORIZON_MS));
+    if let Some(scenario) = scenario {
+        sim.apply_scenario(&scenario.parse::<Scenario>().expect("scenario parses"));
+    }
+    sim.run_until(Time::from_millis(horizon_ms));
     drop(sim.finish());
     let c = std::mem::take(&mut *sink.0.borrow_mut());
     let mut out = String::new();
@@ -406,4 +416,61 @@ jsonl lines=40090 fnv=02d18836465dfcdc
 fn squirrel_machine_trace_is_pinned() {
     let got = custom_trace(SquirrelSim::new(params(), SquirrelMode::Directory));
     assert_eq!(got, SQUIRREL_CUSTOM_TRACE, "got:\n{got}");
+}
+
+/// One crowded website whose directories hold at most a handful of
+/// content peers, so PetalUp (§4) splits petals, promotes members and
+/// forwards joins and queries between instances: trace shapes the golden
+/// scenario run never produces.
+fn petalup_params() -> SimParams {
+    let horizon_ms = 30 * 60_000;
+    let mut p = SimParams::quick(150, horizon_ms);
+    p.seed = 0x9E7A;
+    p.catalog.websites = 1;
+    p.catalog.active_websites = 1;
+    p.catalog.objects_per_site = 200;
+    p.directory_capacity = 4;
+    p.mean_uptime_ms = horizon_ms;
+    p
+}
+
+const PETALUP_CUSTOM_TRACE: &str = "\
+custom became_directory n=50
+custom claim_denied n=51
+custom claim_granted n=15
+custom claim_started n=76
+custom demoted n=1
+custom fetch n=11591
+custom fetch_ok n=11396
+custom fetch_timeout n=191
+custom gossip_shuffle n=984
+custom instance_forward n=227
+custom keepalive n=996
+custom origin_fetch n=2798
+custom petal_split n=29
+custom promote n=29
+custom push n=1383
+custom query_complete n=14193
+custom query_issued n=14201
+custom redirect n=5417
+custom route_done n=242
+custom route_request n=165
+custom routed_arrived n=391
+custom sibling_forward n=6027
+jsonl lines=70453 fnv=75a4fac2f612a1b5
+";
+
+/// What the Flower-CDN machines trace while petals split, to the byte.
+#[test]
+fn flower_petalup_trace_is_pinned() {
+    let p = petalup_params();
+    let horizon_ms = p.horizon_ms;
+    let got = traced_until(FlowerSim::new(p), None, horizon_ms);
+    for tag in ["petal_split", "promote", "instance_forward"] {
+        assert!(
+            got.contains(&format!("custom {tag} n=")),
+            "no {tag}:\n{got}"
+        );
+    }
+    assert_eq!(got, PETALUP_CUSTOM_TRACE, "got:\n{got}");
 }
