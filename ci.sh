@@ -42,7 +42,7 @@ cargo test -q --release -p flower-net --test wire_roundtrip
 cargo test -q --release -p flower-net --lib
 # The timer wheel every simulated event is popped from: against a reference
 # heap, and allocation-free in steady state.
-cargo test -q --release -p simnet --test timer_wheel --test zero_alloc
+cargo test -q --release -p simnet --lib --test timer_wheel --test zero_alloc
 # The byte pins of the two JSON artifacts (a line of every trace event
 # shape, the BENCH report), in the build that writes every committed
 # BENCH_*.json.

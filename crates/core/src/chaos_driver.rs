@@ -61,7 +61,7 @@ pub(crate) fn dispatch<S: SimSystem>(
     // Fire `action` again `after_ms` from now, if the fault asked for it.
     let follow_up = |world: &mut SimWorld<S>, after_ms: Option<u64>, action: FaultAction| {
         if let Some(after) = after_ms {
-            world.schedule_control(world.now() + after, Control::Chaos(action));
+            world.schedule_control(world.now() + after, Control::Chaos(Box::new(action)));
         }
     };
     match action {

@@ -45,8 +45,10 @@ pub enum Control {
     /// leave gracefully in the headline runs), or, if `graceful`, the leave
     /// path whose hand-over (§5.2.2) runs before removal.
     Retire { node: NodeId, graceful: bool },
-    /// A scheduled fault from a [`chaos::Scenario`] fires now.
-    Chaos(chaos::FaultAction),
+    /// A scheduled fault from a [`chaos::Scenario`] fires now. Boxed: the
+    /// queue slot every control event takes is sized for the largest one,
+    /// and a fault is rare beside the churn schedule's thousands of spawns.
+    Chaos(Box<chaos::FaultAction>),
     /// Periodic gauge-sampling tick; armed by [`SimDriver::enable_gauges`]
     /// and self-rescheduling.
     Sample,
@@ -362,7 +364,7 @@ impl<S: SimSystem> Controller<S> {
                 }
             }
             Control::Retire { node, graceful } => self.retire(world, node, graceful),
-            Control::Chaos(action) => chaos_driver::dispatch(self, world, action),
+            Control::Chaos(action) => chaos_driver::dispatch(self, world, *action),
             Control::Sample => {
                 if let Some(g) = self.gauges.as_mut() {
                     let at = world.now().as_millis();
@@ -595,8 +597,10 @@ impl<S: SimSystem> SimDriver for Engine<S> {
             panic!("scenario does not fit this run: {e}");
         }
         for f in scenario.iter() {
-            self.world
-                .schedule_control(Time::from_millis(f.at_ms), Control::Chaos(f.action.clone()));
+            self.world.schedule_control(
+                Time::from_millis(f.at_ms),
+                Control::Chaos(Box::new(f.action.clone())),
+            );
         }
     }
 
@@ -649,6 +653,29 @@ impl<S: SimSystem> SimDriver for Engine<S> {
             gauges: gauges.map_or_else(GaugeRegistry::new, |g| g.registry.borrow().clone()),
             perf,
             ..self.ctl.result
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::flower::Flower;
+    use crate::squirrel::Squirrel;
+
+    /// A queued event is a handle — a timer tag, a control event or a
+    /// delivery's slot in the world's in-flight slab, never a message — and
+    /// a churning run queues tens of thousands of them, most of them
+    /// pre-drawn spawns. A fat new timer or control variant would widen
+    /// every one of those slots.
+    #[test]
+    fn a_queued_event_is_at_most_32_bytes() {
+        let sizes = [
+            ("flower", SimWorld::<Flower>::queued_event_bytes()),
+            ("squirrel", SimWorld::<Squirrel>::queued_event_bytes()),
+        ];
+        for (system, bytes) in sizes {
+            assert!(bytes <= 32, "{system}: a queued event takes {bytes} B");
         }
     }
 }

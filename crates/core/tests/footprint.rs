@@ -8,17 +8,25 @@
 //!
 //! * (a) hold no more heap at sim-minute 120 than at sim-minute 60, give or
 //!   take 15 %: whatever a dead peer owned and whatever a folded report
-//!   needed is gone;
+//!   needed is gone. The query records the run returns are the one thing
+//!   that must grow with elapsed time, so (a) weighs the heap net of
+//!   `RunResult::records`' capacity at each point, taken from identical
+//!   runs finished there (the runs are deterministic, so this is exact);
 //! * (b) hold no more heap per live peer than recorded below, give or take
-//!   10 %: no per-peer buffer came back.
+//!   10 %: no per-peer buffer came back, and no queued event grew back to
+//!   the size of a message.
 //!
 //! Reverting the boxed node slots or the fold-as-produced reports fails (a);
-//! reverting the world-owned output buffer fails (b) (CHANGES.md, PR 18).
+//! reverting the world-owned output buffer fails (b) (CHANGES.md, PR 18),
+//! and so does queueing message bodies in the wheel's slab again.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use flower_cdn::{shape_params, FlowerSim, SimDriver, SimParams, SquirrelMode, SquirrelSim};
+use cdn_metrics::QueryRecord;
+use flower_cdn::{
+    shape_params, FlowerSim, RunResult, SimDriver, SimParams, SquirrelMode, SquirrelSim,
+};
 use simnet::Time;
 
 thread_local! {
@@ -71,10 +79,24 @@ fn params() -> SimParams {
     p
 }
 
-/// Live heap of the simulation (everything this thread allocated since
-/// `build` was entered) at sim-minutes 60 and 120, and the population at
-/// the end.
-fn footprint<D: SimDriver>(build: impl FnOnce(SimParams) -> D) -> (isize, isize, usize) {
+/// What one seeded run holds: the live heap of the simulation (everything
+/// this thread allocated since `build` was entered) at sim-minutes 60 and
+/// 120, the part of it that is the query records' buffer, and the
+/// population at the end.
+struct Footprint {
+    at_60: isize,
+    at_120: isize,
+    records_60: isize,
+    records_120: isize,
+    alive: usize,
+}
+
+/// Bytes `RunResult::records` holds: its capacity, not its length.
+fn records_bytes(result: &RunResult) -> isize {
+    (result.records.capacity() * std::mem::size_of::<QueryRecord>()) as isize
+}
+
+fn footprint<D: SimDriver>(build: impl Fn(SimParams) -> D) -> Footprint {
     let base = LIVE.with(Cell::get);
     let mut sim = build(params());
     sim.run_until(Time::from_millis(60 * MINUTE_MS));
@@ -84,16 +106,35 @@ fn footprint<D: SimDriver>(build: impl FnOnce(SimParams) -> D) -> (isize, isize,
     let alive = sim.live_population();
     let result = sim.finish();
     assert!(result.stats.queries > 1_000, "the run did its work");
-    (at_60, at_120, alive)
+    let records_120 = records_bytes(&result);
+    drop(result);
+    // Finishing folds nothing a run to the same time has not folded, so
+    // the same run finished at minute 60 holds the buffer the measured one
+    // held then.
+    let mut early = build(params());
+    early.run_until(Time::from_millis(60 * MINUTE_MS));
+    let records_60 = records_bytes(&early.finish());
+    Footprint {
+        at_60,
+        at_120,
+        records_60,
+        records_120,
+        alive,
+    }
 }
 
-fn check(system: &str, (at_60, at_120, alive): (isize, isize, usize), recorded_per_peer: isize) {
-    let per_peer = at_120 / alive as isize;
-    println!("{system}: live heap {at_60} B @ 60 min, {at_120} B @ 120 min, {alive} alive, {per_peer} B/peer");
+fn check(system: &str, f: Footprint, recorded_per_peer: isize) {
+    let per_peer = f.at_120 / f.alive as isize;
+    let (net_60, net_120) = (f.at_60 - f.records_60, f.at_120 - f.records_120);
+    println!(
+        "{system}: live heap {} B @ 60 min, {} B @ 120 min ({net_60} B and {net_120} B \
+         net of the records), {} alive, {per_peer} B/peer",
+        f.at_60, f.at_120, f.alive
+    );
     assert!(
-        at_120 * 100 <= at_60 * 115,
-        "{system}: live heap grew with elapsed time at a stationary population: \
-         {at_60} B at sim-minute 60, {at_120} B at sim-minute 120"
+        net_120 * 100 <= net_60 * 115,
+        "{system}: live heap net of the query records grew with elapsed time at a \
+         stationary population: {net_60} B at sim-minute 60, {net_120} B at sim-minute 120"
     );
     assert!(
         per_peer * 100 <= recorded_per_peer * 110,
@@ -103,11 +144,11 @@ fn check(system: &str, (at_60, at_120, alive): (isize, isize, usize), recorded_p
 
 #[test]
 fn flower_heap_follows_the_live_population() {
-    check("flower", footprint(FlowerSim::new), 7_642);
+    check("flower", footprint(FlowerSim::new), 5_787);
 }
 
 #[test]
 fn squirrel_heap_follows_the_live_population() {
     let build = |p| SquirrelSim::new(p, SquirrelMode::Directory);
-    check("squirrel", footprint(build), 7_624);
+    check("squirrel", footprint(build), 6_733);
 }

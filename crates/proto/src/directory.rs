@@ -18,6 +18,20 @@ use crate::store::{summarize, ObjectSet};
 struct PeerEntry {
     objects: ObjectSet,
     last_heard_ms: u64,
+    /// The summary of `objects` handed to contacts, built the first time a
+    /// sample needs it and dropped when `objects` changes: every Redirect
+    /// and sibling query naming this peer until then shares it.
+    summary: Option<Summary>,
+}
+
+impl PeerEntry {
+    fn new(last_heard_ms: u64) -> PeerEntry {
+        PeerEntry {
+            objects: ObjectSet::default(),
+            last_heard_ms,
+            summary: None,
+        }
+    }
 }
 
 /// Uniform pick among `candidates` without collecting them: count, draw,
@@ -80,10 +94,7 @@ impl DirectoryIndex {
     pub fn register_peer(&mut self, node: NodeId, now_ms: u64) {
         self.peers
             .entry(node)
-            .or_insert(PeerEntry {
-                objects: ObjectSet::default(),
-                last_heard_ms: 0,
-            })
+            .or_insert_with(|| PeerEntry::new(0))
             .last_heard_ms = now_ms;
     }
 
@@ -95,13 +106,14 @@ impl DirectoryIndex {
         objects: impl IntoIterator<Item = ObjectId>,
         now_ms: u64,
     ) {
-        let entry = self.peers.entry(node).or_insert(PeerEntry {
-            objects: ObjectSet::default(),
-            last_heard_ms: now_ms,
-        });
+        let entry = self
+            .peers
+            .entry(node)
+            .or_insert_with(|| PeerEntry::new(now_ms));
         entry.last_heard_ms = now_ms;
         for o in objects {
             if entry.objects.insert(o) {
+                entry.summary = None;
                 self.holders.entry(o).or_default().push(node);
             }
         }
@@ -115,6 +127,7 @@ impl DirectoryIndex {
         };
         for o in objects {
             if entry.objects.remove(o) {
+                entry.summary = None;
                 if let Some(hs) = self.holders.get_mut(&o) {
                     hs.retain(|&h| h != node);
                     if hs.is_empty() {
@@ -202,9 +215,10 @@ impl DirectoryIndex {
     /// Sample up to `n` content peers together with Bloom summaries of what
     /// we believe they hold — the view subset handed to joining clients
     /// ("provides them with a subset of its old view so that they
-    /// initialize their view of petal(ws,loc)", §4).
+    /// initialize their view of petal(ws,loc)", §4). A contact's summary
+    /// is built at most once per change of its entry.
     pub fn sample_contacts(
-        &self,
+        &mut self,
         n: usize,
         exclude: NodeId,
         rng: &mut impl Rng,
@@ -219,9 +233,11 @@ impl DirectoryIndex {
         ids.truncate(n);
         ids.into_iter()
             .map(|id| {
+                let e = self.peers.get_mut(&id).expect("sampled from the view");
                 // Base size whatever the entry holds, unlike a store's own
                 // summary: seeded runs depend on the Redirect's bytes.
-                (id, summarize(&self.peers[&id].objects, 0))
+                let summary = e.summary.get_or_insert_with(|| summarize(&e.objects, 0));
+                (id, Summary::clone(summary))
             })
             .collect()
     }
@@ -252,6 +268,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
+    use std::sync::Arc;
     use workload::WebsiteId;
 
     fn o(rank: u16) -> ObjectId {
@@ -349,6 +366,38 @@ mod tests {
     }
 
     #[test]
+    fn a_contacts_summary_is_rebuilt_only_when_its_entry_changes() {
+        let summary_of = |idx: &mut DirectoryIndex| {
+            let mut rng = StdRng::seed_from_u64(6);
+            idx.sample_contacts(5, n(99), &mut rng).remove(0).1
+        };
+        let mut idx = DirectoryIndex::new();
+        idx.record_objects(n(1), (0..5).map(o), 0);
+        let first = summary_of(&mut idx);
+        // Neither a refresh nor a record of what it already holds changes
+        // the entry: the one summary is handed out again.
+        idx.heard_from(n(1), 1);
+        idx.record_objects(n(1), [o(2)], 2);
+        assert!(Arc::ptr_eq(&first, &summary_of(&mut idx)));
+
+        idx.record_objects(n(1), [o(9)], 3);
+        let grown = summary_of(&mut idx);
+        assert!(!Arc::ptr_eq(&first, &grown));
+        idx.retract_objects(n(1), [o(0)]);
+        let shrunk = summary_of(&mut idx);
+        assert!(!Arc::ptr_eq(&grown, &shrunk));
+        assert!(grown.contains(o(0).as_u64()));
+
+        let mut fresh = DirectoryIndex::new();
+        fresh.record_objects(n(1), (1..5).chain([9]).map(o), 0);
+        assert_eq!(
+            *shrunk,
+            *summary_of(&mut fresh),
+            "bits, m, k and item count"
+        );
+    }
+
+    #[test]
     fn contacts_without_objects_carry_the_shared_empty_summary() {
         let mut idx = DirectoryIndex::new();
         idx.record_objects(n(1), std::iter::empty(), 0);
@@ -362,10 +411,10 @@ mod tests {
         for (id, summary) in &sample {
             if *id == n(3) {
                 assert!(summary.contains(o(7).as_u64()));
-                assert!(!std::sync::Arc::ptr_eq(summary, &shared));
+                assert!(!Arc::ptr_eq(summary, &shared));
             } else {
                 assert_eq!(**summary, fresh, "bits, m, k and item count");
-                assert!(std::sync::Arc::ptr_eq(summary, &shared));
+                assert!(Arc::ptr_eq(summary, &shared));
             }
         }
     }

@@ -414,12 +414,22 @@ impl FlowerPeer {
             Some(RouteJob::PositionCheck) => return self.position_check_result(ctx, false),
             None => return,
         };
-        let qid = payload.client_qid();
-        ctx.emit(Event::RouteFailed { qid });
-        if let RoutePayload::ClientRequest { client, qid, .. } = payload {
-            ctx.send(client, FlowerMsg::RouteFailed { req_qid: qid });
+        match payload {
+            RoutePayload::ClientRequest { client, qid, .. } => {
+                ctx.emit(Event::RouteFailed {
+                    qid: Some(qid),
+                    position: None,
+                    claimer: None,
+                });
+                ctx.send(client, FlowerMsg::RouteFailed { req_qid: qid });
+            }
+            // The claimer's ClaimDeadline will retry.
+            RoutePayload::Claim { claimer, position } => ctx.emit(Event::RouteFailed {
+                qid: None,
+                position: Some(position),
+                claimer: Some(claimer),
+            }),
         }
-        // Claims: the claimer's ClaimDeadline will retry.
     }
 
     /// Entry point for payloads arriving at their ring owner (me).

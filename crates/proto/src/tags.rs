@@ -65,8 +65,11 @@ events! {
     RouteRequest { qid: QueryId, key: ChordId } => ROUTE_REQUEST = "route_request",
     /// A D-ring lookup finished on behalf of a routed payload.
     RouteDone { key: ChordId, owner: NodeId, hops: u32, qid: Option<QueryId> } => ROUTE_DONE = "route_done",
-    /// A D-ring lookup failed (`qid` for client requests only).
-    RouteFailed { qid: Option<QueryId> } => ROUTE_FAILED = "route_failed",
+    /// A D-ring lookup failed: `qid` for a client request, `position` and
+    /// `claimer` for a claim.
+    RouteFailed {
+        qid: Option<QueryId>, position: Option<DirPosition>, claimer: Option<NodeId>
+    } => ROUTE_FAILED = "route_failed",
     /// A routed client request arrived at a directory instance.
     RoutedArrived { position: DirPosition, qid: QueryId } => ROUTED_ARRIVED = "routed_arrived",
     /// PetalUp (§4): a full instance passed a join/query to its next instance.

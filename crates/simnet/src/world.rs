@@ -15,6 +15,12 @@
 //! scratch buffers have warmed up (`tests/zero_alloc.rs` asserts this with
 //! the counting allocator).
 //!
+//! A queued event is a handle, not a message: a delivery names a slot of
+//! the world's own slab of in-flight message bodies, so every slot of the
+//! wheel is sized for a timer tag or a control event, not for the largest
+//! message. Most of a churning run's queue is pre-drawn control events and
+//! armed timers; only a few hundred messages are ever in flight.
+//!
 //! Nodes are *sans-io*: they only interact with the world through the
 //! [`Ctx`] handed to their callbacks, which records sends, timers and report
 //! emissions to be applied after the callback returns.
@@ -188,13 +194,57 @@ impl<N: Node + ?Sized> Ctx<N> {
     }
 }
 
-/// A queued event payload: a message delivery, a timer fire, or a control
-/// event for the experiment engine. Lives in the wheel's slab; the wheel
-/// hands it back by value at dispatch time.
-enum EventKind<M, T, C> {
-    Deliver { to: NodeId, from: NodeId, msg: M },
+/// A queued event: a message delivery, a timer fire, or a control event
+/// for the experiment engine. Lives in the wheel's slab; the wheel hands it
+/// back by value at dispatch time. A delivery carries its message's slot in
+/// [`InFlight`], not the message.
+enum Queued<T, C> {
+    Deliver { to: NodeId, from: NodeId, slot: u32 },
     Timer { node: NodeId, timer: T },
     Control(C),
+}
+
+/// The bodies of the messages in flight, one slot per queued delivery. A
+/// slot is taken back when its delivery is popped, whether the message is
+/// delivered or dropped at a dead node, and reused through the free list,
+/// so once warm the slab stays at its high-water mark and allocates
+/// nothing.
+struct InFlight<M> {
+    slots: Vec<Option<M>>,
+    free: Vec<u32>,
+}
+
+impl<M> InFlight<M> {
+    fn new() -> InFlight<M> {
+        InFlight {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Park `msg` until its delivery is popped; returns its slot.
+    fn put(&mut self, msg: M) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = Some(msg);
+            return slot;
+        }
+        let slot = u32::try_from(self.slots.len()).expect("in-flight slab exhausted");
+        self.slots.push(Some(msg));
+        // As the wheel's free list: grown with the slab, so a release
+        // never allocates.
+        if self.free.capacity() < self.slots.len() {
+            self.free.reserve(self.slots.len());
+        }
+        slot
+    }
+
+    /// Hand back the message parked in `slot` and free the slot.
+    fn take(&mut self, slot: u32) -> M {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a queued delivery owns its slot")
+    }
 }
 
 /// Statistics about a finished (or in-progress) run.
@@ -272,7 +322,8 @@ impl<N: Node> Default for Scratch<N> {
 pub struct World<N: Node, C> {
     now: Time,
     seq: u64,
-    wheel: Wheel<EventKind<N::Msg, N::Timer, C>>,
+    wheel: Wheel<Queued<N::Timer, C>>,
+    in_flight: InFlight<N::Msg>,
     /// One slot per id ever spawned; a dead peer's slot is `None`, so it
     /// costs a pointer, not the node's inline size.
     nodes: Vec<Option<Box<N>>>,
@@ -297,6 +348,7 @@ impl<N: Node, C> World<N, C> {
             now: Time::ZERO,
             seq: 0,
             wheel: Wheel::new(),
+            in_flight: InFlight::new(),
             nodes: Vec::new(),
             live: 0,
             topology,
@@ -331,6 +383,14 @@ impl<N: Node, C> World<N, C> {
     /// first send or delivery.
     pub fn msg_counts(&self) -> &BTreeMap<&'static str, ClassCount> {
         &self.msg_counts
+    }
+
+    /// Bytes one queued event's payload occupies in the wheel's slab,
+    /// whatever the event is: a delivery's message waits in a slab of its
+    /// own, so this is sized by the largest timer tag or control event, not
+    /// by the largest message.
+    pub const fn queued_event_bytes() -> usize {
+        std::mem::size_of::<Option<Queued<N::Timer, C>>>()
     }
 
     /// Live events pending in the queue right now — the event-loop depth
@@ -491,7 +551,7 @@ impl<N: Node, C> World<N, C> {
         let at = at.max(self.now);
         let seq = self.bump_seq();
         self.wheel
-            .schedule(at.as_millis(), seq, None, EventKind::Control(c));
+            .schedule(at.as_millis(), seq, None, Queued::Control(c));
     }
 
     /// Drain all reports emitted since the last call, in emission order.
@@ -508,7 +568,8 @@ impl<N: Node, C> World<N, C> {
         while let Some((at, kind)) = self.wheel.pop_next(until.as_millis()) {
             self.now = Time::from_millis(at);
             match kind {
-                EventKind::Deliver { to, from, msg } => {
+                Queued::Deliver { to, from, slot } => {
+                    let msg = self.in_flight.take(slot);
                     if self.is_live(to) {
                         self.stats.delivered += 1;
                         if self.counting {
@@ -539,7 +600,7 @@ impl<N: Node, C> World<N, C> {
                         }
                     }
                 }
-                EventKind::Timer { node, timer } => {
+                Queued::Timer { node, timer } => {
                     // Timers are cancelled eagerly at fail/leave, so a
                     // popped timer's node is always live; the guard stays
                     // as defence in depth.
@@ -556,7 +617,7 @@ impl<N: Node, C> World<N, C> {
                         self.with_node(node, |n, ctx| n.on_timer(ctx, timer));
                     }
                 }
-                EventKind::Control(c) => {
+                Queued::Control(c) => {
                     self.stats.controls += 1;
                     let _phase = self.profiler.scope("control");
                     on_control(self, c);
@@ -662,21 +723,15 @@ impl<N: Node, C> World<N, C> {
             self.stats.duplicated += u64::from(copies - 1);
             let at = (self.now + delay).as_millis();
             for _ in 1..copies {
+                let slot = self.in_flight.put(msg.clone());
                 let seq = self.bump_seq();
-                self.wheel.schedule(
-                    at,
-                    seq,
-                    None,
-                    EventKind::Deliver {
-                        to,
-                        from: id,
-                        msg: msg.clone(),
-                    },
-                );
+                self.wheel
+                    .schedule(at, seq, None, Queued::Deliver { to, from: id, slot });
             }
+            let slot = self.in_flight.put(msg);
             let seq = self.bump_seq();
             self.wheel
-                .schedule(at, seq, None, EventKind::Deliver { to, from: id, msg });
+                .schedule(at, seq, None, Queued::Deliver { to, from: id, slot });
         }
         for (delay, timer) in timers.drain(..) {
             if tracing {
@@ -692,7 +747,7 @@ impl<N: Node, C> World<N, C> {
                 at,
                 seq,
                 Some(id.index() as u32),
-                EventKind::Timer { node: id, timer },
+                Queued::Timer { node: id, timer },
             );
         }
         for r in reports.drain(..) {
@@ -702,5 +757,56 @@ impl<N: Node, C> World<N, C> {
         self.scratch.timers = timers;
         self.scratch.reports = reports;
         self.scratch.customs = customs;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TopologyConfig;
+    use rand::SeedableRng;
+
+    /// Sends its peer a message every 10 ms.
+    struct Shouter {
+        peer: NodeId,
+    }
+
+    impl Node for Shouter {
+        type Msg = [u64; 8];
+        type Timer = ();
+        type Report = ();
+        fn on_start(&mut self, ctx: &mut Ctx<Self>) {
+            ctx.set_timer(10, ());
+        }
+        fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: NodeId, _msg: [u64; 8]) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<Self>, _timer: ()) {
+            ctx.send(self.peer, [0; 8]);
+            ctx.set_timer(10, ());
+        }
+    }
+
+    /// A message's slot is freed when its delivery is popped, whether it
+    /// reached a live node or was dropped at a dead one: a minute of
+    /// shouting at a dead peer grows the slab by nothing, and every
+    /// occupied slot is a queued delivery.
+    #[test]
+    fn in_flight_slots_are_freed_at_pop_delivered_or_dropped() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let topo = Topology::new(TopologyConfig::default(), &mut rng);
+        let mut world: World<Shouter, ()> = World::new(topo, 5);
+        let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
+        world.spawn(Point::new(0.0, 0.0), |_, _| Shouter { peer: b });
+        world.spawn(Point::new(90.0, 90.0), |_, _| Shouter { peer: a });
+        world.run(Time::from_secs(1), |_, ()| {});
+        let high_water = world.in_flight.slots.len();
+        assert!(high_water > 1, "messages were in flight");
+
+        world.fail(b);
+        world.run(Time::from_secs(61), |_, ()| {});
+        assert!(world.stats().dropped > 5_000, "{:?}", world.stats());
+        assert_eq!(world.in_flight.slots.len(), high_water, "the slab grew");
+        let occupied = world.in_flight.slots.iter().flatten().count();
+        assert_eq!(occupied, world.queue_depth() - 1, "a's timer aside");
+        assert_eq!(occupied + world.in_flight.free.len(), high_water);
     }
 }

@@ -103,15 +103,20 @@ fn dispatch_fast_path_allocates_nothing_and_observability_is_the_only_cost() {
 /// A node in a 10k-peer ring: every period it pings its successor and
 /// re-arms. Steady state exercises the full hot path — timer pop, message
 /// schedule through the topology's latency model, delivery, re-arm — with
-/// events continuously entering and leaving the wheel's slab.
+/// events continuously entering and leaving the wheel's slab, and the
+/// pings' bodies the world's slab of in-flight messages.
 struct RingPinger {
     me: usize,
     population: usize,
     period_ms: u64,
 }
 
+/// A ping with a body, as a protocol message has: 64 bytes parked in the
+/// in-flight slab while it travels.
+type Ping = [u64; 8];
+
 impl Node for RingPinger {
-    type Msg = ();
+    type Msg = Ping;
     type Timer = ();
     type Report = ();
 
@@ -121,11 +126,13 @@ impl Node for RingPinger {
         ctx.set_timer(self.period_ms + (self.me as u64 % 97), ());
     }
 
-    fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: NodeId, _msg: ()) {}
+    fn on_message(&mut self, _ctx: &mut Ctx<Self>, _from: NodeId, msg: Ping) {
+        black_box(msg);
+    }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Self>, _timer: ()) {
         let succ = NodeId::from_index((self.me + 1) % self.population);
-        ctx.send(succ, ());
+        ctx.send(succ, [self.me as u64; 8]);
         ctx.set_timer(self.period_ms, ());
     }
 
@@ -135,7 +142,7 @@ impl Node for RingPinger {
 }
 
 /// At P = 10_000 the steady state stays allocation-free: after warm-up
-/// (slab, buckets and scratch buffers at their high-water marks) a full
+/// (slabs, buckets and scratch buffers at their high-water marks) a full
 /// measured minute of pops, deliveries and re-arms does not allocate once —
 /// nor does a second one with the per-class message table kept (the gauge
 /// runs' setting: counting on, profiler off), once its class is in.
@@ -157,7 +164,7 @@ fn ten_thousand_node_steady_state_allocates_nothing() {
     }
 
     // Warm up one minute of sim time: every node has fired repeatedly, so
-    // the wheel slab and the world's scratch buffers are at capacity.
+    // the slabs and the world's scratch buffers are at capacity.
     world.run(Time::from_millis(60_000), |_, ()| {});
     let warm_events = world.stats().timers + world.stats().delivered;
     assert!(warm_events > 1_000_000, "warm-up dispatched {warm_events}");

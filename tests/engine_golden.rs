@@ -14,7 +14,10 @@
 //! A second, traced run of the Flower-CDN and the Squirrel configuration
 //! pins what the machines themselves trace: the count of every custom
 //! event tag and an FNV-1a over those events' JSONL lines, in order, from
-//! the t = 0 positions replayed into the sink to the horizon. A third traced
+//! the t = 0 positions replayed into the sink to the horizon. The Flower-CDN
+//! FNV was re-recorded once, when a failed claim route began to trace the
+//! claim's position and claimer: the two claim `route_failed` lines gained
+//! those fields and every other line stayed byte-identical. A third traced
 //! run, of one crowded website with small directories, pins PetalUp's
 //! trace shapes (`petal_split`, `promote`, `instance_forward`).
 
@@ -388,7 +391,7 @@ custom route_failed n=4
 custom route_request n=656
 custom routed_arrived n=556
 custom sibling_forward n=1274
-jsonl lines=38258 fnv=9119c989a32afda7
+jsonl lines=38258 fnv=0fd70df44a2be40d
 ";
 
 /// What the Flower-CDN machines trace over the golden run, to the byte.
