@@ -28,7 +28,8 @@
 //!   predecessor, so sparse tables cannot spray state across wrong owners;
 //! * stranded-node detection ([`ChordAction::Isolated`]): a node that lost
 //!   every successor refuses to route or answer stabilization and asks its
-//!   host to re-bootstrap;
+//!   host to re-join, which it does in place ([`Chord::rejoin`]): one
+//!   `Chord`, one rid counter and one set of timer chains per node life;
 //! * duplicate-id hygiene: joins onto an occupied position abort, and
 //!   same-id candidates are never adopted as neighbours;
 //! * jittered maintenance periods (±25 %) so rings do not stabilize in

@@ -200,9 +200,41 @@ impl Chord {
     pub fn join(me: NodeRef, seed: NodeRef, cfg: ChordConfig) -> (Chord, Vec<ChordAction>) {
         let mut node = Chord::bare(me, cfg);
         let mut actions = node.schedule_periodics();
-        let token = node.open_lookup(me.id, Purpose::Join, seed, false);
-        actions.extend(node.send_step(token));
+        actions.extend(node.start_join(seed));
         (node, actions)
+    }
+
+    /// Join the ring again through `seed`, in place — the host's answer to
+    /// [`ChordAction::Isolated`] or [`ChordAction::JoinFailed`]. The ring
+    /// tables start over as a fresh joiner's, and every open request ends:
+    /// an external lookup with `LookupFailed`, so the host's failure path
+    /// ends or retries it. The rid counter carries over, so no deadline or
+    /// reply from before finds a request opened after; so do the periodic
+    /// timer chains and the jitter state, so one set of chains runs per
+    /// node for life.
+    pub fn rejoin(&mut self, seed: NodeRef) -> Vec<ChordAction> {
+        let old = std::mem::replace(self, Chord::bare(self.me, self.cfg.clone()));
+        (self.reqs, self.jitter_state) = (old.reqs, old.jitter_state);
+        let mut actions = Vec::new();
+        self.reqs.retain(|r| {
+            if let Rpc::Lookup(Lookup {
+                purpose: Purpose::External,
+                key,
+                ..
+            }) = r.purpose
+            {
+                actions.push(ChordAction::LookupFailed { token: r.rid, key });
+            }
+            false
+        });
+        actions.extend(self.start_join(seed));
+        actions
+    }
+
+    /// Open the lookup for our own id through `seed`: the one join start.
+    fn start_join(&mut self, seed: NodeRef) -> Vec<ChordAction> {
+        let token = self.open_lookup(self.me.id, Purpose::Join, seed, false);
+        self.send_step(token)
     }
 
     /// Construct an **already-converged** member of a known ring — the
@@ -299,7 +331,7 @@ impl Chord {
     }
 
     /// A joined node that lost its entire successor list is cut off from
-    /// the ring: it can neither route nor answer until re-bootstrapped.
+    /// the ring: it can neither route nor answer until it re-joins.
     pub fn is_stranded(&self) -> bool {
         self.joined && self.successors.is_empty() && !self.standalone
     }
@@ -1291,7 +1323,7 @@ impl Chord {
     }
 
     /// Emit `Isolated` once per strand episode so the host can
-    /// re-bootstrap or retire this ring role.
+    /// re-join or retire this ring role.
     fn isolation_check(&mut self) -> Vec<ChordAction> {
         if self.is_stranded() && !self.reported_isolated {
             self.reported_isolated = true;

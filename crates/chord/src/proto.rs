@@ -110,11 +110,12 @@ pub enum ChordAction {
     /// This node resolved its own position and is now part of the ring.
     JoinComplete { successor: NodeRef },
     /// This node's join lookup failed (seed dead); the host should retry
-    /// with a different seed.
+    /// with a different seed ([`Chord::rejoin`](crate::Chord::rejoin)).
     JoinFailed,
     /// This node lost every successor: it is cut off from the ring and
-    /// cannot route or answer. The host must re-bootstrap (re-join through
-    /// a fresh seed) or retire the node's ring role.
+    /// cannot route or answer. The host must re-join through a fresh seed
+    /// ([`Chord::rejoin`](crate::Chord::rejoin)) or retire the node's ring
+    /// role.
     Isolated,
 }
 

@@ -5,7 +5,7 @@ use simnet::NodeId;
 
 use crate::id::{ChordId, NodeRef};
 use crate::node::{Chord, ChordConfig};
-use crate::proto::{ChordAction, ChordMsg, StepResult};
+use crate::proto::{ChordAction, ChordMsg, ChordTimer, StepResult};
 
 fn r(i: usize, id: u64) -> NodeRef {
     NodeRef::new(NodeId::from_index(i), ChordId(id))
@@ -221,4 +221,184 @@ fn join_aborts_on_duplicate_position() {
         "duplicate-id join must abort: {out:?}"
     );
     assert!(!joiner.is_joined());
+}
+
+/// A member of a converged eight-node ring (ids `k << 61`, we at 0) with
+/// one request of every kind in flight: an external lookup, the lookups of
+/// a finger sweep (node 2 failed, so slot 62 needs a full lookup), a
+/// stabilize round and a predecessor ping. Returns the member, the external
+/// lookup's token and key, every deadline armed and every rid sent so far.
+fn member_with_everything_in_flight() -> (Chord, u64, ChordId, Vec<ChordTimer>, Vec<u64>) {
+    let ring: Vec<NodeRef> = (0..8).map(|k| r(k, (k as u64) << 61)).collect();
+    let cfg = ChordConfig {
+        fingers_per_round: 64,
+        ..ChordConfig::default()
+    };
+    let (mut node, mut actions) = Chord::converged(0, &ring, cfg);
+    node.node_failed(ring[2].node);
+    let key = ChordId(6 << 61);
+    let (token, lookup) = node.lookup(key);
+    actions.extend(lookup);
+    for timer in [
+        ChordTimer::FixFingers,
+        ChordTimer::Stabilize,
+        ChordTimer::CheckPredecessor,
+    ] {
+        actions.extend(node.handle_timer(timer));
+    }
+    let deadlines: Vec<ChordTimer> = actions
+        .iter()
+        .filter_map(|a| match a {
+            ChordAction::SetTimer { timer, .. } if rid_of(timer).is_some() => Some(*timer),
+            _ => None,
+        })
+        .collect();
+    let rids: Vec<u64> = actions
+        .iter()
+        .filter_map(|a| match a {
+            ChordAction::Send { msg, .. } => rid_sent(msg),
+            _ => None,
+        })
+        .collect();
+    let kinds = |f: fn(&ChordTimer) -> bool| deadlines.iter().filter(|t| f(t)).count();
+    assert!(kinds(|t| matches!(t, ChordTimer::LookupStep { .. })) >= 3);
+    assert_eq!(
+        kinds(|t| matches!(t, ChordTimer::StabilizeDeadline { .. })),
+        1
+    );
+    assert_eq!(kinds(|t| matches!(t, ChordTimer::PingDeadline { .. })), 1);
+    assert!(node.pending_lookups() >= 3, "external + finger lookups");
+    (node, token, key, deadlines, rids)
+}
+
+/// The rid a deadline guards.
+fn rid_of(timer: &ChordTimer) -> Option<u64> {
+    match *timer {
+        ChordTimer::LookupStep { token, .. } | ChordTimer::RouteDeadline { token, .. } => {
+            Some(token)
+        }
+        ChordTimer::StabilizeDeadline { gen } => Some(gen),
+        ChordTimer::PingDeadline { nonce } => Some(nonce),
+        _ => None,
+    }
+}
+
+/// The rid a request carries.
+fn rid_sent(msg: &ChordMsg) -> Option<u64> {
+    match *msg {
+        ChordMsg::FindNext { token, .. } | ChordMsg::Route { token, .. } => Some(token),
+        ChordMsg::GetNeighbors { gen, .. } => Some(gen),
+        ChordMsg::Ping { nonce } => Some(nonce),
+        _ => None,
+    }
+}
+
+fn seed() -> NodeRef {
+    r(5, 5 << 61)
+}
+
+#[test]
+fn rejoin_arms_no_second_set_of_periodics() {
+    let (mut node, ..) = member_with_everything_in_flight();
+    let actions = node.rejoin(seed());
+    let periodic = actions.iter().any(|a| {
+        matches!(
+            a,
+            ChordAction::SetTimer {
+                timer: ChordTimer::Stabilize
+                    | ChordTimer::FixFingers
+                    | ChordTimer::CheckPredecessor,
+                ..
+            }
+        )
+    });
+    assert!(!periodic, "the old chains keep running: {actions:?}");
+    // And the old chain goes on in the re-joined node.
+    let next = node.handle_timer(ChordTimer::Stabilize);
+    assert!(
+        matches!(
+            next[..],
+            [ChordAction::SetTimer {
+                timer: ChordTimer::Stabilize,
+                ..
+            }]
+        ),
+        "{next:?}"
+    );
+}
+
+#[test]
+fn rejoin_fails_the_external_lookup_and_no_other() {
+    let (mut node, token, key, ..) = member_with_everything_in_flight();
+    let actions = node.rejoin(seed());
+    let failed: Vec<(u64, ChordId)> = actions
+        .iter()
+        .filter_map(|a| match *a {
+            ChordAction::LookupFailed { token, key } => Some((token, key)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(failed, [(token, key)], "{actions:?}");
+    assert_eq!(node.pending_lookups(), 1, "only the join lookup is open");
+}
+
+#[test]
+fn rejoin_joins_through_the_seed() {
+    let (mut node, ..) = member_with_everything_in_flight();
+    let me = node.me();
+    let actions = node.rejoin(seed());
+    let sends: Vec<(NodeRef, &ChordMsg)> = actions
+        .iter()
+        .filter_map(|a| match a {
+            ChordAction::Send { to, msg } => Some((*to, msg)),
+            _ => None,
+        })
+        .collect();
+    let [(to, &ChordMsg::FindNext { key, token, from })] = sends[..] else {
+        panic!("one FindNext: {actions:?}");
+    };
+    assert_eq!((to, key, from), (seed(), me.id, me));
+    assert!(!node.is_joined());
+    assert!(node.successor_list().is_empty() && node.predecessor().is_none());
+    let reply = ChordMsg::FindNextReply {
+        token,
+        result: StepResult::Owner(r(1, 1 << 61)),
+    };
+    let out = node.handle_message(seed().node, reply);
+    assert!(
+        out.iter()
+            .any(|a| matches!(a, ChordAction::JoinComplete { .. })),
+        "{out:?}"
+    );
+    assert!(node.is_joined());
+}
+
+#[test]
+fn rejoin_keeps_the_rid_counter() {
+    let (mut node, _, _, deadlines, rids) = member_with_everything_in_flight();
+    let before = rids
+        .iter()
+        .copied()
+        .chain(deadlines.iter().filter_map(rid_of))
+        .max()
+        .expect("requests in flight");
+    let actions = node.rejoin(seed());
+    let join = actions
+        .iter()
+        .find_map(|a| match a {
+            ChordAction::Send { msg, .. } => rid_sent(msg),
+            _ => None,
+        })
+        .expect("the join lookup");
+    assert!(
+        join > before,
+        "join rid {join} reuses one at or below {before}"
+    );
+    for timer in deadlines {
+        let out = node.handle_timer(timer);
+        assert!(out.is_empty(), "{timer:?} expired {out:?}");
+    }
+    assert_eq!(node.pending_lookups(), 1, "the join lookup survives");
+    let (after, _) = node.lookup(ChordId(3 << 61));
+    assert!(after > before, "lookup rid {after} at or below {before}");
 }

@@ -12,7 +12,7 @@ const LATENCY_MS: u64 = 50;
 #[derive(Default)]
 struct Churn {
     isolated: Vec<(u64, NodeId)>,
-    /// Nodes needing a re-bootstrap (JoinFailed or Isolated), handled by
+    /// Nodes needing a re-join (JoinFailed or Isolated), handled by
     /// the driver loop the way real hosts do.
     rejoin_queue: Vec<NodeId>,
     join_failures: u64,
@@ -141,8 +141,8 @@ fn ring_stays_converged_under_sustained_churn() {
         let me = NodeRef::new(NodeId::from_index(next_id), ChordId(hash(next_id as u64)));
         next_id += 1;
         h.spawn(me, Chord::join(me, seed, cfg()));
-        // Host behaviour: re-bootstrap nodes that failed to join or got
-        // isolated, through a random live seed.
+        // Host behaviour: nodes that failed to join or got isolated
+        // re-join in place, through a random live seed.
         let pending: Vec<NodeId> = h.policy.rejoin_queue.drain(..).collect();
         for id in pending {
             if !h.nodes.contains_key(&id) {
@@ -159,8 +159,7 @@ fn ring_stays_converged_under_sustained_churn() {
             }
             let seed_id = live[(rand() % live.len() as u64) as usize];
             let seed = h.nodes[&seed_id].me();
-            let me = h.nodes[&id].me();
-            h.install(me, Chord::join(me, seed, cfg()));
+            h.with_node(id, |c| c.rejoin(seed));
         }
         t += 2_000;
         if t >= next_report {

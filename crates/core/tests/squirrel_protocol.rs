@@ -3,7 +3,7 @@
 //! directory loss on home-node failure (§2, §6.2.1).
 
 use flower_cdn::squirrel::{object_key, SquirrelMode, SquirrelSim};
-use flower_cdn::{SimDriver, SimParams, StorePolicy};
+use flower_cdn::{InvariantChecker, SimDriver, SimParams, StorePolicy};
 use simnet::{LocalityId, Time};
 use workload::{ObjectId, WebsiteId};
 
@@ -161,4 +161,26 @@ fn failed_fetch_is_traced_under_the_querys_qid() {
         at("fetch") < at("fetch_timeout") && at("fetch_timeout") < at("query_complete"),
         "{path_of_query:?}"
     );
+}
+
+#[test]
+fn queries_terminate_while_churn_strands_ring_members() {
+    // Heavy churn (mean uptime 10 min over an hour, P = 100) strands ring
+    // members often enough that some re-join with a query's home lookup in
+    // flight. The re-join fails that lookup into the query's retry, so
+    // every query still ends.
+    let horizon = 3_600_000;
+    let mut p = SimParams::quick(100, horizon);
+    p.seed = 1;
+    p.mean_uptime_ms = 10 * 60_000;
+    p.query_period_ms = 60_000;
+    p.catalog.websites = 4;
+    p.catalog.active_websites = 4;
+    let mut sim = SquirrelSim::new(p, SquirrelMode::Directory);
+    let checker = InvariantChecker::new();
+    sim.add_trace_sink(checker.clone());
+    sim.run_until(Time::from_millis(horizon));
+    let r = sim.finish();
+    checker.assert_clean();
+    assert!(r.stats.queries > 5_000, "{} queries", r.stats.queries);
 }

@@ -196,7 +196,10 @@ pub struct SquirrelPeer {
     pcx: PeerCtx,
     mode: SquirrelMode,
     me: NodeId,
-    active: bool,
+    /// An active peer whose query clock is not armed yet. The clock is
+    /// armed once per peer life: at start for a member of the t = 0 ring,
+    /// at the first `JoinComplete` for an arrival — not at a re-join's.
+    clock_unarmed: bool,
     store: ContentStore,
     chord: Chord,
     /// Directory mode: recent downloaders of objects homed at me.
@@ -225,13 +228,13 @@ impl SquirrelPeer {
         chord: Chord,
         startup_chord_actions: Vec<ChordAction>,
     ) -> SquirrelPeer {
-        let active = pcx.catalog.is_active(pcx.website);
+        let clock_unarmed = pcx.catalog.is_active(pcx.website);
         let store = ContentStore::with_policy(pcx.params.store_policy);
         SquirrelPeer {
             pcx,
             mode,
             me,
-            active,
+            clock_unarmed,
             store,
             chord,
             home_dir: BTreeMap::new(),
@@ -278,20 +281,18 @@ impl SquirrelPeer {
                 ChordAction::LookupFailed { token, .. } => self.on_lookup_failed(ctx, token),
                 ChordAction::JoinComplete { .. } => {
                     ctx.registry.add(self.chord.me());
-                    if self.active {
+                    if std::mem::take(&mut self.clock_unarmed) {
                         timeline::first_arrival(ctx, false);
                     }
                 }
                 ChordAction::JoinFailed | ChordAction::Isolated => {
-                    // Join failed or we lost every successor: re-bootstrap
-                    // through a fresh seed. Deregister first so nobody
-                    // bootstraps through us while we are cut off.
+                    // Join failed or we lost every successor: re-join in
+                    // place through a fresh seed, which fails the pending
+                    // query's home lookup into its retry. Deregister first
+                    // so nobody bootstraps through us while we are cut off.
                     ctx.registry.remove(self.me);
                     if let Some(seed) = ctx.registry.pick(ctx.rng, &[self.me]) {
-                        let me_ref = NodeRef::new(self.me, peer_ring_id(self.me));
-                        let (chord, actions) =
-                            Chord::join(me_ref, seed, self.pcx.params.chord.clone());
-                        self.chord = chord;
+                        let actions = self.chord.rejoin(seed);
                         self.apply_chord_actions(ctx, actions);
                     }
                 }
@@ -548,7 +549,7 @@ impl SquirrelPeer {
         if self.chord.is_joined() {
             // Initial member: no JoinComplete will fire.
             ctx.registry.add(self.chord.me());
-            if self.active {
+            if std::mem::take(&mut self.clock_unarmed) {
                 timeline::first_arrival(ctx, true);
             }
         }
@@ -671,8 +672,9 @@ mod tests {
 
     /// A started member of a converged three-node ring — we at id 1, our
     /// successor at 2, `far` at the top of the id space — so every object
-    /// is homed at `far` and its lookup leaves us. Returns the peer, `far`,
-    /// and a `step` that feeds it one input 100 ms after the last.
+    /// is homed at `far` and its lookup leaves us. The other two are in the
+    /// bootstrap registry. Returns the peer, `far`, and a `step` that feeds
+    /// it one input 100 ms after the last.
     fn ring_member(
         mode: SquirrelMode,
     ) -> (
@@ -683,18 +685,29 @@ mod tests {
         let at = |i: usize, id: u64| NodeRef::new(NodeId::from_index(i), ChordId(id));
         let (me, far) = (at(0, 1), at(2, u64::MAX));
         let pcx = PeerCtx::for_tests();
-        let (chord, actions) = Chord::converged(0, &[me, at(1, 2), far], pcx.params.chord.clone());
+        let ring = [me, at(1, 2), far];
+        let (chord, actions) = Chord::converged(0, &ring, pcx.params.chord.clone());
         let mut peer = SquirrelPeer::initial(pcx, mode, me.node, chord, actions);
-        let (mut rng, mut now_ms, mut lent) = (machine_rng(1, me.node), 0, Lent::default());
-        let mut step = move |peer: &mut SquirrelPeer, input| {
-            now_ms += 100;
-            let at = Time::from_millis(now_ms);
-            let fx = Fx::new(at, me.node, LocalityId(0), &mut rng, false, &mut lent);
-            peer.handle(fx, input);
-            std::mem::take(&mut lent.out)
-        };
+        let mut step = stepper(me.node, &ring[1..]);
         step(&mut peer, Input::Start);
         (peer, far, step)
+    }
+
+    /// A `step` that feeds the peer at `me` one input 100 ms after the
+    /// last, with `registry` in the bootstrap registry.
+    fn stepper(
+        me: NodeId,
+        registry: &[NodeRef],
+    ) -> impl FnMut(&mut SquirrelPeer, InputOf<SquirrelPeer>) -> Vec<Out> {
+        let (mut rng, mut now_ms, mut lent) = (machine_rng(1, me), 0, Lent::default());
+        registry.iter().for_each(|&r| lent.registry.add(r));
+        move |peer: &mut SquirrelPeer, input| {
+            now_ms += 100;
+            let at = Time::from_millis(now_ms);
+            let fx = Fx::new(at, me, LocalityId(0), &mut rng, false, &mut lent);
+            peer.handle(fx, input);
+            std::mem::take(&mut lent.out)
+        }
     }
 
     fn rpc_ms() -> u64 {
@@ -926,6 +939,123 @@ mod tests {
         let record = completed(&out).expect("completes");
         assert_eq!(record.provider, Provider::ContentPeer);
         assert!(peer.store.contains(object));
+    }
+
+    /// The one Chord timer of `kind` the step armed.
+    fn chord_timer(out: &[Out], kind: fn(&ChordTimer) -> bool) -> InputOf<SquirrelPeer> {
+        let mut found = out.iter().filter_map(|o| match o {
+            Output::SetTimer {
+                timer: SqTimer::Chord(t),
+                ..
+            } if kind(t) => Some(*t),
+            _ => None,
+        });
+        let one = found
+            .next()
+            .unwrap_or_else(|| panic!("none armed: {out:?}"));
+        assert!(found.next().is_none(), "two armed: {out:?}");
+        Input::Timer(SqTimer::Chord(one))
+    }
+
+    /// Cut `peer` off the ring: each successor in turn leaves a stabilize
+    /// round unanswered, until it has purged them all and reports
+    /// `Isolated`. Returns what the isolating step put out.
+    fn isolate(
+        peer: &mut SquirrelPeer,
+        step: &mut impl FnMut(&mut SquirrelPeer, InputOf<SquirrelPeer>) -> Vec<Out>,
+    ) -> Vec<Out> {
+        let is_deadline = |t: &ChordTimer| matches!(t, ChordTimer::StabilizeDeadline { .. });
+        let mut out = step(peer, Input::Timer(SqTimer::Chord(ChordTimer::Stabilize)));
+        while !peer.chord.successor_list().is_empty() {
+            out = step(peer, chord_timer(&out, is_deadline));
+        }
+        out
+    }
+
+    /// The re-join's lookup for our own id: to whom, under which token.
+    fn join_step(out: &[Out]) -> (NodeId, u64) {
+        out.iter()
+            .find_map(|o| match o {
+                Output::Send {
+                    to,
+                    msg: SqMsg::Chord(ChordMsg::FindNext { token, .. }),
+                } => Some((*to, *token)),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("no join step: {out:?}"))
+    }
+
+    /// A peer cut off while its home lookup runs re-joins in place: the
+    /// lookup fails, its retry on the unjoined ring fails at once, and the
+    /// query completes from the origin instead of waiting on a ring that
+    /// is gone.
+    #[test]
+    fn an_isolated_peers_home_lookup_ends_its_query() {
+        let (mut peer, _, mut step) = ring_member(SquirrelMode::Directory);
+        let out = step(&mut peer, Input::Timer(SqTimer::Query));
+        home_lookup(&out).expect("looks the home up");
+        let out = isolate(&mut peer, &mut step);
+        join_step(&out);
+        assert_eq!(
+            events(&out),
+            [ProtocolEvent::RouteFailure, ProtocolEvent::RouteFailure]
+        );
+        let (_, origin) = armed_one(&out, "origin_done");
+        let record = completed(&step(&mut peer, Input::Timer(origin))).expect("completes");
+        assert_eq!(record.provider, Provider::OriginServer);
+        assert!(peer.pending.is_none());
+    }
+
+    /// Answer the join lookup the step sent: `owner` holds our id. The
+    /// clocks the `JoinComplete` armed.
+    fn join_arms(
+        peer: &mut SquirrelPeer,
+        step: &mut impl FnMut(&mut SquirrelPeer, InputOf<SquirrelPeer>) -> Vec<Out>,
+        out: &[Out],
+        owner: NodeRef,
+    ) -> usize {
+        let (to, token) = join_step(out);
+        let reply = ChordMsg::FindNextReply {
+            token,
+            result: chord::StepResult::Owner(owner),
+        };
+        let out = step(peer, from(to.index(), SqMsg::Chord(reply)));
+        assert!(peer.is_joined(), "{out:?}");
+        let query = |o: &&Out| {
+            matches!(
+                o,
+                Output::SetTimer {
+                    timer: SqTimer::Query,
+                    ..
+                }
+            )
+        };
+        out.iter().filter(query).count()
+    }
+
+    /// The query clock is armed once per peer life: a re-join's
+    /// `JoinComplete` re-registers the peer and arms no second clock.
+    #[test]
+    fn a_rejoins_join_complete_arms_no_query_clock() {
+        let (mut peer, far, mut step) = ring_member(SquirrelMode::Directory);
+        assert!(peer.pcx.catalog.is_active(peer.pcx.website));
+        let out = isolate(&mut peer, &mut step);
+        assert_eq!(join_arms(&mut peer, &mut step, &out, far), 0);
+    }
+
+    /// An arrival's clock is armed by its first `JoinComplete`, and by no
+    /// later one.
+    #[test]
+    fn an_arrivals_query_clock_is_armed_by_its_first_join_only() {
+        let at = |i| NodeRef::new(NodeId::from_index(i), peer_ring_id(NodeId::from_index(i)));
+        let (me, seed, owner) = (NodeId::from_index(0), at(1), at(2));
+        let pcx = PeerCtx::for_tests();
+        let mut peer = SquirrelPeer::arriving(pcx, SquirrelMode::Directory, me, seed);
+        let mut step = stepper(me, &[seed, owner]);
+        let out = step(&mut peer, Input::Start);
+        assert_eq!(join_arms(&mut peer, &mut step, &out, owner), 1);
+        let out = isolate(&mut peer, &mut step);
+        assert_eq!(join_arms(&mut peer, &mut step, &out, owner), 0);
     }
 
     /// Only the pending query's own home lookup names its home: a

@@ -9,7 +9,12 @@
 //! number here — on purpose. Since then only the `bytes=` of `fetch_ok`,
 //! `fetch_miss`, `redirect`, `push` and `sq_answer` moved, when replies
 //! stopped echoing the object their query names and `Push` lost its
-//! `full` byte.
+//! `full` byte. The Squirrel pins (both schemes' runs and the Squirrel
+//! trace below) were re-recorded when a stranded Squirrel peer began to
+//! re-join its one Chord in place instead of building a second: no second
+//! set of timer chains runs on, the query whose home lookup the cut-off
+//! ring held now ends, and a re-join arms no second query clock. The
+//! Flower-CDN pins did not move.
 //!
 //! A second, traced run of the Flower-CDN and the Squirrel configuration
 //! pins what the machines themselves trace: the count of every custom
@@ -182,55 +187,55 @@ timer claim_deadline count=418
 ";
 
 const SQUIRREL_GOLDEN: &str = "\
-summary 6647,3901,0.586881,2112.448,226.091,2.523,852123,128.197,0,0,126
-events_processed 1510575
-events {FetchMiss: 20, FetchTimeout: 768, DirQueryTimeout: 432, RouteFailure: 32, DirNoProvider: 2632, AnsweredByNonOwner: 581}
-records n=6647 fnv=841fb6ef9ce96919
-gauge events_per_sim_sec n=8 last=(2400000,666.4533333333334)
-gauge homed_objects n=8 last=(2400000,422)
+summary 6834,3642,0.532924,2028.587,233.117,2.353,806965,118.081,0,0,126
+events_processed 1418204
+events {FetchMiss: 19, FetchTimeout: 763, DirQueryTimeout: 467, RouteFailure: 38, DirNoProvider: 3048, AnsweredByNonOwner: 932}
+records n=6834 fnv=1c270ef4463557d1
+gauge events_per_sim_sec n=8 last=(2400000,611.68)
+gauge homed_objects n=8 last=(2400000,617)
 gauge population n=8 last=(2400000,126)
-gauge queue_depth n=8 last=(2400000,956)
-gauge rate/chord_find_next n=8 last=(2400000,102.77666666666667)
-gauge rate/chord_find_next_reply n=8 last=(2400000,102.64333333333333)
-gauge rate/chord_get_neighbors n=8 last=(2400000,28.983333333333334)
-gauge rate/chord_neighbors_reply n=8 last=(2400000,28.96)
-gauge rate/chord_notify n=8 last=(2400000,28.283333333333335)
-gauge rate/chord_ping n=8 last=(2400000,28.033333333333335)
-gauge rate/chord_pong n=8 last=(2400000,28.003333333333334)
-gauge rate/chord_route n=8 last=(2400000,9.3)
-gauge rate/chord_route_result n=8 last=(2400000,3.0966666666666667)
-gauge rate/fetch n=8 last=(2400000,2.18)
+gauge queue_depth n=8 last=(2400000,889)
+gauge rate/chord_find_next n=8 last=(2400000,93.47)
+gauge rate/chord_find_next_reply n=8 last=(2400000,93.37)
+gauge rate/chord_get_neighbors n=8 last=(2400000,26.63)
+gauge rate/chord_neighbors_reply n=8 last=(2400000,26.61)
+gauge rate/chord_notify n=8 last=(2400000,26.673333333333332)
+gauge rate/chord_ping n=8 last=(2400000,25.66)
+gauge rate/chord_pong n=8 last=(2400000,25.626666666666665)
+gauge rate/chord_route n=8 last=(2400000,8.663333333333334)
+gauge rate/chord_route_result n=8 last=(2400000,3.0566666666666666)
+gauge rate/fetch n=8 last=(2400000,2.0233333333333334)
 gauge rate/fetch_miss n=8 last=(2400000,0.01)
-gauge rate/fetch_ok n=8 last=(2400000,2.1766666666666667)
-gauge rate/sq_answer n=8 last=(2400000,3.34)
-gauge rate/sq_query n=8 last=(2400000,3.3433333333333333)
+gauge rate/fetch_ok n=8 last=(2400000,2.0166666666666666)
+gauge rate/sq_answer n=8 last=(2400000,3.3233333333333333)
+gauge rate/sq_query n=8 last=(2400000,3.316666666666667)
 gauge ring_size n=8 last=(2400000,126)
-msg chord_find_next count=264470 bytes=10578800
-msg chord_find_next_reply count=257623 bytes=8500359
-msg chord_get_neighbors count=61164 bytes=1957248
-msg chord_neighbors_reply count=59996 bytes=10758300
-msg chord_notify count=58553 bytes=1405272
-msg chord_ping count=56808 bytes=908928
-msg chord_pong count=56107 bytes=897712
-msg chord_route count=19410 bytes=854040
-msg chord_route_result count=6903 bytes=248508
-msg fetch count=4695 bytes=89205
-msg fetch_miss count=20 bytes=300
-msg fetch_ok count=3918 bytes=16106898
-msg sq_answer count=7541 bytes=159544
-msg sq_query count=7675 bytes=246565
-timer chord_fix_fingers count=117972
-timer query count=9036
-timer chord_check_predecessor count=58759
-timer chord_stabilize count=58791
-timer origin_done count=2746
-timer chord_stabilize_once count=1066
-timer chord_lookup_step count=263609
-timer chord_ping_deadline count=56619
-timer chord_stabilize_deadline count=60982
-timer sq_answer_deadline count=7630
-timer chord_route_deadline count=7515
-timer fetch_deadline count=4683
+msg chord_find_next count=258016 bytes=10320640
+msg chord_find_next_reply count=251745 bytes=8306401
+msg chord_get_neighbors count=54637 bytes=1748384
+msg chord_neighbors_reply count=53660 bytes=9622924
+msg chord_notify count=53616 bytes=1286784
+msg chord_ping count=49376 bytes=790016
+msg chord_pong count=48765 bytes=780240
+msg chord_route count=18508 bytes=814352
+msg chord_route_result count=6770 bytes=243720
+msg fetch count=4429 bytes=84151
+msg fetch_miss count=19 bytes=285
+msg fetch_ok count=3663 bytes=15058593
+msg sq_answer count=7637 bytes=158936
+msg sq_query count=7798 bytes=250250
+timer chord_fix_fingers count=104961
+timer query count=8747
+timer chord_check_predecessor count=52259
+timer chord_stabilize count=52268
+timer origin_done count=3192
+timer chord_stabilize_once count=1067
+timer chord_lookup_step count=257145
+timer chord_ping_deadline count=49212
+timer chord_stabilize_deadline count=54468
+timer sq_answer_deadline count=7757
+timer chord_route_deadline count=7357
+timer fetch_deadline count=4415
 ";
 
 #[test]
@@ -250,55 +255,55 @@ fn squirrel_engine_matches_pre_refactor_golden() {
 }
 
 const SQUIRREL_HOME_STORE_GOLDEN: &str = "\
-summary 6756,4438,0.656898,1857.084,221.410,2.519,849997,125.814,0,0,126
-events_processed 1508071
-events {FetchTimeout: 36, DirQueryTimeout: 225, RouteFailure: 30, DirNoProvider: 2259, AnsweredByNonOwner: 312}
-records n=6756 fnv=bcdc4feff4d09064
-gauge events_per_sim_sec n=8 last=(2400000,619.8)
+summary 6836,4025,0.588795,1840.001,224.162,2.377,734568,107.456,0,0,126
+events_processed 1307187
+events {FetchTimeout: 37, DirQueryTimeout: 257, RouteFailure: 43, DirNoProvider: 2728, AnsweredByNonOwner: 592}
+records n=6836 fnv=95c1f6dcb38442d5
+gauge events_per_sim_sec n=8 last=(2400000,564.8066666666666)
 gauge homed_objects n=8 last=(2400000,0)
 gauge population n=8 last=(2400000,126)
-gauge queue_depth n=8 last=(2400000,934)
-gauge rate/chord_find_next n=8 last=(2400000,92.78)
-gauge rate/chord_find_next_reply n=8 last=(2400000,92.69666666666667)
-gauge rate/chord_get_neighbors n=8 last=(2400000,27.413333333333334)
-gauge rate/chord_neighbors_reply n=8 last=(2400000,27.393333333333334)
-gauge rate/chord_notify n=8 last=(2400000,27.186666666666667)
-gauge rate/chord_ping n=8 last=(2400000,26.47)
-gauge rate/chord_pong n=8 last=(2400000,26.446666666666665)
-gauge rate/chord_route n=8 last=(2400000,8.166666666666666)
-gauge rate/chord_route_result n=8 last=(2400000,2.97)
-gauge rate/fetch n=8 last=(2400000,2.1766666666666667)
-gauge rate/fetch_ok n=8 last=(2400000,2.1733333333333333)
-gauge rate/sq_answer n=8 last=(2400000,2.95)
-gauge rate/sq_query n=8 last=(2400000,2.9466666666666668)
-gauge rate/sq_store_copy n=8 last=(2400000,0.7833333333333333)
+gauge queue_depth n=8 last=(2400000,919)
+gauge rate/chord_find_next n=8 last=(2400000,79.42666666666666)
+gauge rate/chord_find_next_reply n=8 last=(2400000,79.34333333333333)
+gauge rate/chord_get_neighbors n=8 last=(2400000,26.45)
+gauge rate/chord_neighbors_reply n=8 last=(2400000,26.43)
+gauge rate/chord_notify n=8 last=(2400000,26.49)
+gauge rate/chord_ping n=8 last=(2400000,25.52)
+gauge rate/chord_pong n=8 last=(2400000,25.486666666666668)
+gauge rate/chord_route n=8 last=(2400000,7.43)
+gauge rate/chord_route_result n=8 last=(2400000,2.9466666666666668)
+gauge rate/fetch n=8 last=(2400000,1.87)
+gauge rate/fetch_ok n=8 last=(2400000,1.8733333333333333)
+gauge rate/sq_answer n=8 last=(2400000,2.933333333333333)
+gauge rate/sq_query n=8 last=(2400000,2.933333333333333)
+gauge rate/sq_store_copy n=8 last=(2400000,1.06)
 gauge ring_size n=8 last=(2400000,126)
-msg chord_find_next count=263697 bytes=10547880
-msg chord_find_next_reply count=256664 bytes=8468184
-msg chord_get_neighbors count=60822 bytes=1946304
-msg chord_neighbors_reply count=59731 bytes=10668799
-msg chord_notify count=58252 bytes=1398048
-msg chord_ping count=56682 bytes=906912
-msg chord_pong count=55924 bytes=894784
-msg chord_route count=19046 bytes=838024
-msg chord_route_result count=6756 bytes=243216
-msg fetch count=4477 bytes=85063
-msg fetch_ok count=4472 bytes=18384392
-msg sq_answer count=6710 bytes=143792
-msg sq_query count=6875 bytes=213573
-msg sq_store_copy count=2163 bytes=8883441
-timer chord_fix_fingers count=119657
-timer query count=9026
-timer chord_check_predecessor count=59591
-timer chord_stabilize count=59635
-timer origin_done count=2318
-timer chord_stabilize_once count=1062
-timer chord_lookup_step count=262776
-timer chord_ping_deadline count=56492
-timer chord_stabilize_deadline count=60641
-timer sq_answer_deadline count=6843
-timer chord_route_deadline count=7319
-timer fetch_deadline count=4471
+msg chord_find_next count=220991 bytes=8839640
+msg chord_find_next_reply count=214441 bytes=7075257
+msg chord_get_neighbors count=54283 bytes=1737056
+msg chord_neighbors_reply count=53332 bytes=9569732
+msg chord_notify count=53319 bytes=1279656
+msg chord_ping count=50309 bytes=804944
+msg chord_pong count=49693 bytes=795088
+msg chord_route count=18197 bytes=800668
+msg chord_route_result count=6751 bytes=243036
+msg fetch count=4063 bytes=77197
+msg fetch_ok count=4048 bytes=16641328
+msg sq_answer count=6787 bytes=141720
+msg sq_query count=6965 bytes=216371
+msg sq_store_copy count=2636 bytes=10826052
+timer chord_fix_fingers count=104961
+timer query count=8697
+timer chord_check_predecessor count=52259
+timer chord_stabilize count=52268
+timer origin_done count=2811
+timer chord_stabilize_once count=1060
+timer chord_lookup_step count=220262
+timer chord_ping_deadline count=50135
+timer chord_stabilize_deadline count=54113
+timer sq_answer_deadline count=6933
+timer chord_route_deadline count=7300
+timer fetch_deadline count=4059
 ";
 
 /// The home-store scheme: the home node caches the object and is handed a
@@ -402,16 +407,16 @@ fn flower_machine_trace_is_pinned() {
 }
 
 const SQUIRREL_CUSTOM_TRACE: &str = "\
-custom fetch n=4695
-custom fetch_miss n=20
-custom fetch_ok n=3901
-custom fetch_timeout n=768
-custom origin_fetch n=2748
-custom query_complete n=6647
-custom query_issued n=6701
-custom route_request n=7069
-custom sq_home_answer n=7541
-jsonl lines=40090 fnv=02d18836465dfcdc
+custom fetch n=4429
+custom fetch_miss n=19
+custom fetch_ok n=3642
+custom fetch_timeout n=763
+custom origin_fetch n=3196
+custom query_complete n=6834
+custom query_issued n=6871
+custom route_request n=7256
+custom sq_home_answer n=7637
+jsonl lines=40647 fnv=0332e70d5217eb1e
 ";
 
 /// What the Squirrel machines trace over the golden run, to the byte.
