@@ -29,7 +29,10 @@ cargo test -q --release -p flower-cdn --lib --test squirrel_protocol --test prot
 # Live heap per peer, in the build whose peak RSS the benchmark measures.
 cargo test -q --release -p flower-cdn --test footprint
 # Chord's short cuts against the scans and lookups they replace
-# (`node/route_tests.rs`), in the code the benchmark runs.
+# (`node/route_tests.rs`), the finger table against the slot vector it
+# replaced (`node/fingers.rs`), and the size pin of a node and of a
+# converged member's tables (`node::tests::a_converged_members_tables_are_pinned`),
+# in the code the benchmark runs.
 cargo test -q --release -p chord-dht
 # The protocol machines' oracles (summary draws, the store against its
 # reference, the bootstrap registry, the fetch budget, the peer cases),

@@ -16,6 +16,10 @@ use crate::id::{ChordId, NodeRef};
 use crate::outstanding::{Outstanding, Request, FIRST_ATTEMPT};
 use crate::proto::{ChordAction, ChordMsg, ChordTimer, StepResult};
 
+mod fingers;
+
+use fingers::Fingers;
+
 /// Successor list length `r`. Chord survives `r-1` consecutive successor
 /// failures between stabilizations.
 const SUCCESSOR_LIST_LEN: usize = 8;
@@ -154,7 +158,7 @@ pub struct Chord {
     /// (a single-node ring keeps exactly one entry equal to... itself is
     /// represented by an empty list; see [`Chord::successor`]).
     successors: Vec<NodeRef>,
-    fingers: Vec<Option<NodeRef>>,
+    fingers: Fingers,
     /// The route index: every distinct neighbour in the three tables above,
     /// once, stably sorted by clockwise distance from `me`, so nodes sharing
     /// a ring id stay in table order (fingers low to high, successors,
@@ -162,7 +166,7 @@ pub struct Chord {
     route: Vec<RouteEntry>,
     /// A finger, the successor list or the predecessor changed since
     /// `route` was built. Set by every write that changes one of them, and
-    /// by no other: `converged`, `set_finger` (through which `note_alive`
+    /// by no other: `converged`, `set_fingers` (through which `note_alive`
     /// and `purge` write fingers), `set_predecessor`, `adopt_successor`,
     /// `on_notify`, `on_neighbors_reply`, `purge`.
     route_stale: bool,
@@ -272,7 +276,7 @@ impl Chord {
                 let pos = ring.partition_point(|r| r.id < start) % n;
                 let f = ring[pos];
                 if f.node != me.node {
-                    node.set_finger(i as usize, Some(f));
+                    node.set_fingers(1 << i, Some(f));
                 }
             }
             node.route_stale = true;
@@ -287,7 +291,7 @@ impl Chord {
             cfg,
             predecessor: None,
             successors: Vec::new(),
-            fingers: vec![None; ChordId::BITS as usize],
+            fingers: Fingers::default(),
             route: Vec::new(),
             route_stale: false,
             settled: None,
@@ -840,7 +844,7 @@ impl Chord {
             }
             Purpose::Finger(i) => {
                 if owner.node != self.me.node {
-                    self.set_finger(i as usize, Some(owner));
+                    self.set_fingers(1 << i, Some(owner));
                 }
                 Vec::new()
             }
@@ -921,7 +925,6 @@ impl Chord {
         self.fingers
             .iter()
             .flatten()
-            .copied()
             .chain(self.successors.iter().copied())
             .chain(self.predecessor)
     }
@@ -954,10 +957,9 @@ impl Chord {
         self.route = route;
     }
 
-    /// The one finger write.
-    fn set_finger(&mut self, i: usize, to: Option<NodeRef>) {
-        if self.fingers[i] != to {
-            self.fingers[i] = to;
+    /// The one finger write: every slot in the mask `slots` to `to`.
+    fn set_fingers(&mut self, slots: u64, to: Option<NodeRef>) {
+        if self.fingers.set(slots, to) {
             self.route_stale = true;
             self.settled = None;
         }
@@ -1150,7 +1152,7 @@ impl Chord {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
             let start = self.me.id.finger_start(i);
-            actions.extend(match self.fingers[i as usize] {
+            actions.extend(match self.fingers.get(i as usize) {
                 Some(f) if self.local_owner(start).is_none() => {
                     self.verify_finger(i, start, f, first_token)
                 }
@@ -1169,7 +1171,7 @@ impl Chord {
         if let Some(owner) = self.local_owner(start) {
             self.reqs.burn();
             if owner.node != self.me.node {
-                self.set_finger(i as usize, Some(owner));
+                self.set_fingers(1 << i, Some(owner));
             }
             return Vec::new();
         }
@@ -1251,21 +1253,21 @@ impl Chord {
         // Opportunistic finger repair from every node heard: fill empty
         // slots, and replace entries with a candidate strictly closer to
         // the finger start (i.e. a better approximation of
-        // successor(start)).
+        // successor(start)). Each slot's verdict reads its own finger
+        // only, so the slots are written together once all are judged.
+        let mut better = 0;
         for i in 0..ChordId::BITS {
-            let idx = i as usize;
             let start = self.me.id.finger_start(i);
             if !start.in_open_closed(self.me.id, n.id) {
                 continue; // n does not cover this finger interval
             }
-            let better = match self.fingers[idx] {
+            let closer = match self.fingers.get(i as usize) {
                 None => true,
                 Some(cur) => start.distance_to(n.id) < start.distance_to(cur.id),
             };
-            if better {
-                self.set_finger(idx, Some(n));
-            }
+            better |= u64::from(closer) << i;
         }
+        self.set_fingers(better, Some(n));
     }
 
     /// `n` (not at our id) improves no finger, known in O(1): it covers
@@ -1281,7 +1283,10 @@ impl Chord {
             .settled
             .get_or_insert_with(|| settled_len(self.me.id, &self.fingers));
         top < settled
-            && self.fingers[top as usize].is_some_and(|f| self.me.id.distance_to(f.id) <= d)
+            && self
+                .fingers
+                .get(top as usize)
+                .is_some_and(|f| self.me.id.distance_to(f.id) <= d)
     }
 
     fn adopt_successor(&mut self, n: NodeRef) {
@@ -1309,11 +1314,10 @@ impl Chord {
         let listed = self.successors.len();
         self.successors.retain(|s| s.node != node);
         self.route_stale |= self.successors.len() != listed;
-        for i in 0..self.fingers.len() {
-            if self.fingers[i].is_some_and(|n| n.node == node) {
-                self.set_finger(i, None);
-            }
-        }
+        let named = (0..ChordId::BITS as usize)
+            .filter(|&i| self.fingers.get(i).is_some_and(|n| n.node == node))
+            .fold(0, |named, i| named | 1 << i);
+        self.set_fingers(named, None);
         if self.predecessor.is_some_and(|p| p.node == node) {
             self.set_predecessor(None);
         }
@@ -1364,7 +1368,7 @@ impl Chord {
 }
 
 /// The length of `fingers`' settled prefix (see `Chord::settled`).
-fn settled_len(me: ChordId, fingers: &[Option<NodeRef>]) -> u32 {
+fn settled_len(me: ChordId, fingers: &Fingers) -> u32 {
     let mut floor = 0;
     fingers
         .iter()
@@ -1382,3 +1386,77 @@ fn settled_len(me: ChordId, fingers: &[Option<NodeRef>]) -> u32 {
 
 #[cfg(test)]
 mod route_tests;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl Chord {
+        /// Heap bytes the node's tables hold: the fingers, the successor
+        /// list, the route index and the requests in flight.
+        fn heap_bytes(&self) -> [usize; 4] {
+            let lookups: usize = self
+                .reqs
+                .iter()
+                .map(|r| match &r.purpose {
+                    Rpc::Lookup(lk) => lk.dead.capacity() * std::mem::size_of::<NodeId>(),
+                    _ => 0,
+                })
+                .sum();
+            [
+                self.fingers.heap_bytes(),
+                self.successors.capacity() * std::mem::size_of::<NodeRef>(),
+                self.route.capacity() * std::mem::size_of::<RouteEntry>(),
+                self.reqs.capacity() * std::mem::size_of::<Request<Rpc>>() + lookups,
+            ]
+        }
+    }
+
+    /// What a Chord node costs: its inline size, and the heap a member of
+    /// a converged 600-ring holds with its route index built, then after a
+    /// whole finger sweep whose every question its incumbent confirmed.
+    /// The 64 finger slots are a byte each over the distinct fingers, and
+    /// a drained request table gives its burst's room back; re-inflating
+    /// either table fails here.
+    #[test]
+    fn a_converged_members_tables_are_pinned() {
+        assert_eq!(std::mem::size_of::<Chord>(), 280);
+        let mut ids: Vec<u64> = (1..=600u64)
+            .map(|k| k.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        ids.sort_unstable();
+        let ring: Vec<NodeRef> = ids
+            .iter()
+            .enumerate()
+            .map(|(k, &id)| NodeRef::new(NodeId::from_index(k), ChordId(id)))
+            .collect();
+        let (mut node, _) = Chord::converged(300, &ring, ChordConfig::default());
+        node.refresh_route();
+        assert_eq!(node.heap_bytes(), [256, 128, 256, 0], "converged");
+        let mut peak = 0;
+        for _ in 0..4 {
+            let asked: Vec<(NodeRef, u64)> = node
+                .handle_timer(ChordTimer::FixFingers)
+                .into_iter()
+                .filter_map(|a| match a {
+                    ChordAction::Send {
+                        to,
+                        msg: ChordMsg::FindNext { token, .. },
+                    } => Some((to, token)),
+                    _ => None,
+                })
+                .collect();
+            peak = peak.max(node.reqs.capacity());
+            for (to, token) in asked {
+                let reply = ChordMsg::FindNextReply {
+                    token,
+                    result: StepResult::Owner(to),
+                };
+                assert!(node.handle_message(to.node, reply).is_empty());
+            }
+            assert_eq!(node.reqs.iter().count(), 0, "every question confirmed");
+        }
+        assert!(peak > 1, "the sweep's questions were in flight together");
+        assert_eq!(node.heap_bytes(), [256, 128, 256, 0], "after a sweep");
+    }
+}

@@ -99,12 +99,12 @@ impl Chord {
             if !start.in_open_closed(self.me.id, n.id) {
                 continue; // n does not cover this finger interval
             }
-            let better = match self.fingers[idx] {
+            let better = match self.fingers.get(idx) {
                 None => true,
                 Some(cur) => start.distance_to(n.id) < start.distance_to(cur.id),
             };
             if better {
-                self.fingers[idx] = Some(n);
+                self.fingers.set(1 << idx, Some(n));
                 self.route_stale = true;
             }
         }
@@ -132,7 +132,7 @@ impl Chord {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
             let start = self.me.id.finger_start(i);
-            actions.extend(match self.fingers[i as usize] {
+            actions.extend(match self.fingers.get(i as usize) {
                 Some(f) if self.local_owner(start).is_none() => {
                     self.verify_finger(i, start, f, first_token)
                 }
@@ -227,14 +227,15 @@ fn random_node(rng: &mut StdRng) -> (Chord, Vec<NodeRef>) {
         node.predecessor = Some(pick(rng));
     }
     let density = [0.05, 0.5, 1.0][rng.gen_range(0..3)];
-    for i in 0..node.fingers.len() {
+    for i in 0..ChordId::BITS as usize {
         if rng.gen_bool(density) {
             // Mostly the successor, as on a real ring; else anything,
             // which is often a node behind the finger's own start.
-            node.fingers[i] = match node.successors.first() {
-                Some(&s) if rng.gen_bool(0.6) => Some(s),
-                _ => Some(pick(rng)),
+            let f = match node.successors.first() {
+                Some(&s) if rng.gen_bool(0.6) => s,
+                _ => pick(rng),
             };
+            node.fingers.set(1 << i, Some(f));
         }
     }
     node.route_stale = true;
@@ -278,7 +279,7 @@ fn ring_node(rng: &mut StdRng) -> (Chord, Vec<NodeRef>) {
         let to = rng
             .gen_bool(0.8)
             .then(|| pool[rng.gen_range(0..pool.len())]);
-        node.set_finger(rng.gen_range(0..64), to);
+        node.set_fingers(1 << rng.gen_range(0..64), to);
     }
     (node, pool)
 }
@@ -313,6 +314,15 @@ fn random_key(rng: &mut StdRng, me: NodeRef, pool: &[NodeRef]) -> ChordId {
         3 => near.wrapping_sub(1),
         _ => rng.gen(),
     })
+}
+
+/// A finger write's slots: mostly one, sometimes any.
+fn random_slots(rng: &mut StdRng) -> u64 {
+    if rng.gen_bool(0.7) {
+        1 << rng.gen_range(0..64)
+    } else {
+        rng.gen()
+    }
 }
 
 fn random_exclude(rng: &mut StdRng, pool: &[NodeRef]) -> Vec<NodeId> {
@@ -398,8 +408,8 @@ proptest! {
                 }
                 4 => {
                     let to = rng.gen_bool(0.8).then_some(r);
-                    node.set_finger(rng.gen_range(0..64), to);
-                    "set_finger"
+                    node.set_fingers(random_slots(&mut rng), to);
+                    "set_fingers"
                 }
                 5 => {
                     node.note_alive(r);
@@ -455,10 +465,10 @@ proptest! {
                     "purge"
                 }
                 1 => {
-                    let (i, to) = (rng.gen_range(0..64), rng.gen_bool(0.7).then_some(r));
-                    node.set_finger(i, to);
-                    scan.set_finger(i, to);
-                    "set_finger"
+                    let (slots, to) = (random_slots(&mut rng), rng.gen_bool(0.7).then_some(r));
+                    node.set_fingers(slots, to);
+                    scan.set_fingers(slots, to);
+                    "set_fingers"
                 }
                 2 => {
                     node.refresh_route();
@@ -539,12 +549,12 @@ fn a_converged_table_hears_every_member_in_constant_time() {
         // A newcomer just in front of a finger is closer to its start: it
         // is not covered, and the scan takes it.
         let start = node.me.id.finger_start(60);
-        let f = node.fingers[60].expect("slot 60 is filled");
+        let f = node.fingers.get(60).expect("slot 60 is filled");
         assert_ne!(f.id, start);
         let newcomer = NodeRef::new(NodeId::from_index(9_999), ChordId(f.id.0.wrapping_sub(1)));
         assert!(!node.settled_covers(newcomer));
         node.note_alive(newcomer);
-        assert_eq!(node.fingers[60], Some(newcomer));
+        assert_eq!(node.fingers.get(60), Some(newcomer));
         node.assert_settled_current("note_alive");
     }
 }
@@ -638,7 +648,7 @@ impl Wire {
     }
 
     fn finger(&mut self, i: usize) -> Option<usize> {
-        self.me().fingers[i].map(|f| f.node.index())
+        self.me().fingers.get(i).map(|f| f.node.index())
     }
 
     /// Apply node 0's `actions` and deliver until the wire is quiet.
@@ -863,7 +873,7 @@ fn incumbent_that_moved_on_the_ring_does_not_confirm() {
         )
     );
     assert_eq!(w.questions()[1..], [(S, 1 << 41), (B, 1 << 41)]);
-    assert_eq!(w.me().fingers[41], Some(moved));
+    assert_eq!(w.me().fingers.get(41), Some(moved));
 }
 
 #[test]
@@ -893,7 +903,7 @@ fn local_starts_cost_nothing_and_are_not_folded_into_a_question() {
 fn empty_slot_is_resolved_not_asked_of_a_neighbouring_finger() {
     let ring = [0, S, F, G];
     let mut w = Wire::new(&IDS, &ring, &ring, 2, 40);
-    w.me().set_finger(40, None);
+    w.me().set_fingers(1 << 40, None);
     let actions = w.fix_fingers();
     assert_eq!(find_nexts(&actions), [(S, 1 << 40), (F, 1 << 41)]);
     assert_eq!(

@@ -25,7 +25,9 @@ pub struct Request<P> {
 }
 
 /// The requests in flight, in rid order: a new one goes at the end, and a
-/// machine holds a handful at a time.
+/// machine holds a handful at a time. A burst (a finger sweep opens up to
+/// 16 lookups at once) grows the list, and draining gives its room back:
+/// between bursts a table holds no heap, or room for one request.
 #[derive(Debug)]
 pub struct Outstanding<P> {
     reqs: Vec<Request<P>>,
@@ -112,11 +114,14 @@ impl<P> Outstanding<P> {
     }
 
     pub fn close(&mut self, rid: u64) -> Option<Request<P>> {
-        self.position(rid).map(|at| self.reqs.remove(at))
+        let req = self.position(rid).map(|at| self.reqs.remove(at));
+        self.release();
+        req
     }
 
     pub fn retain(&mut self, keep: impl FnMut(&Request<P>) -> bool) {
         self.reqs.retain(keep);
+        self.release();
     }
 
     pub fn get(&self, rid: u64) -> Option<&Request<P>> {
@@ -136,7 +141,74 @@ impl<P> Outstanding<P> {
         self.reqs.iter_mut()
     }
 
+    /// Room for this many requests before the table grows.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.reqs.capacity()
+    }
+
     fn position(&self, rid: u64) -> Option<usize> {
         self.reqs.binary_search_by_key(&rid, |r| r.rid).ok()
+    }
+
+    /// A drained table gives back the room a burst grew, but keeps room
+    /// for one request, which the next `open` would reserve again, and
+    /// its rid counter.
+    fn release(&mut self) {
+        if self.reqs.is_empty() && self.reqs.capacity() > 1 {
+            self.reqs = Vec::new();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simnet::NodeId;
+
+    use super::*;
+
+    #[derive(Debug)]
+    enum Kind {
+        Burst,
+        Round,
+    }
+
+    fn to() -> NodeRef {
+        NodeRef::new(NodeId::from_index(1), crate::id::ChordId(1))
+    }
+
+    /// A burst drained holds no heap beyond room for one request, by
+    /// `close` or by `retain`, and rids stay monotone across the release.
+    #[test]
+    fn a_drained_table_holds_no_heap_and_keeps_its_rids() {
+        let mut t = Outstanding::default();
+        let mut last = None;
+        for round in 0..3 {
+            let rids: Vec<u64> = (0..16).map(|_| t.open(to(), Kind::Burst)).collect();
+            assert!(t.capacity() >= 16);
+            assert!(rids.windows(2).all(|w| w[0] < w[1]));
+            assert!(last < rids.first().copied(), "round {round} reuses a rid");
+            last = rids.last().copied();
+            if round % 2 == 0 {
+                for rid in rids {
+                    t.close(rid);
+                }
+            } else {
+                t.retain(|_| false);
+            }
+            assert_eq!(t.iter().count(), 0);
+            assert!(t.capacity() <= 1, "{} slots kept", t.capacity());
+            assert_eq!(Some(t.next_rid()), last.map(|r| r + 1));
+        }
+        // A table with room for one keeps it.
+        let rid = t.open(to(), Kind::Round);
+        assert_eq!(t.capacity(), 1);
+        t.close(rid);
+        assert_eq!(t.capacity(), 1);
+        // A superseded request's room is reused, not given back.
+        t.open(to(), Kind::Round);
+        t.supersede(to(), Kind::Round);
+        assert_eq!(t.iter().map(|r| r.rid).collect::<Vec<_>>(), [rid + 2]);
+        assert_eq!(t.capacity(), 1);
     }
 }

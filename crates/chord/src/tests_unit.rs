@@ -402,3 +402,60 @@ fn rejoin_keeps_the_rid_counter() {
     let (after, _) = node.lookup(ChordId(3 << 61));
     assert!(after > before, "lookup rid {after} at or below {before}");
 }
+
+/// The one step deadline among `actions`.
+fn step_deadline(actions: &[ChordAction]) -> ChordTimer {
+    let mut steps = actions.iter().filter_map(|a| match a {
+        ChordAction::SetTimer {
+            timer: t @ ChordTimer::LookupStep { .. },
+            ..
+        } => Some(*t),
+        _ => None,
+    });
+    let step = steps.next().expect("a step deadline");
+    assert!(steps.next().is_none(), "{actions:?}");
+    step
+}
+
+/// ROADMAP 2(f), pinned as it stands: a joiner has no tables, so when a
+/// step of its join lookup times out, `retry` finds no next hop but
+/// itself and the join fails at once, although the seed that answered
+/// the first step is alive and could be asked again. Its first hop timing
+/// out fails it the same way. The fix for 2(f) flips both cases.
+#[test]
+fn roadmap_2f_a_joiner_whose_hop_times_out_fails_its_join() {
+    let me = r(9, 3 << 61);
+    // The seed itself never answers.
+    let (mut joiner, actions) = Chord::join(me, seed(), ChordConfig::default());
+    let out = joiner.handle_timer(step_deadline(&actions));
+    assert!(
+        matches!(out[..], [ChordAction::JoinFailed]),
+        "first hop timed out: {out:?}"
+    );
+    assert!(!joiner.is_joined());
+    assert_eq!(joiner.pending_lookups(), 0);
+
+    // The seed forwards to a member that never answers.
+    let (mut joiner, actions) = Chord::join(me, seed(), ChordConfig::default());
+    let token = actions
+        .iter()
+        .find_map(|a| match a {
+            ChordAction::Send {
+                msg: ChordMsg::FindNext { token, .. },
+                ..
+            } => Some(*token),
+            _ => None,
+        })
+        .expect("the join step");
+    let reply = ChordMsg::FindNextReply {
+        token,
+        result: StepResult::Forward(r(2, 2 << 61)),
+    };
+    let out = joiner.handle_message(seed().node, reply);
+    let out = joiner.handle_timer(step_deadline(&out));
+    assert!(
+        matches!(out[..], [ChordAction::JoinFailed]),
+        "second hop timed out: {out:?}"
+    );
+    assert_eq!(joiner.pending_lookups(), 0);
+}

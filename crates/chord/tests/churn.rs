@@ -8,6 +8,8 @@ use common::{Host, Policy};
 use simnet::NodeId;
 
 const LATENCY_MS: u64 = 50;
+/// Failed join attempts over the run today (ROADMAP 2(f)).
+const JOIN_FAILURES: u64 = 1_001;
 
 #[derive(Default)]
 struct Churn {
@@ -182,8 +184,13 @@ fn ring_stays_converged_under_sustained_churn() {
         eprintln!("min {min}: succ_ok={s:.2} stranded={st} predless={pl} pred_ok={p:.2}");
     }
     let (succ_ok, stranded, _predless, _): (f64, usize, usize, f64) = h.health();
-    eprintln!("final: succ_ok={succ_ok:.2} stranded={stranded}");
+    let joinfail = h.policy.join_failures;
+    eprintln!("final: succ_ok={succ_ok:.2} stranded={stranded} joinfail={joinfail}");
     h.trace.assert_clean();
     assert!(succ_ok > 0.85, "ring decayed: final succ_ok {succ_ok:.2}");
     assert!(stranded < 10, "{stranded} stranded nodes accumulated");
+    // ROADMAP 2(f), recorded as it stands: about one join attempt in eight
+    // fails on this healthy ring, because a joiner gives up on its first
+    // failed step. The count is a ceiling; the fix for 2(f) lowers it.
+    assert!(joinfail <= JOIN_FAILURES, "{joinfail} failed joins");
 }
