@@ -125,6 +125,16 @@ impl<P: Policy> Host<P> {
         }
     }
 
+    /// Every timer still queued for a live node.
+    pub fn queued_timers(&self) -> impl Iterator<Item = (NodeId, &ChordTimer)> {
+        self.events.iter().filter_map(|ev| match ev {
+            Some(Ev::Timer { node, timer }) if self.nodes.contains_key(node) => {
+                Some((*node, timer))
+            }
+            _ => None,
+        })
+    }
+
     pub fn run_until(&mut self, until: u64) {
         while let Some(&Reverse((at, seq))) = self.queue.peek() {
             if at > until {

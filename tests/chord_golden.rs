@@ -16,8 +16,14 @@
 //! re-recorded again when lookups, stabilize rounds and pings began
 //! drawing their `token` / `gen` / `nonce` from one table of outstanding
 //! requests: with those values masked, the 648 642 lines of the old
-//! stream and of this one are equal. A change that only makes `Chord`
-//! faster must reproduce the stream byte for byte, tie-breaks included.
+//! stream and of this one are equal. It was re-recorded when a stranded
+//! node began re-joining in place (`Chord::rejoin`) instead of being
+//! replaced by a second `Chord`: the old way left 14 of the 104 nodes
+//! alive at the end with two chains of each periodic timer, and the
+//! stream went from 648 642 lines to 647 623; the run now ends with one
+//! chain of each per node, which it asserts. A change that only makes
+//! `Chord` faster must reproduce the stream byte for byte, tie-breaks
+//! included.
 
 #[path = "../crates/chord/tests/common/mod.rs"]
 mod common;
@@ -28,7 +34,7 @@ use simnet::NodeId;
 
 const RING: usize = 128;
 const LATENCY_MS: u64 = 40;
-const GOLDEN: u64 = 0xa3e8_eb24_c535_1cf6;
+const GOLDEN: u64 = 0x19a4_a0aa_fc83_2b0e;
 
 struct Fnv(u64);
 
@@ -66,14 +72,13 @@ impl Policy for Pin {
 
     fn outcome(host: &mut Harness, me: NodeId, action: ChordAction) {
         match action {
-            // A failed join retires the node; a stranded one re-joins
-            // through the lowest live member, as the hosts do.
+            // A failed join retires the node; a stranded one re-joins in
+            // place through the lowest live member, as the hosts do.
             ChordAction::JoinFailed => host.kill(me),
             ChordAction::Isolated => {
-                let own = host.nodes[&me].me();
                 let seed = host.nodes.values().map(Chord::me).find(|r| r.node != me);
                 if let Some(seed) = seed {
-                    host.install(own, Chord::join(own, seed, ChordConfig::default()));
+                    host.with_node(me, |n| n.rejoin(seed));
                 }
             }
             _ => {}
@@ -191,6 +196,20 @@ fn chord_action_stream_is_pinned() {
             node.successor_list()
         );
         h.policy.hash.line(&line);
+    }
+    // A re-join in place starts no second chain of a periodic timer.
+    for &id in h.nodes.keys() {
+        for periodic in [
+            ChordTimer::Stabilize,
+            ChordTimer::FixFingers,
+            ChordTimer::CheckPredecessor,
+        ] {
+            let chains = h
+                .queued_timers()
+                .filter(|&(node, timer)| node == id && *timer == periodic)
+                .count();
+            assert_eq!(chains, 1, "{id:?} ends with {chains} {periodic:?} chains");
+        }
     }
     assert_eq!(
         h.policy.hash.0, GOLDEN,
