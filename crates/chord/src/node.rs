@@ -673,16 +673,19 @@ impl Chord {
     }
 
     fn send_step(&mut self, token: u64) -> Vec<ChordAction> {
+        self.step(token).map_or_else(Vec::new, Vec::from)
+    }
+
+    /// `send_step`'s two actions, for a caller that gathers them itself.
+    fn step(&mut self, token: u64) -> Option<[ChordAction; 2]> {
         let from = self.me;
-        let Some((&mut to, lk)) = self.in_flight(token) else {
-            return Vec::new();
-        };
+        let (&mut to, lk) = self.in_flight(token)?;
         let msg = ChordMsg::FindNext {
             key: lk.key,
             token,
             from,
         };
-        self.send_armed(token, to, msg).into()
+        Some(self.send_armed(token, to, msg))
     }
 
     /// Send the open request `rid` its `msg` to `to` and arm its next
@@ -921,6 +924,7 @@ impl Chord {
 
     /// Every table entry in table order: fingers low to high, the
     /// successor list, the predecessor.
+    #[cfg(test)]
     fn known_nodes(&self) -> impl Iterator<Item = NodeRef> + '_ {
         self.fingers
             .iter()
@@ -937,9 +941,18 @@ impl Chord {
         self.route_stale = false;
         let mut route = std::mem::take(&mut self.route);
         route.clear();
-        let mut last = None;
-        for (rank, n) in self.known_nodes().enumerate() {
-            // Fingers come in runs of one node; only a run's first can be new.
+        // A node's rank is its place in `known_nodes`, found a run of
+        // finger slots at a time.
+        let fingers = self
+            .fingers
+            .runs()
+            .filter_map(|(_, len, f)| Some((len, f?)));
+        let others = self.successors.iter().copied().chain(self.predecessor);
+        let (mut next_rank, mut last) = (0, None);
+        for (len, n) in fingers.chain(others.map(|n| (1, n))) {
+            let rank = next_rank;
+            next_rank += len;
+            // Only the first of a run of one node can be new.
             if last.replace(n) == Some(n) {
                 continue;
             }
@@ -947,7 +960,7 @@ impl Chord {
                 route.push(RouteEntry {
                     id: n.id,
                     node: n.node,
-                    rank: rank as u32,
+                    rank,
                 });
             }
         }
@@ -1152,12 +1165,14 @@ impl Chord {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
             let start = self.me.id.finger_start(i);
-            actions.extend(match self.fingers.get(i as usize) {
-                Some(f) if self.local_owner(start).is_none() => {
+            match self.fingers.get(i as usize) {
+                Some(f) if self.local_owner(start).is_none() => actions.extend(
                     self.verify_finger(i, start, f, first_token)
-                }
-                _ => self.resolve_finger(i),
-            });
+                        .into_iter()
+                        .flatten(),
+                ),
+                _ => actions.extend(self.resolve_finger(i)),
+            }
         }
         actions
     }
@@ -1189,7 +1204,7 @@ impl Chord {
         start: ChordId,
         f: NodeRef,
         first_token: u64,
-    ) -> Vec<ChordAction> {
+    ) -> Option<[ChordAction; 2]> {
         let slot = 1u64 << i;
         let asked = self
             .reqs
@@ -1206,10 +1221,10 @@ impl Chord {
             });
         if let Some(slots) = asked {
             *slots |= slot;
-            return Vec::new();
+            return None;
         }
         let token = self.open_lookup(start, Purpose::VerifyFingers(slot), f, true);
-        self.send_step(token)
+        self.step(token)
     }
 
     /// The incumbent did not confirm — it forwarded, answered for another
@@ -1255,17 +1270,30 @@ impl Chord {
         // the finger start (i.e. a better approximation of
         // successor(start)). Each slot's verdict reads its own finger
         // only, so the slots are written together once all are judged.
+        // `n` covers slot `i`'s start, `2^i` past us, for `i` up to
+        // `log2` of its distance `d`. Past that start, `n` is closer to it
+        // than a finger at distance `f` when `d < f`; a finger short of
+        // the start (`f < 2^i`) lies a whole turn away from it.
+        let d = self.me.id.distance_to(n.id);
+        let covered = reach(d);
         let mut better = 0;
-        for i in 0..ChordId::BITS {
-            let start = self.me.id.finger_start(i);
-            if !start.in_open_closed(self.me.id, n.id) {
-                continue; // n does not cover this finger interval
+        for (first, len, finger) in self.fingers.runs() {
+            if first > d.ilog2() {
+                break;
             }
-            let closer = match self.fingers.get(i as usize) {
-                None => true,
-                Some(cur) => start.distance_to(n.id) < start.distance_to(cur.id),
-            };
-            better |= u64::from(closer) << i;
+            let run = u64::MAX >> (64 - len) << first;
+            better |= covered
+                & match finger {
+                    None => run,
+                    Some(cur) => {
+                        let f = self.me.id.distance_to(cur.id);
+                        if d < f {
+                            run
+                        } else {
+                            run & !reach(f)
+                        }
+                    }
+                };
         }
         self.set_fingers(better, Some(n));
     }
@@ -1367,21 +1395,33 @@ impl Chord {
     }
 }
 
-/// The length of `fingers`' settled prefix (see `Chord::settled`).
+/// The finger slots a node at distance `d` from us is at or past the
+/// start of: slot `i` for every `2^i <= d`, as a mask.
+fn reach(d: u64) -> u64 {
+    match d.checked_ilog2() {
+        Some(top) => u64::MAX >> (63 - top),
+        None => 0,
+    }
+}
+
+/// The length of `fingers`' settled prefix (see `Chord::settled`), a run
+/// at a time: a run's finger is no nearer than the run before's, and the
+/// run is settled up to the first slot whose start lies past it.
 fn settled_len(me: ChordId, fingers: &Fingers) -> u32 {
     let mut floor = 0;
-    fingers
-        .iter()
-        .zip(0u32..)
-        .take_while(|&(f, i)| {
-            f.is_some_and(|f| {
-                let d = me.distance_to(f.id);
-                let settled = d >= 1u64 << i && d >= floor;
-                floor = d;
-                settled
-            })
-        })
-        .count() as u32
+    for (first, len, f) in fingers.runs() {
+        let Some(f) = f else { return first };
+        let d = me.distance_to(f.id);
+        if d < floor {
+            return first;
+        }
+        floor = d;
+        let settled = reach(d).count_ones();
+        if settled < first + len {
+            return settled.max(first);
+        }
+    }
+    ChordId::BITS
 }
 
 #[cfg(test)]

@@ -41,14 +41,22 @@ impl Fingers {
     /// `to`; returns whether a slot changed. One call per run of slots
     /// given one finger, as `note_alive` gives them, finds or adds the
     /// entry once.
+    #[inline]
     pub(crate) fn set(&mut self, slots: u64, to: Option<NodeRef>) -> bool {
-        if slots == 0 {
+        // Most writes re-point one slot at the finger it holds.
+        if slots & slots.wrapping_sub(1) == 0
+            && (slots == 0 || self.get(slots.trailing_zeros() as usize) == to)
+        {
             return false;
         }
+        self.write(slots, to)
+    }
+
+    fn write(&mut self, slots: u64, to: Option<NodeRef>) -> bool {
         let first = slots.trailing_zeros() as usize;
         let new = match to {
             None => EMPTY,
-            // Most writes re-point a slot at the finger it holds.
+            // A run whose first slot already names `to`: no search.
             Some(_) if self.get(first) == to => self.slots[first],
             // From the back: the finger last added is the one most often
             // given more slots.
@@ -86,10 +94,31 @@ impl Fingers {
     }
 
     /// Every slot's finger, in slot order.
+    #[inline]
     pub(crate) fn iter(&self) -> impl Iterator<Item = Option<NodeRef>> + '_ {
         self.slots
             .iter()
             .map(|&k| self.nodes.get(usize::from(k)).copied())
+    }
+
+    /// The table as maximal runs of slots holding one finger (or none),
+    /// in slot order: `(first slot, slot count, finger)`. A converged
+    /// table is a dozen runs, so a pass over them reads each distinct
+    /// finger once per run instead of once per slot.
+    #[inline]
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (u32, u32, Option<NodeRef>)> + '_ {
+        let mut first = 0;
+        std::iter::from_fn(move || {
+            let k = *self.slots.get(first)?;
+            let len = self.slots[first..].iter().take_while(|&&s| s == k).count();
+            let run = (
+                first as u32,
+                len as u32,
+                self.nodes.get(usize::from(k)).copied(),
+            );
+            first += len;
+            Some(run)
+        })
     }
 
     /// Drop entry `k`, which no slot names any more: the last entry takes
@@ -114,6 +143,7 @@ impl Fingers {
 
 /// Two tables are equal when every slot holds the same finger, whatever
 /// order their entries were added in.
+#[cfg(test)]
 impl PartialEq for Fingers {
     fn eq(&self, other: &Self) -> bool {
         self.iter().eq(other.iter())

@@ -23,6 +23,23 @@ use super::*;
 // per heard node, a lookup per finger start.
 // ----------------------------------------------------------------------
 
+/// `settled_len` slot by slot, as `Chord::settled` defines the prefix.
+fn settled_len_scan(me: ChordId, fingers: &Fingers) -> u32 {
+    let mut floor = 0;
+    fingers
+        .iter()
+        .zip(0u32..)
+        .take_while(|&(f, i)| {
+            f.is_some_and(|f| {
+                let d = me.distance_to(f.id);
+                let settled = d >= 1u64 << i && d >= floor;
+                floor = d;
+                settled
+            })
+        })
+        .count() as u32
+}
+
 impl Chord {
     fn best_local_step_scan(&self, key: ChordId, exclude: &[NodeId]) -> NodeRef {
         let mut best: Option<NodeRef> = None;
@@ -77,13 +94,23 @@ impl Chord {
         self.route_stale = true;
         self.refresh_route();
         assert_eq!(lazy, self.route, "route index stale after {after}");
+        for e in &self.route {
+            let first = self.known_nodes().position(|n| n == e.node_ref());
+            assert_eq!(first, Some(e.rank as usize), "rank of {e:?} after {after}");
+        }
     }
 
     /// A settled prefix, once known, must be the fingers' own: a finger
-    /// write that forgot to clear it shows here.
+    /// write that forgot to clear it shows here. Counted a run at a time,
+    /// it must be what a count slot by slot finds.
     fn assert_settled_current(&self, after: &str) {
+        let fresh = settled_len(self.me.id, &self.fingers);
+        assert_eq!(
+            fresh,
+            settled_len_scan(self.me.id, &self.fingers),
+            "settled_len after {after}"
+        );
         if let Some(settled) = self.settled {
-            let fresh = settled_len(self.me.id, &self.fingers);
             assert_eq!(settled, fresh, "settled prefix stale after {after}");
         }
     }
@@ -132,12 +159,14 @@ impl Chord {
             let i = self.next_finger;
             self.next_finger = (self.next_finger + 1) % ChordId::BITS;
             let start = self.me.id.finger_start(i);
-            actions.extend(match self.fingers.get(i as usize) {
-                Some(f) if self.local_owner(start).is_none() => {
+            match self.fingers.get(i as usize) {
+                Some(f) if self.local_owner(start).is_none() => actions.extend(
                     self.verify_finger(i, start, f, first_token)
-                }
-                _ => self.resolve_finger_by_lookup(i),
-            });
+                        .into_iter()
+                        .flatten(),
+                ),
+                _ => actions.extend(self.resolve_finger_by_lookup(i)),
+            }
         }
         actions
     }

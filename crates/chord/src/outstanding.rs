@@ -12,6 +12,13 @@ use crate::id::NodeRef;
 /// carry the rid alone and is expired at this attempt.
 pub const FIRST_ATTEMPT: u32 = 1;
 
+/// The room a drained table keeps: what its second request grows it to.
+/// A Chord node's table fills to a few requests and drains every
+/// maintenance round, and freeing that room each time costs more wall
+/// clock than it saves; the eight or sixteen of a finger sweep are given
+/// back.
+const KEPT: usize = 4;
+
 /// One request in flight.
 #[derive(Debug)]
 pub struct Request<P> {
@@ -27,7 +34,7 @@ pub struct Request<P> {
 /// The requests in flight, in rid order: a new one goes at the end, and a
 /// machine holds a handful at a time. A burst (a finger sweep opens up to
 /// 16 lookups at once) grows the list, and draining gives its room back:
-/// between bursts a table holds no heap, or room for one request.
+/// between bursts a table holds room for at most four requests.
 #[derive(Debug)]
 pub struct Outstanding<P> {
     reqs: Vec<Request<P>>,
@@ -151,11 +158,10 @@ impl<P> Outstanding<P> {
         self.reqs.binary_search_by_key(&rid, |r| r.rid).ok()
     }
 
-    /// A drained table gives back the room a burst grew, but keeps room
-    /// for one request, which the next `open` would reserve again, and
-    /// its rid counter.
+    /// A drained table gives back the room a burst grew past `KEPT`
+    /// requests, but keeps its rid counter.
     fn release(&mut self) {
-        if self.reqs.is_empty() && self.reqs.capacity() > 1 {
+        if self.reqs.is_empty() && self.reqs.capacity() > KEPT {
             self.reqs = Vec::new();
         }
     }
@@ -177,8 +183,9 @@ mod tests {
         NodeRef::new(NodeId::from_index(1), crate::id::ChordId(1))
     }
 
-    /// A burst drained holds no heap beyond room for one request, by
-    /// `close` or by `retain`, and rids stay monotone across the release.
+    /// A burst drained holds no heap, by `close` or by `retain`, and rids
+    /// stay monotone across the release; a table that never grew past
+    /// `KEPT` requests keeps its room.
     #[test]
     fn a_drained_table_holds_no_heap_and_keeps_its_rids() {
         let mut t = Outstanding::default();
@@ -197,7 +204,7 @@ mod tests {
                 t.retain(|_| false);
             }
             assert_eq!(t.iter().count(), 0);
-            assert!(t.capacity() <= 1, "{} slots kept", t.capacity());
+            assert_eq!(t.capacity(), 0, "slots kept");
             assert_eq!(Some(t.next_rid()), last.map(|r| r + 1));
         }
         // A table with room for one keeps it.
@@ -210,5 +217,13 @@ mod tests {
         t.supersede(to(), Kind::Round);
         assert_eq!(t.iter().map(|r| r.rid).collect::<Vec<_>>(), [rid + 2]);
         assert_eq!(t.capacity(), 1);
+        // So is the room of a table that held `KEPT` requests at most.
+        let rids: Vec<u64> = (1..KEPT).map(|_| t.open(to(), Kind::Burst)).collect();
+        assert_eq!(t.capacity(), KEPT);
+        t.retain(|r| rids.contains(&r.rid));
+        for rid in rids {
+            t.close(rid);
+        }
+        assert_eq!((t.iter().count(), t.capacity()), (0, KEPT));
     }
 }

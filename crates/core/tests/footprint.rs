@@ -147,11 +147,11 @@ fn check(system: &str, f: Footprint, recorded_per_peer: isize) {
 
 #[test]
 fn flower_heap_follows_the_live_population() {
-    check("flower", footprint(FlowerSim::new), 4_928);
+    check("flower", footprint(FlowerSim::new), 4_993);
 }
 
 #[test]
 fn squirrel_heap_follows_the_live_population() {
     let build = |p| SquirrelSim::new(p, SquirrelMode::Directory);
-    check("squirrel", footprint(build), 4_520);
+    check("squirrel", footprint(build), 4_552);
 }
