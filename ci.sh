@@ -19,8 +19,11 @@ echo "==> golden tests, release build"
 # The benchmark and every committed number come from release builds, where
 # integer overflow wraps instead of panicking: the pins must hold there too —
 # and so must the codec's length arithmetic (`as u32`, `div_ceil`, the caps),
-# which is where every committed byte count is produced.
-cargo test -q --release --test engine_golden --test chord_golden --test replay
+# which is where every committed byte count is produced. The integration
+# cases of the trace consumers (the resilience tracker over a kill wave, the
+# ownership fold against what the machines hold) run in that build too.
+cargo test -q --release --test engine_golden --test chord_golden --test replay \
+    --test failure_injection
 # The scripted peer cases of both machines (the query stages a reply must
 # match, the home a Squirrel origin fetch hands its copy to), likewise; and
 # the unit cases of the trace consumers the benchmark attaches (the

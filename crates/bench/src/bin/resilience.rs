@@ -169,8 +169,8 @@ fn main() {
     let mut buckets: BTreeMap<u64, [Vec<f64>; 2]> = BTreeMap::new();
     for (i, runs) in [flower_runs, squirrel_runs].into_iter().enumerate() {
         for (_, run) in runs {
-            for b in &run.resilience.availability {
-                buckets.entry(b.start_ms).or_default()[i].push(b.hit_ratio());
+            for (start_ms, hits, total) in run.resilience.availability.buckets() {
+                buckets.entry(start_ms).or_default()[i].push(hits as f64 / total as f64);
             }
         }
     }

@@ -22,8 +22,8 @@
 //! own invariant, checked by [`LivenessChecker`](simnet::LivenessChecker).
 //!
 //! The checker is cheap enough to leave on in every integration test: it
-//! keeps only per-position holder lists and outstanding queries, no event
-//! log.
+//! keeps only the [`Ownership`] fold of who holds each position, open
+//! contests and outstanding queries, no event log.
 //!
 //! Clone the checker before handing it to
 //! [`World::add_trace_sink`](simnet::World::add_trace_sink) — all clones
@@ -38,7 +38,8 @@ use std::rc::Rc;
 
 use simnet::{field_u64, FieldValue, NodeId, Time, TraceEvent, TraceSink};
 
-use crate::tags::{self, pos_of, Pos};
+use crate::ownership::Ownership;
+use crate::tags::{self, Pos};
 
 /// Worst-case query lifetime (routing retries + fetch retries + origin
 /// fallback). Queries issued within this window of the horizon are allowed
@@ -67,9 +68,9 @@ impl Default for InvariantConfig {
 struct State {
     cfg: InvariantConfig,
     violations: Vec<String>,
-    /// Live holders of each directory position, with the time each
-    /// arrived. More than one entry = inside a replacement window.
-    holders: BTreeMap<Pos, Vec<(NodeId, Time)>>,
+    /// Who holds each directory position. More than one holder = inside
+    /// a replacement window.
+    owners: Ownership,
     /// When a position last became multiply-held.
     contested_since: BTreeMap<Pos, Time>,
     /// Instance ids ever seen per (ws, loc) couple.
@@ -84,34 +85,17 @@ struct State {
 
 impl State {
     fn violation(&mut self, at: Time, msg: String) {
-        if self.violations.len() < 64 {
-            self.violations.push(format!("[{at}] {msg}"));
-        }
+        self.violations.push(format!("[{at}] {msg}"));
     }
 
-    /// A node stopped being able to hold positions or answer queries.
-    fn node_gone(&mut self, at: Time, node: NodeId) {
-        let positions: Vec<Pos> = self.holders.keys().copied().collect();
-        for pos in positions {
-            self.drop_holder(at, node, pos);
-        }
-        // A dead issuer can never complete its queries; drop them.
-        self.pending.retain(|_, (issuer, _)| *issuer != node);
-    }
-
-    /// `node` no longer holds `pos`. A contest left with one holder or none
-    /// is over: it is a violation if it outlasted the replacement grace.
-    fn drop_holder(&mut self, at: Time, node: NodeId, pos: Pos) {
-        let Some(hs) = self.holders.get_mut(&pos) else {
-            return;
-        };
-        hs.retain(|(n, _)| *n != node);
-        if hs.len() > 1 {
-            return;
-        }
-        if let Some(since) = self.contested_since.remove(&pos) {
-            let lasted = at.since(since);
-            let grace_ms = self.cfg.replacement_grace_ms;
+    /// A position with more than one holder is contested. The contest is
+    /// over once one holder or none is left: a violation if it outlasted
+    /// the replacement grace.
+    fn contest(&mut self, at: Time, pos: Pos, holders: usize) {
+        if holders > 1 {
+            self.contested_since.entry(pos).or_insert(at);
+        } else if let Some(since) = self.contested_since.remove(&pos) {
+            let (lasted, grace_ms) = (at.since(since), self.cfg.replacement_grace_ms);
             if lasted > grace_ms {
                 self.violation(
                     at,
@@ -123,16 +107,6 @@ impl State {
                 );
             }
         }
-    }
-
-    fn became_directory(&mut self, at: Time, node: NodeId, pos: Pos) {
-        let hs = self.holders.entry(pos).or_default();
-        hs.retain(|(n, _)| *n != node);
-        hs.push((node, at));
-        if hs.len() > 1 && !self.contested_since.contains_key(&pos) {
-            self.contested_since.insert(pos, at);
-        }
-        self.instance_seen(at, pos);
     }
 
     /// PetalUp contiguity: instance `i` requires `i − 1` to exist first.
@@ -175,16 +149,6 @@ impl State {
                     if self.pending.remove(&qid).is_some() {
                         self.completed += 1;
                     }
-                }
-            }
-            tags::BECAME_DIRECTORY => {
-                if let Some(pos) = pos_of(fields) {
-                    self.became_directory(at, node, pos);
-                }
-            }
-            tags::DEMOTED => {
-                if let Some(pos) = pos_of(fields) {
-                    self.drop_holder(at, node, pos);
                 }
             }
             tags::PETAL_SPLIT => {
@@ -233,12 +197,18 @@ impl State {
             .collect();
         for (pos, since) in open {
             let lasted = end.since(since);
+            let by: Vec<String> = (self.owners.holders(pos).iter())
+                .map(|(node, arrived)| format!("{node} since {arrived}"))
+                .collect();
             self.violation(
                 end,
                 format!(
                     "position (ws{}, loc{}, i{}) still multiply-held at end of \
-                     run ({lasted}ms > {grace}ms replacement grace)",
-                    pos.0, pos.1, pos.2
+                     run ({lasted}ms > {grace}ms replacement grace) by {}",
+                    pos.0,
+                    pos.1,
+                    pos.2,
+                    by.join(", ")
                 ),
             );
         }
@@ -306,9 +276,16 @@ impl TraceSink for InvariantChecker {
     fn event(&mut self, at: Time, ev: &TraceEvent) {
         let mut s = self.state.borrow_mut();
         s.last_event_at = at;
+        for c in s.owners.fold(at, ev) {
+            if c.arrived {
+                s.instance_seen(at, c.pos);
+            }
+            s.contest(at, c.pos, c.holders);
+        }
         match ev {
+            // A dead issuer can never complete its queries; drop them.
             TraceEvent::NodeFail { node } | TraceEvent::NodeLeave { node } => {
-                s.node_gone(at, *node);
+                s.pending.retain(|_, (issuer, _)| issuer != node);
             }
             TraceEvent::Custom { node, name, fields } => s.custom(at, *node, name, fields),
             _ => {}
@@ -395,6 +372,35 @@ mod tests {
         let v = c.violations();
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("multiply-held"), "{v:?}");
+    }
+
+    /// Node 1 holds two positions, each contested by a later holder; its
+    /// failure ends both contests within the grace.
+    #[test]
+    fn a_failure_drops_the_node_from_every_position_it_held() {
+        let mut c = InvariantChecker::new();
+        for (node, inst) in [(1, 0), (1, 1), (2, 0), (3, 1)] {
+            let fields = pos_fields(0, 0, inst);
+            ev(&mut c, 0, custom(node, tags::BECAME_DIRECTORY, fields));
+        }
+        let node = NodeId::from_index(1);
+        ev(&mut c, 1_000, TraceEvent::NodeFail { node });
+        ev(&mut c, 500_000, custom(9, "noop", vec![]));
+        c.assert_clean();
+    }
+
+    /// Every violation is kept: the count is not capped.
+    #[test]
+    fn every_violation_is_kept() {
+        let mut c = InvariantChecker::new();
+        for ws in 0..65 {
+            ev(
+                &mut c,
+                0,
+                custom(1, tags::BECAME_DIRECTORY, pos_fields(ws, 0, 2)),
+            );
+        }
+        assert_eq!(c.violations().len(), 65);
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod experiments;
 pub mod flower;
 pub mod host;
 pub mod invariants;
+pub mod ownership;
 pub mod resilience;
 pub mod squirrel;
 
@@ -73,6 +74,6 @@ pub use invariants::InvariantChecker;
 pub use msg::{FlowerMsg, FlowerTimer, RoutePayload, Summary};
 pub use peer::{FlowerPeer, PeerCtx, Role};
 pub use qid::QueryId;
-pub use resilience::{AvailabilityBucket, Recovery, ResilienceSummary, ResilienceTracker};
+pub use resilience::{Recovery, ResilienceSummary, ResilienceTracker};
 pub use squirrel::{Squirrel, SquirrelHost, SquirrelMode, SquirrelSim};
 pub use store::{ContentStore, StorePolicy};

@@ -3,11 +3,11 @@
 //!
 //! The tracker watches four things:
 //!
-//! * directory ownership — [`tags::BECAME_DIRECTORY`] / [`tags::DEMOTED`]
-//!   events plus `NodeFail` build a live map of who holds each directory
-//!   position;
-//! * faults — when a holder dies, a [`Recovery`] opens for each position
-//!   it held, stamped with the death time;
+//! * directory ownership — who holds each position, read from the
+//!   crate's one [`Ownership`] fold;
+//! * faults — when the newest holder of a position dies, a [`Recovery`]
+//!   opens for it, stamped with the death time. An older holder that was
+//!   superseded, a demotion and a graceful leave open none;
 //! * repair — the next `became_directory` at that position closes the
 //!   "replaced" leg, and the first hit-`redirect` served *by the
 //!   replacement node* closes the "served" leg. MTTR (the paper's
@@ -28,10 +28,11 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use cdn_metrics::Provider;
+use cdn_metrics::{HitRatioSeries, Provider};
 use simnet::{field_bool, field_str, Fields, NodeId, Time, TraceEvent, TraceSink};
 
-use crate::tags::{self, pos_of, Pos};
+use crate::ownership::Ownership;
+use crate::tags::{self, Pos};
 
 /// The repair timeline of one killed directory position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,35 +57,15 @@ impl Recovery {
     }
 }
 
-/// One fixed-width slice of the availability timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AvailabilityBucket {
-    pub start_ms: u64,
-    /// Queries served from the overlay (content or directory peers).
-    pub hits: u64,
-    /// Queries that fell back to the origin.
-    pub misses: u64,
-}
-
-impl AvailabilityBucket {
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Owned, thread-movable results of a run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ResilienceSummary {
     /// One record per directory position whose holder failed, in death
     /// order.
     pub recoveries: Vec<Recovery>,
-    /// Hit/miss counts per time bucket, in time order.
-    pub availability: Vec<AvailabilityBucket>,
+    /// Hits (queries served from the overlay: content or directory peers)
+    /// and totals per time bucket; a miss fell back to the origin.
+    pub availability: HitRatioSeries,
 }
 
 impl ResilienceSummary {
@@ -123,28 +104,22 @@ impl ResilienceSummary {
     /// Lowest bucket hit ratio at or after `from_ms` — the depth of the
     /// degraded window (ignores empty buckets).
     pub fn worst_hit_ratio_after(&self, from_ms: u64) -> Option<f64> {
-        self.availability
-            .iter()
-            .filter(|b| b.start_ms >= from_ms && b.hits + b.misses > 0)
-            .map(AvailabilityBucket::hit_ratio)
+        (self.availability.buckets())
+            .filter(|&(start_ms, _, _)| start_ms >= from_ms)
+            .map(|(_, hits, total)| hits as f64 / total as f64)
             .min_by(|a, b| a.total_cmp(b))
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct State {
-    bucket_ms: u64,
-    /// Current holder of each directory position.
-    positions: BTreeMap<Pos, NodeId>,
-    /// Inverse of `positions`.
-    holdings: BTreeMap<NodeId, Vec<Pos>>,
+    owners: Ownership,
     recoveries: Vec<Recovery>,
     /// Positions with an open (not yet replaced) recovery.
     open_by_pos: BTreeMap<Pos, usize>,
     /// Replacement node → recoveries awaiting its first served hit.
     watch_serve: BTreeMap<NodeId, Vec<usize>>,
-    /// Bucket start → (hits, misses).
-    buckets: BTreeMap<u64, (u64, u64)>,
+    availability: HitRatioSeries,
 }
 
 /// The tracker: attach one clone to the world as a sink, keep the other.
@@ -156,11 +131,13 @@ pub struct ResilienceTracker {
 impl ResilienceTracker {
     /// `bucket_ms` is the availability-timeline resolution.
     pub fn new(bucket_ms: u64) -> ResilienceTracker {
-        assert!(bucket_ms > 0, "bucket width must be positive");
         ResilienceTracker {
             state: Rc::new(RefCell::new(State {
-                bucket_ms,
-                ..State::default()
+                owners: Ownership::default(),
+                recoveries: Vec::new(),
+                open_by_pos: BTreeMap::new(),
+                watch_serve: BTreeMap::new(),
+                availability: HitRatioSeries::new(bucket_ms),
             })),
         }
     }
@@ -170,55 +147,14 @@ impl ResilienceTracker {
         let st = self.state.borrow();
         ResilienceSummary {
             recoveries: st.recoveries.clone(),
-            availability: st
-                .buckets
-                .iter()
-                .map(|(&start_ms, &(hits, misses))| AvailabilityBucket {
-                    start_ms,
-                    hits,
-                    misses,
-                })
-                .collect(),
+            availability: st.availability.clone(),
         }
-    }
-
-    /// Directory positions currently tracked as held.
-    pub fn live_directories(&self) -> usize {
-        self.state.borrow().positions.len()
     }
 }
 
 impl State {
-    fn vacate(&mut self, pos: Pos, holder: NodeId) {
-        self.positions.remove(&pos);
-        if let Some(held) = self.holdings.get_mut(&holder) {
-            held.retain(|p| *p != pos);
-        }
-    }
-
     fn on_custom(&mut self, at_ms: u64, node: NodeId, name: &str, fields: &Fields) {
         match name {
-            tags::BECAME_DIRECTORY => {
-                let Some(pos) = pos_of(fields) else { return };
-                if let Some(prev) = self.positions.insert(pos, node) {
-                    if let Some(held) = self.holdings.get_mut(&prev) {
-                        held.retain(|p| *p != pos);
-                    }
-                }
-                self.holdings.entry(node).or_default().push(pos);
-                if let Some(idx) = self.open_by_pos.remove(&pos) {
-                    self.recoveries[idx].replaced_at_ms = Some(at_ms);
-                    self.watch_serve.entry(node).or_default().push(idx);
-                }
-            }
-            tags::DEMOTED => {
-                // Voluntary handover, not a fault: the position empties
-                // without opening a recovery.
-                let Some(pos) = pos_of(fields) else { return };
-                if self.positions.get(&pos) == Some(&node) {
-                    self.vacate(pos, node);
-                }
-            }
             tags::REDIRECT => {
                 if field_bool(fields, "hit") != Some(true) {
                     return;
@@ -234,15 +170,8 @@ impl State {
             }
             tags::QUERY_COMPLETE => {
                 let hit = field_str(fields, "provider")
-                    .map(|p| p != Provider::OriginServer.label())
-                    .unwrap_or(false);
-                let start = at_ms - at_ms % self.bucket_ms;
-                let bucket = self.buckets.entry(start).or_insert((0, 0));
-                if hit {
-                    bucket.0 += 1;
-                } else {
-                    bucket.1 += 1;
-                }
+                    .is_some_and(|p| p != Provider::OriginServer.label());
+                self.availability.record_at(at_ms, hit);
             }
             _ => {}
         }
@@ -253,23 +182,31 @@ impl TraceSink for ResilienceTracker {
     fn event(&mut self, at: Time, ev: &TraceEvent) {
         let mut st = self.state.borrow_mut();
         let at_ms = at.as_millis();
-        match ev {
-            TraceEvent::NodeFail { node } => {
-                for pos in st.holdings.remove(node).unwrap_or_default() {
-                    st.positions.remove(&pos);
-                    let idx = st.recoveries.len();
-                    st.recoveries.push(Recovery {
-                        website: pos.0,
-                        locality: pos.1,
-                        instance: pos.2,
-                        died_at_ms: at_ms,
-                        replaced_at_ms: None,
-                        served_at_ms: None,
-                    });
-                    st.open_by_pos.insert(pos, idx);
+        let failed = matches!(ev, TraceEvent::NodeFail { .. });
+        for c in st.owners.fold(at, ev) {
+            if c.arrived {
+                if let Some(idx) = st.open_by_pos.remove(&c.pos) {
+                    st.recoveries[idx].replaced_at_ms = Some(at_ms);
+                    st.watch_serve.entry(c.node).or_default().push(idx);
                 }
-                // A replacement that dies before serving never closes its
-                // served leg.
+            } else if failed && c.newest {
+                let (website, locality, instance) = c.pos;
+                let idx = st.recoveries.len();
+                st.recoveries.push(Recovery {
+                    website,
+                    locality,
+                    instance,
+                    died_at_ms: at_ms,
+                    replaced_at_ms: None,
+                    served_at_ms: None,
+                });
+                st.open_by_pos.insert(c.pos, idx);
+            }
+        }
+        match ev {
+            // A replacement that dies before serving never closes its
+            // served leg.
+            TraceEvent::NodeFail { node } => {
                 st.watch_serve.remove(node);
             }
             TraceEvent::Custom { node, name, fields } => {
@@ -314,7 +251,6 @@ mod tests {
             0,
             custom(1, tags::BECAME_DIRECTORY, became(0, 2, 0)),
         );
-        assert_eq!(t.live_directories(), 1);
         ev(
             &mut t,
             100_000,
@@ -322,7 +258,6 @@ mod tests {
                 node: NodeId::from_index(1),
             },
         );
-        assert_eq!(t.live_directories(), 0);
         ev(
             &mut t,
             130_000,
@@ -422,6 +357,74 @@ mod tests {
         assert_eq!((s.replaced(), s.served()), (0, 0));
     }
 
+    fn gone(t: &mut ResilienceTracker, at_ms: u64, node: usize, failed: bool) {
+        let node = NodeId::from_index(node);
+        let e = if failed {
+            TraceEvent::NodeFail { node }
+        } else {
+            TraceEvent::NodeLeave { node }
+        };
+        ev(t, at_ms, e);
+    }
+
+    /// Holders [1, 2] of one position; 2 stands down, so 1 holds it alone
+    /// and its death is a fault.
+    #[test]
+    fn the_last_holder_left_failing_opens_a_recovery() {
+        let mut t = ResilienceTracker::new(60_000);
+        ev(
+            &mut t,
+            0,
+            custom(1, tags::BECAME_DIRECTORY, became(0, 0, 0)),
+        );
+        ev(
+            &mut t,
+            10,
+            custom(2, tags::BECAME_DIRECTORY, became(0, 0, 0)),
+        );
+        ev(&mut t, 20, custom(2, tags::DEMOTED, became(0, 0, 0)));
+        gone(&mut t, 30, 1, true);
+        let s = t.summary();
+        assert_eq!(s.recoveries.len(), 1, "{s:?}");
+        assert_eq!(s.recoveries[0].died_at_ms, 30);
+    }
+
+    /// A graceful leave hands the position over: no fault.
+    #[test]
+    fn the_newest_holder_leaving_opens_no_recovery() {
+        let mut t = ResilienceTracker::new(60_000);
+        ev(
+            &mut t,
+            0,
+            custom(1, tags::BECAME_DIRECTORY, became(0, 0, 0)),
+        );
+        ev(
+            &mut t,
+            10,
+            custom(2, tags::BECAME_DIRECTORY, became(0, 0, 0)),
+        );
+        gone(&mut t, 20, 2, false);
+        assert!(t.summary().recoveries.is_empty());
+    }
+
+    /// Holder 1 was superseded by 2, which still holds the position.
+    #[test]
+    fn a_superseded_holder_failing_opens_no_recovery() {
+        let mut t = ResilienceTracker::new(60_000);
+        ev(
+            &mut t,
+            0,
+            custom(1, tags::BECAME_DIRECTORY, became(0, 0, 0)),
+        );
+        ev(
+            &mut t,
+            10,
+            custom(2, tags::BECAME_DIRECTORY, became(0, 0, 0)),
+        );
+        gone(&mut t, 20, 1, true);
+        assert!(t.summary().recoveries.is_empty());
+    }
+
     #[test]
     fn availability_buckets_split_hits_from_origin_fallbacks() {
         let mut t = ResilienceTracker::new(1_000);
@@ -444,22 +447,8 @@ mod tests {
         ev(&mut t, 900, custom(3, tags::QUERY_COMPLETE, q("origin")));
         ev(&mut t, 1_500, custom(3, tags::QUERY_COMPLETE, q("origin")));
         let s = t.summary();
-        assert_eq!(
-            s.availability,
-            vec![
-                AvailabilityBucket {
-                    start_ms: 0,
-                    hits: 2,
-                    misses: 1
-                },
-                AvailabilityBucket {
-                    start_ms: 1_000,
-                    hits: 0,
-                    misses: 1
-                },
-            ]
-        );
-        assert!((s.availability[0].hit_ratio() - 2.0 / 3.0).abs() < 1e-12);
+        let buckets: Vec<_> = s.availability.buckets().collect();
+        assert_eq!(buckets, [(0, 2, 3), (1_000, 0, 1)]);
         assert_eq!(s.worst_hit_ratio_after(0), Some(0.0));
         assert_eq!(s.worst_hit_ratio_after(2_000), None);
     }

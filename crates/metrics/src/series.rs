@@ -48,6 +48,14 @@ impl HitRatioSeries {
         self.totals.is_empty()
     }
 
+    /// `(bucket_start_ms, hits, total)` of every bucket that recorded a
+    /// query, in time order.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        (self.hits.iter().zip(&self.totals).enumerate())
+            .filter(|(_, (_, &total))| total > 0)
+            .map(|(i, (&hits, &total))| (i as u64 * self.bucket_ms, hits, total))
+    }
+
     /// `(bucket_end_ms, cumulative_ratio)` per bucket.
     pub fn cumulative(&self) -> Vec<(u64, f64)> {
         let mut out = Vec::with_capacity(self.totals.len());
@@ -85,6 +93,9 @@ mod tests {
         // Empty bucket 2 carries the running ratio.
         assert_eq!(c[2], (300, 2.0 / 3.0));
         assert_eq!(c[3], (400, 0.75));
+        // Bucket 2 recorded nothing, so `buckets` skips it.
+        let b: Vec<_> = s.buckets().collect();
+        assert_eq!(b, [(0, 1, 2), (100, 1, 1), (300, 1, 1)]);
     }
 
     #[test]

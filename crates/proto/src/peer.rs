@@ -363,9 +363,13 @@ impl FlowerPeer {
 
     /// Our D-ring join could not complete (seed died): revert to content
     /// peer; the position stays vacant and a later claim will retry.
-    fn on_dring_join_failed(&mut self, _ctx: &mut Fx<Self>) {
+    /// `become_directory` already said we hold it, so say we stood down.
+    fn on_dring_join_failed(&mut self, ctx: &mut Fx<Self>) {
         if let Role::Directory(d) = &self.role {
             if !d.chord.is_joined() {
+                ctx.emit(Event::Demoted {
+                    position: d.position,
+                });
                 self.role = Role::Content;
                 self.close_claim();
             }
@@ -997,6 +1001,47 @@ mod tests {
         );
         assert_eq!(events(&out), [ProtocolEvent::Demoted]);
         assert!(!still_registered, "a demoted directory leaves the registry");
+    }
+
+    /// A directory whose D-ring join fails stands down and says so: the
+    /// position its `BecameDirectory` named is answered by a `Demoted`,
+    /// so no trace consumer keeps it as a holder.
+    #[test]
+    fn a_failed_dring_join_is_traced_as_a_demotion() {
+        let me = NodeId::from_index(0);
+        let position = DirPosition::base(WebsiteId(0), LocalityId(0));
+        let seed = NodeRef::new(NodeId::from_index(1), ChordId(7));
+        let mut peer = FlowerPeer::new_client(PeerCtx::for_tests(), me, LocalityId(0));
+        peer.role = Role::Content;
+        let mut host = Host::new(me, &[]);
+        host.tracing = true;
+        let (rng, lent) = (&mut host.rng, &mut host.lent);
+        let mut fx = Fx::new(Time::from_millis(0), me, LocalityId(0), rng, true, lent);
+        peer.become_directory(&mut fx, position, seed, None, true);
+        let out = std::mem::take(&mut host.lent.out);
+        assert!(
+            out.iter().any(|o| matches!(o,
+                Output::Event(Event::BecameDirectory { position: p, .. }) if *p == position)),
+            "{out:?}"
+        );
+        // The seed never answers the join's first step.
+        let step = out
+            .iter()
+            .find_map(|o| match o {
+                Output::SetTimer {
+                    timer: FlowerTimer::Chord(t @ ChordTimer::LookupStep { .. }),
+                    ..
+                } => Some(*t),
+                _ => None,
+            })
+            .expect("the join's step deadline");
+        let out = host.step(&mut peer, Input::Timer(FlowerTimer::Chord(step)));
+        assert!(!peer.is_directory(), "a failed join stands down");
+        assert!(
+            out.iter().any(|o| matches!(o,
+                Output::Event(Event::Demoted { position: p }) if *p == position)),
+            "{out:?}"
+        );
     }
 
     /// The hops a re-routed payload already spent belong to its routing job:

@@ -107,7 +107,7 @@ fn a_hook_changes_no_aggregate_byte() {
             sim.add_trace_sink_boxed(Box::new(tracker.clone()));
             move |r: RunResult| {
                 let buckets = tracker.summary().availability;
-                let traced: u64 = buckets.iter().map(|b| b.hits + b.misses).sum();
+                let traced: u64 = buckets.buckets().map(|(_, _, total)| total).sum();
                 (traced, r.records.len() as u64)
             }
         });

@@ -20,9 +20,11 @@
 //! pins what the machines themselves trace: the count of every custom
 //! event tag and an FNV-1a over those events' JSONL lines, in order, from
 //! the t = 0 positions replayed into the sink to the horizon. The Flower-CDN
-//! FNV was re-recorded once, when a failed claim route began to trace the
-//! claim's position and claimer: the two claim `route_failed` lines gained
-//! those fields and every other line stayed byte-identical. A third traced
+//! FNV was re-recorded twice: when a failed claim route began to trace the
+//! claim's position and claimer (the two claim `route_failed` lines gained
+//! those fields), and when a directory whose D-ring join fails began to
+//! trace its stand-down (35 `demoted` lines were added); each time every
+//! other line stayed byte-identical. A third traced
 //! run, of one crowded website with small directories, pins PetalUp's
 //! trace shapes (`petal_split`, `promote`, `instance_forward`).
 
@@ -35,30 +37,9 @@ use cdn_metrics::JsonlTraceWriter;
 use flower_cdn::{FlowerSim, Scenario, SimDriver, SimParams, SquirrelMode, SquirrelSim};
 use simnet::{Time, TraceEvent, TraceSink};
 
-const HORIZON_MS: u64 = 40 * 60_000;
+mod golden;
 
-/// One line per dispatcher arm (peer-targeted and environment faults,
-/// with and without their optional keys), spread over the 40 minutes.
-const SCENARIO: &str = "\
-at 4m kill-directories website=0
-at 7m kill-random count=5 locality=2
-at 10m join-wave count=12 website=1 lifetime=8m
-at 12m join-wave count=6
-at 14m leave-wave count=6
-at 16m partition locality=3 heal-after=3m
-at 22m link-fault loss=0.05 duplicate=0.02 jitter=30ms for=4m
-at 28m origin-brownout extra=400ms website=0 for=5m
-at 33m kill-directories count=4
-";
-
-fn params() -> SimParams {
-    let mut p = SimParams::quick(120, HORIZON_MS);
-    p.seed = 0x601D;
-    // A quarter of the sessions end gracefully, so the churn schedule
-    // exercises the `Leave` control event as well as `Fail`.
-    p.leave_probability = 0.25;
-    p
-}
+use golden::{params, HORIZON_MS, SCENARIO};
 
 /// Set a simulation up the way the harnesses do (profiler, gauges, then
 /// scenario), run it to the horizon and render everything the test pins as
@@ -380,7 +361,7 @@ custom became_directory n=313
 custom claim_denied n=224
 custom claim_granted n=219
 custom claim_started n=429
-custom demoted n=17
+custom demoted n=52
 custom fetch n=4390
 custom fetch_ok n=4148
 custom fetch_timeout n=227
@@ -396,7 +377,7 @@ custom route_failed n=4
 custom route_request n=656
 custom routed_arrived n=556
 custom sibling_forward n=1274
-jsonl lines=38258 fnv=0fd70df44a2be40d
+jsonl lines=38293 fnv=9bd046bb696b9f96
 ";
 
 /// What the Flower-CDN machines trace over the golden run, to the byte.

@@ -3,13 +3,21 @@
 //! assassination, graceful leave hand-over, locality partitions that heal,
 //! determinism under chaos, and the maintenance ablations.
 
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
 use flower_cdn::experiments::MaintenanceVariant;
 use flower_cdn::invariants::InvariantConfig;
+use flower_cdn::ownership::Ownership;
+use flower_cdn::tags::Pos;
 use flower_cdn::{
     run_system_with, FaultAction, FlowerSim, InvariantChecker, ResilienceTracker, Scenario,
     SimDriver, SimParams, System,
 };
-use simnet::Time;
+use simnet::{NodeId, Time, TraceEvent, TraceSink};
+
+mod golden;
 
 fn params(seed: u64) -> SimParams {
     let horizon = 3_600_000;
@@ -60,6 +68,39 @@ fn scripted_assassination_is_replaced_and_served() {
     let ttr = s.mean_ttr_ms().expect("served > 0 implies a TTR");
     assert!(ttr > 0.0 && ttr.is_finite(), "mean TTR {ttr} ms");
     assert!(result.replacements > 0, "repairs must have been recorded");
+}
+
+/// The ownership fold the checker and the tracker read, as a sink.
+#[derive(Clone, Default)]
+struct Folded(Rc<RefCell<Ownership>>);
+
+impl TraceSink for Folded {
+    fn event(&mut self, at: Time, ev: &TraceEvent) {
+        self.0.borrow_mut().fold(at, ev);
+    }
+}
+
+#[test]
+fn ownership_fold_matches_the_machines() {
+    // The machines hold some positions twice for a while (§5.2.2's
+    // replacement window), so the fold keeps every holder; and every
+    // stand-down is traced, so it keeps no ghost.
+    let mut sim = FlowerSim::new(golden::params());
+    let folded = Folded::default();
+    sim.add_trace_sink(folded.clone());
+    let scenario = golden::SCENARIO.parse::<Scenario>();
+    sim.apply_scenario(&scenario.expect("scenario parses"));
+    for mins in (5..=golden::HORIZON_MS / 60_000).step_by(5) {
+        sim.run_until(Time::from_mins(mins));
+        let machines: BTreeSet<(NodeId, Pos)> = (sim.directories().into_iter())
+            .map(|(node, at, _)| {
+                let (ws, loc) = (u64::from(at.website.0), u64::from(at.locality.0));
+                (node, (ws, loc, u64::from(at.instance)))
+            })
+            .collect();
+        let fold: BTreeSet<(NodeId, Pos)> = folded.0.borrow().held().collect();
+        assert_eq!(fold, machines, "at {mins} min");
+    }
 }
 
 #[test]
