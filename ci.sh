@@ -47,8 +47,11 @@ cargo test -q --release -p flower-net --test wire_roundtrip
 # runs those release binaries.
 cargo test -q --release -p flower-net --lib
 # The timer wheel every simulated event is popped from: against a reference
-# heap, and allocation-free in steady state.
+# heap (seqs reserved earlier among them), and allocation-free in steady
+# state. Beside it, the churn arrivals the engine replays into it one at a
+# time, against the schedule collected in full.
 cargo test -q --release -p simnet --lib --test timer_wheel --test zero_alloc
+cargo test -q --release -p workload
 # The byte pins of the two JSON artifacts (a line of every trace event
 # shape, the BENCH report), in the build that writes every committed
 # BENCH_*.json.

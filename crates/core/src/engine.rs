@@ -19,8 +19,8 @@ use chord::{Chord, ChordAction, ChordId, NodeRef};
 use flower_proto::io::{Lent, Machine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simnet::{ClassCount, LocalityId, NodeId, Point, Time, Topology, TraceSink, World};
-use workload::{generate_sessions, Catalog, WebsiteId};
+use simnet::{ClassCount, LocalityId, Node, NodeId, Point, Time, Topology, TraceSink, World};
+use workload::{ArrivalReplay, Catalog, Session, WebsiteId};
 
 use crate::bootstrap::Bootstrap;
 use crate::chaos_driver;
@@ -33,9 +33,13 @@ use crate::tags::Event;
 
 /// Engine-level control events scheduled into the simulation.
 pub enum Control {
-    /// A fresh peer arrives (churn), interested in `website`. When its
-    /// `lifetime_ms` expire it fails silently — or leaves gracefully if
-    /// `graceful` (set per session from `SimParams::leave_probability`).
+    /// The next arrival of the churn schedule is due. It waits in the
+    /// engine, not in the queue, which holds only this marker for it, under
+    /// the seq reserved for it at set-up; it is spawned as a `Spawn` is.
+    Arrival,
+    /// A fresh peer arrives out of schedule (a flash crowd), interested in
+    /// `website`. When its `lifetime_ms` expire it fails silently — or
+    /// leaves gracefully if `graceful`.
     Spawn {
         website: WebsiteId,
         lifetime_ms: u64,
@@ -46,8 +50,9 @@ pub enum Control {
     /// path whose hand-over (§5.2.2) runs before removal.
     Retire { node: NodeId, graceful: bool },
     /// A scheduled fault from a [`chaos::Scenario`] fires now. Boxed: the
-    /// queue slot every control event takes is sized for the largest one,
-    /// and a fault is rare beside the churn schedule's thousands of spawns.
+    /// queue slot every event takes is sized for the largest one, and a
+    /// fault is rare beside the thousands of timers and retirements queued
+    /// at any time.
     Chaos(Box<chaos::FaultAction>),
     /// Periodic gauge-sampling tick; armed by [`SimDriver::enable_gauges`]
     /// and self-rescheduling.
@@ -273,11 +278,39 @@ pub(crate) struct Controller<S: SimSystem> {
     /// The world's one output buffer, rendezvous registry, origin dial and
     /// profiler, lent to every host spawned.
     pub(crate) lent: WorldLent<S::Machine>,
+    /// The churn schedule's arrivals still to come; `None` until set-up
+    /// has drawn them.
+    arrivals: Option<Arrivals>,
     /// The run's result so far: reports are folded into it as the world
     /// hands them over (at every control event and at the end of every
     /// `run_until`), so none is held longer than until the next control
     /// event. [`SimDriver::finish`] fills in the rest.
     result: RunResult,
+}
+
+/// The churn schedule's arrivals still to come (§6.1): the one queued
+/// next, and the replay of the rest, each of which is queued when the one
+/// before it is spawned.
+struct Arrivals {
+    replay: ArrivalReplay<StdRng>,
+    /// The arrival a queued [`Control::Arrival`] stands for.
+    queued: Option<(Session, WebsiteId)>,
+    /// The seq reserved for the arrival after it.
+    seq: u64,
+}
+
+impl Arrivals {
+    /// Queue the next arrival of `replay`, if any, under its reserved seq:
+    /// it then falls among equal-time events where the whole schedule,
+    /// queued at set-up, put it.
+    fn queue_next<N: Node>(&mut self, world: &mut World<N, Control>, catalog: &Catalog) {
+        self.queued = self.replay.next(catalog);
+        if let Some((session, _)) = self.queued {
+            let at = Time::from_millis(session.arrival_ms);
+            world.schedule_control_at_seq(at, self.seq, Control::Arrival);
+            self.seq += 1;
+        }
+    }
 }
 
 impl<S: SimSystem> Controller<S> {
@@ -349,29 +382,52 @@ impl<S: SimSystem> Controller<S> {
         }
     }
 
+    /// Spawn a peer interested in `website` anywhere, and schedule its
+    /// departure `lifetime_ms` later.
+    fn spawn_session(
+        &mut self,
+        world: &mut SimWorld<S>,
+        website: WebsiteId,
+        lifetime_ms: u64,
+        graceful: bool,
+    ) {
+        if let Some(node) = self.spawn(world, website, None, None) {
+            let end_at = world.now() + lifetime_ms;
+            world.schedule_control(end_at, Control::Retire { node, graceful });
+        }
+    }
+
     /// The control handler `World::run` calls back into.
     fn on_control(&mut self, world: &mut SimWorld<S>, control: Control) {
         self.fold_reports(world);
         match control {
+            Control::Arrival => {
+                let (session, website) = (self.arrivals.as_mut())
+                    .and_then(|a| a.queued.take())
+                    .expect("a queued arrival");
+                self.spawn_session(world, website, session.lifetime_ms, session.graceful);
+                if let Some(a) = self.arrivals.as_mut() {
+                    a.queue_next(world, &self.catalog);
+                }
+            }
             Control::Spawn {
                 website,
                 lifetime_ms,
                 graceful,
-            } => {
-                if let Some(node) = self.spawn(world, website, None, None) {
-                    let end_at = world.now() + lifetime_ms;
-                    world.schedule_control(end_at, Control::Retire { node, graceful });
-                }
-            }
+            } => self.spawn_session(world, website, lifetime_ms, graceful),
             Control::Retire { node, graceful } => self.retire(world, node, graceful),
             Control::Chaos(action) => chaos_driver::dispatch(self, world, *action),
             Control::Sample => {
+                // The queue as it was when every arrival was queued at
+                // set-up: the gauge's series predates the replay.
+                let unqueued = self.arrivals.as_ref().map_or(0, |a| a.replay.len());
                 if let Some(g) = self.gauges.as_mut() {
                     let at = world.now().as_millis();
                     g.record("population", at, world.live_count() as f64);
                     S::sample_gauges(world, &mut |name, value| g.record(name, at, value));
                     g.sample_message_rates(at, world.msg_counts());
-                    g.sample_event_loop(at, world.queue_depth(), world.stats().events_processed());
+                    let depth = world.queue_depth() + unqueued;
+                    g.sample_event_loop(at, depth, world.stats().events_processed());
                     world.schedule_control(
                         next_sample_at(world.now(), g.period_ms),
                         Control::Sample,
@@ -417,6 +473,7 @@ impl<S: SimSystem> Engine<S> {
                 rng,
                 gauges: None,
                 lent: Rc::new(RefCell::new(lent)),
+                arrivals: None,
                 result: RunResult::default(),
             },
             built_at,
@@ -463,33 +520,32 @@ impl<S: SimSystem> Engine<S> {
         }
     }
 
-    /// Schedule the full churn: lifetimes for the initial members, and
-    /// Poisson arrivals (each a future `Spawn`) for the rest of the run.
+    /// Schedule the churn: the initial members' departures, and the first
+    /// of the Poisson arrivals for the rest of the run. Every session and
+    /// every arrival's website is drawn here, from the engine RNG, in the
+    /// order a schedule queued in full would draw them; the arrivals are
+    /// then replayed one at a time ([`Arrivals`]), each under a seq
+    /// reserved here, so the queue pops them in the same `(at, seq)` order
+    /// while holding one of them at a time.
     fn schedule_churn(&mut self) {
         let churn = self.ctl.params.churn();
         let initial = self.ctl.params.initial_directories();
-        let sessions = generate_sessions(&churn, initial, &mut self.ctl.rng);
-        for (i, s) in sessions.iter().enumerate() {
-            if i < initial {
-                // Already spawned; only their departure is scheduled.
-                let end = Control::Retire {
-                    node: NodeId::from_index(i),
-                    graceful: s.graceful,
-                };
-                self.world
-                    .schedule_control(Time::from_millis(s.departure_ms()), end);
-            } else {
-                let website = self.ctl.catalog.assign_interest(&mut self.ctl.rng);
-                self.world.schedule_control(
-                    Time::from_millis(s.arrival_ms),
-                    Control::Spawn {
-                        website,
-                        lifetime_ms: s.lifetime_ms,
-                        graceful: s.graceful,
-                    },
-                );
-            }
-        }
+        let Engine { world, ctl, .. } = self;
+        let replay = ArrivalReplay::draw(&churn, initial, &ctl.catalog, &mut ctl.rng, |i, s| {
+            // Already spawned; only their departure is scheduled.
+            let end = Control::Retire {
+                node: NodeId::from_index(i),
+                graceful: s.graceful,
+            };
+            world.schedule_control(Time::from_millis(s.departure_ms()), end);
+        });
+        let seq = world.reserve_seqs(replay.len() as u64);
+        let arrivals = ctl.arrivals.insert(Arrivals {
+            replay,
+            queued: None,
+            seq,
+        });
+        arrivals.queue_next(world, &ctl.catalog);
     }
 
     /// Access the world (tests and ad-hoc inspection).
@@ -665,9 +721,9 @@ mod tests {
 
     /// A queued event is a handle — a timer tag, a control event or a
     /// delivery's slot in the world's in-flight slab, never a message — and
-    /// a churning run queues tens of thousands of them, most of them
-    /// pre-drawn spawns. A fat new timer or control variant would widen
-    /// every one of those slots.
+    /// a churning run queues tens of thousands of them, most of them armed
+    /// timers and scheduled retirements. A fat new timer or control variant
+    /// would widen every one of those slots.
     #[test]
     fn a_queued_event_is_at_most_32_bytes() {
         let sizes = [
@@ -677,5 +733,14 @@ mod tests {
         for (system, bytes) in sizes {
             assert!(bytes <= 32, "{system}: a queued event takes {bytes} B");
         }
+    }
+
+    /// Every live Flower-CDN peer is one boxed host. What only some peers
+    /// need some of the time stays out of line: a query in flight, LRU
+    /// stamps, a t=0 member's start-up actions.
+    #[test]
+    fn a_flower_peer_host_is_at_most_376_bytes() {
+        let bytes = std::mem::size_of::<SimHost<<Flower as SimSystem>::Machine>>();
+        assert!(bytes <= 376, "a Flower-CDN peer's host takes {bytes} B");
     }
 }

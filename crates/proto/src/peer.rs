@@ -98,6 +98,9 @@ pub struct DirectoryRole {
     pub self_check_misses: u8,
     /// Entered D-ring as a failure replacement (diagnostics).
     pub replacement: bool,
+    /// Actions produced by the Chord constructor of a t=0 member, applied
+    /// at `on_start`; empty for every role taken up later.
+    pub(crate) startup_chord_actions: Vec<ChordAction>,
 }
 
 impl DirectoryRole {
@@ -117,6 +120,7 @@ impl DirectoryRole {
             promotion_pending: None,
             self_check_misses: 0,
             replacement,
+            startup_chord_actions: Vec::new(),
         }
     }
 }
@@ -142,7 +146,8 @@ pub enum Role {
 }
 
 /// Outstanding query state (at most one per peer; the 6-minute query period
-/// dwarfs every latency involved).
+/// dwarfs every latency involved). A peer holds it boxed, for the few
+/// seconds of each query period it exists.
 pub(crate) struct PendingQuery {
     /// The timed part every system shares.
     pub tl: Timeline,
@@ -190,14 +195,12 @@ pub struct FlowerPeer {
     pub(crate) gossip: Cyclon<Summary>,
     pub(crate) dir_info: Option<DirInfo>,
     pub(crate) role: Role,
-    pub(crate) pending: Option<PendingQuery>,
+    pub(crate) pending: Option<Box<PendingQuery>>,
     pub(crate) next_qid: u32,
     /// The dir-ack exchange and the position claim in flight.
     pub(crate) awaiting: Outstanding<Await>,
     /// Bootstraps that failed to route for us recently.
     pub(crate) boot_exclude: Vec<NodeId>,
-    /// Actions produced by the Chord constructor, applied at `on_start`.
-    pub(crate) startup_chord_actions: Vec<ChordAction>,
 }
 
 impl FlowerPeer {
@@ -218,7 +221,6 @@ impl FlowerPeer {
             next_qid: 0,
             awaiting: Outstanding::default(),
             boot_exclude: Vec::new(),
-            startup_chord_actions: Vec::new(),
         }
     }
 
@@ -233,13 +235,9 @@ impl FlowerPeer {
         startup_chord_actions: Vec<ChordAction>,
     ) -> FlowerPeer {
         let mut p = FlowerPeer::new_client(pcx, me, locality);
-        p.role = Role::Directory(Box::new(DirectoryRole::new(
-            position,
-            chord,
-            DirectoryIndex::new(),
-            false,
-        )));
-        p.startup_chord_actions = startup_chord_actions;
+        let mut role = DirectoryRole::new(position, chord, DirectoryIndex::new(), false);
+        role.startup_chord_actions = startup_chord_actions;
+        p.role = Role::Directory(Box::new(role));
         p
     }
 
@@ -521,10 +519,10 @@ impl FlowerPeer {
 
 impl FlowerPeer {
     pub(crate) fn on_start(&mut self, ctx: &mut Fx<Self>) {
-        let startup = std::mem::take(&mut self.startup_chord_actions);
-        match &self.role {
+        match &mut self.role {
             Role::Directory(d) => {
                 let (me, position) = (d.chord.me(), d.position);
+                let startup = std::mem::take(&mut d.startup_chord_actions);
                 ctx.emit(Event::BecameDirectory {
                     position,
                     replacement: false,

@@ -54,7 +54,7 @@ impl FlowerPeer {
         api_token: Option<u64>,
     ) {
         let qid = self.alloc_qid();
-        self.pending = Some(PendingQuery {
+        self.pending = Some(Box::new(PendingQuery {
             tl: Timeline::issue(ctx, qid, self.pcx.website, object),
             object,
             // Each resolution step names its own `via` before it sends.
@@ -62,7 +62,7 @@ impl FlowerPeer {
             route_attempts: 0,
             last_bootstrap: None,
             api_token,
-        });
+        }));
     }
 
     /// Issue a query for `object` and start resolving it the way our

@@ -75,6 +75,12 @@ pub(crate) fn summarize(objects: &ObjectSet, sized_for: usize) -> Summary {
 /// store holds one website and ranks below `objects_per_site`, i.e. one
 /// bitset of a few words, so membership is a word test; several websites
 /// and ranks up to `u16::MAX` go through the same code.
+///
+/// Both vectors are sized exactly while they fit a store: the first
+/// website takes room for one site, not `Vec`'s minimum of four, and a
+/// bitset grows to the word its highest rank needs, not to the next power
+/// of two. Most sets live in a peer's store or a directory's entry for
+/// one, and most of those hold a few ranks of one website.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ObjectSet {
     /// `(website, rank bits)` ascending by website: rank `r` is bit
@@ -112,12 +118,16 @@ impl ObjectSet {
     /// Returns `false` if `o` was already present.
     pub(crate) fn insert(&mut self, o: ObjectId) -> bool {
         let i = self.site_index(o.website).unwrap_or_else(|i| {
+            if self.sites.is_empty() {
+                self.sites.reserve_exact(1);
+            }
             self.sites.insert(i, (o.website, Vec::new()));
             i
         });
         let words = &mut self.sites[i].1;
         let (word, bit) = word_and_bit(o.rank);
         if words.len() <= word {
+            words.reserve_exact(word + 1 - words.len());
             words.resize(word + 1, 0);
         }
         let fresh = words[word] & bit == 0;
@@ -169,10 +179,17 @@ pub struct ContentStore {
     unpushed: Vec<ObjectId>,
     /// Store size at the moment of the last push.
     size_at_last_push: usize,
-    policy: StorePolicy,
-    /// LRU bookkeeping: stored object → last-use stamp (monotone counter).
-    /// Written only by [`ContentStore::stamp`], so empty unless the policy
-    /// is [`StorePolicy::Lru`].
+    /// `Some` exactly under [`StorePolicy::Lru`]; boxed, so the paper's
+    /// unlimited stores pay a pointer for it.
+    lru: Option<Box<Lru>>,
+}
+
+/// A bounded store's eviction state.
+#[derive(Debug, Clone)]
+struct Lru {
+    capacity: usize,
+    /// Stored object → last-use stamp (monotone counter). Written only by
+    /// [`ContentStore::stamp`].
     last_use: BTreeMap<ObjectId, u64>,
     use_clock: u64,
 }
@@ -189,16 +206,22 @@ impl ContentStore {
     }
 
     pub fn with_policy(policy: StorePolicy) -> ContentStore {
-        if let StorePolicy::Lru { capacity } = policy {
-            assert!(capacity > 0, "LRU capacity must be positive");
-        }
+        let lru = match policy {
+            StorePolicy::Unlimited => None,
+            StorePolicy::Lru { capacity } => {
+                assert!(capacity > 0, "LRU capacity must be positive");
+                Some(Box::new(Lru {
+                    capacity,
+                    last_use: BTreeMap::new(),
+                    use_clock: 0,
+                }))
+            }
+        };
         ContentStore {
             objects: ObjectSet::default(),
             unpushed: Vec::new(),
             size_at_last_push: 0,
-            policy,
-            last_use: BTreeMap::new(),
-            use_clock: 0,
+            lru,
         }
     }
 
@@ -206,14 +229,14 @@ impl ContentStore {
     /// otherwise its stamp is dropped with the object. `Unlimited` never
     /// reads a stamp, so it keeps none.
     fn stamp(&mut self, o: ObjectId, used: bool) {
-        if !matches!(self.policy, StorePolicy::Lru { .. }) {
+        let Some(lru) = self.lru.as_mut() else {
             return;
-        }
+        };
         if used {
-            self.use_clock += 1;
-            self.last_use.insert(o, self.use_clock);
+            lru.use_clock += 1;
+            lru.last_use.insert(o, lru.use_clock);
         } else {
-            self.last_use.remove(&o);
+            lru.last_use.remove(&o);
         }
     }
 
@@ -235,19 +258,24 @@ impl ContentStore {
         }
         self.stamp(o, true);
         let mut evicted = Vec::new();
-        if let StorePolicy::Lru { capacity } = self.policy {
-            while self.objects.len() > capacity {
-                let victim = self
-                    .last_use
-                    .iter()
-                    .min_by_key(|(_, &stamp)| stamp)
-                    .map(|(&k, _)| k)
-                    .expect("non-empty store over capacity");
-                self.remove(victim);
-                evicted.push(victim);
-            }
+        while let Some(victim) = self.lru_victim() {
+            self.remove(victim);
+            evicted.push(victim);
         }
         evicted
+    }
+
+    /// The least recently used object, while a bounded store holds more
+    /// than its capacity.
+    fn lru_victim(&self) -> Option<ObjectId> {
+        let lru = self.lru.as_ref()?;
+        if self.objects.len() <= lru.capacity {
+            return None;
+        }
+        let (&victim, _) = (lru.last_use.iter())
+            .min_by_key(|(_, &stamp)| stamp)
+            .expect("non-empty store over capacity");
+        Some(victim)
     }
 
     pub fn len(&self) -> usize {
@@ -711,12 +739,13 @@ mod differential {
                 evictions > 500,
                 "capacity {capacity}: {evictions} evictions"
             );
+            let lru = new.lru.as_ref().expect("an LRU store keeps stamps");
             assert!(
-                new.last_use.keys().all(|&o| new.contains(o)),
+                lru.last_use.keys().all(|&o| new.contains(o)),
                 "a stamp outlived its object"
             );
         } else {
-            assert!(new.last_use.is_empty() && new.use_clock == 0);
+            assert!(new.lru.is_none(), "an unlimited store keeps no stamps");
         }
     }
 

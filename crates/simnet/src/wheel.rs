@@ -25,14 +25,17 @@
 //!
 //! The wheel delivers events in exactly the `(at, seq)` order a reference
 //! `BinaryHeap<Reverse<(at, seq)>>` would (the property test in
-//! `tests/timer_wheel.rs` asserts this against random schedules):
+//! `tests/timer_wheel.rs` asserts this against random schedules, seqs
+//! from an earlier reserved block among them). `seq` breaks `at` ties; each
+//! must be unique, but need not grow with every schedule call:
 //!
-//! * within a bucket, list order is insertion order, and insertions happen
-//!   in ascending `seq` because `seq` is global and monotone;
-//! * a cascade or migration moves *older* (smaller-`seq`) entries into a
-//!   bucket strictly before any *direct* insert can target it, because
-//!   direct routing only reaches a bucket after the block/horizon advance
-//!   that triggered the move — so appends keep ascending-`seq` order;
+//! * every entry keeps its `seq`, and every bucket is kept in ascending
+//!   `seq` order. An insert appends when its `seq` is the bucket's largest
+//!   — every schedule under a fresh, growing counter — and otherwise walks
+//!   from the head to its place (an entry scheduled under a seq reserved
+//!   earlier, [`World::reserve_seqs`](crate::World::reserve_seqs));
+//! * a cascade or migration inserts the same way, so a bucket is in `seq`
+//!   order whichever way its entries arrived;
 //! * the overflow heap is popped in `(at, seq)` order.
 //!
 //! # Cancellation
@@ -143,6 +146,9 @@ pub struct Wheel<P> {
     // --- event slab (struct-of-arrays, u32-indexed) ---
     payload: Vec<Option<P>>,
     at: Vec<u64>,
+    /// The tie-breaker each entry was scheduled under; buckets are kept in
+    /// its order.
+    seq: Vec<u64>,
     gen: Vec<u32>,
     /// Bucket-list links (level 0 / level 1); NIL while in overflow.
     next: Vec<u32>,
@@ -178,6 +184,7 @@ impl<P> Wheel<P> {
         Wheel {
             payload: Vec::new(),
             at: Vec::new(),
+            seq: Vec::new(),
             gen: Vec::new(),
             next: Vec::new(),
             prev: Vec::new(),
@@ -223,11 +230,12 @@ impl<P> Wheel<P> {
         }
     }
 
-    fn alloc(&mut self, at: u64, payload: P) -> u32 {
+    fn alloc(&mut self, at: u64, seq: u64, payload: P) -> u32 {
         if let Some(idx) = self.free.pop() {
             let i = idx as usize;
             self.payload[i] = Some(payload);
             self.at[i] = at;
+            self.seq[i] = seq;
             self.next[i] = NIL;
             self.prev[i] = NIL;
             self.onext[i] = NIL;
@@ -239,6 +247,7 @@ impl<P> Wheel<P> {
             assert!(idx != NIL, "event slab exhausted");
             self.payload.push(Some(payload));
             self.at.push(at);
+            self.seq.push(seq);
             self.gen.push(0);
             self.next.push(NIL);
             self.prev.push(NIL);
@@ -255,17 +264,36 @@ impl<P> Wheel<P> {
         }
     }
 
-    /// Append `idx` to bucket `s` of `level`.
+    /// Insert `idx` into bucket `s` of `level` in `seq` order: after the
+    /// tail when its seq is the largest (the common case), otherwise
+    /// before the first entry with a larger one.
     fn push(&mut self, level: usize, s: usize, idx: u32) {
-        let l = &mut self.levels[level];
         let i = idx as usize;
-        self.prev[i] = l.tail[s];
+        let tail = self.levels[level].tail[s];
+        if tail != NIL && self.seq[tail as usize] > self.seq[i] {
+            let mut after = self.levels[level].head[s];
+            while self.seq[after as usize] < self.seq[i] {
+                after = self.next[after as usize];
+            }
+            let before = self.prev[after as usize];
+            self.prev[i] = before;
+            self.next[i] = after;
+            self.prev[after as usize] = idx;
+            if before == NIL {
+                self.levels[level].head[s] = idx;
+            } else {
+                self.next[before as usize] = idx;
+            }
+            return;
+        }
+        let l = &mut self.levels[level];
+        self.prev[i] = tail;
         self.next[i] = NIL;
-        if l.tail[s] == NIL {
+        if tail == NIL {
             l.head[s] = idx;
             l.bits.set(s);
         } else {
-            self.next[l.tail[s] as usize] = idx;
+            self.next[tail as usize] = idx;
         }
         l.tail[s] = idx;
     }
@@ -347,12 +375,14 @@ impl<P> Wheel<P> {
         None
     }
 
-    /// Schedule `payload` for `at`. `seq` must be globally monotone across
-    /// all schedule calls (it breaks `at` ties); `at` must be ≥ the last
+    /// Schedule `payload` for `at`, after every entry due at `at` with a
+    /// smaller `seq` and before every one with a larger. `seq` must be
+    /// unique among the entries scheduled; it need not exceed the last
+    /// one's (module docs, "Ordering contract"). `at` must be ≥ the last
     /// popped deadline. `owner` threads the entry onto that owner's cancel
     /// list.
     pub fn schedule(&mut self, at: u64, seq: u64, owner: Option<u32>, payload: P) {
-        let idx = self.alloc(at, payload);
+        let idx = self.alloc(at, seq, payload);
         match self.place(at) {
             Some((level, s)) => self.push(level, s, idx),
             None => self
@@ -406,10 +436,8 @@ impl<P> Wheel<P> {
         }
         self.cur_block = block;
         self.cursor0 = 0;
-        // Overflow entries for this block first: they were scheduled while
-        // the horizon was still short of the block, i.e. before any entry
-        // that reached its level-1 slot directly, so their seqs are
-        // strictly smaller. The heap yields them in (at, seq) order.
+        // Overflow entries for this block, then the block's level-1 slot:
+        // `push` puts each in its bucket's seq order.
         while let Some((at, idx)) = self.overflow_peek_live() {
             if at / L1_TICK != block {
                 break;
@@ -417,7 +445,6 @@ impl<P> Wheel<P> {
             self.overflow.pop();
             self.push(0, (at % L1_TICK) as usize, idx);
         }
-        // Cascade the block's level-1 slot into level 0 in list order.
         let s1 = (block % SLOTS as u64) as usize;
         let l1 = &mut self.levels[1];
         if l1.bits.get(s1) {
@@ -431,8 +458,7 @@ impl<P> Wheel<P> {
             }
         }
         // The horizon moved: migrate newly-covered overflow keys into
-        // level 1 (heap order keeps per-slot seqs ascending; no live slot
-        // aliases a migrated block — see the module ordering notes).
+        // level 1.
         let horizon = block + SLOTS as u64;
         while let Some((at, idx)) = self.overflow_peek_live() {
             if at / L1_TICK > horizon {
@@ -510,6 +536,27 @@ mod tests {
             vec![(10, 2), (10, 3), (10_000, 1), (10_000, 4), (50_000_000, 0)]
         );
         assert_eq!(w.live(), 0);
+    }
+
+    #[test]
+    fn a_smaller_seq_scheduled_later_pops_first_at_every_level() {
+        let mut w: Wheel<u32> = Wheel::new();
+        for at in [10, 10_000, 50_000_000] {
+            w.schedule(at, 100, None, 100);
+            w.schedule(at, 101, None, 101);
+            // Seqs 1 and 2 were reserved before 100 and 101 were taken.
+            w.schedule(at, 2, None, 2);
+            w.schedule(at, 1, None, 1);
+        }
+        let mut got = Vec::new();
+        while let Some((at, p)) = w.pop_next(u64::MAX) {
+            got.push((at, p));
+        }
+        let want: Vec<(u64, u32)> = [10, 10_000, 50_000_000]
+            .into_iter()
+            .flat_map(|at| [1, 2, 100, 101].map(|p| (at, p)))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! a [`Topology`] that prices each link in milliseconds, and a time-ordered
 //! event queue. It is strictly single-threaded and fully deterministic: the
 //! same seed and the same schedule of control events produce bit-identical
-//! runs (ties in the queue are broken by insertion sequence number). The
-//! world draws no randomness of its own; the seed only drives the
+//! runs (ties in the queue are broken by sequence number: the order of
+//! scheduling, or of reservation for an event scheduled under a reserved
+//! seq). The world draws no randomness of its own; the seed only drives the
 //! [`LinkConditioner`], and a node that needs random numbers carries its own
 //! generator.
 //!
@@ -18,8 +19,8 @@
 //! A queued event is a handle, not a message: a delivery names a slot of
 //! the world's own slab of in-flight message bodies, so every slot of the
 //! wheel is sized for a timer tag or a control event, not for the largest
-//! message. Most of a churning run's queue is pre-drawn control events and
-//! armed timers; only a few hundred messages are ever in flight.
+//! message. Most of a churning run's queue is armed timers and scheduled
+//! departures; only a few hundred messages are ever in flight.
 //!
 //! Nodes are *sans-io*: they only interact with the world through the
 //! [`Ctx`] handed to their callbacks, which records sends, timers and report
@@ -393,8 +394,9 @@ impl<N: Node, C> World<N, C> {
         std::mem::size_of::<Option<Queued<N::Timer, C>>>()
     }
 
-    /// Live events pending in the queue right now — the event-loop depth
-    /// gauge. Cancelled timers are reclaimed eagerly and never counted.
+    /// Live events pending in the queue right now. Cancelled timers are
+    /// reclaimed eagerly and never counted, and so are events not yet
+    /// scheduled under a [reserved](World::reserve_seqs) seq.
     pub fn queue_depth(&self) -> usize {
         self.wheel.live()
     }
@@ -548,8 +550,25 @@ impl<N: Node, C> World<N, C> {
     /// Schedule a control event for the engine callback at absolute time
     /// `at` (clamped to now if already past).
     pub fn schedule_control(&mut self, at: Time, c: C) {
-        let at = at.max(self.now);
         let seq = self.bump_seq();
+        self.schedule_control_at_seq(at, seq, c);
+    }
+
+    /// Take the next `n` seqs off the counter and return the first: each
+    /// is for one later [`World::schedule_control_at_seq`], whose event
+    /// then falls among equal-time events exactly where it would have had
+    /// it been scheduled now.
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// [`World::schedule_control`] under `seq`, a seq
+    /// [reserved](World::reserve_seqs) earlier and not used yet.
+    pub fn schedule_control_at_seq(&mut self, at: Time, seq: u64, c: C) {
+        assert!(seq < self.seq, "seq {seq} was never reserved");
+        let at = at.max(self.now);
         self.wheel
             .schedule(at.as_millis(), seq, None, Queued::Control(c));
     }

@@ -2,9 +2,12 @@
 //! `BinaryHeap<Reverse<(at, seq)>>` scheduler: for any interleaving of
 //! schedules (same-tick, level-0, level-1 and overflow horizons), owner
 //! cancellations and bounded drains, both structures yield the exact same
-//! `(at, payload)` sequence. Ties on `at` are broken by global `seq` —
-//! insertion order — which is the property the simulator's deterministic
-//! replay relies on.
+//! `(at, payload)` sequence. Ties on `at` are broken by `seq`, which the
+//! simulator's deterministic replay relies on. Most schedules take the
+//! next seq of a growing counter; some take theirs from a block reserved
+//! before the first of those (`World::reserve_seqs`), so they are smaller
+//! than every seq already in the wheel and land before them in their
+//! bucket — in level 0, level 1 or the overflow heap.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -18,6 +21,8 @@ enum Op {
     /// Schedule an event `delay` ms from the current drain point, owned by
     /// `owner` (cancellable) or unowned.
     Schedule { delay: u64, owner: Option<u8> },
+    /// The same, under the next seq of the reserved block.
+    ScheduleReserved { delay: u64, owner: Option<u8> },
     /// Cancel every live event owned by `owner`.
     Cancel { owner: u8 },
     /// Advance the clock by `dt` ms and pop everything due.
@@ -52,17 +57,25 @@ fn op() -> impl Strategy<Value = Op> {
         (delay(), proptest::option::of(0u8..4))
             .prop_map(|(delay, owner)| Op::Schedule { delay, owner })
     };
+    let reserved = || {
+        (delay(), proptest::option::of(0u8..4))
+            .prop_map(|(delay, owner)| Op::ScheduleReserved { delay, owner })
+    };
     let drain = || drain_dt().prop_map(|dt| Op::Drain { dt });
     prop_oneof![
         schedule(),
         schedule(),
         schedule(),
-        schedule(),
+        reserved(),
         (0u8..4).prop_map(|owner| Op::Cancel { owner }),
         drain(),
         drain(),
     ]
 }
+
+/// Seqs `1..=RESERVED` are the reserved block; the counter hands out the
+/// rest.
+const RESERVED: u64 = 1 << 20;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -78,15 +91,24 @@ proptest! {
         let mut owner_of: HashMap<u64, u8> = HashMap::new();
 
         let mut now = 0u64;
-        let mut seq = 0u64;
+        // The counter starts past the reserved block, as a world's does
+        // once a block is reserved; ids are the seqs.
+        let mut seq = RESERVED;
+        let mut reserved = 0u64;
         let mut live = 0usize;
 
         for op in ops {
             match op {
-                Op::Schedule { delay, owner } => {
-                    seq += 1;
+                Op::Schedule { delay, owner } | Op::ScheduleReserved { delay, owner } => {
+                    let id = if matches!(op, Op::Schedule { .. }) {
+                        seq += 1;
+                        seq
+                    } else {
+                        reserved += 1;
+                        reserved
+                    };
+                    let seq = id;
                     let at = now + delay;
-                    let id = seq;
                     wheel.schedule(at, seq, owner.map(u32::from), id);
                     heap.push(Reverse((at, seq, id)));
                     if let Some(o) = owner {

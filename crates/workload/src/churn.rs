@@ -16,6 +16,7 @@
 
 use rand::Rng;
 
+use crate::catalog::{Catalog, WebsiteId};
 use crate::dist::sample_exp;
 
 /// Churn generator parameters.
@@ -64,41 +65,154 @@ impl Session {
     }
 }
 
-/// Generate the full session schedule for an experiment.
+/// The session schedule of an experiment, in draw order, as one stream of
+/// `rng`'s draws: `initial` sessions arriving at t=0 (the paper starts
+/// with 600 directory peers "which have limited uptimes"), then Poisson
+/// arrivals at `P/m` until the horizon. All lifetimes are Exp(m).
 ///
-/// `initial` sessions arrive at t=0 (the paper starts with 600 directory
-/// peers "which have limited uptimes"); thereafter arrivals are Poisson at
-/// `P/m`. All lifetimes are Exp(m).
-pub fn generate_sessions(cfg: &ChurnConfig, initial: usize, rng: &mut impl Rng) -> Vec<Session> {
-    let mean = cfg.mean_uptime_ms as f64;
-    // Short-circuit so the default fail-only model draws exactly the same
-    // RNG stream it always did — schedules per seed are stable across the
-    // leave_probability addition.
-    let graceful = |rng: &mut dyn rand::RngCore| {
-        cfg.leave_probability > 0.0 && rng.gen_bool(cfg.leave_probability)
-    };
-    let mut out = Vec::new();
-    for _ in 0..initial {
-        out.push(Session {
-            arrival_ms: 0,
-            lifetime_ms: sample_exp(rng, mean).ceil() as u64,
-            graceful: graceful(rng),
-        });
-    }
-    let rate = cfg.arrival_rate_per_ms();
-    let mut t = 0.0f64;
-    loop {
-        t += sample_exp(rng, 1.0 / rate);
-        if t >= cfg.horizon_ms as f64 {
-            break;
+/// Each session draws its lifetime, then (only if
+/// [`ChurnConfig::leave_probability`] > 0) whether it leaves gracefully;
+/// an arrival draws its gap first. The stream ends after the gap that
+/// lands past the horizon has been drawn, so an exhausted iterator leaves
+/// `rng` where a full schedule leaves it. Cloning the iterator (with its
+/// RNG) replays the rest of the stream.
+#[derive(Debug, Clone)]
+pub struct Sessions<R> {
+    rng: R,
+    mean_ms: f64,
+    gap_mean_ms: f64,
+    horizon_ms: f64,
+    leave_probability: f64,
+    initial_left: usize,
+    /// Arrival time of the last Poisson arrival drawn, ms.
+    t: f64,
+    done: bool,
+}
+
+impl<R: Rng> Sessions<R> {
+    pub fn new(cfg: &ChurnConfig, initial: usize, rng: R) -> Sessions<R> {
+        Sessions {
+            rng,
+            mean_ms: cfg.mean_uptime_ms as f64,
+            gap_mean_ms: 1.0 / cfg.arrival_rate_per_ms(),
+            horizon_ms: cfg.horizon_ms as f64,
+            leave_probability: cfg.leave_probability,
+            initial_left: initial,
+            t: 0.0,
+            done: false,
         }
-        out.push(Session {
-            arrival_ms: t as u64,
-            lifetime_ms: sample_exp(rng, mean).ceil() as u64,
-            graceful: graceful(rng),
-        });
     }
-    out
+
+    /// The RNG, advanced past every draw made so far.
+    pub fn into_rng(self) -> R {
+        self.rng
+    }
+
+    fn session(&mut self, arrival_ms: u64) -> Session {
+        let lifetime_ms = sample_exp(&mut self.rng, self.mean_ms).ceil() as u64;
+        // Short-circuit so the default fail-only model draws exactly the
+        // same RNG stream it always did: schedules per seed are stable
+        // across the leave_probability addition.
+        let graceful = self.leave_probability > 0.0 && self.rng.gen_bool(self.leave_probability);
+        Session {
+            arrival_ms,
+            lifetime_ms,
+            graceful,
+        }
+    }
+}
+
+impl<R: Rng> Iterator for Sessions<R> {
+    type Item = Session;
+
+    fn next(&mut self) -> Option<Session> {
+        if self.initial_left > 0 {
+            self.initial_left -= 1;
+            return Some(self.session(0));
+        }
+        if self.done {
+            return None;
+        }
+        self.t += sample_exp(&mut self.rng, self.gap_mean_ms);
+        if self.t >= self.horizon_ms {
+            self.done = true;
+            return None;
+        }
+        Some(self.session(self.t as u64))
+    }
+}
+
+/// Generate the full session schedule for an experiment: [`Sessions`],
+/// collected.
+pub fn generate_sessions(cfg: &ChurnConfig, initial: usize, rng: &mut impl Rng) -> Vec<Session> {
+    Sessions::new(cfg, initial, rng).collect()
+}
+
+/// The arrivals of a churn schedule, drawn in full at set-up and replayed
+/// one at a time, each with the website it is interested in.
+///
+/// [`ArrivalReplay::draw`] makes every draw a set-up that collects the
+/// schedule makes — [`generate_sessions`], then one
+/// [`Catalog::assign_interest`] per arrival, in arrival order — so the
+/// caller's RNG ends where it always did. What it keeps is two copies of
+/// the RNG, taken where the arrivals' draws and the interest draws began,
+/// from which [`ArrivalReplay::next`] re-draws the same values when they
+/// are due: the schedule costs two RNG states instead of a record per
+/// arrival.
+#[derive(Debug, Clone)]
+pub struct ArrivalReplay<R> {
+    sessions: Sessions<R>,
+    interest: R,
+    left: usize,
+}
+
+impl<R: Rng + Clone> ArrivalReplay<R> {
+    /// Draw the schedule of `cfg` from `rng`, handing each of the
+    /// `initial` t=0 sessions to `on_initial` with its index, and keep the
+    /// arrivals for replay.
+    pub fn draw(
+        cfg: &ChurnConfig,
+        initial: usize,
+        catalog: &Catalog,
+        rng: &mut R,
+        mut on_initial: impl FnMut(usize, Session),
+    ) -> ArrivalReplay<R> {
+        let mut drawn = Sessions::new(cfg, initial, rng.clone());
+        for i in 0..initial {
+            on_initial(i, drawn.next().expect("t=0 sessions always exist"));
+        }
+        let sessions = drawn.clone();
+        let left = drawn.by_ref().count();
+        *rng = drawn.into_rng();
+        let interest = rng.clone();
+        for _ in 0..left {
+            catalog.assign_interest(rng);
+        }
+        ArrivalReplay {
+            sessions,
+            interest,
+            left,
+        }
+    }
+
+    /// Arrivals not yet replayed.
+    pub fn len(&self) -> usize {
+        self.left
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.left == 0
+    }
+
+    /// The next arrival and its website, as `draw` drew them.
+    pub fn next(&mut self, catalog: &Catalog) -> Option<(Session, WebsiteId)> {
+        self.left = self.left.checked_sub(1)?;
+        let session = self
+            .sessions
+            .next()
+            .expect("replay runs as far as the draw");
+        Some((session, catalog.assign_interest(&mut self.interest)))
+    }
 }
 
 /// Live population at time `t` implied by a schedule (test/analysis helper).

@@ -18,5 +18,5 @@ pub mod churn;
 pub mod dist;
 
 pub use catalog::{Catalog, CatalogConfig, ObjectId, WebsiteId};
-pub use churn::{generate_sessions, population_at, ChurnConfig, Session};
+pub use churn::{generate_sessions, population_at, ArrivalReplay, ChurnConfig, Session, Sessions};
 pub use dist::{sample_exp, sample_poisson_gap, Zipf};
