@@ -76,11 +76,10 @@ pub(crate) fn summarize(objects: &ObjectSet, sized_for: usize) -> Summary {
 /// bitset of a few words, so membership is a word test; several websites
 /// and ranks up to `u16::MAX` go through the same code.
 ///
-/// Both vectors are sized exactly while they fit a store: the first
-/// website takes room for one site, not `Vec`'s minimum of four, and a
-/// bitset grows to the word its highest rank needs, not to the next power
-/// of two. Most sets live in a peer's store or a directory's entry for
-/// one, and most of those hold a few ranks of one website.
+/// A set's first website takes room for one site, not `Vec`'s minimum of
+/// four, and a bitset grows to the word its highest rank needs, not to the
+/// next power of two: most sets are a peer's store or a directory's entry
+/// for one, a few ranks of one website.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ObjectSet {
     /// `(website, rank bits)` ascending by website: rank `r` is bit

@@ -556,8 +556,8 @@ impl<N: Node, C> World<N, C> {
 
     /// Take the next `n` seqs off the counter and return the first: each
     /// is for one later [`World::schedule_control_at_seq`], whose event
-    /// then falls among equal-time events exactly where it would have had
-    /// it been scheduled now.
+    /// then falls among equal-time events exactly where it would have
+    /// fallen had it been scheduled now.
     pub fn reserve_seqs(&mut self, n: u64) -> u64 {
         let first = self.seq;
         self.seq += n;
