@@ -52,6 +52,9 @@ cargo test -q --release -p flower-net --lib
 # time, against the schedule collected in full.
 cargo test -q --release -p simnet --lib --test timer_wheel --test zero_alloc
 cargo test -q --release -p workload
+# Both forms of a Bloom summary (sparse positions, bit words) against the
+# plain-words filter they replaced, in the build the benchmark runs.
+cargo test -q --release -p bloom
 # The byte pins of the two JSON artifacts (a line of every trace event
 # shape, the BENCH report), in the build that writes every committed
 # BENCH_*.json.

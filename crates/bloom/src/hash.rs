@@ -31,7 +31,7 @@ pub fn hash_u64(key: u64, seed: u64) -> u64 {
 
 /// The two base hashes `(h1, h2)` every probe of `key` is derived from.
 /// They depend on the key alone, so a caller probing many filters for one
-/// key computes them once (see [`crate::BloomFilter::contains_hashed`]).
+/// key computes them once (see [`crate::Probe`]).
 pub fn base_hashes(key: u64) -> (u64, u64) {
     let h1 = hash_u64(key, 0x5bd1_e995);
     let h2 = hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots

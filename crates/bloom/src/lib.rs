@@ -12,12 +12,30 @@
 
 pub mod hash;
 
+use std::fmt;
+
 use hash::{base_hashes, nth_hash};
+
+/// The most hash functions a filter may use. [`BloomFilter::with_rate`]
+/// never asks for more than 34 (at its 1e-10 floor); a filter decoded from
+/// a frame that asks for more is refused, so no probe of a hostile summary
+/// runs for billions of steps.
+pub const MAX_HASHES: u32 = 64;
+
+/// The largest `m` whose bit positions all fit a `u16`.
+const SPARSE_MAX_BITS: usize = 1 << 16;
 
 /// An insert-only Bloom filter over `u64` keys.
 ///
 /// Keys are item identifiers (e.g. an encoded `ObjectId`); the filter
 /// guarantees **no false negatives** and a tunable false-positive rate.
+///
+/// The set bits are kept in whichever of two forms is smaller (Roaring's
+/// array-versus-bitmap container): their ascending `u16` positions while
+/// two bytes a set bit undercut eight a word and `m ≤ 2¹⁶`, the bit words
+/// otherwise. The form is a function of `m` and the bits alone and every
+/// mutation restores it, so equal filters compare equal, and
+/// [`BloomFilter::words`] and `Debug` read the same in either form.
 ///
 /// ```
 /// use bloom::BloomFilter;
@@ -26,68 +44,185 @@ use hash::{base_hashes, nth_hash};
 /// assert!(summary.contains(42));        // never a false negative
 /// assert!(summary.estimated_fpp() < 0.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct BloomFilter {
-    bits: Vec<u64>,
-    m: usize,
+    bits: Bits,
+    m: u32,
     k: u32,
     items: usize,
 }
 
+/// The set bits of a filter, in the form [`Bits::fits_sparse`] picks.
+#[derive(Clone, PartialEq, Eq)]
+enum Bits {
+    /// The positions of the set bits, ascending.
+    Sparse(Box<[u16]>),
+    /// Bit `i` is bit `i % 64` of word `i / 64`.
+    Dense(Box<[u64]>),
+}
+
+fn word_count(m: u32) -> usize {
+    (m as usize).div_ceil(64)
+}
+
+/// The `i`-th probe position of a key with base hashes `hashes` in an
+/// `m`-bit filter.
+fn position(hashes: (u64, u64), i: u32, m: u32) -> usize {
+    (nth_hash(hashes, u64::from(i)) % u64::from(m)) as usize
+}
+
+fn set(words: &mut [u64], at: usize) {
+    words[at / 64] |= 1 << (at % 64);
+}
+
+impl Bits {
+    /// Whether `ones` set bits of an `m`-bit filter are kept as positions:
+    /// two bytes a position against eight a word, and every position a `u16`.
+    fn fits_sparse(m: u32, ones: usize) -> bool {
+        m as usize <= SPARSE_MAX_BITS && 2 * ones < 8 * word_count(m)
+    }
+
+    /// No bit set. The sparse empty form allocates nothing.
+    fn empty(m: u32) -> Bits {
+        if Bits::fits_sparse(m, 0) {
+            Bits::Sparse(Box::default())
+        } else {
+            Bits::Dense(vec![0; word_count(m)].into_boxed_slice())
+        }
+    }
+
+    /// The bits of `words` in their form, in one exact allocation.
+    fn from_words(m: u32, words: &[u64]) -> Bits {
+        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
+        if Bits::fits_sparse(m, ones) {
+            let mut positions = Vec::with_capacity(ones);
+            for (i, &word) in words.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    positions.push((i * 64) as u16 + rest.trailing_zeros() as u16);
+                    rest &= rest - 1;
+                }
+            }
+            Bits::Sparse(positions.into_boxed_slice())
+        } else {
+            Bits::Dense(words.into())
+        }
+    }
+
+    /// The bits at `positions` (each below `m`, repeats allowed) in their
+    /// form: set in a scratch of words, on the stack up to 4 096 bits, and
+    /// copied out with one exact allocation.
+    fn from_positions(m: u32, positions: impl Iterator<Item = usize>) -> Bits {
+        let mut on_stack = [0u64; 64];
+        let mut on_heap = Vec::new();
+        let words = match on_stack.get_mut(..word_count(m)) {
+            Some(words) => words,
+            None => {
+                on_heap.resize(word_count(m), 0);
+                &mut on_heap[..]
+            }
+        };
+        positions.for_each(|at| set(words, at));
+        Bits::from_words(m, words)
+    }
+
+    fn ones(&self) -> usize {
+        match self {
+            Bits::Sparse(positions) => positions.len(),
+            Bits::Dense(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
+        }
+    }
+
+    /// Whether every position of `at` (each below `m`) is set.
+    fn all_set(&self, mut at: impl Iterator<Item = usize>) -> bool {
+        match self {
+            Bits::Sparse(positions) => at.all(|at| positions.binary_search(&(at as u16)).is_ok()),
+            Bits::Dense(words) => at.all(|at| words[at / 64] & (1 << (at % 64)) != 0),
+        }
+    }
+}
+
+/// `m` as stored, after the checks every constructor makes.
+fn checked_shape(m: usize, k: u32) -> u32 {
+    assert!(m > 0 && k > 0);
+    assert!(k <= MAX_HASHES, "bloom k above {MAX_HASHES}");
+    u32::try_from(m).expect("bloom m fits a u32")
+}
+
+/// The standard optimal shape `(m, k)` for `expected_items` at the target
+/// `false_positive_rate`: `m = -n·ln(p)/ln(2)²` (at least 64) and
+/// `k = (m/n)·ln(2)`.
+pub fn optimal_shape(expected_items: usize, false_positive_rate: f64) -> (usize, u32) {
+    assert!(
+        (1e-10..1.0).contains(&false_positive_rate),
+        "false positive rate must be in (0, 1)"
+    );
+    let n = expected_items.max(1) as f64;
+    let ln2 = std::f64::consts::LN_2;
+    let m = (-(n * false_positive_rate.ln()) / (ln2 * ln2)).ceil() as usize;
+    let k = ((m as f64 / n) * ln2).round().max(1.0) as u32;
+    (m.max(64), k)
+}
+
 impl BloomFilter {
-    /// Create a filter sized for `expected_items` at the target
-    /// `false_positive_rate` using the standard optimal formulas
-    /// `m = -n·ln(p)/ln(2)²` and `k = (m/n)·ln(2)`.
+    /// Create a filter of the [`optimal_shape`] for `expected_items` at the
+    /// target `false_positive_rate`.
     pub fn with_rate(expected_items: usize, false_positive_rate: f64) -> BloomFilter {
-        assert!(
-            (1e-10..1.0).contains(&false_positive_rate),
-            "false positive rate must be in (0, 1)"
-        );
-        let n = expected_items.max(1) as f64;
-        let ln2 = std::f64::consts::LN_2;
-        let m = (-(n * false_positive_rate.ln()) / (ln2 * ln2)).ceil() as usize;
-        let k = ((m as f64 / n) * ln2).round().max(1.0) as u32;
-        BloomFilter::with_params(m.max(64), k)
+        let (m, k) = optimal_shape(expected_items, false_positive_rate);
+        BloomFilter::with_params(m, k)
     }
 
     /// Create a filter with explicit bit count `m` and hash count `k`.
     pub fn with_params(m: usize, k: u32) -> BloomFilter {
-        assert!(m > 0 && k > 0);
+        let m = checked_shape(m, k);
         BloomFilter {
-            bits: vec![0; m.div_ceil(64)],
+            bits: Bits::empty(m),
             m,
             k,
             items: 0,
         }
     }
 
+    /// A filter of shape `(m, k)` holding `keys`: what inserting them one
+    /// by one into [`BloomFilter::with_params`] gives, built in one pass
+    /// with one exact allocation.
+    pub fn from_keys(m: usize, k: u32, keys: impl IntoIterator<Item = u64>) -> BloomFilter {
+        let m = checked_shape(m, k);
+        let mut items = 0;
+        let positions = keys.into_iter().flat_map(|key| {
+            items += 1;
+            let hashes = base_hashes(key);
+            (0..k).map(move |i| position(hashes, i, m))
+        });
+        let bits = Bits::from_positions(m, positions);
+        BloomFilter { bits, m, k, items }
+    }
+
     /// Insert a key.
     pub fn insert(&mut self, key: u64) {
         let hashes = base_hashes(key);
-        for i in 0..self.k {
-            let idx = (nth_hash(hashes, u64::from(i)) % self.m as u64) as usize;
-            self.bits[idx / 64] |= 1 << (idx % 64);
+        let (m, k) = (self.m, self.k);
+        match &mut self.bits {
+            Bits::Dense(words) => (0..k).for_each(|i| set(words, position(hashes, i, m))),
+            Bits::Sparse(have) => {
+                let add = (0..k).map(|i| position(hashes, i, m));
+                self.bits = Bits::from_positions(m, have.iter().map(|&at| at.into()).chain(add));
+            }
         }
         self.items += 1;
     }
 
     /// Query a key. `false` is definite; `true` may be a false positive.
+    /// To probe many filters for one key, see [`Probe`].
     pub fn contains(&self, key: u64) -> bool {
-        self.contains_hashed(base_hashes(key))
-    }
-
-    /// [`BloomFilter::contains`] for a key whose [`hash::base_hashes`] the
-    /// caller already has: hash once, probe many filters.
-    pub fn contains_hashed(&self, hashes: (u64, u64)) -> bool {
-        (0..self.k).all(|i| {
-            let idx = (nth_hash(hashes, u64::from(i)) % self.m as u64) as usize;
-            self.bits[idx / 64] & (1 << (idx % 64)) != 0
-        })
+        let hashes = base_hashes(key);
+        self.bits
+            .all_set((0..self.k).map(|i| position(hashes, i, self.m)))
     }
 
     /// Number of bits `m`.
     pub fn bit_len(&self) -> usize {
-        self.m
+        self.m as usize
     }
 
     /// Number of hash functions `k`.
@@ -102,8 +237,7 @@ impl BloomFilter {
 
     /// Fraction of bits set — a load indicator.
     pub fn fill_ratio(&self) -> f64 {
-        let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
-        f64::from(set) / self.m as f64
+        self.bits.ones() as f64 / f64::from(self.m)
     }
 
     /// Estimated false-positive probability at the current fill:
@@ -120,36 +254,67 @@ impl BloomFilter {
     pub fn union(&mut self, other: &BloomFilter) {
         assert_eq!(self.m, other.m, "bloom union requires equal m");
         assert_eq!(self.k, other.k, "bloom union requires equal k");
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a |= b;
+        match (&mut self.bits, &other.bits) {
+            (Bits::Dense(words), Bits::Dense(theirs)) => {
+                for (a, b) in words.iter_mut().zip(theirs.iter()) {
+                    *a |= b;
+                }
+            }
+            (Bits::Dense(words), Bits::Sparse(theirs)) => {
+                theirs.iter().for_each(|&at| set(words, usize::from(at)));
+            }
+            // `other` is dense, so it already has too many bits to be sparse.
+            (Bits::Sparse(have), Bits::Dense(theirs)) => {
+                let mut words = theirs.clone();
+                have.iter().for_each(|&at| set(&mut words, usize::from(at)));
+                self.bits = Bits::Dense(words);
+            }
+            (Bits::Sparse(have), Bits::Sparse(theirs)) => {
+                let both = have.iter().chain(theirs.iter());
+                self.bits = Bits::from_positions(self.m, both.map(|&at| at.into()));
+            }
         }
         self.items += other.items;
     }
 
     /// Clear all bits.
     pub fn clear(&mut self) {
-        self.bits.fill(0);
+        self.bits = Bits::empty(self.m);
         self.items = 0;
     }
 
-    /// The raw bit words, for serialization.
-    pub fn words(&self) -> &[u64] {
-        &self.bits
+    /// The bit words, for serialization: bit `i` is bit `i % 64` of word
+    /// `i / 64`, whichever form the filter keeps.
+    pub fn words(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        // The sparse form's positions are consumed word by word, in order.
+        let mut next = 0;
+        (0..word_count(self.m)).map(move |i| match &self.bits {
+            Bits::Dense(words) => words[i],
+            Bits::Sparse(positions) => {
+                let mut word = 0;
+                while let Some(&at) = positions.get(next).filter(|&&at| usize::from(at) / 64 == i) {
+                    word |= 1 << (at % 64);
+                    next += 1;
+                }
+                word
+            }
+        })
     }
 
     /// Rebuild a filter from serialized parts (the inverse of reading
     /// [`BloomFilter::bit_len`], [`BloomFilter::hash_count`],
     /// [`BloomFilter::inserted`] and [`BloomFilter::words`]).
     ///
-    /// Returns `None` if the word count does not match `m` or either
-    /// parameter is zero, so codecs can reject malformed frames without
-    /// panicking.
+    /// Returns `None` if the word count does not match `m`, either
+    /// parameter is zero, `k` exceeds [`MAX_HASHES`] or `m` a `u32`, so
+    /// codecs can reject malformed frames without panicking.
     pub fn from_parts(m: usize, k: u32, items: usize, words: Vec<u64>) -> Option<BloomFilter> {
-        if m == 0 || k == 0 || words.len() != m.div_ceil(64) {
+        if m == 0 || k == 0 || k > MAX_HASHES || words.len() != m.div_ceil(64) {
             return None;
         }
+        let m = u32::try_from(m).ok()?;
         Some(BloomFilter {
-            bits: words,
+            bits: Bits::from_words(m, &words),
             m,
             k,
             items,
@@ -157,10 +322,73 @@ impl BloomFilter {
     }
 }
 
+/// The text `#[derive(Debug)]` gave when the bits were one `Vec<u64>`:
+/// traces and replay digests hash it.
+impl fmt::Debug for BloomFilter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Words<'a>(&'a BloomFilter);
+        impl fmt::Debug for Words<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.words()).finish()
+            }
+        }
+        f.debug_struct("BloomFilter")
+            .field("bits", &Words(self))
+            .field("m", &self.m)
+            .field("k", &self.k)
+            .field("items", &self.items)
+            .finish()
+    }
+}
+
+/// One key probed against many filters: its base hashes are computed once,
+/// and its `k` probe positions once per filter shape `(m, k)` — a
+/// whole-petal view of summaries mostly shares one shape.
+///
+/// ```
+/// use bloom::{BloomFilter, Probe};
+/// let mut a = BloomFilter::with_params(1024, 4);
+/// a.insert(7);
+/// let b = BloomFilter::with_params(1024, 4);
+/// let mut probe = Probe::new(7);
+/// assert!(probe.hits(&a) && !probe.hits(&b));
+/// ```
+pub struct Probe {
+    hashes: (u64, u64),
+    /// The `(m, k)` that `at` holds the positions for; `m = 0` before the
+    /// first filter, as no filter has.
+    shape: (u32, u32),
+    at: [u32; MAX_HASHES as usize],
+}
+
+impl Probe {
+    pub fn new(key: u64) -> Probe {
+        Probe {
+            hashes: base_hashes(key),
+            shape: (0, 0),
+            at: [0; MAX_HASHES as usize],
+        }
+    }
+
+    /// [`BloomFilter::contains`] of the key on `filter`.
+    pub fn hits(&mut self, filter: &BloomFilter) -> bool {
+        let (m, k) = (filter.m, filter.k);
+        if self.shape != (m, k) {
+            for (i, at) in (0..k).zip(self.at.iter_mut()) {
+                *at = position(self.hashes, i, m) as u32;
+            }
+            self.shape = (m, k);
+        }
+        let at = &self.at[..k as usize];
+        filter.bits.all_set(at.iter().map(|&at| at as usize))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rand::{Rng, SeedableRng};
 
     #[test]
@@ -233,46 +461,196 @@ mod tests {
         assert!((6..=8).contains(&b.hash_count()), "{}", b.hash_count());
     }
 
-    /// `hash::double_hash` and the probe loop as they were before
-    /// `base_hashes` (11a0052), verbatim: the oracle for hash-once probing.
-    fn double_hash_rehashing(key: u64, i: u64) -> u64 {
-        let h1 = hash::hash_u64(key, 0x5bd1_e995);
-        let h2 = hash::hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots
-        h1.wrapping_add(i.wrapping_mul(h2))
+    #[test]
+    fn with_rate_stays_within_the_hash_bound() {
+        for p in [1e-10, 1e-9, 1e-6, 1e-3, 0.02, 0.5] {
+            for n in [1, 2, 3, 10, 256, 10_000] {
+                let k = BloomFilter::with_rate(n, p).hash_count();
+                assert!(k <= 34, "n {n}, p {p}: k {k}");
+            }
+        }
     }
 
-    fn slots_rehashing(b: &BloomFilter, key: u64) -> impl Iterator<Item = usize> + '_ {
-        (0..b.k).map(move |i| (double_hash_rehashing(key, u64::from(i)) % b.m as u64) as usize)
+    #[test]
+    fn from_parts_refuses_a_hash_count_above_the_bound() {
+        let words = || vec![u64::MAX; 2];
+        assert!(BloomFilter::from_parts(128, MAX_HASHES, 1, words()).is_some());
+        assert!(BloomFilter::from_parts(128, MAX_HASHES + 1, 1, words()).is_none());
+        assert!(BloomFilter::from_parts(128, u32::MAX, 1, words()).is_none());
+    }
+
+    /// The filter as it was before its two forms, verbatim but for the
+    /// names: one `Vec<u64>` of words, `Debug` derived, and every probe
+    /// re-hashed from the key as `hash::double_hash` did before
+    /// `base_hashes` (11a0052). The oracle for both forms, for the one-pass
+    /// build and for [`Probe`].
+    mod reference {
+        use crate::hash;
+
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub struct BloomFilter {
+            pub bits: Vec<u64>,
+            pub m: usize,
+            pub k: u32,
+            pub items: usize,
+        }
+
+        fn double_hash_rehashing(key: u64, i: u64) -> u64 {
+            let h1 = hash::hash_u64(key, 0x5bd1_e995);
+            let h2 = hash::hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots
+            h1.wrapping_add(i.wrapping_mul(h2))
+        }
+
+        impl BloomFilter {
+            pub fn with_params(m: usize, k: u32) -> BloomFilter {
+                BloomFilter {
+                    bits: vec![0; m.div_ceil(64)],
+                    m,
+                    k,
+                    items: 0,
+                }
+            }
+
+            fn slots(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+                (0..self.k).map(move |i| {
+                    (double_hash_rehashing(key, u64::from(i)) % self.m as u64) as usize
+                })
+            }
+
+            pub fn insert(&mut self, key: u64) {
+                let slots: Vec<usize> = self.slots(key).collect();
+                for idx in slots {
+                    self.bits[idx / 64] |= 1 << (idx % 64);
+                }
+                self.items += 1;
+            }
+
+            pub fn contains(&self, key: u64) -> bool {
+                self.slots(key)
+                    .all(|idx| self.bits[idx / 64] & (1 << (idx % 64)) != 0)
+            }
+
+            pub fn fill_ratio(&self) -> f64 {
+                let set: u32 = self.bits.iter().map(|w| w.count_ones()).sum();
+                f64::from(set) / self.m as f64
+            }
+
+            pub fn union(&mut self, other: &BloomFilter) {
+                for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+                    *a |= b;
+                }
+                self.items += other.items;
+            }
+
+            pub fn clear(&mut self) {
+                self.bits.fill(0);
+                self.items = 0;
+            }
+        }
+    }
+
+    /// `f` reads as `r` through every accessor, is in its canonical form,
+    /// and survives the `from_parts` round trip; `probes` (and a probe
+    /// that last saw a filter of another shape) answer as `r` does.
+    fn same(
+        f: &BloomFilter,
+        r: &reference::BloomFilter,
+        probes: &[u64],
+    ) -> Result<(), TestCaseError> {
+        let words: Vec<u64> = f.words().collect();
+        prop_assert_eq!(f.words().len(), r.bits.len());
+        prop_assert_eq!(&words, &r.bits);
+        prop_assert_eq!(format!("{f:?}"), format!("{r:?}"));
+        prop_assert_eq!(format!("{f:#?}"), format!("{r:#?}"));
+        prop_assert_eq!(
+            (f.bit_len(), f.hash_count(), f.inserted()),
+            (r.m, r.k, r.items)
+        );
+        prop_assert_eq!(f.fill_ratio(), r.fill_ratio());
+        // Canonical: positions exactly while 2 B a set bit undercut 8 B a
+        // word and every position fits a `u16`.
+        let ones: usize = r.bits.iter().map(|w| w.count_ones() as usize).sum();
+        let sparse = r.m <= 1 << 16 && 2 * ones < 8 * r.bits.len();
+        prop_assert_eq!(
+            matches!(f.bits, Bits::Sparse(_)),
+            sparse,
+            "form at {} of {} bits",
+            ones,
+            r.m
+        );
+        let back = BloomFilter::from_parts(r.m, r.k, r.items, words);
+        prop_assert_eq!(back.as_ref(), Some(f));
+        let elsewhere = BloomFilter::with_params(r.m + 1, r.k);
+        for &key in probes {
+            let want = r.contains(key);
+            prop_assert_eq!(f.contains(key), want);
+            let mut probe = Probe::new(key);
+            probe.hits(&elsewhere);
+            prop_assert_eq!(probe.hits(f), want);
+            prop_assert_eq!(probe.hits(f), want);
+        }
+        Ok(())
+    }
+
+    fn bit_count() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            1usize..400,
+            // A word edge: 64·w − 1, 64·w, 64·w + 1.
+            (1usize..48, 0usize..3).prop_map(|(w, d)| 64 * w + d - 1),
+            // Around 2¹⁶, where positions stop fitting a `u16`.
+            (1 << 16) - 130usize..(1 << 16) + 130,
+            2_000usize..2_200,
+            70_000usize..90_000,
+        ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// Both forms against the plain-words filter they replaced: insert
+        /// by insert (the form flips where the set bits outgrow the
+        /// positions), the one-pass build, a union each way, a clear.
         #[test]
-        fn prop_hash_once_probes_like_rehashing(
-            m in 1usize..5_000,
-            k in 1u32..12,
-            members in proptest::collection::vec(any::<u64>(), 0..200),
-            probes in proptest::collection::vec(any::<u64>(), 0..200),
+        fn prop_both_forms_read_as_plain_words(
+            m in bit_count(),
+            k in prop_oneof![1u32..12, 1u32..MAX_HASHES + 1],
+            xs in proptest::collection::vec(any::<u64>(), 0..160),
+            ys in proptest::collection::vec(any::<u64>(), 0..160),
+            strangers in proptest::collection::vec(any::<u64>(), 0..40),
         ) {
-            let mut b = BloomFilter::with_params(m, k);
-            let mut old = BloomFilter::with_params(m, k);
-            for &key in &members {
-                b.insert(key);
-                let slots: Vec<usize> = slots_rehashing(&old, key).collect();
-                for idx in slots {
-                    old.bits[idx / 64] |= 1 << (idx % 64);
-                }
-                old.items += 1;
-                prop_assert_eq!(hash::double_hash(key, 3), double_hash_rehashing(key, 3));
-            }
-            prop_assert_eq!(&b, &old, "insert sets other bits than it used to");
             // Small keys collide with set bits far more often than random ones.
-            for key in members.iter().chain(&probes).copied().chain(0..64) {
-                let was = slots_rehashing(&b, key).all(|idx| b.bits[idx / 64] & (1 << (idx % 64)) != 0);
-                prop_assert_eq!(b.contains_hashed(hash::base_hashes(key)), was);
-                prop_assert_eq!(b.contains(key), was);
+            let probes: Vec<u64> = xs.iter().chain(&ys).chain(&strangers).copied().chain(0..16).collect();
+            let mut f = BloomFilter::with_params(m, k);
+            let mut r = reference::BloomFilter::with_params(m, k);
+            same(&f, &r, &probes[..0])?;
+            for (n, &key) in xs.iter().enumerate() {
+                f.insert(key);
+                r.insert(key);
+                prop_assert!(f.contains(key));
+                if n.is_power_of_two() {
+                    same(&f, &r, &xs[..=n])?;
+                }
             }
+            same(&f, &r, &probes)?;
+            prop_assert_eq!(&BloomFilter::from_keys(m, k, xs.iter().copied()), &f);
+
+            let g = BloomFilter::from_keys(m, k, ys.iter().copied());
+            let mut rg = reference::BloomFilter::with_params(m, k);
+            ys.iter().for_each(|&key| rg.insert(key));
+            same(&g, &rg, &probes)?;
+            let (mut fg, mut gf) = (f.clone(), g.clone());
+            let (mut rfg, mut rgf) = (r.clone(), rg.clone());
+            fg.union(&g);
+            rfg.union(&rg);
+            same(&fg, &rfg, &probes)?;
+            gf.union(&f);
+            rgf.union(&r);
+            same(&gf, &rgf, &probes)?;
+
+            fg.clear();
+            rfg.clear();
+            same(&fg, &rfg, &probes)?;
+            prop_assert_eq!(&fg, &BloomFilter::with_params(m, k));
         }
     }
 

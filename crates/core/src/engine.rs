@@ -743,4 +743,13 @@ mod tests {
         let bytes = std::mem::size_of::<SimHost<<Flower as SimSystem>::Machine>>();
         assert!(bytes <= 376, "a Flower-CDN peer's host takes {bytes} B");
     }
+
+    /// Every content summary a view or a Redirect names is one
+    /// `Arc<BloomFilter>`; its set bits sit behind one pointer in
+    /// whichever form is smaller, and the handle stays small.
+    #[test]
+    fn a_bloom_filter_is_at_most_40_bytes() {
+        let bytes = std::mem::size_of::<bloom::BloomFilter>();
+        assert!(bytes <= 40, "a Bloom filter takes {bytes} B");
+    }
 }

@@ -521,6 +521,37 @@ fn oversized_length_prefix_is_rejected() {
     }
 }
 
+/// A summary whose hash count is past `bloom::MAX_HASHES` is refused: one
+/// gossip or Redirect frame with `k = u32::MAX` and every bit set would
+/// otherwise make each later probe of that summary loop some 4·10⁹ times
+/// in a live node. The bound itself decodes.
+#[test]
+fn hostile_hash_count_is_rejected() {
+    let all_set = BloomFilter::from_parts(128, bloom::MAX_HASHES, 1, vec![u64::MAX; 2])
+        .expect("k at the bound");
+    let frame = Frame::Peer(FlowerMsg::Gossip {
+        inner: GossipMsg::ShuffleReq {
+            entries: vec![Entry::new(NodeId::from_index(5), Arc::new(all_set))],
+        },
+        dir_info: None,
+    });
+    let bytes = encode_frame(&frame);
+    assert_eq!(decode_frame(&bytes).expect("decode").0, frame);
+    let shape = [128u32.to_le_bytes(), bloom::MAX_HASHES.to_le_bytes()].concat();
+    let k_at = 4 + bytes
+        .windows(8)
+        .position(|w| w == shape)
+        .expect("the summary's m, k");
+    for k in [bloom::MAX_HASHES + 1, u32::MAX] {
+        let mut hostile = bytes.clone();
+        hostile[k_at..k_at + 4].copy_from_slice(&k.to_le_bytes());
+        match decode_frame(&hostile) {
+            Err(WireError::Malformed("bloom parameters")) => {}
+            other => panic!("expected Malformed for k = {k}, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn trailing_bytes_are_rejected() {
     let mut payload = encode_frame(&Frame::Shutdown)[4..].to_vec();

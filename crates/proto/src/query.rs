@@ -10,7 +10,7 @@
 //! server. A fresh client instead routes its first query over D-ring and
 //! joins the petal with the answer.
 
-use bloom::hash::base_hashes;
+use bloom::Probe;
 use cdn_metrics::{Provider, ResolvedVia};
 use chord::ChordId;
 use rand::Rng;
@@ -688,21 +688,21 @@ pub(crate) fn summary_match(
     exclude: &[NodeId],
     rng: &mut impl Rng,
 ) -> Option<NodeId> {
-    // One key against a whole-petal view of summaries: hash once, probe
-    // every filter, and pick by count → draw → n-th instead of collecting.
-    let hashes = base_hashes(object.as_u64());
-    let claimants = || {
-        let view = gossip.view().entries().iter();
-        view.filter(|e| !exclude.contains(&e.node) && e.payload.contains_hashed(hashes))
-    };
-    let n = claimants().count();
+    // One key against a whole-petal view of summaries: its probe positions
+    // once per summary shape, and the pick by count → draw → n-th instead
+    // of collecting.
+    let mut probe = Probe::new(object.as_u64());
+    let mut claims =
+        |e: &&gossip::Entry<Summary>| !exclude.contains(&e.node) && probe.hits(&e.payload);
+    let view = gossip.view().entries();
+    let n = view.iter().filter(&mut claims).count();
     if n == 0 {
         return None;
     }
     // The draw every seeded run depends on: `gen_range`, and none when
     // nobody claims the object.
     let pick = rng.gen_range(0..n);
-    claimants().nth(pick).map(|e| e.node)
+    view.iter().filter(&mut claims).nth(pick).map(|e| e.node)
 }
 
 #[cfg(test)]
@@ -746,8 +746,11 @@ mod tests {
         // divide by i + 1 (contact 0 everything, contact 29 next to nothing).
         let mut gossip =
             gossip::Cyclon::new(NodeId::from_index(0), gossip::ShuffleMode::Union, 5, 0);
+        // Every fourth summary is sized past the standard shape, so the
+        // probe positions are recomputed as the shapes alternate.
         gossip.seed((0..30usize).map(|i| {
-            let mut summary = crate::store::empty_summary(0);
+            let sized_for = if i % 4 == 3 { 300 + i } else { 0 };
+            let mut summary = crate::store::empty_summary(sized_for);
             for rank in (0..300u16).filter(|r| usize::from(*r) % (i + 1) == 0) {
                 summary.insert(object(rank).as_u64());
             }

@@ -32,15 +32,23 @@ pub enum StorePolicy {
 
 /// Expected object count used to size summaries. A peer issuing one query
 /// per 6 minutes for a mean uptime of 60 minutes stores ~10 objects; long
-/// lived peers collect a few hundred. 256 at 2% keeps summaries ≈ 260 bytes.
+/// lived peers collect a few hundred. 256 at 2% gives 2 085-bit summaries
+/// (264 bytes as words); a store of ten objects sets some 60 bits, kept
+/// as 120 bytes of positions (`bloom::BloomFilter`'s sparse form).
 const SUMMARY_EXPECTED_ITEMS: usize = 256;
 const SUMMARY_FP_RATE: f64 = 0.02;
 
-/// An empty content summary sized for `objects` entries — the one place
+/// The shape `(m, k)` of a summary of `objects` entries — the one place
 /// the sizing is said. Up to [`SUMMARY_EXPECTED_ITEMS`] every summary has
 /// the same `m` and `k`; above it `m` grows with every object.
+fn summary_shape(objects: usize) -> (usize, u32) {
+    bloom::optimal_shape(SUMMARY_EXPECTED_ITEMS.max(objects), SUMMARY_FP_RATE)
+}
+
+/// An empty content summary sized for `objects` entries.
 pub(crate) fn empty_summary(objects: usize) -> BloomFilter {
-    BloomFilter::with_rate(SUMMARY_EXPECTED_ITEMS.max(objects), SUMMARY_FP_RATE)
+    let (m, k) = summary_shape(objects);
+    BloomFilter::with_params(m, k)
 }
 
 thread_local! {
@@ -48,11 +56,13 @@ thread_local! {
     /// an object, and their summaries sit in every view and Redirect that
     /// names them. Per thread rather than process-wide, so `sweep --jobs N`
     /// workers, each simulating on its own thread, do not pass one
-    /// reference count from core to core.
+    /// reference count from core to core. Its shape is the standard one
+    /// every other summary up to [`SUMMARY_EXPECTED_ITEMS`] objects reads.
     static EMPTY_SUMMARY: Summary = Arc::new(empty_summary(0));
 }
 
-/// The summary of `objects` in a filter sized for `sized_for` entries.
+/// The summary of `objects` in a filter sized for `sized_for` entries,
+/// built in one pass (`BloomFilter::from_keys`).
 /// Every empty set gets a clone of the thread's one empty summary, which
 /// equals a freshly built one in `m`, `k`, item count and bits, so no
 /// byte on any wire depends on the sharing.
@@ -60,11 +70,16 @@ pub(crate) fn summarize(objects: &ObjectSet, sized_for: usize) -> Summary {
     if objects.is_empty() {
         return EMPTY_SUMMARY.with(Arc::clone);
     }
-    let mut b = empty_summary(sized_for);
-    for o in objects.iter() {
-        b.insert(o.as_u64());
-    }
-    Arc::new(b)
+    let (m, k) = if sized_for <= SUMMARY_EXPECTED_ITEMS {
+        EMPTY_SUMMARY.with(|empty| (empty.bit_len(), empty.hash_count()))
+    } else {
+        summary_shape(sized_for)
+    };
+    Arc::new(BloomFilter::from_keys(
+        m,
+        k,
+        objects.iter().map(ObjectId::as_u64),
+    ))
 }
 
 /// A set of objects, one rank bitset per website with the websites

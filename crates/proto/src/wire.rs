@@ -302,7 +302,9 @@ impl Wire for Summary {
         let m = u32::get(d)? as usize;
         let k = u32::get(d)?;
         let items = u32::get(d)? as usize;
-        if m == 0 || m > MAX_BLOOM_BITS || k == 0 {
+        // A `k` past the bound would make every later probe of this
+        // summary loop `k` times.
+        if m == 0 || m > MAX_BLOOM_BITS || k == 0 || k > bloom::MAX_HASHES {
             return Err(WireError::Malformed("bloom parameters"));
         }
         // One truncation check for the whole bit array, before any allocation.
