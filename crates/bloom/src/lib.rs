@@ -31,11 +31,12 @@ const SPARSE_MAX_BITS: usize = 1 << 16;
 /// guarantees **no false negatives** and a tunable false-positive rate.
 ///
 /// The set bits are kept in whichever of two forms is smaller (Roaring's
-/// array-versus-bitmap container): their ascending `u16` positions while
-/// two bytes a set bit undercut eight a word and `m ≤ 2¹⁶`, the bit words
-/// otherwise. The form is a function of `m` and the bits alone and every
-/// mutation restores it, so equal filters compare equal, and
-/// [`BloomFilter::words`] and `Debug` read the same in either form.
+/// array-versus-bitmap container): their ascending `u16` positions behind
+/// a 16-byte bucket mask while those undercut eight bytes a word and
+/// `m ≤ 2¹⁶`, the bit words otherwise. The form is a function of `m` and
+/// the bits alone and every mutation restores it, so equal filters compare
+/// equal, and [`BloomFilter::words`] and `Debug` read the same in either
+/// form.
 ///
 /// ```
 /// use bloom::BloomFilter;
@@ -55,31 +56,74 @@ pub struct BloomFilter {
 /// The set bits of a filter, in the form [`Bits::fits_sparse`] picks.
 #[derive(Clone, PartialEq, Eq)]
 enum Bits {
-    /// The positions of the set bits, ascending.
+    /// Nothing when no bit is set; otherwise a [`Mask`] of
+    /// [`MASK_LEN`] `u16`s, then the positions of the set bits, ascending.
     Sparse(Box<[u16]>),
     /// Bit `i` is bit `i % 64` of word `i / 64`.
     Dense(Box<[u64]>),
 }
 
+/// The `u16`s of a sparse filter's bucket mask: 128 buckets.
+const MASK_LEN: usize = 8;
+
 fn word_count(m: u32) -> usize {
     (m as usize).div_ceil(64)
-}
-
-/// The `i`-th probe position of a key with base hashes `hashes` in an
-/// `m`-bit filter.
-fn position(hashes: (u64, u64), i: u32, m: u32) -> usize {
-    (nth_hash(hashes, u64::from(i)) % u64::from(m)) as usize
 }
 
 fn set(words: &mut [u64], at: usize) {
     words[at / 64] |= 1 << (at % 64);
 }
 
+fn is_set(words: &[u64], at: usize) -> bool {
+    words[at / 64] & (1 << (at % 64)) != 0
+}
+
+/// A sparse filter's mask of 128 buckets of sixteen positions each (a
+/// quarter word; positions past 2 032 share the last bucket): a bucket's
+/// bit is set exactly when one of the positions falls in it, so a probe
+/// with a position in an empty bucket misses without searching the
+/// positions — a key that is not in a ten-object summary almost always
+/// does.
+#[derive(Clone, Copy, Default)]
+struct Mask([u64; 2]);
+
+impl Mask {
+    fn add(&mut self, at: usize) {
+        let bucket = (at / 16).min(127);
+        self.0[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    /// Add the set bits of word `i`.
+    fn add_word(&mut self, i: usize, word: u64) {
+        if i < 32 {
+            // Bit j of `quarters`: whether quarter j of the word has a bit.
+            let quarter = |j: u32| u64::from(word >> (16 * j) & 0xffff != 0) << j;
+            let quarters = quarter(0) | quarter(1) | quarter(2) | quarter(3);
+            self.0[i / 16] |= quarters << (4 * (i % 16));
+        } else {
+            self.0[1] |= u64::from(word != 0) << 63;
+        }
+    }
+
+    /// As a sparse form keeps it, in its first [`MASK_LEN`] `u16`s.
+    fn parts(self) -> [u16; MASK_LEN] {
+        std::array::from_fn(|i| (self.0[i / 4] >> (16 * (i % 4))) as u16)
+    }
+}
+
+/// The `k` probe positions in an `m`-bit filter of a key with base hashes
+/// `hashes`, in probe order.
+fn positions(hashes: (u64, u64), m: u32, k: u32) -> impl Iterator<Item = usize> {
+    (0..u64::from(k)).map(move |i| (nth_hash(hashes, i) % u64::from(m)) as usize)
+}
+
 impl Bits {
     /// Whether `ones` set bits of an `m`-bit filter are kept as positions:
-    /// two bytes a position against eight a word, and every position a `u16`.
+    /// every position fits a `u16`, and the positions with their mask take
+    /// fewer bytes than the words (two a position and sixteen of mask
+    /// against eight a word).
     fn fits_sparse(m: u32, ones: usize) -> bool {
-        m as usize <= SPARSE_MAX_BITS && 2 * ones < 8 * word_count(m)
+        m as usize <= SPARSE_MAX_BITS && 2 * (MASK_LEN + ones) < 8 * word_count(m)
     }
 
     /// No bit set. The sparse empty form allocates nothing.
@@ -91,55 +135,141 @@ impl Bits {
         }
     }
 
-    /// The bits of `words` in their form, in one exact allocation.
-    fn from_words(m: u32, words: &[u64]) -> Bits {
-        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
-        if Bits::fits_sparse(m, ones) {
-            let mut positions = Vec::with_capacity(ones);
-            for (i, &word) in words.iter().enumerate() {
+    /// The sparse form of the ascending `positions` of a filter's set
+    /// bits, whose [`Mask`] is `mask`, in one exact allocation.
+    fn sparse(mask: Mask, positions: &[u16]) -> Bits {
+        if positions.is_empty() {
+            return Bits::Sparse(Box::default());
+        }
+        let mut bits = Vec::with_capacity(MASK_LEN + positions.len());
+        bits.extend_from_slice(&mask.parts());
+        bits.extend_from_slice(positions);
+        Bits::Sparse(bits.into_boxed_slice())
+    }
+
+    /// The bits of `words`, of which `ones` are set, in their form and one
+    /// exact allocation.
+    fn from_words(m: u32, words: &[u64], ones: usize) -> Bits {
+        if !Bits::fits_sparse(m, ones) {
+            return Bits::Dense(words.into());
+        }
+        if ones == 0 {
+            return Bits::Sparse(Box::default());
+        }
+        // The positions are read with as few branches on the bits as may
+        // be: only words with a bit are visited (up to 64 words, their
+        // indices are the set bits of `occupied`), four slots a word are
+        // written whether or not the word has that many bits, and the count
+        // moves on by the bits it had.
+        with_scratch::<u16, 264, _>(ones + 4, |slots| {
+            let (mut n, mut mask) = (0, Mask::default());
+            let mut take = |i: usize, word: u64| {
+                let base = (i * 64) as u16;
                 let mut rest = word;
+                for _ in 0..4 {
+                    slots[n] = base.wrapping_add(rest.trailing_zeros() as u16);
+                    n += usize::from(rest != 0);
+                    rest &= rest.wrapping_sub(1);
+                }
                 while rest != 0 {
-                    positions.push((i * 64) as u16 + rest.trailing_zeros() as u16);
+                    slots[n] = base + rest.trailing_zeros() as u16;
+                    n += 1;
                     rest &= rest - 1;
                 }
+                mask.add_word(i, word);
+            };
+            if words.len() <= 64 {
+                let set = words.iter().enumerate();
+                let mut occupied = set.fold(0u64, |o, (i, &w)| o | u64::from(w != 0) << i);
+                while occupied != 0 {
+                    let i = occupied.trailing_zeros() as usize;
+                    take(i, words[i]);
+                    occupied &= occupied - 1;
+                }
+            } else {
+                words
+                    .iter()
+                    .enumerate()
+                    .for_each(|(i, &word)| take(i, word));
             }
-            Bits::Sparse(positions.into_boxed_slice())
+            Bits::sparse(mask, &slots[..ones])
+        })
+    }
+
+    /// The bits at the ascending, repeat-free positions `a` and `b`
+    /// together, of which there are `ones`, in their form and one exact
+    /// allocation.
+    fn merged(m: u32, a: &[u16], b: &[u16], ones: usize) -> Bits {
+        if Bits::fits_sparse(m, ones) {
+            with_scratch::<u16, 264, _>(ones, |slots| {
+                let mut next = slots.iter_mut();
+                let mut mask = Mask::default();
+                merge(a, b, |at| {
+                    *next.next().expect("a slot for every set bit") = at;
+                    mask.add(at.into());
+                });
+                Bits::sparse(mask, slots)
+            })
         } else {
-            Bits::Dense(words.into())
+            let mut words = vec![0; word_count(m)].into_boxed_slice();
+            a.iter().chain(b).for_each(|&at| set(&mut words, at.into()));
+            Bits::Dense(words)
         }
     }
 
-    /// The bits at `positions` (each below `m`, repeats allowed) in their
-    /// form: set in a scratch of words, on the stack up to 4 096 bits, and
-    /// copied out with one exact allocation.
-    fn from_positions(m: u32, positions: impl Iterator<Item = usize>) -> Bits {
-        let mut on_stack = [0u64; 64];
-        let mut on_heap = Vec::new();
-        let words = match on_stack.get_mut(..word_count(m)) {
-            Some(words) => words,
-            None => {
-                on_heap.resize(word_count(m), 0);
-                &mut on_heap[..]
-            }
-        };
-        positions.for_each(|at| set(words, at));
-        Bits::from_words(m, words)
+    /// The positions of a sparse form's set bits, ascending.
+    fn positions(sparse: &[u16]) -> &[u16] {
+        sparse.get(MASK_LEN..).unwrap_or_default()
     }
 
     fn ones(&self) -> usize {
         match self {
-            Bits::Sparse(positions) => positions.len(),
+            Bits::Sparse(bits) => Bits::positions(bits).len(),
             Bits::Dense(words) => words.iter().map(|w| w.count_ones() as usize).sum(),
         }
     }
 
-    /// Whether every position of `at` (each below `m`) is set.
-    fn all_set(&self, mut at: impl Iterator<Item = usize>) -> bool {
+    /// Whether every position of `at` (each below `m`) is set; `need` is
+    /// the mask of their buckets.
+    fn all_set(&self, at: &[u32], need: &[u16; MASK_LEN]) -> bool {
         match self {
-            Bits::Sparse(positions) => at.all(|at| positions.binary_search(&(at as u16)).is_ok()),
-            Bits::Dense(words) => at.all(|at| words[at / 64] & (1 << (at % 64)) != 0),
+            Bits::Sparse(bits) => {
+                let Some((mask, positions)) = bits.split_first_chunk::<MASK_LEN>() else {
+                    return false;
+                };
+                let missing = (0..MASK_LEN).fold(0, |or, i| or | need[i] & !mask[i]);
+                missing == 0
+                    && at
+                        .iter()
+                        .all(|&at| positions.binary_search(&(at as u16)).is_ok())
+            }
+            Bits::Dense(words) => at.iter().all(|&at| is_set(words, at as usize)),
         }
     }
+}
+
+/// `f` of `len` zeroed values: on the stack up to `N`, on the heap past it.
+fn with_scratch<T: Copy + Default, const N: usize, R>(
+    len: usize,
+    f: impl FnOnce(&mut [T]) -> R,
+) -> R {
+    let mut on_stack = [T::default(); N];
+    match on_stack.get_mut(..len) {
+        Some(scratch) => f(scratch),
+        None => f(&mut vec![T::default(); len]),
+    }
+}
+
+/// Calls `emit` with the ascending union of the ascending, repeat-free
+/// lists `a` and `b`, each value once.
+fn merge(a: &[u16], b: &[u16], mut emit: impl FnMut(u16)) {
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        emit(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    a[i..].iter().chain(&b[j..]).for_each(|&at| emit(at));
 }
 
 /// `m` as stored, after the checks every constructor makes.
@@ -185,28 +315,46 @@ impl BloomFilter {
 
     /// A filter of shape `(m, k)` holding `keys`: what inserting them one
     /// by one into [`BloomFilter::with_params`] gives, built in one pass
-    /// with one exact allocation.
+    /// over a scratch of words (on the stack up to 4 096 bits) with one
+    /// exact allocation.
     pub fn from_keys(m: usize, k: u32, keys: impl IntoIterator<Item = u64>) -> BloomFilter {
         let m = checked_shape(m, k);
-        let mut items = 0;
-        let positions = keys.into_iter().flat_map(|key| {
-            items += 1;
-            let hashes = base_hashes(key);
-            (0..k).map(move |i| position(hashes, i, m))
+        let (mut items, mut ones) = (0, 0);
+        let bits = with_scratch::<u64, 64, _>(word_count(m), |words| {
+            // `for_each`, not `for`: a nested iterator (a store's object
+            // set) runs as nested loops.
+            keys.into_iter().for_each(|key| {
+                items += 1;
+                for at in positions(base_hashes(key), m, k) {
+                    ones += usize::from(!is_set(words, at));
+                    set(words, at);
+                }
+            });
+            Bits::from_words(m, words, ones)
         });
-        let bits = Bits::from_positions(m, positions);
         BloomFilter { bits, m, k, items }
     }
 
     /// Insert a key.
     pub fn insert(&mut self, key: u64) {
-        let hashes = base_hashes(key);
-        let (m, k) = (self.m, self.k);
+        let add = positions(base_hashes(key), self.m, self.k);
         match &mut self.bits {
-            Bits::Dense(words) => (0..k).for_each(|i| set(words, position(hashes, i, m))),
+            Bits::Dense(words) => add.for_each(|at| set(words, at)),
             Bits::Sparse(have) => {
-                let add = (0..k).map(|i| position(hashes, i, m));
-                self.bits = Bits::from_positions(m, have.iter().map(|&at| at.into()).chain(add));
+                let have = Bits::positions(have);
+                let mut new = [0u16; MAX_HASHES as usize];
+                let mut fresh = 0;
+                for at in add.map(|at| at as u16) {
+                    if have.binary_search(&at).is_err() && !new[..fresh].contains(&at) {
+                        new[fresh] = at;
+                        fresh += 1;
+                    }
+                }
+                if fresh > 0 {
+                    let new = &mut new[..fresh];
+                    new.sort_unstable();
+                    self.bits = Bits::merged(self.m, have, new, have.len() + fresh);
+                }
             }
         }
         self.items += 1;
@@ -215,9 +363,13 @@ impl BloomFilter {
     /// Query a key. `false` is definite; `true` may be a false positive.
     /// To probe many filters for one key, see [`Probe`].
     pub fn contains(&self, key: u64) -> bool {
-        let hashes = base_hashes(key);
-        self.bits
-            .all_set((0..self.k).map(|i| position(hashes, i, self.m)))
+        match &self.bits {
+            // A division a probe, up to the first unset bit.
+            Bits::Dense(words) => {
+                positions(base_hashes(key), self.m, self.k).all(|at| is_set(words, at))
+            }
+            Bits::Sparse(_) => Probe::new(key).hits(self),
+        }
     }
 
     /// Number of bits `m`.
@@ -261,17 +413,21 @@ impl BloomFilter {
                 }
             }
             (Bits::Dense(words), Bits::Sparse(theirs)) => {
-                theirs.iter().for_each(|&at| set(words, usize::from(at)));
+                let theirs = Bits::positions(theirs).iter();
+                theirs.for_each(|&at| set(words, usize::from(at)));
             }
             // `other` is dense, so it already has too many bits to be sparse.
             (Bits::Sparse(have), Bits::Dense(theirs)) => {
                 let mut words = theirs.clone();
-                have.iter().for_each(|&at| set(&mut words, usize::from(at)));
+                let have = Bits::positions(have).iter();
+                have.for_each(|&at| set(&mut words, usize::from(at)));
                 self.bits = Bits::Dense(words);
             }
             (Bits::Sparse(have), Bits::Sparse(theirs)) => {
-                let both = have.iter().chain(theirs.iter());
-                self.bits = Bits::from_positions(self.m, both.map(|&at| at.into()));
+                let (have, theirs) = (Bits::positions(have), Bits::positions(theirs));
+                let mut ones = 0;
+                merge(have, theirs, |_| ones += 1);
+                self.bits = Bits::merged(self.m, have, theirs, ones);
             }
         }
         self.items += other.items;
@@ -290,7 +446,8 @@ impl BloomFilter {
         let mut next = 0;
         (0..word_count(self.m)).map(move |i| match &self.bits {
             Bits::Dense(words) => words[i],
-            Bits::Sparse(positions) => {
+            Bits::Sparse(bits) => {
+                let positions = Bits::positions(bits);
                 let mut word = 0;
                 while let Some(&at) = positions.get(next).filter(|&&at| usize::from(at) / 64 == i) {
                     word |= 1 << (at % 64);
@@ -313,8 +470,9 @@ impl BloomFilter {
             return None;
         }
         let m = u32::try_from(m).ok()?;
+        let ones = words.iter().map(|w| w.count_ones() as usize).sum();
         Some(BloomFilter {
-            bits: Bits::from_words(m, &words),
+            bits: Bits::from_words(m, &words, ones),
             m,
             k,
             items,
@@ -342,8 +500,8 @@ impl fmt::Debug for BloomFilter {
 }
 
 /// One key probed against many filters: its base hashes are computed once,
-/// and its `k` probe positions once per filter shape `(m, k)` — a
-/// whole-petal view of summaries mostly shares one shape.
+/// and its `k` probe positions and their buckets once per filter shape
+/// `(m, k)` — a whole-petal view of summaries mostly shares one shape.
 ///
 /// ```
 /// use bloom::{BloomFilter, Probe};
@@ -358,7 +516,10 @@ pub struct Probe {
     /// The `(m, k)` that `at` holds the positions for; `m = 0` before the
     /// first filter, as no filter has.
     shape: (u32, u32),
+    /// The first `k` are the probe positions.
     at: [u32; MAX_HASHES as usize],
+    /// The buckets of the `k` positions, as a sparse filter's mask.
+    need: [u16; MASK_LEN],
 }
 
 impl Probe {
@@ -367,20 +528,25 @@ impl Probe {
             hashes: base_hashes(key),
             shape: (0, 0),
             at: [0; MAX_HASHES as usize],
+            need: [0; MASK_LEN],
         }
     }
 
     /// [`BloomFilter::contains`] of the key on `filter`.
     pub fn hits(&mut self, filter: &BloomFilter) -> bool {
         let (m, k) = (filter.m, filter.k);
+        let at = &mut self.at[..k as usize];
         if self.shape != (m, k) {
-            for (i, at) in (0..k).zip(self.at.iter_mut()) {
-                *at = position(self.hashes, i, m) as u32;
-            }
+            let positions = positions(self.hashes, m, k);
+            at.iter_mut()
+                .zip(positions)
+                .for_each(|(a, p)| *a = p as u32);
+            let mut need = Mask::default();
+            at.iter().for_each(|&at| need.add(at as usize));
+            self.need = need.parts();
             self.shape = (m, k);
         }
-        let at = &self.at[..k as usize];
-        filter.bits.all_set(at.iter().map(|&at| at as usize))
+        filter.bits.all_set(at, &self.need)
     }
 }
 
@@ -495,7 +661,7 @@ mod tests {
             pub items: usize,
         }
 
-        fn double_hash_rehashing(key: u64, i: u64) -> u64 {
+        pub fn double_hash_rehashing(key: u64, i: u64) -> u64 {
             let h1 = hash::hash_u64(key, 0x5bd1_e995);
             let h2 = hash::hash_u64(key, 0xc2b2_ae35) | 1; // odd, so it cycles all slots
             h1.wrapping_add(i.wrapping_mul(h2))
@@ -567,10 +733,10 @@ mod tests {
             (r.m, r.k, r.items)
         );
         prop_assert_eq!(f.fill_ratio(), r.fill_ratio());
-        // Canonical: positions exactly while 2 B a set bit undercut 8 B a
-        // word and every position fits a `u16`.
+        // Canonical: positions exactly while they and their 16-B mask
+        // undercut 8 B a word and every position fits a `u16`.
         let ones: usize = r.bits.iter().map(|w| w.count_ones() as usize).sum();
-        let sparse = r.m <= 1 << 16 && 2 * ones < 8 * r.bits.len();
+        let sparse = r.m <= 1 << 16 && 16 + 2 * ones < 8 * r.bits.len();
         prop_assert_eq!(
             matches!(f.bits, Bits::Sparse(_)),
             sparse,
@@ -578,6 +744,25 @@ mod tests {
             ones,
             r.m
         );
+        if let Bits::Sparse(bits) = &f.bits {
+            // Nothing for no bit; else the buckets of the set bits, sixteen
+            // positions each and the last taking the rest, then positions.
+            let mut mask = [0u16; MASK_LEN];
+            let mut positions = Vec::new();
+            for (i, &word) in r.bits.iter().enumerate() {
+                for bit in (0..64).filter(|bit| word >> bit & 1 == 1) {
+                    let bucket = ((64 * i + bit) / 16).min(127);
+                    mask[bucket / 16] |= 1 << (bucket % 16);
+                    positions.push((64 * i + bit) as u16);
+                }
+            }
+            let want = if ones == 0 {
+                Vec::new()
+            } else {
+                [&mask[..], &positions].concat()
+            };
+            prop_assert_eq!(&bits[..], &want[..]);
+        }
         let back = BloomFilter::from_parts(r.m, r.k, r.items, words);
         prop_assert_eq!(back.as_ref(), Some(f));
         let elsewhere = BloomFilter::with_params(r.m + 1, r.k);
@@ -605,7 +790,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Both forms against the plain-words filter they replaced: insert
         /// by insert (the form flips where the set bits outgrow the
@@ -627,6 +812,7 @@ mod tests {
                 f.insert(key);
                 r.insert(key);
                 prop_assert!(f.contains(key));
+                prop_assert_eq!(hash::double_hash(key, 3), reference::double_hash_rehashing(key, 3));
                 if n.is_power_of_two() {
                     same(&f, &r, &xs[..=n])?;
                 }

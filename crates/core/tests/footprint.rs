@@ -16,6 +16,9 @@
 //!   10 %: no per-peer buffer came back, and no queued event grew back to
 //!   the size of a message.
 //!
+//! Beside them, (c) a ten-object store's summary takes less heap than its
+//! 2 085 bits as words alone (264 B).
+//!
 //! Reverting the boxed node slots or the fold-as-produced reports fails (a);
 //! reverting the world-owned output buffer fails (b) (CHANGES.md, PR 18),
 //! and so does queueing message bodies in the wheel's slab again, a Chord
@@ -26,12 +29,10 @@
 //! Squirrel peer). An inline `PendingQuery` reads 3 612 B per Flower-CDN
 //! peer, inside the 10 %: the size pin of a Flower-CDN host
 //! (`engine::tests::a_flower_peer_host_is_at_most_376_bytes`) is what
-//! fails for it. Bloom summaries kept as one `Vec` of bit words whatever
-//! they hold, as before their sparse form, read 3 509 B per Flower-CDN
-//! peer, inside the 10 % too: the size pin beside the host's
-//! (`a_bloom_filter_is_at_most_40_bytes`; that filter took 48 B) is what
-//! fails for it, and `bloom`'s canonical-form check for a filter that
-//! keeps words where positions are smaller.
+//! fails for it. Bloom summaries kept as bit words whatever they hold, as
+//! before their sparse form, read 3 509 B per Flower-CDN peer, inside the
+//! 10 % too: (c) is what fails for them (such a summary takes at least
+//! 320 B).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -41,6 +42,7 @@ use flower_cdn::{
     shape_params, FlowerSim, RunResult, SimDriver, SimParams, SquirrelMode, SquirrelSim,
 };
 use simnet::Time;
+use workload::{ObjectId, WebsiteId};
 
 thread_local! {
     /// Bytes this thread allocated and has not freed. Const-initialised and
@@ -157,11 +159,30 @@ fn check(system: &str, f: Footprint, recorded_per_peer: isize) {
 
 #[test]
 fn flower_heap_follows_the_live_population() {
-    check("flower", footprint(FlowerSim::new), 3_422);
+    check("flower", footprint(FlowerSim::new), 3_427);
 }
 
 #[test]
 fn squirrel_heap_follows_the_live_population() {
     let build = |p| SquirrelSim::new(p, SquirrelMode::Directory);
     check("squirrel", footprint(build), 3_712);
+}
+
+#[test]
+fn a_ten_object_summary_takes_less_heap_than_its_words() {
+    let mut store = flower_proto::ContentStore::new();
+    for rank in 0..10 {
+        store.insert(ObjectId {
+            website: WebsiteId(1),
+            rank,
+        });
+    }
+    let base = LIVE.with(Cell::get);
+    let summary = store.summary();
+    let heap = LIVE.with(Cell::get) - base;
+    assert_eq!(summary.bit_len(), 2_085, "the standard summary shape");
+    assert!(
+        heap < 264,
+        "a ten-object summary takes {heap} B of heap, its words alone 264 B"
+    );
 }

@@ -8,7 +8,7 @@
 //! layered on.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bloom::BloomFilter;
 use workload::{ObjectId, WebsiteId};
@@ -34,15 +34,23 @@ pub enum StorePolicy {
 /// per 6 minutes for a mean uptime of 60 minutes stores ~10 objects; long
 /// lived peers collect a few hundred. 256 at 2% gives 2 085-bit summaries
 /// (264 bytes as words); a store of ten objects sets some 60 bits, kept
-/// as 120 bytes of positions (`bloom::BloomFilter`'s sparse form).
+/// as 120 bytes of positions behind a 16-byte mask
+/// (`bloom::BloomFilter`'s sparse form).
 const SUMMARY_EXPECTED_ITEMS: usize = 256;
 const SUMMARY_FP_RATE: f64 = 0.02;
 
 /// The shape `(m, k)` of a summary of `objects` entries — the one place
 /// the sizing is said. Up to [`SUMMARY_EXPECTED_ITEMS`] every summary has
-/// the same `m` and `k`; above it `m` grows with every object.
+/// the same `m` and `k`, worked out once; above it `m` grows with every
+/// object.
 fn summary_shape(objects: usize) -> (usize, u32) {
-    bloom::optimal_shape(SUMMARY_EXPECTED_ITEMS.max(objects), SUMMARY_FP_RATE)
+    static STANDARD: OnceLock<(usize, u32)> = OnceLock::new();
+    let shape = |objects| bloom::optimal_shape(objects, SUMMARY_FP_RATE);
+    if objects <= SUMMARY_EXPECTED_ITEMS {
+        *STANDARD.get_or_init(|| shape(SUMMARY_EXPECTED_ITEMS))
+    } else {
+        shape(objects)
+    }
 }
 
 /// An empty content summary sized for `objects` entries.
@@ -56,8 +64,7 @@ thread_local! {
     /// an object, and their summaries sit in every view and Redirect that
     /// names them. Per thread rather than process-wide, so `sweep --jobs N`
     /// workers, each simulating on its own thread, do not pass one
-    /// reference count from core to core. Its shape is the standard one
-    /// every other summary up to [`SUMMARY_EXPECTED_ITEMS`] objects reads.
+    /// reference count from core to core.
     static EMPTY_SUMMARY: Summary = Arc::new(empty_summary(0));
 }
 
@@ -70,11 +77,7 @@ pub(crate) fn summarize(objects: &ObjectSet, sized_for: usize) -> Summary {
     if objects.is_empty() {
         return EMPTY_SUMMARY.with(Arc::clone);
     }
-    let (m, k) = if sized_for <= SUMMARY_EXPECTED_ITEMS {
-        EMPTY_SUMMARY.with(|empty| (empty.bit_len(), empty.hash_count()))
-    } else {
-        summary_shape(sized_for)
-    };
+    let (m, k) = summary_shape(sized_for);
     Arc::new(BloomFilter::from_keys(
         m,
         k,

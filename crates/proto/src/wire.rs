@@ -114,6 +114,12 @@ impl From<io::Error> for WireError {
 /// Where an [`Enc`] puts its bytes.
 pub trait Sink {
     fn put(&mut self, bytes: &[u8]);
+
+    /// Put `words`, eight little-endian bytes each (a `u64`'s encoding).
+    #[inline]
+    fn put_words(&mut self, words: impl ExactSizeIterator<Item = u64>) {
+        words.for_each(|w| self.put(&w.to_le_bytes()));
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -130,6 +136,13 @@ impl Sink for usize {
     #[inline]
     fn put(&mut self, bytes: &[u8]) {
         *self += bytes.len();
+    }
+
+    /// Counted without reading them: a sparse summary's words are made
+    /// from its positions on demand.
+    #[inline]
+    fn put_words(&mut self, words: impl ExactSizeIterator<Item = u64>) {
+        *self += 8 * words.len();
     }
 }
 
@@ -294,9 +307,7 @@ impl Wire for Summary {
         (self.bit_len() as u32).put(e);
         self.hash_count().put(e);
         (self.inserted() as u32).put(e);
-        for w in self.words() {
-            w.put(e);
-        }
+        e.out.put_words(self.words());
     }
     fn get(d: &mut Dec) -> R<Self> {
         let m = u32::get(d)? as usize;
