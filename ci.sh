@@ -72,6 +72,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "==> rendered docs (EXPERIMENTS.md tables are what results/*.csv render to, README's what BENCH_*.json do)"
 python3 render_results.py --check EXPERIMENTS.md README.md
 
+echo "==> scripts parse (the paired benchmark runner is run by hand, not here)"
+bash -n scripts/ab.sh
+
 echo "==> loopback cluster smoke (5 live nodes, failure + re-founding)"
 bash scripts/loopback_smoke.sh
 
