@@ -238,7 +238,7 @@ fn check(system: &str, f: Footprint, recorded_per_peer: isize) {
 
 #[test]
 fn flower_heap_follows_the_live_population() {
-    check("flower", footprint(FlowerSim::new), 3_268);
+    check("flower", footprint(FlowerSim::new), 3_236);
 }
 
 #[test]

@@ -61,20 +61,6 @@ fn excluded(exclude: &[NodeId], raw: u32) -> bool {
     exclude.iter().any(|n| n.index() == raw as usize)
 }
 
-/// How many of the holders `hs` are in `exclude`. A list names each holder
-/// once, so each distinct excluded peer matches at most one.
-#[inline]
-fn excluded_holders(hs: &[u32], exclude: &[NodeId]) -> usize {
-    let mut count = 0;
-    for (i, n) in exclude.iter().enumerate() {
-        if !exclude[..i].contains(n) {
-            let raw = n.index() as u32;
-            count += hs.iter().filter(|&&h| h == raw).count();
-        }
-    }
-    count
-}
-
 /// Ends a free list of [`Holders::arena`] blocks.
 const NONE: u32 = u32::MAX;
 
@@ -84,12 +70,11 @@ struct Row {
     object: ObjectId,
     /// Number of holders, at least one.
     len: u32,
-    /// The one holder's id when `len` is 1; otherwise the first slot of
-    /// the list's block in [`Holders::arena`].
+    /// The first slot of the list's block in [`Holders::arena`].
     at: u32,
 }
 
-/// A list of `len ≥ 2` holders sits in a block of `2^class(len)` slots.
+/// A list of `len` holders sits in a block of `2^class(len)` slots.
 fn class(len: u32) -> usize {
     len.next_power_of_two().trailing_zeros() as usize
 }
@@ -99,37 +84,29 @@ fn holder(raw: u32) -> NodeId {
     NodeId::from_index(raw as usize)
 }
 
-/// Make room for `extra` more elements: past 1 KiB by an eighth, not by
-/// doubling. A directory's tables are most of what it holds, and a
-/// doubled `Vec` leaves a quarter of its room unused on average; below
-/// 1 KiB that is little, and sizes that double are the ones the allocator
-/// reuses best.
+/// Make room for `extra` more elements by an eighth of the length, not by
+/// doubling: a directory's tables are most of what it holds, and a doubled
+/// `Vec` leaves a quarter of its room unused on average.
 fn reserve<T>(v: &mut Vec<T>, extra: usize) {
-    if v.capacity() - v.len() >= extra {
-        return;
-    }
-    if v.len() * std::mem::size_of::<T>() < 1024 {
-        v.reserve(extra);
-    } else {
+    if v.capacity() - v.len() < extra {
         v.reserve_exact(extra.max(v.len() / 8));
     }
 }
 
 /// The inverted index, object → holders: one row per object with at least
-/// one holder, ascending by object, and one arena for every list of two or
-/// more holders. An object held by one peer keeps that holder in its row.
-/// A longer list sits in a block of the next power of two of slots, so
-/// the block's size follows from the list's length. A list that outgrows
+/// one holder, ascending by object, and one arena for their holder lists.
+/// A list sits in a block of the next power of two of slots, so the
+/// block's size follows from the list's length. A list that outgrows
 /// its block moves to one twice the size, and one that shrinks to a power
 /// of two gives back its block's upper half, so adding or removing a
 /// holder costs a search and at most the object's own list; no other list
 /// moves (an object's first holder adds its row, shifting the 12-byte rows
-/// after it; its last one removes the row). Freed blocks are chained per size through their first slot and
-/// taken before the arena grows; a block freed at the arena's end
-/// shortens it. Lists that grow leave blocks of the sizes they outgrew,
-/// which only lists of those sizes take again, so [`Holders::tidy`]
-/// packs the lists into a new arena once freed blocks are a quarter of
-/// it; the directory's periodic sweep calls it.
+/// after it; its last one removes the row). Freed blocks are chained per
+/// size through their first slot and taken before the arena grows; a
+/// block freed at the arena's end shortens it. Lists that grow leave
+/// blocks of the sizes they outgrew, which only lists of those sizes take
+/// again, so [`Holders::tidy`] packs the lists into a new arena once freed
+/// blocks are a quarter of it; the directory's periodic sweep calls it.
 ///
 /// Each list keeps its holders in the order they were recorded: provider
 /// choice draws an index into it.
@@ -148,11 +125,8 @@ impl Holders {
         self.rows.binary_search_by_key(&object, |row| row.object)
     }
 
-    fn list<'a>(&'a self, row: &'a Row) -> &'a [u32] {
-        match row.len {
-            1 => std::slice::from_ref(&row.at),
-            len => &self.arena[row.at as usize..][..len as usize],
-        }
+    fn list(&self, row: &Row) -> &[u32] {
+        &self.arena[row.at as usize..][..row.len as usize]
     }
 
     /// `object`'s holders, as raw ids in record order.
@@ -167,10 +141,12 @@ impl Holders {
         let i = match self.find(object) {
             Ok(i) => i,
             Err(i) => {
+                let at = self.take(0);
+                self.arena[at] = raw;
                 let row = Row {
                     object,
                     len: 1,
-                    at: raw,
+                    at: at as u32,
                 };
                 reserve(&mut self.rows, 1);
                 self.rows.insert(i, row);
@@ -178,11 +154,7 @@ impl Holders {
             }
         };
         let Row { len, at, .. } = self.rows[i];
-        let at = if len == 1 {
-            let block = self.take(1);
-            self.arena[block] = at;
-            block
-        } else if len.is_power_of_two() {
+        let at = if len.is_power_of_two() {
             let block = self.take(class(len) + 1);
             let old = at as usize;
             self.arena.copy_within(old..old + len as usize, block);
@@ -210,17 +182,13 @@ impl Holders {
         match row.len {
             1 => {
                 self.rows.remove(i);
+                self.give_back(at, 0);
                 if self.rows.is_empty() {
                     // Nothing is listed, so every block is free.
                     self.arena.clear();
                     self.free.clear();
                     self.idle = 0;
                 }
-            }
-            2 => {
-                self.rows[i].at = self.arena[at + 1 - k];
-                self.rows[i].len = 1;
-                self.give_back(at, 1);
             }
             len => {
                 let len = len as usize - 1;
@@ -274,7 +242,7 @@ impl Holders {
             return;
         }
         let mut arena = Vec::with_capacity(self.arena.len() - self.idle);
-        for row in self.rows.iter_mut().filter(|row| row.len >= 2) {
+        for row in &mut self.rows {
             let block = &self.arena[row.at as usize..][..1 << class(row.len)];
             row.at = arena.len() as u32;
             arena.extend_from_slice(block);
@@ -445,24 +413,7 @@ impl DirectoryIndex {
         rng: &mut impl Rng,
     ) -> Option<NodeId> {
         let hs = self.holders.of(object)?;
-        // `choose`'s count, draw and n-th, with the count taken per
-        // excluded peer (one compare-and-add pass each) and the n-th read
-        // straight off the list when no holder is excluded — the querier
-        // asks for what it does not hold, so that is the usual case.
-        let n = hs.len() - excluded_holders(hs, exclude);
-        if n == 0 {
-            return None;
-        }
-        let k = rng.next_u64() as usize % n;
-        let pick = if n == hs.len() {
-            hs[k]
-        } else {
-            hs.iter()
-                .copied()
-                .filter(|&h| !excluded(exclude, h))
-                .nth(k)?
-        };
-        Some(holder(pick))
+        choose(hs.iter().copied().filter(|&h| !excluded(exclude, h)), rng)
     }
 
     /// Like [`DirectoryIndex::provider_for`], but prefer holders heard from
@@ -1075,9 +1026,7 @@ mod tests {
         let mut blocks: Vec<(usize, usize)> = Vec::new();
         for row in &h.rows {
             assert!(row.len >= 1);
-            if row.len >= 2 {
-                blocks.push((row.at as usize, 1 << class(row.len)));
-            }
+            blocks.push((row.at as usize, 1 << class(row.len)));
         }
         let mut idle = 0;
         for (c, &head) in h.free.iter().enumerate() {
@@ -1145,14 +1094,14 @@ mod tests {
     fn a_sweep_packs_the_lists_once_free_blocks_are_a_quarter_of_the_arena() {
         let mut idx = DirectoryIndex::new();
         // Eight objects' lists grow to nine holders side by side: each
-        // leaves blocks of two, four and eight slots behind it.
+        // leaves blocks of one, two, four and eight slots behind it.
         for p in 0..9 {
             idx.record_objects(n(p), (0..8).map(o), 1_000);
         }
         let before: Vec<_> = (0..8).map(|r| holders_of(&idx, o(r))).collect();
         let h = &idx.holders;
-        assert_eq!(h.arena.len(), 8 * (2 + 4 + 8 + 16));
-        assert_eq!(h.idle, 8 * (2 + 4 + 8));
+        assert_eq!(h.arena.len(), 8 * (1 + 2 + 4 + 8 + 16));
+        assert_eq!(h.idle, 8 * (1 + 2 + 4 + 8));
         check_layout(&idx);
         // A sweep that expires nobody still packs the lists.
         assert!(idx.expire(1_000, 0).is_empty());
